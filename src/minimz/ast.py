@@ -7,7 +7,8 @@ even when whitespace differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import is_
 
 
 @dataclass(frozen=True)
@@ -75,16 +76,21 @@ KIND_PERM = KPerm()
 
 @dataclass(frozen=True)
 class Type:
-    pass
+    """Type nodes are immutable and have no per-instance dict: each concrete
+    node stores its fields in slots, plus the `_has_meta` slot declared
+    here, which `has_meta` fills in the first time it is asked
+    whether the node contains a `TMeta`."""
+
+    __slots__ = ("_has_meta",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TVar(Type):
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TMeta(Type):
     """Unification variable introduced by the checker; never produced by parsing."""
 
@@ -93,7 +99,7 @@ class TMeta(Type):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TApp(Type):
     head: str
     args: tuple[Type, ...]
@@ -107,20 +113,20 @@ class TupleComp:
     consumed: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TTuple(Type):
     comps: tuple[TupleComp, ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TArrow(Type):
     domain: Type
     codomain: Type
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TBar(Type):
     """`(t | p)`: the carrier type together with a permission."""
 
@@ -130,7 +136,7 @@ class TBar(Type):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TConcrete(Type):
     """Structural tagged-record type, e.g. `Node { left = l; elem = x; right = r }`.
 
@@ -143,27 +149,27 @@ class TConcrete(Type):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TSingleton(Type):
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TForall(Type):
     binders: tuple[tuple[str, Kind], ...]
     body: Type
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TExists(Type):
     binders: tuple[tuple[str, Kind], ...]
     body: Type
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TAt(Type):
     """Anchored permission `x @ t`."""
 
@@ -172,7 +178,7 @@ class TAt(Type):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TStar(Type):
     """Permission conjunction `p * q * ...`, kept flat after normalization."""
 
@@ -180,12 +186,80 @@ class TStar(Type):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TEmpty(Type):
     span: Span = _span_field()
 
 
 UNIT = TTuple(())
+
+
+def map_children(t: Type, g) -> Type:
+    """Apply `g` to each child of `t`, left to right. Returns `t` itself when
+    every child comes back as the same object, else a copy of `t` holding
+    the new children."""
+    if isinstance(t, (TVar, TMeta, TEmpty, TSingleton)):
+        return t
+    if isinstance(t, TApp):
+        args = tuple(map(g, t.args))
+        return t if _same(args, t.args) else replace(t, args=args)
+    if isinstance(t, TArrow):
+        dom, cod = g(t.domain), g(t.codomain)
+        if dom is t.domain and cod is t.codomain:
+            return t
+        return replace(t, domain=dom, codomain=cod)
+    if isinstance(t, TTuple):
+        tys = [g(c.ty) for c in t.comps]
+        if _same(tys, [c.ty for c in t.comps]):
+            return t
+        comps = tuple(TupleComp(c.name, ty, c.consumed) for c, ty in zip(t.comps, tys))
+        return replace(t, comps=comps)
+    if isinstance(t, TBar):
+        carrier, perm = g(t.carrier), g(t.perm)
+        if carrier is t.carrier and perm is t.perm:
+            return t
+        return replace(t, carrier=carrier, perm=perm)
+    if isinstance(t, TConcrete):
+        ftys = [g(ft) for _, ft in t.fields]
+        bar = g(t.bar) if t.bar is not None else None
+        if bar is t.bar and _same(ftys, [ft for _, ft in t.fields]):
+            return t
+        fields = tuple((n, ft) for (n, _), ft in zip(t.fields, ftys))
+        return replace(t, fields=fields, bar=bar)
+    if isinstance(t, (TForall, TExists)):
+        body = g(t.body)
+        return t if body is t.body else replace(t, body=body)
+    if isinstance(t, TAt):
+        ty = g(t.ty)
+        return t if ty is t.ty else replace(t, ty=ty)
+    if isinstance(t, TStar):
+        items = tuple(map(g, t.items))
+        return t if _same(items, t.items) else replace(t, items=items)
+    raise TypeError(f"unknown type node {t!r}")
+
+
+def _same(xs, ys) -> bool:
+    return all(map(is_, xs, ys))
+
+
+def has_meta(t: Type) -> bool:
+    """Does `t` contain a `TMeta`? Nodes are immutable, so the answer is
+    computed once per node and kept in its `_has_meta` slot."""
+    try:
+        return t._has_meta
+    except AttributeError:
+        pass
+    found = isinstance(t, TMeta)
+    if not found:
+
+        def probe(c: Type) -> Type:
+            nonlocal found
+            found = found or has_meta(c)
+            return c
+
+        map_children(t, probe)
+    object.__setattr__(t, "_has_meta", found)
+    return found
 
 
 # ---------------------------------------------------------------------------

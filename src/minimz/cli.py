@@ -93,11 +93,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         _emit_diags(args.file, text, exc.diags, False)
         return 1
     except RuntimeTrap as trap:
+        for line in trap.trace:
+            print(line, file=sys.stderr)
         print(f"trap {trap.kind}: {trap.message}", file=sys.stderr)
         return 3
-    if args.trace:
-        for line in interp.trace:
-            print(line, file=sys.stderr)
+    for line in interp.trace:
+        print(line, file=sys.stderr)
     print(interp.render(value))
     return 0
 

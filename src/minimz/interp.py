@@ -46,12 +46,14 @@ def _wrap64(n: int) -> int:
 
 class RuntimeTrap(Exception):
     """kind is one of ONE_SHOT_REUSE, BAD_TAG, BAD_FIELD, UNBOUND, DIV_ZERO,
-    STEP_LIMIT."""
+    STEP_LIMIT. `trace` holds the run's trace lines up to the trap (empty
+    when tracing is off)."""
 
     def __init__(self, kind: str, message: str):
         super().__init__(f"{kind}: {message}")
         self.kind = kind
         self.message = message
+        self.trace: list[str] = []
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +214,6 @@ class Interp:
         return self.heap[v.addr]
 
     # -- evaluation -------------------------------------------------------------
-
-    def tick(self) -> None:
-        self.stats.steps += 1
-        if self.stats.steps > self.max_steps:
-            raise RuntimeTrap("STEP_LIMIT", f"exceeded {self.max_steps} steps")
 
     def eval(self, env: dict, e: Expr) -> Value:
         self.stats.steps += 1
@@ -436,5 +433,9 @@ def eval_program(
     trace: bool = False,
 ) -> tuple[Value, Interp]:
     interp = Interp(env, files, max_steps=max_steps, trace=trace)
-    value = interp.run(entry)
+    try:
+        value = interp.run(entry)
+    except RuntimeTrap as trap:
+        trap.trace = interp.trace
+        raise
     return value, interp

@@ -142,6 +142,8 @@ class Env:
     tags: dict[str, tuple[str, Branch]] = field(default_factory=dict)
     sigs: dict[str, Type] = field(default_factory=dict)
     sig_order: list[str] = field(default_factory=list)
+    # `perms.duplicability` answers for this environment; a clone starts empty.
+    dup_memo: dict[Type, str] = field(default_factory=dict, compare=False, repr=False)
 
     def lookup_type(self, name: str, span: Span) -> TypeInfo:
         info = self.types.get(name)

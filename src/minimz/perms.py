@@ -14,7 +14,7 @@ existential witness via unification metavariables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .ast import (
     KIND_PERM,
@@ -33,6 +33,7 @@ from .ast import (
     TVar,
     Type,
     TupleComp,
+    map_children,
 )
 from .kinds import AliasInfo, DataInfo, Env, PrimInfo
 
@@ -45,11 +46,6 @@ def fresh_name(base: str) -> str:
     return f"{base}${next(_fresh_counter)}"
 
 
-def reset_fresh_names() -> None:
-    global _fresh_counter
-    _fresh_counter = itertools.count()
-
-
 # ---------------------------------------------------------------------------
 # Duplicability
 # ---------------------------------------------------------------------------
@@ -59,21 +55,15 @@ DUPLICABLE = "DUPLICABLE"
 AFFINE = "AFFINE"
 
 
-_dup_memo: dict[tuple[int, Type], str] = {}
-
-
 def duplicability(t: Type, env: Env, _assume: frozenset[str] | None = None) -> str:
     """Least-fixed-point duplicability; recursive occurrences are optimistically
-    assumed duplicable and iterated until stable (sufficient for `list`)."""
+    assumed duplicable and iterated until stable (sufficient for `list`).
+    Answers are memoised in `env.dup_memo`, so they live exactly as long as
+    the environment whose declarations they depend on."""
     if _assume is None:
-        key = (id(env), t)
-        cached = _dup_memo.get(key)
-        if cached is not None:
-            return cached
-        result = duplicability(t, env, frozenset())
-        if len(_dup_memo) > 100_000:
-            _dup_memo.clear()
-        _dup_memo[key] = result
+        result = env.dup_memo.get(t)
+        if result is None:
+            result = env.dup_memo[t] = duplicability(t, env, frozenset())
         return result
     if isinstance(t, (TEmpty, TSingleton)):
         return DUPLICABLE
@@ -150,34 +140,25 @@ def subst_type(t: Type, subst: dict[str, Type], values: dict[str, str] | None = 
     """Substitute type/permission variables and (optionally) value anchors.
 
     `subst` maps binder names to types; `values` maps value names (anchors,
-    singleton references, component names) to other value names.
+    singleton references, component names) to other value names. With both
+    empty, `t` itself is returned.
     """
+    if not subst and not values:
+        return t
     values = values or {}
-
-    def ren(name: str) -> str:
-        return values.get(name, name)
-
     if isinstance(t, TVar):
         return subst.get(t.name, t)
-    if isinstance(t, (TMeta, TEmpty)):
-        return t
     if isinstance(t, TSingleton):
-        return replace(t, name=ren(t.name))
-    if isinstance(t, TApp):
-        return replace(t, args=tuple(subst_type(a, subst, values) for a in t.args))
+        name = values.get(t.name, t.name)
+        return t if name == t.name else replace(t, name=name)
     if isinstance(t, TArrow):
         dom, values2 = _subst_domain(t.domain, subst, values)
-        return replace(t, domain=dom, codomain=subst_type(t.codomain, subst, values2))
-    if isinstance(t, TTuple):
-        dom, _ = _subst_domain(t, subst, values)
-        return dom
-    if isinstance(t, TBar):
-        dom, _ = _subst_domain(t, subst, values)
-        return dom
-    if isinstance(t, TConcrete):
-        fields = tuple((n, subst_type(f, subst, values)) for n, f in t.fields)
-        bar = subst_type(t.bar, subst, values) if t.bar is not None else None
-        return replace(t, fields=fields, bar=bar)
+        cod = subst_type(t.codomain, subst, values2)
+        if dom is t.domain and cod is t.codomain:
+            return t
+        return replace(t, domain=dom, codomain=cod)
+    if isinstance(t, (TTuple, TBar)):
+        return _subst_domain(t, subst, values)[0]
     if isinstance(t, (TForall, TExists)):
         binders = []
         inner = dict(subst)
@@ -190,12 +171,18 @@ def subst_type(t: Type, subst: dict[str, Type], values: dict[str, str] | None = 
             else:
                 inner.pop(name, None)
                 binders.append((name, kind))
-        return replace(t, binders=tuple(binders), body=subst_type(t.body, inner, values))
+        new_binders = tuple(binders)
+        body = subst_type(t.body, inner, values)
+        if body is t.body and new_binders == t.binders:
+            return t
+        return replace(t, binders=new_binders, body=body)
     if isinstance(t, TAt):
-        return replace(t, anchor=ren(t.anchor), ty=subst_type(t.ty, subst, values))
-    if isinstance(t, TStar):
-        return replace(t, items=tuple(subst_type(i, subst, values) for i in t.items))
-    raise TypeError(f"unknown type node {t!r}")
+        anchor = values.get(t.anchor, t.anchor)
+        ty = subst_type(t.ty, subst, values)
+        if anchor == t.anchor and ty is t.ty:
+            return t
+        return replace(t, anchor=anchor, ty=ty)
+    return map_children(t, lambda c: subst_type(c, subst, values))
 
 
 def _subst_domain(
@@ -205,16 +192,21 @@ def _subst_domain(
     a component name shadows any outer value renaming."""
     if isinstance(t, TBar):
         carrier, values2 = _subst_domain(t.carrier, subst, values)
-        return replace(t, carrier=carrier, perm=subst_type(t.perm, subst, values2)), values2
+        perm = subst_type(t.perm, subst, values2)
+        if carrier is t.carrier and perm is t.perm:
+            return t, values2
+        return replace(t, carrier=carrier, perm=perm), values2
     if isinstance(t, TTuple):
         values2 = dict(values)
-        comps = []
+        tys = []
         for comp in t.comps:
-            ty = subst_type(comp.ty, subst, values2)
+            tys.append(subst_type(comp.ty, subst, values2))
             if comp.name is not None:
                 values2.pop(comp.name, None)
-            comps.append(TupleComp(comp.name, ty, comp.consumed))
-        return replace(t, comps=tuple(comps)), values2
+        if all(ty is c.ty for c, ty in zip(t.comps, tys)):
+            return t, values2
+        comps = tuple(TupleComp(c.name, ty, c.consumed) for c, ty in zip(t.comps, tys))
+        return replace(t, comps=comps), values2
     return subst_type(t, subst, values), values
 
 
@@ -392,26 +384,40 @@ class SubsumptionFailure(Exception):
         self.note = note
 
 
+def _anchor_keys(atoms: tuple[Atom, ...]) -> tuple[str | None, ...]:
+    return tuple(a.anchor if type(a) is Anchored else None for a in atoms)
+
+
 @dataclass
 class PermEnv:
     """Ordered multiset of permission atoms. Operations return new values.
 
     `globals` is a shared side table of duplicable permissions for top-level
     values; they are never extracted and never copied per operation.
+
+    `keys` is an index kept parallel to `atoms`: `keys[i]` is the anchor of
+    `atoms[i]` when that atom is `Anchored`, and None for any other atom.
+    It is derived from `atoms` on construction, and `add`, `remove_index`
+    and `replace_index` keep it by slicing the same way as `atoms`, so
+    `atoms_of` can search it with `tuple.index`.
     """
 
     env: Env
     atoms: tuple[Atom, ...] = ()
     globals: dict[str, Type] | None = None
+    keys: tuple[str | None, ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.keys is None:
+            self.keys = _anchor_keys(self.atoms)
 
     def __str__(self) -> str:
         return " * ".join(str(a) for a in self.atoms) if self.atoms else "empty"
 
     def add(self, *new: Atom) -> "PermEnv":
-        return PermEnv(self.env, self.atoms + tuple(new), self.globals)
-
-    def add_perm(self, perm: Type) -> "PermEnv":
-        return self.add(*normalize(perm))
+        return PermEnv(
+            self.env, self.atoms + new, self.globals, self.keys + _anchor_keys(new)
+        )
 
     def global_type(self, anchor: str) -> Type | None:
         if self.globals is None:
@@ -419,19 +425,34 @@ class PermEnv:
         return self.globals.get(anchor)
 
     def remove_index(self, idx: int) -> "PermEnv":
-        return PermEnv(self.env, self.atoms[:idx] + self.atoms[idx + 1 :], self.globals)
+        atoms, keys = self.atoms, self.keys
+        return PermEnv(
+            self.env,
+            atoms[:idx] + atoms[idx + 1 :],
+            self.globals,
+            keys[:idx] + keys[idx + 1 :],
+        )
 
     def replace_index(self, idx: int, *new: Atom) -> "PermEnv":
+        atoms, keys = self.atoms, self.keys
         return PermEnv(
-            self.env, self.atoms[:idx] + tuple(new) + self.atoms[idx + 1 :], self.globals
+            self.env,
+            atoms[:idx] + new + atoms[idx + 1 :],
+            self.globals,
+            keys[:idx] + _anchor_keys(new) + keys[idx + 1 :],
         )
 
     def atoms_of(self, anchor: str) -> list[tuple[int, Anchored]]:
-        return [
-            (i, a)
-            for i, a in enumerate(self.atoms)
-            if type(a) is Anchored and a.anchor == anchor
-        ]
+        """The atoms anchored at `anchor`, with their indices, in order."""
+        keys, atoms = self.keys, self.atoms
+        hits = []
+        i = -1
+        try:
+            while True:
+                i = keys.index(anchor, i + 1)
+                hits.append((i, atoms[i]))
+        except ValueError:
+            return hits
 
     def duplicable_atoms(self) -> list[Atom]:
         out = []

@@ -27,6 +27,8 @@ from .ast import (
     TVar,
     Type,
     TupleComp,
+    has_meta,
+    map_children,
 )
 from .kinds import DataInfo, Env, domain_bar, domain_comps
 from .perms import (
@@ -71,28 +73,21 @@ class Unifier:
         return t
 
     def resolve(self, t: Type) -> Type:
-        """Deep substitution of solved metavariables."""
-        if not self.bindings:
+        """Deep substitution of solved metavariables. A subtree without
+        metavariables is returned as it is, and so is `t` itself when
+        nothing in it is solved."""
+        if not self.bindings or not has_meta(t):
             return t
-        t = self.shallow(t)
         if isinstance(t, TMeta):
-            return t
-
-        def deep(u: Type) -> Type:
-            if isinstance(u, TMeta):
-                r = self.shallow(u)
-                if isinstance(r, TMeta):
-                    return r
-                return self.resolve(r)
-            return u
-
-        return _map_type(t, deep)
+            r = self.shallow(t)
+            return r if isinstance(r, TMeta) else self.resolve(r)
+        return map_children(t, self.resolve)
 
     def bind(self, name: str, ty: Type) -> bool:
         ty = self.resolve(ty)
         if isinstance(ty, TMeta) and ty.name == name:
             return True
-        if name in _meta_names(ty):
+        if has_meta(ty) and name in _meta_names(ty):
             return False  # occurs check
         self.bindings[name] = ty
         return True
@@ -105,31 +100,12 @@ def _meta_names(t: Type) -> set[str]:
 
 
 def _map_type(t: Type, f) -> Type:
-    """Bottom-up map over a type; `f` is applied to every node."""
-    from dataclasses import replace
+    """Bottom-up map over a type; `f` is applied to every node.
 
-    if isinstance(t, (TVar, TMeta, TEmpty, TSingleton)):
-        return f(t)
-    if isinstance(t, TApp):
-        return f(replace(t, args=tuple(_map_type(a, f) for a in t.args)))
-    if isinstance(t, TArrow):
-        return f(replace(t, domain=_map_type(t.domain, f), codomain=_map_type(t.codomain, f)))
-    if isinstance(t, TTuple):
-        comps = tuple(TupleComp(c.name, _map_type(c.ty, f), c.consumed) for c in t.comps)
-        return f(replace(t, comps=comps))
-    if isinstance(t, TBar):
-        return f(replace(t, carrier=_map_type(t.carrier, f), perm=_map_type(t.perm, f)))
-    if isinstance(t, TConcrete):
-        fields = tuple((n, _map_type(ft, f)) for n, ft in t.fields)
-        bar = _map_type(t.bar, f) if t.bar is not None else None
-        return f(replace(t, fields=fields, bar=bar))
-    if isinstance(t, (TForall, TExists)):
-        return f(replace(t, body=_map_type(t.body, f)))
-    if isinstance(t, TAt):
-        return f(replace(t, ty=_map_type(t.ty, f)))
-    if isinstance(t, TStar):
-        return f(replace(t, items=tuple(_map_type(i, f) for i in t.items)))
-    raise TypeError(f"unknown type node {t!r}")
+    Identity rule: a node is rebuilt only when one of its children changed,
+    so where `f` returns every node it is given as it is, the result is `t`
+    itself, not a copy."""
+    return f(map_children(t, lambda c: _map_type(c, f)))
 
 
 @dataclass
@@ -542,13 +518,6 @@ class Subsumer:
         ) == DUPLICABLE:
             return penv
         return penv.remove_index(idx)
-
-    def _open_any(self, penv: PermEnv, anchor: str) -> PermEnv | None:
-        for idx, _ in penv.atoms_of(anchor):
-            opened = self.open_atom(penv, idx)
-            if opened is not None:
-                return opened
-        return None
 
     def _subsume_tuple(self, penv: PermEnv, anchor: str, ty: TTuple, depth: int) -> PermEnv:
         found = self.head_atom(

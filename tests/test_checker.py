@@ -199,3 +199,21 @@ def test_diagnostic_spans_are_inside_the_source():
         for d in diags:
             assert 0 <= d.span.start <= len(text)
             assert d.span.start + d.span.length <= len(text)
+
+
+BOX = """
+data {mut}box = Box {{ v: int }}
+
+val two: (consumes b: box) -> (box, box)
+val two (b) = (b, b)
+"""
+
+
+def test_duplicability_does_not_leak_between_checks():
+    # Each check's environment is freed once its result is dropped, and the
+    # next check's environment may reuse its id. A duplicability answer
+    # cached for one program must not be seen by the next, which declares
+    # `box` differently.
+    for _ in range(300):
+        assert codes(check_text(BOX.format(mut=""), "box")[2]) == []
+        assert codes(check_text(BOX.format(mut="mutable "), "box")[2]) == ["E-SUBSUME"]

@@ -78,6 +78,17 @@ def test_run_trace_logs_allocations():
     assert "alloc" in out.stderr
 
 
+def test_run_trace_is_kept_when_the_run_traps():
+    out = run_cli(
+        "run", "--unchecked", "--trace", str(CORPUS / "dyn" / "double_wand.mz"), "main"
+    )
+    assert out.returncode == 3
+    lines = out.stderr.strip().splitlines()
+    assert lines[-1].startswith("trap ONE_SHOT_REUSE")
+    assert any(line.startswith("alloc") for line in lines[:-1])
+    assert any(line.startswith("oneshot") for line in lines[:-1])
+
+
 def test_corpus_manifest_passes():
     out = run_cli("test")
     assert out.returncode == 0, out.stdout + out.stderr

@@ -14,6 +14,7 @@ from minimz.ast import (
     TEmpty,
     TExists,
     TForall,
+    TMeta,
     TSingleton,
     TStar,
     TTuple,
@@ -26,6 +27,7 @@ from minimz.perms import (
     AFFINE,
     Anchored,
     DUPLICABLE,
+    MetaPerm,
     PermEnv,
     PermVar,
     SubsumptionFailure,
@@ -35,7 +37,7 @@ from minimz.perms import (
     split_concrete,
     subst_type,
 )
-from minimz.subsume import Subsumer
+from minimz.subsume import Subsumer, Unifier
 
 TREE = """
 data mutable tree a =
@@ -238,6 +240,76 @@ def test_frame_monotonicity(tree_env):
             sub2 = Subsumer(tree_env)
             left2 = sub2.subsume(penv2, list(goal))
             assert list(left2.atoms) == list(left.atoms) + [extra]
+
+
+# Names are drawn from one small pool, so permission variables, metavariables
+# and anchors share names, and atoms repeat.
+_names = st.sampled_from(["x", "y", "z"])
+_atoms = st.one_of(
+    st.builds(Anchored, _names, st.sampled_from([TApp("int", ()), TSingleton("x")])),
+    _names.map(PermVar),
+    _names.map(MetaPerm),
+)
+_edits = st.tuples(
+    st.sampled_from(["add", "remove", "replace"]),
+    st.integers(0, 40),
+    st.lists(_atoms, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_atoms, max_size=6), st.lists(_edits, max_size=25))
+def test_anchor_index_follows_edits(tree_env, start, edits):
+    penv = PermEnv(tree_env, tuple(start))
+    model = list(start)
+    for op, pos, new in edits:
+        if op == "add":
+            penv = penv.add(*new)
+            model += new
+        elif model:
+            idx = pos % len(model)
+            if op == "remove":
+                penv = penv.remove_index(idx)
+                model[idx : idx + 1] = []
+            else:
+                penv = penv.replace_index(idx, *new)
+                model[idx : idx + 1] = new
+        assert penv.atoms == tuple(model)
+        for anchor in ("x", "y", "z"):
+            scan = [
+                (i, a)
+                for i, a in enumerate(model)
+                if isinstance(a, Anchored) and a.anchor == anchor
+            ]
+            assert penv.atoms_of(anchor) == scan
+
+
+def test_type_maps_keep_unchanged_types():
+    a = TVar("a")
+    body = TArrow(
+        TTuple(
+            (
+                TupleComp("x", TApp("tree", (a,)), True),
+                TupleComp(None, TSingleton("x")),
+            )
+        ),
+        TBar(
+            TConcrete("Node", (("elem", a),), TAt("x", TApp("int", ()))),
+            TStar((TVar("p"), TEmpty())),
+        ),
+    )
+    t = TForall((("a", KIND_TYPE),), TExists((("p", KIND_PERM),), body))
+    assert subst_type(t, {}) is t
+    assert subst_type(t, {}, {}) is t
+    uni = Unifier()
+    solved = uni.fresh("s")
+    uni.bind(solved.name, TApp("int", ()))
+    assert uni.resolve(t) is t
+    # Only the path to a solved metavariable is rebuilt.
+    pair = TApp("pair", (solved, body, TMeta("open")))
+    resolved = uni.resolve(pair)
+    assert resolved == TApp("pair", (TApp("int", ()), body, TMeta("open")))
+    assert resolved.args[1] is body and resolved.args[2] is pair.args[2]
 
 
 # ---------------------------------------------------------------------------
