@@ -242,6 +242,13 @@ def _same(xs, ys) -> bool:
     return all(map(is_, xs, ys))
 
 
+def children(t: Type) -> list[Type]:
+    """The children of `t`, left to right, as `map_children` visits them."""
+    out: list[Type] = []
+    map_children(t, lambda c: out.append(c) or c)
+    return out
+
+
 def has_meta(t: Type) -> bool:
     """Does `t` contain a `TMeta`? Nodes are immutable, so the answer is
     computed once per node and kept in its `_has_meta` slot."""

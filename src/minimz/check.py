@@ -46,6 +46,8 @@ from .ast import (
     TTuple,
     TVar,
     Type,
+    children,
+    has_meta,
 )
 from .ast import TupleComp
 from .kinds import DataInfo, Env, domain_bar, domain_comps
@@ -54,11 +56,9 @@ from .perms import (
     Atom,
     PermEnv,
     SubsumptionFailure,
-    admit_atoms,
-    expand_alias,
     fresh_name,
-    is_alias,
     normalize,
+    split_branch,
     subst_type,
 )
 from .subsume import Subsumer
@@ -452,19 +452,17 @@ class Checker:
     def _default_unsolved(self, ty: Type, span: Span, st: CheckState) -> None:
         """Unsolved PERM metavariables default to empty; unsolved TYPE
         metavariables in a result are an inference failure."""
-        from .subsume import _map_type
-
         unsolved_type: list[str] = []
-
-        def visit(u):
+        work = [ty]
+        while work:
+            u = work.pop()
             if isinstance(u, TMeta) and u.name not in self.sub.uni.bindings:
                 if u.kind == KIND_PERM:
                     self.sub.uni.bind(u.name, TEmpty())
                 else:
                     unsolved_type.append(u.name)
-            return u
-
-        _map_type(ty, visit)
+            elif has_meta(u):
+                work += reversed(children(u))
         if unsolved_type:
             self._fail(
                 "E-KIND",
@@ -520,34 +518,9 @@ class Checker:
         info = self.env.types[ty.head]
         assert isinstance(info, DataInfo)
         (branch,) = info.branches.values()
-        penv, _ = self._refine_with_branch(penv, atom.anchor, idx, info, ty, branch, None)
-        return st.with_penv(penv)
-
-    def _refine_with_branch(
-        self,
-        penv: PermEnv,
-        anchor: str,
-        idx: int,
-        info: DataInfo,
-        ty: TApp,
-        branch,
-        names: list[str] | None,
-    ) -> tuple[PermEnv, list[str]]:
-        """Replace a nominal atom with its per-branch structural refinement."""
-        subst = dict(zip((n for n, _ in info.params), ty.args))
-        field_anchors: list[str] = []
-        fields = []
-        extra: list[Atom] = []
-        for i, (fname, fty) in enumerate(branch.fields):
-            a = names[i] if names is not None else fresh_name(fname)
-            field_anchors.append(a)
-            fields.append((fname, TSingleton(a)))
-            extra.extend(admit_atoms(a, subst_type(fty, subst)))
-        structural = Anchored(anchor, TConcrete(branch.tag, tuple(fields), None))
-        if branch.bar is not None:
-            extra.extend(normalize(subst_type(branch.bar, subst)))
-        penv = penv.replace_index(idx, structural, *extra)
-        return penv, field_anchors
+        names = (fresh_name(fname) for fname, _ in branch.fields)
+        split = split_branch(atom.anchor, info, ty.args, branch, names)
+        return st.with_penv(penv.replace_index(idx, *split))
 
     # -- match -------------------------------------------------------------------
 
@@ -570,7 +543,9 @@ class Checker:
             for pat, body in e.branches:
                 assert isinstance(pat, PTag)
                 if pat.tag == ty.tag:
-                    st2 = self._split_known(st, scrutinee, idx, ty)
+                    # also split a nominal permission held next to this one
+                    split = self.sub.split_along(st.penv, idx, ty)
+                    st2 = st if split is None else st.with_penv(split)
                     st2 = self._bind_tag_pattern(st2, pat, ty)
                     return self.check_expr(st2, body, tail)
             self._fail("E-MATCH", f"no branch for known tag {ty.tag!r}", e.span, st)
@@ -599,40 +574,12 @@ class Checker:
                     names.append(self._mk_anchor(st.penv, st.bindings, fpat.name))
                 else:
                     names.append(fresh_name(fname))
-            penv2, anchors = self._refine_with_branch(
-                st.penv, scrutinee, idx, info, ty, branch, names
-            )
-            st2 = st.with_penv(penv2)
-            for (_, fpat), a in zip(pat.fields, anchors):
+            split = split_branch(scrutinee, info, ty.args, branch, names)
+            st2 = st.with_penv(st.penv.replace_index(idx, *split))
+            for (_, fpat), a in zip(pat.fields, names):
                 st2 = self._bind_pattern(st2, fpat, a)
             branch_work.append((st2, body))
         return self._run_branches(branch_work, e.span, tail, st.bindings)
-
-    def _split_known(self, st: CheckState, anchor: str, sidx: int, sty: TConcrete) -> CheckState:
-        """When matching on a known structural permission, also split a
-        coexisting nominal permission along it (adds the field permissions)."""
-        entry = self.env.tags.get(sty.tag)
-        if entry is None:
-            return st
-        data_name, branch = entry
-        info = self.env.types[data_name]
-        assert isinstance(info, DataInfo)
-        for nidx, natom in enumerate(st.penv.atoms):
-            if nidx == sidx or not isinstance(natom, Anchored) or natom.anchor != anchor:
-                continue
-            nty = self.sub.uni.resolve(natom.ty)
-            while is_alias(self.env, nty):
-                nty = expand_alias(self.env, nty)
-            if isinstance(nty, TApp) and nty.head == data_name:
-                subst = dict(zip((n for n, _ in info.params), nty.args))
-                extra: list[Atom] = []
-                for (fname, declared), (_, actual) in zip(branch.fields, sty.fields):
-                    if isinstance(actual, TSingleton):
-                        extra.extend(admit_atoms(actual.name, subst_type(declared, subst)))
-                if branch.bar is not None:
-                    extra.extend(normalize(subst_type(branch.bar, subst)))
-                return st.with_penv(st.penv.remove_index(nidx).add(*extra))
-        return st
 
     def _bind_tag_pattern(self, st: CheckState, pat: PTag, sty: TConcrete) -> CheckState:
         for (fname, fpat), (_, actual) in zip(pat.fields, sty.fields):

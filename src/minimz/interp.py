@@ -104,10 +104,6 @@ class OneShot:
     inner: VClosure
     cell: list
 
-    @property
-    def spent(self) -> bool:
-        return self.cell[0]
-
 
 Value = VInt | VBool | VAddr | VTuple | VClosure | VBuiltin | OneShot
 
@@ -402,27 +398,51 @@ class Interp:
 
     # -- rendering ---------------------------------------------------------------
 
-    def render(self, v: Value, depth: int = 0) -> str:
-        if depth > 64:
-            return "..."
-        if isinstance(v, VInt):
-            return str(v.value)
-        if isinstance(v, VBool):
-            return "true" if v.value else "false"
-        if isinstance(v, VTuple):
-            return "(" + ", ".join(self.render(i, depth + 1) for i in v.items) + ")"
-        if isinstance(v, (VClosure, VBuiltin, OneShot)):
-            return "<fun>"
-        if isinstance(v, VAddr):
-            cell = self.heap[v.addr]
-            if not cell.fields:
-                return cell.tag
-            body = "; ".join(
-                f"{name} = {self.render(value, depth + 1)}"
-                for name, value in cell.fields.items()
-            )
-            return f"{cell.tag} {{ {body} }}"
-        return repr(v)
+    def render(self, v: Value) -> str:
+        """Render `v` in full, without recursion, so that no value is too
+        deep to print. A heap cell met again while it is still being rendered
+        lies on a cycle and prints as `<cycle>`."""
+        out: list[str] = []
+        open_cells: set[int] = set()
+        # Work, last item first: text to emit, a value to render, or the
+        # address of a cell whose rendering ends here.
+        work: list[str | int | Value] = [v]
+        while work:
+            item = work.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, int):
+                open_cells.discard(item)
+            elif isinstance(item, VInt):
+                out.append(str(item.value))
+            elif isinstance(item, VBool):
+                out.append("true" if item.value else "false")
+            elif isinstance(item, VTuple):
+                work.append(")")
+                for i, value in enumerate(reversed(item.items)):
+                    work.append(value)
+                    if i < len(item.items) - 1:
+                        work.append(", ")
+                out.append("(")
+            elif isinstance(item, (VClosure, VBuiltin, OneShot)):
+                out.append("<fun>")
+            elif isinstance(item, VAddr):
+                cell = self.heap[item.addr]
+                if item.addr in open_cells:
+                    out.append("<cycle>")
+                elif not cell.fields:
+                    out.append(cell.tag)
+                else:
+                    open_cells.add(item.addr)
+                    work += [item.addr, " }"]
+                    for i, (name, value) in enumerate(reversed(cell.fields.items())):
+                        work += [value, f"{name} = "]
+                        if i < len(cell.fields) - 1:
+                            work.append("; ")
+                    out.append(f"{cell.tag} {{ ")
+            else:
+                out.append(repr(item))
+        return "".join(out)
 
 
 def eval_program(

@@ -58,6 +58,7 @@ from .ast import (
     TVar,
     Type,
     TupleComp,
+    children,
 )
 
 
@@ -566,36 +567,10 @@ class Resolver:
 
 
 def _alias_refs(t: Type) -> set[str]:
-    refs: set[str] = set()
-
-    def walk(u: Type) -> None:
-        if isinstance(u, TApp):
-            refs.add(u.head)
-            for a in u.args:
-                walk(a)
-        elif isinstance(u, TArrow):
-            walk(u.domain)
-            walk(u.codomain)
-        elif isinstance(u, TTuple):
-            for c in u.comps:
-                walk(c.ty)
-        elif isinstance(u, TBar):
-            walk(u.carrier)
-            walk(u.perm)
-        elif isinstance(u, TConcrete):
-            for _, f in u.fields:
-                walk(f)
-            if u.bar is not None:
-                walk(u.bar)
-        elif isinstance(u, (TForall, TExists)):
-            walk(u.body)
-        elif isinstance(u, TAt):
-            walk(u.ty)
-        elif isinstance(u, TStar):
-            for i in u.items:
-                walk(i)
-
-    walk(t)
+    """The heads of the type applications in `t`."""
+    refs = {t.head} if isinstance(t, TApp) else set()
+    for c in children(t):
+        refs |= _alias_refs(c)
     return refs
 
 

@@ -14,10 +14,12 @@ existential witness via unification metavariables.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from .ast import (
     KIND_PERM,
+    Branch,
     TApp,
     TArrow,
     TAt,
@@ -33,6 +35,7 @@ from .ast import (
     TVar,
     Type,
     TupleComp,
+    children,
     map_children,
 )
 from .kinds import AliasInfo, DataInfo, Env, PrimInfo
@@ -162,7 +165,7 @@ def subst_type(t: Type, subst: dict[str, Type], values: dict[str, str] | None = 
     if isinstance(t, (TForall, TExists)):
         binders = []
         inner = dict(subst)
-        free = _free_in_values(subst, values)
+        free = set().union(*map(free_type_vars, subst.values()))
         for name, kind in t.binders:
             if name in free:
                 new_name = fresh_name(name)
@@ -210,47 +213,15 @@ def _subst_domain(
     return subst_type(t, subst, values), values
 
 
-def _free_in_values(subst: dict[str, Type], values: dict[str, str]) -> set[str]:
-    free: set[str] = set()
-    for t in subst.values():
-        free |= free_type_vars(t)
-    return free
-
-
 def free_type_vars(t: Type) -> set[str]:
-    out: set[str] = set()
-
-    def walk(u: Type, bound: frozenset[str]) -> None:
-        if isinstance(u, TVar):
-            if u.name not in bound:
-                out.add(u.name)
-        elif isinstance(u, TApp):
-            for a in u.args:
-                walk(a, bound)
-        elif isinstance(u, TArrow):
-            walk(u.domain, bound)
-            walk(u.codomain, bound)
-        elif isinstance(u, TTuple):
-            for c in u.comps:
-                walk(c.ty, bound)
-        elif isinstance(u, TBar):
-            walk(u.carrier, bound)
-            walk(u.perm, bound)
-        elif isinstance(u, TConcrete):
-            for _, f in u.fields:
-                walk(f, bound)
-            if u.bar is not None:
-                walk(u.bar, bound)
-        elif isinstance(u, (TForall, TExists)):
-            walk(u.body, bound | {n for n, _ in u.binders})
-        elif isinstance(u, TAt):
-            walk(u.ty, bound)
-        elif isinstance(u, TStar):
-            for i in u.items:
-                walk(i, bound)
-
-    walk(t, frozenset())
-    return out
+    """The type and permission variables free in `t`: names bound by `[..]`
+    and `{..}` are free only outside their quantifier."""
+    if isinstance(t, TVar):
+        return {t.name}
+    free = set().union(*map(free_type_vars, children(t)))
+    if isinstance(t, (TForall, TExists)):
+        free -= {name for name, _ in t.binders}
+    return free
 
 
 def expand_alias(env: Env, t: TApp) -> Type:
@@ -262,18 +233,6 @@ def expand_alias(env: Env, t: TApp) -> Type:
 
 def is_alias(env: Env, t: Type) -> bool:
     return isinstance(t, TApp) and isinstance(env.types.get(t.head), AliasInfo)
-
-
-def instantiate(q: Type, witnesses: list[Type], env: Env) -> Type:
-    """Instantiate the outermost quantifier with explicit witnesses."""
-    if not isinstance(q, (TForall, TExists)):
-        raise ValueError("instantiate requires a quantified type")
-    if len(witnesses) != len(q.binders):
-        raise ValueError(
-            f"expected {len(q.binders)} type argument(s), got {len(witnesses)}"
-        )
-    subst = {name: w for (name, _), w in zip(q.binders, witnesses)}
-    return subst_type(q.body, subst)
 
 
 # ---------------------------------------------------------------------------
@@ -477,29 +436,38 @@ class PermEnv:
 
 
 # ---------------------------------------------------------------------------
-# split_concrete
+# Splitting a data permission along one of its branches
 # ---------------------------------------------------------------------------
 
 
-def split_concrete(p: Anchored, env: Env, names: list[str] | None = None) -> list[Atom]:
-    """Split `x @ Tag{f1: t1; ...}` into the structural atom with fresh
-    singleton fields plus one anchored atom per field, preserving order.
-    Optional `names` pins the introduced field anchors (used by match
-    patterns); otherwise fresh names are generated.
+def split_branch(
+    anchor: str,
+    info: DataInfo,
+    args: tuple[Type, ...],
+    branch: Branch,
+    names: Iterable[str | None],
+) -> list[Atom]:
+    """Split `anchor @ D args` along `branch`, one of the branches of D.
+
+    The result is the structural atom `anchor @ Tag { f = a; ... }`, then
+    the permissions split off it: `a @ t` for each field `f: t` of the
+    branch, with D's parameters replaced by `args` and a bar around `t`
+    split off as `admit_atoms` does, then the branch's bar permission.
+    `names` gives each field's anchor `a`, in field order; a field whose
+    name is None is not split off, and the structural atom keeps it at its
+    type `t`. `names` is read one field at a time, so a fresh name that it
+    draws for a field comes before any that substituting the field draws.
     """
-    ty = p.ty
-    assert isinstance(ty, TConcrete)
+    subst = dict(zip((n for n, _ in info.params), args))
     fields: list[tuple[str, Type]] = []
-    out: list[Atom] = []
-    for i, (fname, fty) in enumerate(ty.fields):
-        if isinstance(fty, TSingleton):
+    split: list[Atom] = []
+    for (fname, declared), name in zip(branch.fields, names):
+        fty = subst_type(declared, subst)
+        if name is None:
             fields.append((fname, fty))
             continue
-        anchor = names[i] if names is not None else fresh_name(fname)
-        fields.append((fname, TSingleton(anchor)))
-        out.append(Anchored(anchor, fty))
-    structural = Anchored(p.anchor, TConcrete(ty.tag, tuple(fields), None))
-    result: list[Atom] = [structural] + out
-    if ty.bar is not None:
-        result.extend(normalize(ty.bar))
-    return result
+        fields.append((fname, TSingleton(name)))
+        split.extend(admit_atoms(name, fty))
+    if branch.bar is not None:
+        split.extend(normalize(subst_type(branch.bar, subst)))
+    return [Anchored(anchor, TConcrete(branch.tag, tuple(fields), None)), *split]

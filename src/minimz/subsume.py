@@ -27,6 +27,7 @@ from .ast import (
     TVar,
     Type,
     TupleComp,
+    children,
     has_meta,
     map_children,
 )
@@ -46,6 +47,7 @@ from .perms import (
     fresh_name,
     is_alias,
     normalize,
+    split_branch,
     subst_type,
 )
 
@@ -87,25 +89,17 @@ class Unifier:
         ty = self.resolve(ty)
         if isinstance(ty, TMeta) and ty.name == name:
             return True
-        if has_meta(ty) and name in _meta_names(ty):
-            return False  # occurs check
+        if _occurs(name, ty):
+            return False
         self.bindings[name] = ty
         return True
 
 
-def _meta_names(t: Type) -> set[str]:
-    names: set[str] = set()
-    _map_type(t, lambda u: (names.add(u.name), u)[1] if isinstance(u, TMeta) else u)
-    return names
-
-
-def _map_type(t: Type, f) -> Type:
-    """Bottom-up map over a type; `f` is applied to every node.
-
-    Identity rule: a node is rebuilt only when one of its children changed,
-    so where `f` returns every node it is given as it is, the result is `t`
-    itself, not a copy."""
-    return f(map_children(t, lambda c: _map_type(c, f)))
+def _occurs(name: str, t: Type) -> bool:
+    """Does the metavariable `name` occur in `t`?"""
+    if isinstance(t, TMeta):
+        return t.name == name
+    return has_meta(t) and any(_occurs(name, c) for c in children(t))
 
 
 @dataclass
@@ -450,7 +444,8 @@ class Subsumer:
         if isinstance(ty, TSingleton):
             if ty.name == goal.anchor:
                 return penv
-            found = self._find_exact(penv, goal.anchor, ty, depth)
+            hits = penv.atoms_of(goal.anchor)
+            found = self._find_exact(penv, hits, goal.anchor, ty, depth)
             if found is not None:
                 return found
             raise SubsumptionFailure(goal, penv)
@@ -460,18 +455,9 @@ class Subsumer:
             return self._subsume_concrete(penv, goal.anchor, ty, depth)
 
         hits = penv.atoms_of(goal.anchor)
-        # exact match first
-        for idx, atom in hits:
-            snap = self.uni.snapshot()
-            if self.unify(ty, atom.ty, None, None, depth + 1):
-                return self._extract(penv, idx)
-            self.uni.restore(snap)
-        gty = penv.global_type(goal.anchor)
-        if gty is not None:
-            snap = self.uni.snapshot()
-            if self.unify(ty, gty, None, None, depth + 1):
-                return penv  # global permissions are duplicable
-            self.uni.restore(snap)
+        found = self._find_exact(penv, hits, goal.anchor, ty, depth)
+        if found is not None:
+            return found
         # alias expansion of the goal
         if is_alias(self.env, ty):
             return self.subsume_atom(
@@ -497,8 +483,12 @@ class Subsumer:
             return self.subsume_atom(split, goal, depth + 1)
         raise SubsumptionFailure(goal, penv)
 
-    def _find_exact(self, penv: PermEnv, anchor: str, ty: Type, depth: int) -> PermEnv | None:
-        for idx, atom in penv.atoms_of(anchor):
+    def _find_exact(
+        self, penv: PermEnv, hits: list[tuple[int, Anchored]], anchor: str, ty: Type, depth: int
+    ) -> PermEnv | None:
+        """Extract an atom among `hits`, the atoms of `anchor` in `penv`, or
+        the global permission of `anchor`, whose type unifies with `ty`."""
+        for idx, atom in hits:
             snap = self.uni.snapshot()
             if self.unify(ty, atom.ty, None, None, depth + 1):
                 return self._extract(penv, idx)
@@ -601,9 +591,9 @@ class Subsumer:
             return None
 
     def _try_split(self, penv: PermEnv, wanted_anchor: str) -> PermEnv | None:
-        """Split `y @ D args` along a structural `y @ Tag{.. f = wanted ..}`,
-        releasing one permission per singleton field. Also splits a raw tuple
-        permission along a structural tuple naming the wanted anchor."""
+        """Split `y @ D args` along a structural `y @ Tag{.. f = wanted ..}`
+        (see `split_along`). Also splits a raw tuple permission along a
+        structural tuple naming the wanted anchor."""
         for sidx, satom in enumerate(penv.atoms):
             if not isinstance(satom, Anchored):
                 continue
@@ -619,36 +609,37 @@ class Subsumer:
                         ):
                             return self.open_atom(penv, ridx)
                 continue
-            if not isinstance(sty, TConcrete):
-                continue
-            if not any(
+            if isinstance(sty, TConcrete) and any(
                 isinstance(f, TSingleton) and f.name == wanted_anchor for _, f in sty.fields
             ):
+                split = self.split_along(penv, sidx, sty)
+                if split is not None:
+                    return split
+        return None
+
+    def split_along(self, penv: PermEnv, sidx: int, sty: TConcrete) -> PermEnv | None:
+        """Split a nominal `y @ D args` along the structural atom `y @ sty` at
+        `sidx`: the nominal atom is dropped, and the permissions of the fields
+        that `sty` names by a singleton, and of the branch's bar, are added.
+        None when `y` holds no permission of the data type of `sty`'s tag."""
+        entry = self.env.tags.get(sty.tag)
+        if entry is None:
+            return None
+        data_name, branch = entry
+        info = self.env.types[data_name]
+        assert isinstance(info, DataInfo)
+        anchor = penv.atoms[sidx].anchor
+        for nidx, natom in penv.atoms_of(anchor):
+            if nidx == sidx:
                 continue
-            info_entry = self.env.tags.get(sty.tag)
-            if info_entry is None:
-                continue
-            data_name, branch = info_entry
-            info = self.env.types[data_name]
-            assert isinstance(info, DataInfo)
-            for nidx, natom in enumerate(penv.atoms):
-                if nidx == sidx or not isinstance(natom, Anchored):
-                    continue
-                if natom.anchor != satom.anchor:
-                    continue
-                nty = self.uni.resolve(natom.ty)
-                while is_alias(self.env, nty):
-                    nty = expand_alias(self.env, nty)
-                if not (isinstance(nty, TApp) and nty.head == data_name):
-                    continue
-                subst = dict(zip((n for n, _ in info.params), nty.args))
-                new_atoms: list[Atom] = []
-                for (fname, declared), (aname, actual) in zip(branch.fields, sty.fields):
-                    if isinstance(actual, TSingleton):
-                        new_atoms.extend(admit_atoms(actual.name, subst_type(declared, subst)))
-                if branch.bar is not None:
-                    new_atoms.extend(normalize(subst_type(branch.bar, subst)))
-                return penv.remove_index(nidx).add(*new_atoms)
+            nty = self.uni.resolve(natom.ty)
+            while is_alias(self.env, nty):
+                nty = expand_alias(self.env, nty)
+            if isinstance(nty, TApp) and nty.head == data_name:
+                names = (f.name if isinstance(f, TSingleton) else None for _, f in sty.fields)
+                # the structural atom is already at `sidx`
+                _, *fields = split_branch(anchor, info, nty.args, branch, names)
+                return penv.remove_index(nidx).add(*fields)
         return None
 
 

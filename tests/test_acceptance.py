@@ -18,13 +18,13 @@ from conftest import (
     value_to_pylist,
 )
 
-from minimz.ast import DValDef, TApp, TConcrete
+from minimz.ast import DValDef, TApp
 from minimz.cli import parse_manifest, run_case
 from minimz.driver import check_text, load_text, prelude, run_text
 from minimz.interp import Interp, RuntimeTrap, VBool
 from minimz.kinds import DataInfo
 from minimz.parser import parse_file
-from minimz.perms import Anchored, PermEnv, split_concrete
+from minimz.perms import Anchored, PermEnv, fresh_name, split_branch
 from minimz.printer import pretty_print
 from minimz.subsume import Subsumer
 
@@ -96,11 +96,12 @@ def test_criterion_2_splitting_oracle():
         info = env.types[name]
         assert isinstance(info, DataInfo)
         (branch,) = info.branches.values()
-        p = Anchored("x", TConcrete(branch.tag, branch.fields, None))
         # seed the environment with colliding-looking names
         decoys = tuple(Anchored(f"f{j}", TApp("int", ())) for j in range(5))
         existing = {a.anchor for a in decoys} | {"x"}
-        atoms = split_concrete(p, env)
+        # split `x @ name` as the checker refines a one-branch data type
+        names = (fresh_name(f) for f, _ in branch.fields)
+        atoms = split_branch("x", info, (), branch, names)
         introduced = {a.anchor for a in atoms[1:] if isinstance(a, Anchored)}
         assert introduced.isdisjoint(existing), "freshness violated"
         penv = PermEnv(env, decoys + tuple(atoms))

@@ -61,6 +61,44 @@ def test_run_same_fringe_prints_true():
     assert out.stdout.strip() == "true"
 
 
+def test_run_prints_a_long_list_in_full(tmp_path):
+    src = tmp_path / "upto.mz"
+    src.write_text(
+        """
+val upto: (int, int) -> list int
+val upto (lo, hi) =
+  if lt (hi, lo) then Nil else Cons { head = lo; tail = upto (add (lo, 1), hi) }
+
+val main: () -> list int
+val main () = upto (1, 100)
+"""
+    )
+    out = run_cli("run", str(src), "main")
+    assert out.returncode == 0
+    expected = "Nil"
+    for x in range(100, 0, -1):
+        expected = f"Cons {{ head = {x}; tail = {expected} }}"
+    assert out.stdout.strip() == expected
+
+
+def test_run_prints_a_cyclic_value(tmp_path):
+    src = tmp_path / "ring.mz"
+    src.write_text(
+        """
+data mutable ring = R { elem: int; next: ring }
+
+val main: () -> ring
+val main () =
+  let r = R { elem = 1; next = 0 } in
+  r.next <- r;
+  r
+"""
+    )
+    out = run_cli("run", "--unchecked", str(src), "main")
+    assert out.returncode == 0
+    assert out.stdout.strip() == "R { elem = 1; next = <cycle> }"
+
+
 def test_run_rejected_program_exits_one():
     out = run_cli("run", str(CORPUS / "dyn" / "double_wand.mz"), "main")
     assert out.returncode == 1

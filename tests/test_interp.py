@@ -3,7 +3,7 @@ import pytest
 from conftest import corpus_text, value_to_pylist
 
 from minimz.driver import run_text
-from minimz.interp import RuntimeTrap, VBool, VInt, _wrap64
+from minimz.interp import Cell, RuntimeTrap, VAddr, VBool, VInt, VTuple, _wrap64
 
 
 def test_size_of_three_node_tree():
@@ -134,3 +134,36 @@ val main () = spin 0
     with pytest.raises(RuntimeTrap) as exc:
         run_text(src, "main", "t", checked=False, max_steps=100_000_000)
     assert exc.value.kind == "STEP_LIMIT"
+
+
+UPTO = """
+val upto: (int, int) -> list int
+val upto (lo, hi) =
+  if lt (hi, lo) then Nil else Cons { head = lo; tail = upto (add (lo, 1), hi) }
+"""
+
+
+def _rendered_list(items) -> str:
+    out = "Nil"
+    for x in reversed(items):
+        out = f"Cons {{ head = {x}; tail = {out} }}"
+    return out
+
+
+def test_render_a_list_of_thousands_of_cells():
+    src = UPTO + "\nval main: () -> list int\nval main () = upto (1, 3000)\n"
+    value, interp = run_text(src, "main", "t")
+    assert interp.render(value) == _rendered_list(range(1, 3001))
+
+
+def test_render_marks_cycles_and_repeats_shared_cells():
+    _, interp = run_text(corpus_text("run/run_size.mz"), "main", "t")
+    base = len(interp.heap)
+    # a: A { self = a; pair = (b, b) }, b: B { n = 7 }, shared but acyclic
+    a, b = VAddr(base), VAddr(base + 1)
+    interp.heap.append(Cell("A", {"self": a, "pair": VTuple([b, b])}, True))
+    interp.heap.append(Cell("B", {"n": VInt(7)}, True))
+    assert interp.render(a) == "A { self = <cycle>; pair = (B { n = 7 }, B { n = 7 }) }"
+    assert interp.render(VTuple([a, VBool(True), VTuple([])])) == (
+        "(A { self = <cycle>; pair = (B { n = 7 }, B { n = 7 }) }, true, ())"
+    )

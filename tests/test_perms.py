@@ -32,9 +32,10 @@ from minimz.perms import (
     PermVar,
     SubsumptionFailure,
     duplicability,
-    instantiate,
+    free_type_vars,
+    fresh_name,
     normalize,
-    split_concrete,
+    split_branch,
     subst_type,
 )
 from minimz.subsume import Subsumer, Unifier
@@ -108,50 +109,59 @@ def test_singleton_and_empty_are_duplicable(tree_env):
 
 
 # ---------------------------------------------------------------------------
-# split_concrete
+# split_branch
 # ---------------------------------------------------------------------------
 
+INT = TApp("int", ())
+TREE_INT = TApp("tree", (INT,))
 
-def _node_branch(env):
+
+def _split_tree(env, tag, names=None):
+    """Split `t @ tree int` along its branch `tag`, with fresh field names
+    unless `names` are given."""
     from minimz.kinds import DataInfo
 
     info = env.types["tree"]
     assert isinstance(info, DataInfo)
-    return info.branches["Node"]
+    branch = info.branches[tag]
+    if names is None:
+        names = (fresh_name(f) for f, _ in branch.fields)
+    return branch, split_branch("t", info, (INT,), branch, names)
 
 
 def test_split_concrete_node(tree_env):
-    branch = _node_branch(tree_env)
-    subst = {"a": TApp("int", ())}
-    fields = tuple((n, subst_type(t, subst)) for n, t in branch.fields)
-    p = Anchored("t", TConcrete("Node", fields, None))
-    atoms = split_concrete(p, tree_env)
+    branch, atoms = _split_tree(tree_env, "Node")
     structural = atoms[0]
     assert isinstance(structural, Anchored) and structural.anchor == "t"
     sty = structural.ty
-    assert isinstance(sty, TConcrete)
+    assert isinstance(sty, TConcrete) and sty.tag == "Node" and sty.bar is None
     assert [f for f, _ in sty.fields] == ["left", "elem", "right"]
     assert all(isinstance(v, TSingleton) for _, v in sty.fields)
-    # One permission per field, in field order.
+    # One permission per field, in field order, at the field's anchor.
     assert len(atoms) == 4
-    assert [a.ty for a in atoms[1:]] == [t for _, t in fields]
+    assert [a.anchor for a in atoms[1:]] == [v.name for _, v in sty.fields]
+    assert [a.ty for a in atoms[1:]] == [TREE_INT, INT, TREE_INT]
+    # A field named None stays in the structural atom, at its type.
+    _, kept = _split_tree(tree_env, "Node", ["l", None, "r"])
+    assert kept == [
+        Anchored("t", TConcrete(
+            "Node", (("left", TSingleton("l")), ("elem", INT), ("right", TSingleton("r"))), None
+        )),
+        Anchored("l", TREE_INT),
+        Anchored("r", TREE_INT),
+    ]
 
 
 def test_split_concrete_no_fields(tree_env):
-    p = Anchored("t", TConcrete("Leaf", (), None))
-    atoms = split_concrete(p, tree_env)
-    assert atoms == [p]
+    _, atoms = _split_tree(tree_env, "Leaf")
+    assert atoms == [Anchored("t", TConcrete("Leaf", (), None))]
 
 
 def test_split_then_fold_subsumes_nominal(tree_env):
-    branch = _node_branch(tree_env)
-    subst = {"a": TApp("int", ())}
-    fields = tuple((n, subst_type(t, subst)) for n, t in branch.fields)
-    p = Anchored("t", TConcrete("Node", fields, None))
-    atoms = split_concrete(p, tree_env)
+    _, atoms = _split_tree(tree_env, "Node")
     penv = PermEnv(tree_env, tuple(atoms))
     sub = Subsumer(tree_env)
-    left = sub.subsume(penv, [Anchored("t", TApp("tree", (TApp("int", ()),)))])
+    left = sub.subsume(penv, [Anchored("t", TREE_INT)])
     # The nominal permission was reassembled: the affine pieces (subtrees)
     # are consumed; only duplicable residue (the int element) may remain.
     for atom in left.atoms:
@@ -160,11 +170,8 @@ def test_split_then_fold_subsumes_nominal(tree_env):
 
 
 def test_split_names_are_fresh(tree_env):
-    branch = _node_branch(tree_env)
-    fields = tuple((n, subst_type(t, {"a": TApp("int", ())})) for n, t in branch.fields)
-    p = Anchored("t", TConcrete("Node", fields, None))
-    first = split_concrete(p, tree_env)
-    second = split_concrete(p, tree_env)
+    _, first = _split_tree(tree_env, "Node")
+    _, second = _split_tree(tree_env, "Node")
     names_first = {a.anchor for a in first[1:]}
     names_second = {a.anchor for a in second[1:]}
     assert names_first.isdisjoint(names_second)
@@ -312,8 +319,53 @@ def test_type_maps_keep_unchanged_types():
     assert resolved.args[1] is body and resolved.args[2] is pair.args[2]
 
 
+# Each case places one subtree under one kind of type node: free type
+# variables and alias references must be found there, whichever node it is.
+_V = TVar("v")
+_INT = TApp("int", ())
+_UNDER_EVERY_NODE = {
+    "app": lambda t: TApp("list", (t,)),
+    "arrow-domain": lambda t: TArrow(t, _INT),
+    "arrow-codomain": lambda t: TArrow(_INT, t),
+    "tuple": lambda t: TTuple((TupleComp(None, _INT), TupleComp("x", t, True))),
+    "bar-carrier": lambda t: TBar(t, TEmpty()),
+    "bar-perm": lambda t: TBar(_INT, TAt("x", t)),
+    "concrete-field": lambda t: TConcrete("K", (("f", _INT), ("g", t)), None),
+    "concrete-bar": lambda t: TConcrete("K", (("f", _INT),), TAt("x", t)),
+    "forall": lambda t: TForall((("b", KIND_TYPE),), t),
+    "exists": lambda t: TExists((("b", KIND_PERM),), TAt("x", t)),
+    "at": lambda t: TAt("x", t),
+    "star": lambda t: TStar((TEmpty(), TAt("x", t))),
+}
+
+
+@pytest.mark.parametrize("node", sorted(_UNDER_EVERY_NODE))
+def test_traversals_reach_under_every_node_kind(node):
+    from minimz.kinds import AliasInfo, ResolveError, Resolver
+
+    wrap = _UNDER_EVERY_NODE[node]
+    assert free_type_vars(wrap(_V)) == {"v"}
+    assert free_type_vars(wrap(TApp("list", (_V, TVar("w"))))) == {"v", "w"}
+    # names bound by `[..]` and `{..}` are not free, at any depth
+    for quant in (TForall, TExists):
+        assert free_type_vars(quant((("v", KIND_TYPE),), wrap(_V))) == set()
+        assert free_type_vars(wrap(quant((("v", KIND_PERM),), _V))) == set()
+    assert free_type_vars(wrap(TForall((("w", KIND_TYPE),), _V))) == {"v"}
+    # an alias whose body refers back to it is a cycle
+    resolver = Resolver(load_text("", "t")[1])
+    resolver.env.types["c"] = AliasInfo("c", (), wrap(TApp("c", ())))
+    with pytest.raises(ResolveError, match="cyclic alias: c -> c"):
+        resolver.check_alias_cycles()
+    resolver.env.types["c"] = AliasInfo("c", (), wrap(TApp("d", ())))
+    resolver.env.types["d"] = AliasInfo("d", (), TApp("list", (TApp("c", ()),)))
+    with pytest.raises(ResolveError, match="cyclic alias: c -> d -> c"):
+        resolver.check_alias_cycles()
+    resolver.env.types["c"] = AliasInfo("c", (), wrap(_INT))
+    resolver.check_alias_cycles()
+
+
 # ---------------------------------------------------------------------------
-# instantiate and capture-avoiding substitution
+# instantiation and capture-avoiding substitution
 # ---------------------------------------------------------------------------
 
 
@@ -321,22 +373,12 @@ def test_instantiate_stop_signature(tree_env):
     stop_ty = ty(
         "[a, post: perm] (consumes it: tree_iterator a post) -> (| post)"
     )
-    out = instantiate(stop_ty, [ty("int"), ty("t @ tree int")], tree_env)
+    witnesses = {"a": ty("int"), "post": ty("t @ tree int")}
+    out = subst_type(stop_ty.body, witnesses)
     expected = ty(
         "(consumes it: tree_iterator int (t @ tree int)) -> (| t @ tree int)"
     )
     assert out == expected
-
-
-def test_instantiate_zero_binders(tree_env):
-    q = TForall((), TApp("int", ()))
-    assert instantiate(q, [], tree_env) == TApp("int", ())
-
-
-def test_instantiate_arity_mismatch(tree_env):
-    q = TForall((("a", KIND_TYPE),), TVar("a"))
-    with pytest.raises(ValueError):
-        instantiate(q, [], tree_env)
 
 
 # An independent, deliberately naive capture-avoiding substitution used as an
