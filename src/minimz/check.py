@@ -9,6 +9,7 @@ subsumable from the current environment.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from .ast import (
@@ -56,8 +57,10 @@ from .perms import (
     Atom,
     PermEnv,
     SubsumptionFailure,
+    admit_atoms,
     fresh_name,
     normalize,
+    restart_fresh_names,
     split_branch,
     subst_type,
 )
@@ -124,6 +127,7 @@ class Checker:
     # ------------------------------------------------------------------
 
     def check_file(self, file: SourceFile) -> list[Diagnostic]:
+        restart_fresh_names()
         diags: list[Diagnostic] = []
         available: list[str] = [
             name for name in self.env.sig_order if name not in _file_sig_names(file)
@@ -148,8 +152,6 @@ class Checker:
         while isinstance(body_ty, TForall):
             body_ty = body_ty.body
         assert isinstance(body_ty, TArrow)
-        comps = domain_comps(body_ty.domain)
-        bar, bar_consumed = domain_bar(body_ty.domain)
 
         bindings: dict[str, str] = {name: name for name in available}
         penv = PermEnv(
@@ -161,27 +163,11 @@ class Checker:
         else:
             self.probe_atom = None
 
-        values: dict[str, str] = {}
-        exit_goals: list[Atom] = []
-        for comp, param in zip(comps, decl.params):
-            comp_ty = subst_type(comp.ty, {}, values)
-            anchor = self._mk_anchor(penv, bindings, param)
-            bindings[param] = anchor
-            penv = self._admit(penv, anchor, comp_ty)
-            if comp.name is not None:
-                values[comp.name] = anchor
-            if not comp.consumed:
-                exit_goals.append(Anchored(anchor, comp_ty))
-        if bar is not None:
-            bar_ty = subst_type(bar, {}, values)
-            penv = penv.add(*normalize(bar_ty))
-            if not bar_consumed:
-                exit_goals.extend(normalize(bar_ty))
+        state, values, exit_goals = self._enter_domain(
+            CheckState(penv, bindings), body_ty.domain, decl.params
+        )
         codomain = subst_type(body_ty.codomain, {}, values)
-
-        state = CheckState(penv, bindings)
-        tail = Tail(codomain, exit_goals, decl.span)
-        self.check_expr(state, decl.body, tail)
+        self.check_expr(state, decl.body, Tail(codomain, exit_goals, decl.span))
 
     # ------------------------------------------------------------------
     # helpers
@@ -194,14 +180,43 @@ class Checker:
                 used.add(atom.anchor)
         return name if name not in used else fresh_name(name)
 
-    def _admit(self, penv: PermEnv, anchor: str, ty: Type) -> PermEnv:
-        ty = self.sub.uni.resolve(ty)
-        if isinstance(ty, TBar):
-            penv = self._admit(penv, anchor, ty.carrier)
-            return penv.add(*normalize(ty.perm))
-        if isinstance(ty, TEmpty):
-            return penv
-        return penv.add(Anchored(anchor, ty))
+    def _enter_domain(
+        self, st: CheckState, domain: Type, params: Sequence[str | None]
+    ) -> tuple[CheckState, dict[str, str], list[Atom]]:
+        """Admit the components and bar of an arrow's domain into `st`.
+
+        Component `i` enters at an anchor based on `params[i]`, the name the
+        body gives it, or on `arg{i}` when the body gives it none. A
+        component's own name scopes over the later components, the bar and
+        the codomain. Returns the new state, the renaming of component names
+        to anchors, and the exit goals: the permissions of the components and
+        the bar that the arrow does not consume.
+        """
+        penv, bindings = st.penv, dict(st.bindings)
+        values: dict[str, str] = {}
+        exit_goals: list[Atom] = []
+        for i, (comp, param) in enumerate(zip(domain_comps(domain), params)):
+            comp_ty = subst_type(comp.ty, {}, values)
+            anchor = self._mk_anchor(penv, bindings, param or f"arg{i}")
+            if param is not None:
+                bindings[param] = anchor
+            if comp.name is not None:
+                values[comp.name] = anchor
+            penv = penv.add(*admit_atoms(anchor, self.sub.uni.resolve(comp_ty)))
+            if not comp.consumed:
+                exit_goals.append(Anchored(anchor, comp_ty))
+        bar, bar_consumed = domain_bar(domain)
+        if bar is not None:
+            bar_atoms = normalize(subst_type(bar, {}, values))
+            penv = penv.add(*bar_atoms)
+            if not bar_consumed:
+                exit_goals.extend(bar_atoms)
+        return CheckState(penv, bindings), values, exit_goals
+
+    def _new_value(self, st: CheckState, ty: Type, base: str) -> tuple[str, CheckState]:
+        """A value of type `ty` at a fresh anchor named after `base`."""
+        anchor = fresh_name(base)
+        return anchor, st.with_penv(st.penv.add(Anchored(anchor, ty)))
 
     def _admit_result(self, st: CheckState, ty: Type, base: str) -> tuple[str, CheckState]:
         ty = self.sub.uni.resolve(ty)
@@ -209,9 +224,8 @@ class Checker:
             return ty.name, st
         if isinstance(ty, TBar):
             anchor, st = self._admit_result(st, ty.carrier, base)
-            return anchor, st.with_penv(st.penv.add(*normalize(self.sub.uni.resolve(ty.perm))))
-        anchor = fresh_name(base)
-        return anchor, st.with_penv(st.penv.add(Anchored(anchor, ty)))
+            return anchor, st.with_penv(st.penv.add(*normalize(ty.perm)))
+        return self._new_value(st, ty, base)
 
     def _subsume_or_fail(
         self,
@@ -283,30 +297,26 @@ class Checker:
         if isinstance(e, EVar):
             return st.bindings[e.name], st
         if isinstance(e, EInt):
-            anchor = fresh_name("n")
-            return anchor, st.with_penv(st.penv.add(Anchored(anchor, INT)))
+            return self._new_value(st, INT, "n")
         if isinstance(e, EBool):
-            anchor = fresh_name("b")
-            return anchor, st.with_penv(st.penv.add(Anchored(anchor, BOOL)))
+            return self._new_value(st, BOOL, "b")
         if isinstance(e, ETuple):
             anchors = []
             for item in e.items:
                 a, st = self.check_expr(st, item, None)
                 anchors.append(a)
-            anchor = fresh_name("tup")
             ty = TTuple(tuple(_singleton_comp(a) for a in anchors))
-            return anchor, st.with_penv(st.penv.add(Anchored(anchor, ty)))
+            return self._new_value(st, ty, "tup")
         if isinstance(e, EConstruct):
             anchors = []
             for _, value in e.fields:
                 a, st = self.check_expr(st, value, None)
                 anchors.append(a)
-            anchor = fresh_name(e.tag.lower())
             fields = tuple(
                 (fname, TSingleton(a)) for (fname, _), a in zip(e.fields, anchors)
             )
             ty = TConcrete(e.tag, fields, None)
-            return anchor, st.with_penv(st.penv.add(Anchored(anchor, ty)))
+            return self._new_value(st, ty, e.tag.lower())
         if isinstance(e, ECall):
             return self._check_call(st, e)
         if isinstance(e, EField):
@@ -341,8 +351,7 @@ class Checker:
         raise TypeError(f"unknown expression {e!r}")
 
     def _unit(self, st: CheckState) -> tuple[str, CheckState]:
-        anchor = fresh_name("u")
-        return anchor, st.with_penv(st.penv.add(Anchored(anchor, TTuple(()))))
+        return self._new_value(st, TTuple(()), "u")
 
     # -- calls ---------------------------------------------------------------
 
@@ -441,7 +450,7 @@ class Checker:
         if bar_ty is not None and not bar_consumed:
             st = st.with_penv(st.penv.add(*normalize(self.sub.uni.resolve(bar_ty))))
         for anchor, ty in restores:
-            st = st.with_penv(self._admit(st.penv, anchor, self.sub.uni.resolve(ty)))
+            st = st.with_penv(st.penv.add(*admit_atoms(anchor, self.sub.uni.resolve(ty))))
 
         codomain = self.sub.uni.resolve(subst_type(fn_ty.codomain, {}, values))
         self._default_unsolved(codomain, e.span, st)
@@ -479,16 +488,11 @@ class Checker:
         found = self.sub.head_atom(st.penv, anchor, lambda t: isinstance(t, TConcrete))
         if found is None:
             refined = self._auto_refine(st, anchor)
-            if refined is None:
-                self._fail(
-                    "E-SUBSUME", "no structural permission for field access", span, st
-                )
-            st = refined
-            found = self.sub.head_atom(st.penv, anchor, lambda t: isinstance(t, TConcrete))
-            if found is None:
-                self._fail(
-                    "E-SUBSUME", "no structural permission for field access", span, st
-                )
+            if refined is not None:
+                st = refined
+                found = self.sub.head_atom(st.penv, anchor, lambda t: isinstance(t, TConcrete))
+        if found is None:
+            self._fail("E-SUBSUME", "no structural permission for field access", span, st)
         penv, idx = found
         st = st.with_penv(penv)
         ty = st.penv.atoms[idx].ty
@@ -695,38 +699,16 @@ class Checker:
         return self._unit(st)
 
     def _check_lambda(self, st: CheckState, e: ELambda) -> tuple[str, CheckState]:
-        bindings = dict(st.bindings)
-        if e.codomain is not None:
-            arrow = subst_type(TArrow(e.domain, e.codomain), {}, st.bindings)
-            assert isinstance(arrow, TArrow)
-            domain, codomain = arrow.domain, arrow.codomain
-        else:
-            arrow = subst_type(TArrow(e.domain, TTuple(())), {}, st.bindings)
-            assert isinstance(arrow, TArrow)
-            domain, codomain = arrow.domain, None
-        comps = domain_comps(domain)
-        bar, bar_consumed = domain_bar(domain)
+        cod = e.codomain if e.codomain is not None else TTuple(())
+        arrow = subst_type(TArrow(e.domain, cod), {}, st.bindings)
+        assert isinstance(arrow, TArrow)
+        domain = arrow.domain
+        codomain = arrow.codomain if e.codomain is not None else None
 
         inner = PermEnv(self.env, tuple(st.penv.duplicable_atoms()), st.penv.globals)
-        values: dict[str, str] = {}
-        exit_goals: list[Atom] = []
-        for i, comp in enumerate(comps):
-            comp_ty = subst_type(comp.ty, {}, values)
-            name = comp.name or f"arg{i}"
-            anchor = self._mk_anchor(inner, bindings, name)
-            if comp.name is not None:
-                bindings[comp.name] = anchor
-                values[comp.name] = anchor
-            inner = self._admit(inner, anchor, comp_ty)
-            if not comp.consumed:
-                exit_goals.append(Anchored(anchor, comp_ty))
-        if bar is not None:
-            bar_ty = subst_type(bar, {}, values)
-            inner = inner.add(*normalize(bar_ty))
-            if not bar_consumed:
-                exit_goals.extend(normalize(bar_ty))
-
-        inner_state = CheckState(inner, bindings)
+        inner_state, values, exit_goals = self._enter_domain(
+            CheckState(inner, st.bindings), domain, [c.name for c in domain_comps(domain)]
+        )
         try:
             if codomain is not None:
                 tail = Tail(
@@ -764,9 +746,7 @@ class Checker:
                 ) from exc
             raise
 
-        lam_ty = TArrow(domain, result_cod)
-        anchor = fresh_name("fn")
-        return anchor, st.with_penv(st.penv.add(Anchored(anchor, lam_ty)))
+        return self._new_value(st, TArrow(domain, result_cod), "fn")
 
 
 def _singleton_comp(anchor: str) -> TupleComp:

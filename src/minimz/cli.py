@@ -19,40 +19,55 @@ from .lexer import LexError, line_col
 from .parser import ParseError
 
 
+def _report(
+    path: str,
+    as_json: bool,
+    code: str,
+    message: str,
+    line: int | None = None,
+    col: int | None = None,
+    snapshot: str = "",
+) -> None:
+    """Write one error to stderr: a JSON record under `--json`, else
+    `path:line:col CODE message`, or `path: message` when it has no position."""
+    if as_json:
+        record = {
+            "path": path,
+            "line": line,
+            "col": col,
+            "code": code,
+            "message": message,
+            "perm_snapshot": snapshot,
+        }
+        print(json.dumps(record), file=sys.stderr)
+    elif line is None:
+        print(f"{path}: {message}", file=sys.stderr)
+    else:
+        print(f"{path}:{line}:{col} {code} {message}", file=sys.stderr)
+
+
 def _emit_diags(path: str, text: str, diags: list[Diagnostic], as_json: bool) -> None:
     for d in diags:
-        line, col = line_col(text, d.span.start)
         if as_json:
-            record = {
-                "path": path,
-                "line": line,
-                "col": col,
-                "code": d.code,
-                "message": d.message,
-                "perm_snapshot": d.perm_snapshot,
-            }
-            print(json.dumps(record), file=sys.stderr)
+            line, col = line_col(text, d.span.start)
+            _report(path, True, d.code, d.message, line, col, d.perm_snapshot)
         else:
             print(d.render(path, text), file=sys.stderr)
 
 
-def _front_end_error(path: str, text: str, exc: Exception, as_json: bool) -> None:
-    if isinstance(exc, (LexError, ParseError, ResolveError)):
-        line, col = line_col(text, exc.span.start)
-        kind = {
-            LexError: "LEX",
-            ParseError: "PARSE",
-        }.get(type(exc), getattr(exc, "code", "ERROR"))
-        print(f"{path}:{line}:{col} {kind} {exc.message}", file=sys.stderr)
-    else:
-        print(f"{path}: {exc}", file=sys.stderr)
+def _front_end_error(
+    path: str, text: str, exc: LexError | ParseError | ResolveError, as_json: bool
+) -> None:
+    line, col = line_col(text, exc.span.start)
+    code = {LexError: "LEX", ParseError: "PARSE"}.get(type(exc)) or exc.code
+    _report(path, as_json, code, exc.message, line, col)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
+        _report(args.file, args.json, "IO", str(exc))
         return 2
     try:
         _, _, diags = check_text(text, args.file)
@@ -62,7 +77,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         _front_end_error(args.file, text, exc, args.json)
         return 2
     except RecursionError:
-        print(f"{args.file}: input too deeply nested", file=sys.stderr)
+        _report(args.file, args.json, "NESTING", "input too deeply nested")
         return 2
     _emit_diags(args.file, text, diags, args.json)
     return 0 if not diags else 1
@@ -72,7 +87,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
+        _report(args.file, False, "IO", str(exc))
         return 2
     try:
         value, interp = run_text(
@@ -87,7 +102,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         _front_end_error(args.file, text, exc, False)
         return 2
     except RecursionError:
-        print(f"{args.file}: input too deeply nested", file=sys.stderr)
+        _report(args.file, False, "NESTING", "input too deeply nested")
         return 2
     except CheckedProgramError as exc:
         _emit_diags(args.file, text, exc.diags, False)
@@ -163,30 +178,28 @@ def run_case(root: Path, expectation: str, rel: str, args: str) -> tuple[bool, s
             elif want != have[0]:
                 return False, f"expected {want}, got {have[0]}"
         return True, f"rejected with {[g[0] for g in got]}"
-    if expectation == "RUN":
-        if "=" not in args:
-            return False, "manifest error: RUN requires entry=expected"
-        entry, _, expected = args.partition("=")
-        trap_expected = expected.startswith("TRAP:")
-        try:
-            value, interp = run_text(
-                text, entry, rel, checked=not trap_expected
-            )
-        except CheckedProgramError as exc:
-            return False, f"does not check: {[d.code for d in exc.diags]}"
-        except RuntimeTrap as trap:
-            if trap_expected and trap.kind == expected[len("TRAP:") :]:
-                return True, f"trapped {trap.kind}"
-            return False, f"unexpected trap {trap.kind}"
-        except (LexError, ParseError, ResolveError) as exc:
-            return False, f"front-end error: {exc}"
-        if trap_expected:
-            return False, f"expected a trap, got {interp.render(value)}"
-        rendered = interp.render(value)
-        if rendered != expected:
-            return False, f"expected {expected!r}, got {rendered!r}"
-        return True, f"=> {rendered}"
-    return False, f"manifest error: unknown expectation {expectation!r}"  # unreachable
+    if "=" not in args:
+        return False, "manifest error: RUN requires entry=expected"
+    entry, _, expected = args.partition("=")
+    trap_expected = expected.startswith("TRAP:")
+    try:
+        value, interp = run_text(
+            text, entry, rel, checked=not trap_expected
+        )
+    except CheckedProgramError as exc:
+        return False, f"does not check: {[d.code for d in exc.diags]}"
+    except RuntimeTrap as trap:
+        if trap_expected and trap.kind == expected[len("TRAP:") :]:
+            return True, f"trapped {trap.kind}"
+        return False, f"unexpected trap {trap.kind}"
+    except (LexError, ParseError, ResolveError) as exc:
+        return False, f"front-end error: {exc}"
+    if trap_expected:
+        return False, f"expected a trap, got {interp.render(value)}"
+    rendered = interp.render(value)
+    if rendered != expected:
+        return False, f"expected {expected!r}, got {rendered!r}"
+    return True, f"=> {rendered}"
 
 
 def cmd_test(args: argparse.Namespace) -> int:

@@ -109,6 +109,21 @@ class Parser:
             raise self.error(f"expected {kind}", (kind,))
         return self.next()
 
+    def parse_comma_list(self, parse_item) -> list:
+        """`x, ...`: one or more items."""
+        items = [parse_item()]
+        while self.peek().is_op(","):
+            self.next()
+            items.append(parse_item())
+        return items
+
+    def parse_paren_list(self, parse_item) -> tuple[list, Span]:
+        """`( x, ... )`, possibly empty; returns the items and the span of the
+        parentheses."""
+        open_tok = self.expect_op("(")
+        items = [] if self.peek().is_op(")") else self.parse_comma_list(parse_item)
+        return items, open_tok.span.merge(self.expect_op(")").span)
+
     # -- declarations ------------------------------------------------------
 
     def parse_file(self) -> SourceFile:
@@ -164,27 +179,36 @@ class Parser:
         return DData(name.text, mutable, params, tuple(branches), span)
 
     def parse_branch(self) -> Branch:
+        return Branch(*self.parse_tagged(":", self.parse_type, with_bar=True))
+
+    def parse_tagged(self, sep: str | None, parse_value, with_bar: bool = False):
+        """A tag and its optional braced field list `Tag { f <sep> v; ... }`.
+
+        `parse_value` reads each field's value after `sep`, or reads `sep`
+        itself when `sep` is None. Only a list read `with_bar` may end in a
+        bar `| p`. Returns the tag, the fields, the bar (None when there is
+        none) and the span from the tag to the closing brace.
+        """
         tag = self.expect("UIDENT")
-        fields: list[tuple[str, Type]] = []
+        fields: list[tuple[str, object]] = []
         bar: Type | None = None
         span = tag.span
         if self.peek().is_op("{"):
             self.next()
             while self.peek().kind == "LIDENT":
                 fname = self.next().text
-                self.expect_op(":")
-                fty = self.parse_type()
-                fields.append((fname, fty))
+                if sep is not None:
+                    self.expect_op(sep)
+                fields.append((fname, parse_value()))
                 if self.peek().is_op(";"):
                     self.next()
                 else:
                     break
-            if self.peek().is_op("|"):
+            if with_bar and self.peek().is_op("|"):
                 self.next()
                 bar = self.parse_type()
-            close = self.expect_op("}")
-            span = tag.span.merge(close.span)
-        return Branch(tag.text, tuple(fields), bar, span)
+            span = tag.span.merge(self.expect_op("}").span)
+        return tag.text, tuple(fields), bar, span
 
     def parse_alias(self) -> DAlias:
         start = self.expect_kw("alias")
@@ -208,14 +232,7 @@ class Parser:
             ty = self.parse_type()
             return DValSig(name.text, ty, start.span.merge(_type_span(ty)))
         if self.peek().is_op("("):
-            self.next()
-            params: list[str] = []
-            if not self.peek().is_op(")"):
-                params.append(self.expect("LIDENT").text)
-                while self.peek().is_op(","):
-                    self.next()
-                    params.append(self.expect("LIDENT").text)
-            self.expect_op(")")
+            params, _ = self.parse_paren_list(lambda: self.expect("LIDENT").text)
             self.expect_op("=")
             body = self.parse_expr()
             return DValDef(name.text, tuple(params), body, start.span.merge(_expr_span(body)))
@@ -224,47 +241,31 @@ class Parser:
     # -- types -------------------------------------------------------------
 
     def parse_type(self) -> Type:
-        tok = self.peek()
-        if tok.is_op("[") or (tok.is_op("{") and self._brace_starts_binders()):
-            return self.parse_quantified()
-        return self.parse_arrow()
-
-    def _brace_starts_binders(self) -> bool:
-        # `{a, b: perm}` quantifier vs nothing else: `{` never begins a type
-        # atom (concrete types follow a tag), so a brace here is binders.
-        return True
-
-    def parse_quantified(self) -> Type:
+        # `{` never begins a type atom (concrete types follow a tag), so a
+        # brace here opens the binders of an existential.
         tok = self.peek()
         if tok.is_op("["):
-            open_tok = self.next()
-            binders = self.parse_binders()
-            self.expect_op("]")
-            body = self.parse_type()
-            return TForall(binders, body, open_tok.span.merge(_type_span(body)))
-        if tok.is_op("{"):
-            open_tok = self.next()
-            binders = self.parse_binders()
-            self.expect_op("}")
-            body = self.parse_type()
-            return TExists(binders, body, open_tok.span.merge(_type_span(body)))
-        return self.parse_arrow()
+            close, quantifier = "]", TForall
+        elif tok.is_op("{"):
+            close, quantifier = "}", TExists
+        else:
+            return self.parse_arrow()
+        self.next()
+        binders = self.parse_binders()
+        self.expect_op(close)
+        body = self.parse_type()
+        return quantifier(binders, body, tok.span.merge(_type_span(body)))
 
     def parse_binders(self) -> tuple[tuple[str, Kind], ...]:
-        binders: list[tuple[str, Kind]] = []
-        while True:
-            name = self.expect("LIDENT")
-            kind: Kind = KIND_TYPE
-            if self.peek().is_op(":"):
-                self.next()
-                self.expect_kw("perm")
-                kind = KIND_PERM
-            binders.append((name.text, kind))
-            if self.peek().is_op(","):
-                self.next()
-            else:
-                break
-        return tuple(binders)
+        return tuple(self.parse_comma_list(self.parse_binder))
+
+    def parse_binder(self) -> tuple[str, Kind]:
+        name = self.expect("LIDENT")
+        if self.peek().is_op(":"):
+            self.next()
+            self.expect_kw("perm")
+            return name.text, KIND_PERM
+        return name.text, KIND_TYPE
 
     def parse_arrow(self) -> Type:
         left = self.parse_star()
@@ -314,8 +315,7 @@ class Parser:
             self.next()
             return TVar(tok.text, tok.span)
         if tok.kind == "UIDENT":
-            self.next()
-            return self.parse_concrete_tail(tok)
+            return TConcrete(*self.parse_tagged(None, self._concrete_field, with_bar=True))
         if tok.is_op("="):
             self.next()
             name = self.expect("LIDENT")
@@ -324,31 +324,14 @@ class Parser:
             return self.parse_paren_type()
         raise self.error("expected a type")
 
-    def parse_concrete_tail(self, tag: Token) -> TConcrete:
-        fields: list[tuple[str, Type]] = []
-        bar: Type | None = None
-        span = tag.span
-        if self.peek().is_op("{"):
+    def _concrete_field(self) -> Type:
+        """A field of a concrete type: `= x`, the singleton `=x`, or `: t`."""
+        if self.peek().is_op("="):
             self.next()
-            while self.peek().kind == "LIDENT":
-                fname = self.next().text
-                if self.peek().is_op("="):
-                    self.next()
-                    val = self.expect("LIDENT")
-                    fields.append((fname, TSingleton(val.text, val.span)))
-                else:
-                    self.expect_op(":")
-                    fields.append((fname, self.parse_type()))
-                if self.peek().is_op(";"):
-                    self.next()
-                else:
-                    break
-            if self.peek().is_op("|"):
-                self.next()
-                bar = self.parse_type()
-            close = self.expect_op("}")
-            span = tag.span.merge(close.span)
-        return TConcrete(tag.text, tuple(fields), bar, span)
+            val = self.expect("LIDENT")
+            return TSingleton(val.text, val.span)
+        self.expect_op(":")
+        return self.parse_type()
 
     def parse_paren_type(self) -> Type:
         open_tok = self.expect_op("(")
@@ -397,36 +380,15 @@ class Parser:
             self.next()
             return PVar(tok.text, tok.span)
         if tok.is_op("("):
-            open_tok = self.next()
-            items: list[Pattern] = []
-            if not self.peek().is_op(")"):
-                items.append(self.parse_let_pattern())
-                while self.peek().is_op(","):
-                    self.next()
-                    items.append(self.parse_let_pattern())
-            close = self.expect_op(")")
+            items, span = self.parse_paren_list(self.parse_let_pattern)
             if len(items) == 1:
                 return items[0]
-            return PTuple(tuple(items), open_tok.span.merge(close.span))
+            return PTuple(tuple(items), span)
         raise self.error("expected a pattern")
 
     def parse_branch_pattern(self) -> Pattern:
-        tag = self.expect("UIDENT")
-        fields: list[tuple[str, Pattern]] = []
-        span = tag.span
-        if self.peek().is_op("{"):
-            self.next()
-            while self.peek().kind == "LIDENT":
-                fname = self.next().text
-                self.expect_op("=")
-                fields.append((fname, self.parse_let_pattern()))
-                if self.peek().is_op(";"):
-                    self.next()
-                else:
-                    break
-            close = self.expect_op("}")
-            span = tag.span.merge(close.span)
-        return PTag(tag.text, tuple(fields), span)
+        tag, fields, _, span = self.parse_tagged("=", self.parse_let_pattern)
+        return PTag(tag, fields, span)
 
     # -- expressions ---------------------------------------------------------
 
@@ -510,21 +472,8 @@ class Parser:
             self.next()
             obj = self.parse_postfix()
             self.expect_op("<-")
-            tag = self.expect("UIDENT")
-            fields: list[tuple[str, Expr]] = []
-            end_span = tag.span
-            if self.peek().is_op("{"):
-                self.next()
-                while self.peek().kind == "LIDENT":
-                    fname = self.next().text
-                    self.expect_op("=")
-                    fields.append((fname, self.parse_assign()))
-                    if self.peek().is_op(";"):
-                        self.next()
-                    else:
-                        break
-                end_span = self.expect_op("}").span
-            return ETagUpdate(obj, tag.text, tuple(fields), tok.span.merge(end_span))
+            tag, fields, _, span = self.parse_tagged("=", self.parse_assign)
+            return ETagUpdate(obj, tag, fields, tok.span.merge(span))
         e = self.parse_app_expr()
         if self.peek().is_op("<-"):
             arrow = self.next()
@@ -539,12 +488,8 @@ class Parser:
         type_args: tuple[Type, ...] | None = None
         if self.peek().is_op("["):
             self.next()
-            targs = [self.parse_type()]
-            while self.peek().is_op(","):
-                self.next()
-                targs.append(self.parse_type())
+            type_args = tuple(self.parse_comma_list(self.parse_type))
             self.expect_op("]")
-            type_args = tuple(targs)
         result = head
         first = True
         while self._starts_expr_atom():
@@ -593,33 +538,13 @@ class Parser:
             self.next()
             return EVar(tok.text, tok.span)
         if tok.kind == "UIDENT":
-            self.next()
-            fields: list[tuple[str, Expr]] = []
-            span = tok.span
-            if self.peek().is_op("{"):
-                self.next()
-                while self.peek().kind == "LIDENT":
-                    fname = self.next().text
-                    self.expect_op("=")
-                    fields.append((fname, self.parse_assign()))
-                    if self.peek().is_op(";"):
-                        self.next()
-                    else:
-                        break
-                span = tok.span.merge(self.expect_op("}").span)
-            return EConstruct(tok.text, tuple(fields), span)
+            tag, fields, _, span = self.parse_tagged("=", self.parse_assign)
+            return EConstruct(tag, fields, span)
         if tok.is_op("("):
-            open_tok = self.next()
-            items: list[Expr] = []
-            if not self.peek().is_op(")"):
-                items.append(self.parse_expr())
-                while self.peek().is_op(","):
-                    self.next()
-                    items.append(self.parse_expr())
-            close = self.expect_op(")")
+            items, span = self.parse_paren_list(self.parse_expr)
             if len(items) == 1:
                 return items[0]
-            return ETuple(tuple(items), open_tok.span.merge(close.span))
+            return ETuple(tuple(items), span)
         raise self.error("expected an expression")
 
 

@@ -49,6 +49,13 @@ def fresh_name(base: str) -> str:
     return f"{base}${next(_fresh_counter)}"
 
 
+def restart_fresh_names() -> None:
+    """Start the name sequence over, so that the names a check draws do not
+    depend on what the process checked before."""
+    global _fresh_counter
+    _fresh_counter = itertools.count()
+
+
 # ---------------------------------------------------------------------------
 # Duplicability
 # ---------------------------------------------------------------------------
@@ -68,46 +75,16 @@ def duplicability(t: Type, env: Env, _assume: frozenset[str] | None = None) -> s
         if result is None:
             result = env.dup_memo[t] = duplicability(t, env, frozenset())
         return result
-    if isinstance(t, (TEmpty, TSingleton)):
+    if isinstance(t, (TEmpty, TSingleton, TArrow)):
         return DUPLICABLE
-    if isinstance(t, TMeta):
-        return AFFINE
-    if isinstance(t, TVar):
-        return AFFINE  # rigid type/permission variable
-    if isinstance(t, TArrow):
-        return DUPLICABLE
-    if isinstance(t, TForall):
-        return duplicability(t.body, env, _assume)
-    if isinstance(t, TExists):
-        return duplicability(t.body, env, _assume)
-    if isinstance(t, TBar):
-        if duplicability(t.carrier, env, _assume) == AFFINE:
-            return AFFINE
-        return duplicability(t.perm, env, _assume)
-    if isinstance(t, TTuple):
-        for comp in t.comps:
-            if duplicability(comp.ty, env, _assume) == AFFINE:
-                return AFFINE
-        return DUPLICABLE
-    if isinstance(t, TAt):
-        return duplicability(t.ty, env, _assume)
-    if isinstance(t, TStar):
-        for item in t.items:
-            if duplicability(item, env, _assume) == AFFINE:
-                return AFFINE
-        return DUPLICABLE
+    if isinstance(t, (TMeta, TVar)):
+        return AFFINE  # unsolved, or a rigid type/permission variable
     if isinstance(t, TConcrete):
         info = env.tags.get(t.tag)
         if info is not None:
             data = env.types.get(info[0])
             if isinstance(data, DataInfo) and data.mutable:
                 return AFFINE
-        for _, fty in t.fields:
-            if duplicability(fty, env, _assume) == AFFINE:
-                return AFFINE
-        if t.bar is not None and duplicability(t.bar, env, _assume) == AFFINE:
-            return AFFINE
-        return DUPLICABLE
     if isinstance(t, TApp):
         info = env.types.get(t.head)
         if isinstance(info, PrimInfo):
@@ -131,7 +108,9 @@ def duplicability(t: Type, env: Env, _assume: frozenset[str] | None = None) -> s
                         return AFFINE
             return DUPLICABLE
         return AFFINE  # abstract type
-    raise TypeError(f"unknown type node {t!r}")
+    if any(duplicability(c, env, _assume) == AFFINE for c in children(t)):
+        return AFFINE
+    return DUPLICABLE
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +271,7 @@ def normalize(perm: Type) -> list[Atom]:
             atoms.append(MetaPerm(p.name))
             return
         if isinstance(p, TAt):
-            ty = p.ty
-            while isinstance(ty, TBar):
-                walk(ty.perm)
-                ty = ty.carrier
-            atoms.append(Anchored(p.anchor, ty))
+            atoms.extend(admit_atoms(p.anchor, p.ty))
             return
         raise TypeError(f"not a permission: {p!r}")
 
@@ -305,13 +280,13 @@ def normalize(perm: Type) -> list[Atom]:
 
 
 def admit_atoms(anchor: str, ty: Type) -> list[Atom]:
-    """Atoms released when a value of type `ty` is bound to `anchor`:
-    bar permissions split off eagerly so they are visible to extraction."""
-    perms: list[Atom] = []
-    while isinstance(ty, TBar):
-        perms.extend(normalize(ty.perm))
-        ty = ty.carrier
-    return [Anchored(anchor, ty)] + perms
+    """Atoms released when a value of type `ty` is bound to `anchor`: the
+    atom `anchor @ t` for the carrier `t` under the bars of `ty`, then each
+    bar's permission, split off so that extraction sees it. Inner bars come
+    first: `((t | p) | q)` gives `anchor @ t`, then `p`, then `q`."""
+    if isinstance(ty, TBar):
+        return admit_atoms(anchor, ty.carrier) + normalize(ty.perm)
+    return [Anchored(anchor, ty)]
 
 
 def atoms_to_type(atoms: list[Atom]) -> Type:

@@ -268,7 +268,7 @@ def print_decl(d: Decl) -> str:
         kw = "data mutable" if d.mutable else "data"
         head = f"{kw} {d.name}{_print_params(d.params)} ="
         branches = "\n| ".join(_print_branch(b) for b in d.branches)
-        return f"{head}\n  {branches}" if len(d.branches) == 1 else f"{head}\n  {branches}"
+        return f"{head}\n  {branches}"
     if isinstance(d, DAlias):
         return f"alias {d.name}{_print_params(d.params)} =\n  {print_type(d.body)}"
     if isinstance(d, DAbstract):

@@ -146,16 +146,7 @@ class Subsumer:
         if isinstance(a, TArrow) and isinstance(b, TArrow):
             return self._unify_arrow(a, b, ren_a, ren_b, depth)
         if isinstance(a, TTuple) and isinstance(b, TTuple):
-            ren_a2, ren_b2 = dict(ren_a), dict(ren_b)
-            if len(a.comps) != len(b.comps):
-                return False
-            for ca, cb in zip(a.comps, b.comps):
-                if ca.consumed != cb.consumed:
-                    return False
-                if not self.unify(ca.ty, cb.ty, ren_a2, ren_b2, depth + 1):
-                    return False
-                self._bind_comp_names(ca.name, cb.name, ren_a2, ren_b2)
-            return True
+            return self._unify_comps(a.comps, b.comps, dict(ren_a), dict(ren_b), depth)
         if isinstance(a, TBar) and isinstance(b, TBar):
             if a.consumed != b.consumed:
                 return False
@@ -199,16 +190,28 @@ class Subsumer:
                 return False
         return False
 
-    def _bind_comp_names(
-        self, na: str | None, nb: str | None, ren_a: dict[str, str], ren_b: dict[str, str]
-    ) -> None:
-        if na is None and nb is None:
-            return
-        tok = fresh_name("comp")
-        if na is not None:
-            ren_a[na] = tok
-        if nb is not None:
-            ren_b[nb] = tok
+    def _unify_comps(
+        self, comps_a: tuple[TupleComp, ...], comps_b: tuple[TupleComp, ...],
+        ren_a: dict[str, str], ren_b: dict[str, str], depth: int,
+    ) -> bool:
+        """Unify two component lists pairwise. A component's name scopes over
+        the later components (and, in a domain, over the bar and the
+        codomain), so the names of a matched pair are renamed, in `ren_a` and
+        `ren_b`, to one fresh token."""
+        if len(comps_a) != len(comps_b):
+            return False
+        for ca, cb in zip(comps_a, comps_b):
+            if ca.consumed != cb.consumed:
+                return False
+            if not self.unify(ca.ty, cb.ty, ren_a, ren_b, depth + 1):
+                return False
+            if ca.name is not None or cb.name is not None:
+                tok = fresh_name("comp")
+                if ca.name is not None:
+                    ren_a[ca.name] = tok
+                if cb.name is not None:
+                    ren_b[cb.name] = tok
+        return True
 
     def _unify_arrow(
         self, a: TArrow, b: TArrow, ren_a: dict[str, str], ren_b: dict[str, str], depth: int
@@ -216,15 +219,9 @@ class Subsumer:
         comps_a, comps_b = domain_comps(a.domain), domain_comps(b.domain)
         bar_a, cons_a = domain_bar(a.domain)
         bar_b, cons_b = domain_bar(b.domain)
-        if len(comps_a) != len(comps_b) or cons_a != cons_b:
-            return False
         ren_a2, ren_b2 = dict(ren_a), dict(ren_b)
-        for ca, cb in zip(comps_a, comps_b):
-            if ca.consumed != cb.consumed:
-                return False
-            if not self.unify(ca.ty, cb.ty, ren_a2, ren_b2, depth + 1):
-                return False
-            self._bind_comp_names(ca.name, cb.name, ren_a2, ren_b2)
+        if cons_a != cons_b or not self._unify_comps(comps_a, comps_b, ren_a2, ren_b2, depth):
+            return False
         pa = bar_a if bar_a is not None else TEmpty()
         pb = bar_b if bar_b is not None else TEmpty()
         if not self.unify_perms(pa, pb, ren_a2, ren_b2, depth):
@@ -253,29 +250,23 @@ class Subsumer:
             else:
                 unmatched_a.append(atom)
         if metas_a:
-            first, *rest = metas_a
-            if not self.uni.bind(first.name, atoms_to_type(remaining)):
+            if not self._absorb(metas_a, remaining):
                 return False
             remaining = []
-            for m in rest:
-                if not self.uni.bind(m.name, TEmpty()):
-                    return False
-        if unmatched_a:
-            if metas_b:
-                first, *rest = metas_b
-                if not self.uni.bind(first.name, atoms_to_type(unmatched_a)):
-                    return False
-                unmatched_a = []
-                for m in rest:
-                    if not self.uni.bind(m.name, TEmpty()):
-                        return False
-            else:
-                return False
+        if unmatched_a and not (metas_b and self._absorb(metas_b, unmatched_a)):
+            return False
         for m in metas_b:
             if m.name not in self.uni.bindings:
                 if not self.uni.bind(m.name, TEmpty()):
                     return False
-        return not remaining and not unmatched_a
+        return not remaining
+
+    def _absorb(self, metas: list[MetaPerm], leftover: list[Atom]) -> bool:
+        """Bind the first of `metas` to `leftover` and the others to empty."""
+        first, *rest = metas
+        if not self.uni.bind(first.name, atoms_to_type(leftover)):
+            return False
+        return all(self.uni.bind(m.name, TEmpty()) for m in rest)
 
     def _atoms_unifiable(self, a: Atom, b: Atom, depth: int) -> bool:
         snap = self.uni.snapshot()
@@ -309,8 +300,7 @@ class Subsumer:
                 subst[name] = TVar(fresh_name(name))
             return penv.replace_index(idx, Anchored(atom.anchor, subst_type(ty.body, subst)))
         if isinstance(ty, TBar):
-            out = [Anchored(atom.anchor, ty.carrier)] + normalize(ty.perm)
-            return penv.replace_index(idx, *out)
+            return penv.replace_index(idx, *admit_atoms(atom.anchor, ty))
         if isinstance(ty, TTuple) and not _is_structural_tuple(ty):
             # If a structural view of the same tuple is already around, pin the
             # released component permissions to its component names.
@@ -543,11 +533,10 @@ class Subsumer:
         actual = atom.ty
         assert isinstance(actual, TConcrete)
         working = self._extract(penv, idx)
-        values: dict[str, str] = {}
         for (fname, fty), (aname, aty) in zip(ty.fields, actual.fields):
             if fname != aname:
                 raise SubsumptionFailure(Anchored(anchor, ty), penv)
-            goal_field = subst_type(self.uni.resolve(fty), {}, values)
+            goal_field = self.uni.resolve(fty)
             if not isinstance(aty, TSingleton):
                 # The structural permission owns this field's content
                 # directly; the types must agree.

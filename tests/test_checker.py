@@ -171,6 +171,35 @@ def test_determinism_across_processes():
     assert first.stderr == second.stderr
 
 
+def test_checking_twice_in_one_process_gives_the_same_names():
+    text = corpus_text("neg/neg_double_stop.mz")
+    first = check_text(text, "neg_double_stop.mz")[2]
+    second = check_text(text, "neg_double_stop.mz")[2]
+    assert [d.perm_snapshot for d in first] == ["r$39 @ () * post"]
+    assert first == second
+
+
+NESTED_BARS = """
+data box (p: perm) (q: perm) = Box { v: ((int | p) | q) }
+
+val domain: [p: perm, q: perm] (x: ((int | p) | q)) -> bool
+val domain (x) = x
+
+val field: [p: perm, q: perm] (consumes b: box p q) -> bool
+val field (b) = match b with | Box { v = v } -> v
+"""
+
+
+def test_nested_bars_enter_inner_first():
+    # `((int | p) | q)` enters as the carrier's atom, then `p`, then `q`,
+    # whether it is a domain component or a field split off at a match.
+    _, _, diags = check_text(NESTED_BARS, "t")
+    assert [d.perm_snapshot for d in diags] == [
+        "x @ int * p * q",
+        "b @ Box { v = v } * v @ int * p * q",
+    ]
+
+
 def test_exactly_one_diagnostic_for_double_stop():
     text = corpus_text("neg/neg_double_stop.mz")
     _, _, diags = check_text(text, "neg_double_stop.mz")

@@ -49,6 +49,28 @@ def test_check_json_records(tmp_path):
         assert record["code"] == "E-SUBSUME"
 
 
+def test_check_json_records_front_end_errors(tmp_path):
+    deep = "(" * 3000 + "0" + ")" * 3000
+    cases = {
+        "lex.mz": ("val x: int\nval x () = #\n", "LEX"),
+        "parse.mz": ("val x:", "PARSE"),
+        "resolve.mz": ("val x: nope\n", "E-UNBOUND"),
+        "deep.mz": (f"val f: () -> int\nval f () = {deep}\n", "NESTING"),
+        "missing.mz": (None, "IO"),
+    }
+    for name, (text, code) in cases.items():
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        out = run_cli("check", str(path), "--json")
+        assert out.returncode == 2, name
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1, name
+        record = json.loads(lines[0])
+        assert set(record) == {"path", "line", "col", "code", "message", "perm_snapshot"}
+        assert record["code"] == code and record["path"] == str(path)
+
+
 def test_run_prints_value():
     out = run_cli("run", str(CORPUS / "run" / "run_size.mz"), "main")
     assert out.returncode == 0
