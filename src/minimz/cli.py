@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .check import Diagnostic
 from .driver import CORPUS_DIR, CheckedProgramError, check_text, run_text
-from .interp import RuntimeTrap
 from .kinds import ResolveError
 from .lexer import LexError, line_col
 from .parser import ParseError
@@ -84,6 +83,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    # Only the commands that run code load the interpreter, as `run_text` does.
+    from .interp import RuntimeTrap
+
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:
@@ -182,6 +184,8 @@ def run_case(root: Path, expectation: str, rel: str, args: str) -> tuple[bool, s
         return False, "manifest error: RUN requires entry=expected"
     entry, _, expected = args.partition("=")
     trap_expected = expected.startswith("TRAP:")
+    from .interp import RuntimeTrap
+
     try:
         value, interp = run_text(
             text, entry, rel, checked=not trap_expected

@@ -13,6 +13,8 @@ from __future__ import annotations
 import difflib
 from pathlib import Path
 
+import pytest
+
 from conftest import CORPUS
 
 from minimz.cli import parse_manifest
@@ -84,3 +86,20 @@ def test_corpus_output_matches_golden():
         )
     )
     assert got == want, diff
+
+
+def test_each_run_row_fits_its_step_count_exactly():
+    """A run with `max_steps` equal to its step count finishes, and with one
+    fewer it traps on the last step."""
+    for rel, args in run_rows():
+        entry, _, expected = args.partition("=")
+        if expected.startswith("TRAP:"):
+            continue
+        text = (CORPUS / rel).read_text(encoding="utf-8")
+        _, interp = run_text(text, entry, rel)
+        steps = interp.stats.steps
+        _, exact = run_text(text, entry, rel, max_steps=steps)
+        assert exact.stats.steps == steps
+        with pytest.raises(RuntimeTrap) as exc:
+            run_text(text, entry, rel, max_steps=steps - 1)
+        assert (exc.value.kind, exc.value.message) == ("STEP_LIMIT", f"exceeded {steps - 1} steps")

@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import pytest
 
 from conftest import corpus_text, value_to_pylist
 
-from minimz.driver import run_text
-from minimz.interp import Cell, RuntimeTrap, VAddr, VBool, VInt, VTuple, _wrap64
+from minimz.driver import load_text, prelude, run_text
+from minimz.interp import Cell, RuntimeTrap, VAddr, VBool, VInt, VTuple, _wrap64, eval_program
 
 
 def test_size_of_three_node_tree():
@@ -167,3 +170,149 @@ def test_render_marks_cycles_and_repeats_shared_cells():
     assert interp.render(VTuple([a, VBool(True), VTuple([])])) == (
         "(A { self = <cycle>; pair = (B { n = 7 }, B { n = 7 }) }, true, ())"
     )
+
+
+# ---------------------------------------------------------------------------
+# Scoping and the call rule
+# ---------------------------------------------------------------------------
+
+
+def _run_unchecked(src: str, entry: str = "main"):
+    value, interp = run_text(src, entry, "t", checked=False)
+    return interp.render(value)
+
+
+def test_a_local_shadows_a_builtin_and_a_global():
+    src = """
+val g: () -> int
+val g () = 5
+val f: (add: int, g: int) -> int
+val f (add, g) = let not = sub (add, g) in not
+val main: () -> int
+val main () = f (7, 2)
+"""
+    assert _run_unchecked(src) == "5"
+
+
+def test_a_lambda_keeps_its_captures_after_its_maker_returns():
+    src = """
+data box = Box { v: int }
+val maker: (p: int) -> (x: int) -> int
+val maker (p) =
+  let q = add (p, 10) in
+  match Box { v = 100 } with
+  | Box { v = w } -> fun (x: int) : int = add (add (x, p), add (q, w))
+val main: () -> int
+val main () = let f = maker 1 in let g = maker 2 in add (f 1000, g 0)
+"""
+    assert _run_unchecked(src) == str((1000 + 1 + 11 + 100) + (0 + 2 + 12 + 100))
+
+
+def test_nested_lambdas_capture_across_two_levels():
+    src = """
+val main: () -> int
+val main () =
+  let a = 1 in
+  let f = fun (b: int) : (c: int) -> int = fun (c: int) : int = add (a, add (b, c)) in
+  let g = f 10 in
+  let h = f 20 in
+  add (g 100, h 200)
+"""
+    assert _run_unchecked(src) == str(111 + 221)
+
+
+def test_a_lambda_parameter_shadows_a_captured_name():
+    src = """
+val main: () -> int
+val main () =
+  let x = 1 in
+  let y = 2 in
+  let f = fun (x: int) : int = add (mul (x, 10), y) in
+  add (f 5, x)
+"""
+    assert _run_unchecked(src) == str(5 * 10 + 2 + 1)
+
+
+def test_a_tuple_valued_variable_fills_the_parameters():
+    src = """
+val diff: (a: int, b: int) -> int
+val diff (a, b) = sub (a, b)
+val main: () -> int
+val main () = let p = (7, 2) in add (diff p, sub p)
+"""
+    assert _run_unchecked(src) == "10"
+
+
+TWICE = """
+val twice: (pr: ((x: int) -> int, int)) -> int
+val twice (pr) = let (f, n) = pr in add (f n, f n)
+val twice2: (f: (x: int) -> int, n: int) -> int
+val twice2 (f, n) = add (f n, f n)
+val main: () -> int
+val main () = twice ((fun (x: int) : int = x), 1)
+val main2: () -> int
+val main2 () = twice2 ((fun (x: int) : int = x), 1)
+"""
+
+
+def test_a_tuple_literal_passed_whole_packages_its_lambda_as_one_shot():
+    with pytest.raises(RuntimeTrap) as exc:
+        _run_unchecked(TWICE)
+    assert exc.value.kind == "ONE_SHOT_REUSE"
+    # Spread over the parameters, the same literal packages nothing.
+    assert _run_unchecked(TWICE, "main2") == "2"
+
+
+@pytest.mark.parametrize("call", ["diff (1, 2, 3)", "diff 5", "sub 5", "sub (1, 2, 3)"])
+def test_an_arity_mismatch_traps(call):
+    src = f"""
+val diff: (a: int, b: int) -> int
+val diff (a, b) = sub (a, b)
+val main: () -> int
+val main () = {call}
+"""
+    with pytest.raises(RuntimeTrap) as exc:
+        _run_unchecked(src)
+    assert exc.value.kind == "BAD_FIELD"
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic
+# ---------------------------------------------------------------------------
+
+
+def test_div_and_mod_truncate_toward_zero_exactly():
+    big = "mul (1000000007, 1000000007)"
+    a = f"sub (0, add (mul ({big}, 4), 3))"
+    exact = -(4 * 1000000007**2 + 3)
+    neg7 = "sub (0, 7)"
+    cases = [(a, exact, 2), ("7", 7, 2), (neg7, -7, 2), ("7", 7, -2), (neg7, -7, -2)]
+    for lhs, x, y in cases:
+        q = abs(x) // abs(y) * (1 if (x < 0) == (y < 0) else -1)
+        for op, want in [("div", q), ("mod", x - q * y)]:
+            rhs = str(y) if y >= 0 else f"sub (0, {-y})"
+            src = f"val main: () -> int\nval main () = {op} ({lhs}, {rhs})\n"
+            assert _run_unchecked(src) == str(want), (op, x, y)
+
+
+# ---------------------------------------------------------------------------
+# Memory: a finished run is freed by reference counting
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rel", ["run/run_iter.mz", "run/run_adt_loop.mz", "run/run_oo_loop.mz", "run/run_cps_loop.mz"]
+)
+def test_a_finished_run_is_freed_without_the_cycle_collector(rel):
+    prelude_file, _ = prelude()
+    file, env = load_text(corpus_text(rel), rel)
+    gc.collect()
+    gc.disable()
+    try:
+        value, interp = eval_program(env, [prelude_file, file], "main")
+        ref = weakref.ref(interp)
+        del value, interp
+        assert ref() is None
+        assert gc.collect() == 0  # the run left no cyclic garbage either
+    finally:
+        gc.enable()
