@@ -45,7 +45,6 @@ from .ast import (
     TMeta,
     TSingleton,
     TTuple,
-    TVar,
     Type,
     children,
     has_meta,
@@ -55,12 +54,11 @@ from .kinds import DataInfo, Env, domain_bar, domain_comps
 from .perms import (
     Anchored,
     Atom,
+    NameSupply,
     PermEnv,
     SubsumptionFailure,
     admit_atoms,
-    fresh_name,
     normalize,
-    restart_fresh_names,
     split_branch,
     subst_type,
 )
@@ -112,22 +110,18 @@ class Tail:
     codomain: Type
     exit_goals: list[Atom]
     span: Span
-    check_probe: bool = True
 
 
 class Checker:
-    def __init__(self, env: Env, frame_probe: bool = False):
+    def __init__(self, env: Env):
         self.env = env
-        self.frame_probe = frame_probe
-        self.probe_atom: Atom | None = None
-        self.sub = Subsumer(env)
 
     # ------------------------------------------------------------------
     # declarations
     # ------------------------------------------------------------------
 
     def check_file(self, file: SourceFile) -> list[Diagnostic]:
-        restart_fresh_names()
+        names = NameSupply()
         diags: list[Diagnostic] = []
         available: list[str] = [
             name for name in self.env.sig_order if name not in _file_sig_names(file)
@@ -137,17 +131,19 @@ class Checker:
                 available.append(decl.name)
             elif isinstance(decl, DValDef):
                 try:
-                    self.check_function_def(decl, self.env.sigs[decl.name], available)
+                    self.check_function_def(
+                        decl, self.env.sigs[decl.name], available, names
+                    )
                 except CheckFailure as exc:
                     diags.append(exc.diag)
         return diags
 
     def check_function_def(
-        self, decl: DValDef, sig: Type, available: list[str] | None = None
+        self, decl: DValDef, sig: Type, available: list[str], names: NameSupply
     ) -> None:
-        if available is None:
-            available = list(self.env.sig_order)
-        self.sub = Subsumer(self.env)
+        """Check `decl` against `sig`, with the top-level values `available`
+        in scope, drawing fresh names from `names`."""
+        self.sub = Subsumer(self.env, names)
         body_ty = sig
         while isinstance(body_ty, TForall):
             body_ty = body_ty.body
@@ -157,12 +153,6 @@ class Checker:
         penv = PermEnv(
             self.env, (), {name: self.env.sigs[name] for name in available}
         )
-        if self.frame_probe:
-            self.probe_atom = Anchored(fresh_name("frameprobe"), TVar(fresh_name("probety")))
-            penv = penv.add(self.probe_atom)
-        else:
-            self.probe_atom = None
-
         state, values, exit_goals = self._enter_domain(
             CheckState(penv, bindings), body_ty.domain, decl.params
         )
@@ -178,7 +168,7 @@ class Checker:
         for atom in penv.atoms:
             if isinstance(atom, Anchored):
                 used.add(atom.anchor)
-        return name if name not in used else fresh_name(name)
+        return name if name not in used else self.sub.names.fresh(name)
 
     def _enter_domain(
         self, st: CheckState, domain: Type, params: Sequence[str | None]
@@ -215,7 +205,7 @@ class Checker:
 
     def _new_value(self, st: CheckState, ty: Type, base: str) -> tuple[str, CheckState]:
         """A value of type `ty` at a fresh anchor named after `base`."""
-        anchor = fresh_name(base)
+        anchor = self.sub.names.fresh(base)
         return anchor, st.with_penv(st.penv.add(Anchored(anchor, ty)))
 
     def _admit_result(self, st: CheckState, ty: Type, base: str) -> tuple[str, CheckState]:
@@ -283,12 +273,6 @@ class Checker:
         st = self._subsume_or_fail(st, [Anchored(anchor, tail.codomain)], span)
         if tail.exit_goals:
             st = self._subsume_or_fail(st, list(tail.exit_goals), span, code="E-CONSUMED")
-        if (
-            tail.check_probe
-            and self.probe_atom is not None
-            and self.probe_atom not in st.penv.atoms
-        ):
-            self._fail("E-SUBSUME", "frame permission lost", span, st)
         return _TAIL_DONE
 
     # -- synthesis ----------------------------------------------------------
@@ -522,7 +506,7 @@ class Checker:
         info = self.env.types[ty.head]
         assert isinstance(info, DataInfo)
         (branch,) = info.branches.values()
-        names = (fresh_name(fname) for fname, _ in branch.fields)
+        names = (self.sub.names.fresh(fname) for fname, _ in branch.fields)
         split = split_branch(atom.anchor, info, ty.args, branch, names)
         return st.with_penv(penv.replace_index(idx, *split))
 
@@ -577,7 +561,7 @@ class Checker:
                 if isinstance(fpat, PVar):
                     names.append(self._mk_anchor(st.penv, st.bindings, fpat.name))
                 else:
-                    names.append(fresh_name(fname))
+                    names.append(self.sub.names.fresh(fname))
             split = split_branch(scrutinee, info, ty.args, branch, names)
             st2 = st.with_penv(st.penv.replace_index(idx, *split))
             for (_, fpat), a in zip(pat.fields, names):
@@ -617,7 +601,7 @@ class Checker:
             st2 = self._subsume_or_fail(st2, [Anchored(anchor, result_ty)], span)
             joined_envs.append(st2.penv)
         common = _intersect(joined_envs)
-        anchor = fresh_name("j")
+        anchor = self.sub.names.fresh("j")
         penv = PermEnv(self.env, tuple(common), joined_envs[0].globals).add(
             Anchored(anchor, self.sub.uni.resolve(result_ty))
         )
@@ -711,9 +695,7 @@ class Checker:
         )
         try:
             if codomain is not None:
-                tail = Tail(
-                    subst_type(codomain, {}, values), exit_goals, e.span, check_probe=False
-                )
+                tail = Tail(subst_type(codomain, {}, values), exit_goals, e.span)
                 self.check_expr(inner_state, e.body, tail)
                 result_cod = codomain
             else:

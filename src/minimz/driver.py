@@ -36,12 +36,9 @@ class CheckedProgramError(Exception):
         self.diags = diags
 
 
-def check_text(
-    text: str, path: str = "<input>", frame_probe: bool = False
-) -> tuple[SourceFile, Env, list[Diagnostic]]:
+def check_text(text: str, path: str = "<input>") -> tuple[SourceFile, Env, list[Diagnostic]]:
     file, env = load_text(text, path)
-    checker = Checker(env, frame_probe=frame_probe)
-    return file, env, checker.check_file(file)
+    return file, env, Checker(env).check_file(file)
 
 
 def run_text(

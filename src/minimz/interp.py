@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import operator
 import sys
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -57,6 +58,12 @@ from .ast import (
 from .kinds import DataInfo, Env, domain_comps
 
 _INT_MASK = (1 << 64) - 1
+
+# `Interp.run` raises two process-wide settings, the recursion limit and
+# the stack size of new threads, and puts them back when it is done. Runs
+# take turns behind this lock, so no run puts back a setting that a run on
+# another thread still needs.
+_RUN_LOCK = threading.Lock()
 
 
 def _wrap64(n: int) -> int:
@@ -678,7 +685,8 @@ class Interp:
     def run(self, entry: str) -> Value:
         """Evaluate a nullary entry point on a dedicated thread with a large
         stack, so deep (but checked) recursion works while runaway recursion
-        raises a trap instead of exhausting the C stack."""
+        raises a trap instead of exhausting the C stack. Runs on different
+        threads take turns (see `_RUN_LOCK`)."""
         main = self.globals.get(entry)
         if main is None:
             raise RuntimeTrap("UNBOUND", f"no entry point {entry!r}")
@@ -688,13 +696,9 @@ class Interp:
                 f"{main.name} expects {main.arity}" if type(main) is VBuiltin
                 else "wrong argument count",
             )
-        import threading
-
         outcome: dict[str, object] = {}
 
         def work() -> None:
-            limit = sys.getrecursionlimit()
-            sys.setrecursionlimit(300_000)
             try:
                 outcome["value"] = _apply(self, main, [])
             except RecursionError:
@@ -704,18 +708,21 @@ class Interp:
             except BaseException as exc:  # noqa: BLE001 - reraised on the caller
                 outcome["error"] = exc
             finally:
-                sys.setrecursionlimit(limit)
                 self.stats.steps = self.steps
                 self.stats.allocations = len(self.heap)
 
-        old_stack = threading.stack_size()
-        threading.stack_size(512 * 1024 * 1024)
-        try:
-            thread = threading.Thread(target=work, name=f"minimz-{entry}")
-            thread.start()
-            thread.join()
-        finally:
-            threading.stack_size(old_stack)
+        with _RUN_LOCK:
+            limit = sys.getrecursionlimit()
+            old_stack = threading.stack_size()
+            sys.setrecursionlimit(300_000)
+            threading.stack_size(512 * 1024 * 1024)
+            try:
+                thread = threading.Thread(target=work, name=f"minimz-{entry}")
+                thread.start()
+                thread.join()
+            finally:
+                threading.stack_size(old_stack)
+                sys.setrecursionlimit(limit)
         if "error" in outcome:
             raise outcome["error"]  # type: ignore[misc]
         return outcome["value"]  # type: ignore[return-value]

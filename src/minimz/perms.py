@@ -40,20 +40,17 @@ from .ast import (
 )
 from .kinds import AliasInfo, DataInfo, Env, PrimInfo
 
-_fresh_counter = itertools.count()
 
+class NameSupply:
+    """Fresh names of the form `base$k`; `$` is not lexable, so they never
+    collide with user-written identifiers. Each check owns one supply, so
+    the names it draws depend only on what it checks."""
 
-def fresh_name(base: str) -> str:
-    """Names of the form `base$k`; `$` is not lexable, so no collisions
-    with user-written identifiers are possible."""
-    return f"{base}${next(_fresh_counter)}"
+    def __init__(self) -> None:
+        self._next = itertools.count()
 
-
-def restart_fresh_names() -> None:
-    """Start the name sequence over, so that the names a check draws do not
-    depend on what the process checked before."""
-    global _fresh_counter
-    _fresh_counter = itertools.count()
+    def fresh(self, base: str) -> str:
+        return f"{base}${next(self._next)}"
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +144,12 @@ def subst_type(t: Type, subst: dict[str, Type], values: dict[str, str] | None = 
         free = set().union(*map(free_type_vars, subst.values()))
         for name, kind in t.binders:
             if name in free:
-                new_name = fresh_name(name)
+                # the first `name$k` that is free nowhere here and names no
+                # other binder, so that the renamed binder captures nothing
+                taken = free | free_type_vars(t.body) | {n for n, _ in t.binders}
+                new_name = next(
+                    n for k in itertools.count() if (n := f"{name}${k}") not in taken
+                )
                 inner[name] = TVar(new_name)
                 binders.append((new_name, kind))
             else:
@@ -430,8 +432,7 @@ def split_branch(
     split off as `admit_atoms` does, then the branch's bar permission.
     `names` gives each field's anchor `a`, in field order; a field whose
     name is None is not split off, and the structural atom keeps it at its
-    type `t`. `names` is read one field at a time, so a fresh name that it
-    draws for a field comes before any that substituting the field draws.
+    type `t`.
     """
     subst = dict(zip((n for n, _ in info.params), args))
     fields: list[tuple[str, Type]] = []

@@ -37,6 +37,7 @@ from .perms import (
     Atom,
     DUPLICABLE,
     MetaPerm,
+    NameSupply,
     PermEnv,
     PermVar,
     SubsumptionFailure,
@@ -44,7 +45,6 @@ from .perms import (
     atoms_to_type,
     duplicability,
     expand_alias,
-    fresh_name,
     is_alias,
     normalize,
     split_branch,
@@ -104,7 +104,11 @@ def _occurs(name: str, t: Type) -> bool:
 
 @dataclass
 class Subsumer:
+    """Extraction for one definition: `uni` holds its metavariables, and
+    `names` is the supply of the check it belongs to."""
+
     env: Env
+    names: NameSupply
     uni: Unifier = field(default_factory=Unifier)
 
     # ------------------------------------------------------------------
@@ -169,7 +173,7 @@ class Subsumer:
             for (na, ka), (nb, kb) in zip(a.binders, b.binders):
                 if ka != kb:
                     return False
-                tok = fresh_name("alpha")
+                tok = self.names.fresh("alpha")
                 ren_a2[na] = tok
                 ren_b2[nb] = tok
             return self.unify(a.body, b.body, ren_a2, ren_b2, depth + 1)
@@ -206,7 +210,7 @@ class Subsumer:
             if not self.unify(ca.ty, cb.ty, ren_a, ren_b, depth + 1):
                 return False
             if ca.name is not None or cb.name is not None:
-                tok = fresh_name("comp")
+                tok = self.names.fresh("comp")
                 if ca.name is not None:
                     ren_a[ca.name] = tok
                 if cb.name is not None:
@@ -297,23 +301,17 @@ class Subsumer:
         if isinstance(ty, TExists):
             subst: dict[str, Type] = {}
             for name, kind in ty.binders:
-                subst[name] = TVar(fresh_name(name))
+                subst[name] = TVar(self.names.fresh(name))
             return penv.replace_index(idx, Anchored(atom.anchor, subst_type(ty.body, subst)))
         if isinstance(ty, TBar):
             return penv.replace_index(idx, *admit_atoms(atom.anchor, ty))
         if isinstance(ty, TTuple) and not _is_structural_tuple(ty):
             # If a structural view of the same tuple is already around, pin the
             # released component permissions to its component names.
-            pinned: list[str] | None = None
-            for _, other in penv.atoms_of(atom.anchor):
-                oty = self.uni.resolve(other.ty)
-                if (
-                    isinstance(oty, TTuple)
-                    and _is_structural_tuple(oty)
-                    and len(oty.comps) == len(ty.comps)
-                ):
-                    pinned = [c.ty.name for c in oty.comps]  # type: ignore[union-attr]
-                    break
+            view = self._tuple_view(penv, atom.anchor, len(ty.comps), structural=True)
+            pinned = None
+            if view is not None:
+                pinned = [c.ty.name for c in view[1].comps]  # type: ignore[union-attr]
             comps: list[TupleComp] = []
             extra: list[Atom] = []
             values: dict[str, str] = {}
@@ -325,13 +323,28 @@ class Subsumer:
                     anchor = pinned[i]
                     extra.extend(admit_atoms(anchor, cty))
                 else:
-                    anchor = fresh_name(comp.name or "c")
+                    anchor = self.names.fresh(comp.name or "c")
                     extra.extend(admit_atoms(anchor, cty))
                 if comp.name is not None:
                     values[comp.name] = anchor
                 comps.append(TupleComp(None, TSingleton(anchor), False))
             structural = Anchored(atom.anchor, TTuple(tuple(comps)))
             return penv.replace_index(idx, structural, *extra)
+        return None
+
+    def _tuple_view(
+        self, penv: PermEnv, anchor: str, length: int, structural: bool
+    ) -> tuple[int, TTuple] | None:
+        """The first atom of `anchor` whose type is a tuple of `length`
+        components, structural or raw as `structural` says, with its index."""
+        for idx, atom in penv.atoms_of(anchor):
+            ty = self.uni.resolve(atom.ty)
+            if (
+                isinstance(ty, TTuple)
+                and _is_structural_tuple(ty) == structural
+                and len(ty.comps) == length
+            ):
+                return idx, ty
         return None
 
     def head_atom(self, penv: PermEnv, anchor: str, want) -> tuple[PermEnv, int] | None:
@@ -589,14 +602,9 @@ class Subsumer:
             sty = self.uni.resolve(satom.ty)
             if isinstance(sty, TTuple) and _is_structural_tuple(sty):
                 if any(c.ty.name == wanted_anchor for c in sty.comps):  # type: ignore[union-attr]
-                    for ridx, ratom in penv.atoms_of(satom.anchor):
-                        rty = self.uni.resolve(ratom.ty)
-                        if (
-                            isinstance(rty, TTuple)
-                            and not _is_structural_tuple(rty)
-                            and len(rty.comps) == len(sty.comps)
-                        ):
-                            return self.open_atom(penv, ridx)
+                    raw = self._tuple_view(penv, satom.anchor, len(sty.comps), structural=False)
+                    if raw is not None:
+                        return self.open_atom(penv, raw[0])
                 continue
             if isinstance(sty, TConcrete) and any(
                 isinstance(f, TSingleton) and f.name == wanted_anchor for _, f in sty.fields

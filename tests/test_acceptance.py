@@ -5,6 +5,7 @@ a pytest failure on any test is the corresponding fail line.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,13 +19,14 @@ from conftest import (
     value_to_pylist,
 )
 
-from minimz.ast import DValDef, TApp
+from minimz.ast import DValDef, TApp, TBar, TForall, TTuple, TupleComp, TVar
+from minimz.check import Checker
 from minimz.cli import parse_manifest, run_case
 from minimz.driver import check_text, load_text, prelude, run_text
 from minimz.interp import Interp, RuntimeTrap, VBool
-from minimz.kinds import DataInfo
+from minimz.kinds import DataInfo, domain_bar, domain_comps
 from minimz.parser import parse_file
-from minimz.perms import Anchored, PermEnv, fresh_name, split_branch
+from minimz.perms import Anchored, NameSupply, PermEnv, split_branch
 from minimz.printer import pretty_print
 from minimz.subsume import Subsumer
 
@@ -91,6 +93,7 @@ def test_criterion_2_splitting_oracle():
     rng = random.Random(1342)
     source, names = _random_record_decls(rng, 200)
     _, env = load_text(source, "records.mz")
+    supply = NameSupply()
     checked = 0
     for name in names:
         info = env.types[name]
@@ -100,12 +103,12 @@ def test_criterion_2_splitting_oracle():
         decoys = tuple(Anchored(f"f{j}", TApp("int", ())) for j in range(5))
         existing = {a.anchor for a in decoys} | {"x"}
         # split `x @ name` as the checker refines a one-branch data type
-        names = (fresh_name(f) for f, _ in branch.fields)
+        names = (supply.fresh(f) for f, _ in branch.fields)
         atoms = split_branch("x", info, (), branch, names)
         introduced = {a.anchor for a in atoms[1:] if isinstance(a, Anchored)}
         assert introduced.isdisjoint(existing), "freshness violated"
         penv = PermEnv(env, decoys + tuple(atoms))
-        sub = Subsumer(env)
+        sub = Subsumer(env, supply)
         left = sub.subsume(penv, [Anchored("x", TApp(name, ()))])
         # every decoy is untouched (frame)
         for decoy in decoys:
@@ -120,6 +123,34 @@ def test_criterion_2_splitting_oracle():
 # ---------------------------------------------------------------------------
 
 
+# The frame: a parameter that no body can name, of a type variable that no
+# signature binds. Its permission is affine, and since the parameter is not
+# consumed, the exit goals require it at every tail of the body.
+FRAME = TupleComp(None, TVar("frame$ty"), False)
+
+
+def _with_frame(sig):
+    if isinstance(sig, TForall):
+        return replace(sig, body=_with_frame(sig.body))
+    bar, consumed = domain_bar(sig.domain)
+    comps = TTuple(domain_comps(sig.domain) + (FRAME,))
+    return replace(sig, domain=comps if bar is None else TBar(comps, bar, consumed))
+
+
+class FramedChecker(Checker):
+    """Checks every top-level body with the frame as one more parameter,
+    and lists the bodies it framed."""
+
+    def __init__(self, env):
+        super().__init__(env)
+        self.framed = []
+
+    def check_function_def(self, decl, sig, available, names):
+        self.framed.append(decl.name)
+        framed = replace(decl, params=decl.params + (None,))
+        super().check_function_def(framed, _with_frame(sig), available, names)
+
+
 def test_criterion_3_frame_property():
     cases = parse_manifest(CORPUS / "manifest.tsv")
     bodies = 0
@@ -127,9 +158,12 @@ def test_criterion_3_frame_property():
         if expectation != "ACCEPT":
             continue
         text = (CORPUS / rel).read_text(encoding="utf-8")
-        file, env, diags = check_text(text, rel, frame_probe=True)
+        file, env = load_text(text, rel)
+        checker = FramedChecker(env)
+        diags = checker.check_file(file)
         assert diags == [], f"{rel} fails under an injected frame permission: {diags}"
-        bodies += sum(isinstance(d, DValDef) for d in file.decls)
+        assert checker.framed == [d.name for d in file.decls if isinstance(d, DValDef)]
+        bodies += len(checker.framed)
     assert bodies > 0
     report(3, f"{bodies} corpus function bodies keep an injected affine permission")
 

@@ -179,6 +179,45 @@ def test_checking_twice_in_one_process_gives_the_same_names():
     assert first == second
 
 
+def _check_corpus(order: list[str], out: dict) -> None:
+    from minimz.kinds import ResolveError
+    from minimz.lexer import LexError
+    from minimz.parser import ParseError
+
+    for rel in order:
+        try:
+            out[rel] = check_text(corpus_text(rel), rel)[2]
+        except (LexError, ParseError, ResolveError) as exc:
+            out[rel] = str(exc)
+
+
+def test_checks_on_two_threads_give_the_sequential_diagnostics():
+    """Each check draws its `$k` names from a supply of its own, so a check
+    that runs next to another gives every diagnostic (code, span, message
+    and permission snapshot) that it gives alone."""
+    import threading
+
+    files = sorted(
+        p.relative_to(CORPUS).as_posix() for p in CORPUS.rglob("*.mz") if p.name != "prelude.mz"
+    )
+    sequential: dict = {}
+    _check_corpus(files, sequential)
+    assert any(isinstance(d, list) and d for d in sequential.values())
+    for _ in range(2):
+        forward: dict = {}
+        backward: dict = {}
+        threads = [
+            threading.Thread(target=_check_corpus, args=(files, forward)),
+            threading.Thread(target=_check_corpus, args=(files[::-1], backward)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert forward == sequential
+        assert backward == sequential
+
+
 NESTED_BARS = """
 data box (p: perm) (q: perm) = Box { v: ((int | p) | q) }
 

@@ -316,3 +316,45 @@ def test_a_finished_run_is_freed_without_the_cycle_collector(rel):
         assert gc.collect() == 0  # the run left no cyclic garbage either
     finally:
         gc.enable()
+
+
+RACE = """
+val fib: (n: int) -> int
+val fib (n) = if lt (n, 2) then n else add (fib (sub (n, 1)), fib (sub (n, 2)))
+
+val shallow: () -> int
+val shallow () = fib 20
+
+val depth: (n: int) -> int
+val depth (n) = if eq (n, 0) then mul (0, fib 22) else add (1, depth (sub (n, 1)))
+
+val deep: () -> int
+val deep () = depth 3000
+"""
+
+
+def test_concurrent_runs_keep_each_others_recursion_limit():
+    """A deep run that starts while a shallow run is going on, and is still
+    at depth 3,000 when the shallow run ends, still returns; and once both
+    are over, the process has its own recursion limit back."""
+    import sys
+    import threading
+    import time
+
+    limit = sys.getrecursionlimit()
+    results: dict[str, object] = {}
+
+    def run(entry: str) -> None:
+        try:
+            results[entry] = run_text(RACE, entry, "t", checked=False)[0]
+        except RuntimeTrap as trap:
+            results[entry] = trap
+
+    threads = [threading.Thread(target=run, args=(entry,)) for entry in ("shallow", "deep")]
+    threads[0].start()
+    time.sleep(0.02)
+    threads[1].start()
+    for thread in threads:
+        thread.join()
+    assert results == {"shallow": VInt(6765), "deep": VInt(3000)}
+    assert sys.getrecursionlimit() == limit

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minimz.ast import (
     KIND_PERM,
@@ -28,12 +28,12 @@ from minimz.perms import (
     Anchored,
     DUPLICABLE,
     MetaPerm,
+    NameSupply,
     PermEnv,
     PermVar,
     SubsumptionFailure,
     duplicability,
     free_type_vars,
-    fresh_name,
     normalize,
     split_branch,
     subst_type,
@@ -116,16 +116,17 @@ INT = TApp("int", ())
 TREE_INT = TApp("tree", (INT,))
 
 
-def _split_tree(env, tag, names=None):
-    """Split `t @ tree int` along its branch `tag`, with fresh field names
-    unless `names` are given."""
+def _split_tree(env, tag, names=None, supply=None):
+    """Split `t @ tree int` along its branch `tag`, with field names drawn
+    from `supply` (a new one by default) unless `names` are given."""
     from minimz.kinds import DataInfo
 
     info = env.types["tree"]
     assert isinstance(info, DataInfo)
     branch = info.branches[tag]
     if names is None:
-        names = (fresh_name(f) for f, _ in branch.fields)
+        supply = supply or NameSupply()
+        names = (supply.fresh(f) for f, _ in branch.fields)
     return branch, split_branch("t", info, (INT,), branch, names)
 
 
@@ -160,7 +161,7 @@ def test_split_concrete_no_fields(tree_env):
 def test_split_then_fold_subsumes_nominal(tree_env):
     _, atoms = _split_tree(tree_env, "Node")
     penv = PermEnv(tree_env, tuple(atoms))
-    sub = Subsumer(tree_env)
+    sub = Subsumer(tree_env, NameSupply())
     left = sub.subsume(penv, [Anchored("t", TREE_INT)])
     # The nominal permission was reassembled: the affine pieces (subtrees)
     # are consumed; only duplicable residue (the int element) may remain.
@@ -170,8 +171,9 @@ def test_split_then_fold_subsumes_nominal(tree_env):
 
 
 def test_split_names_are_fresh(tree_env):
-    _, first = _split_tree(tree_env, "Node")
-    _, second = _split_tree(tree_env, "Node")
+    supply = NameSupply()
+    _, first = _split_tree(tree_env, "Node", supply=supply)
+    _, second = _split_tree(tree_env, "Node", supply=supply)
     names_first = {a.anchor for a in first[1:]}
     names_second = {a.anchor for a in second[1:]}
     assert names_first.isdisjoint(names_second)
@@ -212,14 +214,14 @@ def test_normalize_idempotent_multiset():
 
 def test_duplicable_idempotence(tree_env):
     penv = PermEnv(tree_env, (Anchored("x", TApp("int", ())),))
-    sub = Subsumer(tree_env)
+    sub = Subsumer(tree_env, NameSupply())
     out = sub.subsume(penv, [Anchored("x", TApp("int", ())), Anchored("x", TApp("int", ()))])
     assert out.atoms == penv.atoms  # duplicable extraction removes nothing
 
 
 def test_affine_linearity(tree_env):
     penv = PermEnv(tree_env, (Anchored("x", ty("tree int")),))
-    sub = Subsumer(tree_env)
+    sub = Subsumer(tree_env, NameSupply())
     with pytest.raises(SubsumptionFailure):
         sub.subsume(penv, [Anchored("x", ty("tree int")), Anchored("x", ty("tree int"))])
 
@@ -240,11 +242,11 @@ def test_frame_monotonicity(tree_env):
             atoms = list(base_atoms)
             rng.shuffle(atoms)
             penv = PermEnv(tree_env, tuple(atoms))
-            sub = Subsumer(tree_env)
+            sub = Subsumer(tree_env, NameSupply())
             left = sub.subsume(penv, list(goal))
             extra = rng.choice(extras)
             penv2 = PermEnv(tree_env, tuple(atoms) + (extra,))
-            sub2 = Subsumer(tree_env)
+            sub2 = Subsumer(tree_env, NameSupply())
             left2 = sub2.subsume(penv2, list(goal))
             assert list(left2.atoms) == list(left.atoms) + [extra]
 
@@ -459,7 +461,8 @@ def _alpha_canon(t, env_names=None, counter=None):
     return _map_children(t, lambda u: _alpha_canon(u, env_names, counter))
 
 
-_tyvar_names = st.sampled_from(["a", "b", "c"])
+# "a$0" is the name a renamed binder `a` would take first.
+_tyvar_names = st.sampled_from(["a", "b", "c", "a$0"])
 
 
 def _types(depth):
@@ -488,6 +491,11 @@ def _types(depth):
     _tyvar_names,
     _types(2),
 )
+# `a` must be renamed, and not to `a$0`, which the body or a binder takes.
+@example(TForall((("a", KIND_TYPE),), TArrow(TVar("a"), TVar("a$0"))), "b", TVar("a"))
+@example(
+    TForall((("a", KIND_TYPE), ("a$0", KIND_TYPE)), TArrow(TVar("a"), TVar("b"))), "b", TVar("a")
+)
 def test_capture_avoiding_substitution_against_oracle(term, var, replacement):
     fast = subst_type(term, {var: replacement})
     slow = _blind_subst(_freshen(term), {var: replacement})
@@ -502,7 +510,7 @@ def test_capture_avoiding_substitution_against_oracle(term, var, replacement):
 def test_subsume_exact_affine_extraction(tree_env):
     tree_int = TApp("tree", (TApp("int", ()),))
     penv = PermEnv(tree_env, (Anchored("t", tree_int),))
-    sub = Subsumer(tree_env)
+    sub = Subsumer(tree_env, NameSupply())
     left = sub.subsume(penv, [Anchored("t", tree_int)])
     assert left.atoms == ()  # affine: the unique token is gone
 
@@ -527,7 +535,7 @@ def test_subsume_fold_consumes_all_pieces(tree_env):
         Anchored("r", tree_int),
     )
     penv = PermEnv(tree_env, atoms)
-    sub = Subsumer(tree_env)
+    sub = Subsumer(tree_env, NameSupply())
     left = sub.subsume(penv, [Anchored("t", tree_int)])
     # the structural atom and both subtree permissions are consumed by the
     # fold; only the duplicable int residue may survive
@@ -540,7 +548,7 @@ def test_subsume_fold_consumes_all_pieces(tree_env):
 
 def test_subsume_empty_env_fails(tree_env):
     penv = PermEnv(tree_env)
-    sub = Subsumer(tree_env)
+    sub = Subsumer(tree_env, NameSupply())
     with pytest.raises(SubsumptionFailure):
         sub.subsume(penv, [Anchored("t", TApp("tree", (TApp("int", ()),)))])
 
