@@ -1,0 +1,111 @@
+"""How checking time grows with the size of one function body.
+
+Checks two families of programs at growing sizes and prints the best of
+three checker times for each, with the collector on (as `minimz check`
+runs) and off:
+
+- `pos/tree_size.mz` plus a `main` that binds a balanced tree literal of
+  n nodes, at n = 256, 512, 1024 and 2048;
+- a `main` made of n sequential lets over ints, at n = 300 and 900.
+
+Only `Checker.check_file` is timed: each timing parses and resolves the
+program afresh, untimed, so no memo carries over from one timing to the
+next. The last lines give the ratios 2048/1024 and 900/300; linear checking
+gives 2.0 and 3.0.
+
+Run from the root of the repository:
+
+    python3 scripts/check_scaling.py
+"""
+
+from __future__ import annotations
+
+import gc
+import random
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from minimz.check import Checker  # noqa: E402
+from minimz.driver import CORPUS_DIR, load_text  # noqa: E402
+
+TREE_SIZES = (256, 512, 1024, 2048)
+CHAIN_SIZES = (300, 900)
+REPEATS = 3
+
+
+def tree_literal(rng: random.Random, lo: int, hi: int) -> str:
+    """A balanced literal over positions lo..hi, split at the midpoint."""
+    if lo > hi:
+        return "Leaf"
+    mid = (lo + hi) // 2
+    left = tree_literal(rng, lo, mid - 1)
+    elem = rng.randrange(1000)
+    right = tree_literal(rng, mid + 1, hi)
+    return f"Node {{ left = {left}; elem = {elem}; right = {right} }}"
+
+
+def tree_program(n: int) -> str:
+    lib = (CORPUS_DIR / "pos/tree_size.mz").read_text(encoding="utf-8")
+    literal = tree_literal(random.Random(f"tree/{n}"), 1, n)
+    return lib + f"\nval main: () -> int\n\nval main () =\n  let t = {literal} in\n  size t\n"
+
+
+def let_chain(n: int) -> str:
+    """`main` as n sequential lets over ints, each using earlier ones."""
+    rng = random.Random(f"lets/{n}")
+    lines = ["val main: () -> int", "", "val main () =", f"  let x0 = {rng.randrange(1, 100)} in"]
+    for i in range(1, n):
+        a, b = rng.randrange(i), rng.randrange(i)
+        kind = rng.randrange(3)
+        if kind == 0:
+            rhs = f"add (x{a}, x{b})"
+        elif kind == 1:
+            rhs = f"sub (x{a}, x{b})"
+        else:
+            rhs = f"mul (x{a}, {rng.randrange(3, 100, 2)})"
+        lines.append(f"  let x{i} = {rhs} in")
+    lines.append(f"  x{n - 1}")
+    return "\n".join(lines) + "\n"
+
+
+def check_ms(text: str, collector: bool) -> float:
+    """The best of `REPEATS` timings of checking `text`, in ms."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        file, env = load_text(text, "scaling.mz")
+        gc.collect()
+        if not collector:
+            gc.disable()
+        try:
+            start = time.perf_counter()
+            diags = Checker(env).check_file(file)
+            elapsed = time.perf_counter() - start
+        finally:
+            gc.enable()
+        if diags:
+            raise SystemExit(f"unexpected diagnostics: {diags}")
+        best = min(best, elapsed)
+    return best * 1000
+
+
+def main() -> None:
+    rows = [(f"tree literal n={n}", tree_program(n)) for n in TREE_SIZES]
+    rows += [(f"let chain n={n}", let_chain(n)) for n in CHAIN_SIZES]
+    times = {}
+    print(f"{'program':<22} {'ms':>9} {'ms, gc off':>11}")
+    for name, text in rows:
+        times[name] = (check_ms(text, True), check_ms(text, False))
+        on, off = times[name]
+        print(f"{name:<22} {on:9.1f} {off:11.1f}", flush=True)
+    for big, small in (("tree literal n=2048", "tree literal n=1024"),
+                       ("let chain n=900", "let chain n=300")):
+        on = times[big][0] / times[small][0]
+        off = times[big][1] / times[small][1]
+        print(f"{big} / {small}: {on:.2f}x ({off:.2f}x gc off)")
+
+
+if __name__ == "__main__":
+    main()

@@ -9,6 +9,7 @@ subsumable from the current environment.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -54,6 +55,7 @@ from .kinds import DataInfo, Env, domain_bar, domain_comps
 from .perms import (
     Anchored,
     Atom,
+    Handle,
     NameSupply,
     PermEnv,
     SubsumptionFailure,
@@ -164,11 +166,9 @@ class Checker:
     # ------------------------------------------------------------------
 
     def _mk_anchor(self, penv: PermEnv, bindings: dict[str, str], name: str) -> str:
-        used = set(bindings.values())
-        for atom in penv.atoms:
-            if isinstance(atom, Anchored):
-                used.add(atom.anchor)
-        return name if name not in used else self.sub.names.fresh(name)
+        if name in bindings.values() or penv.holds_anchor(name):
+            return self.sub.names.fresh(name)
+        return name
 
     def _enter_domain(
         self, st: CheckState, domain: Type, params: Sequence[str | None]
@@ -305,8 +305,8 @@ class Checker:
             return self._check_call(st, e)
         if isinstance(e, EField):
             obj, st = self.check_expr(st, e.obj, None)
-            st, idx = self._structural(st, obj, e.span)
-            ty = st.penv.atoms[idx].ty
+            st, handle = self._structural(st, obj, e.span)
+            ty = st.penv.atom(handle).ty
             assert isinstance(ty, TConcrete)
             for fname, fty in ty.fields:
                 if fname == e.name:
@@ -316,8 +316,8 @@ class Checker:
         if isinstance(e, EAssign):
             value, st = self.check_expr(st, e.value, None)
             obj, st = self.check_expr(st, e.obj, None)
-            st, idx = self._structural(st, obj, e.span, mutate=True)
-            atom = st.penv.atoms[idx]
+            st, handle = self._structural(st, obj, e.span, mutate=True)
+            atom = st.penv.atom(handle)
             ty = atom.ty
             assert isinstance(atom, Anchored) and isinstance(ty, TConcrete)
             if e.name not in [f for f, _ in ty.fields]:
@@ -326,7 +326,7 @@ class Checker:
                 (f, TSingleton(value) if f == e.name else fv) for f, fv in ty.fields
             )
             new_atom = Anchored(atom.anchor, replace(ty, fields=fields))
-            st = st.with_penv(st.penv.replace_index(idx, new_atom))
+            st = st.with_penv(st.penv.replace(handle, new_atom))
             return self._unit(st)
         if isinstance(e, ETagUpdate):
             return self._check_tag_update(st, e)
@@ -345,9 +345,9 @@ class Checker:
             st.penv, callee, lambda t: isinstance(t, (TArrow, TForall))
         )
         if found is not None:
-            penv, idx = found
+            penv, handle = found
             st = st.with_penv(penv)
-            fn_ty = self.sub.uni.resolve(st.penv.atoms[idx].ty)
+            fn_ty = self.sub.uni.resolve(penv.atom(handle).ty)
         else:
             gty = st.penv.global_type(callee)
             if gty is None or not isinstance(gty, (TArrow, TForall)):
@@ -468,7 +468,7 @@ class Checker:
 
     def _structural(
         self, st: CheckState, anchor: str, span: Span, mutate: bool = False
-    ) -> tuple[CheckState, int]:
+    ) -> tuple[CheckState, Handle]:
         found = self.sub.head_atom(st.penv, anchor, lambda t: isinstance(t, TConcrete))
         if found is None:
             refined = self._auto_refine(st, anchor)
@@ -477,16 +477,16 @@ class Checker:
                 found = self.sub.head_atom(st.penv, anchor, lambda t: isinstance(t, TConcrete))
         if found is None:
             self._fail("E-SUBSUME", "no structural permission for field access", span, st)
-        penv, idx = found
+        penv, handle = found
         st = st.with_penv(penv)
-        ty = st.penv.atoms[idx].ty
+        ty = penv.atom(handle).ty
         assert isinstance(ty, TConcrete)
         if mutate:
             entry = self.env.tags.get(ty.tag)
             data = self.env.types.get(entry[0]) if entry else None
             if not (isinstance(data, DataInfo) and data.mutable):
                 self._fail("E-SUBSUME", f"type of {anchor!r} is not mutable", span, st)
-        return st, idx
+        return st, handle
 
     def _auto_refine(self, st: CheckState, anchor: str) -> CheckState | None:
         """Refine `x @ D args` to its structural form when D has one branch."""
@@ -499,8 +499,8 @@ class Checker:
         )
         if found is None:
             return None
-        penv, idx = found
-        atom = penv.atoms[idx]
+        penv, handle = found
+        atom = penv.atom(handle)
         ty = self.sub.uni.resolve(atom.ty)
         assert isinstance(ty, TApp)
         info = self.env.types[ty.head]
@@ -508,7 +508,7 @@ class Checker:
         (branch,) = info.branches.values()
         names = (self.sub.names.fresh(fname) for fname, _ in branch.fields)
         split = split_branch(atom.anchor, info, ty.args, branch, names)
-        return st.with_penv(penv.replace_index(idx, *split))
+        return st.with_penv(penv.replace(handle, *split))
 
     # -- match -------------------------------------------------------------------
 
@@ -522,17 +522,16 @@ class Checker:
         )
         if found is None:
             self._fail("E-MATCH", "no data permission for match scrutinee", e.span, st)
-        penv, idx = found
+        penv, handle = found
         st = st.with_penv(penv)
-        atom = st.penv.atoms[idx]
-        ty = self.sub.uni.resolve(atom.ty)
+        ty = self.sub.uni.resolve(penv.atom(handle).ty)
 
         if isinstance(ty, TConcrete):
             for pat, body in e.branches:
                 assert isinstance(pat, PTag)
                 if pat.tag == ty.tag:
                     # also split a nominal permission held next to this one
-                    split = self.sub.split_along(st.penv, idx, ty)
+                    split = self.sub.split_along(st.penv, handle, ty)
                     st2 = st if split is None else st.with_penv(split)
                     st2 = self._bind_tag_pattern(st2, pat, ty)
                     return self.check_expr(st2, body, tail)
@@ -563,7 +562,7 @@ class Checker:
                 else:
                     names.append(self.sub.names.fresh(fname))
             split = split_branch(scrutinee, info, ty.args, branch, names)
-            st2 = st.with_penv(st.penv.replace_index(idx, *split))
+            st2 = st.with_penv(st.penv.replace(handle, *split))
             for (_, fpat), a in zip(pat.fields, names):
                 st2 = self._bind_pattern(st2, fpat, a)
             branch_work.append((st2, body))
@@ -596,13 +595,13 @@ class Checker:
         first_anchor, first_st = results[0]
         hits = first_st.penv.atoms_of(first_anchor)
         result_ty: Type = hits[0][1].ty if hits else TTuple(())
-        joined_envs: list[PermEnv] = []
+        left: list[tuple[Atom, ...]] = []
         for anchor, st2 in results:
             st2 = self._subsume_or_fail(st2, [Anchored(anchor, result_ty)], span)
-            joined_envs.append(st2.penv)
-        common = _intersect(joined_envs)
+            left.append(st2.penv.atoms)
+        common = _intersect(left)
         anchor = self.sub.names.fresh("j")
-        penv = PermEnv(self.env, tuple(common), joined_envs[0].globals).add(
+        penv = PermEnv(self.env, common, first_st.penv.globals).add(
             Anchored(anchor, self.sub.uni.resolve(result_ty))
         )
         bindings = outer_bindings if outer_bindings is not None else results[0][1].bindings
@@ -627,9 +626,9 @@ class Checker:
                     getattr(pat, "span", Span(0, 0)),
                     st,
                 )
-            penv, idx = found
+            penv, handle = found
             st = st.with_penv(penv)
-            ty = st.penv.atoms[idx].ty
+            ty = penv.atom(handle).ty
             assert isinstance(ty, TTuple)
             if len(ty.comps) != len(pat.items):
                 self._fail(
@@ -650,8 +649,8 @@ class Checker:
             a, st = self.check_expr(st, value, None)
             anchors.append(a)
         obj, st = self.check_expr(st, e.obj, None)
-        st, idx = self._structural(st, obj, e.span, mutate=True)
-        atom = st.penv.atoms[idx]
+        st, handle = self._structural(st, obj, e.span, mutate=True)
+        atom = st.penv.atom(handle)
         ty = atom.ty
         assert isinstance(atom, Anchored) and isinstance(ty, TConcrete)
         old_entry = self.env.tags[ty.tag]
@@ -679,7 +678,7 @@ class Checker:
                     st,
                 )
         new_atom = Anchored(atom.anchor, TConcrete(e.tag, tuple(new_fields), None))
-        st = st.with_penv(st.penv.replace_index(idx, new_atom))
+        st = st.with_penv(st.penv.replace(handle, new_atom))
         return self._unit(st)
 
     def _check_lambda(self, st: CheckState, e: ELambda) -> tuple[str, CheckState]:
@@ -689,7 +688,7 @@ class Checker:
         domain = arrow.domain
         codomain = arrow.codomain if e.codomain is not None else None
 
-        inner = PermEnv(self.env, tuple(st.penv.duplicable_atoms()), st.penv.globals)
+        inner = PermEnv(self.env, st.penv.duplicable_atoms(), st.penv.globals)
         inner_state, values, exit_goals = self._enter_domain(
             CheckState(inner, st.bindings), domain, [c.name for c in domain_comps(domain)]
         )
@@ -747,19 +746,20 @@ def _obvious_kind(t: Type):
     return None
 
 
-def _intersect(envs: list[PermEnv]) -> list[Atom]:
-    if not envs:
-        return []
-    base = list(envs[0].atoms)
-    for other in envs[1:]:
-        pool = list(other.atoms)
-        kept = []
-        for atom in base:
-            if atom in pool:
-                pool.remove(atom)
-                kept.append(atom)
-        base = kept
-    return base
+def _intersect(lists: Sequence[Sequence[Atom]]) -> list[Atom]:
+    """The multiset intersection of the atom lists `lists`, in the order of
+    the first: each atom is kept as often as the list that holds it least
+    often holds it, and its earliest occurrences are the ones kept."""
+    first, *others = lists
+    budget = Counter(first)
+    for other in others:
+        budget &= Counter(other)
+    kept = []
+    for atom in first:
+        if budget[atom] > 0:
+            budget[atom] -= 1
+            kept.append(atom)
+    return kept
 
 
 def _file_sig_names(file: SourceFile) -> set[str]:

@@ -5,6 +5,16 @@ anchored atoms `x @ t` and permission variables. The environment is an
 ordered multiset of atoms; extraction deterministically removes the first
 match (affine atoms are removed, duplicable ones are not).
 
+The environment, `PermEnv`, is persistent: an edit returns a new version
+and the old one stays valid. The versions of one environment share a
+mutable store holding the atoms of one version, the root, with an index
+from each anchor to its atoms. Every other version holds the edit that
+turns its neighbour towards the root back into it, and reading or editing
+a version reroots the store at it, in a loop. Atoms are named by handles
+that stay valid across versions and ordered by order keys, so a
+replacement keeps its place. Editing the root costs O(1) and copies
+nothing. A store belongs to one check and is not shared between threads.
+
 Subsumption search order per goal atom: exact match, singleton
 unification, alias expansion, fold of a structural permission to its
 nominal type, split of a nominal permission along a structural one, and
@@ -14,8 +24,9 @@ existential witness via unification metavariables.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left, insort
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, replace
 
 from .ast import (
     KIND_PERM,
@@ -320,95 +331,241 @@ class SubsumptionFailure(Exception):
         self.note = note
 
 
-def _anchor_keys(atoms: tuple[Atom, ...]) -> tuple[str | None, ...]:
-    return tuple(a.anchor if type(a) is Anchored else None for a in atoms)
+Handle = int
+"""Names one atom of one environment version. An edit that keeps an atom
+keeps its handle, so a handle taken from a version stays valid for it and
+for every version derived from it that still holds the atom."""
+
+# A slot is one atom with its handle and its order key. Order keys are
+# tuples of ints, unique within a version, and they give the atom order:
+# an added atom gets `(h,)` for its new handle `h`, larger than every key
+# before it. The atoms spliced in for the atom of key `K` get `K` when
+# there is one of them, and `K + (0,)`, `K + (1,)`, ... when there are
+# more, which lie between `K` and the key after it.
+_Slot = tuple[tuple[int, ...], Handle, Atom]
 
 
-@dataclass
+class _Family:
+    """The state shared by a family of environment versions, all derived
+    from one `PermEnv(...)`: the slots of the version that is currently the
+    root, and an index from the anchor of each anchored atom, and from each
+    permission variable, to its slots in order. Metavariables are not
+    indexed."""
+
+    __slots__ = ("env", "globals", "slots", "index", "handles")
+
+    def __init__(self, env: Env, globals: dict[str, Type] | None):
+        self.env = env
+        self.globals = globals
+        self.slots: dict[Handle, _Slot] = {}
+        self.index: dict[str | PermVar, list[_Slot]] = {}
+        self.handles = itertools.count()
+
+    def apply(self, out: Sequence[_Slot], into: Sequence[_Slot]) -> None:
+        """Take the slots `out` out and put the slots `into` in. Swapping
+        the two undoes the edit."""
+        slots, index = self.slots, self.index
+        for slot in out:
+            del slots[slot[1]]
+            atom = slot[2]
+            if type(atom) is Anchored:
+                hits = index[atom.anchor]
+            elif type(atom) is PermVar:
+                hits = index[atom]
+            else:
+                continue
+            del hits[bisect_left(hits, slot)]
+        for slot in into:
+            slots[slot[1]] = slot
+            atom = slot[2]
+            if type(atom) is Anchored:
+                key: str | PermVar = atom.anchor
+            elif type(atom) is PermVar:
+                key = atom
+            else:
+                continue
+            hits = index.get(key)
+            if hits is None:
+                index[key] = [slot]
+            else:
+                insort(hits, slot)
+
+
 class PermEnv:
-    """Ordered multiset of permission atoms. Operations return new values.
+    """An ordered multiset of permission atoms, as a persistent value: every
+    edit returns a new version and leaves the old one as it was.
+
+    The versions derived from one `PermEnv(env, atoms, globals)` form a
+    family that shares one `_Family`: a slot per atom of the *root* version,
+    and the index that makes `atoms_of` cost only its hits. Every other
+    version holds a diff to the next version towards the root: the slots
+    to take out of that version and to put in to get this one (Baker's
+    rerooted arrays, after Conchon and Filliâtre, *A Persistent Union-Find
+    Data Structure*, 2007). Reading or editing a version first reroots the
+    family at it, in a loop that applies the diffs on the path from the
+    root and reverses each one, so the version read becomes the root and
+    the others hold diffs towards it. Deriving from the newest version,
+    which the checker does for all but a few edits, thus costs O(1) per
+    atom added or taken out; going back to an older one (a `match` or `if`
+    branch, a subsumption attempt that backs off, a failure's environment
+    printed later) costs the edits in between.
+
+    Atoms are named by handles (`Handle`), which do not shift when another
+    atom goes. The order of the atoms is that of their slots' order keys
+    (see `_Slot`), so a replacement sits where the atom it replaces sat;
+    `items` and `atoms` sort the slots when asked.
 
     `globals` is a shared side table of duplicable permissions for top-level
     values; they are never extracted and never copied per operation.
 
-    `keys` is an index kept parallel to `atoms`: `keys[i]` is the anchor of
-    `atoms[i]` when that atom is `Anchored`, and None for any other atom.
-    It is derived from `atoms` on construction, and `add`, `remove_index`
-    and `replace_index` keep it by slicing the same way as `atoms`, so
-    `atoms_of` can search it with `tuple.index`.
+    A family belongs to one check: reading a version changes the state its
+    family shares, so the versions of a family must not be used from two
+    threads.
     """
 
-    env: Env
-    atoms: tuple[Atom, ...] = ()
-    globals: dict[str, Type] | None = None
-    keys: tuple[str | None, ...] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("_family", "_diff")
 
-    def __post_init__(self) -> None:
-        if self.keys is None:
-            self.keys = _anchor_keys(self.atoms)
+    def __init__(
+        self, env: Env, atoms: Iterable[Atom] = (), globals: dict[str, Type] | None = None
+    ):
+        self._family = _Family(env, globals)
+        self._diff: tuple[Sequence[_Slot], Sequence[_Slot], PermEnv] | None = None
+        self._family.apply((), self._appended(atoms))
+
+    @property
+    def globals(self) -> dict[str, Type] | None:
+        return self._family.globals
 
     def __str__(self) -> str:
-        return " * ".join(str(a) for a in self.atoms) if self.atoms else "empty"
+        atoms = self.atoms
+        return " * ".join(str(a) for a in atoms) if atoms else "empty"
+
+    # -- versions -------------------------------------------------------------
+
+    def _reroot(self) -> None:
+        """Make this version the root of its family."""
+        path = []
+        version = self
+        while version._diff is not None:
+            path.append(version)
+            version = version._diff[2]
+        apply = self._family.apply
+        for version in reversed(path):
+            out, into, newer = version._diff  # type: ignore[misc]
+            apply(out, into)
+            newer._diff = (into, out, version)
+            version._diff = None
+
+    def _derive(self, out: Sequence[_Slot], into: Sequence[_Slot]) -> "PermEnv":
+        """The version with the slots `out` taken out of this one and the
+        slots `into` put in."""
+        if self._diff is not None:
+            self._reroot()
+        self._family.apply(out, into)
+        child = object.__new__(PermEnv)
+        child._family = self._family
+        child._diff = None
+        self._diff = (into, out, child)
+        return child
+
+    def _appended(self, atoms: Iterable[Atom]) -> list[_Slot]:
+        """New slots for `atoms`, after every slot there is."""
+        handles = self._family.handles
+        into = []
+        for atom in atoms:
+            h = next(handles)
+            into.append(((h,), h, atom))
+        return into
+
+    # -- edits ----------------------------------------------------------------
 
     def add(self, *new: Atom) -> "PermEnv":
-        return PermEnv(
-            self.env, self.atoms + new, self.globals, self.keys + _anchor_keys(new)
-        )
+        """The atoms `new` appended, in order."""
+        if len(new) == 1:  # the common case, without the loop
+            h = next(self._family.handles)
+            return self._derive((), (((h,), h, new[0]),))
+        if not new:
+            return self
+        return self._derive((), self._appended(new))
+
+    def remove(self, handle: Handle) -> "PermEnv":
+        return self._derive((self._slot(handle),), ())
+
+    def replace(self, handle: Handle, *new: Atom) -> "PermEnv":
+        """The atoms `new` in place of the atom `handle`, in order."""
+        slot = self._slot(handle)
+        key = slot[0]
+        handles = self._family.handles
+        if len(new) == 1:
+            return self._derive((slot,), ((key, next(handles), new[0]),))
+        into = []
+        for j, atom in enumerate(new):
+            into.append((key + (j,), next(handles), atom))
+        return self._derive((slot,), into)
+
+    # -- reads ----------------------------------------------------------------
+
+    def _slot(self, handle: Handle) -> _Slot:
+        if self._diff is not None:
+            self._reroot()
+        return self._family.slots[handle]
+
+    def atom(self, handle: Handle) -> Atom:
+        return self._slot(handle)[2]
+
+    def items(self) -> list[tuple[Handle, Atom]]:
+        """The atoms with their handles, in order."""
+        if self._diff is not None:
+            self._reroot()
+        return [(h, atom) for _, h, atom in sorted(self._family.slots.values())]
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        return tuple(atom for _, atom in self.items())
+
+    def atoms_of(self, anchor: str) -> list[tuple[Handle, Anchored]]:
+        """The atoms anchored at `anchor`, with their handles, in order."""
+        if self._diff is not None:
+            self._reroot()
+        return [(h, atom) for _, h, atom in self._family.index.get(anchor, ())]
+
+    def holds_anchor(self, anchor: str) -> bool:
+        if self._diff is not None:
+            self._reroot()
+        return bool(self._family.index.get(anchor))
+
+    def perm_var(self, name: str) -> Handle | None:
+        """The first atom that is the permission variable `name`."""
+        if self._diff is not None:
+            self._reroot()
+        hits = self._family.index.get(PermVar(name))
+        return hits[0][1] if hits else None
 
     def global_type(self, anchor: str) -> Type | None:
-        if self.globals is None:
+        if self._family.globals is None:
             return None
-        return self.globals.get(anchor)
-
-    def remove_index(self, idx: int) -> "PermEnv":
-        atoms, keys = self.atoms, self.keys
-        return PermEnv(
-            self.env,
-            atoms[:idx] + atoms[idx + 1 :],
-            self.globals,
-            keys[:idx] + keys[idx + 1 :],
-        )
-
-    def replace_index(self, idx: int, *new: Atom) -> "PermEnv":
-        atoms, keys = self.atoms, self.keys
-        return PermEnv(
-            self.env,
-            atoms[:idx] + new + atoms[idx + 1 :],
-            self.globals,
-            keys[:idx] + _anchor_keys(new) + keys[idx + 1 :],
-        )
-
-    def atoms_of(self, anchor: str) -> list[tuple[int, Anchored]]:
-        """The atoms anchored at `anchor`, with their indices, in order."""
-        keys, atoms = self.keys, self.atoms
-        hits = []
-        i = -1
-        try:
-            while True:
-                i = keys.index(anchor, i + 1)
-                hits.append((i, atoms[i]))
-        except ValueError:
-            return hits
+        return self._family.globals.get(anchor)
 
     def duplicable_atoms(self) -> list[Atom]:
-        out = []
-        for a in self.atoms:
-            if isinstance(a, Anchored) and duplicability(a.ty, self.env) == DUPLICABLE:
-                out.append(a)
-        return out
+        env = self._family.env
+        return [
+            a
+            for a in self.atoms
+            if isinstance(a, Anchored) and duplicability(a.ty, env) == DUPLICABLE
+        ]
 
     def has_affine(self, goal: Atom) -> bool:
         """Does the env hold an affine atom anchored like `goal`? Used to
         classify a lambda-body failure as an illegal capture: duplicable
         atoms are copied into closure environments, so only an affine
         holding explains the miss."""
-        for a in self.atoms:
-            if isinstance(a, Anchored) and isinstance(goal, Anchored):
-                if a.anchor == goal.anchor and duplicability(a.ty, self.env) == AFFINE:
-                    return True
-            elif isinstance(a, PermVar) and isinstance(goal, PermVar):
-                if a.name == goal.name:
-                    return True
+        if isinstance(goal, Anchored):
+            env = self._family.env
+            return any(
+                duplicability(a.ty, env) == AFFINE for _, a in self.atoms_of(goal.anchor)
+            )
+        if isinstance(goal, PermVar):
+            return self.perm_var(goal.name) is not None
         return False
 
 

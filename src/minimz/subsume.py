@@ -36,6 +36,7 @@ from .perms import (
     Anchored,
     Atom,
     DUPLICABLE,
+    Handle,
     MetaPerm,
     NameSupply,
     PermEnv,
@@ -287,24 +288,24 @@ class Subsumer:
     # opening packed atoms
     # ------------------------------------------------------------------
 
-    def open_atom(self, penv: PermEnv, idx: int) -> PermEnv | None:
-        """Expose one more layer of the atom at `idx`: expand an alias, open
+    def open_atom(self, penv: PermEnv, handle: Handle) -> PermEnv | None:
+        """Expose one more layer of the atom `handle`: expand an alias, open
         an existential (skolemizing its binders), split off a bar permission,
         or decompose a tuple type into a structural tuple plus components.
         Returns None when the atom is already in head form."""
-        atom = penv.atoms[idx]
+        atom = penv.atom(handle)
         if not isinstance(atom, Anchored):
             return None
         ty = self.uni.resolve(atom.ty)
         if is_alias(self.env, ty):
-            return penv.replace_index(idx, Anchored(atom.anchor, expand_alias(self.env, ty)))
+            return penv.replace(handle, Anchored(atom.anchor, expand_alias(self.env, ty)))
         if isinstance(ty, TExists):
             subst: dict[str, Type] = {}
             for name, kind in ty.binders:
                 subst[name] = TVar(self.names.fresh(name))
-            return penv.replace_index(idx, Anchored(atom.anchor, subst_type(ty.body, subst)))
+            return penv.replace(handle, Anchored(atom.anchor, subst_type(ty.body, subst)))
         if isinstance(ty, TBar):
-            return penv.replace_index(idx, *admit_atoms(atom.anchor, ty))
+            return penv.replace(handle, *admit_atoms(atom.anchor, ty))
         if isinstance(ty, TTuple) and not _is_structural_tuple(ty):
             # If a structural view of the same tuple is already around, pin the
             # released component permissions to its component names.
@@ -329,35 +330,35 @@ class Subsumer:
                     values[comp.name] = anchor
                 comps.append(TupleComp(None, TSingleton(anchor), False))
             structural = Anchored(atom.anchor, TTuple(tuple(comps)))
-            return penv.replace_index(idx, structural, *extra)
+            return penv.replace(handle, structural, *extra)
         return None
 
     def _tuple_view(
         self, penv: PermEnv, anchor: str, length: int, structural: bool
-    ) -> tuple[int, TTuple] | None:
+    ) -> tuple[Handle, TTuple] | None:
         """The first atom of `anchor` whose type is a tuple of `length`
-        components, structural or raw as `structural` says, with its index."""
-        for idx, atom in penv.atoms_of(anchor):
+        components, structural or raw as `structural` says, with its handle."""
+        for handle, atom in penv.atoms_of(anchor):
             ty = self.uni.resolve(atom.ty)
             if (
                 isinstance(ty, TTuple)
                 and _is_structural_tuple(ty) == structural
                 and len(ty.comps) == length
             ):
-                return idx, ty
+                return handle, ty
         return None
 
-    def head_atom(self, penv: PermEnv, anchor: str, want) -> tuple[PermEnv, int] | None:
+    def head_atom(self, penv: PermEnv, anchor: str, want) -> tuple[PermEnv, Handle] | None:
         """Find (opening as needed) an atom for `anchor` whose type satisfies
         the predicate `want`."""
         for _ in range(_MAX_DEPTH):
             hits = penv.atoms_of(anchor)
-            for idx, atom in hits:
+            for handle, atom in hits:
                 if want(self.uni.resolve(atom.ty)):
-                    return penv, idx
+                    return penv, handle
             progressed = False
-            for idx, atom in hits:
-                opened = self.open_atom(penv, idx)
+            for handle, atom in hits:
+                opened = self.open_atom(penv, handle)
                 if opened is not None:
                     penv = opened
                     progressed = True
@@ -415,10 +416,10 @@ class Subsumer:
                 return penv
             return self.subsume(penv, normalize(self.uni.resolve(bound)))
         if isinstance(goal, PermVar):
-            for i, atom in enumerate(penv.atoms):
-                if isinstance(atom, PermVar) and atom.name == goal.name:
-                    return penv.remove_index(i)
-            raise SubsumptionFailure(goal, penv)
+            handle = penv.perm_var(goal.name)
+            if handle is None:
+                raise SubsumptionFailure(goal, penv)
+            return penv.remove(handle)
         assert isinstance(goal, Anchored)
         ty = self.uni.resolve(goal.ty)
         ty = _strip_empty_bar(ty)
@@ -426,10 +427,10 @@ class Subsumer:
             hits = penv.atoms_of(goal.anchor)
             if not hits:
                 raise SubsumptionFailure(goal, penv)
-            idx, atom = hits[0]
+            handle, atom = hits[0]
             if not self.uni.bind(ty.name, atom.ty):
                 raise SubsumptionFailure(goal, penv)
-            return self._extract(penv, idx)
+            return self._extract(penv, handle)
         if isinstance(ty, TBar):
             penv = self.subsume_atom(
                 penv, Anchored(goal.anchor, ty.carrier), depth + 1, defer=defer
@@ -467,17 +468,17 @@ class Subsumer:
                 penv, Anchored(goal.anchor, expand_alias(self.env, ty)), depth + 1
             )
         # opening packed environment atoms (aliases, existentials, bars)
-        for idx, _ in hits:
-            opened = self.open_atom(penv, idx)
+        for handle, _ in hits:
+            opened = self.open_atom(penv, handle)
             if opened is not None:
                 return self.subsume_atom(opened, goal, depth + 1)
         # fold a structural permission to the nominal goal
         if isinstance(ty, TApp) and isinstance(self.env.types.get(ty.head), DataInfo):
             info = self.env.types[ty.head]
-            for idx, atom in hits:
+            for handle, atom in hits:
                 sty = atom.ty
                 if isinstance(sty, TConcrete) and sty.tag in info.branches:
-                    folded = self._fold_at(penv, idx, sty, ty, depth)
+                    folded = self._fold_at(penv, handle, sty, ty, depth)
                     if folded is not None:
                         return folded
         # split a nominal permission along a structural one
@@ -487,14 +488,14 @@ class Subsumer:
         raise SubsumptionFailure(goal, penv)
 
     def _find_exact(
-        self, penv: PermEnv, hits: list[tuple[int, Anchored]], anchor: str, ty: Type, depth: int
+        self, penv: PermEnv, hits: list[tuple[Handle, Anchored]], anchor: str, ty: Type, depth: int
     ) -> PermEnv | None:
         """Extract an atom among `hits`, the atoms of `anchor` in `penv`, or
         the global permission of `anchor`, whose type unifies with `ty`."""
-        for idx, atom in hits:
+        for handle, atom in hits:
             snap = self.uni.snapshot()
             if self.unify(ty, atom.ty, None, None, depth + 1):
-                return self._extract(penv, idx)
+                return self._extract(penv, handle)
             self.uni.restore(snap)
         gty = penv.global_type(anchor)
         if gty is not None:
@@ -504,13 +505,13 @@ class Subsumer:
             self.uni.restore(snap)
         return None
 
-    def _extract(self, penv: PermEnv, idx: int) -> PermEnv:
-        atom = penv.atoms[idx]
+    def _extract(self, penv: PermEnv, handle: Handle) -> PermEnv:
+        atom = penv.atom(handle)
         if isinstance(atom, Anchored) and duplicability(
             self.uni.resolve(atom.ty), self.env
         ) == DUPLICABLE:
             return penv
-        return penv.remove_index(idx)
+        return penv.remove(handle)
 
     def _subsume_tuple(self, penv: PermEnv, anchor: str, ty: TTuple, depth: int) -> PermEnv:
         found = self.head_atom(
@@ -518,14 +519,13 @@ class Subsumer:
         )
         if found is None:
             raise SubsumptionFailure(Anchored(anchor, ty), penv)
-        penv, idx = found
-        atom = penv.atoms[idx]
-        actual = atom.ty
+        penv, handle = found
+        actual = penv.atom(handle).ty
         assert isinstance(actual, TTuple)
         if len(actual.comps) != len(ty.comps):
             raise SubsumptionFailure(Anchored(anchor, ty), penv)
         values: dict[str, str] = {}
-        working = self._extract(penv, idx)
+        working = self._extract(penv, handle)
         for comp, actual_comp in zip(ty.comps, actual.comps):
             target = actual_comp.ty
             assert isinstance(target, TSingleton)
@@ -541,11 +541,10 @@ class Subsumer:
         )
         if found is None:
             raise SubsumptionFailure(Anchored(anchor, ty), penv)
-        penv, idx = found
-        atom = penv.atoms[idx]
-        actual = atom.ty
+        penv, handle = found
+        actual = penv.atom(handle).ty
         assert isinstance(actual, TConcrete)
-        working = self._extract(penv, idx)
+        working = self._extract(penv, handle)
         for (fname, fty), (aname, aty) in zip(ty.fields, actual.fields):
             if fname != aname:
                 raise SubsumptionFailure(Anchored(anchor, ty), penv)
@@ -568,16 +567,16 @@ class Subsumer:
         return working
 
     def _fold_at(
-        self, penv: PermEnv, idx: int, structural: TConcrete, ty: TApp, depth: int
+        self, penv: PermEnv, handle: Handle, structural: TConcrete, ty: TApp, depth: int
     ) -> PermEnv | None:
-        """Fold the structural atom at `idx` into the nominal goal `ty`."""
+        """Fold the structural atom `handle` into the nominal goal `ty`."""
         info = self.env.types[ty.head]
         assert isinstance(info, DataInfo)
         branch = info.branches[structural.tag]
         subst = dict(zip((n for n, _ in info.params), ty.args))
         snap = self.uni.snapshot()
         try:
-            working = self._extract(penv, idx)
+            working = self._extract(penv, handle)
             for (fname, declared), (aname, actual) in zip(branch.fields, structural.fields):
                 if not isinstance(actual, TSingleton):
                     raise SubsumptionFailure(Anchored(structural.tag, ty), penv)
@@ -596,7 +595,7 @@ class Subsumer:
         """Split `y @ D args` along a structural `y @ Tag{.. f = wanted ..}`
         (see `split_along`). Also splits a raw tuple permission along a
         structural tuple naming the wanted anchor."""
-        for sidx, satom in enumerate(penv.atoms):
+        for shandle, satom in penv.items():
             if not isinstance(satom, Anchored):
                 continue
             sty = self.uni.resolve(satom.ty)
@@ -609,14 +608,14 @@ class Subsumer:
             if isinstance(sty, TConcrete) and any(
                 isinstance(f, TSingleton) and f.name == wanted_anchor for _, f in sty.fields
             ):
-                split = self.split_along(penv, sidx, sty)
+                split = self.split_along(penv, shandle, sty)
                 if split is not None:
                     return split
         return None
 
-    def split_along(self, penv: PermEnv, sidx: int, sty: TConcrete) -> PermEnv | None:
-        """Split a nominal `y @ D args` along the structural atom `y @ sty` at
-        `sidx`: the nominal atom is dropped, and the permissions of the fields
+    def split_along(self, penv: PermEnv, shandle: Handle, sty: TConcrete) -> PermEnv | None:
+        """Split a nominal `y @ D args` along the structural atom `y @ sty`,
+        whose handle is `shandle`: the nominal atom is dropped, and the permissions of the fields
         that `sty` names by a singleton, and of the branch's bar, are added.
         None when `y` holds no permission of the data type of `sty`'s tag."""
         entry = self.env.tags.get(sty.tag)
@@ -625,18 +624,18 @@ class Subsumer:
         data_name, branch = entry
         info = self.env.types[data_name]
         assert isinstance(info, DataInfo)
-        anchor = penv.atoms[sidx].anchor
-        for nidx, natom in penv.atoms_of(anchor):
-            if nidx == sidx:
+        anchor = penv.atom(shandle).anchor
+        for nhandle, natom in penv.atoms_of(anchor):
+            if nhandle == shandle:
                 continue
             nty = self.uni.resolve(natom.ty)
             while is_alias(self.env, nty):
                 nty = expand_alias(self.env, nty)
             if isinstance(nty, TApp) and nty.head == data_name:
                 names = (f.name if isinstance(f, TSingleton) else None for _, f in sty.fields)
-                # the structural atom is already at `sidx`
+                # the structural atom is already there
                 _, *fields = split_branch(anchor, info, nty.args, branch, names)
-                return penv.remove_index(nidx).add(*fields)
+                return penv.remove(nhandle).add(*fields)
         return None
 
 

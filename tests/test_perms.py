@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +22,7 @@ from minimz.ast import (
     TVar,
     TupleComp,
 )
+from minimz.check import _intersect
 from minimz.driver import load_text
 from minimz.parser import parse_type
 from minimz.perms import (
@@ -261,36 +263,105 @@ _atoms = st.one_of(
 )
 _edits = st.tuples(
     st.sampled_from(["add", "remove", "replace"]),
-    st.integers(0, 40),
+    st.integers(0, 40),  # the version edited, among those made so far
+    st.integers(0, 40),  # the position of the atom removed or replaced
     st.lists(_atoms, max_size=3),
+    st.integers(0, 40),  # a version read after the edit is made
 )
+
+
+def _assert_matches(penv, model):
+    """`penv` holds the atoms `model`, in order, and every read agrees."""
+    items = penv.items()
+    assert [a for _, a in items] == model
+    assert penv.atoms == tuple(model)
+    assert str(penv) == (" * ".join(map(str, model)) or "empty")
+    for h, a in items:
+        assert penv.atom(h) == a
+    for name in ("x", "y", "z"):
+        scan = [(h, a) for h, a in items if isinstance(a, Anchored) and a.anchor == name]
+        assert penv.atoms_of(name) == scan
+        assert penv.holds_anchor(name) == bool(scan)
+        var = [h for h, a in items if a == PermVar(name)]
+        assert penv.perm_var(name) == (var[0] if var else None)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_atoms, max_size=6), st.lists(_edits, max_size=25))
 def test_anchor_index_follows_edits(tree_env, start, edits):
-    penv = PermEnv(tree_env, tuple(start))
-    model = list(start)
-    for op, pos, new in edits:
+    """Edits applied anywhere in a tree of versions, each version checked
+    against a list model after every step, old versions read between edits.
+    An edit is made without reading its version first, with the handles
+    recorded when that version was made."""
+    first = PermEnv(tree_env, start)
+    versions = [(first, list(start), [h for h, _ in first.items()])]
+    for op, which, pos, new, read in edits:
+        base, model, handles = versions[which % len(versions)]
         if op == "add":
-            penv = penv.add(*new)
-            model += new
-        elif model:
+            penv, model = base.add(*new), model + new
+            kept = handles
+        elif not model:
+            continue
+        else:
             idx = pos % len(model)
             if op == "remove":
-                penv = penv.remove_index(idx)
-                model[idx : idx + 1] = []
+                penv = base.remove(handles[idx])
+                model = model[:idx] + model[idx + 1 :]
             else:
-                penv = penv.replace_index(idx, *new)
-                model[idx : idx + 1] = new
-        assert penv.atoms == tuple(model)
-        for anchor in ("x", "y", "z"):
-            scan = [
-                (i, a)
-                for i, a in enumerate(model)
-                if isinstance(a, Anchored) and a.anchor == anchor
-            ]
-            assert penv.atoms_of(anchor) == scan
+                penv = base.replace(handles[idx], *new)
+                model = model[:idx] + new + model[idx + 1 :]
+            kept = handles[:idx] + handles[idx + 1 :]
+        _assert_matches(*versions[read % len(versions)][:2])
+        handles = [h for h, _ in penv.items()]
+        # the atoms an edit keeps keep their handles
+        assert [h for h in handles if h in kept] == kept
+        versions.append((penv, model, handles))
+        for penv, model, _ in versions:
+            _assert_matches(penv, model)
+
+
+def test_rerooting_a_long_history_needs_no_stack(tree_env):
+    """Reading the oldest of 100,000 linearly derived versions, and then the
+    newest again, reroots along the whole history without recursion."""
+    x, y = Anchored("x", INT), Anchored("y", INT)
+    oldest = penv = PermEnv(tree_env, (x,))
+    for _ in range(50_000):
+        penv = penv.add(y)
+        ((handle, _),) = penv.atoms_of("y")
+        penv = penv.remove(handle)
+    newest = penv.add(y)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert oldest.atoms == (x,)
+        assert [a for _, a in oldest.atoms_of("x")] == [x]
+        assert oldest.atoms_of("y") == []
+        assert newest.atoms == (x, y)
+        assert oldest.atoms == (x,)
+    finally:
+        sys.setrecursionlimit(limit)
+    del oldest, penv, newest  # freeing the history must not overflow the stack either
+
+
+def _intersect_by_removal(lists):
+    """The removal join, kept as the oracle: walk the first list and keep
+    each atom still found in a pool of the next list's atoms, list by list."""
+    base = list(lists[0])
+    for other in lists[1:]:
+        pool = list(other)
+        kept = []
+        for atom in base:
+            if atom in pool:
+                pool.remove(atom)
+                kept.append(atom)
+        base = kept
+    return base
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_atoms, max_size=8), min_size=1, max_size=4))
+def test_counted_join_matches_removal_join(lists):
+    assert _intersect(lists) == _intersect_by_removal(lists)
 
 
 def test_type_maps_keep_unchanged_types():
