@@ -1,17 +1,18 @@
-"""How checking time grows with the size of one function body.
+"""How front-end and checking time grow with the size of one function body.
 
-Checks two families of programs at growing sizes and prints the best of
-three checker times for each, with the collector on (as `minimz check`
-runs) and off:
+Loads and checks two families of programs at growing sizes and prints, for
+each, the best of three times of each front-end layer (lex, parse,
+resolve) and of the checker, with the collector on (as `minimz check`
+runs), and of the checker with the collector off:
 
 - `pos/tree_size.mz` plus a `main` that binds a balanced tree literal of
   n nodes, at n = 256, 512, 1024 and 2048;
 - a `main` made of n sequential lets over ints, at n = 300 and 900.
 
-Only `Checker.check_file` is timed: each timing parses and resolves the
-program afresh, untimed, so no memo carries over from one timing to the
-next. The last lines give the ratios 2048/1024 and 900/300; linear checking
-gives 2.0 and 3.0.
+Each layer is timed on its own: each timing of a layer redoes the layers
+before it afresh, untimed, so no memo carries over from one timing to the
+next. The last lines give the ratios 2048/1024 and 900/300 for each
+column; linear time gives 2.0 and 3.0.
 
 Run from the root of the repository:
 
@@ -29,7 +30,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from minimz.check import Checker  # noqa: E402
-from minimz.driver import CORPUS_DIR, load_text  # noqa: E402
+from minimz.driver import CORPUS_DIR, load_text, prelude  # noqa: E402
+from minimz.kinds import resolve  # noqa: E402
+from minimz.parser import Parser, tokenize  # noqa: E402
 
 TREE_SIZES = (256, 512, 1024, 2048)
 CHAIN_SIZES = (300, 900)
@@ -71,40 +74,65 @@ def let_chain(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_ms(text: str, collector: bool) -> float:
-    """The best of `REPEATS` timings of checking `text`, in ms."""
+def best_ms(prepare, timed, collector: bool = True) -> float:
+    """The best of `REPEATS` timings of `timed(prepare())`, in ms, where
+    only `timed` runs on the clock."""
     best = float("inf")
     for _ in range(REPEATS):
-        file, env = load_text(text, "scaling.mz")
+        arg = prepare()
         gc.collect()
         if not collector:
             gc.disable()
         try:
             start = time.perf_counter()
-            diags = Checker(env).check_file(file)
+            timed(arg)
             elapsed = time.perf_counter() - start
         finally:
             gc.enable()
-        if diags:
-            raise SystemExit(f"unexpected diagnostics: {diags}")
         best = min(best, elapsed)
     return best * 1000
+
+
+def layer_times(text: str) -> tuple[float, ...]:
+    """Lex, parse, resolve, check and check with the collector off, in ms."""
+    _, base = prelude()
+
+    def check(loaded) -> None:
+        file, env = loaded
+        diags = Checker(env).check_file(file)
+        if diags:
+            raise SystemExit(f"unexpected diagnostics: {diags}")
+
+    def load():
+        return load_text(text, "scaling.mz")
+
+    return (
+        best_ms(lambda: text, tokenize),
+        best_ms(lambda: tokenize(text), lambda tokens: Parser(tokens).parse_file()),
+        best_ms(lambda: (Parser(tokenize(text)).parse_file(), base.clone()),
+                lambda args: resolve(*args)),
+        best_ms(load, check),
+        best_ms(load, check, collector=False),
+    )
+
+
+COLUMNS = ("lex", "parse", "resolve", "check", "check, gc off")
 
 
 def main() -> None:
     rows = [(f"tree literal n={n}", tree_program(n)) for n in TREE_SIZES]
     rows += [(f"let chain n={n}", let_chain(n)) for n in CHAIN_SIZES]
     times = {}
-    print(f"{'program':<22} {'ms':>9} {'ms, gc off':>11}")
+    print(f"{'program':<22}" + "".join(f"{c:>14}" for c in COLUMNS) + "   (ms)")
     for name, text in rows:
-        times[name] = (check_ms(text, True), check_ms(text, False))
-        on, off = times[name]
-        print(f"{name:<22} {on:9.1f} {off:11.1f}", flush=True)
+        times[name] = layer_times(text)
+        print(f"{name:<22}" + "".join(f"{t:14.1f}" for t in times[name]), flush=True)
     for big, small in (("tree literal n=2048", "tree literal n=1024"),
                        ("let chain n=900", "let chain n=300")):
-        on = times[big][0] / times[small][0]
-        off = times[big][1] / times[small][1]
-        print(f"{big} / {small}: {on:.2f}x ({off:.2f}x gc off)")
+        ratios = ", ".join(
+            f"{c} {b / s:.2f}x" for c, b, s in zip(COLUMNS, times[big], times[small])
+        )
+        print(f"{big} / {small}: {ratios}")
 
 
 if __name__ == "__main__":

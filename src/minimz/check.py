@@ -125,9 +125,8 @@ class Checker:
     def check_file(self, file: SourceFile) -> list[Diagnostic]:
         names = NameSupply()
         diags: list[Diagnostic] = []
-        available: list[str] = [
-            name for name in self.env.sig_order if name not in _file_sig_names(file)
-        ]
+        own = _file_sig_names(file)
+        available: list[str] = [name for name in self.env.sig_order if name not in own]
         for decl in file.decls:
             if isinstance(decl, DValSig):
                 available.append(decl.name)
@@ -256,7 +255,7 @@ class Checker:
             out = self.check_expr(st, e.bound, None)
             anchor, st2 = out
             st3 = self._bind_pattern(st2, e.pattern, anchor)
-            return self.check_expr(st3, e.body, tail)
+            return _scoped(self.check_expr(st3, e.body, tail), st)
         if isinstance(e, EIf):
             cond_anchor, st2 = self.check_expr(st, e.cond, None)
             st2 = self._subsume_or_fail(st2, [Anchored(cond_anchor, BOOL)], e.span)
@@ -534,7 +533,7 @@ class Checker:
                     split = self.sub.split_along(st.penv, handle, ty)
                     st2 = st if split is None else st.with_penv(split)
                     st2 = self._bind_tag_pattern(st2, pat, ty)
-                    return self.check_expr(st2, body, tail)
+                    return _scoped(self.check_expr(st2, body, tail), st)
             self._fail("E-MATCH", f"no branch for known tag {ty.tag!r}", e.span, st)
 
         assert isinstance(ty, TApp)
@@ -728,6 +727,18 @@ class Checker:
             raise
 
         return self._new_value(st, TArrow(domain, result_cod), "fn")
+
+
+def _scoped(out, outer: CheckState):
+    """The outcome `out` of checking the body of a `let` or a `match`
+    branch, as the outcome of the whole expression checked in `outer`: the
+    body's binders scope over the body alone, so a result in a non-tail
+    position carries `outer`'s bindings, and a later sibling of the
+    expression does not see them."""
+    if out is _TAIL_DONE:
+        return out
+    anchor, st = out
+    return anchor, CheckState(st.penv, outer.bindings)
 
 
 def _singleton_comp(anchor: str) -> TupleComp:

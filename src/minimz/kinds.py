@@ -10,6 +10,7 @@ against the lexical value scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import is_
 
 from .ast import (
     Branch,
@@ -164,13 +165,30 @@ class Env:
 
 @dataclass
 class Scope:
-    """Lexical scopes used while resolving one declaration."""
+    """Lexical scopes used while resolving one declaration.
+
+    The value names in scope are one set for the whole declaration. A
+    binder's names `enter` it for the binder's scope and `leave` it after,
+    so a step costs the names it binds, not the size of the scope.
+    """
 
     tyvars: dict[str, Kind] = field(default_factory=dict)
     values: set[str] = field(default_factory=set)
 
     def child(self) -> "Scope":
-        return Scope(dict(self.tyvars), set(self.values))
+        """A scope for a quantifier's body: its own copy of the type
+        variables, the same value names."""
+        return Scope(dict(self.tyvars), self.values)
+
+    def enter(self, name: str, entered: list[str]) -> None:
+        """Bring `name` into scope, and note it in `entered` unless it was
+        in scope already."""
+        if name not in self.values:
+            self.values.add(name)
+            entered.append(name)
+
+    def leave(self, entered: list[str]) -> None:
+        self.values.difference_update(entered)
 
     def bind_tyvar(self, name: str, kind: Kind, span: Span) -> None:
         old = self.tyvars.get(name)
@@ -300,6 +318,8 @@ class Resolver:
     # -- types --------------------------------------------------------------
 
     def resolve_type(self, t: Type, scope: Scope) -> Type:
+        """`t` resolved in `scope`; like `ast.map_children`, a node whose
+        children all come back as the same objects comes back itself."""
         if isinstance(t, TVar):
             if t.name in scope.tyvars:
                 return t
@@ -326,19 +346,25 @@ class Resolver:
                     f"got {len(t.args)}",
                     t.span,
                 )
-            args = []
-            for (pname, pkind), arg in zip(info.params, t.args):
-                args.append(self.check_kind(self.resolve_type(arg, scope), pkind, scope))
-            return replace(t, args=tuple(args))
+            args = tuple(
+                [
+                    self.check_kind(self.resolve_type(arg, scope), pkind, scope)
+                    for (_, pkind), arg in zip(info.params, t.args)
+                ]
+            )
+            return t if all(map(is_, args, t.args)) else replace(t, args=args)
         if isinstance(t, TArrow):
-            dom, scope2 = self.resolve_domain(t.domain, scope)
-            cod = self.check_kind(self.resolve_type(t.codomain, scope2), KIND_TYPE, scope2)
+            entered: list[str] = []
+            dom = self.resolve_domain(t.domain, scope, entered)
+            cod = self.check_kind(self.resolve_type(t.codomain, scope), KIND_TYPE, scope)
+            scope.leave(entered)
+            if dom is t.domain and cod is t.codomain:
+                return t
             return replace(t, domain=dom, codomain=cod)
-        if isinstance(t, TTuple):
-            resolved, _ = self.resolve_domain(t, scope)
-            return resolved
-        if isinstance(t, TBar):
-            resolved, _ = self.resolve_domain(t, scope)
+        if isinstance(t, (TTuple, TBar)):
+            entered = []
+            resolved = self.resolve_domain(t, scope, entered)
+            scope.leave(entered)
             return resolved
         if isinstance(t, TConcrete):
             _, branch = self.env.data_of_tag(t.tag, t.span)
@@ -350,10 +376,13 @@ class Resolver:
                     f"fields of {t.tag!r} must be exactly {declared}, got {actual}",
                     t.span,
                 )
-            fields = tuple((fname, self.resolve_type(fty, scope)) for fname, fty in t.fields)
+            ftys = [self.resolve_type(fty, scope) for _, fty in t.fields]
             bar = None
             if t.bar is not None:
                 bar = self.check_kind(self.resolve_type(t.bar, scope), KIND_PERM, scope)
+            if bar is t.bar and all(new is old for new, (_, old) in zip(ftys, t.fields)):
+                return t
+            fields = tuple((fname, fty) for (fname, _), fty in zip(t.fields, ftys))
             return replace(t, fields=fields, bar=bar)
         if isinstance(t, TSingleton):
             if t.name not in scope.values:
@@ -364,41 +393,44 @@ class Resolver:
             for name, kind in t.binders:
                 scope2.bind_tyvar(name, kind, t.span)
             body = self.resolve_type(t.body, scope2)
-            return replace(t, body=body)
+            return t if body is t.body else replace(t, body=body)
         if isinstance(t, TAt):
             if t.anchor not in scope.values:
                 raise ResolveError("E-UNBOUND", f"unbound value name {t.anchor!r}", t.span)
             ty = self.check_kind(self.resolve_type(t.ty, scope), KIND_TYPE, scope)
-            return replace(t, ty=ty)
+            return t if ty is t.ty else replace(t, ty=ty)
         if isinstance(t, TStar):
             items = tuple(
-                self.check_kind(self.resolve_type(i, scope), KIND_PERM, scope) for i in t.items
+                [self.check_kind(self.resolve_type(i, scope), KIND_PERM, scope) for i in t.items]
             )
-            return replace(t, items=items)
+            return t if all(map(is_, items, t.items)) else replace(t, items=items)
         if isinstance(t, (TEmpty, TMeta)):
             return t
         raise TypeError(f"unknown type node {t!r}")
 
-    def resolve_domain(self, t: Type, scope: Scope) -> tuple[Type, Scope]:
-        """Resolve a tuple/bar type, binding component names left to right.
-
-        Returns the resolved type and the scope extended with component names
-        (used by arrow codomains).
+    def resolve_domain(self, t: Type, scope: Scope, entered: list[str]) -> Type:
+        """Resolve a tuple/bar type, bringing component names into `scope`
+        left to right. The names that enter are noted in `entered`; the
+        caller makes them leave after what they scope over (an arrow's
+        codomain, a lambda's body).
         """
         if isinstance(t, TBar):
-            carrier, scope2 = self.resolve_domain(t.carrier, scope)
-            perm = self.check_kind(self.resolve_type(t.perm, scope2), KIND_PERM, scope2)
-            return replace(t, carrier=carrier, perm=perm), scope2
+            carrier = self.resolve_domain(t.carrier, scope, entered)
+            perm = self.check_kind(self.resolve_type(t.perm, scope), KIND_PERM, scope)
+            if carrier is t.carrier and perm is t.perm:
+                return t
+            return replace(t, carrier=carrier, perm=perm)
         if isinstance(t, TTuple):
-            scope2 = scope.child()
-            comps = []
+            tys = []
             for comp in t.comps:
-                ty = self.check_kind(self.resolve_type(comp.ty, scope2), KIND_TYPE, scope2)
+                tys.append(self.check_kind(self.resolve_type(comp.ty, scope), KIND_TYPE, scope))
                 if comp.name is not None:
-                    scope2.values.add(comp.name)
-                comps.append(TupleComp(comp.name, ty, comp.consumed))
-            return replace(t, comps=tuple(comps)), scope2
-        return self.check_kind(self.resolve_type(t, scope), KIND_TYPE, scope), scope
+                    scope.enter(comp.name, entered)
+            if all(new is comp.ty for new, comp in zip(tys, t.comps)):
+                return t
+            comps = tuple(TupleComp(c.name, ty, c.consumed) for c, ty in zip(t.comps, tys))
+            return replace(t, comps=comps)
+        return self.check_kind(self.resolve_type(t, scope), KIND_TYPE, scope)
 
     def check_kind(self, t: Type, expected: Kind, scope: Scope) -> Type:
         actual = self.kind_of(t, scope)
@@ -463,6 +495,9 @@ class Resolver:
         return replace(decl, body=body)
 
     def resolve_expr(self, e: Expr, scope: Scope) -> Expr:
+        """`e` resolved in `scope`. Only types change (a lambda's, a call's
+        type arguments), so a node whose children all come back as the same
+        objects comes back itself."""
         if isinstance(e, EVar):
             if e.name not in scope.values:
                 raise ResolveError("E-UNBOUND", f"unbound value name {e.name!r}", e.span)
@@ -471,9 +506,12 @@ class Resolver:
             return e
         if isinstance(e, ELet):
             bound = self.resolve_expr(e.bound, scope)
-            scope2 = scope.child()
-            self.bind_pattern(e.pattern, scope2)
-            body = self.resolve_expr(e.body, scope2)
+            entered: list[str] = []
+            self.bind_pattern(e.pattern, scope, entered)
+            body = self.resolve_expr(e.body, scope)
+            scope.leave(entered)
+            if bound is e.bound and body is e.body:
+                return e
             return replace(e, bound=bound, body=body)
         if isinstance(e, ECall):
             callee = self.resolve_expr(e.callee, scope)
@@ -481,7 +519,27 @@ class Resolver:
             targs = e.type_args
             if targs is not None:
                 targs = tuple(self.resolve_type(t, scope) for t in targs)
+            if callee is e.callee and arg is e.arg and targs is e.type_args:
+                return e
             return replace(e, callee=callee, arg=arg, type_args=targs)
+        if isinstance(e, EConstruct):
+            _, branch = self.env.data_of_tag(e.tag, e.span)
+            declared = [f for f, _ in branch.fields]
+            actual = [f for f, _ in e.fields]
+            if declared != actual:
+                raise ResolveError(
+                    "E-MATCH",
+                    f"construction of {e.tag!r} must set exactly {declared}, got {actual}",
+                    e.span,
+                )
+            fields = self.resolve_fields(e.fields, scope)
+            return e if fields is e.fields else replace(e, fields=fields)
+        if isinstance(e, ETuple):
+            items = tuple([self.resolve_expr(i, scope) for i in e.items])
+            return e if all(map(is_, items, e.items)) else replace(e, items=items)
+        if isinstance(e, EField):
+            obj = self.resolve_expr(e.obj, scope)
+            return e if obj is e.obj else replace(e, obj=obj)
         if isinstance(e, EMatch):
             scrutinee = self.resolve_expr(e.scrutinee, scope)
             branches = []
@@ -500,55 +558,61 @@ class Resolver:
                         f"pattern for {pat.tag!r} must bind exactly {declared}, got {actual}",
                         pat.span,
                     )
-                scope2 = scope.child()
-                self.bind_pattern(pat, scope2)
-                branches.append((pat, self.resolve_expr(body, scope2)))
-            return replace(e, scrutinee=scrutinee, branches=tuple(branches))
-        if isinstance(e, EIf):
+                entered = []
+                self.bind_pattern(pat, scope, entered)
+                branches.append(self.resolve_expr(body, scope))
+                scope.leave(entered)
+            if scrutinee is e.scrutinee and all(map(is_, branches, [b for _, b in e.branches])):
+                return e
             return replace(
                 e,
-                cond=self.resolve_expr(e.cond, scope),
-                then=self.resolve_expr(e.then, scope),
-                otherwise=self.resolve_expr(e.otherwise, scope),
+                scrutinee=scrutinee,
+                branches=tuple((pat, b) for (pat, _), b in zip(e.branches, branches)),
             )
-        if isinstance(e, EField):
-            return replace(e, obj=self.resolve_expr(e.obj, scope))
+        if isinstance(e, EIf):
+            cond = self.resolve_expr(e.cond, scope)
+            then = self.resolve_expr(e.then, scope)
+            otherwise = self.resolve_expr(e.otherwise, scope)
+            if cond is e.cond and then is e.then and otherwise is e.otherwise:
+                return e
+            return replace(e, cond=cond, then=then, otherwise=otherwise)
         if isinstance(e, EAssign):
-            return replace(
-                e, obj=self.resolve_expr(e.obj, scope), value=self.resolve_expr(e.value, scope)
-            )
+            obj = self.resolve_expr(e.obj, scope)
+            value = self.resolve_expr(e.value, scope)
+            return e if obj is e.obj and value is e.value else replace(e, obj=obj, value=value)
         if isinstance(e, ETagUpdate):
             self.env.data_of_tag(e.tag, e.span)
-            return replace(
-                e,
-                obj=self.resolve_expr(e.obj, scope),
-                fields=tuple((n, self.resolve_expr(v, scope)) for n, v in e.fields),
-            )
-        if isinstance(e, EConstruct):
-            _, branch = self.env.data_of_tag(e.tag, e.span)
-            declared = [f for f, _ in branch.fields]
-            actual = [f for f, _ in e.fields]
-            if declared != actual:
-                raise ResolveError(
-                    "E-MATCH",
-                    f"construction of {e.tag!r} must set exactly {declared}, got {actual}",
-                    e.span,
-                )
-            return replace(
-                e, fields=tuple((n, self.resolve_expr(v, scope)) for n, v in e.fields)
-            )
-        if isinstance(e, ETuple):
-            return replace(e, items=tuple(self.resolve_expr(i, scope) for i in e.items))
+            obj = self.resolve_expr(e.obj, scope)
+            fields = self.resolve_fields(e.fields, scope)
+            if obj is e.obj and fields is e.fields:
+                return e
+            return replace(e, obj=obj, fields=fields)
         if isinstance(e, ELambda):
-            domain, scope2 = self.resolve_domain(e.domain, scope)
+            entered = []
+            domain = self.resolve_domain(e.domain, scope, entered)
             codomain = e.codomain
             if codomain is not None:
-                codomain = self.check_kind(self.resolve_type(codomain, scope2), KIND_TYPE, scope2)
-            body = self.resolve_expr(e.body, scope2)
+                codomain = self.check_kind(self.resolve_type(codomain, scope), KIND_TYPE, scope)
+            body = self.resolve_expr(e.body, scope)
+            scope.leave(entered)
             return replace(e, domain=domain, codomain=codomain, body=body)
         raise TypeError(f"unknown expression {e!r}")
 
-    def bind_pattern(self, p: Pattern, scope: Scope, seen: set[str] | None = None) -> None:
+    def resolve_fields(
+        self, fields: tuple[tuple[str, Expr], ...], scope: Scope
+    ) -> tuple[tuple[str, Expr], ...]:
+        """The field list with each value resolved: `fields` itself when
+        every value comes back as the same object."""
+        values = [self.resolve_expr(v, scope) for _, v in fields]
+        if all(new is old for new, (_, old) in zip(values, fields)):
+            return fields
+        return tuple((n, v) for (n, _), v in zip(fields, values))
+
+    def bind_pattern(
+        self, p: Pattern, scope: Scope, entered: list[str], seen: set[str] | None = None
+    ) -> None:
+        """Bring the names `p` binds into `scope`, noting in `entered` those
+        that enter it."""
         if seen is None:
             seen = set()
         if isinstance(p, PVar):
@@ -557,13 +621,13 @@ class Resolver:
                     "E-MATCH", f"pattern binds {p.name!r} more than once", p.span
                 )
             seen.add(p.name)
-            scope.values.add(p.name)
+            scope.enter(p.name, entered)
         elif isinstance(p, PTuple):
             for item in p.items:
-                self.bind_pattern(item, scope, seen)
+                self.bind_pattern(item, scope, entered, seen)
         elif isinstance(p, PTag):
             for _, sub in p.fields:
-                self.bind_pattern(sub, scope, seen)
+                self.bind_pattern(sub, scope, entered, seen)
 
 
 def _alias_refs(t: Type) -> set[str]:

@@ -33,8 +33,6 @@ KEYWORDS = frozenset(
 )
 
 
-
-
 class LexError(Exception):
     def __init__(self, message: str, span: Span):
         super().__init__(message)
@@ -43,28 +41,36 @@ class LexError(Exception):
 
 
 class Token:
-    __slots__ = ("kind", "text", "span")
+    """A token of kind KW, LIDENT, UIDENT, INT, OP or EOF, its text, and the
+    offset at which the text starts; its span is made when asked for."""
 
-    def __init__(self, kind: str, text: str, span: Span):
-        self.kind = kind  # KW, LIDENT, UIDENT, INT, OP, EOF
+    __slots__ = ("kind", "text", "start")
+
+    def __init__(self, kind: str, text: str, start: int):
+        self.kind = kind
         self.text = text
-        self.span = span
+        self.start = start
 
-    def is_kw(self, word: str) -> bool:
-        return self.kind == "KW" and self.text == word
-
-    def is_op(self, op: str) -> bool:
-        return self.kind == "OP" and self.text == op
+    @property
+    def span(self) -> Span:
+        return Span(self.start, len(self.text))
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.text!r})"
 
 
+# One match per token: the blanks and comments before it, then the token.
+# Every position matches: after the blanks comes a token, an illegal
+# character or the end of the input, so a comment is never given back to
+# make a token of its tail.
 _TOKEN_RE = re.compile(
-    r"""(?P<skip>[ \t\r\n]+|--[^\n]*)
-      | (?P<int>[0-9]+)
-      | (?P<word>[a-zA-Z][a-zA-Z0-9_']*)
-      | (?P<op>->|<-|[@*|={}()\[\],;:.])
+    r"""(?:[ \t\r\n]+|--[^\n]*)*
+      (?: ([a-z][a-zA-Z0-9_']*)         # 1: a keyword or a value or type name
+        | (->|<-|[@*|={}()\[\],;:.])    # 2: an operator
+        | ([A-Z][a-zA-Z0-9_']*)         # 3: a data tag
+        | ([0-9]+)                      # 4: an integer
+        | (.)                           # 5: an illegal character
+        | \Z )
     """,
     re.VERBOSE,
 )
@@ -72,30 +78,21 @@ _TOKEN_RE = re.compile(
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
-    n = len(text)
+    append = tokens.append
     for match in _TOKEN_RE.finditer(text):
-        if match.start() != pos:
-            raise LexError(f"illegal character {text[pos]!r}", Span(pos, 1))
-        pos = match.end()
-        kind = match.lastgroup
-        if kind == "skip":
-            continue
-        word = match.group()
-        if kind == "int":
-            tokens.append(Token("INT", word, Span(match.start(), len(word))))
-        elif kind == "word":
-            if word in KEYWORDS:
-                tokens.append(Token("KW", word, Span(match.start(), len(word))))
-            elif "A" <= word[0] <= "Z":
-                tokens.append(Token("UIDENT", word, Span(match.start(), len(word))))
-            else:
-                tokens.append(Token("LIDENT", word, Span(match.start(), len(word))))
-        else:
-            tokens.append(Token("OP", word, Span(match.start(), len(word))))
-    if pos != n:
-        raise LexError(f"illegal character {text[pos]!r}", Span(pos, 1))
-    tokens.append(Token("EOF", "", Span(n, 0)))
+        group = match.lastindex
+        if group == 1:
+            word = match.group(1)
+            append(Token("KW" if word in KEYWORDS else "LIDENT", word, match.start(1)))
+        elif group == 2:
+            append(Token("OP", match.group(2), match.start(2)))
+        elif group == 3:
+            append(Token("UIDENT", match.group(3), match.start(3)))
+        elif group == 4:
+            append(Token("INT", match.group(4), match.start(4)))
+        elif group == 5:
+            raise LexError(f"illegal character {match.group(5)!r}", Span(match.start(5), 1))
+    append(Token("EOF", "", len(text)))
     return tokens
 
 

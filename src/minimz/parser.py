@@ -69,50 +69,53 @@ _EXPR_ATOM_START = ("INT", "LIDENT", "UIDENT")
 
 
 class Parser:
+    """Reads a token list that ends in EOF. A keyword or an operator is
+    recognised by its text alone, which no token of another kind has."""
+
     def __init__(self, tokens: list[Token], path: str = "<input>"):
-        self.tokens = tokens
+        # Two more EOFs bound a lookahead of up to two tokens: `next` stops
+        # at the first EOF, so no peek runs past the list.
+        self.tokens = tokens + tokens[-1:] * 2
         self.pos = 0
+        self.tok = tokens[0]  # the next token to read, tokens[pos]
         self.path = path
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+    def peek(self, offset: int) -> Token:
+        return self.tokens[self.pos + offset]
 
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok.kind != "EOF":
             self.pos += 1
+            self.tok = self.tokens[self.pos]
         return tok
 
     def error(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-        tok = self.peek()
+        tok = self.tok
         what = f"{tok.kind} {tok.text!r}" if tok.kind != "EOF" else "end of input"
         return ParseError(f"{message}, found {what}", tok.span, expected)
 
     def expect_op(self, op: str) -> Token:
-        tok = self.peek()
-        if not tok.is_op(op):
+        if self.tok.text != op:
             raise self.error(f"expected {op!r}", (op,))
         return self.next()
 
     def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if not tok.is_kw(word):
+        if self.tok.text != word:
             raise self.error(f"expected keyword {word!r}", (word,))
         return self.next()
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
+        if self.tok.kind != kind:
             raise self.error(f"expected {kind}", (kind,))
         return self.next()
 
     def parse_comma_list(self, parse_item) -> list:
         """`x, ...`: one or more items."""
         items = [parse_item()]
-        while self.peek().is_op(","):
+        while self.tok.text == ",":
             self.next()
             items.append(parse_item())
         return items
@@ -121,37 +124,37 @@ class Parser:
         """`( x, ... )`, possibly empty; returns the items and the span of the
         parentheses."""
         open_tok = self.expect_op("(")
-        items = [] if self.peek().is_op(")") else self.parse_comma_list(parse_item)
+        items = [] if self.tok.text == ")" else self.parse_comma_list(parse_item)
         return items, open_tok.span.merge(self.expect_op(")").span)
 
     # -- declarations ------------------------------------------------------
 
     def parse_file(self) -> SourceFile:
         decls: list[Decl] = []
-        while self.peek().kind != "EOF":
+        while self.tok.kind != "EOF":
             decls.append(self.parse_decl())
         return SourceFile(self.path, tuple(decls))
 
     def parse_decl(self) -> Decl:
-        tok = self.peek()
-        if tok.is_kw("data"):
+        tok = self.tok
+        if tok.text == "data":
             return self.parse_data()
-        if tok.is_kw("alias"):
+        if tok.text == "alias":
             return self.parse_alias()
-        if tok.is_kw("abstract"):
+        if tok.text == "abstract":
             return self.parse_abstract()
-        if tok.is_kw("val"):
+        if tok.text == "val":
             return self.parse_val()
         raise self.error("expected a declaration", ("data", "alias", "abstract", "val"))
 
     def parse_type_params(self) -> tuple[tuple[str, Kind], ...]:
         params: list[tuple[str, Kind]] = []
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == "LIDENT":
                 self.next()
                 params.append((tok.text, KIND_TYPE))
-            elif tok.is_op("(") and self.peek(1).kind == "LIDENT" and self.peek(2).is_op(":"):
+            elif tok.text == "(" and self.peek(1).kind == "LIDENT" and self.peek(2).text == ":":
                 self.next()
                 name = self.expect("LIDENT").text
                 self.expect_op(":")
@@ -165,14 +168,14 @@ class Parser:
     def parse_data(self) -> DData:
         start = self.expect_kw("data")
         mutable = False
-        if self.peek().is_kw("mutable"):
+        if self.tok.text == "mutable":
             self.next()
             mutable = True
         name = self.expect("LIDENT")
         params = self.parse_type_params()
         self.expect_op("=")
         branches = [self.parse_branch()]
-        while self.peek().is_op("|"):
+        while self.tok.text == "|":
             self.next()
             branches.append(self.parse_branch())
         span = start.span.merge(branches[-1].span)
@@ -193,18 +196,18 @@ class Parser:
         fields: list[tuple[str, object]] = []
         bar: Type | None = None
         span = tag.span
-        if self.peek().is_op("{"):
+        if self.tok.text == "{":
             self.next()
-            while self.peek().kind == "LIDENT":
+            while self.tok.kind == "LIDENT":
                 fname = self.next().text
                 if sep is not None:
                     self.expect_op(sep)
                 fields.append((fname, parse_value()))
-                if self.peek().is_op(";"):
+                if self.tok.text == ";":
                     self.next()
                 else:
                     break
-            if with_bar and self.peek().is_op("|"):
+            if with_bar and self.tok.text == "|":
                 self.next()
                 bar = self.parse_type()
             span = tag.span.merge(self.expect_op("}").span)
@@ -216,7 +219,7 @@ class Parser:
         params = self.parse_type_params()
         self.expect_op("=")
         body = self.parse_type()
-        return DAlias(name.text, params, body, start.span.merge(_type_span(body)))
+        return DAlias(name.text, params, body, start.span.merge(body.span))
 
     def parse_abstract(self) -> DAbstract:
         start = self.expect_kw("abstract")
@@ -227,15 +230,15 @@ class Parser:
     def parse_val(self) -> Decl:
         start = self.expect_kw("val")
         name = self.expect("LIDENT")
-        if self.peek().is_op(":"):
+        if self.tok.text == ":":
             self.next()
             ty = self.parse_type()
-            return DValSig(name.text, ty, start.span.merge(_type_span(ty)))
-        if self.peek().is_op("("):
+            return DValSig(name.text, ty, start.span.merge(ty.span))
+        if self.tok.text == "(":
             params, _ = self.parse_paren_list(lambda: self.expect("LIDENT").text)
             self.expect_op("=")
             body = self.parse_expr()
-            return DValDef(name.text, tuple(params), body, start.span.merge(_expr_span(body)))
+            return DValDef(name.text, tuple(params), body, start.span.merge(body.span))
         raise self.error("expected ':' (signature) or '(' (definition) after val name", (":", "("))
 
     # -- types -------------------------------------------------------------
@@ -243,10 +246,10 @@ class Parser:
     def parse_type(self) -> Type:
         # `{` never begins a type atom (concrete types follow a tag), so a
         # brace here opens the binders of an existential.
-        tok = self.peek()
-        if tok.is_op("["):
+        tok = self.tok
+        if tok.text == "[":
             close, quantifier = "]", TForall
-        elif tok.is_op("{"):
+        elif tok.text == "{":
             close, quantifier = "}", TExists
         else:
             return self.parse_arrow()
@@ -254,14 +257,14 @@ class Parser:
         binders = self.parse_binders()
         self.expect_op(close)
         body = self.parse_type()
-        return quantifier(binders, body, tok.span.merge(_type_span(body)))
+        return quantifier(binders, body, tok.span.merge(body.span))
 
     def parse_binders(self) -> tuple[tuple[str, Kind], ...]:
         return tuple(self.parse_comma_list(self.parse_binder))
 
     def parse_binder(self) -> tuple[str, Kind]:
         name = self.expect("LIDENT")
-        if self.peek().is_op(":"):
+        if self.tok.text == ":":
             self.next()
             self.expect_kw("perm")
             return name.text, KIND_PERM
@@ -269,30 +272,30 @@ class Parser:
 
     def parse_arrow(self) -> Type:
         left = self.parse_star()
-        if self.peek().is_op("->"):
+        if self.tok.text == "->":
             self.next()
             right = self.parse_type()
-            return TArrow(left, right, _type_span(left).merge(_type_span(right)))
+            return TArrow(left, right, left.span.merge(right.span))
         return left
 
     def parse_star(self) -> Type:
         first = self.parse_at()
-        if not self.peek().is_op("*"):
+        if self.tok.text != "*":
             return first
         items = [first]
-        while self.peek().is_op("*"):
+        while self.tok.text == "*":
             self.next()
             items.append(self.parse_at())
-        return TStar(tuple(items), _type_span(items[0]).merge(_type_span(items[-1])))
+        return TStar(tuple(items), items[0].span.merge(items[-1].span))
 
     def parse_at(self) -> Type:
         left = self.parse_app()
-        if self.peek().is_op("@"):
+        if self.tok.text == "@":
             at = self.next()
             if not isinstance(left, TVar):
                 raise ParseError("left side of '@' must be a value name", at.span)
             right = self.parse_app()
-            return TAt(left.name, right, _type_span(left).merge(_type_span(right)))
+            return TAt(left.name, right, left.span.merge(right.span))
         return left
 
     def parse_app(self) -> Type:
@@ -302,31 +305,31 @@ class Parser:
             while self._starts_type_atom():
                 args.append(self.parse_type_atom())
             if args:
-                return TApp(head.name, tuple(args), _type_span(head).merge(_type_span(args[-1])))
+                return TApp(head.name, tuple(args), head.span.merge(args[-1].span))
         return head
 
     def _starts_type_atom(self) -> bool:
-        tok = self.peek()
-        return tok.kind in ("LIDENT", "UIDENT") or tok.is_op("(")
+        tok = self.tok
+        return tok.kind in ("LIDENT", "UIDENT") or tok.text == "("
 
     def parse_type_atom(self) -> Type:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "LIDENT":
             self.next()
             return TVar(tok.text, tok.span)
         if tok.kind == "UIDENT":
             return TConcrete(*self.parse_tagged(None, self._concrete_field, with_bar=True))
-        if tok.is_op("="):
+        if tok.text == "=":
             self.next()
             name = self.expect("LIDENT")
             return TSingleton(name.text, tok.span.merge(name.span))
-        if tok.is_op("("):
+        if tok.text == "(":
             return self.parse_paren_type()
         raise self.error("expected a type")
 
     def _concrete_field(self) -> Type:
         """A field of a concrete type: `= x`, the singleton `=x`, or `: t`."""
-        if self.peek().is_op("="):
+        if self.tok.text == "=":
             self.next()
             val = self.expect("LIDENT")
             return TSingleton(val.text, val.span)
@@ -337,28 +340,28 @@ class Parser:
         open_tok = self.expect_op("(")
         comps: list[TupleComp] = []
         named_or_consumed = False
-        while not self.peek().is_op(")") and not self.peek().is_op("|"):
+        while self.tok.text != ")" and self.tok.text != "|":
             consumed = False
-            if self.peek().is_kw("consumes"):
+            if self.tok.text == "consumes":
                 self.next()
                 consumed = True
                 named_or_consumed = True
             name: str | None = None
-            if self.peek().kind == "LIDENT" and self.peek(1).is_op(":"):
+            if self.tok.kind == "LIDENT" and self.peek(1).text == ":":
                 name = self.next().text
                 self.next()
                 named_or_consumed = True
             ty = self.parse_type()
             comps.append(TupleComp(name, ty, consumed))
-            if self.peek().is_op(","):
+            if self.tok.text == ",":
                 self.next()
             else:
                 break
         bar: Type | None = None
         bar_consumed = False
-        if self.peek().is_op("|"):
+        if self.tok.text == "|":
             self.next()
-            if self.peek().is_kw("consumes"):
+            if self.tok.text == "consumes":
                 self.next()
                 bar_consumed = True
             bar = self.parse_type()
@@ -375,11 +378,11 @@ class Parser:
     # -- patterns ------------------------------------------------------------
 
     def parse_let_pattern(self) -> Pattern:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "LIDENT":
             self.next()
             return PVar(tok.text, tok.span)
-        if tok.is_op("("):
+        if tok.text == "(":
             items, span = self.parse_paren_list(self.parse_let_pattern)
             if len(items) == 1:
                 return items[0]
@@ -393,51 +396,51 @@ class Parser:
     # -- expressions ---------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        tok = self.peek()
-        if tok.is_kw("let"):
+        tok = self.tok
+        if tok.text == "let":
             start = self.next()
             pat = self.parse_let_pattern()
             self.expect_op("=")
             bound = self.parse_expr()
             self.expect_kw("in")
             body = self.parse_expr()
-            return ELet(pat, bound, body, start.span.merge(_expr_span(body)))
-        if tok.is_kw("fun"):
+            return ELet(pat, bound, body, start.span.merge(body.span))
+        if tok.text == "fun":
             return self.parse_lambda()
-        if tok.is_kw("if"):
+        if tok.text == "if":
             start = self.next()
             cond = self.parse_expr()
             self.expect_kw("then")
             then = self.parse_expr()
             self.expect_kw("else")
             otherwise = self.parse_expr()
-            return EIf(cond, then, otherwise, start.span.merge(_expr_span(otherwise)))
-        if tok.is_kw("match"):
+            return EIf(cond, then, otherwise, start.span.merge(otherwise.span))
+        if tok.text == "match":
             return self.parse_match()
         return self.parse_seq()
 
     def parse_lambda(self) -> ELambda:
         start = self.expect_kw("fun")
-        if not self.peek().is_op("("):
+        if self.tok.text != "(":
             raise self.error("expected '(' after fun", ("(",))
         domain = self.parse_paren_type()
         if not isinstance(domain, (TTuple, TBar)):
             domain = TTuple((TupleComp(None, domain, False),))
         codomain: Type | None = None
-        if self.peek().is_op(":"):
+        if self.tok.text == ":":
             self.next()
             codomain = self.parse_type()
             self.expect_op("=")
         else:
             self.expect_op("->")
         body = self.parse_expr()
-        return ELambda(domain, codomain, body, start.span.merge(_expr_span(body)))
+        return ELambda(domain, codomain, body, start.span.merge(body.span))
 
     def parse_match(self) -> EMatch:
         start = self.expect_kw("match")
         scrutinee = self.parse_expr()
         self.expect_kw("with")
-        if self.peek().is_op("|"):
+        if self.tok.text == "|":
             self.next()
         branches: list[tuple[Pattern, Expr]] = []
         while True:
@@ -445,23 +448,23 @@ class Parser:
             self.expect_op("->")
             body = self.parse_expr()
             branches.append((pat, body))
-            if self.peek().is_op("|"):
+            if self.tok.text == "|":
                 self.next()
             else:
                 break
-        return EMatch(scrutinee, tuple(branches), start.span.merge(_expr_span(branches[-1][1])))
+        return EMatch(scrutinee, tuple(branches), start.span.merge(branches[-1][1].span))
 
     def parse_seq(self) -> Expr:
         first = self.parse_assign()
-        if self.peek().is_op(";"):
+        if self.tok.text == ";":
             self.next()
             rest = self.parse_expr()
             # Sequencing is sugar for a let with an unmentionable binder.
-            return ELet(PVar("seq%"), first, rest, _expr_span(first).merge(_expr_span(rest)))
+            return ELet(PVar("seq%"), first, rest, first.span.merge(rest.span))
         return first
 
     def parse_assign(self) -> Expr:
-        tok = self.peek()
+        tok = self.tok
         if (
             tok.kind == "LIDENT"
             and tok.text == "tag"
@@ -475,18 +478,18 @@ class Parser:
             tag, fields, _, span = self.parse_tagged("=", self.parse_assign)
             return ETagUpdate(obj, tag, fields, tok.span.merge(span))
         e = self.parse_app_expr()
-        if self.peek().is_op("<-"):
+        if self.tok.text == "<-":
             arrow = self.next()
             if not isinstance(e, EField):
                 raise ParseError("left side of '<-' must be a field access", arrow.span)
             value = self.parse_assign()
-            return EAssign(e.obj, e.name, value, _expr_span(e).merge(_expr_span(value)))
+            return EAssign(e.obj, e.name, value, e.span.merge(value.span))
         return e
 
     def parse_app_expr(self) -> Expr:
         head = self.parse_postfix()
         type_args: tuple[Type, ...] | None = None
-        if self.peek().is_op("["):
+        if self.tok.text == "[":
             self.next()
             type_args = tuple(self.parse_comma_list(self.parse_type))
             self.expect_op("]")
@@ -498,40 +501,40 @@ class Parser:
                 result,
                 arg,
                 type_args if first else None,
-                _expr_span(result).merge(_expr_span(arg)),
+                result.span.merge(arg.span),
             )
             first = False
         if first and type_args is not None:
-            raise ParseError("type application must be followed by an argument", _expr_span(head))
+            raise ParseError("type application must be followed by an argument", head.span)
         return result
 
     def _starts_expr_atom(self) -> bool:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind in _EXPR_ATOM_START:
             return True
-        if tok.is_op("("):
+        if tok.text == "(":
             return True
-        if tok.is_kw("true") or tok.is_kw("false"):
+        if tok.text == "true" or tok.text == "false":
             return True
         return False
 
     def parse_postfix(self) -> Expr:
         e = self.parse_atom_expr()
-        while self.peek().is_op("."):
+        while self.tok.text == ".":
             self.next()
             name = self.expect("LIDENT")
-            e = EField(e, name.text, _expr_span(e).merge(name.span))
+            e = EField(e, name.text, e.span.merge(name.span))
         return e
 
     def parse_atom_expr(self) -> Expr:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "INT":
             self.next()
             return EInt(int(tok.text), tok.span)
-        if tok.is_kw("true"):
+        if tok.text == "true":
             self.next()
             return EBool(True, tok.span)
-        if tok.is_kw("false"):
+        if tok.text == "false":
             self.next()
             return EBool(False, tok.span)
         if tok.kind == "LIDENT":
@@ -540,20 +543,12 @@ class Parser:
         if tok.kind == "UIDENT":
             tag, fields, _, span = self.parse_tagged("=", self.parse_assign)
             return EConstruct(tag, fields, span)
-        if tok.is_op("("):
+        if tok.text == "(":
             items, span = self.parse_paren_list(self.parse_expr)
             if len(items) == 1:
                 return items[0]
             return ETuple(tuple(items), span)
         raise self.error("expected an expression")
-
-
-def _type_span(t: Type) -> Span:
-    return getattr(t, "span", Span(0, 0))
-
-
-def _expr_span(e: Expr) -> Span:
-    return getattr(e, "span", Span(0, 0))
 
 
 def parse_file(text: str, path: str = "<input>") -> SourceFile:
@@ -563,7 +558,7 @@ def parse_file(text: str, path: str = "<input>") -> SourceFile:
 def parse_type(text: str) -> Type:
     parser = Parser(tokenize(text))
     ty = parser.parse_type()
-    if parser.peek().kind != "EOF":
+    if parser.tok.kind != "EOF":
         raise parser.error("trailing input after type")
     return ty
 
@@ -571,6 +566,6 @@ def parse_type(text: str) -> Type:
 def parse_expr(text: str) -> Expr:
     parser = Parser(tokenize(text))
     e = parser.parse_expr()
-    if parser.peek().kind != "EOF":
+    if parser.tok.kind != "EOF":
         raise parser.error("trailing input after expression")
     return e

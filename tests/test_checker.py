@@ -285,3 +285,48 @@ def test_duplicability_does_not_leak_between_checks():
     for _ in range(300):
         assert codes(check_text(BOX.format(mut=""), "box")[2]) == []
         assert codes(check_text(BOX.format(mut="mutable "), "box")[2]) == ["E-SUBSUME"]
+
+
+# A `let` or a known-tag `match` checked inside a larger expression scopes
+# its binders over its own body only: a later sibling that names `x` means
+# the outer `x`, an int, so `x.contents` has no structural permission.
+# Each program traps `BAD_FIELD` when run unchecked.
+INNER_BINDERS_STAY_INSIDE = {
+    "let in a tuple": """
+val main: () -> int
+val main () =
+  let x = 1 in
+  let p = (let x = Ref { contents = 2 } in 0, x.contents) in
+  0
+""",
+    "let in a call argument": """
+val main: () -> int
+val main () =
+  let x = 1 in
+  add (let x = Ref { contents = 2 } in 0, x.contents)
+""",
+    "known-tag match in a tuple": """
+val main: () -> int
+val main () =
+  let x = 1 in
+  let p = (match Ref { contents = Ref { contents = 2 } } with
+           | Ref { contents = x } -> 0, x.contents) in
+  0
+""",
+}
+
+
+def test_inner_binders_do_not_reach_later_siblings():
+    for name, src in INNER_BINDERS_STAY_INSIDE.items():
+        assert codes(check_text(src, "t")[2]) == ["E-SUBSUME"], name
+
+
+def test_inner_binders_still_scope_over_their_body():
+    src = """
+val main: () -> int
+val main () =
+  let x = 1 in
+  let p = (let y = Ref { contents = 2 } in y.contents, x) in
+  add (match Ref { contents = x } with | Ref { contents = z } -> z, x)
+"""
+    assert codes(check_text(src, "t")[2]) == []
