@@ -1,18 +1,20 @@
-"""How front-end and checking time grow with the size of one function body.
+"""How front-end and checking time grow with the size of a program.
 
-Loads and checks two families of programs at growing sizes and prints, for
+Loads and checks three families of programs at growing sizes and prints, for
 each, the best of three times of each front-end layer (lex, parse,
 resolve) and of the checker, with the collector on (as `minimz check`
 runs), and of the checker with the collector off:
 
 - `pos/tree_size.mz` plus a `main` that binds a balanced tree literal of
   n nodes, at n = 256, 512, 1024 and 2048;
-- a `main` made of n sequential lets over ints, at n = 300 and 900.
+- a `main` made of n sequential lets over ints, at n = 300 and 900;
+- n one-line top-level functions, each after its signature, at n = 500,
+  1000 and 2000.
 
 Each layer is timed on its own: each timing of a layer redoes the layers
 before it afresh, untimed, so no memo carries over from one timing to the
-next. The last lines give the ratios 2048/1024 and 900/300 for each
-column; linear time gives 2.0 and 3.0.
+next. The last lines give the ratios 2048/1024, 900/300 and 2000/1000 for
+each column; linear time gives 2.0, 3.0 and 2.0.
 
 Run from the root of the repository:
 
@@ -36,6 +38,7 @@ from minimz.parser import Parser, tokenize  # noqa: E402
 
 TREE_SIZES = (256, 512, 1024, 2048)
 CHAIN_SIZES = (300, 900)
+DEFS_SIZES = (500, 1000, 2000)
 REPEATS = 3
 
 
@@ -71,6 +74,14 @@ def let_chain(n: int) -> str:
             rhs = f"mul (x{a}, {rng.randrange(3, 100, 2)})"
         lines.append(f"  let x{i} = {rhs} in")
     lines.append(f"  x{n - 1}")
+    return "\n".join(lines) + "\n"
+
+
+def many_defs(n: int) -> str:
+    """n one-line functions `fK`, each declared by its signature first."""
+    lines = []
+    for k in range(n):
+        lines += [f"val f{k}: (x: int) -> int", f"val f{k} (x) = add (x, 1)"]
     return "\n".join(lines) + "\n"
 
 
@@ -122,13 +133,15 @@ COLUMNS = ("lex", "parse", "resolve", "check", "check, gc off")
 def main() -> None:
     rows = [(f"tree literal n={n}", tree_program(n)) for n in TREE_SIZES]
     rows += [(f"let chain n={n}", let_chain(n)) for n in CHAIN_SIZES]
+    rows += [(f"definitions n={n}", many_defs(n)) for n in DEFS_SIZES]
     times = {}
     print(f"{'program':<22}" + "".join(f"{c:>14}" for c in COLUMNS) + "   (ms)")
     for name, text in rows:
         times[name] = layer_times(text)
         print(f"{name:<22}" + "".join(f"{t:14.1f}" for t in times[name]), flush=True)
     for big, small in (("tree literal n=2048", "tree literal n=1024"),
-                       ("let chain n=900", "let chain n=300")):
+                       ("let chain n=900", "let chain n=300"),
+                       ("definitions n=2000", "definitions n=1000")):
         ratios = ", ".join(
             f"{c} {b / s:.2f}x" for c, b, s in zip(COLUMNS, times[big], times[small])
         )

@@ -71,6 +71,9 @@ INT = TApp("int", ())
 
 _TAIL_DONE = object()
 
+# Local names with their anchors, in the order they are bound.
+Bindings = Sequence[tuple[str, str]]
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -94,20 +97,6 @@ class CheckFailure(Exception):
 
 
 @dataclass
-class CheckState:
-    penv: PermEnv
-    bindings: dict[str, str]
-
-    def with_penv(self, penv: PermEnv) -> "CheckState":
-        return CheckState(penv, self.bindings)
-
-    def bind(self, name: str, anchor: str) -> "CheckState":
-        bindings = dict(self.bindings)
-        bindings[name] = anchor
-        return CheckState(self.penv, bindings)
-
-
-@dataclass
 class Tail:
     codomain: Type
     exit_goals: list[Atom]
@@ -115,6 +104,11 @@ class Tail:
 
 
 class Checker:
+    """While a definition is checked, `locals` maps each local name in scope
+    to its anchor and `trail` holds what each binding hid, so that a binder's
+    names leave after its body. A name not bound locally is a top-level
+    value: its own anchor, with its type in `available`."""
+
     def __init__(self, env: Env):
         self.env = env
 
@@ -125,11 +119,11 @@ class Checker:
     def check_file(self, file: SourceFile) -> list[Diagnostic]:
         names = NameSupply()
         diags: list[Diagnostic] = []
-        own = _file_sig_names(file)
-        available: list[str] = [name for name in self.env.sig_order if name not in own]
+        own = {d.name for d in file.decls if isinstance(d, DValSig)}
+        available = {name: ty for name, ty in self.env.sigs.items() if name not in own}
         for decl in file.decls:
             if isinstance(decl, DValSig):
-                available.append(decl.name)
+                available[decl.name] = self.env.sigs[decl.name]
             elif isinstance(decl, DValDef):
                 try:
                     self.check_function_def(
@@ -140,55 +134,73 @@ class Checker:
         return diags
 
     def check_function_def(
-        self, decl: DValDef, sig: Type, available: list[str], names: NameSupply
+        self, decl: DValDef, sig: Type, available: dict[str, Type], names: NameSupply
     ) -> None:
         """Check `decl` against `sig`, with the top-level values `available`
-        in scope, drawing fresh names from `names`."""
+        (name to type) in scope, drawing fresh names from `names`."""
         self.sub = Subsumer(self.env, names)
+        self.available = available
+        self.locals: dict[str, str] = {}
+        self.trail: list[tuple[str, str | None]] = []
         body_ty = sig
         while isinstance(body_ty, TForall):
             body_ty = body_ty.body
         assert isinstance(body_ty, TArrow)
 
-        bindings: dict[str, str] = {name: name for name in available}
-        penv = PermEnv(
-            self.env, (), {name: self.env.sigs[name] for name in available}
-        )
-        state, values, exit_goals = self._enter_domain(
-            CheckState(penv, bindings), body_ty.domain, decl.params
+        penv, values, exit_goals = self._enter_domain(
+            PermEnv(self.env, (), available), body_ty.domain, decl.params
         )
         codomain = subst_type(body_ty.codomain, {}, values)
-        self.check_expr(state, decl.body, Tail(codomain, exit_goals, decl.span))
+        self.check_expr(penv, decl.body, Tail(codomain, exit_goals, decl.span))
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
 
-    def _mk_anchor(self, penv: PermEnv, bindings: dict[str, str], name: str) -> str:
-        if name in bindings.values() or penv.holds_anchor(name):
+    def _enter(self, pairs: Bindings) -> int:
+        """Bind the names of `pairs`; returns the mark `_leave` undoes to."""
+        mark = len(self.trail)
+        for name, anchor in pairs:
+            self.trail.append((name, self.locals.get(name)))
+            self.locals[name] = anchor
+        return mark
+
+    def _leave(self, mark: int) -> None:
+        while len(self.trail) > mark:
+            name, old = self.trail.pop()
+            if old is None:
+                del self.locals[name]
+            else:
+                self.locals[name] = old
+
+    def _mk_anchor(self, penv: PermEnv, name: str) -> str:
+        """An anchor for a new local `name`: `name` itself unless it already
+        names a top-level value, a held permission or a local's anchor."""
+        taken = penv.global_type(name) is not None or penv.holds_anchor(name)
+        if taken or name in self.locals.values():
             return self.sub.names.fresh(name)
         return name
 
     def _enter_domain(
-        self, st: CheckState, domain: Type, params: Sequence[str | None]
-    ) -> tuple[CheckState, dict[str, str], list[Atom]]:
-        """Admit the components and bar of an arrow's domain into `st`.
+        self, penv: PermEnv, domain: Type, params: Sequence[str | None]
+    ) -> tuple[PermEnv, dict[str, str], list[Atom]]:
+        """Admit the components and bar of an arrow's domain into `penv`.
 
         Component `i` enters at an anchor based on `params[i]`, the name the
-        body gives it, or on `arg{i}` when the body gives it none. A
-        component's own name scopes over the later components, the bar and
-        the codomain. Returns the new state, the renaming of component names
-        to anchors, and the exit goals: the permissions of the components and
-        the bar that the arrow does not consume.
+        body gives it, or on `arg{i}` when the body gives it none; the
+        parameter names enter `locals`. A component's own name scopes over
+        the later components, the bar and the codomain. Returns the new
+        environment, the renaming of component names to anchors, and the
+        exit goals: the permissions of the components and the bar that the
+        arrow does not consume.
         """
-        penv, bindings = st.penv, dict(st.bindings)
         values: dict[str, str] = {}
         exit_goals: list[Atom] = []
         for i, (comp, param) in enumerate(zip(domain_comps(domain), params)):
             comp_ty = subst_type(comp.ty, {}, values)
-            anchor = self._mk_anchor(penv, bindings, param or f"arg{i}")
+            anchor = self._mk_anchor(penv, param or f"arg{i}")
             if param is not None:
-                bindings[param] = anchor
+                self._enter([(param, anchor)])
             if comp.name is not None:
                 values[comp.name] = anchor
             penv = penv.add(*admit_atoms(anchor, self.sub.uni.resolve(comp_ty)))
@@ -200,32 +212,32 @@ class Checker:
             penv = penv.add(*bar_atoms)
             if not bar_consumed:
                 exit_goals.extend(bar_atoms)
-        return CheckState(penv, bindings), values, exit_goals
+        return penv, values, exit_goals
 
-    def _new_value(self, st: CheckState, ty: Type, base: str) -> tuple[str, CheckState]:
+    def _new_value(self, penv: PermEnv, ty: Type, base: str) -> tuple[str, PermEnv]:
         """A value of type `ty` at a fresh anchor named after `base`."""
         anchor = self.sub.names.fresh(base)
-        return anchor, st.with_penv(st.penv.add(Anchored(anchor, ty)))
+        return anchor, penv.add(Anchored(anchor, ty))
 
-    def _admit_result(self, st: CheckState, ty: Type, base: str) -> tuple[str, CheckState]:
+    def _admit_result(self, penv: PermEnv, ty: Type, base: str) -> tuple[str, PermEnv]:
         ty = self.sub.uni.resolve(ty)
         if isinstance(ty, TSingleton):
-            return ty.name, st
+            return ty.name, penv
         if isinstance(ty, TBar):
-            anchor, st = self._admit_result(st, ty.carrier, base)
-            return anchor, st.with_penv(st.penv.add(*normalize(ty.perm)))
-        return self._new_value(st, ty, base)
+            anchor, penv = self._admit_result(penv, ty.carrier, base)
+            return anchor, penv.add(*normalize(ty.perm))
+        return self._new_value(penv, ty, base)
 
     def _subsume_or_fail(
         self,
-        st: CheckState,
+        penv: PermEnv,
         goals: list[Atom],
         span: Span,
         code: str = "E-SUBSUME",
         defer: list[Atom] | None = None,
-    ) -> CheckState:
+    ) -> PermEnv:
         try:
-            return st.with_penv(self.sub.subsume(st.penv, goals, defer=defer))
+            return self.sub.subsume(penv, goals, defer=defer)
         except SubsumptionFailure as exc:
             goal = exc.goal
             if isinstance(goal, Anchored):
@@ -240,117 +252,124 @@ class Checker:
                 )
             ) from exc
 
-    def _fail(self, code: str, message: str, span: Span, st: CheckState | None = None):
-        snapshot = str(st.penv) if st is not None else ""
+    def _fail(self, code: str, message: str, span: Span, penv: PermEnv | None = None):
+        snapshot = str(penv) if penv is not None else ""
         raise CheckFailure(Diagnostic(code, message, span, snapshot))
 
     # ------------------------------------------------------------------
     # expressions
     # ------------------------------------------------------------------
 
-    def check_expr(self, st: CheckState, e: Expr, tail: Tail | None = None):
-        """Returns (anchor, state) in non-tail positions, _TAIL_DONE in tail
-        positions (where the declared result has been subsumed)."""
-        if isinstance(e, ELet):
-            out = self.check_expr(st, e.bound, None)
-            anchor, st2 = out
-            st3 = self._bind_pattern(st2, e.pattern, anchor)
-            return _scoped(self.check_expr(st3, e.body, tail), st)
+    def check_expr(
+        self, penv: PermEnv, e: Expr, tail: Tail | None = None, pairs: Bindings = ()
+    ):
+        """Returns (anchor, environment) in non-tail positions, _TAIL_DONE
+        in tail positions (where the declared result has been subsumed).
+        The names of `pairs` are bound over `e` alone; a chain of `let`s is
+        checked in a loop, each binding over the rest of the chain."""
+        mark = self._enter(pairs)
+        while isinstance(e, ELet):
+            anchor, penv = self.check_expr(penv, e.bound, None)
+            names: list[tuple[str, str]] = []
+            penv = self._bind_pattern(penv, e.pattern, anchor, names)
+            self._enter(names)
+            e = e.body
         if isinstance(e, EIf):
-            cond_anchor, st2 = self.check_expr(st, e.cond, None)
-            st2 = self._subsume_or_fail(st2, [Anchored(cond_anchor, BOOL)], e.span)
-            work = [(st2, e.then), (st2, e.otherwise)]
-            return self._run_branches(work, e.span, tail, st2.bindings)
-        if isinstance(e, EMatch):
-            return self._check_match(st, e, tail)
-        if tail is not None:
-            anchor, st2 = self._synth(st, e)
-            return self._finish_tail(st2, anchor, tail, getattr(e, "span", tail.span))
-        return self._synth(st, e)
+            cond_anchor, penv = self.check_expr(penv, e.cond, None)
+            penv = self._subsume_or_fail(penv, [Anchored(cond_anchor, BOOL)], e.span)
+            work = [(penv, (), e.then), (penv, (), e.otherwise)]
+            out = self._run_branches(work, e.span, tail)
+        elif isinstance(e, EMatch):
+            out = self._check_match(penv, e, tail)
+        elif tail is not None:
+            anchor, penv = self._synth(penv, e)
+            out = self._finish_tail(penv, anchor, tail, getattr(e, "span", tail.span))
+        else:
+            out = self._synth(penv, e)
+        self._leave(mark)
+        return out
 
-    def _finish_tail(self, st: CheckState, anchor: str, tail: Tail, span: Span):
-        st = self._subsume_or_fail(st, [Anchored(anchor, tail.codomain)], span)
+    def _finish_tail(self, penv: PermEnv, anchor: str, tail: Tail, span: Span):
+        penv = self._subsume_or_fail(penv, [Anchored(anchor, tail.codomain)], span)
         if tail.exit_goals:
-            st = self._subsume_or_fail(st, list(tail.exit_goals), span, code="E-CONSUMED")
+            self._subsume_or_fail(penv, list(tail.exit_goals), span, code="E-CONSUMED")
         return _TAIL_DONE
 
     # -- synthesis ----------------------------------------------------------
 
-    def _synth(self, st: CheckState, e: Expr) -> tuple[str, CheckState]:
+    def _synth(self, penv: PermEnv, e: Expr) -> tuple[str, PermEnv]:
         if isinstance(e, EVar):
-            return st.bindings[e.name], st
+            return self.locals.get(e.name, e.name), penv
         if isinstance(e, EInt):
-            return self._new_value(st, INT, "n")
+            return self._new_value(penv, INT, "n")
         if isinstance(e, EBool):
-            return self._new_value(st, BOOL, "b")
+            return self._new_value(penv, BOOL, "b")
         if isinstance(e, ETuple):
             anchors = []
             for item in e.items:
-                a, st = self.check_expr(st, item, None)
+                a, penv = self.check_expr(penv, item, None)
                 anchors.append(a)
             ty = TTuple(tuple(_singleton_comp(a) for a in anchors))
-            return self._new_value(st, ty, "tup")
+            return self._new_value(penv, ty, "tup")
         if isinstance(e, EConstruct):
             anchors = []
             for _, value in e.fields:
-                a, st = self.check_expr(st, value, None)
+                a, penv = self.check_expr(penv, value, None)
                 anchors.append(a)
             fields = tuple(
                 (fname, TSingleton(a)) for (fname, _), a in zip(e.fields, anchors)
             )
             ty = TConcrete(e.tag, fields, None)
-            return self._new_value(st, ty, e.tag.lower())
+            return self._new_value(penv, ty, e.tag.lower())
         if isinstance(e, ECall):
-            return self._check_call(st, e)
+            return self._check_call(penv, e)
         if isinstance(e, EField):
-            obj, st = self.check_expr(st, e.obj, None)
-            st, handle = self._structural(st, obj, e.span)
-            ty = st.penv.atom(handle).ty
+            obj, penv = self.check_expr(penv, e.obj, None)
+            penv, handle = self._structural(penv, obj, e.span)
+            ty = penv.atom(handle).ty
             assert isinstance(ty, TConcrete)
             for fname, fty in ty.fields:
                 if fname == e.name:
                     assert isinstance(fty, TSingleton)
-                    return fty.name, st
-            self._fail("E-SUBSUME", f"no field {e.name!r} on {ty.tag}", e.span, st)
+                    return fty.name, penv
+            self._fail("E-SUBSUME", f"no field {e.name!r} on {ty.tag}", e.span, penv)
         if isinstance(e, EAssign):
-            value, st = self.check_expr(st, e.value, None)
-            obj, st = self.check_expr(st, e.obj, None)
-            st, handle = self._structural(st, obj, e.span, mutate=True)
-            atom = st.penv.atom(handle)
+            value, penv = self.check_expr(penv, e.value, None)
+            obj, penv = self.check_expr(penv, e.obj, None)
+            penv, handle = self._structural(penv, obj, e.span, mutate=True)
+            atom = penv.atom(handle)
             ty = atom.ty
             assert isinstance(atom, Anchored) and isinstance(ty, TConcrete)
             if e.name not in [f for f, _ in ty.fields]:
-                self._fail("E-SUBSUME", f"no field {e.name!r} on {ty.tag}", e.span, st)
+                self._fail("E-SUBSUME", f"no field {e.name!r} on {ty.tag}", e.span, penv)
             fields = tuple(
                 (f, TSingleton(value) if f == e.name else fv) for f, fv in ty.fields
             )
             new_atom = Anchored(atom.anchor, replace(ty, fields=fields))
-            st = st.with_penv(st.penv.replace(handle, new_atom))
-            return self._unit(st)
+            return self._unit(penv.replace(handle, new_atom))
         if isinstance(e, ETagUpdate):
-            return self._check_tag_update(st, e)
+            return self._check_tag_update(penv, e)
         if isinstance(e, ELambda):
-            return self._check_lambda(st, e)
+            return self._check_lambda(penv, e)
         raise TypeError(f"unknown expression {e!r}")
 
-    def _unit(self, st: CheckState) -> tuple[str, CheckState]:
-        return self._new_value(st, TTuple(()), "u")
+    def _unit(self, penv: PermEnv) -> tuple[str, PermEnv]:
+        return self._new_value(penv, TTuple(()), "u")
 
     # -- calls ---------------------------------------------------------------
 
-    def _check_call(self, st: CheckState, e: ECall) -> tuple[str, CheckState]:
-        callee, st = self.check_expr(st, e.callee, None)
+    def _check_call(self, penv: PermEnv, e: ECall) -> tuple[str, PermEnv]:
+        callee, penv = self.check_expr(penv, e.callee, None)
         found = self.sub.head_atom(
-            st.penv, callee, lambda t: isinstance(t, (TArrow, TForall))
+            penv, callee, lambda t: isinstance(t, (TArrow, TForall))
         )
         if found is not None:
             penv, handle = found
-            st = st.with_penv(penv)
             fn_ty = self.sub.uni.resolve(penv.atom(handle).ty)
         else:
-            gty = st.penv.global_type(callee)
+            gty = penv.global_type(callee)
             if gty is None or not isinstance(gty, (TArrow, TForall)):
-                self._fail("E-SUBSUME", "callee has no function permission", e.span, st)
+                self._fail("E-SUBSUME", "callee has no function permission", e.span, penv)
             fn_ty = gty
 
         if isinstance(fn_ty, TForall):
@@ -363,9 +382,9 @@ class Checker:
                         f"expected at most {len(fn_ty.binders)} type argument(s), "
                         f"got {len(e.type_args)}",
                         e.span,
-                        st,
+                        penv,
                     )
-                witnesses = [subst_type(t, {}, st.bindings) for t in e.type_args]
+                witnesses = [subst_type(t, {}, self.locals) for t in e.type_args]
                 for (bname, bkind), witness in zip(fn_ty.binders, witnesses):
                     wkind = _obvious_kind(witness)
                     if wkind is not None and wkind != bkind:
@@ -374,7 +393,7 @@ class Checker:
                             f"type argument for {bname!r} has kind {wkind}, "
                             f"expected {bkind}",
                             e.span,
-                            st,
+                            penv,
                         )
                 witnesses += [
                     self.sub.uni.fresh(n, k)
@@ -385,9 +404,9 @@ class Checker:
             subst = {n: w for (n, _), w in zip(fn_ty.binders, witnesses)}
             fn_ty = subst_type(fn_ty.body, subst)
         elif e.type_args is not None:
-            self._fail("E-ARITY", "callee is not polymorphic", e.span, st)
+            self._fail("E-ARITY", "callee is not polymorphic", e.span, penv)
         if not isinstance(fn_ty, TArrow):
-            self._fail("E-SUBSUME", "callee has no function permission", e.span, st)
+            self._fail("E-SUBSUME", "callee has no function permission", e.span, penv)
 
         comps = domain_comps(fn_ty.domain)
         bar, bar_consumed = domain_bar(fn_ty.domain)
@@ -403,11 +422,11 @@ class Checker:
                 "E-ARITY",
                 f"call expects {len(comps)} argument(s)",
                 e.span,
-                st,
+                penv,
             )
         anchors: list[str] = []
         for arg in arg_exprs:
-            a, st = self.check_expr(st, arg, None)
+            a, penv = self.check_expr(penv, arg, None)
             anchors.append(a)
 
         values: dict[str, str] = {}
@@ -415,7 +434,9 @@ class Checker:
         deferred: list[Atom] = []
         for comp, anchor in zip(comps, anchors):
             comp_ty = subst_type(comp.ty, {}, values)
-            st = self._subsume_or_fail(st, [Anchored(anchor, comp_ty)], e.span, defer=deferred)
+            penv = self._subsume_or_fail(
+                penv, [Anchored(anchor, comp_ty)], e.span, defer=deferred
+            )
             if comp.name is not None:
                 values[comp.name] = anchor
             if not comp.consumed:
@@ -423,25 +444,24 @@ class Checker:
         bar_ty = None
         if bar is not None:
             bar_ty = subst_type(bar, {}, values)
-            st = self._subsume_or_fail(
-                st, normalize(self.sub.uni.resolve(bar_ty)), e.span, defer=deferred
+            penv = self._subsume_or_fail(
+                penv, normalize(self.sub.uni.resolve(bar_ty)), e.span, defer=deferred
             )
         if deferred:
             # Every unification constraint has now been seen; unsolved
             # permission metavariables default to empty.
-            st = self._subsume_or_fail(st, deferred, e.span)
+            penv = self._subsume_or_fail(penv, deferred, e.span)
         if bar_ty is not None and not bar_consumed:
-            st = st.with_penv(st.penv.add(*normalize(self.sub.uni.resolve(bar_ty))))
+            penv = penv.add(*normalize(self.sub.uni.resolve(bar_ty)))
         for anchor, ty in restores:
-            st = st.with_penv(st.penv.add(*admit_atoms(anchor, self.sub.uni.resolve(ty))))
+            penv = penv.add(*admit_atoms(anchor, self.sub.uni.resolve(ty)))
 
         codomain = self.sub.uni.resolve(subst_type(fn_ty.codomain, {}, values))
-        self._default_unsolved(codomain, e.span, st)
+        self._default_unsolved(codomain, e.span, penv)
         codomain = self.sub.uni.resolve(codomain)
-        anchor, st = self._admit_result(st, codomain, "r")
-        return anchor, st
+        return self._admit_result(penv, codomain, "r")
 
-    def _default_unsolved(self, ty: Type, span: Span, st: CheckState) -> None:
+    def _default_unsolved(self, ty: Type, span: Span, penv: PermEnv) -> None:
         """Unsolved PERM metavariables default to empty; unsolved TYPE
         metavariables in a result are an inference failure."""
         unsolved_type: list[str] = []
@@ -460,37 +480,36 @@ class Checker:
                 "E-KIND",
                 f"cannot infer type argument(s) {sorted(set(unsolved_type))}",
                 span,
-                st,
+                penv,
             )
 
     # -- structural access -----------------------------------------------------
 
     def _structural(
-        self, st: CheckState, anchor: str, span: Span, mutate: bool = False
-    ) -> tuple[CheckState, Handle]:
-        found = self.sub.head_atom(st.penv, anchor, lambda t: isinstance(t, TConcrete))
+        self, penv: PermEnv, anchor: str, span: Span, mutate: bool = False
+    ) -> tuple[PermEnv, Handle]:
+        found = self.sub.head_atom(penv, anchor, lambda t: isinstance(t, TConcrete))
         if found is None:
-            refined = self._auto_refine(st, anchor)
+            refined = self._auto_refine(penv, anchor)
             if refined is not None:
-                st = refined
-                found = self.sub.head_atom(st.penv, anchor, lambda t: isinstance(t, TConcrete))
+                penv = refined
+                found = self.sub.head_atom(penv, anchor, lambda t: isinstance(t, TConcrete))
         if found is None:
-            self._fail("E-SUBSUME", "no structural permission for field access", span, st)
+            self._fail("E-SUBSUME", "no structural permission for field access", span, penv)
         penv, handle = found
-        st = st.with_penv(penv)
         ty = penv.atom(handle).ty
         assert isinstance(ty, TConcrete)
         if mutate:
             entry = self.env.tags.get(ty.tag)
             data = self.env.types.get(entry[0]) if entry else None
             if not (isinstance(data, DataInfo) and data.mutable):
-                self._fail("E-SUBSUME", f"type of {anchor!r} is not mutable", span, st)
-        return st, handle
+                self._fail("E-SUBSUME", f"type of {anchor!r} is not mutable", span, penv)
+        return penv, handle
 
-    def _auto_refine(self, st: CheckState, anchor: str) -> CheckState | None:
+    def _auto_refine(self, penv: PermEnv, anchor: str) -> PermEnv | None:
         """Refine `x @ D args` to its structural form when D has one branch."""
         found = self.sub.head_atom(
-            st.penv,
+            penv,
             anchor,
             lambda t: isinstance(t, TApp)
             and isinstance(self.env.types.get(t.head), DataInfo)
@@ -507,22 +526,21 @@ class Checker:
         (branch,) = info.branches.values()
         names = (self.sub.names.fresh(fname) for fname, _ in branch.fields)
         split = split_branch(atom.anchor, info, ty.args, branch, names)
-        return st.with_penv(penv.replace(handle, *split))
+        return penv.replace(handle, *split)
 
     # -- match -------------------------------------------------------------------
 
-    def _check_match(self, st: CheckState, e: EMatch, tail: Tail | None):
-        scrutinee, st = self.check_expr(st, e.scrutinee, None)
+    def _check_match(self, penv: PermEnv, e: EMatch, tail: Tail | None):
+        scrutinee, penv = self.check_expr(penv, e.scrutinee, None)
         found = self.sub.head_atom(
-            st.penv,
+            penv,
             scrutinee,
             lambda t: isinstance(t, TConcrete)
             or (isinstance(t, TApp) and isinstance(self.env.types.get(t.head), DataInfo)),
         )
         if found is None:
-            self._fail("E-MATCH", "no data permission for match scrutinee", e.span, st)
+            self._fail("E-MATCH", "no data permission for match scrutinee", e.span, penv)
         penv, handle = found
-        st = st.with_penv(penv)
         ty = self.sub.uni.resolve(penv.atom(handle).ty)
 
         if isinstance(ty, TConcrete):
@@ -530,11 +548,14 @@ class Checker:
                 assert isinstance(pat, PTag)
                 if pat.tag == ty.tag:
                     # also split a nominal permission held next to this one
-                    split = self.sub.split_along(st.penv, handle, ty)
-                    st2 = st if split is None else st.with_penv(split)
-                    st2 = self._bind_tag_pattern(st2, pat, ty)
-                    return _scoped(self.check_expr(st2, body, tail), st)
-            self._fail("E-MATCH", f"no branch for known tag {ty.tag!r}", e.span, st)
+                    split = self.sub.split_along(penv, handle, ty)
+                    penv2 = penv if split is None else split
+                    pairs = []
+                    for (_, fpat), (_, actual) in zip(pat.fields, ty.fields):
+                        assert isinstance(actual, TSingleton)
+                        penv2 = self._bind_pattern(penv2, fpat, actual.name, pairs)
+                    return self.check_expr(penv2, body, tail, pairs)
+            self._fail("E-MATCH", f"no branch for known tag {ty.tag!r}", e.span, penv)
 
         assert isinstance(ty, TApp)
         info = self.env.types[ty.head]
@@ -542,78 +563,74 @@ class Checker:
         covered = {pat.tag for pat, _ in e.branches if isinstance(pat, PTag)}
         missing = [t for t in info.branches if t not in covered]
         if missing:
-            self._fail("E-MATCH", f"non-exhaustive match, missing {missing}", e.span, st)
+            self._fail("E-MATCH", f"non-exhaustive match, missing {missing}", e.span, penv)
         for pat, _ in e.branches:
             assert isinstance(pat, PTag)
             if pat.tag not in info.branches:
                 self._fail(
-                    "E-MATCH", f"branch {pat.tag!r} is not part of {ty.head!r}", pat.span, st
+                    "E-MATCH", f"branch {pat.tag!r} is not part of {ty.head!r}", pat.span, penv
                 )
 
-        branch_work: list[tuple[CheckState, Expr]] = []
+        # Every branch draws its anchors and splits before any body is
+        # checked: the fresh names a body draws come after all of them.
+        branch_work: list[tuple[PermEnv, Bindings, Expr]] = []
         for pat, body in e.branches:
             assert isinstance(pat, PTag)
             branch = info.branches[pat.tag]
             names: list[str] = []
             for (fname, _), (_, fpat) in zip(branch.fields, pat.fields):
                 if isinstance(fpat, PVar):
-                    names.append(self._mk_anchor(st.penv, st.bindings, fpat.name))
+                    names.append(self._mk_anchor(penv, fpat.name))
                 else:
                     names.append(self.sub.names.fresh(fname))
             split = split_branch(scrutinee, info, ty.args, branch, names)
-            st2 = st.with_penv(st.penv.replace(handle, *split))
+            penv2 = penv.replace(handle, *split)
+            pairs = []
             for (_, fpat), a in zip(pat.fields, names):
-                st2 = self._bind_pattern(st2, fpat, a)
-            branch_work.append((st2, body))
-        return self._run_branches(branch_work, e.span, tail, st.bindings)
-
-    def _bind_tag_pattern(self, st: CheckState, pat: PTag, sty: TConcrete) -> CheckState:
-        for (fname, fpat), (_, actual) in zip(pat.fields, sty.fields):
-            assert isinstance(actual, TSingleton)
-            st = self._bind_pattern(st, fpat, actual.name)
-        return st
+                penv2 = self._bind_pattern(penv2, fpat, a, pairs)
+            branch_work.append((penv2, pairs, body))
+        return self._run_branches(branch_work, e.span, tail)
 
     def _run_branches(
         self,
-        work: list[tuple[CheckState, Expr]],
+        work: list[tuple[PermEnv, Bindings, Expr]],
         span: Span,
         tail: Tail | None,
-        outer_bindings: dict[str, str] | None = None,
     ):
+        """Check each body of `work` in its environment, with its names
+        bound for it alone, and join the outcomes."""
+        results = [self.check_expr(penv, body, tail, pairs) for penv, pairs, body in work]
         if tail is not None:
-            for st2, body in work:
-                self.check_expr(st2, body, tail)
             return _TAIL_DONE
-        results = []
-        for st2, body in work:
-            out = self.check_expr(st2, body, None)
-            assert out is not _TAIL_DONE
-            results.append(out)
         # Join: each branch must subsume the first branch's result type;
         # the joined environment is the atom-multiset intersection.
-        first_anchor, first_st = results[0]
-        hits = first_st.penv.atoms_of(first_anchor)
+        first_anchor, first_penv = results[0]
+        hits = first_penv.atoms_of(first_anchor)
         result_ty: Type = hits[0][1].ty if hits else TTuple(())
         left: list[tuple[Atom, ...]] = []
-        for anchor, st2 in results:
-            st2 = self._subsume_or_fail(st2, [Anchored(anchor, result_ty)], span)
-            left.append(st2.penv.atoms)
+        for anchor, penv in results:
+            penv = self._subsume_or_fail(penv, [Anchored(anchor, result_ty)], span)
+            left.append(penv.atoms)
         common = _intersect(left)
         anchor = self.sub.names.fresh("j")
-        penv = PermEnv(self.env, common, first_st.penv.globals).add(
+        penv = PermEnv(self.env, common, self.available).add(
             Anchored(anchor, self.sub.uni.resolve(result_ty))
         )
-        bindings = outer_bindings if outer_bindings is not None else results[0][1].bindings
-        return anchor, CheckState(penv, bindings)
+        return anchor, penv
 
     # -- patterns, tag update, lambdas ------------------------------------------
 
-    def _bind_pattern(self, st: CheckState, pat: Pattern, anchor: str) -> CheckState:
+    def _bind_pattern(
+        self, penv: PermEnv, pat: Pattern, anchor: str, pairs: list[tuple[str, str]]
+    ) -> PermEnv:
+        """Destructure the value at `anchor` by `pat`, appending to `pairs`
+        each name the pattern binds with its anchor."""
         if isinstance(pat, PVar):
-            return st.bind(pat.name, anchor)
+            pairs.append((pat.name, anchor))
+            return penv
         if isinstance(pat, PTuple):
             found = self.sub.head_atom(
-                st.penv,
+                penv,
                 anchor,
                 lambda t: isinstance(t, TTuple)
                 and all(isinstance(c.ty, TSingleton) for c in t.comps),
@@ -623,10 +640,9 @@ class Checker:
                     "E-SUBSUME",
                     "no tuple permission to destructure",
                     getattr(pat, "span", Span(0, 0)),
-                    st,
+                    penv,
                 )
             penv, handle = found
-            st = st.with_penv(penv)
             ty = penv.atom(handle).ty
             assert isinstance(ty, TTuple)
             if len(ty.comps) != len(pat.items):
@@ -634,22 +650,22 @@ class Checker:
                     "E-ARITY",
                     f"tuple pattern expects {len(ty.comps)} component(s)",
                     getattr(pat, "span", Span(0, 0)),
-                    st,
+                    penv,
                 )
             for comp, sub_pat in zip(ty.comps, pat.items):
                 assert isinstance(comp.ty, TSingleton)
-                st = self._bind_pattern(st, sub_pat, comp.ty.name)
-            return st
+                penv = self._bind_pattern(penv, sub_pat, comp.ty.name, pairs)
+            return penv
         raise TypeError(f"unsupported pattern {pat!r}")
 
-    def _check_tag_update(self, st: CheckState, e: ETagUpdate) -> tuple[str, CheckState]:
+    def _check_tag_update(self, penv: PermEnv, e: ETagUpdate) -> tuple[str, PermEnv]:
         anchors = []
         for _, value in e.fields:
-            a, st = self.check_expr(st, value, None)
+            a, penv = self.check_expr(penv, value, None)
             anchors.append(a)
-        obj, st = self.check_expr(st, e.obj, None)
-        st, handle = self._structural(st, obj, e.span, mutate=True)
-        atom = st.penv.atom(handle)
+        obj, penv = self.check_expr(penv, e.obj, None)
+        penv, handle = self._structural(penv, obj, e.span, mutate=True)
+        atom = penv.atom(handle)
         ty = atom.ty
         assert isinstance(atom, Anchored) and isinstance(ty, TConcrete)
         old_entry = self.env.tags[ty.tag]
@@ -659,7 +675,7 @@ class Checker:
                 "E-MATCH",
                 f"tag update must stay within {old_entry[0]!r}",
                 e.span,
-                st,
+                penv,
             )
         provided = {f: TSingleton(a) for (f, _), a in zip(e.fields, anchors)}
         retained = dict(ty.fields)
@@ -674,45 +690,46 @@ class Checker:
                     "E-MATCH",
                     f"tag update to {e.tag!r} is missing field {fname!r}",
                     e.span,
-                    st,
+                    penv,
                 )
         new_atom = Anchored(atom.anchor, TConcrete(e.tag, tuple(new_fields), None))
-        st = st.with_penv(st.penv.replace(handle, new_atom))
-        return self._unit(st)
+        return self._unit(penv.replace(handle, new_atom))
 
-    def _check_lambda(self, st: CheckState, e: ELambda) -> tuple[str, CheckState]:
+    def _check_lambda(self, penv: PermEnv, e: ELambda) -> tuple[str, PermEnv]:
         cod = e.codomain if e.codomain is not None else TTuple(())
-        arrow = subst_type(TArrow(e.domain, cod), {}, st.bindings)
+        arrow = subst_type(TArrow(e.domain, cod), {}, self.locals)
         assert isinstance(arrow, TArrow)
         domain = arrow.domain
         codomain = arrow.codomain if e.codomain is not None else None
 
-        inner = PermEnv(self.env, st.penv.duplicable_atoms(), st.penv.globals)
-        inner_state, values, exit_goals = self._enter_domain(
-            CheckState(inner, st.bindings), domain, [c.name for c in domain_comps(domain)]
+        mark = len(self.trail)
+        inner, values, exit_goals = self._enter_domain(
+            PermEnv(self.env, penv.duplicable_atoms(), self.available),
+            domain,
+            [c.name for c in domain_comps(domain)],
         )
         try:
             if codomain is not None:
                 tail = Tail(subst_type(codomain, {}, values), exit_goals, e.span)
-                self.check_expr(inner_state, e.body, tail)
+                self.check_expr(inner, e.body, tail)
                 result_cod = codomain
             else:
-                out = self.check_expr(inner_state, e.body, None)
+                out = self.check_expr(inner, e.body, None)
                 assert out is not _TAIL_DONE
-                anchor2, st2 = out
-                hits = st2.penv.atoms_of(anchor2)
+                anchor2, inner = out
+                hits = inner.atoms_of(anchor2)
                 result_cod = hits[0][1].ty if hits else TTuple(())
-                st2 = self._subsume_or_fail(
-                    st2, [Anchored(anchor2, result_cod)], e.span
+                inner = self._subsume_or_fail(
+                    inner, [Anchored(anchor2, result_cod)], e.span
                 )
                 if exit_goals:
-                    self._subsume_or_fail(st2, list(exit_goals), e.span, code="E-CONSUMED")
+                    self._subsume_or_fail(inner, list(exit_goals), e.span, code="E-CONSUMED")
         except CheckFailure as exc:
             goal = exc.diag.goal
             if (
                 exc.diag.code == "E-SUBSUME"
                 and goal is not None
-                and st.penv.has_affine(goal)
+                and penv.has_affine(goal)
             ):
                 raise CheckFailure(
                     Diagnostic(
@@ -725,20 +742,8 @@ class Checker:
                     )
                 ) from exc
             raise
-
-        return self._new_value(st, TArrow(domain, result_cod), "fn")
-
-
-def _scoped(out, outer: CheckState):
-    """The outcome `out` of checking the body of a `let` or a `match`
-    branch, as the outcome of the whole expression checked in `outer`: the
-    body's binders scope over the body alone, so a result in a non-tail
-    position carries `outer`'s bindings, and a later sibling of the
-    expression does not see them."""
-    if out is _TAIL_DONE:
-        return out
-    anchor, st = out
-    return anchor, CheckState(st.penv, outer.bindings)
+        self._leave(mark)
+        return self._new_value(penv, TArrow(domain, result_cod), "fn")
 
 
 def _singleton_comp(anchor: str) -> TupleComp:
@@ -771,7 +776,3 @@ def _intersect(lists: Sequence[Sequence[Atom]]) -> list[Atom]:
             budget[atom] -= 1
             kept.append(atom)
     return kept
-
-
-def _file_sig_names(file: SourceFile) -> set[str]:
-    return {d.name for d in file.decls if isinstance(d, DValSig)}

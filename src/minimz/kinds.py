@@ -143,7 +143,6 @@ class Env:
     types: dict[str, TypeInfo] = field(default_factory=dict)
     tags: dict[str, tuple[str, Branch]] = field(default_factory=dict)
     sigs: dict[str, Type] = field(default_factory=dict)
-    sig_order: list[str] = field(default_factory=list)
     # `perms.duplicability` answers for this environment; a clone starts empty.
     dup_memo: dict[Type, str] = field(default_factory=dict, compare=False, repr=False)
 
@@ -160,25 +159,30 @@ class Env:
         return entry
 
     def clone(self) -> "Env":
-        return Env(dict(self.types), dict(self.tags), dict(self.sigs), list(self.sig_order))
+        return Env(dict(self.types), dict(self.tags), dict(self.sigs))
 
 
 @dataclass
 class Scope:
     """Lexical scopes used while resolving one declaration.
 
-    The value names in scope are one set for the whole declaration. A
-    binder's names `enter` it for the binder's scope and `leave` it after,
-    so a step costs the names it binds, not the size of the scope.
+    The local value names in scope are one set for the whole declaration.
+    A binder's names `enter` it for the binder's scope and `leave` it
+    after, so a step costs the names it binds, not the size of the scope.
+    The top-level values in scope are the keys of `sigs`, never copied.
     """
 
     tyvars: dict[str, Kind] = field(default_factory=dict)
     values: set[str] = field(default_factory=set)
+    sigs: dict[str, Type] = field(default_factory=dict)
 
     def child(self) -> "Scope":
         """A scope for a quantifier's body: its own copy of the type
         variables, the same value names."""
-        return Scope(dict(self.tyvars), self.values)
+        return Scope(dict(self.tyvars), self.values, self.sigs)
+
+    def has_value(self, name: str) -> bool:
+        return name in self.values or name in self.sigs
 
     def enter(self, name: str, entered: list[str]) -> None:
         """Bring `name` into scope, and note it in `entered` unless it was
@@ -272,7 +276,6 @@ class Resolver:
                     )
                 ty = self.check_kind(self.resolve_type(decl.ty, Scope()), KIND_TYPE, Scope())
                 self.env.sigs[decl.name] = ty
-                self.env.sig_order.append(decl.name)
                 resolved.append(replace(decl, ty=ty))
             elif isinstance(decl, DValDef):
                 sig = self.env.sigs.get(decl.name)
@@ -385,7 +388,7 @@ class Resolver:
             fields = tuple((fname, fty) for (fname, _), fty in zip(t.fields, ftys))
             return replace(t, fields=fields, bar=bar)
         if isinstance(t, TSingleton):
-            if t.name not in scope.values:
+            if not scope.has_value(t.name):
                 raise ResolveError("E-UNBOUND", f"unbound value name {t.name!r}", t.span)
             return t
         if isinstance(t, (TForall, TExists)):
@@ -395,7 +398,7 @@ class Resolver:
             body = self.resolve_type(t.body, scope2)
             return t if body is t.body else replace(t, body=body)
         if isinstance(t, TAt):
-            if t.anchor not in scope.values:
+            if not scope.has_value(t.anchor):
                 raise ResolveError("E-UNBOUND", f"unbound value name {t.anchor!r}", t.span)
             ty = self.check_kind(self.resolve_type(t.ty, scope), KIND_TYPE, scope)
             return t if ty is t.ty else replace(t, ty=ty)
@@ -471,7 +474,7 @@ class Resolver:
     # -- expressions ----------------------------------------------------------
 
     def resolve_def(self, decl: DValDef, sig: Type) -> DValDef:
-        scope = Scope()
+        scope = Scope(values=set(decl.params), sigs=self.env.sigs)
         sig_body = sig
         while isinstance(sig_body, TForall):
             for name, kind in sig_body.binders:
@@ -489,8 +492,6 @@ class Resolver:
                 f"definition has {len(decl.params)}",
                 decl.span,
             )
-        scope.values.update(self.env.sigs.keys())
-        scope.values.update(decl.params)
         body = self.resolve_expr(decl.body, scope)
         return replace(decl, body=body)
 
@@ -499,7 +500,7 @@ class Resolver:
         type arguments), so a node whose children all come back as the same
         objects comes back itself."""
         if isinstance(e, EVar):
-            if e.name not in scope.values:
+            if not scope.has_value(e.name):
                 raise ResolveError("E-UNBOUND", f"unbound value name {e.name!r}", e.span)
             return e
         if isinstance(e, (EInt, EBool)):

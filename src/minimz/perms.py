@@ -432,10 +432,6 @@ class PermEnv:
         self._diff: tuple[Sequence[_Slot], Sequence[_Slot], PermEnv] | None = None
         self._family.apply((), self._appended(atoms))
 
-    @property
-    def globals(self) -> dict[str, Type] | None:
-        return self._family.globals
-
     def __str__(self) -> str:
         atoms = self.atoms
         return " * ".join(str(a) for a in atoms) if atoms else "empty"

@@ -1,10 +1,27 @@
 from __future__ import annotations
 
 import random
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from minimz.driver import CORPUS_DIR
+
+# Every property test draws the same examples on every run and keeps no
+# example database, so two runs of one tree test the same inputs.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+
+
+def pytest_configure(config):
+    # Hypothesis still caches the constants it reads from the sources, from
+    # collection on; the cache lives for the run only, not in `.hypothesis/`.
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
+
 
 CORPUS = CORPUS_DIR
 

@@ -1,9 +1,11 @@
 import subprocess
 import sys
 
+import pytest
 from conftest import CORPUS, corpus_text
 
-from minimz.driver import check_text
+from minimz.driver import check_text, run_text
+from minimz.interp import RuntimeTrap
 
 TREE = """
 data mutable tree a =
@@ -330,3 +332,46 @@ val main () =
   add (match Ref { contents = x } with | Ref { contents = z } -> z, x)
 """
     assert codes(check_text(src, "t")[2]) == []
+
+
+# A local named like a top-level value, then a field pattern of that name:
+# the field must not be anchored at the top-level name, or the call would
+# check against the top-level signature. Each program traps `BAD_FIELD`
+# when run unchecked.
+SHADOWED_TOP_LEVEL = {
+    "let": """
+data pair = P { add: int; b: int }
+
+val f: (p: pair) -> int
+val f (p) =
+  let add = 1 in
+  match p with
+  | P { add = add; b = b } -> add (b, b)
+
+val main: () -> int
+val main () = f (P { add = 1; b = 2 })
+""",
+    "parameter": """
+data pair = P { add: int; b: int }
+
+val g: (add: int, p: pair) -> int
+val g (add, p) =
+  match p with
+  | P { add = add; b = b } -> add (b, b)
+
+val main: () -> int
+val main () = g (1, P { add = 1; b = 2 })
+""",
+}
+
+
+@pytest.mark.parametrize("binder", sorted(SHADOWED_TOP_LEVEL))
+def test_a_shadowed_top_level_name_anchors_no_local(binder):
+    src = SHADOWED_TOP_LEVEL[binder]
+    with pytest.raises(RuntimeTrap) as exc:
+        run_text(src, "main", checked=False)
+    assert exc.value.kind == "BAD_FIELD"
+    diags = check_text(src, "t")[2]
+    assert [(d.code, d.message) for d in diags] == [
+        ("E-SUBSUME", "callee has no function permission")
+    ]

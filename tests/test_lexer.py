@@ -148,7 +148,7 @@ PIECES = st.one_of(
 )
 
 
-@settings(derandomize=True, database=None, max_examples=600)
+@settings(max_examples=600)
 @given(st.lists(PIECES, max_size=12).map("".join))
 @example("val -- trailing")
 @example("-- ab\n?")
