@@ -375,3 +375,49 @@ def test_a_shadowed_top_level_name_anchors_no_local(binder):
     assert [(d.code, d.message) for d in diags] == [
         ("E-SUBSUME", "callee has no function permission")
     ]
+
+
+# A name with a `val` signature in the checked file and no definition there
+# has nothing to run: each program checked clean and then trapped `UNBOUND`.
+GHOSTS = {
+    "call": """
+val ghost: (x: int) -> int
+val main: () -> int
+val main () = ghost 1
+""",
+    "lambda body": """
+val ghost: (x: int) -> int
+val main: () -> int
+val main () =
+  let f = fun (y: int) : int = ghost y in
+  f 1
+""",
+}
+
+
+@pytest.mark.parametrize("use", sorted(GHOSTS))
+def test_a_signature_without_a_definition_cannot_be_used(use):
+    src = GHOSTS[use]
+    with pytest.raises(RuntimeTrap) as exc:
+        run_text(src, "main", checked=False)
+    assert exc.value.kind == "UNBOUND"
+    diags = check_text(src, "t")[2]
+    assert [(d.code, d.message) for d in diags] == [
+        ("E-UNDEFINED", "'ghost' has a signature but no definition")
+    ]
+    (diag,) = diags
+    assert src[diag.span.start : diag.span.end] == "ghost"
+    assert src.rindex("ghost") == diag.span.start
+
+
+def test_a_definition_later_in_the_file_and_an_unused_signature_are_legal():
+    src = """
+val unused: (x: int) -> int
+val helper: (x: int) -> int
+val main: () -> int
+val main () = helper 1
+val helper (x) = add (x, 1)
+"""
+    assert check_text(src, "t")[2] == []
+    value, program = run_text(src, "main")
+    assert program.render(value) == "2"
