@@ -107,7 +107,8 @@ class Checker:
     """While a definition is checked, `locals` maps each local name in scope
     to its anchor and `trail` holds what each binding hid, so that a binder's
     names leave after its body. A name not bound locally is a top-level
-    value: its own anchor, with its type in `available`."""
+    value: its own anchor, with its type in `available`. A top-level name
+    that the file declares and never defines (`undefined`) cannot be used."""
 
     def __init__(self, env: Env):
         self.env = env
@@ -120,6 +121,8 @@ class Checker:
         names = NameSupply()
         diags: list[Diagnostic] = []
         own = {d.name for d in file.decls if isinstance(d, DValSig)}
+        # names this file declares and never defines: nothing runs for them
+        self.undefined = own - {d.name for d in file.decls if isinstance(d, DValDef)}
         available = {name: ty for name, ty in self.env.sigs.items() if name not in own}
         for decl in file.decls:
             if isinstance(decl, DValSig):
@@ -299,7 +302,17 @@ class Checker:
 
     def _synth(self, penv: PermEnv, e: Expr) -> tuple[str, PermEnv]:
         if isinstance(e, EVar):
-            return self.locals.get(e.name, e.name), penv
+            anchor = self.locals.get(e.name)
+            if anchor is not None:
+                return anchor, penv
+            if e.name in self.undefined:
+                self._fail(
+                    "E-UNDEFINED",
+                    f"{e.name!r} has a signature but no definition",
+                    e.span,
+                    penv,
+                )
+            return e.name, penv
         if isinstance(e, EInt):
             return self._new_value(penv, INT, "n")
         if isinstance(e, EBool):
