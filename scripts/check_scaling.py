@@ -1,7 +1,7 @@
 """How front-end and checking time grow with the size of a program.
 
 Loads and checks three families of programs at growing sizes and prints, for
-each, the best of three times of each front-end layer (lex, parse,
+each, the best of `REPEATS` times of each front-end layer (lex, parse,
 resolve) and of the checker, with the collector on (as `minimz check`
 runs), and of the checker with the collector off:
 
@@ -39,7 +39,7 @@ from minimz.parser import Parser, tokenize  # noqa: E402
 TREE_SIZES = (256, 512, 1024, 2048)
 CHAIN_SIZES = (300, 900)
 DEFS_SIZES = (500, 1000, 2000)
-REPEATS = 3
+REPEATS = 9  # short rows on a shared machine need more than 3 to settle
 
 
 def tree_literal(rng: random.Random, lo: int, hi: int) -> str:

@@ -7,7 +7,7 @@ even when whitespace differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import is_
 
 
@@ -214,56 +214,85 @@ UNIT = TTuple(())
 def map_children(t: Type, g) -> Type:
     """Apply `g` to each child of `t`, left to right. Returns `t` itself when
     every child comes back as the same object, else a copy of `t` holding
-    the new children."""
-    if isinstance(t, (TVar, TMeta, TEmpty, TSingleton)):
-        return t
-    if isinstance(t, TApp):
-        args = tuple(map(g, t.args))
-        return t if _same(args, t.args) else replace(t, args=args)
-    if isinstance(t, TArrow):
-        dom, cod = g(t.domain), g(t.codomain)
-        if dom is t.domain and cod is t.codomain:
+    the new children.
+
+    This function, `children` and `perms.subst_type` dispatch on the node's
+    class with `is` tests, the most frequent classes first, and rebuild a
+    node with its constructor."""
+    cls = t.__class__
+    if cls is TApp:
+        args = t.args
+        if not args:
             return t
-        return replace(t, domain=dom, codomain=cod)
-    if isinstance(t, TTuple):
-        tys = [g(c.ty) for c in t.comps]
-        if _same(tys, [c.ty for c in t.comps]):
-            return t
-        comps = tuple(TupleComp(c.name, ty, c.consumed) for c, ty in zip(t.comps, tys))
-        return replace(t, comps=comps)
-    if isinstance(t, TBar):
+        new = tuple(map(g, args))
+        return t if same_items(new, args) else TApp(t.head, new, t.span)
+    if cls is TAt:
+        ty = g(t.ty)
+        return t if ty is t.ty else TAt(t.anchor, ty, t.span)
+    if cls is TBar:
         carrier, perm = g(t.carrier), g(t.perm)
         if carrier is t.carrier and perm is t.perm:
             return t
-        return replace(t, carrier=carrier, perm=perm)
-    if isinstance(t, TConcrete):
-        ftys = [g(ft) for _, ft in t.fields]
-        bar = g(t.bar) if t.bar is not None else None
-        if bar is t.bar and _same(ftys, [ft for _, ft in t.fields]):
-            return t
-        fields = tuple((n, ft) for (n, _), ft in zip(t.fields, ftys))
-        return replace(t, fields=fields, bar=bar)
-    if isinstance(t, (TForall, TExists)):
-        body = g(t.body)
-        return t if body is t.body else replace(t, body=body)
-    if isinstance(t, TAt):
-        ty = g(t.ty)
-        return t if ty is t.ty else replace(t, ty=ty)
-    if isinstance(t, TStar):
+        return TBar(carrier, perm, t.consumed, t.span)
+    if cls is TStar:
         items = tuple(map(g, t.items))
-        return t if _same(items, t.items) else replace(t, items=items)
+        return t if same_items(items, t.items) else TStar(items, t.span)
+    if cls is TVar or cls is TSingleton or cls is TMeta or cls is TEmpty:
+        return t
+    if cls is TConcrete:
+        fields = t.fields
+        ftys = [g(ft) for _, ft in fields]
+        bar = t.bar if t.bar is None else g(t.bar)
+        if bar is t.bar and same_items(ftys, [ft for _, ft in fields]):
+            return t
+        fields = tuple((n, ft) for (n, _), ft in zip(fields, ftys))
+        return TConcrete(t.tag, fields, bar, t.span)
+    if cls is TTuple:
+        comps = t.comps
+        tys = [g(c.ty) for c in comps]
+        if same_items(tys, [c.ty for c in comps]):
+            return t
+        return TTuple(
+            tuple(TupleComp(c.name, ty, c.consumed) for c, ty in zip(comps, tys)), t.span
+        )
+    if cls is TArrow:
+        dom, cod = g(t.domain), g(t.codomain)
+        if dom is t.domain and cod is t.codomain:
+            return t
+        return TArrow(dom, cod, t.span)
+    if cls is TForall or cls is TExists:
+        body = g(t.body)
+        return t if body is t.body else cls(t.binders, body, t.span)
     raise TypeError(f"unknown type node {t!r}")
 
 
-def _same(xs, ys) -> bool:
+def same_items(xs, ys) -> bool:
     return all(map(is_, xs, ys))
 
 
-def children(t: Type) -> list[Type]:
+def children(t: Type) -> tuple[Type, ...]:
     """The children of `t`, left to right, as `map_children` visits them."""
-    out: list[Type] = []
-    map_children(t, lambda c: out.append(c) or c)
-    return out
+    cls = t.__class__
+    if cls is TApp:
+        return t.args
+    if cls is TAt:
+        return (t.ty,)
+    if cls is TBar:
+        return (t.carrier, t.perm)
+    if cls is TStar:
+        return t.items
+    if cls is TVar or cls is TSingleton or cls is TMeta or cls is TEmpty:
+        return ()
+    if cls is TConcrete:
+        ftys = tuple([ft for _, ft in t.fields])
+        return ftys if t.bar is None else ftys + (t.bar,)
+    if cls is TTuple:
+        return tuple([c.ty for c in t.comps])
+    if cls is TArrow:
+        return (t.domain, t.codomain)
+    if cls is TForall or cls is TExists:
+        return (t.body,)
+    raise TypeError(f"unknown type node {t!r}")
 
 
 def has_meta(t: Type) -> bool:
@@ -273,15 +302,7 @@ def has_meta(t: Type) -> bool:
         return t._has_meta
     except AttributeError:
         pass
-    found = isinstance(t, TMeta)
-    if not found:
-
-        def probe(c: Type) -> Type:
-            nonlocal found
-            found = found or has_meta(c)
-            return c
-
-        map_children(t, probe)
+    found = t.__class__ is TMeta or any(map(has_meta, children(t)))
     object.__setattr__(t, "_has_meta", found)
     return found
 

@@ -414,10 +414,14 @@ class Checker:
                 ]
             else:
                 witnesses = [self.sub.uni.fresh(n, k) for n, k in fn_ty.binders]
+            # The witnesses go in below, each part of the arrow in one pass
+            # with the renaming of component names.
             subst = {n: w for (n, _), w in zip(fn_ty.binders, witnesses)}
-            fn_ty = subst_type(fn_ty.body, subst)
+            fn_ty = fn_ty.body
         elif e.type_args is not None:
             self._fail("E-ARITY", "callee is not polymorphic", e.span, penv)
+        else:
+            subst = {}
         if not isinstance(fn_ty, TArrow):
             self._fail("E-SUBSUME", "callee has no function permission", e.span, penv)
 
@@ -446,7 +450,7 @@ class Checker:
         restores: list[tuple[str, Type]] = []
         deferred: list[Atom] = []
         for comp, anchor in zip(comps, anchors):
-            comp_ty = subst_type(comp.ty, {}, values)
+            comp_ty = subst_type(comp.ty, subst, values)
             penv = self._subsume_or_fail(
                 penv, [Anchored(anchor, comp_ty)], e.span, defer=deferred
             )
@@ -456,7 +460,7 @@ class Checker:
                 restores.append((anchor, comp_ty))
         bar_ty = None
         if bar is not None:
-            bar_ty = subst_type(bar, {}, values)
+            bar_ty = subst_type(bar, subst, values)
             penv = self._subsume_or_fail(
                 penv, normalize(self.sub.uni.resolve(bar_ty)), e.span, defer=deferred
             )
@@ -465,11 +469,11 @@ class Checker:
             # permission metavariables default to empty.
             penv = self._subsume_or_fail(penv, deferred, e.span)
         if bar_ty is not None and not bar_consumed:
-            penv = penv.add(*normalize(self.sub.uni.resolve(bar_ty)))
+            penv = _put_back(penv, normalize(self.sub.uni.resolve(bar_ty)))
         for anchor, ty in restores:
-            penv = penv.add(*admit_atoms(anchor, self.sub.uni.resolve(ty)))
+            penv = _put_back(penv, admit_atoms(anchor, self.sub.uni.resolve(ty)))
 
-        codomain = self.sub.uni.resolve(subst_type(fn_ty.codomain, {}, values))
+        codomain = self.sub.uni.resolve(subst_type(fn_ty.codomain, subst, values))
         self._default_unsolved(codomain, e.span, penv)
         codomain = self.sub.uni.resolve(codomain)
         return self._admit_result(penv, codomain, "r")
@@ -757,6 +761,18 @@ class Checker:
             raise
         self._leave(mark)
         return self._new_value(penv, TArrow(domain, result_cod), "fn")
+
+
+def _put_back(penv: PermEnv, atoms: list[Atom]) -> PermEnv:
+    """`penv` with the borrowed `atoms` given back, all but the anchored
+    atoms it still holds: extraction leaves a duplicable atom in place."""
+    return penv.add(
+        *[
+            a
+            for a in atoms
+            if not (isinstance(a, Anchored) and a in [b for _, b in penv.atoms_of(a.anchor)])
+        ]
+    )
 
 
 def _singleton_comp(anchor: str) -> TupleComp:

@@ -59,10 +59,9 @@ from .kinds import DataInfo, Env, domain_comps
 
 _INT_MASK = (1 << 64) - 1
 
-# `Interp.run` raises two process-wide settings, the recursion limit and
-# the stack size of new threads, and puts them back when it is done. Runs
-# take turns behind this lock, so no run puts back a setting that a run on
-# another thread still needs.
+# `Interp.run` raises a process-wide setting, the recursion limit, and puts
+# it back when it is done. Runs take turns behind this lock, so no run puts
+# back a limit that a run on another thread still needs.
 _RUN_LOCK = threading.Lock()
 
 
@@ -683,10 +682,11 @@ class Interp:
     # -- entry ----------------------------------------------------------------
 
     def run(self, entry: str) -> Value:
-        """Evaluate a nullary entry point on a dedicated thread with a large
-        stack, so deep (but checked) recursion works while runaway recursion
-        raises a trap instead of exhausting the C stack. Runs on different
-        threads take turns (see `_RUN_LOCK`)."""
+        """Evaluate a nullary entry point under a raised recursion limit, so
+        deep (but checked) recursion works while runaway recursion raises a
+        trap. Calls from Python to Python take no C stack, so the depth
+        needs no larger stack. Runs on different threads take turns (see
+        `_RUN_LOCK`)."""
         main = self.globals.get(entry)
         if main is None:
             raise RuntimeTrap("UNBOUND", f"no entry point {entry!r}")
@@ -696,36 +696,17 @@ class Interp:
                 f"{main.name} expects {main.arity}" if type(main) is VBuiltin
                 else "wrong argument count",
             )
-        outcome: dict[str, object] = {}
-
-        def work() -> None:
-            try:
-                outcome["value"] = _apply(self, main, [])
-            except RecursionError:
-                outcome["error"] = RuntimeTrap(
-                    "STEP_LIMIT", "evaluation recursion too deep"
-                )
-            except BaseException as exc:  # noqa: BLE001 - reraised on the caller
-                outcome["error"] = exc
-            finally:
-                self.stats.steps = self.steps
-                self.stats.allocations = len(self.heap)
-
         with _RUN_LOCK:
             limit = sys.getrecursionlimit()
-            old_stack = threading.stack_size()
             sys.setrecursionlimit(300_000)
-            threading.stack_size(512 * 1024 * 1024)
             try:
-                thread = threading.Thread(target=work, name=f"minimz-{entry}")
-                thread.start()
-                thread.join()
+                return _apply(self, main, [])
+            except RecursionError:
+                raise RuntimeTrap("STEP_LIMIT", "evaluation recursion too deep") from None
             finally:
-                threading.stack_size(old_stack)
                 sys.setrecursionlimit(limit)
-        if "error" in outcome:
-            raise outcome["error"]  # type: ignore[misc]
-        return outcome["value"]  # type: ignore[return-value]
+                self.stats.steps = self.steps
+                self.stats.allocations = len(self.heap)
 
     # -- rendering ---------------------------------------------------------------
 

@@ -143,8 +143,10 @@ class Env:
     types: dict[str, TypeInfo] = field(default_factory=dict)
     tags: dict[str, tuple[str, Branch]] = field(default_factory=dict)
     sigs: dict[str, Type] = field(default_factory=dict)
-    # `perms.duplicability` answers for this environment; a clone starts empty.
+    # `perms.duplicability` and `perms.expand_alias` answers for this
+    # environment; a clone starts with neither.
     dup_memo: dict[Type, str] = field(default_factory=dict, compare=False, repr=False)
+    alias_memo: dict[Type, Type] = field(default_factory=dict, compare=False, repr=False)
 
     def lookup_type(self, name: str, span: Span) -> TypeInfo:
         info = self.types.get(name)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, insort
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .ast import (
     KIND_PERM,
@@ -46,8 +46,8 @@ from .ast import (
     TVar,
     Type,
     TupleComp,
+    same_items,
     children,
-    map_children,
 )
 from .kinds import AliasInfo, DataInfo, Env, PrimInfo
 
@@ -130,29 +130,59 @@ def subst_type(t: Type, subst: dict[str, Type], values: dict[str, str] | None = 
     """Substitute type/permission variables and (optionally) value anchors.
 
     `subst` maps binder names to types; `values` maps value names (anchors,
-    singleton references, component names) to other value names. With both
-    empty, `t` itself is returned.
+    singleton references, component names) to other value names. A subtree
+    that neither changes comes back as the same object, and so does `t`
+    itself when both are empty. A binder that would capture a variable free
+    in a substituted type is renamed.
     """
     if not subst and not values:
         return t
-    values = values or {}
-    if isinstance(t, TVar):
+    cls = t.__class__
+    if cls is TVar:
         return subst.get(t.name, t)
-    if isinstance(t, TSingleton):
-        name = values.get(t.name, t.name)
-        return t if name == t.name else replace(t, name=name)
-    if isinstance(t, TArrow):
+    if cls is TApp:
+        args = t.args
+        if not args:
+            return t
+        new = tuple([subst_type(a, subst, values) for a in args])
+        return t if same_items(new, args) else TApp(t.head, new, t.span)
+    if cls is TAt:
+        anchor = values.get(t.anchor, t.anchor) if values else t.anchor
+        ty = subst_type(t.ty, subst, values)
+        if anchor == t.anchor and ty is t.ty:
+            return t
+        return TAt(anchor, ty, t.span)
+    if cls is TBar or cls is TTuple:
+        return _subst_domain(t, subst, values)[0]
+    if cls is TStar:
+        items = tuple([subst_type(i, subst, values) for i in t.items])
+        return t if same_items(items, t.items) else TStar(items, t.span)
+    if cls is TSingleton:
+        name = values.get(t.name, t.name) if values else t.name
+        return t if name == t.name else TSingleton(name, t.span)
+    if cls is TMeta or cls is TEmpty:
+        return t
+    if cls is TArrow:
         dom, values2 = _subst_domain(t.domain, subst, values)
         cod = subst_type(t.codomain, subst, values2)
         if dom is t.domain and cod is t.codomain:
             return t
-        return replace(t, domain=dom, codomain=cod)
-    if isinstance(t, (TTuple, TBar)):
-        return _subst_domain(t, subst, values)[0]
-    if isinstance(t, (TForall, TExists)):
+        return TArrow(dom, cod, t.span)
+    if cls is TConcrete:
+        fields = t.fields
+        ftys = [subst_type(ft, subst, values) for _, ft in fields]
+        bar = t.bar if t.bar is None else subst_type(t.bar, subst, values)
+        if bar is t.bar and same_items(ftys, [ft for _, ft in fields]):
+            return t
+        fields = tuple((n, ft) for (n, _), ft in zip(fields, ftys))
+        return TConcrete(t.tag, fields, bar, t.span)
+    if cls is TForall or cls is TExists:
         binders = []
         inner = dict(subst)
-        free = set().union(*map(free_type_vars, subst.values()))
+        free: set[str] = set()
+        for w in subst.values():
+            if w.__class__ is not TMeta:  # a fresh witness has no free names
+                free |= free_type_vars(w)
         for name, kind in t.binders:
             if name in free:
                 # the first `name$k` that is free nowhere here and names no
@@ -170,45 +200,45 @@ def subst_type(t: Type, subst: dict[str, Type], values: dict[str, str] | None = 
         body = subst_type(t.body, inner, values)
         if body is t.body and new_binders == t.binders:
             return t
-        return replace(t, binders=new_binders, body=body)
-    if isinstance(t, TAt):
-        anchor = values.get(t.anchor, t.anchor)
-        ty = subst_type(t.ty, subst, values)
-        if anchor == t.anchor and ty is t.ty:
-            return t
-        return replace(t, anchor=anchor, ty=ty)
-    return map_children(t, lambda c: subst_type(c, subst, values))
+        return cls(new_binders, body, t.span)
+    raise TypeError(f"unknown type node {t!r}")
 
 
 def _subst_domain(
-    t: Type, subst: dict[str, Type], values: dict[str, str]
-) -> tuple[Type, dict[str, str]]:
+    t: Type, subst: dict[str, Type], values: dict[str, str] | None
+) -> tuple[Type, dict[str, str] | None]:
     """Substitute inside a tuple/bar, keeping track of component-name binders:
-    a component name shadows any outer value renaming."""
-    if isinstance(t, TBar):
+    a component name shadows any outer value renaming. Also returns the
+    renaming that holds after the components."""
+    cls = t.__class__
+    if cls is TBar:
         carrier, values2 = _subst_domain(t.carrier, subst, values)
         perm = subst_type(t.perm, subst, values2)
         if carrier is t.carrier and perm is t.perm:
             return t, values2
-        return replace(t, carrier=carrier, perm=perm), values2
-    if isinstance(t, TTuple):
-        values2 = dict(values)
+        return TBar(carrier, perm, t.consumed, t.span), values2
+    if cls is TTuple:
+        values2 = values
+        shadowed = False
+        comps = t.comps
         tys = []
-        for comp in t.comps:
+        for comp in comps:
             tys.append(subst_type(comp.ty, subst, values2))
-            if comp.name is not None:
-                values2.pop(comp.name, None)
-        if all(ty is c.ty for c, ty in zip(t.comps, tys)):
+            if values2 and comp.name in values2:
+                if not shadowed:
+                    values2, shadowed = dict(values2), True
+                del values2[comp.name]
+        if same_items(tys, [c.ty for c in comps]):
             return t, values2
-        comps = tuple(TupleComp(c.name, ty, c.consumed) for c, ty in zip(t.comps, tys))
-        return replace(t, comps=comps), values2
+        comps = tuple(TupleComp(c.name, ty, c.consumed) for c, ty in zip(comps, tys))
+        return TTuple(comps, t.span), values2
     return subst_type(t, subst, values), values
 
 
 def free_type_vars(t: Type) -> set[str]:
     """The type and permission variables free in `t`: names bound by `[..]`
     and `{..}` are free only outside their quantifier."""
-    if isinstance(t, TVar):
+    if t.__class__ is TVar:
         return {t.name}
     free = set().union(*map(free_type_vars, children(t)))
     if isinstance(t, (TForall, TExists)):
@@ -217,10 +247,15 @@ def free_type_vars(t: Type) -> set[str]:
 
 
 def expand_alias(env: Env, t: TApp) -> Type:
-    info = env.types.get(t.head)
-    assert isinstance(info, AliasInfo) and info.body is not None
-    subst = dict(zip((n for n, _ in info.params), t.args))
-    return subst_type(info.body, subst)
+    """The body of the alias `t` names, for its arguments. Memoised in
+    `env.alias_memo`, as `duplicability` is in `env.dup_memo`."""
+    body = env.alias_memo.get(t)
+    if body is None:
+        info = env.types.get(t.head)
+        assert isinstance(info, AliasInfo) and info.body is not None
+        subst = dict(zip((n for n, _ in info.params), t.args))
+        body = env.alias_memo[t] = subst_type(info.body, subst)
+    return body
 
 
 def is_alias(env: Env, t: Type) -> bool:

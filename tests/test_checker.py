@@ -1,10 +1,12 @@
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from conftest import CORPUS, corpus_text
 
-from minimz.driver import check_text, run_text
+from minimz.check import Checker
+from minimz.driver import check_text, load_text, run_text
 from minimz.interp import RuntimeTrap
 
 TREE = """
@@ -421,3 +423,25 @@ val helper (x) = add (x, 1)
     assert check_text(src, "t")[2] == []
     value, program = run_text(src, "main")
     assert program.render(value) == "2"
+
+
+class TailRecorder(Checker):
+    """Keeps the atoms held at each tail it checks."""
+
+    def _finish_tail(self, penv, anchor, tail, span):
+        self.tail_atoms = penv.atoms
+        return super()._finish_tail(penv, anchor, tail, span)
+
+
+def test_the_tail_of_a_let_chain_holds_no_repeated_atom():
+    lines = ["val main: () -> int", "val main () =", "  let x0 = 7 in"]
+    for i in range(1, 300):
+        rhs = [f"add (x{i // 2}, x{i - 1})", f"sub (x{i - 1}, x{i // 3})", f"mul (x{i - 1}, 3)"]
+        lines.append(f"  let x{i} = {rhs[i % 3]} in")
+    lines.append("  x299")
+    file, env = load_text("\n".join(lines) + "\n", "t")
+    checker = TailRecorder(env)
+    assert checker.check_file(file) == []
+    repeated = {str(a): n for a, n in Counter(checker.tail_atoms).items() if n > 1}
+    assert repeated == {}
+    assert len(checker.tail_atoms) >= 300
