@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .ast import (
     DValDef,
@@ -358,7 +358,7 @@ class Checker:
             fields = tuple(
                 (f, TSingleton(value) if f == e.name else fv) for f, fv in ty.fields
             )
-            new_atom = Anchored(atom.anchor, replace(ty, fields=fields))
+            new_atom = Anchored(atom.anchor, TConcrete(ty.tag, fields, ty.bar, ty.span))
             return self._unit(penv.replace(handle, new_atom))
         if isinstance(e, ETagUpdate):
             return self._check_tag_update(penv, e)

@@ -10,7 +10,6 @@ against the lexical value scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import is_
 
 from .ast import (
     Branch,
@@ -60,6 +59,7 @@ from .ast import (
     Type,
     TupleComp,
     children,
+    same_items,
 )
 
 
@@ -325,7 +325,8 @@ class Resolver:
     def resolve_type(self, t: Type, scope: Scope) -> Type:
         """`t` resolved in `scope`; like `ast.map_children`, a node whose
         children all come back as the same objects comes back itself."""
-        if isinstance(t, TVar):
+        cls = t.__class__
+        if cls is TVar:
             if t.name in scope.tyvars:
                 return t
             if t.name == "empty":
@@ -338,7 +339,7 @@ class Resolver:
                     t.span,
                 )
             return TApp(t.name, (), t.span)
-        if isinstance(t, TApp):
+        if cls is TApp:
             if t.head in scope.tyvars:
                 raise ResolveError(
                     "E-KIND", f"type variable {t.head!r} cannot take arguments", t.span
@@ -357,21 +358,21 @@ class Resolver:
                     for (_, pkind), arg in zip(info.params, t.args)
                 ]
             )
-            return t if all(map(is_, args, t.args)) else replace(t, args=args)
-        if isinstance(t, TArrow):
+            return t if same_items(args, t.args) else TApp(t.head, args, t.span)
+        if cls is TArrow:
             entered: list[str] = []
             dom = self.resolve_domain(t.domain, scope, entered)
             cod = self.check_kind(self.resolve_type(t.codomain, scope), KIND_TYPE, scope)
             scope.leave(entered)
             if dom is t.domain and cod is t.codomain:
                 return t
-            return replace(t, domain=dom, codomain=cod)
-        if isinstance(t, (TTuple, TBar)):
+            return TArrow(dom, cod, t.span)
+        if cls is TTuple or cls is TBar:
             entered = []
             resolved = self.resolve_domain(t, scope, entered)
             scope.leave(entered)
             return resolved
-        if isinstance(t, TConcrete):
+        if cls is TConcrete:
             _, branch = self.env.data_of_tag(t.tag, t.span)
             declared = [f for f, _ in branch.fields]
             actual = [f for f, _ in t.fields]
@@ -388,28 +389,28 @@ class Resolver:
             if bar is t.bar and all(new is old for new, (_, old) in zip(ftys, t.fields)):
                 return t
             fields = tuple((fname, fty) for (fname, _), fty in zip(t.fields, ftys))
-            return replace(t, fields=fields, bar=bar)
-        if isinstance(t, TSingleton):
+            return TConcrete(t.tag, fields, bar, t.span)
+        if cls is TSingleton:
             if not scope.has_value(t.name):
                 raise ResolveError("E-UNBOUND", f"unbound value name {t.name!r}", t.span)
             return t
-        if isinstance(t, (TForall, TExists)):
+        if cls is TForall or cls is TExists:
             scope2 = scope.child()
             for name, kind in t.binders:
                 scope2.bind_tyvar(name, kind, t.span)
             body = self.resolve_type(t.body, scope2)
-            return t if body is t.body else replace(t, body=body)
-        if isinstance(t, TAt):
+            return t if body is t.body else cls(t.binders, body, t.span)
+        if cls is TAt:
             if not scope.has_value(t.anchor):
                 raise ResolveError("E-UNBOUND", f"unbound value name {t.anchor!r}", t.span)
             ty = self.check_kind(self.resolve_type(t.ty, scope), KIND_TYPE, scope)
-            return t if ty is t.ty else replace(t, ty=ty)
-        if isinstance(t, TStar):
+            return t if ty is t.ty else TAt(t.anchor, ty, t.span)
+        if cls is TStar:
             items = tuple(
                 [self.check_kind(self.resolve_type(i, scope), KIND_PERM, scope) for i in t.items]
             )
-            return t if all(map(is_, items, t.items)) else replace(t, items=items)
-        if isinstance(t, (TEmpty, TMeta)):
+            return t if same_items(items, t.items) else TStar(items, t.span)
+        if cls is TEmpty or cls is TMeta:
             return t
         raise TypeError(f"unknown type node {t!r}")
 
@@ -419,13 +420,14 @@ class Resolver:
         caller makes them leave after what they scope over (an arrow's
         codomain, a lambda's body).
         """
-        if isinstance(t, TBar):
+        cls = t.__class__
+        if cls is TBar:
             carrier = self.resolve_domain(t.carrier, scope, entered)
             perm = self.check_kind(self.resolve_type(t.perm, scope), KIND_PERM, scope)
             if carrier is t.carrier and perm is t.perm:
                 return t
-            return replace(t, carrier=carrier, perm=perm)
-        if isinstance(t, TTuple):
+            return TBar(carrier, perm, t.consumed, t.span)
+        if cls is TTuple:
             tys = []
             for comp in t.comps:
                 tys.append(self.check_kind(self.resolve_type(comp.ty, scope), KIND_TYPE, scope))
@@ -434,7 +436,7 @@ class Resolver:
             if all(new is comp.ty for new, comp in zip(tys, t.comps)):
                 return t
             comps = tuple(TupleComp(c.name, ty, c.consumed) for c, ty in zip(t.comps, tys))
-            return replace(t, comps=comps)
+            return TTuple(comps, t.span)
         return self.check_kind(self.resolve_type(t, scope), KIND_TYPE, scope)
 
     def check_kind(self, t: Type, expected: Kind, scope: Scope) -> Type:
@@ -539,7 +541,7 @@ class Resolver:
             return e if fields is e.fields else replace(e, fields=fields)
         if isinstance(e, ETuple):
             items = tuple([self.resolve_expr(i, scope) for i in e.items])
-            return e if all(map(is_, items, e.items)) else replace(e, items=items)
+            return e if same_items(items, e.items) else replace(e, items=items)
         if isinstance(e, EField):
             obj = self.resolve_expr(e.obj, scope)
             return e if obj is e.obj else replace(e, obj=obj)
@@ -565,7 +567,7 @@ class Resolver:
                 self.bind_pattern(pat, scope, entered)
                 branches.append(self.resolve_expr(body, scope))
                 scope.leave(entered)
-            if scrutinee is e.scrutinee and all(map(is_, branches, [b for _, b in e.branches])):
+            if scrutinee is e.scrutinee and same_items(branches, [b for _, b in e.branches]):
                 return e
             return replace(
                 e,

@@ -445,3 +445,23 @@ def test_the_tail_of_a_let_chain_holds_no_repeated_atom():
     repeated = {str(a): n for a, n in Counter(checker.tail_atoms).items() if n > 1}
     assert repeated == {}
     assert len(checker.tail_atoms) >= 300
+
+
+def test_an_explicit_type_argument_keeps_the_callers_names():
+    # `x` in the type argument is `g`'s parameter, not `f`'s component `x`,
+    # which stands for the argument `y` inside `f`'s signature alone.
+    src = """
+val f: [p: perm] (x: int | p) -> int
+val f (x) = x
+
+val g: (x: ref int, y: int) -> int
+val g (x, y) =
+  let u = f [x @ ref int] y in
+  x.contents
+
+val main: () -> int
+val main () = g (Ref { contents = 3 }, 4)
+"""
+    assert check_text(src, "t")[2] == []
+    value, program = run_text(src, "main")
+    assert program.render(value) == "3"
