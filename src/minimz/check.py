@@ -112,6 +112,7 @@ class Checker:
 
     def __init__(self, env: Env):
         self.env = env
+        self.undefined: set[str] = set()
 
     # ------------------------------------------------------------------
     # declarations
