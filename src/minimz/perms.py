@@ -46,8 +46,8 @@ from .ast import (
     TVar,
     Type,
     TupleComp,
-    same_items,
     children,
+    same_items,
 )
 from .kinds import AliasInfo, DataInfo, Env, PrimInfo
 
@@ -130,10 +130,10 @@ def subst_type(t: Type, subst: dict[str, Type], values: dict[str, str] | None = 
     """Substitute type/permission variables and (optionally) value anchors.
 
     `subst` maps binder names to types; `values` maps value names (anchors,
-    singleton references, component names) to other value names. A subtree
-    that neither changes comes back as the same object, and so does `t`
-    itself when both are empty. A binder that would capture a variable free
-    in a substituted type is renamed.
+    singleton references, component names) to other value names. Every
+    subtree that they leave unchanged comes back as the same object, and so
+    does `t` itself when both are empty. A binder that would capture a
+    variable free in a substituted type is renamed.
     """
     if not subst and not values:
         return t
@@ -219,15 +219,12 @@ def _subst_domain(
         return TBar(carrier, perm, t.consumed, t.span), values2
     if cls is TTuple:
         values2 = values
-        shadowed = False
         comps = t.comps
         tys = []
         for comp in comps:
             tys.append(subst_type(comp.ty, subst, values2))
             if values2 and comp.name in values2:
-                if not shadowed:
-                    values2, shadowed = dict(values2), True
-                del values2[comp.name]
+                values2 = {k: v for k, v in values2.items() if k != comp.name}
         if same_items(tys, [c.ty for c in comps]):
             return t, values2
         comps = tuple(TupleComp(c.name, ty, c.consumed) for c, ty in zip(comps, tys))
