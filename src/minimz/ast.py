@@ -267,6 +267,7 @@ def map_children(t: Type, g) -> Type:
 
 
 def same_items(xs, ys) -> bool:
+    """Is each item of `xs` the very object at the same place in `ys`?"""
     return all(map(is_, xs, ys))
 
 
