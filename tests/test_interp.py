@@ -358,3 +358,71 @@ def test_concurrent_runs_keep_each_others_recursion_limit():
         thread.join()
     assert results == {"shallow": VInt(6765), "deep": VInt(3000)}
     assert sys.getrecursionlimit() == limit
+
+
+# ---------------------------------------------------------------------------
+# Names and depth
+# ---------------------------------------------------------------------------
+
+
+NAMES = """
+data mutable thing = None | True { def: int; class: int; print: int } | False { heap: int }
+
+val st: (def: int, lambda: int) -> int
+
+val st (def, lambda) =
+  let class = add (def, lambda) in
+  let print = fun (rt: int) : int = add (mul (rt, 10), class) in
+  let fr = True { def = def; class = class; print = print lambda } in
+  let (v0, k0) = (def, fr) in
+  let class' = match k0 with
+    | None -> 0
+    | False { heap = heap } -> heap
+    | True { def = heap; class = st; print = rt } -> add (heap, add (st, rt)) in
+  tag of fr <- False { heap = class' };
+  match fr with
+  | None -> 1
+  | True { def = x; class = y; print = z } -> x
+  | False { heap = lambda } -> sub (lambda, v0)
+
+val main: () -> int
+
+val main () = st (3, 4)
+"""
+
+
+def test_names_that_are_python_keywords_builtins_or_internal_names_run():
+    value, interp = run_text(NAMES, "main", "t")
+    # class = 7, print 4 = 47, class' = 3 + 7 + 47, then 57 - 3
+    assert value == VInt(54)
+    assert interp.stats.steps == 49
+
+
+def test_a_300_deep_else_if_chain_runs():
+    arms = "".join(f"  if eq (n, {k}) then {k} else\n" for k in range(1, 301))
+    src = f"val f: (n: int) -> int\nval f (n) =\n{arms}  0\n"
+    src += "val main: () -> int\nval main () = f 305\n"
+    value, interp = run_text(src, "main", "t")
+    assert value == VInt(0)
+    assert interp.stats.steps == 1504
+
+
+def test_a_900_let_chain_runs_under_the_default_recursion_limit():
+    import random
+    import sys
+
+    assert sys.getrecursionlimit() <= 1000
+    n, rng = 900, random.Random("lets/900")
+    xs = [rng.randrange(1, 100)]
+    lines = ["val main: () -> int", "val main () =", f"  let x0 = {xs[0]} in"]
+    for i in range(1, n):
+        a, b, c = rng.randrange(i), rng.randrange(i), rng.randrange(3, 100, 2)
+        op = rng.choice(("add", "sub", "mul"))
+        rhs = f"{op} (x{a}, {c})" if op == "mul" else f"{op} (x{a}, x{b})"
+        xs.append(_wrap64({"add": xs[a] + xs[b], "sub": xs[a] - xs[b], "mul": xs[a] * c}[op]))
+        lines.append(f"  let x{i} = {rhs} in")
+    lines.append(f"  x{n - 1}")
+    value, interp = run_text("\n".join(lines) + "\n", "main", "t")
+    assert value == VInt(xs[-1])
+    # 2 steps for `let x0 = k`, 5 for each other let, 1 for the last name
+    assert interp.stats.steps == 2 + 5 * (n - 1) + 1
