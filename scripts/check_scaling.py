@@ -1,9 +1,11 @@
-"""How front-end and checking time grow with the size of a program.
+"""How front-end, checking and run time grow with the size of a program.
 
 Loads and checks three families of programs at growing sizes and prints, for
 each, the best of `REPEATS` times of each front-end layer (lex, parse,
 resolve) and of the checker, with the collector on (as `minimz check`
-runs), and of the checker with the collector off:
+runs), and of the checker with the collector off; and, for the families
+with a `main`, of a run of `main` (compiling it included, as `minimz run`
+runs it):
 
 - `pos/tree_size.mz` plus a `main` that binds a balanced tree literal of
   n nodes, at n = 256, 512, 1024 and 2048;
@@ -33,6 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from minimz.check import Checker  # noqa: E402
 from minimz.driver import CORPUS_DIR, load_text, prelude  # noqa: E402
+from minimz.interp import eval_program  # noqa: E402
 from minimz.kinds import resolve  # noqa: E402
 from minimz.parser import Parser, tokenize  # noqa: E402
 
@@ -105,8 +108,9 @@ def best_ms(prepare, timed, collector: bool = True) -> float:
 
 
 def layer_times(text: str) -> tuple[float, ...]:
-    """Lex, parse, resolve, check and check with the collector off, in ms."""
-    _, base = prelude()
+    """Lex, parse, resolve, check, check with the collector off and, when
+    the program has a `main`, run, in ms."""
+    prelude_file, base = prelude()
 
     def check(loaded) -> None:
         file, env = loaded
@@ -117,7 +121,11 @@ def layer_times(text: str) -> tuple[float, ...]:
     def load():
         return load_text(text, "scaling.mz")
 
-    return (
+    def run(loaded) -> None:
+        file, env = loaded
+        eval_program(env, [prelude_file, file], "main")
+
+    times = (
         best_ms(lambda: text, tokenize),
         best_ms(lambda: tokenize(text), lambda tokens: Parser(tokens).parse_file()),
         best_ms(lambda: (Parser(tokenize(text)).parse_file(), base.clone()),
@@ -125,9 +133,10 @@ def layer_times(text: str) -> tuple[float, ...]:
         best_ms(load, check),
         best_ms(load, check, collector=False),
     )
+    return times + (best_ms(load, run),) if "val main ()" in text else times
 
 
-COLUMNS = ("lex", "parse", "resolve", "check", "check, gc off")
+COLUMNS = ("lex", "parse", "resolve", "check", "check, gc off", "run")
 
 
 def main() -> None:

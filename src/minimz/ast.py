@@ -94,11 +94,12 @@ KIND_PERM = KPerm()
 @dataclass(frozen=True)
 class Type:
     """Type nodes are immutable and have no per-instance dict: each concrete
-    node stores its fields in slots, plus the `_has_meta` slot declared
-    here, which `has_meta` fills in the first time it is asked
-    whether the node contains a `TMeta`."""
+    node stores its fields in slots, plus the two slots declared here:
+    `_has_meta`, which `has_meta` fills in the first time it is asked
+    whether the node contains a `TMeta`, and `_hash`, which keeps the
+    node's structural hash once it is computed (see `_keep_hash`)."""
 
-    __slots__ = ("_has_meta",)
+    __slots__ = ("_has_meta", "_hash")
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,6 +208,26 @@ class TStar(Type):
 class TEmpty(Type):
     span: Span = _span_field()
 
+
+def _keep_hash(structural):
+    """A `__hash__` that computes the dataclass's structural hash of a node
+    once and keeps it, so a memo lookup hashes no subtree again."""
+
+    def __hash__(self: Type) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        h = structural(self)
+        object.__setattr__(self, "_hash", h)
+        return h
+
+    return __hash__
+
+
+for _cls in Type.__subclasses__():
+    _cls.__hash__ = _keep_hash(_cls.__hash__)
+del _cls
 
 UNIT = TTuple(())
 

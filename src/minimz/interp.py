@@ -13,16 +13,26 @@ argument as one value; a tuple literal as long as the arity is evaluated
 item by item, and the tuple itself costs no step and packages nothing;
 any other argument must evaluate to a tuple as long as the arity.
 
-Each definition is compiled once per run, on its first call, into nested
-Python closures (Feeley and Lapalme, "Using closures for code generation",
-1987); the lambdas in its body are compiled with it. Names resolve at
-compile time: a parameter or local to a slot of the activation's flat
-frame, a name a lambda uses from outside to a copy the lambda takes when it
-is made, any other name to the run's globals. Compiled closures capture no
-`Interp`, heap, globals or bound method, and reach the run through slot 0
-of the frame: closures end up in heap records, so capturing the run would
-make every finished run a reference cycle that only the cycle collector
-frees.
+Each definition is compiled once per run, on its first call, into one
+Python function: `_Compiler` writes its source text and `compile()` turns
+it into code. The lambdas in the body become nested functions, a `let`
+binds a Python local, an `if` or `match` becomes an `if` statement, and a
+call of a builtin on a tuple literal of its arity is written out in place.
+Program text never becomes code: each name of the program maps to a
+generated identifier, and its tags, field names, integers and messages are
+constants of the function's namespace. A function reaches the run through
+its first parameter, and a call of another definition reads the run's
+globals at call time, so compiled code holds no `Interp`, heap or globals:
+closures end up in heap records, and holding the run would make every
+finished run a reference cycle that only the cycle collector frees.
+
+The step count is `Interp.steps`. Steps charged in a row with nothing
+between them that can be seen after a trap (a call, an allocation, a
+write to a record, a return) are added and checked against the limit at
+once; a check that fails in between, and a limit passed by one of those
+charges, find the exact step that the run stops on (`_Check.trap`). Code
+deeper than `_MAX_DEPTH` blocks moves to helper functions, since Python's
+parser takes no more than 100 levels of indentation.
 """
 
 from __future__ import annotations
@@ -30,9 +40,8 @@ from __future__ import annotations
 import operator
 import sys
 import threading
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
+from types import MappingProxyType
 
 from .ast import (
     DValDef,
@@ -58,6 +67,8 @@ from .ast import (
 from .kinds import DataInfo, Env, domain_comps
 
 _INT_MASK = (1 << 64) - 1
+_INT_MIN = -(1 << 63)
+_INT_MAX = (1 << 63) - 1
 
 # `Interp.run` raises a process-wide setting, the recursion limit, and puts
 # it back when it is done. Runs take turns behind this lock, so no run puts
@@ -111,25 +122,18 @@ class VTuple:
     items: list
 
 
-@dataclass(slots=True)
-class Code:
-    """A function body compiled to `body`, a closure from a frame to the
-    body's value. A frame is a list: the Interp, the arguments, `pad` (one
-    None for each local slot), then the closure's captured values. A
-    top-level definition starts with `source` set and `body` None, and is
-    compiled on its first call."""
-
-    arity: int
-    name: str | None  # a top-level definition's name, the key of its call_steps
-    source: DValDef | None = None
-    body: object = None
-    pad: list = field(default_factory=list)
+# A function value is called as `f.fn(rt, arg)`, where `rt` is the run and
+# `arg` is the argument itself at arity 1 and a sequence of `f.arity`
+# arguments otherwise.
 
 
 @dataclass(slots=True)
 class VClosure:
-    code: Code
-    captured: tuple = ()  # capture k is the frame's item -1-k
+    """A compiled function. A top-level definition's `fn` compiles the
+    definition on its first call and puts the result in its place."""
+
+    arity: int
+    fn: object
 
 
 @dataclass(slots=True)
@@ -146,11 +150,24 @@ class OneShot:
 
     inner: VClosure
     cell: list
+    arity: int
+
+    def fn(self, rt: Interp, arg):
+        cell = self.cell
+        if cell[0]:
+            raise RuntimeTrap("ONE_SHOT_REUSE", "one-shot closure fired twice")
+        cell[0] = True
+        rt.stats.oneshot_fires += 1
+        if rt.trace_enabled:
+            rt.trace.append(f"oneshot {cell[1]}")
+        return self.inner.fn(rt, arg)
 
 
 Value = VInt | VBool | VAddr | VTuple | VClosure | VBuiltin | OneShot
 
 UNIT = VTuple([])
+TRUE = VBool(True)
+FALSE = VBool(False)
 
 
 @dataclass(slots=True)
@@ -168,484 +185,817 @@ class Stats:
     call_steps: dict[str, list[int]] = field(default_factory=dict)
 
 
+def _quot(a: int, b: int) -> int:
+    """`a / b` rounded toward zero; b is not 0."""
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+def _rem(a: int, b: int) -> int:
+    return a - _quot(a, b) * b
+
+
+# The binary builtins: the Python expression an inlined call computes from
+# the two ints, the same as a function, the class of the result, and the
+# message of the trap on a zero divisor (None when there is none).
+_BINARY = MappingProxyType({
+    "add": ("{} + {}", operator.add, VInt, None),
+    "sub": ("{} - {}", operator.sub, VInt, None),
+    "mul": ("{} * {}", operator.mul, VInt, None),
+    "div": ("_quot({}, {})", _quot, VInt, "division by zero"),
+    "mod": ("_rem({}, {})", _rem, VInt, "modulo by zero"),
+    "eq": ("{} == {}", operator.eq, VBool, None),
+    "lt": ("{} < {}", operator.lt, VBool, None),
+    "le": ("{} <= {}", operator.le, VBool, None),
+})
+
+
 def _builtins() -> dict[str, VBuiltin]:
-    def arith(name, fn):
-        def wrapped(a: Value, b: Value) -> Value:
-            if not isinstance(a, VInt) or not isinstance(b, VInt):
+    def binary(name, fn, result, zero):
+        def call(rt: Interp, arg) -> Value:
+            a, b = arg
+            if type(a) is not VInt or type(b) is not VInt:
                 raise RuntimeTrap("BAD_FIELD", f"{name} expects integers")
-            return VInt(_wrap64(fn(a.value, b.value)))
+            if zero is not None and b.value == 0:
+                raise RuntimeTrap("DIV_ZERO", zero)
+            v = fn(a.value, b.value)
+            if result is VInt:
+                return VInt(_wrap64(v))
+            return TRUE if v else FALSE
 
-        return wrapped
+        return VBuiltin(name, 2, call)
 
-    def compare(name, fn):
-        def wrapped(a: Value, b: Value) -> Value:
-            if not isinstance(a, VInt) or not isinstance(b, VInt):
-                raise RuntimeTrap("BAD_FIELD", f"{name} expects integers")
-            return VBool(fn(a.value, b.value))
-
-        return wrapped
-
-    def checked_div(a: int, b: int) -> int:
-        if b == 0:
-            raise RuntimeTrap("DIV_ZERO", "division by zero")
-        q = abs(a) // abs(b)
-        return q if (a < 0) == (b < 0) else -q
-
-    def checked_mod(a: int, b: int) -> int:
-        if b == 0:
-            raise RuntimeTrap("DIV_ZERO", "modulo by zero")
-        return a - checked_div(a, b) * b
-
-    def not_fn(a: Value) -> Value:
-        if not isinstance(a, VBool):
+    def not_(rt: Interp, a: Value) -> Value:
+        if type(a) is not VBool:
             raise RuntimeTrap("BAD_FIELD", "not expects a boolean")
-        return VBool(not a.value)
+        return FALSE if a.value else TRUE
 
-    table = {
-        "add": (2, arith("add", operator.add)),
-        "sub": (2, arith("sub", operator.sub)),
-        "mul": (2, arith("mul", operator.mul)),
-        "div": (2, arith("div", checked_div)),
-        "mod": (2, arith("mod", checked_mod)),
-        "eq": (2, compare("eq", operator.eq)),
-        "lt": (2, compare("lt", operator.lt)),
-        "le": (2, compare("le", operator.le)),
-        "not": (1, not_fn),
-    }
-    return {name: VBuiltin(name, arity, fn) for name, (arity, fn) in table.items()}
+    table = {name: binary(name, *spec[1:]) for name, spec in _BINARY.items()}
+    table["not"] = VBuiltin("not", 1, not_)
+    return table
 
 
 # ---------------------------------------------------------------------------
-# Calls
+# What compiled code calls besides functions
 # ---------------------------------------------------------------------------
 
 
-def _arity(f: Value) -> int:
-    t = type(f)
-    if t is VClosure:
-        return f.code.arity
-    if t is VBuiltin:
-        return f.arity
-    if t is OneShot:
-        return f.inner.code.arity
-    raise RuntimeTrap("BAD_FIELD", "value is not a function")
+class _Check(Exception):
+    """A check in compiled code that failed, or a step limit passed. Each
+    is made when the code is compiled and raised as it is; `Interp.run`
+    turns it into the run's trap. `charges` are the steps taken since the
+    count was last checked and not yet added to it; the first of them to
+    pass the limit stops the run instead. A kind of None is a check of the
+    limit made after they were added."""
 
+    def __init__(self, kind: str | None, message: str | None, charges: tuple):
+        super().__init__(kind, message)
+        self.kind, self.message, self.charges = kind, message, charges
 
-def _apply(rt: Interp, f: VClosure | OneShot, args: Sequence[Value]) -> Value:
-    """Call closure `f` on as many arguments as its arity."""
-    if type(f) is OneShot:
-        if f.cell[0]:
-            raise RuntimeTrap("ONE_SHOT_REUSE", "one-shot closure fired twice")
-        f.cell[0] = True
-        rt.stats.oneshot_fires += 1
-        if rt.trace_enabled:
-            rt.trace.append(f"oneshot {f.cell[1]}")
-        f = f.inner
-    code = f.code
-    body = code.body or _Compiler(rt).definition(code)
-    frame = [rt, *args, *code.pad, *f.captured]
-    if code.name is None:
-        return body(frame)
-    before = rt.steps
-    result = body(frame)
-    rt.stats.call_steps.setdefault(code.name, []).append(rt.steps - before)
-    return result
+    def fill(self, value: object) -> _Check:
+        """The check with `value` in the one hole of its message. Program
+        names hold no braces, so a message template has no other hole."""
+        return _Check(self.kind, self.message.format(value), self.charges)
+
+    def trap(self, rt: Interp) -> RuntimeTrap:
+        steps = rt.steps - sum(self.charges) if self.kind is None else rt.steps
+        for charge in self.charges:
+            steps += charge
+            if steps > rt.max_steps:
+                rt.steps = steps
+                return _over(rt.max_steps)
+        rt.steps = steps
+        return RuntimeTrap(self.kind, self.message)
 
 
 def _package(rt: Interp, items: list) -> VTuple:
-    """A tuple literal's value: its closures become one-shot, sharing one
-    spent flag."""
-    if VClosure in map(type, items):
-        rt.oneshot_seq += 1
-        cell = [False, rt.oneshot_seq]
-        items = [OneShot(v, cell) if type(v) is VClosure else v for v in items]
+    """The value of a tuple literal, given the new list of its items: its
+    closures become one-shot, sharing one spent flag."""
+    cell = None
+    for i, v in enumerate(items):
+        if type(v) is VClosure:
+            if cell is None:
+                rt.oneshot_seq += 1
+                cell = [False, rt.oneshot_seq]
+            items[i] = OneShot(v, cell, v.arity)
     return VTuple(items)
 
 
-def _store(frame: list, target: int | tuple, value: Value) -> None:
-    """Store `value` by a compiled pattern: a slot, or a tuple of patterns."""
-    if type(target) is int:
-        frame[target] = value
-        return
-    if type(value) is not VTuple or len(value.items) != len(target):
-        raise RuntimeTrap("BAD_FIELD", "tuple pattern mismatch")
-    for sub, item in zip(target, value.items):
-        _store(frame, sub, item)
+def _spread(rt: Interp, value: Value, arity: int):
+    """The argument of a call of `arity` on `value`: the value itself at
+    arity 1, else the items of a tuple as long as the arity."""
+    if arity == 1:
+        return value
+    if type(value) is not VTuple or len(value.items) != arity:
+        raise RuntimeTrap("BAD_FIELD", f"call expects {arity} argument(s)")
+    return value.items
+
+
+def _writable(rt: Interp, value: Value, charges: tuple) -> Cell:
+    """The cell that an update of `value` writes, once the update's checks
+    pass and the steps of `charges` are taken."""
+    if type(value) is not VAddr:
+        raise _Check("BAD_FIELD", "value is not a record", charges)
+    cell = rt.heap[value.addr]
+    if not cell.mutable:
+        raise _Check("BAD_FIELD", f"{cell.tag} is immutable", charges)
+    rt.steps += sum(charges)
+    if rt.steps > rt.max_steps:
+        raise _Check(None, None, charges)
+    return cell
+
+
+def _done(rt: Interp, name: str, before: int, value: Value) -> Value:
+    """Record the steps of a call of definition `name` that started at
+    step `before`; returns the call's value."""
+    try:
+        rt.stats.call_steps[name].append(rt.steps - before)
+    except KeyError:
+        rt.stats.call_steps[name] = [rt.steps - before]
+    return value
+
+
+def _first_call(decl: DValDef):
+    """The `fn` of a top-level definition until its first call."""
+
+    def first(rt: Interp, arg):
+        fn = rt.globals[decl.name].fn = _Compiler(rt).definition(decl)
+        return fn(rt, arg)
+
+    return first
 
 
 # ---------------------------------------------------------------------------
 # Compilation
 # ---------------------------------------------------------------------------
 
+# Generated code nests no deeper than this many blocks; a nesting expression
+# found deeper moves to a helper function (`_Compiler.split`), because
+# Python's parser stops at 100 levels of indentation.
+_MAX_DEPTH = 50
 
-class _Scope:
-    """The frame layout of one function body while it is compiled. Slot 0
-    holds the Interp, slots 1..arity the parameters; a local takes the next
-    free slot for as long as it is in scope. A lambda's captures sit at the
-    end of its frame and are read with negative indexes, so a capture found
-    late in the body moves no slot already handed out."""
+# Names the generated code uses from this module.
+_RUNTIME = MappingProxyType({
+    "VInt": VInt,
+    "VBool": VBool,
+    "VAddr": VAddr,
+    "VTuple": VTuple,
+    "VClosure": VClosure,
+    "Cell": Cell,
+    "UNIT": UNIT,
+    "TRUE": TRUE,
+    "FALSE": FALSE,
+    "I0": _INT_MIN,
+    "I1": _INT_MAX,
+    "_wrap64": _wrap64,
+    "_quot": _quot,
+    "_rem": _rem,
+    "_Check": _Check,
+    "_package": _package,
+    "_spread": _spread,
+    "_writable": _writable,
+    "_done": _done,
+})
 
-    def __init__(self, parent: _Scope | None, params: list[str | None]):
-        self.parent = parent
-        self.names = {p: slot for slot, p in enumerate(params, 1) if p is not None}
-        self.depth = self.size = len(params) + 1
-        self.captures: list[int] = []  # the enclosing frame's slot of each capture
-        self.captured: dict[str, int] = {}
 
-    def lookup(self, name: str) -> int | None:
-        slot = self.names.get(name)
-        if slot is None:
-            slot = self.captured.get(name)
-        if slot is None and self.parent is not None:
-            outer = self.parent.lookup(name)
-            if outer is not None:
-                self.captures.append(outer)
-                slot = self.captured[name] = -len(self.captures)
-        return slot
+class _Code(str):
+    """Python expression text, where a constant is expected."""
 
-    def bind(self, pat: Pattern) -> int | tuple:
-        """Give each variable of `pat` a fresh slot; the compiled pattern."""
-        if isinstance(pat, PTuple):
-            return tuple(self.bind(sub) for sub in pat.items)
-        assert isinstance(pat, PVar)
-        slot = self.depth
-        self.depth += 1
-        self.size = max(self.size, self.depth)
-        self.names[pat.name] = slot
-        return slot
 
-    def mark(self) -> tuple[dict[str, int], int]:
-        return dict(self.names), self.depth
+class _Body:
+    """A Python function being written: a definition, a helper split off
+    from one (both are roots, written at the top of the generated module),
+    or a lambda nested in one of them.
 
-    def reset(self, mark: tuple[dict[str, int], int]) -> None:
-        self.names, self.depth = mark[0], mark[1]
+    Step charges not yet added to `rt.steps` are `pending`; they are added
+    and checked against the limit (`flush`) before anything that can be
+    seen after a trap: a call, an allocation, a write to a record, a
+    return. A check that fails before then hands them to its `_Check`,
+    which finds out whether the limit came first."""
+
+    def __init__(self, root: _Body | None, base: int, named: str | None):
+        self.root = root  # None for a root itself
+        self.base = base  # the depth of the `def` line
+        self.depth = 1  # of the next line, relative to `base`
+        self.lines: list[str] = []
+        self.params: list[str] = []  # a root's captured identifiers
+        self.prologue: dict[str, str] = {}
+        self.named = named  # the constant of a definition's name
+        self.pending: list[int] = []
+        self.last_call = (0, "", "")  # (line count, result, call) after a call
 
 
 class _Compiler:
-    """Compiles one definition's body, with the lambdas inside it, for one
-    run. The closures it makes hold only compile-time constants and other
-    closures."""
+    """Compiles one definition, with the lambdas inside it, for one run.
+    Every value the generated code needs is a constant of its namespace,
+    or reached through the run it is given.
+
+    Code is written in statements: each expression leaves its value in an
+    atom, an identifier or constant that is never assigned again, so a
+    program name can stand for the atom of its value and a lambda can
+    capture it as a Python closure does."""
 
     def __init__(self, rt: Interp):
-        self.limit = rt.max_steps
-        self.trace = rt.trace_enabled
         self.globals = rt.globals
         self.env = rt.env
-        self.scope: _Scope | None = None
+        self.trace = rt.trace_enabled
+        self.ns: dict[str, object] = dict(_RUNTIME, L=rt.max_steps)
+        self.consts: dict[tuple, str] = {}
+        self.checks: dict[tuple, str] = {}
+        self.ints: dict[str, str] = {}  # an int constant's atom -> its int
+        # The class of an atom's value, where it is fixed.
+        self.known: dict[str, type] = {"UNIT": VTuple, "TRUE": VBool, "FALSE": VBool}
+        self.scope: dict[str, str] = {}  # program name -> atom
+        self.trail: list[tuple[str, str | None]] = []
+        self.owner: dict[str, _Body] = {}  # identifier -> the root that binds it
+        self.roots: list[tuple[_Body, str]] = []  # with the `def` line of each
+        self.count = 0
+        self.b: _Body | None = None
 
-    def definition(self, code: Code):
-        assert code.source is not None
-        code.body, code.pad, _ = self.function(list(code.source.params), code.source.body)
-        return code.body
+    # -- output ------------------------------------------------------------------
 
-    def function(self, params: list[str | None], body: Expr):
-        """(body closure, pad, enclosing slots of the captures)"""
-        self.scope = scope = _Scope(self.scope, params)
-        compiled = self.expr(body)
-        self.scope = scope.parent
-        return compiled, [None] * (scope.size - len(params) - 1), scope.captures
+    def root(self) -> _Body:
+        return self.b.root or self.b
 
-    def expr(self, e: Expr):
+    def fresh(self, prefix: str) -> str:
+        self.count += 1
+        name = f"{prefix}{self.count}"
+        self.owner[name] = self.root()
+        return name
+
+    def const(self, value: object) -> str:
+        key = (type(value), value.value if type(value) is VInt else value)
+        name = self.consts.get(key)
+        if name is None:
+            name = self.consts[key] = f"k{len(self.consts)}"
+            # Tags and field names compare and hash fastest as one object.
+            self.ns[name] = sys.intern(value) if type(value) is str else value
+            self.known[name] = type(value)
+            if type(value) is VInt:
+                self.ints[name] = self.const(value.value)
+        return name
+
+    def emit(self, line: str) -> None:
+        b = self.b
+        b.lines.append("    " * b.depth + line)
+
+    def need(self, name: str, line: str) -> str:
+        self.b.prologue[name] = line
+        return name
+
+    def step(self, n: int | _Code) -> None:
+        """Charge `n` steps: a number, or a Python expression of one."""
+        if n:
+            self.b.pending.append(n)
+
+    def dynamic(self) -> bool:
+        return _Code in map(type, self.b.pending)
+
+    def charges(self) -> str:
+        """A Python expression of the tuple of pending charges."""
+        if self.dynamic():
+            return f"({''.join(f'{n}, ' for n in self.b.pending)})"
+        return self.const(tuple(self.b.pending))
+
+    def check_for(self, kind: str | None, message: str | None) -> str:
+        """The `_Check` of a failure here, with the pending charges."""
+        if self.dynamic():
+            return f"_Check({self.const(kind)}, {self.const(message)}, {self.charges()})"
+        key = (kind, message, tuple(self.b.pending))
+        name = self.checks.get(key)
+        if name is None:
+            name = self.checks[key] = self.const(_Check(*key))
+        return name
+
+    def flush(self) -> None:
+        b = self.b
+        if b.pending:
+            total = sum(n for n in b.pending if type(n) is int)
+            code = [n for n in b.pending if type(n) is _Code]
+            self.emit(f"rt.steps += {' + '.join([str(total)] * bool(total) + code)}")
+            self.emit(f"if rt.steps > L: raise {self.check_for(None, None)}")
+            b.pending = []
+
+    def trap(self, kind: str, message: str, fill: str | None = None) -> str:
+        """A statement raising a trap, with the value of the Python
+        expression `fill` in the hole of the message."""
+        check = self.check_for(kind, message)
+        return f"raise {check}" if fill is None else f"raise {check}.fill({fill})"
+
+    def invoke(self, call: str) -> str:
+        self.flush()
+        t = self.fresh("t")
+        self.emit(f"{t} = {call}")
+        self.b.last_call = (len(self.b.lines), t, call)
+        return t
+
+    def ret(self, atom: str) -> None:
+        b = self.b
+        self.flush()
+        if b.last_call[:2] == (len(b.lines), atom):
+            # A call right before: return its value as it comes.
+            b.lines.pop()
+            atom = b.last_call[2]
+        if b.named is not None:
+            atom = f"_done(rt, {self.b.named}, s0, {atom})"
+        self.emit(f"return {atom}")
+
+    def finish(self, body: _Body, head: str, pad: str) -> list[str]:
+        prologue = [f"{pad}    {line}" for line in body.prologue.values()]
+        return [pad + head, *prologue, *(pad + line for line in body.lines)]
+
+    # -- functions -----------------------------------------------------------------
+
+    def definition(self, decl: DValDef):
+        fn = self.function(decl.name, list(decl.params), decl.body, 1)
+        if len(self.roots) == 1:
+            text = self.finish(*self.roots[0], "")
+        else:
+            # The helpers reach each other as variables of `_make`.
+            text = ["def _make():"]
+            for body, head in self.roots:
+                text += self.finish(body, head, "    ")
+            text.append(f"    return {fn}")
+        code = compile("\n".join(text) + "\n", f"<minimz {decl.name}>", "exec")
+        exec(code, self.ns)
+        # The namespace keeps no function, or each would hold itself.
+        return self.ns.pop(fn) if len(self.roots) == 1 else self.ns.pop("_make")()
+
+    def function(self, name: str | None, params: list[str | None], body: Expr,
+                 base: int) -> str:
+        """Write a function of `params` returning `body`: a definition when
+        `name` is set, else a lambda nested in the current body, whose `def`
+        is at depth `base`. Returns the function's identifier."""
+        outer = self.b
+        named = None if name is None else self.const(name)
+        self.b = b = _Body(None if outer is None else self.root(), base, named)
+        fn = self.fresh("f" if outer is None else "l")
+        idents = [self.fresh("v") for _ in params]
+        mark = len(self.trail)
+        for param, ident in zip(params, idents):
+            if param is not None:
+                self.enter(param, ident)
+        if len(params) == 1:
+            arg = idents[0]
+        else:
+            arg = "x"
+            if params:
+                self.emit(f"{', '.join(idents)}, = x")
+        if outer is None:
+            self.emit("s0 = rt.steps")
+        self.tail(body)
+        self.undo(mark)
+        self.b = outer
+        head = f"def {fn}(rt, {arg}):"
+        if outer is None:
+            self.roots.append((b, head))
+        else:
+            outer.lines += self.finish(b, head, "    " * outer.depth)
+        return fn
+
+    def split(self, e: Expr) -> str:
+        """Compute `e` in a helper function of its own, at the top of the
+        module, that takes what it uses of the current body as parameters."""
+        outer = self.b
+        self.b = b = _Body(None, 1, None)
+        fn = self.fresh("h")
+        self.tail(e)
+        self.b = outer
+        for ident in b.params:
+            self.use(ident)
+        args = "".join(f", {p}" for p in b.params)
+        self.roots.append((b, f"def {fn}(rt{args}):"))
+        return self.invoke(f"{fn}(rt{args})")
+
+    # -- scope ---------------------------------------------------------------------
+
+    def enter(self, name: str, atom: str) -> None:
+        self.trail.append((name, self.scope.get(name)))
+        self.scope[name] = atom
+
+    def undo(self, mark: int) -> None:
+        trail, scope = self.trail, self.scope
+        while len(trail) > mark:
+            name, old = trail.pop()
+            if old is None:
+                del scope[name]
+            else:
+                scope[name] = old
+
+    def lookup(self, name: str) -> str | None:
+        atom = self.scope.get(name)
+        if atom is not None:
+            self.use(atom)
+        return atom
+
+    def use(self, atom: str) -> None:
+        """Note that the current body reads `atom`: a root that did not
+        bind it takes it as a parameter."""
+        owner = self.owner.get(atom)
+        root = self.root()
+        if owner is not None and owner is not root and atom not in root.params:
+            root.params.append(atom)
+
+    def lead(self, exprs) -> int:
+        """How many of the operands a node evaluates in a row, right after
+        its step, are leading variables bound in the function: the node
+        takes their steps at once with its own, since reading them can
+        neither trap nor be seen."""
+        n = 0
+        for x in exprs:
+            if type(x) is not EVar or x.name not in self.scope:
+                break
+            n += 1
+        return n
+
+    def operands(self, exprs, lead: int) -> list[str]:
+        return [self.lookup(x.name) if i < lead else self.expr(x) for i, x in enumerate(exprs)]
+
+    def operand(self, e: Expr) -> str:
+        """Charge the step of a node with one operand, and compute it."""
+        if self.lead([e]):
+            self.step(2)
+            return self.lookup(e.name)
+        self.step(1)
+        return self.expr(e)
+
+    def bind(self, pat: Pattern, atom: str) -> None:
+        if type(pat) is PVar:
+            self.enter(pat.name, atom)
+            return
+        assert type(pat) is PTuple
+        idents = [self.fresh("v") for _ in pat.items]
+        self.emit(f"if type({atom}) is not VTuple or len({atom}.items) != {len(idents)}: "
+                  + self.trap("BAD_FIELD", "tuple pattern mismatch"))
+        if idents:
+            self.emit(f"{', '.join(idents)}, = {atom}.items")
+        for sub, ident in zip(pat.items, idents):
+            self.bind(sub, ident)
+
+    # -- positions -----------------------------------------------------------------
+
+    def deep(self, e: Expr) -> bool:
+        b = self.b
+        return b.base + b.depth > _MAX_DEPTH and type(e) in (EIf, EMatch, ELambda)
+
+    def tail(self, e: Expr) -> None:
+        """Write code that returns the value of `e` from the function."""
+        mark = len(self.trail)
+        while True:
+            if type(e) is ELet:
+                self.let(e)
+                e = e.body
+            elif type(e) is EIf and not self.deep(e):
+                cond = self.condition(e)
+                pending = list(self.b.pending)
+                self.emit(f"if {cond}:")
+                self.b.depth += 1
+                self.tail(e.then)
+                self.b.depth -= 1
+                self.b.pending = pending
+                e = e.otherwise
+            else:
+                break
+        if type(e) is EMatch and not self.deep(e):
+            self.match(e)
+        else:
+            self.ret(self.expr(e))
+        self.undo(mark)
+
+    def expr(self, e: Expr) -> str:
+        """Write code that computes `e`; returns the atom of its value."""
+        if self.deep(e):
+            return self.split(e)
         return self.NODES[type(e)](self, e)
 
-    def operands(self, exprs: Sequence[Expr]) -> tuple[int, list, itemgetter | None]:
-        """Compile operands that a node evaluates in a row, right after a
-        step. The leading ones that are variables bound in the frame are
-        read by getters, and the node takes their steps all at once with
-        that step: reading such a variable can neither trap nor be seen, so
-        a run still traps on the same step. Returns the number of those
-        variables, an evaluator for each operand, and a getter of all their
-        values at once when every operand is such a variable."""
-        slots = [self.scope.lookup(x.name) if isinstance(x, EVar) else None for x in exprs]
-        lead = slots.index(None) if None in slots else len(slots)
-        evaluators = [
-            itemgetter(slot) if i < lead else self.expr(x)
-            for i, (x, slot) in enumerate(zip(exprs, slots))
-        ]
-        fetch = itemgetter(*slots) if lead == len(slots) > 1 else None
-        return lead, evaluators, fetch
-
-    def operand(self, e: Expr):
-        """(steps to take, evaluator) of a node's only operand."""
-        lead, (evaluator,), _ = self.operands([e])
-        return 1 + lead, evaluator
-
-    def var(self, e: EVar):
-        limit, name = self.limit, e.name
-        slot = self.scope.lookup(name)
-        if slot is not None:
-
-            def local(fr):
-                rt = fr[0]
-                n = rt.steps = rt.steps + 1
-                if n > limit:
-                    raise _over(limit)
-                return fr[slot]
-
-            return local
-        if name in self.globals:
-
-            def global_(fr):
-                rt = fr[0]
-                n = rt.steps = rt.steps + 1
-                if n > limit:
-                    raise _over(limit)
-                return rt.globals[name]
-
-            return global_
-
-        def unbound(fr):
-            rt = fr[0]
-            n = rt.steps = rt.steps + 1
-            if n > limit:
-                raise _over(limit)
-            raise RuntimeTrap("UNBOUND", f"unbound value {name!r}")
-
-        return unbound
-
-    def constant(self, e: EInt | EBool):
-        limit = self.limit
-        value = VInt(e.value) if isinstance(e, EInt) else VBool(e.value)
-
-        def constant(fr):
-            rt = fr[0]
-            n = rt.steps = rt.steps + 1
-            if n > limit:
-                raise _over(limit)
-            return value
-
-        return constant
-
-    def call(self, e: ECall):
-        limit = self.limit
-        charge, callee = self.operand(e.callee)
-        # A global callee is read, with its step, the same way.
-        name = None
-        if charge == 1 and isinstance(e.callee, EVar) and e.callee.name in self.globals:
-            charge, name = 2, e.callee.name
-        lead, items, fetch, count = 0, [], None, -1
-        if isinstance(e.arg, ETuple):
-            lead, items, fetch = self.operands(e.arg.items)
-            whole, count = self.tuple_of(lead, items, fetch), len(items)
+    def branch(self, e: Expr, result: str | None) -> None:
+        """Write one branch of an `if` or `match`: its value goes to
+        `result`, or is returned when that is None."""
+        if result is None:
+            self.tail(e)
         else:
-            whole = self.expr(e.arg)
+            atom = self.expr(e)
+            self.flush()
+            self.emit(f"{result} = {atom}")
 
-        def call(fr):
-            rt = fr[0]
-            n = rt.steps = rt.steps + charge
-            if n > limit:
-                raise _over(limit)
-            f = callee(fr) if name is None else rt.globals[name]
-            arity = _arity(f)
-            if arity == 1:
-                args = [whole(fr)]
-            elif arity == count:
-                if lead:
-                    n = rt.steps = rt.steps + lead
-                    if n > limit:
-                        raise _over(limit)
-                args = [item(fr) for item in items] if fetch is None else fetch(fr)
+    # -- nodes ---------------------------------------------------------------------
+
+    def let(self, e: ELet) -> None:
+        """Bind `e`'s pattern; the caller writes the body."""
+        self.bind(e.pattern, self.operand(e.bound))
+
+    def let_value(self, e: ELet) -> str:
+        mark = len(self.trail)
+        while type(e) is ELet:
+            self.let(e)
+            e = e.body
+        atom = self.expr(e)
+        self.undo(mark)
+        return atom
+
+    def var(self, e: EVar) -> str:
+        self.step(1)
+        atom = self.lookup(e.name)
+        if atom is not None:
+            return atom
+        if e.name in self.globals:
+            t = self.fresh("t")
+            self.emit(f"{t} = {self.global_(e.name)}")
+            return t
+        self.emit(self.trap("UNBOUND", f"unbound value {e.name!r}"))
+        return "UNIT"
+
+    def global_(self, name: str) -> str:
+        return f"{self.need('G', 'G = rt.globals')}[{self.const(name)}]"
+
+    def constant(self, e: EInt | EBool) -> str:
+        self.step(1)
+        if type(e) is EBool:
+            return "TRUE" if e.value else "FALSE"
+        return self.const(VInt(e.value))
+
+    def condition(self, e: EIf) -> str:
+        """Charge `e`'s step and compute its condition; returns a Python
+        expression of its truth."""
+        if not self.lead([e.cond]):
+            inline = self.inline(e.cond, 1)
+            if inline is not None and inline[1] is VBool:
+                return inline[0]
+            if inline is not None:
+                atom = self.box(inline)
             else:
-                v = whole(fr)
-                if type(v) is not VTuple or len(v.items) != arity:
-                    raise RuntimeTrap("BAD_FIELD", f"call expects {arity} argument(s)")
-                args = v.items
-            if type(f) is VBuiltin:
-                return f.fn(*args)
-            return _apply(rt, f, args)
+                self.step(1)
+                atom = self.expr(e.cond)
+        else:
+            atom = self.operand(e.cond)
+        self.check(atom, VBool, "condition is not a boolean")
+        return f"{atom}.value"
 
-        return call
+    def check(self, atom: str, cls: type, message: str) -> None:
+        if self.known.get(atom) is not cls:
+            self.emit(f"if type({atom}) is not {cls.__name__}: {self.trap('BAD_FIELD', message)}")
 
-    def let(self, e: ELet):
-        limit = self.limit
-        charge, bound = self.operand(e.bound)
-        mark = self.scope.mark()
-        target = self.scope.bind(e.pattern)
-        body = self.expr(e.body)
-        self.scope.reset(mark)
+    def if_(self, e: EIf) -> str:
+        t = self.fresh("t")
+        cond = self.condition(e)
+        pending = self.b.pending
+        self.emit(f"if {cond}:")
+        for branch in (e.then, e.otherwise):
+            if branch is e.otherwise:
+                self.emit("else:")
+            self.b.pending = list(pending)
+            self.b.depth += 1
+            self.branch(branch, t)
+            self.b.depth -= 1
+        return t
 
-        def let(fr):
-            rt = fr[0]
-            n = rt.steps = rt.steps + charge
-            if n > limit:
-                raise _over(limit)
-            v = bound(fr)
-            if type(target) is int:
-                fr[target] = v
-            else:
-                _store(fr, target, v)
-            return body(fr)
-
-        return let
-
-    def match(self, e: EMatch):
-        limit = self.limit
-        charge, scrutinee = self.operand(e.scrutinee)
-        arms: dict[str, tuple] = {}
+    def match(self, e: EMatch, result: str | None = None) -> str | None:
+        cell = self.record(self.operand(e.scrutinee))
+        pending = self.b.pending
+        seen = set()
         for pat, body in e.branches:
-            mark = self.scope.mark()
-            targets = [(fname, self.scope.bind(fpat)) for fname, fpat in pat.fields]
-            arms.setdefault(pat.tag, (targets, self.expr(body)))
-            self.scope.reset(mark)
+            if pat.tag in seen:
+                continue
+            self.emit(f"{'elif' if seen else 'if'} {cell}.tag == {self.const(pat.tag)}:")
+            seen.add(pat.tag)
+            self.b.pending = list(pending)
+            self.b.depth += 1
+            mark = len(self.trail)
+            self.fields(cell, pat.fields)
+            self.branch(body, result)
+            self.undo(mark)
+            self.b.depth -= 1
+        self.b.pending = pending
+        self.emit("else:" if seen else "if True:")
+        self.b.depth += 1
+        self.emit(self.trap("BAD_TAG", "no branch for tag {!r}", f"{cell}.tag"))
+        self.b.depth -= 1
+        self.b.pending = []
+        return result
 
-        def match(fr):
-            rt = fr[0]
-            n = rt.steps = rt.steps + charge
-            if n > limit:
-                raise _over(limit)
-            v = scrutinee(fr)
-            if type(v) is not VAddr:
-                raise RuntimeTrap("BAD_FIELD", "value is not a record")
-            cell = rt.heap[v.addr]
-            arm = arms.get(cell.tag)
-            if arm is None:
-                raise RuntimeTrap("BAD_TAG", f"no branch for tag {cell.tag!r}")
-            targets, body = arm
-            fields = cell.fields
-            for fname, target in targets:
-                if fname not in fields:
-                    raise RuntimeTrap("BAD_FIELD", f"missing field {fname!r}")
-                if type(target) is int:
-                    fr[target] = fields[fname]
-                else:
-                    _store(fr, target, fields[fname])
-            return body(fr)
+    def match_value(self, e: EMatch) -> str:
+        return self.match(e, self.fresh("t"))
 
-        return match
+    def fields(self, cell: str, fields) -> None:
+        """Bind the fields a match arm names, read in order; a field whose
+        pattern is a tuple is taken apart before the next is read."""
+        if len(fields) == 1:
+            record = f"{cell}.fields"
+        elif fields:
+            record = self.fresh("t")
+            self.emit(f"{record} = {cell}.fields")
+        group: list[tuple[str, str, Pattern]] = []
+        for i, (name, pat) in enumerate(fields):
+            group.append((self.fresh("v"), name, pat))
+            if type(pat) is PVar and i < len(fields) - 1:
+                continue
+            self.emit(f"try: {'; '.join(f'{v} = {record}[{self.const(n)}]' for v, n, _ in group)}")
+            if len(group) == 1:
+                self.emit(f"except KeyError: {self.trap('BAD_FIELD', f'missing field {name!r}')}")
+            else:
+                # The first read that fails names the first missing field.
+                self.emit(f"except KeyError as e: "
+                          + self.trap("BAD_FIELD", "missing field {!r}", "e.args[0]"))
+            for v, _, pat in group:
+                self.bind(pat, v)
+            group = []
 
-    def if_(self, e: EIf):
-        limit = self.limit
-        charge, cond = self.operand(e.cond)
-        then, otherwise = self.expr(e.then), self.expr(e.otherwise)
+    def record(self, atom: str) -> str:
+        """The heap cell that `atom` points to."""
+        cell = self.fresh("t")
+        read = f"{cell} = {self.need('H', 'H = rt.heap')}[{atom}.addr]"
+        if self.known.get(atom) is VAddr:
+            self.emit(read)
+        else:
+            self.emit(f"try: {read}")
+            self.emit(f"except AttributeError: {self.trap('BAD_FIELD', 'value is not a record')}")
+        return cell
 
-        def if_(fr):
-            rt = fr[0]
-            n = rt.steps = rt.steps + charge
-            if n > limit:
-                raise _over(limit)
-            c = cond(fr)
-            if type(c) is not VBool:
-                raise RuntimeTrap("BAD_FIELD", "condition is not a boolean")
-            return then(fr) if c.value else otherwise(fr)
+    def field_(self, e: EField) -> str:
+        cell = self.record(self.operand(e.obj))
+        t = self.fresh("t")
+        self.emit(f"try: {t} = {cell}.fields[{self.const(e.name)}]")
+        message = f"no field {e.name!r} on {{}}"
+        self.emit(f"except KeyError: {self.trap('BAD_FIELD', message, f'{cell}.tag')}")
+        return t
 
-        return if_
-
-    def field_(self, e: EField):
-        limit, name = self.limit, e.name
-        charge, obj = self.operand(e.obj)
-
-        def field_(fr):
-            rt = fr[0]
-            n = rt.steps = rt.steps + charge
-            if n > limit:
-                raise _over(limit)
-            v = obj(fr)
-            if type(v) is not VAddr:
-                raise RuntimeTrap("BAD_FIELD", "value is not a record")
-            cell = rt.heap[v.addr]
-            if name not in cell.fields:
-                raise RuntimeTrap("BAD_FIELD", f"no field {name!r} on {cell.tag}")
-            return cell.fields[name]
-
-        return field_
-
-    def update(self, e: EAssign | ETagUpdate):
+    def update(self, e: EAssign | ETagUpdate) -> str:
         """`obj.f <- v` and `tag of obj <- T { f = v; ... }`: the new field
         values first, then the object; only a mutable record changes."""
-        limit = self.limit
-        if isinstance(e, EAssign):
+        if type(e) is EAssign:
             tag, names, exprs = None, [e.name], [e.value]
         else:
             tag, names, exprs = e.tag, [f for f, _ in e.fields], [fe for _, fe in e.fields]
-        lead, values, fetch = self.operands(exprs)
+        lead = self.lead(exprs)
+        self.step(1 + lead)
+        values = self.operands(exprs, lead)
         obj = self.expr(e.obj)
+        cell = self.fresh("t")
+        self.emit(f"{cell} = _writable(rt, {obj}, {self.charges()})")
+        self.b.pending = []
+        if tag is not None:
+            self.emit(f"{cell}.tag = {self.const(tag)}")
+        for name, value in zip(names, values):
+            self.emit(f"{cell}.fields[{self.const(name)}] = {value}")
+        return "UNIT"
 
-        def update(fr):
-            rt = fr[0]
-            n = rt.steps = rt.steps + 1 + lead
-            if n > limit:
-                raise _over(limit)
-            vals = [v(fr) for v in values] if fetch is None else fetch(fr)
-            v = obj(fr)
-            if type(v) is not VAddr:
-                raise RuntimeTrap("BAD_FIELD", "value is not a record")
-            cell = rt.heap[v.addr]
-            if not cell.mutable:
-                raise RuntimeTrap("BAD_FIELD", f"{cell.tag} is immutable")
-            if tag is not None:
-                cell.tag = tag
-            cell.fields.update(zip(names, vals))
-            return UNIT
-
-        return update
-
-    def construct(self, e: EConstruct):
-        limit, tag, trace = self.limit, e.tag, self.trace
-        names = [f for f, _ in e.fields]
-        lead, values, fetch = self.operands([fe for _, fe in e.fields])
-        entry = self.env.tags.get(tag)
+    def construct(self, e: EConstruct) -> str:
+        exprs = [fe for _, fe in e.fields]
+        lead = self.lead(exprs)
+        self.step(1 + lead)
+        values = self.operands(exprs, lead)
+        entry = self.env.tags.get(e.tag)
         info = self.env.types.get(entry[0]) if entry is not None else None
         mutable = isinstance(info, DataInfo) and info.mutable
+        fields = ", ".join(f"{self.const(f)}: {v}" for (f, _), v in zip(e.fields, values))
+        self.flush()
+        heap, t = self.need("H", "H = rt.heap"), self.fresh("t")
+        self.emit(f"{heap}.append(Cell({self.const(e.tag)}, {{{fields}}}, {mutable}))")
+        self.emit(f"{t} = VAddr(len({heap}) - 1)")
+        if self.trace:
+            self.emit(f'rt.trace.append(f"alloc {{{t}.addr}} {{{self.const(e.tag)}}}")')
+        self.known[t] = VAddr
+        return t
 
-        def construct(fr):
-            rt = fr[0]
-            n = rt.steps = rt.steps + 1 + lead
-            if n > limit:
-                raise _over(limit)
-            vals = [v(fr) for v in values] if fetch is None else fetch(fr)
-            fields = dict(zip(names, vals))
-            heap = rt.heap
-            addr = len(heap)
-            heap.append(Cell(tag, fields, mutable))
-            if trace:
-                rt.trace.append(f"alloc {addr} {tag}")
-            return VAddr(addr)
+    def tuple_(self, e: ETuple) -> str:
+        lead = self.lead(e.items)
+        self.step(1 + lead)
+        return self.package(self.operands(e.items, lead))
 
-        return construct
+    def package(self, atoms: list[str]) -> str:
+        if not atoms:
+            return "UNIT"
+        t = self.fresh("t")
+        items = f"[{', '.join(atoms)}]"
+        kinds = [self.known.get(a) for a in atoms]
+        unknown = [a for a, k in zip(atoms, kinds) if k is None]
+        if VClosure in kinds:
+            self.emit(f"{t} = _package(rt, {items})")
+        elif unknown:
+            test = " or ".join(f"type({a}) is VClosure" for a in unknown)
+            self.emit(f"{t} = _package(rt, {items}) if {test} else VTuple({items})")
+        else:
+            self.emit(f"{t} = VTuple({items})")
+        self.known[t] = VTuple
+        return t
 
-    def tuple_(self, e: ETuple):
-        return self.tuple_of(*self.operands(e.items))
-
-    def tuple_of(self, lead: int, items: list, fetch: itemgetter | None):
-        limit = self.limit
-
-        def tuple_(fr):
-            rt = fr[0]
-            n = rt.steps = rt.steps + 1 + lead
-            if n > limit:
-                raise _over(limit)
-            return _package(rt, [item(fr) for item in items] if fetch is None else list(fetch(fr)))
-
-        return tuple_
-
-    def lambda_(self, e: ELambda):
-        limit = self.limit
+    def lambda_(self, e: ELambda) -> str:
+        self.step(1)
         params = [c.name for c in domain_comps(e.domain)]
-        body, pad, captures = self.function(params, e.body)
-        code = Code(len(params), None, body=body, pad=pad)
-        # Capture k sits at frame index -1-k, so the tuple lists them last first.
-        sources = captures[::-1]
-        take = (
-            itemgetter(*sources) if len(sources) > 1
-            else lambda fr: tuple([fr[s] for s in sources])
+        fn = self.function(None, params, e.body, self.b.base + self.b.depth)
+        t = self.fresh("t")
+        self.emit(f"{t} = VClosure({len(params)}, {fn})")
+        self.known[t] = VClosure
+        return t
+
+    # -- calls ---------------------------------------------------------------------
+
+    def call(self, e: ECall) -> str:
+        callee = e.callee
+        items = list(e.arg.items) if type(e.arg) is ETuple else None
+        if type(callee) is EVar and callee.name not in self.scope and callee.name in self.globals:
+            # A global callee is read, with its step, at once; its arity is
+            # known.
+            inline = self.inline(e, 0)
+            if inline is not None:
+                return self.box(inline)
+            self.step(2)
+            return self.known_call(callee.name, e.arg, items)
+        f = self.operand(callee)
+        arity = self.fresh("t")
+        self.emit(f"try: {arity} = {f}.arity")
+        self.emit(f"except AttributeError: {self.trap('BAD_FIELD', 'value is not a function')}")
+        if items is None or len(items) == 1:
+            whole = self.argument(e.arg, items)
+            return self.invoke(
+                f"{f}.fn(rt, {whole} if {arity} == 1 else _spread(rt, {whole}, {arity}))"
+            )
+        # The tuple takes its own step only when it is passed whole.
+        lead, k = self.lead(items), len(items)
+        self.step(_Code(f"({arity} != {k})" if lead == 0 else f"{lead} + ({arity} != {k})"))
+        atoms = ", ".join(self.operands(items, lead))
+        return self.invoke(
+            f"{f}.fn(rt, ({atoms}{',' if k else ''}) if {arity} == {k} "
+            f"else _spread(rt, _package(rt, [{atoms}]), {arity}))"
         )
 
-        def lambda_(fr):
-            rt = fr[0]
-            n = rt.steps = rt.steps + 1
-            if n > limit:
-                raise _over(limit)
-            return VClosure(code, take(fr))
+    def whole(self, items: list[Expr]) -> str:
+        """A tuple literal argument evaluated as one value."""
+        lead = self.lead(items)
+        self.step(1 + lead)
+        return self.package(self.operands(items, lead))
 
-        return lambda_
+    def argument(self, arg: Expr, items: list[Expr] | None) -> str:
+        return self.whole(items) if items is not None else self.expr(arg)
+
+    def known_call(self, name: str, arg: Expr, items: list[Expr] | None) -> str:
+        arity = self.globals[name].arity
+        f = self.global_(name)
+        if arity == 1:
+            return self.invoke(f"{f}.fn(rt, {self.argument(arg, items)})")
+        if items is not None and len(items) == arity:
+            lead = self.lead(items)
+            self.step(lead)
+            atoms = self.operands(items, lead)
+            return self.invoke(f"{f}.fn(rt, ({''.join(x + ', ' for x in atoms)}))")
+        return self.invoke(f"{f}.fn(rt, _spread(rt, {self.argument(arg, items)}, {arity}))")
+
+    def inline(self, e: Expr, charge: int) -> tuple[str, type] | None:
+        """Write out a call of a builtin on a tuple literal of its arity, or
+        of `not` on any argument, after charging `charge` steps for the node
+        it is the operand of; returns the Python expression of its result,
+        an int or a bool, and the class that holds it. None, with nothing
+        charged, when `e` is no such call."""
+        if type(e) is not ECall or type(e.callee) is not EVar:
+            return None
+        name = e.callee.name
+        if name in self.scope or type(self.globals.get(name)) is not VBuiltin:
+            return None
+        items = list(e.arg.items) if type(e.arg) is ETuple else None
+        if name == "not":
+            self.step(charge)
+            self.step(2)
+            atom = self.argument(e.arg, items)
+            self.check(atom, VBool, "not expects a boolean")
+            return f"not {atom}.value", VBool
+        if items is None or len(items) != 2:
+            return None
+        template, _, result, zero = _BINARY[name]
+        self.step(charge)
+        self.step(2)
+        lead = self.lead(items)
+        self.step(lead)
+        atoms = self.operands(items, lead)
+        unknown = [a for a in atoms if self.known.get(a) is not VInt]
+        if unknown:
+            test = " or ".join(f"type({a}) is not VInt" for a in unknown)
+            self.emit(f"if {test}: {self.trap('BAD_FIELD', f'{name} expects integers')}")
+        ints = [self.ints.get(a) or f"{a}.value" for a in atoms]
+        if zero is not None:
+            divisor = self.ints.get(atoms[1])
+            if divisor is None or self.ns[divisor] == 0:
+                self.emit(f"if {ints[1]} == 0: {self.trap('DIV_ZERO', zero)}")
+        return template.format(*ints), result
+
+    def box(self, inline: tuple[str, type]) -> str:
+        """The value of an inlined builtin's result."""
+        expr, cls = inline
+        t = self.fresh("t")
+        if cls is VBool:
+            self.emit(f"{t} = TRUE if {expr} else FALSE")
+        else:
+            self.emit(f"{t} = {expr}")
+            self.emit(f"{t} = VInt({t} if I0 <= {t} <= I1 else _wrap64({t}))")
+        self.known[t] = cls
+        return t
 
     NODES = {
         EVar: var,
         EInt: constant,
         EBool: constant,
         ECall: call,
-        ELet: let,
-        EMatch: match,
+        ELet: let_value,
+        EMatch: match_value,
         EIf: if_,
         EField: field_,
         EAssign: update,
@@ -668,7 +1018,7 @@ class Interp:
         self.max_steps = max_steps
         self.heap: list[Cell] = []
         self.stats = Stats()
-        self.steps = 0  # the live step count; `run` copies it into `stats`
+        self.steps = 0  # the step count, as of the last call or trap; `run` copies it into `stats`
         self.trace_enabled = trace
         self.trace: list[str] = []
         self.oneshot_seq = 0
@@ -676,8 +1026,7 @@ class Interp:
         for file in files:
             for decl in file.decls:
                 if isinstance(decl, DValDef):
-                    code = Code(len(decl.params), decl.name, source=decl)
-                    self.globals[decl.name] = VClosure(code)
+                    self.globals[decl.name] = VClosure(len(decl.params), _first_call(decl))
 
     # -- entry ----------------------------------------------------------------
 
@@ -690,7 +1039,7 @@ class Interp:
         main = self.globals.get(entry)
         if main is None:
             raise RuntimeTrap("UNBOUND", f"no entry point {entry!r}")
-        if _arity(main) != 0:
+        if main.arity != 0:
             raise RuntimeTrap(
                 "BAD_FIELD",
                 f"{main.name} expects {main.arity}" if type(main) is VBuiltin
@@ -700,7 +1049,13 @@ class Interp:
             limit = sys.getrecursionlimit()
             sys.setrecursionlimit(300_000)
             try:
-                return _apply(self, main, [])
+                return main.fn(self, ())
+            except _Check as check:
+                trap = check.trap(self)
+                # A check made at compile time is raised again and again:
+                # it keeps no frame of this run.
+                check.__traceback__ = check.__context__ = None
+                raise trap from None
             except RecursionError:
                 raise RuntimeTrap("STEP_LIMIT", "evaluation recursion too deep") from None
             finally:
@@ -755,8 +1110,6 @@ class Interp:
             else:
                 out.append(repr(item))
         return "".join(out)
-
-
 
 
 def eval_program(

@@ -426,3 +426,36 @@ def test_a_900_let_chain_runs_under_the_default_recursion_limit():
     assert value == VInt(xs[-1])
     # 2 steps for `let x0 = k`, 5 for each other let, 1 for the last name
     assert interp.stats.steps == 2 + 5 * (n - 1) + 1
+
+
+def _deep(shape: str, depth: int) -> str:
+    """A program whose `f` nests `depth` ifs or matches: in tail position
+    with a lambda at the bottom, in operand position, or in arms."""
+    if shape == "then":
+        body = "let z = add (n, 7) in (fun (y: int) : int = add (y, z)) 5"
+        for k in range(depth):
+            body = f"if le (n, {k}) then {body} else {k}"
+    elif shape == "operand":
+        body = "n"
+        for k in range(depth):
+            body = f"add (1, if lt (n, {k}) then {body} else 0)"
+    else:
+        body = "n"
+        for k in range(depth):
+            body = f"match b with | Box {{ v = w{k} }} -> add (w{k}, {body})"
+        body = "let b = Box { v = 1 } in " + body
+    return (
+        "data box = Box { v: int }\n"
+        f"val f: (n: int) -> int\nval f (n) = {body}\n"
+        "val main: () -> int\nval main () = f 0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "shape, depth, value, steps", [("then", 300, 12, 1515), ("operand", 90, 90, 724),
+                                   ("arms", 90, 90, 457)]
+)
+def test_deeply_nested_branches_run(shape, depth, value, steps):
+    result, interp = run_text(_deep(shape, depth), "main", "t")
+    assert result == VInt(value)
+    assert interp.stats.steps == steps

@@ -218,6 +218,21 @@ def _rebuilt(t: Type) -> Type:
     return ref_map(t, lambda c: c)
 
 
+def _respanned(t: Type) -> Type:
+    """A node equal to `t`, built apart from it, with other spans."""
+    return dataclasses.replace(ref_map(t, _respanned), span=Span(99, 1))
+
+
+@pytest.mark.parametrize("cls", TYPE_CLASSES, ids=lambda c: c.__name__)
+def test_equal_nodes_built_apart_hash_equal_and_keep_their_hash(cls):
+    t = SAMPLES[cls]
+    u = _respanned(t)
+    assert u is not t and u.span != t.span
+    assert u == t and hash(u) == hash(t)
+    assert {t: "found"}[u] == "found"
+    assert u._hash == hash(u)  # kept in the node's slot
+
+
 @pytest.mark.parametrize("cls", TYPE_CLASSES, ids=lambda c: c.__name__)
 def test_every_type_class_is_handled(cls):
     t = SAMPLES[cls]
