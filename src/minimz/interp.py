@@ -244,13 +244,15 @@ class _Check(Exception):
     """A check in compiled code that failed, or a step limit passed. Each
     is made when the code is compiled and raised as it is; `Interp.run`
     turns it into the run's trap. `charges` are the steps taken since the
-    count was last checked and not yet added to it; the first of them to
-    pass the limit stops the run instead. A kind of None is a check of the
-    limit made after they were added."""
+    count was last checked and not yet added to it, with None where a
+    record was allocated; the first of them to pass the limit stops the
+    run instead, and the records allocated after it are taken back. A kind
+    of None is a check of the limit made after the charges were added."""
 
     def __init__(self, kind: str | None, message: str | None, charges: tuple):
         super().__init__(kind, message)
         self.kind, self.message, self.charges = kind, message, charges
+        self.total = sum(n for n in charges if n is not None)
 
     def fill(self, value: object) -> _Check:
         """The check with `value` in the one hole of its message. Program
@@ -258,10 +260,18 @@ class _Check(Exception):
         return _Check(self.kind, self.message.format(value), self.charges)
 
     def trap(self, rt: Interp) -> RuntimeTrap:
-        steps = rt.steps - sum(self.charges) if self.kind is None else rt.steps
-        for charge in self.charges:
+        charges = self.charges
+        steps = rt.steps - self.total if self.kind is None else rt.steps
+        for i, charge in enumerate(charges):
+            if charge is None:
+                continue
             steps += charge
             if steps > rt.max_steps:
+                late = charges[i:].count(None)
+                if late:
+                    del rt.heap[-late:]
+                    if rt.trace_enabled:
+                        del rt.trace[-late:]
                 rt.steps = steps
                 return _over(rt.max_steps)
         rt.steps = steps
@@ -291,17 +301,18 @@ def _spread(rt: Interp, value: Value, arity: int):
     return value.items
 
 
-def _writable(rt: Interp, value: Value, charges: tuple) -> Cell:
+def _writable(rt: Interp, value: Value, limit: _Check) -> Cell:
     """The cell that an update of `value` writes, once the update's checks
-    pass and the steps of `charges` are taken."""
+    pass and the steps of `limit`, the check of the pending charges, are
+    taken."""
     if type(value) is not VAddr:
-        raise _Check("BAD_FIELD", "value is not a record", charges)
+        raise _Check("BAD_FIELD", "value is not a record", limit.charges)
     cell = rt.heap[value.addr]
     if not cell.mutable:
-        raise _Check("BAD_FIELD", f"{cell.tag} is immutable", charges)
-    rt.steps += sum(charges)
+        raise _Check("BAD_FIELD", f"{cell.tag} is immutable", limit.charges)
+    rt.steps += limit.total
     if rt.steps > rt.max_steps:
-        raise _Check(None, None, charges)
+        raise limit
     return cell
 
 
@@ -367,11 +378,12 @@ class _Body:
     from one (both are roots, written at the top of the generated module),
     or a lambda nested in one of them.
 
-    Step charges not yet added to `rt.steps` are `pending`; they are added
-    and checked against the limit (`flush`) before anything that can be
-    seen after a trap: a call, an allocation, a write to a record, a
-    return. A check that fails before then hands them to its `_Check`,
-    which finds out whether the limit came first."""
+    Step charges not yet added to `rt.steps` are `pending`, with None for
+    each record allocated since; they are added and checked against the
+    limit (`flush`) before anything that can be seen after a trap and not
+    taken back: a call, a write to a record, a return. A check that fails
+    before then hands them to its `_Check`, which finds out whether the
+    limit came first."""
 
     def __init__(self, root: _Body | None, base: int, named: str | None):
         self.root = root  # None for a root itself
@@ -451,16 +463,11 @@ class _Compiler:
     def dynamic(self) -> bool:
         return _Code in map(type, self.b.pending)
 
-    def charges(self) -> str:
-        """A Python expression of the tuple of pending charges."""
-        if self.dynamic():
-            return f"({''.join(f'{n}, ' for n in self.b.pending)})"
-        return self.const(tuple(self.b.pending))
-
     def check_for(self, kind: str | None, message: str | None) -> str:
         """The `_Check` of a failure here, with the pending charges."""
         if self.dynamic():
-            return f"_Check({self.const(kind)}, {self.const(message)}, {self.charges()})"
+            charges = "".join(f"{n}, " for n in self.b.pending)
+            return f"_Check({self.const(kind)}, {self.const(message)}, ({charges}))"
         key = (kind, message, tuple(self.b.pending))
         name = self.checks.get(key)
         if name is None:
@@ -469,12 +476,12 @@ class _Compiler:
 
     def flush(self) -> None:
         b = self.b
-        if b.pending:
-            total = sum(n for n in b.pending if type(n) is int)
-            code = [n for n in b.pending if type(n) is _Code]
+        total = sum(n for n in b.pending if type(n) is int)
+        code = [n for n in b.pending if type(n) is _Code]
+        if total or code:
             self.emit(f"rt.steps += {' + '.join([str(total)] * bool(total) + code)}")
             self.emit(f"if rt.steps > L: raise {self.check_for(None, None)}")
-            b.pending = []
+        b.pending = []
 
     def trap(self, kind: str, message: str, fill: str | None = None) -> str:
         """A statement raising a trap, with the value of the Python
@@ -831,7 +838,7 @@ class _Compiler:
         values = self.operands(exprs, lead)
         obj = self.expr(e.obj)
         cell = self.fresh("t")
-        self.emit(f"{cell} = _writable(rt, {obj}, {self.charges()})")
+        self.emit(f"{cell} = _writable(rt, {obj}, {self.check_for(None, None)})")
         self.b.pending = []
         if tag is not None:
             self.emit(f"{cell}.tag = {self.const(tag)}")
@@ -848,7 +855,7 @@ class _Compiler:
         info = self.env.types.get(entry[0]) if entry is not None else None
         mutable = isinstance(info, DataInfo) and info.mutable
         fields = ", ".join(f"{self.const(f)}: {v}" for (f, _), v in zip(e.fields, values))
-        self.flush()
+        self.b.pending.append(None)
         heap, t = self.need("H", "H = rt.heap"), self.fresh("t")
         self.emit(f"{heap}.append(Cell({self.const(e.tag)}, {{{fields}}}, {mutable}))")
         self.emit(f"{t} = VAddr(len({heap}) - 1)")
