@@ -291,7 +291,7 @@ def _package(rt: Interp, items: list) -> VTuple:
     return VTuple(items)
 
 
-def _spread(rt: Interp, value: Value, arity: int):
+def _spread(value: Value, arity: int):
     """The argument of a call of `arity` on `value`: the value itself at
     arity 1, else the items of a tuple as long as the arity."""
     if arity == 1:
@@ -369,10 +369,6 @@ _RUNTIME = MappingProxyType({
 })
 
 
-class _Code(str):
-    """Python expression text, where a constant is expected."""
-
-
 class _Body:
     """A Python function being written: a definition, a helper split off
     from one (both are roots, written at the top of the generated module),
@@ -393,7 +389,7 @@ class _Body:
         self.params: list[str] = []  # a root's captured identifiers
         self.prologue: dict[str, str] = {}
         self.named = named  # the constant of a definition's name
-        self.pending: list[int] = []
+        self.pending: list[int | None] = []
         self.last_call = (0, "", "")  # (line count, result, call) after a call
 
 
@@ -426,13 +422,10 @@ class _Compiler:
 
     # -- output ------------------------------------------------------------------
 
-    def root(self) -> _Body:
-        return self.b.root or self.b
-
     def fresh(self, prefix: str) -> str:
         self.count += 1
         name = f"{prefix}{self.count}"
-        self.owner[name] = self.root()
+        self.owner[name] = self.b.root or self.b
         return name
 
     def const(self, value: object) -> str:
@@ -455,19 +448,12 @@ class _Compiler:
         self.b.prologue[name] = line
         return name
 
-    def step(self, n: int | _Code) -> None:
-        """Charge `n` steps: a number, or a Python expression of one."""
+    def step(self, n: int) -> None:
         if n:
             self.b.pending.append(n)
 
-    def dynamic(self) -> bool:
-        return _Code in map(type, self.b.pending)
-
     def check_for(self, kind: str | None, message: str | None) -> str:
         """The `_Check` of a failure here, with the pending charges."""
-        if self.dynamic():
-            charges = "".join(f"{n}, " for n in self.b.pending)
-            return f"_Check({self.const(kind)}, {self.const(message)}, ({charges}))"
         key = (kind, message, tuple(self.b.pending))
         name = self.checks.get(key)
         if name is None:
@@ -476,10 +462,9 @@ class _Compiler:
 
     def flush(self) -> None:
         b = self.b
-        total = sum(n for n in b.pending if type(n) is int)
-        code = [n for n in b.pending if type(n) is _Code]
-        if total or code:
-            self.emit(f"rt.steps += {' + '.join([str(total)] * bool(total) + code)}")
+        total = sum(n for n in b.pending if n is not None)
+        if total:
+            self.emit(f"rt.steps += {total}")
             self.emit(f"if rt.steps > L: raise {self.check_for(None, None)}")
         b.pending = []
 
@@ -535,7 +520,7 @@ class _Compiler:
         is at depth `base`. Returns the function's identifier."""
         outer = self.b
         named = None if name is None else self.const(name)
-        self.b = b = _Body(None if outer is None else self.root(), base, named)
+        self.b = b = _Body(None if outer is None else outer.root or outer, base, named)
         fn = self.fresh("f" if outer is None else "l")
         idents = [self.fresh("v") for _ in params]
         mark = len(self.trail)
@@ -599,9 +584,10 @@ class _Compiler:
         """Note that the current body reads `atom`: a root that did not
         bind it takes it as a parameter."""
         owner = self.owner.get(atom)
-        root = self.root()
-        if owner is not None and owner is not root and atom not in root.params:
-            root.params.append(atom)
+        if owner is not None:
+            root = self.b.root or self.b
+            if owner is not root and atom not in root.params:
+                root.params.append(atom)
 
     def lead(self, exprs) -> int:
         """How many of the operands a node evaluates in a row, right after
@@ -915,15 +901,18 @@ class _Compiler:
         if items is None or len(items) == 1:
             whole = self.argument(e.arg, items)
             return self.invoke(
-                f"{f}.fn(rt, {whole} if {arity} == 1 else _spread(rt, {whole}, {arity}))"
+                f"{f}.fn(rt, {whole} if {arity} == 1 else _spread({whole}, {arity}))"
             )
         # The tuple takes its own step only when it is passed whole.
         lead, k = self.lead(items), len(items)
-        self.step(_Code(f"({arity} != {k})" if lead == 0 else f"{lead} + ({arity} != {k})"))
+        self.flush()
+        charge = f"{lead} + ({arity} != {k})"
+        self.emit(f"rt.steps += {charge}")
+        self.emit(f"if rt.steps > L: raise _Check(None, None, ({charge},))")
         atoms = ", ".join(self.operands(items, lead))
         return self.invoke(
             f"{f}.fn(rt, ({atoms}{',' if k else ''}) if {arity} == {k} "
-            f"else _spread(rt, _package(rt, [{atoms}]), {arity}))"
+            f"else _spread(_package(rt, [{atoms}]), {arity}))"
         )
 
     def whole(self, items: list[Expr]) -> str:
@@ -945,7 +934,7 @@ class _Compiler:
             self.step(lead)
             atoms = self.operands(items, lead)
             return self.invoke(f"{f}.fn(rt, ({''.join(x + ', ' for x in atoms)}))")
-        return self.invoke(f"{f}.fn(rt, _spread(rt, {self.argument(arg, items)}, {arity}))")
+        return self.invoke(f"{f}.fn(rt, _spread({self.argument(arg, items)}, {arity}))")
 
     def inline(self, e: Expr, charge: int) -> tuple[str, type] | None:
         """Write out a call of a builtin on a tuple literal of its arity, or
