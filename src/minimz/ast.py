@@ -7,8 +7,8 @@ even when whitespace differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import is_
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, is_
 
 
 class Span:
@@ -209,24 +209,25 @@ class TEmpty(Type):
     span: Span = _span_field()
 
 
-def _keep_hash(structural):
-    """A `__hash__` that computes the dataclass's structural hash of a node
-    once and keeps it, so a memo lookup hashes no subtree again."""
+def _keep_hash(cls: type) -> None:
+    """Give a type node class a `__hash__` that hashes the fields its
+    equality compares once per node and keeps the hash in the `_hash`
+    slot, so that a memo lookup hashes no subtree again."""
+    key = attrgetter(*[f.name for f in fields(cls) if f.compare], "__class__")
+    keep = object.__setattr__
 
     def __hash__(self: Type) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            pass
-        h = structural(self)
-        object.__setattr__(self, "_hash", h)
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(key(self))
+            keep(self, "_hash", h)
         return h
 
-    return __hash__
+    cls.__hash__ = __hash__
 
 
 for _cls in Type.__subclasses__():
-    _cls.__hash__ = _keep_hash(_cls.__hash__)
+    _keep_hash(_cls)
 del _cls
 
 UNIT = TTuple(())

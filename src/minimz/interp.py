@@ -316,6 +316,14 @@ def _writable(rt: Interp, value: Value, limit: _Check) -> Cell:
     return cell
 
 
+def _alloc(rt: Interp, tag: str, fields: dict, mutable: bool) -> VAddr:
+    addr = len(rt.heap)
+    rt.heap.append(Cell(tag, fields, mutable))
+    if rt.trace_enabled:
+        rt.trace.append(f"alloc {addr} {tag}")
+    return VAddr(addr)
+
+
 def _done(rt: Interp, name: str, before: int, value: Value) -> Value:
     """Record the steps of a call of definition `name` that started at
     step `before`; returns the call's value."""
@@ -365,6 +373,7 @@ _RUNTIME = MappingProxyType({
     "_package": _package,
     "_spread": _spread,
     "_writable": _writable,
+    "_alloc": _alloc,
     "_done": _done,
 })
 
@@ -406,7 +415,6 @@ class _Compiler:
     def __init__(self, rt: Interp):
         self.globals = rt.globals
         self.env = rt.env
-        self.trace = rt.trace_enabled
         self.ns: dict[str, object] = dict(_RUNTIME, L=rt.max_steps)
         self.consts: dict[tuple, str] = {}
         self.checks: dict[tuple, str] = {}
@@ -489,7 +497,7 @@ class _Compiler:
             b.lines.pop()
             atom = b.last_call[2]
         if b.named is not None:
-            atom = f"_done(rt, {self.b.named}, s0, {atom})"
+            atom = f"_done(rt, {b.named}, s0, {atom})"
         self.emit(f"return {atom}")
 
     def finish(self, body: _Body, head: str, pad: str) -> list[str]:
@@ -842,11 +850,8 @@ class _Compiler:
         mutable = isinstance(info, DataInfo) and info.mutable
         fields = ", ".join(f"{self.const(f)}: {v}" for (f, _), v in zip(e.fields, values))
         self.b.pending.append(None)
-        heap, t = self.need("H", "H = rt.heap"), self.fresh("t")
-        self.emit(f"{heap}.append(Cell({self.const(e.tag)}, {{{fields}}}, {mutable}))")
-        self.emit(f"{t} = VAddr(len({heap}) - 1)")
-        if self.trace:
-            self.emit(f'rt.trace.append(f"alloc {{{t}.addr}} {{{self.const(e.tag)}}}")')
+        t = self.fresh("t")
+        self.emit(f"{t} = _alloc(rt, {self.const(e.tag)}, {{{fields}}}, {mutable})")
         self.known[t] = VAddr
         return t
 
