@@ -107,9 +107,9 @@ def best_ms(prepare, timed, collector: bool = True) -> float:
     return best * 1000
 
 
-def layer_times(text: str) -> tuple[float, ...]:
+def layer_times(text: str, runs: bool) -> tuple[float, ...]:
     """Lex, parse, resolve, check, check with the collector off and, when
-    the program has a `main`, run, in ms."""
+    `runs`, a run of `main`, in ms."""
     prelude_file, base = prelude()
 
     def check(loaded) -> None:
@@ -133,20 +133,20 @@ def layer_times(text: str) -> tuple[float, ...]:
         best_ms(load, check),
         best_ms(load, check, collector=False),
     )
-    return times + (best_ms(load, run),) if "val main ()" in text else times
+    return times + (best_ms(load, run),) if runs else times
 
 
 COLUMNS = ("lex", "parse", "resolve", "check", "check, gc off", "run")
 
 
 def main() -> None:
-    rows = [(f"tree literal n={n}", tree_program(n)) for n in TREE_SIZES]
-    rows += [(f"let chain n={n}", let_chain(n)) for n in CHAIN_SIZES]
-    rows += [(f"definitions n={n}", many_defs(n)) for n in DEFS_SIZES]
+    rows = [(f"tree literal n={n}", tree_program(n), True) for n in TREE_SIZES]
+    rows += [(f"let chain n={n}", let_chain(n), True) for n in CHAIN_SIZES]
+    rows += [(f"definitions n={n}", many_defs(n), False) for n in DEFS_SIZES]
     times = {}
     print(f"{'program':<22}" + "".join(f"{c:>14}" for c in COLUMNS) + "   (ms)")
-    for name, text in rows:
-        times[name] = layer_times(text)
+    for name, text, runs in rows:
+        times[name] = layer_times(text, runs)
         print(f"{name:<22}" + "".join(f"{t:14.1f}" for t in times[name]), flush=True)
     for big, small in (("tree literal n=2048", "tree literal n=1024"),
                        ("let chain n=900", "let chain n=300"),

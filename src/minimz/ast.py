@@ -97,7 +97,8 @@ class Type:
     node stores its fields in slots, plus the two slots declared here:
     `_has_meta`, which `has_meta` fills in the first time it is asked
     whether the node contains a `TMeta`, and `_hash`, which keeps the
-    node's structural hash once it is computed (see `_keep_hash`)."""
+    structural hash of a node with children once it is computed (see
+    `_keep_hash`)."""
 
     __slots__ = ("_has_meta", "_hash")
 
@@ -226,7 +227,8 @@ def _keep_hash(cls: type) -> None:
     cls.__hash__ = __hash__
 
 
-for _cls in Type.__subclasses__():
+# A leaf's hash walks no subtree: it keeps the dataclass's.
+for _cls in (TApp, TTuple, TArrow, TBar, TConcrete, TForall, TExists, TAt, TStar):
     _keep_hash(_cls)
 del _cls
 

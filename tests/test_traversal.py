@@ -230,7 +230,8 @@ def test_equal_nodes_built_apart_hash_equal_and_keep_their_hash(cls):
     assert u is not t and u.span != t.span
     assert u == t and hash(u) == hash(t)
     assert {t: "found"}[u] == "found"
-    assert u._hash == hash(u)  # kept in the node's slot
+    if cls not in (TVar, TMeta, TSingleton, TEmpty):
+        assert u._hash == hash(u)  # a node with children keeps its hash
 
 
 @pytest.mark.parametrize("cls", TYPE_CLASSES, ids=lambda c: c.__name__)
