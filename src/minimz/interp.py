@@ -26,13 +26,16 @@ globals at call time, so compiled code holds no `Interp`, heap or globals:
 closures end up in heap records, and holding the run would make every
 finished run a reference cycle that only the cycle collector frees.
 
-The step count is `Interp.steps`. Steps charged in a row with nothing
-between them that can be seen after a trap (a call, an allocation, a
-write to a record, a return) are added and checked against the limit at
-once; a check that fails in between, and a limit passed by one of those
-charges, find the exact step that the run stops on (`_Check.trap`). Code
-deeper than `_MAX_DEPTH` blocks moves to helper functions, since Python's
-parser takes no more than 100 levels of indentation.
+The step count is `Interp.steps`. Steps charged in a row are added and
+checked against the limit at once, before anything that a trap could not
+take back: a call, a write to a record, a return. A check that fails in
+between, or a limit passed by one of those charges, stops the run on the
+step a check per step would have stopped it on, and takes back the
+records allocated after that step (`_Check.trap`). A call of a definition
+takes one or two Python frames, and a trap for recursion too deep reports
+the count as of the last call. Code deeper than `_MAX_DEPTH` blocks moves
+to helper functions, since Python's parser takes no more than 100 levels
+of indentation.
 """
 
 from __future__ import annotations
@@ -357,10 +360,8 @@ _MAX_DEPTH = 50
 _RUNTIME = MappingProxyType({
     "VInt": VInt,
     "VBool": VBool,
-    "VAddr": VAddr,
     "VTuple": VTuple,
     "VClosure": VClosure,
-    "Cell": Cell,
     "UNIT": UNIT,
     "TRUE": TRUE,
     "FALSE": FALSE,
