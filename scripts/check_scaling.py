@@ -4,8 +4,8 @@ Loads and checks three families of programs at growing sizes and prints, for
 each, the best of `REPEATS` times of each front-end layer (lex, parse,
 resolve) and of the checker, with the collector on (as `minimz check`
 runs), and of the checker with the collector off; and, for the families
-with a `main`, of a run of `main` (compiling it included, as `minimz run`
-runs it):
+with a `main`, of a run of `main` (compiling it included, as a fresh
+`minimz run` process runs it):
 
 - `pos/tree_size.mz` plus a `main` that binds a balanced tree literal of
   n nodes, at n = 256, 512, 1024 and 2048;
@@ -35,7 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from minimz.check import Checker  # noqa: E402
 from minimz.driver import CORPUS_DIR, load_text, prelude  # noqa: E402
-from minimz.interp import eval_program  # noqa: E402
+from minimz.interp import _code, eval_program  # noqa: E402
 from minimz.kinds import resolve  # noqa: E402
 from minimz.parser import Parser, tokenize  # noqa: E402
 
@@ -121,6 +121,10 @@ def layer_times(text: str, runs: bool) -> tuple[float, ...]:
     def load():
         return load_text(text, "scaling.mz")
 
+    def load_cold():
+        _code.cache_clear()  # the code of an earlier timing's run
+        return load()
+
     def run(loaded) -> None:
         file, env = loaded
         eval_program(env, [prelude_file, file], "main")
@@ -133,7 +137,7 @@ def layer_times(text: str, runs: bool) -> tuple[float, ...]:
         best_ms(load, check),
         best_ms(load, check, collector=False),
     )
-    return times + (best_ms(load, run),) if runs else times
+    return times + (best_ms(load_cold, run),) if runs else times
 
 
 COLUMNS = ("lex", "parse", "resolve", "check", "check, gc off", "run")

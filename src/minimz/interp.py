@@ -14,32 +14,39 @@ item by item, and the tuple itself costs no step and packages nothing;
 any other argument must evaluate to a tuple as long as the arity.
 
 Each definition is compiled once per run, on its first call, into one
-Python function: `_Compiler` writes its source text and `compile()` turns
-it into code. The lambdas in the body become nested functions, a `let`
+Python function: `_Compiler` writes its source text and `_code` turns it
+into code. The lambdas in the body become nested functions, a `let`
 binds a Python local, an `if` or `match` becomes an `if` statement, and a
 call of a builtin on a tuple literal of its arity is written out in place.
 Program text never becomes code: each name of the program maps to a
 generated identifier, and its tags, field names, integers and messages are
-constants of the function's namespace. A function reaches the run through
+constants of the function's namespace, made for each compile. So the text
+depends only on the shape of the definition, and `_code` keeps the code of
+recent texts: the runs of one process that load the same definition, as
+the files of `minimz test` that share a library do, compile it once. A
+function reaches the run through
 its first parameter, and a call of another definition reads the run's
 globals at call time, so compiled code holds no `Interp`, heap or globals:
 closures end up in heap records, and holding the run would make every
 finished run a reference cycle that only the cycle collector frees.
 
 The step count is `Interp.steps`. Steps charged in a row are added and
-checked against the limit at once, before anything that a trap could not
-take back: a call, a write to a record, a return. A check that fails in
-between, or a limit passed by one of those charges, stops the run on the
-step a check per step would have stopped it on, and takes back the
-records allocated after that step (`_Check.trap`). A call of a definition
-takes one or two Python frames, and a trap for recursion too deep reports
-the count as of the last call. Code deeper than `_MAX_DEPTH` blocks moves
-to helper functions, since Python's parser takes no more than 100 levels
-of indentation.
+checked against the limit at once, before anything that can be seen after
+a trap: a call, a new record, a write to a record, a return. A check that
+fails in between, or a limit passed by one of those charges, stops the run
+on the step a check per step would have stopped it on (`_Check.trap`). A
+trap for recursion too deep reports the count as of the last call.
+
+Code deeper than `_MAX_DEPTH` blocks moves to helper functions, since
+Python's parser takes no more than 100 levels of indentation, and so does
+a branch that would take a function past `_MAX_LOCALS` locals, since each
+call of a function reserves room for all its locals, on branches not taken
+too.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import sys
 import threading
@@ -247,15 +254,14 @@ class _Check(Exception):
     """A check in compiled code that failed, or a step limit passed. Each
     is made when the code is compiled and raised as it is; `Interp.run`
     turns it into the run's trap. `charges` are the steps taken since the
-    count was last checked and not yet added to it, with None where a
-    record was allocated; the first of them to pass the limit stops the
-    run instead, and the records allocated after it are taken back. A kind
-    of None is a check of the limit made after the charges were added."""
+    count was last checked and not yet added to it; the first of them to
+    pass the limit stops the run instead. A kind of None is a check of the
+    limit made after the charges were added."""
 
     def __init__(self, kind: str | None, message: str | None, charges: tuple):
         super().__init__(kind, message)
         self.kind, self.message, self.charges = kind, message, charges
-        self.total = sum(n for n in charges if n is not None)
+        self.total = sum(charges)
 
     def fill(self, value: object) -> _Check:
         """The check with `value` in the one hole of its message. Program
@@ -263,18 +269,10 @@ class _Check(Exception):
         return _Check(self.kind, self.message.format(value), self.charges)
 
     def trap(self, rt: Interp) -> RuntimeTrap:
-        charges = self.charges
         steps = rt.steps - self.total if self.kind is None else rt.steps
-        for i, charge in enumerate(charges):
-            if charge is None:
-                continue
+        for charge in self.charges:
             steps += charge
             if steps > rt.max_steps:
-                late = charges[i:].count(None)
-                if late:
-                    del rt.heap[-late:]
-                    if rt.trace_enabled:
-                        del rt.trace[-late:]
                 rt.steps = steps
                 return _over(rt.max_steps)
         rt.steps = steps
@@ -304,22 +302,22 @@ def _spread(value: Value, arity: int):
     return value.items
 
 
-def _writable(rt: Interp, value: Value, limit: _Check) -> Cell:
-    """The cell that an update of `value` writes, once the update's checks
-    pass and the steps of `limit`, the check of the pending charges, are
-    taken."""
+def _writable(rt: Interp, value: Value) -> Cell:
+    """The cell that an update of `value` writes."""
     if type(value) is not VAddr:
-        raise _Check("BAD_FIELD", "value is not a record", limit.charges)
+        raise RuntimeTrap("BAD_FIELD", "value is not a record")
     cell = rt.heap[value.addr]
     if not cell.mutable:
-        raise _Check("BAD_FIELD", f"{cell.tag} is immutable", limit.charges)
-    rt.steps += limit.total
-    if rt.steps > rt.max_steps:
-        raise limit
+        raise RuntimeTrap("BAD_FIELD", f"{cell.tag} is immutable")
     return cell
 
 
-def _alloc(rt: Interp, tag: str, fields: dict, mutable: bool) -> VAddr:
+def _alloc(rt: Interp, limit: _Check, tag: str, fields: dict, mutable: bool) -> VAddr:
+    """A new record, once the pending charges that `limit` checks are
+    taken."""
+    rt.steps += limit.total
+    if rt.steps > rt.max_steps:
+        raise limit
     addr = len(rt.heap)
     rt.heap.append(Cell(tag, fields, mutable))
     if rt.trace_enabled:
@@ -335,6 +333,28 @@ def _done(rt: Interp, name: str, before: int, value: Value) -> Value:
     except KeyError:
         rt.stats.call_steps[name] = [rt.steps - before]
     return value
+
+
+def _children(e: Expr) -> tuple:
+    """The subexpressions of `e` that its own function computes: not the
+    body of a lambda."""
+    t = type(e)
+    if t is ELet:
+        return (e.bound, e.body)
+    if t is ECall:
+        return (e.callee, e.arg)
+    if t is EIf:
+        return (e.cond, e.then, e.otherwise)
+    if t is EMatch:
+        return (e.scrutinee, *(body for _, body in e.branches))
+    if t in (EField, EAssign):
+        return (e.obj, e.value) if t is EAssign else (e.obj,)
+    if t in (EConstruct, ETagUpdate):
+        fields = tuple(x for _, x in e.fields)
+        return fields if t is EConstruct else (e.obj, *fields)
+    if t is ETuple:
+        return e.items
+    return ()
 
 
 def _first_call(decl: DValDef):
@@ -355,6 +375,24 @@ def _first_call(decl: DValDef):
 # found deeper moves to a helper function (`_Compiler.split`), because
 # Python's parser stops at 100 levels of indentation.
 _MAX_DEPTH = 50
+
+# A branch of an `if` or `match` moves to a helper function when it would
+# take the function it is in past about this many locals. So a frame holds
+# the values of the code that ran in it and little more, and with the
+# recursion limit this bounds the memory of a runaway recursion.
+_MAX_LOCALS = 100
+
+# The recursion limit during a run. A call of a definition or lambda takes
+# one Python frame (a one-shot closure two, a helper function one more), so
+# this bounds the depth of the program's calls to about as many.
+_RECURSION_LIMIT = 100_000
+
+
+@functools.lru_cache(maxsize=256)
+def _code(text: str, filename: str):
+    """The code of generated source `text`. Code objects are immutable and
+    the text holds no value of a run, so runs can share them."""
+    return compile(text, filename, "exec")
 
 # Names the generated code uses from this module.
 _RUNTIME = MappingProxyType({
@@ -384,23 +422,22 @@ class _Body:
     from one (both are roots, written at the top of the generated module),
     or a lambda nested in one of them.
 
-    Step charges not yet added to `rt.steps` are `pending`, with None for
-    each record allocated since; they are added and checked against the
-    limit (`flush`) before anything that can be seen after a trap and not
-    taken back: a call, a write to a record, a return. A check that fails
-    before then hands them to its `_Check`, which finds out whether the
-    limit came first."""
+    Step charges not yet added to `rt.steps` are `pending`; they are added
+    and checked against the limit (`flush`) before anything that can be
+    seen after a trap: a call, a new record, a write to a record, a
+    return. A check that fails before then hands them to its `_Check`,
+    which finds out whether the limit came first."""
 
     def __init__(self, root: _Body | None, base: int, named: str | None):
         self.root = root  # None for a root itself
         self.base = base  # the depth of the `def` line
         self.depth = 1  # of the next line, relative to `base`
         self.lines: list[str] = []
+        self.size = 0  # identifiers made in this function
         self.params: list[str] = []  # a root's captured identifiers
         self.prologue: dict[str, str] = {}
         self.named = named  # the constant of a definition's name
-        self.pending: list[int | None] = []
-        self.last_call = (0, "", "")  # (line count, result, call) after a call
+        self.pending: list[int] = []
 
 
 class _Compiler:
@@ -419,9 +456,10 @@ class _Compiler:
         self.ns: dict[str, object] = dict(_RUNTIME, L=rt.max_steps)
         self.consts: dict[tuple, str] = {}
         self.checks: dict[tuple, str] = {}
+        self.sizes: dict[int, int] = {}  # id of an expression -> its `nodes`
         self.ints: dict[str, str] = {}  # an int constant's atom -> its int
         # The class of an atom's value, where it is fixed.
-        self.known: dict[str, type] = {"UNIT": VTuple, "TRUE": VBool, "FALSE": VBool}
+        self.known: dict[str, type] = {"TRUE": VBool, "FALSE": VBool}
         self.scope: dict[str, str] = {}  # program name -> atom
         self.trail: list[tuple[str, str | None]] = []
         self.owner: dict[str, _Body] = {}  # identifier -> the root that binds it
@@ -433,6 +471,7 @@ class _Compiler:
 
     def fresh(self, prefix: str) -> str:
         self.count += 1
+        self.b.size += 1
         name = f"{prefix}{self.count}"
         self.owner[name] = self.b.root or self.b
         return name
@@ -471,7 +510,7 @@ class _Compiler:
 
     def flush(self) -> None:
         b = self.b
-        total = sum(n for n in b.pending if n is not None)
+        total = sum(b.pending)
         if total:
             self.emit(f"rt.steps += {total}")
             self.emit(f"if rt.steps > L: raise {self.check_for(None, None)}")
@@ -487,18 +526,12 @@ class _Compiler:
         self.flush()
         t = self.fresh("t")
         self.emit(f"{t} = {call}")
-        self.b.last_call = (len(self.b.lines), t, call)
         return t
 
     def ret(self, atom: str) -> None:
-        b = self.b
         self.flush()
-        if b.last_call[:2] == (len(b.lines), atom):
-            # A call right before: return its value as it comes.
-            b.lines.pop()
-            atom = b.last_call[2]
-        if b.named is not None:
-            atom = f"_done(rt, {b.named}, s0, {atom})"
+        if self.b.named is not None:
+            atom = f"_done(rt, {self.b.named}, s0, {atom})"
         self.emit(f"return {atom}")
 
     def finish(self, body: _Body, head: str, pad: str) -> list[str]:
@@ -517,8 +550,7 @@ class _Compiler:
             for body, head in self.roots:
                 text += self.finish(body, head, "    ")
             text.append(f"    return {fn}")
-        code = compile("\n".join(text) + "\n", f"<minimz {decl.name}>", "exec")
-        exec(code, self.ns)
+        exec(_code("\n".join(text) + "\n", f"<minimz {decl.name}>"), self.ns)
         # The namespace keeps no function, or each would hold itself.
         return self.ns.pop(fn) if len(self.roots) == 1 else self.ns.pop("_make")()
 
@@ -652,10 +684,14 @@ class _Compiler:
                 pending = list(self.b.pending)
                 self.emit(f"if {cond}:")
                 self.b.depth += 1
-                self.tail(e.then)
+                self.branch(e.then, None)
                 self.b.depth -= 1
                 self.b.pending = pending
                 e = e.otherwise
+                if self.big(e):
+                    self.ret(self.split(e))
+                    self.undo(mark)
+                    return
             else:
                 break
         if type(e) is EMatch and not self.deep(e):
@@ -670,13 +706,28 @@ class _Compiler:
             return self.split(e)
         return self.NODES[type(e)](self, e)
 
+    def big(self, e: Expr) -> bool:
+        """Whether a branch `e` would take the function past `_MAX_LOCALS`."""
+        return self.b.size + self.nodes(e) > _MAX_LOCALS
+
+    def nodes(self, e: Expr) -> int:
+        """The number of nodes of `e` outside its lambdas, about as many as
+        the locals of its code."""
+        n = self.sizes.get(id(e))
+        if n is None:
+            n = self.sizes[id(e)] = 1 + sum(self.nodes(x) for x in _children(e))
+        return n
+
     def branch(self, e: Expr, result: str | None) -> None:
         """Write one branch of an `if` or `match`: its value goes to
         `result`, or is returned when that is None."""
-        if result is None:
+        if result is None and not self.big(e):
             self.tail(e)
+            return
+        atom = self.split(e) if self.big(e) else self.expr(e)
+        if result is None:
+            self.ret(atom)
         else:
-            atom = self.expr(e)
             self.flush()
             self.emit(f"{result} = {atom}")
 
@@ -832,9 +883,9 @@ class _Compiler:
         self.step(1 + lead)
         values = self.operands(exprs, lead)
         obj = self.expr(e.obj)
+        self.flush()
         cell = self.fresh("t")
-        self.emit(f"{cell} = _writable(rt, {obj}, {self.check_for(None, None)})")
-        self.b.pending = []
+        self.emit(f"{cell} = _writable(rt, {obj})")
         if tag is not None:
             self.emit(f"{cell}.tag = {self.const(tag)}")
         for name, value in zip(names, values):
@@ -850,9 +901,10 @@ class _Compiler:
         info = self.env.types.get(entry[0]) if entry is not None else None
         mutable = isinstance(info, DataInfo) and info.mutable
         fields = ", ".join(f"{self.const(f)}: {v}" for (f, _), v in zip(e.fields, values))
-        self.b.pending.append(None)
         t = self.fresh("t")
-        self.emit(f"{t} = _alloc(rt, {self.const(e.tag)}, {{{fields}}}, {mutable})")
+        limit = self.check_for(None, None)
+        self.emit(f"{t} = _alloc(rt, {limit}, {self.const(e.tag)}, {{{fields}}}, {mutable})")
+        self.b.pending = []
         self.known[t] = VAddr
         return t
 
@@ -865,17 +917,7 @@ class _Compiler:
         if not atoms:
             return "UNIT"
         t = self.fresh("t")
-        items = f"[{', '.join(atoms)}]"
-        kinds = [self.known.get(a) for a in atoms]
-        unknown = [a for a, k in zip(atoms, kinds) if k is None]
-        if VClosure in kinds:
-            self.emit(f"{t} = _package(rt, {items})")
-        elif unknown:
-            test = " or ".join(f"type({a}) is VClosure" for a in unknown)
-            self.emit(f"{t} = _package(rt, {items}) if {test} else VTuple({items})")
-        else:
-            self.emit(f"{t} = VTuple({items})")
-        self.known[t] = VTuple
+        self.emit(f"{t} = _package(rt, [{', '.join(atoms)}])")
         return t
 
     def lambda_(self, e: ELambda) -> str:
@@ -884,7 +926,6 @@ class _Compiler:
         fn = self.function(None, params, e.body, self.b.base + self.b.depth)
         t = self.fresh("t")
         self.emit(f"{t} = VClosure({len(params)}, {fn})")
-        self.known[t] = VClosure
         return t
 
     # -- calls ---------------------------------------------------------------------
@@ -1049,7 +1090,7 @@ class Interp:
             )
         with _RUN_LOCK:
             limit = sys.getrecursionlimit()
-            sys.setrecursionlimit(300_000)
+            sys.setrecursionlimit(_RECURSION_LIMIT)
             try:
                 return main.fn(self, ())
             except _Check as check:

@@ -139,6 +139,44 @@ val main () = spin 0
     assert exc.value.kind == "STEP_LIMIT"
 
 
+# A recursion without end whose definition has a 3,000-item tuple in a
+# branch it never takes; checked=False, as the branch is not an int. Run in a
+# child process capped at 1 GB of address space, which prints the trap and
+# its peak resident memory in MB.
+LARGE_BODY_SPIN = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from minimz.driver import run_text
+from minimz.interp import RuntimeTrap
+items = ", ".join(f"add (n, {i})" for i in range(3000))
+src = ("val spin: (n: int) -> int\\n"
+       f"val spin (n) = if lt (n, 0) then ({items}) else add (1, spin n)\\n"
+       "val main: () -> int\\nval main () = spin 0\\n")
+try:
+    run_text(src, "main", "t", checked=False, max_steps=100_000_000)
+except RuntimeTrap as trap:
+    print(trap.message)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+"""
+
+
+def test_runaway_recursion_through_a_large_body_traps_in_bounded_memory():
+    import os
+    import subprocess
+    import sys
+
+    import minimz
+
+    src = os.path.dirname(os.path.dirname(minimz.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", LARGE_BODY_SPIN], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    message, peak_mb = out.stdout.splitlines()
+    assert message == "evaluation recursion too deep"
+    assert int(peak_mb) < 400
+
+
 UPTO = """
 val upto: (int, int) -> list int
 val upto (lo, hi) =
