@@ -23,12 +23,13 @@ generated identifier, and its tags, field names, integers and messages are
 constants of the function's namespace, made for each compile. So the text
 depends only on the shape of the definition, and `_code` keeps the code of
 recent texts: the runs of one process that load the same definition, as
-the files of `minimz test` that share a library do, compile it once. A
-function reaches the run through
-its first parameter, and a call of another definition reads the run's
-globals at call time, so compiled code holds no `Interp`, heap or globals:
-closures end up in heap records, and holding the run would make every
-finished run a reference cycle that only the cycle collector frees.
+the files of `minimz test` that share a library do, compile it once.
+
+A function reaches the run through its first parameter, and a call of
+another definition reads the run's globals at call time, so compiled code
+holds no `Interp`, heap or globals: closures end up in heap records, and
+holding the run would make every finished run a reference cycle that only
+the cycle collector frees.
 
 The step count is `Interp.steps`. Steps charged in a row are added and
 checked against the limit at once, before anything that can be seen after
@@ -347,11 +348,14 @@ def _children(e: Expr) -> tuple:
         return (e.cond, e.then, e.otherwise)
     if t is EMatch:
         return (e.scrutinee, *(body for _, body in e.branches))
-    if t in (EField, EAssign):
-        return (e.obj, e.value) if t is EAssign else (e.obj,)
-    if t in (EConstruct, ETagUpdate):
-        fields = tuple(x for _, x in e.fields)
-        return fields if t is EConstruct else (e.obj, *fields)
+    if t is EField:
+        return (e.obj,)
+    if t is EAssign:
+        return (e.obj, e.value)
+    if t is EConstruct:
+        return tuple(x for _, x in e.fields)
+    if t is ETagUpdate:
+        return (e.obj, *(x for _, x in e.fields))
     if t is ETuple:
         return e.items
     return ()
@@ -721,10 +725,11 @@ class _Compiler:
     def branch(self, e: Expr, result: str | None) -> None:
         """Write one branch of an `if` or `match`: its value goes to
         `result`, or is returned when that is None."""
-        if result is None and not self.big(e):
+        big = self.big(e)
+        if result is None and not big:
             self.tail(e)
             return
-        atom = self.split(e) if self.big(e) else self.expr(e)
+        atom = self.split(e) if big else self.expr(e)
         if result is None:
             self.ret(atom)
         else:
