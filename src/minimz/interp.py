@@ -326,6 +326,16 @@ def _alloc(rt: Interp, limit: _Check, tag: str, fields: dict, mutable: bool) -> 
     return VAddr(addr)
 
 
+def _build(rt: Interp, plan: tuple) -> VAddr:
+    """A record literal of constants, from its plan: the arguments of its
+    `_alloc`, with the plan of each field that is a record literal in
+    place of its value. Fields are made in order, each before its record,
+    as the code of the literal would make them."""
+    limit, tag, fields, mutable = plan
+    values = {f: _build(rt, v) if type(v) is tuple else v for f, v in fields}
+    return _alloc(rt, limit, tag, values, mutable)
+
+
 def _done(rt: Interp, name: str, before: int, value: Value) -> Value:
     """Record the steps of a call of definition `name` that started at
     step `before`; returns the call's value."""
@@ -359,6 +369,14 @@ def _children(e: Expr) -> tuple:
     if t is ETuple:
         return e.items
     return ()
+
+
+def _constant(e: Expr) -> bool:
+    """Whether `e` is a record literal whose fields are integers, booleans
+    or such literals."""
+    return type(e) is EConstruct and all(
+        type(x) in (EInt, EBool) or _constant(x) for _, x in e.fields
+    )
 
 
 def _first_call(decl: DValDef):
@@ -417,6 +435,7 @@ _RUNTIME = MappingProxyType({
     "_spread": _spread,
     "_writable": _writable,
     "_alloc": _alloc,
+    "_build": _build,
     "_done": _done,
 })
 
@@ -898,20 +917,46 @@ class _Compiler:
         return "UNIT"
 
     def construct(self, e: EConstruct) -> str:
+        t = self.fresh("t")
+        self.known[t] = VAddr
+        if _constant(e) and any(type(x) is EConstruct for _, x in e.fields):
+            # Nested records of constants are built from a plan, not code.
+            self.count += 1
+            plan = f"p{self.count}"
+            self.ns[plan] = self.plan(e)
+            self.emit(f"{t} = _build(rt, {plan})")
+            return t
         exprs = [fe for _, fe in e.fields]
         lead = self.lead(exprs)
         self.step(1 + lead)
         values = self.operands(exprs, lead)
-        entry = self.env.tags.get(e.tag)
-        info = self.env.types.get(entry[0]) if entry is not None else None
-        mutable = isinstance(info, DataInfo) and info.mutable
         fields = ", ".join(f"{self.const(f)}: {v}" for (f, _), v in zip(e.fields, values))
-        t = self.fresh("t")
         limit = self.check_for(None, None)
+        mutable = self.mutable(e.tag)
         self.emit(f"{t} = _alloc(rt, {limit}, {self.const(e.tag)}, {{{fields}}}, {mutable})")
         self.b.pending = []
-        self.known[t] = VAddr
         return t
+
+    def plan(self, e: EConstruct) -> tuple:
+        """The plan of `_build` for a record literal of constants, charging
+        the steps that `construct` would charge for it."""
+        self.step(1)
+        fields = []
+        for name, x in e.fields:
+            if type(x) is EConstruct:
+                value = self.plan(x)
+            else:
+                self.step(1)
+                value = VInt(x.value) if type(x) is EInt else TRUE if x.value else FALSE
+            fields.append((sys.intern(name), value))
+        limit = self.ns[self.check_for(None, None)]
+        self.b.pending = []
+        return limit, sys.intern(e.tag), tuple(fields), self.mutable(e.tag)
+
+    def mutable(self, tag: str) -> bool:
+        entry = self.env.tags.get(tag)
+        info = self.env.types.get(entry[0]) if entry is not None else None
+        return isinstance(info, DataInfo) and info.mutable
 
     def tuple_(self, e: ETuple) -> str:
         lead = self.lead(e.items)
