@@ -34,8 +34,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from minimz.check import Checker  # noqa: E402
+from minimz.codegen import _code  # noqa: E402
 from minimz.driver import CORPUS_DIR, load_text, prelude  # noqa: E402
-from minimz.interp import _code, eval_program  # noqa: E402
+from minimz.interp import eval_program  # noqa: E402
 from minimz.kinds import resolve  # noqa: E402
 from minimz.parser import Parser, tokenize  # noqa: E402
 

@@ -1,85 +1,35 @@
 """Call-by-value interpreter over a mutable heap of tagged records.
 
-Permissions never reach runtime; what remains is deterministic
-left-to-right evaluation plus optional affinity instrumentation: any
-closure literal packaged directly inside a tuple literal is treated as
-one-shot, and all closures packaged by the same tuple literal share one
-spent flag (so a double-barreled pair can fire at most one barrel).
-
-A step is the evaluation of one source expression node, counted before the
-node's work; a run traps STEP_LIMIT on step `max_steps + 1`. A call
-evaluates its callee, then its argument: a callee of arity 1 receives the
-argument as one value; a tuple literal as long as the arity is evaluated
-item by item, and the tuple itself costs no step and packages nothing;
-any other argument must evaluate to a tuple as long as the arity.
-
-Each definition is compiled once per run, on its first call, into one
-Python function: `_Compiler` writes its source text and `_code` turns it
-into code. The lambdas in the body become nested functions, a `let`
-binds a Python local, an `if` or `match` becomes an `if` statement, and a
-call of a builtin on a tuple literal of its arity is written out in place.
-Program text never becomes code: each name of the program maps to a
-generated identifier, and its tags, field names, integers and messages are
-constants of the function's namespace, made for each compile. So the text
-depends only on the shape of the definition, and `_code` keeps the code of
-recent texts: the runs of one process that load the same definition, as
-the files of `minimz test` that share a library do, compile it once.
-
-A function reaches the run through its first parameter, and a call of
-another definition reads the run's globals at call time, so compiled code
-holds no `Interp`, heap or globals: closures end up in heap records, and
-holding the run would make every finished run a reference cycle that only
-the cycle collector frees.
-
-The step count is `Interp.steps`. Steps charged in a row are added and
-checked against the limit at once, before anything that can be seen after
-a trap: a call, a new record, a write to a record, a return. A check that
-fails in between, or a limit passed by one of those charges, stops the run
-on the step a check per step would have stopped it on (`_Check.trap`). A
-trap for recursion too deep reports the count as of the last call.
-
-Code deeper than `_MAX_DEPTH` blocks moves to helper functions, since
-Python's parser takes no more than 100 levels of indentation, and so does
-a branch that would take a function past `_MAX_LOCALS` locals, since each
-call of a function reserves room for all its locals, on branches not taken
-too.
+The values, the heap and the semantics of a step are in `runtime`; each
+definition is compiled, on its first call in a run, by `codegen`. A run
+raises the recursion limit, so deep (but checked) recursion works while
+runaway recursion traps. A trap for recursion too deep reports the count
+as of the last call.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
 import sys
 import threading
-from dataclasses import dataclass, field
-from types import MappingProxyType
 
-from .ast import (
-    DValDef,
-    EAssign,
-    EBool,
-    ECall,
-    EConstruct,
-    EField,
-    EIf,
-    EInt,
-    ELambda,
-    ELet,
-    EMatch,
-    ETagUpdate,
-    ETuple,
-    EVar,
-    Expr,
-    PTuple,
-    PVar,
-    Pattern,
-    SourceFile,
+from .ast import DValDef, SourceFile
+from .codegen import first_call
+from .kinds import Env
+from .runtime import (
+    Cell,
+    OneShot,
+    RuntimeTrap,
+    Stats,
+    Value,
+    VAddr,
+    VBool,
+    VBuiltin,
+    VClosure,
+    VInt,
+    VTuple,
+    _builtins,
+    _Check,
 )
-from .kinds import DataInfo, Env, domain_comps
-
-_INT_MASK = (1 << 64) - 1
-_INT_MIN = -(1 << 63)
-_INT_MAX = (1 << 63) - 1
 
 # `Interp.run` raises a process-wide setting, the recursion limit, and puts
 # it back when it is done. Runs take turns behind this lock, so no run puts
@@ -87,1021 +37,10 @@ _INT_MAX = (1 << 63) - 1
 _RUN_LOCK = threading.Lock()
 
 
-def _wrap64(n: int) -> int:
-    n &= _INT_MASK
-    return n - (1 << 64) if n >= (1 << 63) else n
-
-
-class RuntimeTrap(Exception):
-    """kind is one of ONE_SHOT_REUSE, BAD_TAG, BAD_FIELD, UNBOUND, DIV_ZERO,
-    STEP_LIMIT. `trace` holds the run's trace lines up to the trap (empty
-    when tracing is off)."""
-
-    def __init__(self, kind: str, message: str):
-        super().__init__(f"{kind}: {message}")
-        self.kind = kind
-        self.message = message
-        self.trace: list[str] = []
-
-
-def _over(limit: int) -> RuntimeTrap:
-    return RuntimeTrap("STEP_LIMIT", f"exceeded {limit} steps")
-
-
-# ---------------------------------------------------------------------------
-# Values and heap
-# ---------------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class VInt:
-    value: int
-
-
-@dataclass(slots=True)
-class VBool:
-    value: bool
-
-
-@dataclass(slots=True)
-class VAddr:
-    addr: int
-
-
-@dataclass(slots=True)
-class VTuple:
-    items: list
-
-
-# A function value is called as `f.fn(rt, arg)`, where `rt` is the run and
-# `arg` is the argument itself at arity 1 and a sequence of `f.arity`
-# arguments otherwise.
-
-
-@dataclass(slots=True)
-class VClosure:
-    """A compiled function. A top-level definition's `fn` compiles the
-    definition on its first call and puts the result in its place."""
-
-    arity: int
-    fn: object
-
-
-@dataclass(slots=True)
-class VBuiltin:
-    name: str
-    arity: int
-    fn: object
-
-
-@dataclass(slots=True)
-class OneShot:
-    """A closure instrumented to fire at most once; `cell` is shared by every
-    closure packaged by the same tuple literal."""
-
-    inner: VClosure
-    cell: list
-    arity: int
-
-    def fn(self, rt: Interp, arg):
-        cell = self.cell
-        if cell[0]:
-            raise RuntimeTrap("ONE_SHOT_REUSE", "one-shot closure fired twice")
-        cell[0] = True
-        rt.stats.oneshot_fires += 1
-        if rt.trace_enabled:
-            rt.trace.append(f"oneshot {cell[1]}")
-        return self.inner.fn(rt, arg)
-
-
-Value = VInt | VBool | VAddr | VTuple | VClosure | VBuiltin | OneShot
-
-UNIT = VTuple([])
-TRUE = VBool(True)
-FALSE = VBool(False)
-
-
-@dataclass(slots=True)
-class Cell:
-    tag: str
-    fields: dict[str, Value]
-    mutable: bool
-
-
-@dataclass
-class Stats:
-    steps: int = 0
-    allocations: int = 0
-    oneshot_fires: int = 0
-    call_steps: dict[str, list[int]] = field(default_factory=dict)
-
-
-def _quot(a: int, b: int) -> int:
-    """`a / b` rounded toward zero; b is not 0."""
-    q = abs(a) // abs(b)
-    return q if (a < 0) == (b < 0) else -q
-
-
-def _rem(a: int, b: int) -> int:
-    return a - _quot(a, b) * b
-
-
-# The binary builtins: the Python expression an inlined call computes from
-# the two ints, the same as a function, the class of the result, and the
-# message of the trap on a zero divisor (None when there is none).
-_BINARY = MappingProxyType({
-    "add": ("{} + {}", operator.add, VInt, None),
-    "sub": ("{} - {}", operator.sub, VInt, None),
-    "mul": ("{} * {}", operator.mul, VInt, None),
-    "div": ("_quot({}, {})", _quot, VInt, "division by zero"),
-    "mod": ("_rem({}, {})", _rem, VInt, "modulo by zero"),
-    "eq": ("{} == {}", operator.eq, VBool, None),
-    "lt": ("{} < {}", operator.lt, VBool, None),
-    "le": ("{} <= {}", operator.le, VBool, None),
-})
-
-
-def _builtins() -> dict[str, VBuiltin]:
-    def binary(name, fn, result, zero):
-        def call(rt: Interp, arg) -> Value:
-            a, b = arg
-            if type(a) is not VInt or type(b) is not VInt:
-                raise RuntimeTrap("BAD_FIELD", f"{name} expects integers")
-            if zero is not None and b.value == 0:
-                raise RuntimeTrap("DIV_ZERO", zero)
-            v = fn(a.value, b.value)
-            if result is VInt:
-                return VInt(_wrap64(v))
-            return TRUE if v else FALSE
-
-        return VBuiltin(name, 2, call)
-
-    def not_(rt: Interp, a: Value) -> Value:
-        if type(a) is not VBool:
-            raise RuntimeTrap("BAD_FIELD", "not expects a boolean")
-        return FALSE if a.value else TRUE
-
-    table = {name: binary(name, *spec[1:]) for name, spec in _BINARY.items()}
-    table["not"] = VBuiltin("not", 1, not_)
-    return table
-
-
-# ---------------------------------------------------------------------------
-# What compiled code calls besides functions
-# ---------------------------------------------------------------------------
-
-
-class _Check(Exception):
-    """A check in compiled code that failed, or a step limit passed. Each
-    is made when the code is compiled and raised as it is; `Interp.run`
-    turns it into the run's trap. `charges` are the steps taken since the
-    count was last checked and not yet added to it; the first of them to
-    pass the limit stops the run instead. A kind of None is a check of the
-    limit made after the charges were added."""
-
-    def __init__(self, kind: str | None, message: str | None, charges: tuple):
-        super().__init__(kind, message)
-        self.kind, self.message, self.charges = kind, message, charges
-        self.total = sum(charges)
-
-    def fill(self, value: object) -> _Check:
-        """The check with `value` in the one hole of its message. Program
-        names hold no braces, so a message template has no other hole."""
-        return _Check(self.kind, self.message.format(value), self.charges)
-
-    def trap(self, rt: Interp) -> RuntimeTrap:
-        steps = rt.steps - self.total if self.kind is None else rt.steps
-        for charge in self.charges:
-            steps += charge
-            if steps > rt.max_steps:
-                rt.steps = steps
-                return _over(rt.max_steps)
-        rt.steps = steps
-        return RuntimeTrap(self.kind, self.message)
-
-
-def _package(rt: Interp, items: list) -> VTuple:
-    """The value of a tuple literal, given the new list of its items: its
-    closures become one-shot, sharing one spent flag."""
-    cell = None
-    for i, v in enumerate(items):
-        if type(v) is VClosure:
-            if cell is None:
-                rt.oneshot_seq += 1
-                cell = [False, rt.oneshot_seq]
-            items[i] = OneShot(v, cell, v.arity)
-    return VTuple(items)
-
-
-def _spread(value: Value, arity: int):
-    """The argument of a call of `arity` on `value`: the value itself at
-    arity 1, else the items of a tuple as long as the arity."""
-    if arity == 1:
-        return value
-    if type(value) is not VTuple or len(value.items) != arity:
-        raise RuntimeTrap("BAD_FIELD", f"call expects {arity} argument(s)")
-    return value.items
-
-
-def _writable(rt: Interp, value: Value) -> Cell:
-    """The cell that an update of `value` writes."""
-    if type(value) is not VAddr:
-        raise RuntimeTrap("BAD_FIELD", "value is not a record")
-    cell = rt.heap[value.addr]
-    if not cell.mutable:
-        raise RuntimeTrap("BAD_FIELD", f"{cell.tag} is immutable")
-    return cell
-
-
-def _alloc(rt: Interp, limit: _Check, tag: str, fields: dict, mutable: bool) -> VAddr:
-    """A new record, once the pending charges that `limit` checks are
-    taken."""
-    rt.steps += limit.total
-    if rt.steps > rt.max_steps:
-        raise limit
-    addr = len(rt.heap)
-    rt.heap.append(Cell(tag, fields, mutable))
-    if rt.trace_enabled:
-        rt.trace.append(f"alloc {addr} {tag}")
-    return VAddr(addr)
-
-
-def _build(rt: Interp, plan: tuple) -> VAddr:
-    """A record literal of constants, from its plan: the arguments of its
-    `_alloc`, with the plan of each field that is a record literal in
-    place of its value. Fields are made in order, each before its record,
-    as the code of the literal would make them."""
-    limit, tag, fields, mutable = plan
-    values = {f: _build(rt, v) if type(v) is tuple else v for f, v in fields}
-    return _alloc(rt, limit, tag, values, mutable)
-
-
-def _done(rt: Interp, name: str, before: int, value: Value) -> Value:
-    """Record the steps of a call of definition `name` that started at
-    step `before`; returns the call's value."""
-    try:
-        rt.stats.call_steps[name].append(rt.steps - before)
-    except KeyError:
-        rt.stats.call_steps[name] = [rt.steps - before]
-    return value
-
-
-def _children(e: Expr) -> tuple:
-    """The subexpressions of `e` that its own function computes: not the
-    body of a lambda."""
-    t = type(e)
-    if t is ELet:
-        return (e.bound, e.body)
-    if t is ECall:
-        return (e.callee, e.arg)
-    if t is EIf:
-        return (e.cond, e.then, e.otherwise)
-    if t is EMatch:
-        return (e.scrutinee, *(body for _, body in e.branches))
-    if t is EField:
-        return (e.obj,)
-    if t is EAssign:
-        return (e.obj, e.value)
-    if t is EConstruct:
-        return tuple(x for _, x in e.fields)
-    if t is ETagUpdate:
-        return (e.obj, *(x for _, x in e.fields))
-    if t is ETuple:
-        return e.items
-    return ()
-
-
-def _constant(e: Expr) -> bool:
-    """Whether `e` is a record literal whose fields are integers, booleans
-    or such literals."""
-    return type(e) is EConstruct and all(
-        type(x) in (EInt, EBool) or _constant(x) for _, x in e.fields
-    )
-
-
-def _first_call(decl: DValDef):
-    """The `fn` of a top-level definition until its first call."""
-
-    def first(rt: Interp, arg):
-        fn = rt.globals[decl.name].fn = _Compiler(rt).definition(decl)
-        return fn(rt, arg)
-
-    return first
-
-
-# ---------------------------------------------------------------------------
-# Compilation
-# ---------------------------------------------------------------------------
-
-# Generated code nests no deeper than this many blocks; a nesting expression
-# found deeper moves to a helper function (`_Compiler.split`), because
-# Python's parser stops at 100 levels of indentation.
-_MAX_DEPTH = 50
-
-# A branch of an `if` or `match` moves to a helper function when it would
-# take the function it is in past about this many locals. So a frame holds
-# the values of the code that ran in it and little more, and with the
-# recursion limit this bounds the memory of a runaway recursion.
-_MAX_LOCALS = 100
-
 # The recursion limit during a run. A call of a definition or lambda takes
 # one Python frame (a one-shot closure two, a helper function one more), so
 # this bounds the depth of the program's calls to about as many.
 _RECURSION_LIMIT = 100_000
-
-
-@functools.lru_cache(maxsize=256)
-def _code(text: str, filename: str):
-    """The code of generated source `text`. Code objects are immutable and
-    the text holds no value of a run, so runs can share them."""
-    return compile(text, filename, "exec")
-
-# Names the generated code uses from this module.
-_RUNTIME = MappingProxyType({
-    "VInt": VInt,
-    "VBool": VBool,
-    "VTuple": VTuple,
-    "VClosure": VClosure,
-    "UNIT": UNIT,
-    "TRUE": TRUE,
-    "FALSE": FALSE,
-    "I0": _INT_MIN,
-    "I1": _INT_MAX,
-    "_wrap64": _wrap64,
-    "_quot": _quot,
-    "_rem": _rem,
-    "_Check": _Check,
-    "_package": _package,
-    "_spread": _spread,
-    "_writable": _writable,
-    "_alloc": _alloc,
-    "_build": _build,
-    "_done": _done,
-})
-
-
-class _Body:
-    """A Python function being written: a definition, a helper split off
-    from one (both are roots, written at the top of the generated module),
-    or a lambda nested in one of them.
-
-    Step charges not yet added to `rt.steps` are `pending`; they are added
-    and checked against the limit (`flush`) before anything that can be
-    seen after a trap: a call, a new record, a write to a record, a
-    return. A check that fails before then hands them to its `_Check`,
-    which finds out whether the limit came first."""
-
-    def __init__(self, root: _Body | None, base: int, named: str | None):
-        self.root = root  # None for a root itself
-        self.base = base  # the depth of the `def` line
-        self.depth = 1  # of the next line, relative to `base`
-        self.lines: list[str] = []
-        self.size = 0  # identifiers made in this function
-        self.params: list[str] = []  # a root's captured identifiers
-        self.prologue: dict[str, str] = {}
-        self.named = named  # the constant of a definition's name
-        self.pending: list[int] = []
-
-
-class _Compiler:
-    """Compiles one definition, with the lambdas inside it, for one run.
-    Every value the generated code needs is a constant of its namespace,
-    or reached through the run it is given.
-
-    Code is written in statements: each expression leaves its value in an
-    atom, an identifier or constant that is never assigned again, so a
-    program name can stand for the atom of its value and a lambda can
-    capture it as a Python closure does."""
-
-    def __init__(self, rt: Interp):
-        self.globals = rt.globals
-        self.env = rt.env
-        self.ns: dict[str, object] = dict(_RUNTIME, L=rt.max_steps)
-        self.consts: dict[tuple, str] = {}
-        self.checks: dict[tuple, str] = {}
-        self.sizes: dict[int, int] = {}  # id of an expression -> its `nodes`
-        self.ints: dict[str, str] = {}  # an int constant's atom -> its int
-        # The class of an atom's value, where it is fixed.
-        self.known: dict[str, type] = {"TRUE": VBool, "FALSE": VBool}
-        self.scope: dict[str, str] = {}  # program name -> atom
-        self.trail: list[tuple[str, str | None]] = []
-        self.owner: dict[str, _Body] = {}  # identifier -> the root that binds it
-        self.roots: list[tuple[_Body, str]] = []  # with the `def` line of each
-        self.count = 0
-        self.b: _Body | None = None
-
-    # -- output ------------------------------------------------------------------
-
-    def fresh(self, prefix: str) -> str:
-        self.count += 1
-        self.b.size += 1
-        name = f"{prefix}{self.count}"
-        self.owner[name] = self.b.root or self.b
-        return name
-
-    def const(self, value: object) -> str:
-        key = (type(value), value.value if type(value) is VInt else value)
-        name = self.consts.get(key)
-        if name is None:
-            name = self.consts[key] = f"k{len(self.consts)}"
-            # Tags and field names compare and hash fastest as one object.
-            self.ns[name] = sys.intern(value) if type(value) is str else value
-            self.known[name] = type(value)
-            if type(value) is VInt:
-                self.ints[name] = self.const(value.value)
-        return name
-
-    def emit(self, line: str) -> None:
-        b = self.b
-        b.lines.append("    " * b.depth + line)
-
-    def need(self, name: str, line: str) -> str:
-        self.b.prologue[name] = line
-        return name
-
-    def step(self, n: int) -> None:
-        if n:
-            self.b.pending.append(n)
-
-    def check_for(self, kind: str | None, message: str | None) -> str:
-        """The `_Check` of a failure here, with the pending charges."""
-        key = (kind, message, tuple(self.b.pending))
-        name = self.checks.get(key)
-        if name is None:
-            name = self.checks[key] = self.const(_Check(*key))
-        return name
-
-    def flush(self) -> None:
-        b = self.b
-        total = sum(b.pending)
-        if total:
-            self.emit(f"rt.steps += {total}")
-            self.emit(f"if rt.steps > L: raise {self.check_for(None, None)}")
-        b.pending = []
-
-    def trap(self, kind: str, message: str, fill: str | None = None) -> str:
-        """A statement raising a trap, with the value of the Python
-        expression `fill` in the hole of the message."""
-        check = self.check_for(kind, message)
-        return f"raise {check}" if fill is None else f"raise {check}.fill({fill})"
-
-    def invoke(self, call: str) -> str:
-        self.flush()
-        t = self.fresh("t")
-        self.emit(f"{t} = {call}")
-        return t
-
-    def ret(self, atom: str) -> None:
-        self.flush()
-        if self.b.named is not None:
-            atom = f"_done(rt, {self.b.named}, s0, {atom})"
-        self.emit(f"return {atom}")
-
-    def finish(self, body: _Body, head: str, pad: str) -> list[str]:
-        prologue = [f"{pad}    {line}" for line in body.prologue.values()]
-        return [pad + head, *prologue, *(pad + line for line in body.lines)]
-
-    # -- functions -----------------------------------------------------------------
-
-    def definition(self, decl: DValDef):
-        fn = self.function(decl.name, list(decl.params), decl.body, 1)
-        if len(self.roots) == 1:
-            text = self.finish(*self.roots[0], "")
-        else:
-            # The helpers reach each other as variables of `_make`.
-            text = ["def _make():"]
-            for body, head in self.roots:
-                text += self.finish(body, head, "    ")
-            text.append(f"    return {fn}")
-        exec(_code("\n".join(text) + "\n", f"<minimz {decl.name}>"), self.ns)
-        # The namespace keeps no function, or each would hold itself.
-        return self.ns.pop(fn) if len(self.roots) == 1 else self.ns.pop("_make")()
-
-    def function(self, name: str | None, params: list[str | None], body: Expr,
-                 base: int) -> str:
-        """Write a function of `params` returning `body`: a definition when
-        `name` is set, else a lambda nested in the current body, whose `def`
-        is at depth `base`. Returns the function's identifier."""
-        outer = self.b
-        named = None if name is None else self.const(name)
-        self.b = b = _Body(None if outer is None else outer.root or outer, base, named)
-        fn = self.fresh("f" if outer is None else "l")
-        idents = [self.fresh("v") for _ in params]
-        mark = len(self.trail)
-        for param, ident in zip(params, idents):
-            if param is not None:
-                self.enter(param, ident)
-        if len(params) == 1:
-            arg = idents[0]
-        else:
-            arg = "x"
-            if params:
-                self.emit(f"{', '.join(idents)}, = x")
-        if outer is None:
-            self.emit("s0 = rt.steps")
-        self.tail(body)
-        self.undo(mark)
-        self.b = outer
-        head = f"def {fn}(rt, {arg}):"
-        if outer is None:
-            self.roots.append((b, head))
-        else:
-            outer.lines += self.finish(b, head, "    " * outer.depth)
-        return fn
-
-    def split(self, e: Expr) -> str:
-        """Compute `e` in a helper function of its own, at the top of the
-        module, that takes what it uses of the current body as parameters."""
-        outer = self.b
-        self.b = b = _Body(None, 1, None)
-        fn = self.fresh("h")
-        self.tail(e)
-        self.b = outer
-        for ident in b.params:
-            self.use(ident)
-        args = "".join(f", {p}" for p in b.params)
-        self.roots.append((b, f"def {fn}(rt{args}):"))
-        return self.invoke(f"{fn}(rt{args})")
-
-    # -- scope ---------------------------------------------------------------------
-
-    def enter(self, name: str, atom: str) -> None:
-        self.trail.append((name, self.scope.get(name)))
-        self.scope[name] = atom
-
-    def undo(self, mark: int) -> None:
-        trail, scope = self.trail, self.scope
-        while len(trail) > mark:
-            name, old = trail.pop()
-            if old is None:
-                del scope[name]
-            else:
-                scope[name] = old
-
-    def lookup(self, name: str) -> str | None:
-        atom = self.scope.get(name)
-        if atom is not None:
-            self.use(atom)
-        return atom
-
-    def use(self, atom: str) -> None:
-        """Note that the current body reads `atom`: a root that did not
-        bind it takes it as a parameter."""
-        owner = self.owner.get(atom)
-        if owner is not None:
-            root = self.b.root or self.b
-            if owner is not root and atom not in root.params:
-                root.params.append(atom)
-
-    def lead(self, exprs) -> int:
-        """How many of the operands a node evaluates in a row, right after
-        its step, are leading variables bound in the function: the node
-        takes their steps at once with its own, since reading them can
-        neither trap nor be seen."""
-        n = 0
-        for x in exprs:
-            if type(x) is not EVar or x.name not in self.scope:
-                break
-            n += 1
-        return n
-
-    def operands(self, exprs, lead: int) -> list[str]:
-        return [self.lookup(x.name) if i < lead else self.expr(x) for i, x in enumerate(exprs)]
-
-    def operand(self, e: Expr) -> str:
-        """Charge the step of a node with one operand, and compute it."""
-        if self.lead([e]):
-            self.step(2)
-            return self.lookup(e.name)
-        self.step(1)
-        return self.expr(e)
-
-    def bind(self, pat: Pattern, atom: str) -> None:
-        if type(pat) is PVar:
-            self.enter(pat.name, atom)
-            return
-        assert type(pat) is PTuple
-        idents = [self.fresh("v") for _ in pat.items]
-        self.emit(f"if type({atom}) is not VTuple or len({atom}.items) != {len(idents)}: "
-                  + self.trap("BAD_FIELD", "tuple pattern mismatch"))
-        if idents:
-            self.emit(f"{', '.join(idents)}, = {atom}.items")
-        for sub, ident in zip(pat.items, idents):
-            self.bind(sub, ident)
-
-    # -- positions -----------------------------------------------------------------
-
-    def deep(self, e: Expr) -> bool:
-        b = self.b
-        return b.base + b.depth > _MAX_DEPTH and type(e) in (EIf, EMatch, ELambda)
-
-    def tail(self, e: Expr) -> None:
-        """Write code that returns the value of `e` from the function."""
-        mark = len(self.trail)
-        while True:
-            if type(e) is ELet:
-                self.let(e)
-                e = e.body
-            elif type(e) is EIf and not self.deep(e):
-                cond = self.condition(e)
-                pending = list(self.b.pending)
-                self.emit(f"if {cond}:")
-                self.b.depth += 1
-                self.branch(e.then, None)
-                self.b.depth -= 1
-                self.b.pending = pending
-                e = e.otherwise
-                if self.big(e):
-                    self.ret(self.split(e))
-                    self.undo(mark)
-                    return
-            else:
-                break
-        if type(e) is EMatch and not self.deep(e):
-            self.match(e)
-        else:
-            self.ret(self.expr(e))
-        self.undo(mark)
-
-    def expr(self, e: Expr) -> str:
-        """Write code that computes `e`; returns the atom of its value."""
-        if self.deep(e):
-            return self.split(e)
-        return self.NODES[type(e)](self, e)
-
-    def big(self, e: Expr) -> bool:
-        """Whether a branch `e` would take the function past `_MAX_LOCALS`."""
-        return self.b.size + self.nodes(e) > _MAX_LOCALS
-
-    def nodes(self, e: Expr) -> int:
-        """The number of nodes of `e` outside its lambdas, about as many as
-        the locals of its code."""
-        n = self.sizes.get(id(e))
-        if n is None:
-            n = self.sizes[id(e)] = 1 + sum(self.nodes(x) for x in _children(e))
-        return n
-
-    def branch(self, e: Expr, result: str | None) -> None:
-        """Write one branch of an `if` or `match`: its value goes to
-        `result`, or is returned when that is None."""
-        big = self.big(e)
-        if result is None and not big:
-            self.tail(e)
-            return
-        atom = self.split(e) if big else self.expr(e)
-        if result is None:
-            self.ret(atom)
-        else:
-            self.flush()
-            self.emit(f"{result} = {atom}")
-
-    # -- nodes ---------------------------------------------------------------------
-
-    def let(self, e: ELet) -> None:
-        """Bind `e`'s pattern; the caller writes the body."""
-        self.bind(e.pattern, self.operand(e.bound))
-
-    def let_value(self, e: ELet) -> str:
-        mark = len(self.trail)
-        while type(e) is ELet:
-            self.let(e)
-            e = e.body
-        atom = self.expr(e)
-        self.undo(mark)
-        return atom
-
-    def var(self, e: EVar) -> str:
-        self.step(1)
-        atom = self.lookup(e.name)
-        if atom is not None:
-            return atom
-        if e.name in self.globals:
-            t = self.fresh("t")
-            self.emit(f"{t} = {self.global_(e.name)}")
-            return t
-        self.emit(self.trap("UNBOUND", f"unbound value {e.name!r}"))
-        return "UNIT"
-
-    def global_(self, name: str) -> str:
-        return f"{self.need('G', 'G = rt.globals')}[{self.const(name)}]"
-
-    def constant(self, e: EInt | EBool) -> str:
-        self.step(1)
-        if type(e) is EBool:
-            return "TRUE" if e.value else "FALSE"
-        return self.const(VInt(e.value))
-
-    def condition(self, e: EIf) -> str:
-        """Charge `e`'s step and compute its condition; returns a Python
-        expression of its truth."""
-        if not self.lead([e.cond]):
-            inline = self.inline(e.cond, 1)
-            if inline is not None and inline[1] is VBool:
-                return inline[0]
-            if inline is not None:
-                atom = self.box(inline)
-            else:
-                self.step(1)
-                atom = self.expr(e.cond)
-        else:
-            atom = self.operand(e.cond)
-        self.check(atom, VBool, "condition is not a boolean")
-        return f"{atom}.value"
-
-    def check(self, atom: str, cls: type, message: str) -> None:
-        if self.known.get(atom) is not cls:
-            self.emit(f"if type({atom}) is not {cls.__name__}: {self.trap('BAD_FIELD', message)}")
-
-    def if_(self, e: EIf) -> str:
-        t = self.fresh("t")
-        cond = self.condition(e)
-        pending = self.b.pending
-        self.emit(f"if {cond}:")
-        for branch in (e.then, e.otherwise):
-            if branch is e.otherwise:
-                self.emit("else:")
-            self.b.pending = list(pending)
-            self.b.depth += 1
-            self.branch(branch, t)
-            self.b.depth -= 1
-        return t
-
-    def match(self, e: EMatch, result: str | None = None) -> str | None:
-        cell = self.record(self.operand(e.scrutinee))
-        pending = self.b.pending
-        seen = set()
-        for pat, body in e.branches:
-            if pat.tag in seen:
-                continue
-            self.emit(f"{'elif' if seen else 'if'} {cell}.tag == {self.const(pat.tag)}:")
-            seen.add(pat.tag)
-            self.b.pending = list(pending)
-            self.b.depth += 1
-            mark = len(self.trail)
-            self.fields(cell, pat.fields)
-            self.branch(body, result)
-            self.undo(mark)
-            self.b.depth -= 1
-        self.b.pending = pending
-        self.emit("else:" if seen else "if True:")
-        self.b.depth += 1
-        self.emit(self.trap("BAD_TAG", "no branch for tag {!r}", f"{cell}.tag"))
-        self.b.depth -= 1
-        self.b.pending = []
-        return result
-
-    def match_value(self, e: EMatch) -> str:
-        return self.match(e, self.fresh("t"))
-
-    def fields(self, cell: str, fields) -> None:
-        """Bind the fields a match arm names, read in order; a field whose
-        pattern is a tuple is taken apart before the next is read."""
-        if len(fields) == 1:
-            record = f"{cell}.fields"
-        elif fields:
-            record = self.fresh("t")
-            self.emit(f"{record} = {cell}.fields")
-        group: list[tuple[str, str, Pattern]] = []
-        for i, (name, pat) in enumerate(fields):
-            group.append((self.fresh("v"), name, pat))
-            if type(pat) is PVar and i < len(fields) - 1:
-                continue
-            self.emit(f"try: {'; '.join(f'{v} = {record}[{self.const(n)}]' for v, n, _ in group)}")
-            if len(group) == 1:
-                self.emit(f"except KeyError: {self.trap('BAD_FIELD', f'missing field {name!r}')}")
-            else:
-                # The first read that fails names the first missing field.
-                self.emit(f"except KeyError as e: "
-                          + self.trap("BAD_FIELD", "missing field {!r}", "e.args[0]"))
-            for v, _, pat in group:
-                self.bind(pat, v)
-            group = []
-
-    def record(self, atom: str) -> str:
-        """The heap cell that `atom` points to."""
-        cell = self.fresh("t")
-        read = f"{cell} = {self.need('H', 'H = rt.heap')}[{atom}.addr]"
-        if self.known.get(atom) is VAddr:
-            self.emit(read)
-        else:
-            self.emit(f"try: {read}")
-            self.emit(f"except AttributeError: {self.trap('BAD_FIELD', 'value is not a record')}")
-        return cell
-
-    def field_(self, e: EField) -> str:
-        cell = self.record(self.operand(e.obj))
-        t = self.fresh("t")
-        self.emit(f"try: {t} = {cell}.fields[{self.const(e.name)}]")
-        message = f"no field {e.name!r} on {{}}"
-        self.emit(f"except KeyError: {self.trap('BAD_FIELD', message, f'{cell}.tag')}")
-        return t
-
-    def update(self, e: EAssign | ETagUpdate) -> str:
-        """`obj.f <- v` and `tag of obj <- T { f = v; ... }`: the new field
-        values first, then the object; only a mutable record changes."""
-        if type(e) is EAssign:
-            tag, names, exprs = None, [e.name], [e.value]
-        else:
-            tag, names, exprs = e.tag, [f for f, _ in e.fields], [fe for _, fe in e.fields]
-        lead = self.lead(exprs)
-        self.step(1 + lead)
-        values = self.operands(exprs, lead)
-        obj = self.expr(e.obj)
-        self.flush()
-        cell = self.fresh("t")
-        self.emit(f"{cell} = _writable(rt, {obj})")
-        if tag is not None:
-            self.emit(f"{cell}.tag = {self.const(tag)}")
-        for name, value in zip(names, values):
-            self.emit(f"{cell}.fields[{self.const(name)}] = {value}")
-        return "UNIT"
-
-    def construct(self, e: EConstruct) -> str:
-        t = self.fresh("t")
-        self.known[t] = VAddr
-        if _constant(e) and any(type(x) is EConstruct for _, x in e.fields):
-            # Nested records of constants are built from a plan, not code.
-            self.count += 1
-            plan = f"p{self.count}"
-            self.ns[plan] = self.plan(e)
-            self.emit(f"{t} = _build(rt, {plan})")
-            return t
-        exprs = [fe for _, fe in e.fields]
-        lead = self.lead(exprs)
-        self.step(1 + lead)
-        values = self.operands(exprs, lead)
-        fields = ", ".join(f"{self.const(f)}: {v}" for (f, _), v in zip(e.fields, values))
-        limit = self.check_for(None, None)
-        mutable = self.mutable(e.tag)
-        self.emit(f"{t} = _alloc(rt, {limit}, {self.const(e.tag)}, {{{fields}}}, {mutable})")
-        self.b.pending = []
-        return t
-
-    def plan(self, e: EConstruct) -> tuple:
-        """The plan of `_build` for a record literal of constants, charging
-        the steps that `construct` would charge for it."""
-        self.step(1)
-        fields = []
-        for name, x in e.fields:
-            if type(x) is EConstruct:
-                value = self.plan(x)
-            else:
-                self.step(1)
-                value = VInt(x.value) if type(x) is EInt else TRUE if x.value else FALSE
-            fields.append((sys.intern(name), value))
-        limit = self.ns[self.check_for(None, None)]
-        self.b.pending = []
-        return limit, sys.intern(e.tag), tuple(fields), self.mutable(e.tag)
-
-    def mutable(self, tag: str) -> bool:
-        entry = self.env.tags.get(tag)
-        info = self.env.types.get(entry[0]) if entry is not None else None
-        return isinstance(info, DataInfo) and info.mutable
-
-    def tuple_(self, e: ETuple) -> str:
-        lead = self.lead(e.items)
-        self.step(1 + lead)
-        return self.package(self.operands(e.items, lead))
-
-    def package(self, atoms: list[str]) -> str:
-        if not atoms:
-            return "UNIT"
-        t = self.fresh("t")
-        self.emit(f"{t} = _package(rt, [{', '.join(atoms)}])")
-        return t
-
-    def lambda_(self, e: ELambda) -> str:
-        self.step(1)
-        params = [c.name for c in domain_comps(e.domain)]
-        fn = self.function(None, params, e.body, self.b.base + self.b.depth)
-        t = self.fresh("t")
-        self.emit(f"{t} = VClosure({len(params)}, {fn})")
-        return t
-
-    # -- calls ---------------------------------------------------------------------
-
-    def call(self, e: ECall) -> str:
-        callee = e.callee
-        items = list(e.arg.items) if type(e.arg) is ETuple else None
-        if type(callee) is EVar and callee.name not in self.scope and callee.name in self.globals:
-            # A global callee is read, with its step, at once; its arity is
-            # known.
-            inline = self.inline(e, 0)
-            if inline is not None:
-                return self.box(inline)
-            self.step(2)
-            return self.known_call(callee.name, e.arg, items)
-        f = self.operand(callee)
-        arity = self.fresh("t")
-        self.emit(f"try: {arity} = {f}.arity")
-        self.emit(f"except AttributeError: {self.trap('BAD_FIELD', 'value is not a function')}")
-        if items is None or len(items) == 1:
-            whole = self.argument(e.arg, items)
-            return self.invoke(
-                f"{f}.fn(rt, {whole} if {arity} == 1 else _spread({whole}, {arity}))"
-            )
-        # The tuple takes its own step only when it is passed whole.
-        lead, k = self.lead(items), len(items)
-        self.flush()
-        charge = f"{lead} + ({arity} != {k})"
-        self.emit(f"rt.steps += {charge}")
-        self.emit(f"if rt.steps > L: raise _Check(None, None, ({charge},))")
-        atoms = ", ".join(self.operands(items, lead))
-        return self.invoke(
-            f"{f}.fn(rt, ({atoms}{',' if k else ''}) if {arity} == {k} "
-            f"else _spread(_package(rt, [{atoms}]), {arity}))"
-        )
-
-    def whole(self, items: list[Expr]) -> str:
-        """A tuple literal argument evaluated as one value."""
-        lead = self.lead(items)
-        self.step(1 + lead)
-        return self.package(self.operands(items, lead))
-
-    def argument(self, arg: Expr, items: list[Expr] | None) -> str:
-        return self.whole(items) if items is not None else self.expr(arg)
-
-    def known_call(self, name: str, arg: Expr, items: list[Expr] | None) -> str:
-        arity = self.globals[name].arity
-        f = self.global_(name)
-        if arity == 1:
-            return self.invoke(f"{f}.fn(rt, {self.argument(arg, items)})")
-        if items is not None and len(items) == arity:
-            lead = self.lead(items)
-            self.step(lead)
-            atoms = self.operands(items, lead)
-            return self.invoke(f"{f}.fn(rt, ({''.join(x + ', ' for x in atoms)}))")
-        return self.invoke(f"{f}.fn(rt, _spread({self.argument(arg, items)}, {arity}))")
-
-    def inline(self, e: Expr, charge: int) -> tuple[str, type] | None:
-        """Write out a call of a builtin on a tuple literal of its arity, or
-        of `not` on any argument, after charging `charge` steps for the node
-        it is the operand of; returns the Python expression of its result,
-        an int or a bool, and the class that holds it. None, with nothing
-        charged, when `e` is no such call."""
-        if type(e) is not ECall or type(e.callee) is not EVar:
-            return None
-        name = e.callee.name
-        if name in self.scope or type(self.globals.get(name)) is not VBuiltin:
-            return None
-        items = list(e.arg.items) if type(e.arg) is ETuple else None
-        if name == "not":
-            self.step(charge)
-            self.step(2)
-            atom = self.argument(e.arg, items)
-            self.check(atom, VBool, "not expects a boolean")
-            return f"not {atom}.value", VBool
-        if items is None or len(items) != 2:
-            return None
-        template, _, result, zero = _BINARY[name]
-        self.step(charge)
-        self.step(2)
-        lead = self.lead(items)
-        self.step(lead)
-        atoms = self.operands(items, lead)
-        unknown = [a for a in atoms if self.known.get(a) is not VInt]
-        if unknown:
-            test = " or ".join(f"type({a}) is not VInt" for a in unknown)
-            self.emit(f"if {test}: {self.trap('BAD_FIELD', f'{name} expects integers')}")
-        ints = [self.ints.get(a) or f"{a}.value" for a in atoms]
-        if zero is not None:
-            divisor = self.ints.get(atoms[1])
-            if divisor is None or self.ns[divisor] == 0:
-                self.emit(f"if {ints[1]} == 0: {self.trap('DIV_ZERO', zero)}")
-        return template.format(*ints), result
-
-    def box(self, inline: tuple[str, type]) -> str:
-        """The value of an inlined builtin's result."""
-        expr, cls = inline
-        t = self.fresh("t")
-        if cls is VBool:
-            self.emit(f"{t} = TRUE if {expr} else FALSE")
-        else:
-            self.emit(f"{t} = {expr}")
-            self.emit(f"{t} = VInt({t} if I0 <= {t} <= I1 else _wrap64({t}))")
-        self.known[t] = cls
-        return t
-
-    NODES = {
-        EVar: var,
-        EInt: constant,
-        EBool: constant,
-        ECall: call,
-        ELet: let_value,
-        EMatch: match_value,
-        EIf: if_,
-        EField: field_,
-        EAssign: update,
-        ETagUpdate: update,
-        EConstruct: construct,
-        ETuple: tuple_,
-        ELambda: lambda_,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Runs
-# ---------------------------------------------------------------------------
 
 
 class Interp:
@@ -1119,7 +58,7 @@ class Interp:
         for file in files:
             for decl in file.decls:
                 if isinstance(decl, DValDef):
-                    self.globals[decl.name] = VClosure(len(decl.params), _first_call(decl))
+                    self.globals[decl.name] = VClosure(len(decl.params), first_call(decl))
 
     # -- entry ----------------------------------------------------------------
 

@@ -1,0 +1,287 @@
+"""Values, heap and the helpers that compiled code calls.
+
+Permissions never reach runtime; what remains is deterministic
+left-to-right evaluation plus optional affinity instrumentation: any
+closure literal packaged directly inside a tuple literal is treated as
+one-shot, and all closures packaged by the same tuple literal share one
+spent flag (so a double-barreled pair can fire at most one barrel).
+
+A step is the evaluation of one source expression node, counted before the
+node's work; a run traps STEP_LIMIT on step `max_steps + 1`. A call
+evaluates its callee, then its argument: a callee of arity 1 receives the
+argument as one value; a tuple literal as long as the arity is evaluated
+item by item, and the tuple itself costs no step and packages nothing;
+any other argument must evaluate to a tuple as long as the arity.
+"""
+
+from __future__ import annotations
+
+import operator
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .interp import Interp
+
+_INT_MASK = (1 << 64) - 1
+_INT_MIN = -(1 << 63)
+_INT_MAX = (1 << 63) - 1
+
+def _wrap64(n: int) -> int:
+    n &= _INT_MASK
+    return n - (1 << 64) if n >= (1 << 63) else n
+
+
+class RuntimeTrap(Exception):
+    """kind is one of ONE_SHOT_REUSE, BAD_TAG, BAD_FIELD, UNBOUND, DIV_ZERO,
+    STEP_LIMIT. `trace` holds the run's trace lines up to the trap (empty
+    when tracing is off)."""
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(f"{kind}: {message}")
+        self.kind = kind
+        self.message = message
+        self.trace: list[str] = []
+
+
+def _over(limit: int) -> RuntimeTrap:
+    return RuntimeTrap("STEP_LIMIT", f"exceeded {limit} steps")
+
+
+# ---------------------------------------------------------------------------
+# Values and heap
+# ---------------------------------------------------------------------------
+
+
+@dataclass(slots=True)
+class VInt:
+    value: int
+
+
+@dataclass(slots=True)
+class VBool:
+    value: bool
+
+
+@dataclass(slots=True)
+class VAddr:
+    addr: int
+
+
+@dataclass(slots=True)
+class VTuple:
+    items: list
+
+
+# A function value is called as `f.fn(rt, arg)`, where `rt` is the run and
+# `arg` is the argument itself at arity 1 and a sequence of `f.arity`
+# arguments otherwise.
+
+
+@dataclass(slots=True)
+class VClosure:
+    """A compiled function. A top-level definition's `fn` compiles the
+    definition on its first call and puts the result in its place."""
+
+    arity: int
+    fn: object
+
+
+@dataclass(slots=True)
+class VBuiltin:
+    name: str
+    arity: int
+    fn: object
+
+
+@dataclass(slots=True)
+class OneShot:
+    """A closure instrumented to fire at most once; `cell` is shared by every
+    closure packaged by the same tuple literal."""
+
+    inner: VClosure
+    cell: list
+    arity: int
+
+    def fn(self, rt: Interp, arg):
+        cell = self.cell
+        if cell[0]:
+            raise RuntimeTrap("ONE_SHOT_REUSE", "one-shot closure fired twice")
+        cell[0] = True
+        rt.stats.oneshot_fires += 1
+        if rt.trace_enabled:
+            rt.trace.append(f"oneshot {cell[1]}")
+        return self.inner.fn(rt, arg)
+
+
+Value = VInt | VBool | VAddr | VTuple | VClosure | VBuiltin | OneShot
+
+UNIT = VTuple([])
+TRUE = VBool(True)
+FALSE = VBool(False)
+
+
+@dataclass(slots=True)
+class Cell:
+    tag: str
+    fields: dict[str, Value]
+    mutable: bool
+
+
+@dataclass
+class Stats:
+    steps: int = 0
+    allocations: int = 0
+    oneshot_fires: int = 0
+    call_steps: dict[str, list[int]] = field(default_factory=dict)
+
+
+def _quot(a: int, b: int) -> int:
+    """`a / b` rounded toward zero; b is not 0."""
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+def _rem(a: int, b: int) -> int:
+    return a - _quot(a, b) * b
+
+
+# The binary builtins: the Python expression an inlined call computes from
+# the two ints, the same as a function, the class of the result, and the
+# message of the trap on a zero divisor (None when there is none).
+_BINARY = MappingProxyType({
+    "add": ("{} + {}", operator.add, VInt, None),
+    "sub": ("{} - {}", operator.sub, VInt, None),
+    "mul": ("{} * {}", operator.mul, VInt, None),
+    "div": ("_quot({}, {})", _quot, VInt, "division by zero"),
+    "mod": ("_rem({}, {})", _rem, VInt, "modulo by zero"),
+    "eq": ("{} == {}", operator.eq, VBool, None),
+    "lt": ("{} < {}", operator.lt, VBool, None),
+    "le": ("{} <= {}", operator.le, VBool, None),
+})
+
+
+def _builtins() -> dict[str, VBuiltin]:
+    def binary(name, fn, result, zero):
+        def call(rt: Interp, arg) -> Value:
+            a, b = arg
+            if type(a) is not VInt or type(b) is not VInt:
+                raise RuntimeTrap("BAD_FIELD", f"{name} expects integers")
+            if zero is not None and b.value == 0:
+                raise RuntimeTrap("DIV_ZERO", zero)
+            v = fn(a.value, b.value)
+            if result is VInt:
+                return VInt(_wrap64(v))
+            return TRUE if v else FALSE
+
+        return VBuiltin(name, 2, call)
+
+    def not_(rt: Interp, a: Value) -> Value:
+        if type(a) is not VBool:
+            raise RuntimeTrap("BAD_FIELD", "not expects a boolean")
+        return FALSE if a.value else TRUE
+
+    table = {name: binary(name, *spec[1:]) for name, spec in _BINARY.items()}
+    table["not"] = VBuiltin("not", 1, not_)
+    return table
+
+
+# ---------------------------------------------------------------------------
+# What compiled code calls besides functions
+# ---------------------------------------------------------------------------
+
+
+class _Check(Exception):
+    """A check in compiled code that failed, or a step limit passed. Each
+    is made when the code is compiled and raised as it is; `Interp.run`
+    turns it into the run's trap. `charges` are the steps taken since the
+    count was last checked and not yet added to it; the first of them to
+    pass the limit stops the run instead. A kind of None is a check of the
+    limit made after the charges were added."""
+
+    def __init__(self, kind: str | None, message: str | None, charges: tuple):
+        super().__init__(kind, message)
+        self.kind, self.message, self.charges = kind, message, charges
+        self.total = sum(charges)
+
+    def fill(self, value: object) -> _Check:
+        """The check with `value` in the one hole of its message. Program
+        names hold no braces, so a message template has no other hole."""
+        return _Check(self.kind, self.message.format(value), self.charges)
+
+    def trap(self, rt: Interp) -> RuntimeTrap:
+        steps = rt.steps - self.total if self.kind is None else rt.steps
+        for charge in self.charges:
+            steps += charge
+            if steps > rt.max_steps:
+                rt.steps = steps
+                return _over(rt.max_steps)
+        rt.steps = steps
+        return RuntimeTrap(self.kind, self.message)
+
+
+def _package(rt: Interp, items: list) -> VTuple:
+    """The value of a tuple literal, given the new list of its items: its
+    closures become one-shot, sharing one spent flag."""
+    cell = None
+    for i, v in enumerate(items):
+        if type(v) is VClosure:
+            if cell is None:
+                rt.oneshot_seq += 1
+                cell = [False, rt.oneshot_seq]
+            items[i] = OneShot(v, cell, v.arity)
+    return VTuple(items)
+
+
+def _spread(value: Value, arity: int):
+    """The argument of a call of `arity` on `value`: the value itself at
+    arity 1, else the items of a tuple as long as the arity."""
+    if arity == 1:
+        return value
+    if type(value) is not VTuple or len(value.items) != arity:
+        raise RuntimeTrap("BAD_FIELD", f"call expects {arity} argument(s)")
+    return value.items
+
+
+def _writable(rt: Interp, value: Value) -> Cell:
+    """The cell that an update of `value` writes."""
+    if type(value) is not VAddr:
+        raise RuntimeTrap("BAD_FIELD", "value is not a record")
+    cell = rt.heap[value.addr]
+    if not cell.mutable:
+        raise RuntimeTrap("BAD_FIELD", f"{cell.tag} is immutable")
+    return cell
+
+
+def _alloc(rt: Interp, limit: _Check, tag: str, fields: dict, mutable: bool) -> VAddr:
+    """A new record, once the pending charges that `limit` checks are
+    taken."""
+    rt.steps += limit.total
+    if rt.steps > rt.max_steps:
+        raise limit
+    addr = len(rt.heap)
+    rt.heap.append(Cell(tag, fields, mutable))
+    if rt.trace_enabled:
+        rt.trace.append(f"alloc {addr} {tag}")
+    return VAddr(addr)
+
+
+def _build(rt: Interp, plan: tuple) -> VAddr:
+    """A record literal of constants, from its plan: the arguments of its
+    `_alloc`, with the plan of each field that is a record literal in
+    place of its value. Fields are made in order, each before its record,
+    as the code of the literal would make them."""
+    limit, tag, fields, mutable = plan
+    values = {f: _build(rt, v) if type(v) is tuple else v for f, v in fields}
+    return _alloc(rt, limit, tag, values, mutable)
+
+
+def _done(rt: Interp, name: str, before: int, value: Value) -> Value:
+    """Record the steps of a call of definition `name` that started at
+    step `before`; returns the call's value."""
+    try:
+        rt.stats.call_steps[name].append(rt.steps - before)
+    except KeyError:
+        rt.stats.call_steps[name] = [rt.steps - before]
+    return value

@@ -6,7 +6,8 @@ import pytest
 from conftest import corpus_text, value_to_pylist
 
 from minimz.driver import load_text, prelude, run_text
-from minimz.interp import Cell, RuntimeTrap, VAddr, VBool, VInt, VTuple, _wrap64, eval_program
+from minimz.interp import Cell, RuntimeTrap, VAddr, VBool, VInt, VTuple, eval_program
+from minimz.runtime import _wrap64
 
 
 def test_size_of_three_node_tree():
