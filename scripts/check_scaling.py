@@ -9,13 +9,13 @@ with a `main`, of a run of `main` (compiling it included, as a fresh
 
 - `pos/tree_size.mz` plus a `main` that binds a balanced tree literal of
   n nodes, at n = 256, 512, 1024 and 2048;
-- a `main` made of n sequential lets over ints, at n = 300 and 900;
+- a `main` made of n sequential lets over ints, at n = 1000 and 3000;
 - n one-line top-level functions, each after its signature, at n = 500,
   1000 and 2000.
 
 Each layer is timed on its own: each timing of a layer redoes the layers
 before it afresh, untimed, so no memo carries over from one timing to the
-next. The last lines give the ratios 2048/1024, 900/300 and 2000/1000 for
+next. The last lines give the ratios 2048/1024, 3000/1000 and 2000/1000 for
 each column; linear time gives 2.0, 3.0 and 2.0.
 
 Run from the root of the repository:
@@ -41,7 +41,7 @@ from minimz.kinds import resolve  # noqa: E402
 from minimz.parser import Parser, tokenize  # noqa: E402
 
 TREE_SIZES = (256, 512, 1024, 2048)
-CHAIN_SIZES = (300, 900)
+CHAIN_SIZES = (1000, 3000)
 DEFS_SIZES = (500, 1000, 2000)
 REPEATS = 9  # short rows on a shared machine need more than 3 to settle
 
@@ -154,7 +154,7 @@ def main() -> None:
         times[name] = layer_times(text, runs)
         print(f"{name:<22}" + "".join(f"{t:14.1f}" for t in times[name]), flush=True)
     for big, small in (("tree literal n=2048", "tree literal n=1024"),
-                       ("let chain n=900", "let chain n=300"),
+                       ("let chain n=3000", "let chain n=1000"),
                        ("definitions n=2000", "definitions n=1000")):
         ratios = ", ".join(
             f"{c} {b / s:.2f}x" for c, b, s in zip(COLUMNS, times[big], times[small])

@@ -533,3 +533,38 @@ class SourceFile:
 
     def __hash__(self) -> int:
         return hash(self.decls)
+
+
+# ---------------------------------------------------------------------------
+# Scopes
+# ---------------------------------------------------------------------------
+
+
+_ABSENT = object()  # in a trail: the name was not bound
+
+
+class Scope(dict):
+    """The names in scope, each mapped to what it stands for, with an undo
+    trail: `enter` hides a name's old binding, and `undo_to` a `mark` gives
+    back every binding made since. A binder costs the names it binds, never
+    a copy of the map; a lookup is a plain dict lookup."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.trail: list[tuple[str, object]] = []
+
+    def enter(self, name: str, value: object) -> None:
+        self.trail.append((name, self.get(name, _ABSENT)))
+        self[name] = value
+
+    def mark(self) -> int:
+        return len(self.trail)
+
+    def undo_to(self, mark: int) -> None:
+        trail = self.trail
+        while len(trail) > mark:
+            name, old = trail.pop()
+            if old is _ABSENT:
+                del self[name]
+            else:
+                self[name] = old

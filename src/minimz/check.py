@@ -35,6 +35,7 @@ from .ast import (
     PTuple,
     PVar,
     Pattern,
+    Scope,
     SourceFile,
     Span,
     TApp,
@@ -105,10 +106,10 @@ class Tail:
 
 class Checker:
     """While a definition is checked, `locals` maps each local name in scope
-    to its anchor and `trail` holds what each binding hid, so that a binder's
-    names leave after its body. A name not bound locally is a top-level
-    value: its own anchor, with its type in `available`. A top-level name
-    that the file declares and never defines (`undefined`) cannot be used."""
+    to its anchor; a binder's names are undone after its body. A name not
+    bound locally is a top-level value: its own anchor, with its type in
+    `available`. A top-level name that the file declares and never defines
+    (`undefined`) cannot be used."""
 
     def __init__(self, env: Env):
         self.env = env
@@ -144,8 +145,7 @@ class Checker:
         (name to type) in scope, drawing fresh names from `names`."""
         self.sub = Subsumer(self.env, names)
         self.available = available
-        self.locals: dict[str, str] = {}
-        self.trail: list[tuple[str, str | None]] = []
+        self.locals = Scope()
         body_ty = sig
         while isinstance(body_ty, TForall):
             body_ty = body_ty.body
@@ -160,22 +160,6 @@ class Checker:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-
-    def _enter(self, pairs: Bindings) -> int:
-        """Bind the names of `pairs`; returns the mark `_leave` undoes to."""
-        mark = len(self.trail)
-        for name, anchor in pairs:
-            self.trail.append((name, self.locals.get(name)))
-            self.locals[name] = anchor
-        return mark
-
-    def _leave(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            name, old = self.trail.pop()
-            if old is None:
-                del self.locals[name]
-            else:
-                self.locals[name] = old
 
     def _mk_anchor(self, penv: PermEnv, name: str) -> str:
         """An anchor for a new local `name`: `name` itself unless it already
@@ -204,7 +188,7 @@ class Checker:
             comp_ty = subst_type(comp.ty, {}, values)
             anchor = self._mk_anchor(penv, param or f"arg{i}")
             if param is not None:
-                self._enter([(param, anchor)])
+                self.locals.enter(param, anchor)
             if comp.name is not None:
                 values[comp.name] = anchor
             penv = penv.add(*admit_atoms(anchor, self.sub.uni.resolve(comp_ty)))
@@ -271,12 +255,16 @@ class Checker:
         in tail positions (where the declared result has been subsumed).
         The names of `pairs` are bound over `e` alone; a chain of `let`s is
         checked in a loop, each binding over the rest of the chain."""
-        mark = self._enter(pairs)
-        while isinstance(e, ELet):
+        scope = self.locals
+        mark = scope.mark()
+        while True:
+            for name, anchor in pairs:
+                scope.enter(name, anchor)
+            if e.__class__ is not ELet:
+                break
             anchor, penv = self.check_expr(penv, e.bound, None)
-            names: list[tuple[str, str]] = []
-            penv = self._bind_pattern(penv, e.pattern, anchor, names)
-            self._enter(names)
+            pairs = []
+            penv = self._bind_pattern(penv, e.pattern, anchor, pairs)
             e = e.body
         if isinstance(e, EIf):
             cond_anchor, penv = self.check_expr(penv, e.cond, None)
@@ -290,7 +278,7 @@ class Checker:
             out = self._finish_tail(penv, anchor, tail, getattr(e, "span", tail.span))
         else:
             out = self._synth(penv, e)
-        self._leave(mark)
+        scope.undo_to(mark)
         return out
 
     def _finish_tail(self, penv: PermEnv, anchor: str, tail: Tail, span: Span):
@@ -720,7 +708,7 @@ class Checker:
         domain = arrow.domain
         codomain = arrow.codomain if e.codomain is not None else None
 
-        mark = len(self.trail)
+        mark = self.locals.mark()
         inner, values, exit_goals = self._enter_domain(
             PermEnv(self.env, penv.duplicable_atoms(), self.available),
             domain,
@@ -760,7 +748,7 @@ class Checker:
                     )
                 ) from exc
             raise
-        self._leave(mark)
+        self.locals.undo_to(mark)
         return self._new_value(penv, TArrow(domain, result_cod), "fn")
 
 

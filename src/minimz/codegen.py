@@ -58,6 +58,7 @@ from .ast import (
     PTuple,
     PVar,
     Pattern,
+    Scope,
 )
 from .kinds import DataInfo, domain_comps
 from .runtime import (
@@ -217,8 +218,7 @@ class _Compiler:
         self.ints: dict[str, str] = {}  # an int constant's atom -> its int
         # The class of an atom's value, where it is fixed.
         self.known: dict[str, type] = {"TRUE": VBool, "FALSE": VBool}
-        self.scope: dict[str, str] = {}  # program name -> atom
-        self.trail: list[tuple[str, str | None]] = []
+        self.scope = Scope()  # program name -> atom
         self.owner: dict[str, _Body] = {}  # identifier -> the root that binds it
         self.roots: list[tuple[_Body, str]] = []  # with the `def` line of each
         self.count = 0
@@ -321,10 +321,10 @@ class _Compiler:
         self.b = b = _Body(None if outer is None else outer.root or outer, base, named)
         fn = self.fresh("f" if outer is None else "l")
         idents = [self.fresh("v") for _ in params]
-        mark = len(self.trail)
+        mark = self.scope.mark()
         for param, ident in zip(params, idents):
             if param is not None:
-                self.enter(param, ident)
+                self.scope.enter(param, ident)
         if len(params) == 1:
             arg = idents[0]
         else:
@@ -334,7 +334,7 @@ class _Compiler:
         if outer is None:
             self.emit("s0 = rt.steps")
         self.tail(body)
-        self.undo(mark)
+        self.scope.undo_to(mark)
         self.b = outer
         head = f"def {fn}(rt, {arg}):"
         if outer is None:
@@ -358,19 +358,6 @@ class _Compiler:
         return self.invoke(f"{fn}(rt{args})")
 
     # -- scope ---------------------------------------------------------------------
-
-    def enter(self, name: str, atom: str) -> None:
-        self.trail.append((name, self.scope.get(name)))
-        self.scope[name] = atom
-
-    def undo(self, mark: int) -> None:
-        trail, scope = self.trail, self.scope
-        while len(trail) > mark:
-            name, old = trail.pop()
-            if old is None:
-                del scope[name]
-            else:
-                scope[name] = old
 
     def lookup(self, name: str) -> str | None:
         atom = self.scope.get(name)
@@ -412,7 +399,7 @@ class _Compiler:
 
     def bind(self, pat: Pattern, atom: str) -> None:
         if type(pat) is PVar:
-            self.enter(pat.name, atom)
+            self.scope.enter(pat.name, atom)
             return
         assert type(pat) is PTuple
         idents = [self.fresh("v") for _ in pat.items]
@@ -431,7 +418,7 @@ class _Compiler:
 
     def tail(self, e: Expr) -> None:
         """Write code that returns the value of `e` from the function."""
-        mark = len(self.trail)
+        mark = self.scope.mark()
         while True:
             if type(e) is ELet:
                 self.let(e)
@@ -447,7 +434,7 @@ class _Compiler:
                 e = e.otherwise
                 if self.big(e):
                     self.ret(self.split(e))
-                    self.undo(mark)
+                    self.scope.undo_to(mark)
                     return
             else:
                 break
@@ -455,7 +442,7 @@ class _Compiler:
             self.match(e)
         else:
             self.ret(self.expr(e))
-        self.undo(mark)
+        self.scope.undo_to(mark)
 
     def expr(self, e: Expr) -> str:
         """Write code that computes `e`; returns the atom of its value."""
@@ -496,12 +483,12 @@ class _Compiler:
         self.bind(e.pattern, self.operand(e.bound))
 
     def let_value(self, e: ELet) -> str:
-        mark = len(self.trail)
+        mark = self.scope.mark()
         while type(e) is ELet:
             self.let(e)
             e = e.body
         atom = self.expr(e)
-        self.undo(mark)
+        self.scope.undo_to(mark)
         return atom
 
     def var(self, e: EVar) -> str:
@@ -571,10 +558,10 @@ class _Compiler:
             seen.add(pat.tag)
             self.b.pending = list(pending)
             self.b.depth += 1
-            mark = len(self.trail)
+            mark = self.scope.mark()
             self.fields(cell, pat.fields)
             self.branch(body, result)
-            self.undo(mark)
+            self.scope.undo_to(mark)
             self.b.depth -= 1
         self.b.pending = pending
         self.emit("else:" if seen else "if True:")
@@ -730,7 +717,7 @@ class _Compiler:
         self.emit(f"try: {arity} = {f}.arity")
         self.emit(f"except AttributeError: {self.trap('BAD_FIELD', 'value is not a function')}")
         if items is None or len(items) == 1:
-            whole = self.argument(e.arg, items)
+            whole = self.expr(e.arg)
             return self.invoke(
                 f"{f}.fn(rt, {whole} if {arity} == 1 else _spread({whole}, {arity}))"
             )
@@ -746,26 +733,17 @@ class _Compiler:
             f"else _spread(_package(rt, [{atoms}]), {arity}))"
         )
 
-    def whole(self, items: list[Expr]) -> str:
-        """A tuple literal argument evaluated as one value."""
-        lead = self.lead(items)
-        self.step(1 + lead)
-        return self.package(self.operands(items, lead))
-
-    def argument(self, arg: Expr, items: list[Expr] | None) -> str:
-        return self.whole(items) if items is not None else self.expr(arg)
-
     def known_call(self, name: str, arg: Expr, items: list[Expr] | None) -> str:
         arity = self.globals[name].arity
         f = self.global_(name)
         if arity == 1:
-            return self.invoke(f"{f}.fn(rt, {self.argument(arg, items)})")
+            return self.invoke(f"{f}.fn(rt, {self.expr(arg)})")
         if items is not None and len(items) == arity:
             lead = self.lead(items)
             self.step(lead)
             atoms = self.operands(items, lead)
             return self.invoke(f"{f}.fn(rt, ({''.join(x + ', ' for x in atoms)}))")
-        return self.invoke(f"{f}.fn(rt, _spread({self.argument(arg, items)}, {arity}))")
+        return self.invoke(f"{f}.fn(rt, _spread({self.expr(arg)}, {arity}))")
 
     def inline(self, e: Expr, charge: int) -> tuple[str, type] | None:
         """Write out a call of a builtin on a tuple literal of its arity, or
@@ -782,7 +760,7 @@ class _Compiler:
         if name == "not":
             self.step(charge)
             self.step(2)
-            atom = self.argument(e.arg, items)
+            atom = self.expr(e.arg)
             self.check(atom, VBool, "not expects a boolean")
             return f"not {atom}.value", VBool
         if items is None or len(items) != 2:

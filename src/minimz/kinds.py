@@ -41,6 +41,7 @@ from .ast import (
     PTuple,
     PVar,
     Pattern,
+    Scope,
     SourceFile,
     Span,
     TApp,
@@ -164,53 +165,33 @@ class Env:
         return Env(dict(self.types), dict(self.tags), dict(self.sigs))
 
 
-@dataclass
-class Scope:
-    """Lexical scopes used while resolving one declaration.
+class Resolver:
+    """While a declaration is resolved, `tyvars` maps the type variables in
+    scope to their kinds and `values` holds the local value names in scope
+    (mapped to None); a binder's names are undone after what it scopes
+    over. The top-level values in scope are the keys of `sigs`: the
+    signatures in a definition's body, else none."""
 
-    The local value names in scope are one set for the whole declaration.
-    A binder's names `enter` it for the binder's scope and `leave` it
-    after, so a step costs the names it binds, not the size of the scope.
-    The top-level values in scope are the keys of `sigs`, never copied.
-    """
-
-    tyvars: dict[str, Kind] = field(default_factory=dict)
-    values: set[str] = field(default_factory=set)
-    sigs: dict[str, Type] = field(default_factory=dict)
-
-    def child(self) -> "Scope":
-        """A scope for a quantifier's body: its own copy of the type
-        variables, the same value names."""
-        return Scope(dict(self.tyvars), self.values, self.sigs)
+    def __init__(self, env: Env | None = None):
+        self.env = env if env is not None else Env()
+        self.tyvars = Scope()
+        self.values = Scope()
+        self.sigs: dict[str, Type] = {}
+        if "int" not in self.env.types:
+            self.env.types["int"] = PrimInfo("int")
+            self.env.types["bool"] = PrimInfo("bool")
 
     def has_value(self, name: str) -> bool:
         return name in self.values or name in self.sigs
 
-    def enter(self, name: str, entered: list[str]) -> None:
-        """Bring `name` into scope, and note it in `entered` unless it was
-        in scope already."""
-        if name not in self.values:
-            self.values.add(name)
-            entered.append(name)
-
-    def leave(self, entered: list[str]) -> None:
-        self.values.difference_update(entered)
-
-    def bind_tyvar(self, name: str, kind: Kind, span: Span) -> None:
-        old = self.tyvars.get(name)
-        if old is not None and old != kind:
-            raise ResolveError(
-                "E-KIND", f"binder {name!r} shadows a binder of a different kind", span
-            )
-        self.tyvars[name] = kind
-
-
-class Resolver:
-    def __init__(self, env: Env | None = None):
-        self.env = env if env is not None else Env()
-        if "int" not in self.env.types:
-            self.env.types["int"] = PrimInfo("int")
-            self.env.types["bool"] = PrimInfo("bool")
+    def bind_tyvars(self, binders: tuple[tuple[str, Kind], ...], span: Span) -> None:
+        for name, kind in binders:
+            old = self.tyvars.get(name)
+            if old is not None and old != kind:
+                raise ResolveError(
+                    "E-KIND", f"binder {name!r} shadows a binder of a different kind", span
+                )
+            self.tyvars.enter(name, kind)
 
     # -- declaration registration -------------------------------------------
 
@@ -240,18 +221,16 @@ class Resolver:
         defs_seen: set[str] = set()
         for decl in file.decls:
             if isinstance(decl, DData):
-                scope = Scope()
-                for name, kind in decl.params:
-                    scope.bind_tyvar(name, kind, decl.span)
+                self.bind_tyvars(decl.params, decl.span)
                 branches = []
                 for branch in decl.branches:
                     fields = tuple(
-                        (fname, self.check_kind(self.resolve_type(fty, scope), KIND_TYPE, scope))
+                        (fname, self.check_kind(self.resolve_type(fty), KIND_TYPE))
                         for fname, fty in branch.fields
                     )
                     bar = None
                     if branch.bar is not None:
-                        bar = self.check_kind(self.resolve_type(branch.bar, scope), KIND_PERM, scope)
+                        bar = self.check_kind(self.resolve_type(branch.bar), KIND_PERM)
                     branches.append(replace(branch, fields=fields, bar=bar))
                 info = self.env.types[decl.name]
                 assert isinstance(info, DataInfo)
@@ -260,23 +239,21 @@ class Resolver:
                     info.branches[branch.tag] = branch
                     self.env.tags[branch.tag] = (decl.name, branch)
                 resolved.append(new_decl)
+                self.tyvars.undo_to(0)
             elif isinstance(decl, DAlias):
-                scope = Scope()
-                for name, kind in decl.params:
-                    scope.bind_tyvar(name, kind, decl.span)
-                body = self.resolve_type(decl.body, scope)
+                self.bind_tyvars(decl.params, decl.span)
+                body = self.resolve_type(decl.body)
+                self.tyvars.undo_to(0)
                 info = self.env.types[decl.name]
                 assert isinstance(info, AliasInfo)
                 info.body = body
                 resolved.append(replace(decl, body=body))
-            elif isinstance(decl, DAbstract):
-                resolved.append(decl)
             elif isinstance(decl, DValSig):
                 if decl.name in self.env.sigs:
                     raise ResolveError(
                         "E-KIND", f"duplicate value signature {decl.name!r}", decl.span
                     )
-                ty = self.check_kind(self.resolve_type(decl.ty, Scope()), KIND_TYPE, Scope())
+                ty = self.check_kind(self.resolve_type(decl.ty), KIND_TYPE)
                 self.env.sigs[decl.name] = ty
                 resolved.append(replace(decl, ty=ty))
             elif isinstance(decl, DValDef):
@@ -322,12 +299,13 @@ class Resolver:
 
     # -- types --------------------------------------------------------------
 
-    def resolve_type(self, t: Type, scope: Scope) -> Type:
-        """`t` resolved in `scope`; like `ast.map_children`, a node whose
-        children all come back as the same objects comes back itself."""
+    def resolve_type(self, t: Type) -> Type:
+        """`t` resolved in the current scope; like `ast.map_children`, a
+        node whose children all come back as the same objects comes back
+        itself."""
         cls = t.__class__
         if cls is TVar:
-            if t.name in scope.tyvars:
+            if t.name in self.tyvars:
                 return t
             if t.name == "empty":
                 return TEmpty(t.span)
@@ -340,7 +318,7 @@ class Resolver:
                 )
             return TApp(t.name, (), t.span)
         if cls is TApp:
-            if t.head in scope.tyvars:
+            if t.head in self.tyvars:
                 raise ResolveError(
                     "E-KIND", f"type variable {t.head!r} cannot take arguments", t.span
                 )
@@ -354,23 +332,23 @@ class Resolver:
                 )
             args = tuple(
                 [
-                    self.check_kind(self.resolve_type(arg, scope), pkind, scope)
+                    self.check_kind(self.resolve_type(arg), pkind)
                     for (_, pkind), arg in zip(info.params, t.args)
                 ]
             )
             return t if same_items(args, t.args) else TApp(t.head, args, t.span)
         if cls is TArrow:
-            entered: list[str] = []
-            dom = self.resolve_domain(t.domain, scope, entered)
-            cod = self.check_kind(self.resolve_type(t.codomain, scope), KIND_TYPE, scope)
-            scope.leave(entered)
+            mark = self.values.mark()
+            dom = self.resolve_domain(t.domain)
+            cod = self.check_kind(self.resolve_type(t.codomain), KIND_TYPE)
+            self.values.undo_to(mark)
             if dom is t.domain and cod is t.codomain:
                 return t
             return TArrow(dom, cod, t.span)
         if cls is TTuple or cls is TBar:
-            entered = []
-            resolved = self.resolve_domain(t, scope, entered)
-            scope.leave(entered)
+            mark = self.values.mark()
+            resolved = self.resolve_domain(t)
+            self.values.undo_to(mark)
             return resolved
         if cls is TConcrete:
             _, branch = self.env.data_of_tag(t.tag, t.span)
@@ -382,65 +360,64 @@ class Resolver:
                     f"fields of {t.tag!r} must be exactly {declared}, got {actual}",
                     t.span,
                 )
-            ftys = [self.resolve_type(fty, scope) for _, fty in t.fields]
+            ftys = [self.resolve_type(fty) for _, fty in t.fields]
             bar = None
             if t.bar is not None:
-                bar = self.check_kind(self.resolve_type(t.bar, scope), KIND_PERM, scope)
+                bar = self.check_kind(self.resolve_type(t.bar), KIND_PERM)
             if bar is t.bar and all(new is old for new, (_, old) in zip(ftys, t.fields)):
                 return t
             fields = tuple((fname, fty) for (fname, _), fty in zip(t.fields, ftys))
             return TConcrete(t.tag, fields, bar, t.span)
         if cls is TSingleton:
-            if not scope.has_value(t.name):
+            if not self.has_value(t.name):
                 raise ResolveError("E-UNBOUND", f"unbound value name {t.name!r}", t.span)
             return t
         if cls is TForall or cls is TExists:
-            scope2 = scope.child()
-            for name, kind in t.binders:
-                scope2.bind_tyvar(name, kind, t.span)
-            body = self.resolve_type(t.body, scope2)
+            mark = self.tyvars.mark()
+            self.bind_tyvars(t.binders, t.span)
+            body = self.resolve_type(t.body)
+            self.tyvars.undo_to(mark)
             return t if body is t.body else cls(t.binders, body, t.span)
         if cls is TAt:
-            if not scope.has_value(t.anchor):
+            if not self.has_value(t.anchor):
                 raise ResolveError("E-UNBOUND", f"unbound value name {t.anchor!r}", t.span)
-            ty = self.check_kind(self.resolve_type(t.ty, scope), KIND_TYPE, scope)
+            ty = self.check_kind(self.resolve_type(t.ty), KIND_TYPE)
             return t if ty is t.ty else TAt(t.anchor, ty, t.span)
         if cls is TStar:
             items = tuple(
-                [self.check_kind(self.resolve_type(i, scope), KIND_PERM, scope) for i in t.items]
+                [self.check_kind(self.resolve_type(i), KIND_PERM) for i in t.items]
             )
             return t if same_items(items, t.items) else TStar(items, t.span)
         if cls is TEmpty or cls is TMeta:
             return t
         raise TypeError(f"unknown type node {t!r}")
 
-    def resolve_domain(self, t: Type, scope: Scope, entered: list[str]) -> Type:
-        """Resolve a tuple/bar type, bringing component names into `scope`
-        left to right. The names that enter are noted in `entered`; the
-        caller makes them leave after what they scope over (an arrow's
-        codomain, a lambda's body).
+    def resolve_domain(self, t: Type) -> Type:
+        """Resolve a tuple/bar type, bringing component names into scope
+        left to right. The caller undoes them after what they scope over
+        (an arrow's codomain, a lambda's body).
         """
         cls = t.__class__
         if cls is TBar:
-            carrier = self.resolve_domain(t.carrier, scope, entered)
-            perm = self.check_kind(self.resolve_type(t.perm, scope), KIND_PERM, scope)
+            carrier = self.resolve_domain(t.carrier)
+            perm = self.check_kind(self.resolve_type(t.perm), KIND_PERM)
             if carrier is t.carrier and perm is t.perm:
                 return t
             return TBar(carrier, perm, t.consumed, t.span)
         if cls is TTuple:
             tys = []
             for comp in t.comps:
-                tys.append(self.check_kind(self.resolve_type(comp.ty, scope), KIND_TYPE, scope))
+                tys.append(self.check_kind(self.resolve_type(comp.ty), KIND_TYPE))
                 if comp.name is not None:
-                    scope.enter(comp.name, entered)
+                    self.values.enter(comp.name, None)
             if all(new is comp.ty for new, comp in zip(tys, t.comps)):
                 return t
             comps = tuple(TupleComp(c.name, ty, c.consumed) for c, ty in zip(t.comps, tys))
             return TTuple(comps, t.span)
-        return self.check_kind(self.resolve_type(t, scope), KIND_TYPE, scope)
+        return self.check_kind(self.resolve_type(t), KIND_TYPE)
 
-    def check_kind(self, t: Type, expected: Kind, scope: Scope) -> Type:
-        actual = self.kind_of(t, scope)
+    def check_kind(self, t: Type, expected: Kind) -> Type:
+        actual = self.kind_of(t)
         if actual != expected:
             raise ResolveError(
                 "E-KIND",
@@ -449,9 +426,9 @@ class Resolver:
             )
         return t
 
-    def kind_of(self, t: Type, scope: Scope) -> Kind:
+    def kind_of(self, t: Type) -> Kind:
         if isinstance(t, TVar):
-            return scope.tyvars.get(t.name, KIND_TYPE)
+            return self.tyvars.get(t.name, KIND_TYPE)
         if isinstance(t, TMeta):
             return t.kind
         if isinstance(t, (TAt, TStar, TEmpty)):
@@ -469,20 +446,22 @@ class Resolver:
                 return kind.result if isinstance(kind, KArrow) else kind
             return KIND_TYPE
         if isinstance(t, (TForall, TExists)):
-            scope2 = scope.child()
+            mark = self.tyvars.mark()
             for name, kind in t.binders:
-                scope2.tyvars[name] = kind
-            return self.kind_of(t.body, scope2)
+                self.tyvars.enter(name, kind)
+            kind = self.kind_of(t.body)
+            self.tyvars.undo_to(mark)
+            return kind
         return KIND_TYPE
 
     # -- expressions ----------------------------------------------------------
 
     def resolve_def(self, decl: DValDef, sig: Type) -> DValDef:
-        scope = Scope(values=set(decl.params), sigs=self.env.sigs)
+        for param in decl.params:
+            self.values.enter(param, None)
         sig_body = sig
         while isinstance(sig_body, TForall):
-            for name, kind in sig_body.binders:
-                scope.bind_tyvar(name, kind, decl.span)
+            self.bind_tyvars(sig_body.binders, decl.span)
             sig_body = sig_body.body
         if not isinstance(sig_body, TArrow):
             raise ResolveError(
@@ -496,34 +475,45 @@ class Resolver:
                 f"definition has {len(decl.params)}",
                 decl.span,
             )
-        body = self.resolve_expr(decl.body, scope)
+        self.sigs = self.env.sigs
+        body = self.resolve_expr(decl.body)
+        self.sigs = {}
+        self.tyvars.undo_to(0)
+        self.values.undo_to(0)
         return replace(decl, body=body)
 
-    def resolve_expr(self, e: Expr, scope: Scope) -> Expr:
-        """`e` resolved in `scope`. Only types change (a lambda's, a call's
-        type arguments), so a node whose children all come back as the same
-        objects comes back itself."""
+    def resolve_expr(self, e: Expr) -> Expr:
+        """`e` resolved in the current scope. Only types change (a lambda's,
+        a call's type arguments), so a node whose children all come back as
+        the same objects comes back itself."""
         if isinstance(e, EVar):
-            if not scope.has_value(e.name):
+            if not self.has_value(e.name):
                 raise ResolveError("E-UNBOUND", f"unbound value name {e.name!r}", e.span)
             return e
         if isinstance(e, (EInt, EBool)):
             return e
         if isinstance(e, ELet):
-            bound = self.resolve_expr(e.bound, scope)
-            entered: list[str] = []
-            self.bind_pattern(e.pattern, scope, entered)
-            body = self.resolve_expr(e.body, scope)
-            scope.leave(entered)
-            if bound is e.bound and body is e.body:
-                return e
-            return replace(e, bound=bound, body=body)
+            # A chain of lets is resolved in a loop, then rebuilt from its
+            # end; a link whose parts come back unchanged is kept.
+            mark = self.values.mark()
+            links = []
+            while e.__class__ is ELet:
+                links.append((e, self.resolve_expr(e.bound)))
+                self.bind_pattern(e.pattern, set())
+                e = e.body
+            body = self.resolve_expr(e)
+            self.values.undo_to(mark)
+            for link, bound in reversed(links):
+                if bound is not link.bound or body is not link.body:
+                    link = replace(link, bound=bound, body=body)
+                body = link
+            return body
         if isinstance(e, ECall):
-            callee = self.resolve_expr(e.callee, scope)
-            arg = self.resolve_expr(e.arg, scope)
+            callee = self.resolve_expr(e.callee)
+            arg = self.resolve_expr(e.arg)
             targs = e.type_args
             if targs is not None:
-                targs = tuple(self.resolve_type(t, scope) for t in targs)
+                targs = tuple(self.resolve_type(t) for t in targs)
             if callee is e.callee and arg is e.arg and targs is e.type_args:
                 return e
             return replace(e, callee=callee, arg=arg, type_args=targs)
@@ -537,16 +527,16 @@ class Resolver:
                     f"construction of {e.tag!r} must set exactly {declared}, got {actual}",
                     e.span,
                 )
-            fields = self.resolve_fields(e.fields, scope)
+            fields = self.resolve_fields(e.fields)
             return e if fields is e.fields else replace(e, fields=fields)
         if isinstance(e, ETuple):
-            items = tuple([self.resolve_expr(i, scope) for i in e.items])
+            items = tuple([self.resolve_expr(i) for i in e.items])
             return e if same_items(items, e.items) else replace(e, items=items)
         if isinstance(e, EField):
-            obj = self.resolve_expr(e.obj, scope)
+            obj = self.resolve_expr(e.obj)
             return e if obj is e.obj else replace(e, obj=obj)
         if isinstance(e, EMatch):
-            scrutinee = self.resolve_expr(e.scrutinee, scope)
+            scrutinee = self.resolve_expr(e.scrutinee)
             branches = []
             seen_tags: set[str] = set()
             for pat, body in e.branches:
@@ -563,10 +553,10 @@ class Resolver:
                         f"pattern for {pat.tag!r} must bind exactly {declared}, got {actual}",
                         pat.span,
                     )
-                entered = []
-                self.bind_pattern(pat, scope, entered)
-                branches.append(self.resolve_expr(body, scope))
-                scope.leave(entered)
+                mark = self.values.mark()
+                self.bind_pattern(pat, set())
+                branches.append(self.resolve_expr(body))
+                self.values.undo_to(mark)
             if scrutinee is e.scrutinee and same_items(branches, [b for _, b in e.branches]):
                 return e
             return replace(
@@ -575,64 +565,59 @@ class Resolver:
                 branches=tuple((pat, b) for (pat, _), b in zip(e.branches, branches)),
             )
         if isinstance(e, EIf):
-            cond = self.resolve_expr(e.cond, scope)
-            then = self.resolve_expr(e.then, scope)
-            otherwise = self.resolve_expr(e.otherwise, scope)
+            cond = self.resolve_expr(e.cond)
+            then = self.resolve_expr(e.then)
+            otherwise = self.resolve_expr(e.otherwise)
             if cond is e.cond and then is e.then and otherwise is e.otherwise:
                 return e
             return replace(e, cond=cond, then=then, otherwise=otherwise)
         if isinstance(e, EAssign):
-            obj = self.resolve_expr(e.obj, scope)
-            value = self.resolve_expr(e.value, scope)
+            obj = self.resolve_expr(e.obj)
+            value = self.resolve_expr(e.value)
             return e if obj is e.obj and value is e.value else replace(e, obj=obj, value=value)
         if isinstance(e, ETagUpdate):
             self.env.data_of_tag(e.tag, e.span)
-            obj = self.resolve_expr(e.obj, scope)
-            fields = self.resolve_fields(e.fields, scope)
+            obj = self.resolve_expr(e.obj)
+            fields = self.resolve_fields(e.fields)
             if obj is e.obj and fields is e.fields:
                 return e
             return replace(e, obj=obj, fields=fields)
         if isinstance(e, ELambda):
-            entered = []
-            domain = self.resolve_domain(e.domain, scope, entered)
+            mark = self.values.mark()
+            domain = self.resolve_domain(e.domain)
             codomain = e.codomain
             if codomain is not None:
-                codomain = self.check_kind(self.resolve_type(codomain, scope), KIND_TYPE, scope)
-            body = self.resolve_expr(e.body, scope)
-            scope.leave(entered)
+                codomain = self.check_kind(self.resolve_type(codomain), KIND_TYPE)
+            body = self.resolve_expr(e.body)
+            self.values.undo_to(mark)
             return replace(e, domain=domain, codomain=codomain, body=body)
         raise TypeError(f"unknown expression {e!r}")
 
     def resolve_fields(
-        self, fields: tuple[tuple[str, Expr], ...], scope: Scope
+        self, fields: tuple[tuple[str, Expr], ...]
     ) -> tuple[tuple[str, Expr], ...]:
         """The field list with each value resolved: `fields` itself when
         every value comes back as the same object."""
-        values = [self.resolve_expr(v, scope) for _, v in fields]
+        values = [self.resolve_expr(v) for _, v in fields]
         if all(new is old for new, (_, old) in zip(values, fields)):
             return fields
         return tuple((n, v) for (n, _), v in zip(fields, values))
 
-    def bind_pattern(
-        self, p: Pattern, scope: Scope, entered: list[str], seen: set[str] | None = None
-    ) -> None:
-        """Bring the names `p` binds into `scope`, noting in `entered` those
-        that enter it."""
-        if seen is None:
-            seen = set()
+    def bind_pattern(self, p: Pattern, seen: set[str]) -> None:
+        """Bring the names `p` binds into scope, none of them twice."""
         if isinstance(p, PVar):
             if p.name in seen:
                 raise ResolveError(
                     "E-MATCH", f"pattern binds {p.name!r} more than once", p.span
                 )
             seen.add(p.name)
-            scope.enter(p.name, entered)
+            self.values.enter(p.name, None)
         elif isinstance(p, PTuple):
             for item in p.items:
-                self.bind_pattern(item, scope, entered, seen)
+                self.bind_pattern(item, seen)
         elif isinstance(p, PTag):
             for _, sub in p.fields:
-                self.bind_pattern(sub, scope, entered, seen)
+                self.bind_pattern(sub, seen)
 
 
 def _alias_refs(t: Type) -> set[str]:

@@ -396,28 +396,47 @@ class Parser:
     # -- expressions ---------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        tok = self.tok
-        if tok.text == "let":
-            start = self.next()
-            pat = self.parse_let_pattern()
-            self.expect_op("=")
-            bound = self.parse_expr()
-            self.expect_kw("in")
-            body = self.parse_expr()
-            return ELet(pat, bound, body, start.span.merge(body.span))
-        if tok.text == "fun":
-            return self.parse_lambda()
-        if tok.text == "if":
-            start = self.next()
-            cond = self.parse_expr()
-            self.expect_kw("then")
-            then = self.parse_expr()
-            self.expect_kw("else")
-            otherwise = self.parse_expr()
-            return EIf(cond, then, otherwise, start.span.merge(otherwise.span))
-        if tok.text == "match":
-            return self.parse_match()
-        return self.parse_seq()
+        """An expression. A run of `let p = e in` and `e;` links is read in a
+        loop, then folded from its end into `ELet`s, so a chain of any length
+        takes no stack; `e;` is a let with an unmentionable binder."""
+        links = None  # the links read, last first: (start, pattern, bound, rest)
+        while True:
+            tok = self.tok
+            if tok.text == "let":
+                self.next()
+                pat = self.parse_let_pattern()
+                self.expect_op("=")
+                bound = self.parse_expr()
+                self.expect_kw("in")
+                links = (tok.span, pat, bound, links)
+            elif tok.text == "fun":
+                e = self.parse_lambda()
+                break
+            elif tok.text == "if":
+                e = self.parse_if()
+                break
+            elif tok.text == "match":
+                e = self.parse_match()
+                break
+            else:
+                e = self.parse_assign()
+                if self.tok.text != ";":
+                    break
+                self.next()
+                links = (e.span, PVar("seq%"), e, links)
+        while links is not None:
+            start, pat, bound, links = links
+            e = ELet(pat, bound, e, start.merge(e.span))
+        return e
+
+    def parse_if(self) -> EIf:
+        start = self.expect_kw("if")
+        cond = self.parse_expr()
+        self.expect_kw("then")
+        then = self.parse_expr()
+        self.expect_kw("else")
+        otherwise = self.parse_expr()
+        return EIf(cond, then, otherwise, start.span.merge(otherwise.span))
 
     def parse_lambda(self) -> ELambda:
         start = self.expect_kw("fun")
@@ -453,15 +472,6 @@ class Parser:
             else:
                 break
         return EMatch(scrutinee, tuple(branches), start.span.merge(branches[-1][1].span))
-
-    def parse_seq(self) -> Expr:
-        first = self.parse_assign()
-        if self.tok.text == ";":
-            self.next()
-            rest = self.parse_expr()
-            # Sequencing is sugar for a let with an unmentionable binder.
-            return ELet(PVar("seq%"), first, rest, first.span.merge(rest.span))
-        return first
 
     def parse_assign(self) -> Expr:
         tok = self.tok

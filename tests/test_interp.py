@@ -5,7 +5,7 @@ import pytest
 
 from conftest import corpus_text, value_to_pylist
 
-from minimz.driver import load_text, prelude, run_text
+from minimz.driver import check_text, load_text, prelude, run_text
 from minimz.interp import Cell, RuntimeTrap, VAddr, VBool, VInt, VTuple, eval_program
 from minimz.runtime import _wrap64
 
@@ -446,12 +446,13 @@ def test_a_300_deep_else_if_chain_runs():
     assert interp.stats.steps == 1504
 
 
-def test_a_900_let_chain_runs_under_the_default_recursion_limit():
+def _let_chain(n: int) -> tuple[str, int, int]:
+    """`n` lets of random arithmetic on earlier ones: the text, its value,
+    and its steps (2 for `let x0 = k`, 5 for each other let, 1 for the last
+    name)."""
     import random
-    import sys
 
-    assert sys.getrecursionlimit() <= 1000
-    n, rng = 900, random.Random("lets/900")
+    rng = random.Random(f"lets/{n}")
     xs = [rng.randrange(1, 100)]
     lines = ["val main: () -> int", "val main () =", f"  let x0 = {xs[0]} in"]
     for i in range(1, n):
@@ -461,10 +462,50 @@ def test_a_900_let_chain_runs_under_the_default_recursion_limit():
         xs.append(_wrap64({"add": xs[a] + xs[b], "sub": xs[a] - xs[b], "mul": xs[a] * c}[op]))
         lines.append(f"  let x{i} = {rhs} in")
     lines.append(f"  x{n - 1}")
-    value, interp = run_text("\n".join(lines) + "\n", "main", "t")
-    assert value == VInt(xs[-1])
-    # 2 steps for `let x0 = k`, 5 for each other let, 1 for the last name
-    assert interp.stats.steps == 2 + 5 * (n - 1) + 1
+    return "\n".join(lines) + "\n", xs[-1], 2 + 5 * (n - 1) + 1
+
+
+def _statement_chain(n: int) -> tuple[str, int, int]:
+    """`n` updates of one reference sequenced with `;`: the text, its value,
+    and its steps."""
+    lines = ["val main: () -> int", "val main () =", "  let r = newref 0 in"]
+    lines += [f"  r.contents <- {i};" for i in range(n)]
+    lines.append("  r.contents")
+    return "\n".join(lines) + "\n", n - 1, 4 * n + 8
+
+
+@pytest.mark.parametrize(
+    "chain, n",
+    [(_let_chain, 900), (_let_chain, 10_000), (_statement_chain, 10_000)],
+    ids=["lets-900", "lets-10000", "statements-10000"],
+)
+def test_a_long_chain_runs_under_the_default_recursion_limit(chain, n):
+    import sys
+
+    assert sys.getrecursionlimit() <= 1000
+    text, expected, steps = chain(n)
+    value, interp = run_text(text, "main", "t")
+    assert value == VInt(expected)
+    assert interp.stats.steps == steps
+
+
+def test_a_binder_that_shadows_a_parameter_gives_it_back_after_its_body():
+    # Were `x` left at a shadowing int, the checker would reject `if x` and
+    # an unchecked run would trap; were it left out of scope, the resolver
+    # would report it unbound.
+    src = """
+data box = Box { v: int }
+val f: (x: bool) -> int
+val f (x) =
+  let y = (let x = 10 in add (x, 1)) in
+  let z = match Box { v = 100 } with | Box { v = x } -> add (x, 1) in
+  if x then add (y, z) else sub (y, z)
+val main: () -> int
+val main () = f true
+"""
+    assert check_text(src, "t")[2] == []
+    for checked in (True, False):
+        assert run_text(src, "main", "t", checked=checked)[0] == VInt(112)
 
 
 def _deep(shape: str, depth: int) -> str:

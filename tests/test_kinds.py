@@ -1,8 +1,8 @@
 import pytest
 
-from minimz.ast import KArrow, KIND_PERM, KIND_TYPE
+from minimz.ast import KArrow, KIND_PERM, KIND_TYPE, Scope, TVar
 from minimz.driver import load_text, prelude
-from minimz.kinds import DataInfo, ResolveError, Resolver, Scope
+from minimz.kinds import DataInfo, ResolveError, Resolver
 
 TREE = """
 data mutable tree a =
@@ -39,11 +39,27 @@ def test_abstract_iterator_kind():
 def test_anchored_permission_kind():
     _, base = prelude()
     resolver = Resolver(base.clone())
-    scope = Scope(tyvars={"a": KIND_TYPE}, values={"t"})
+    resolver.tyvars, resolver.values = Scope(a=KIND_TYPE), Scope(t=None)
     from minimz.parser import parse_type
 
-    ty = resolver.resolve_type(parse_type("t @ list a"), scope)
-    assert resolver.kind_of(ty, scope) == KIND_PERM
+    ty = resolver.resolve_type(parse_type("t @ list a"))
+    assert resolver.kind_of(ty) == KIND_PERM
+
+
+def test_an_inner_quantifier_binds_its_variable_for_its_body_alone():
+    from minimz.parser import parse_type
+
+    # resolve_type: `b` is a type variable inside `[b] ...`, unbound after it
+    load_text("val f: ([b] (x: b) -> b, int) -> int", "t")
+    with pytest.raises(ResolveError) as exc:
+        load_text("val f: ([b] (x: b) -> b, b) -> int", "t")
+    assert (exc.value.code, exc.value.message) == ("E-UNBOUND", "unbound type name 'b'")
+    # kind_of: an inner `b: perm` hides an outer `b`, which comes back after it
+    resolver = Resolver(prelude()[1].clone())
+    resolver.tyvars = Scope(b=KIND_TYPE)
+    assert resolver.kind_of(parse_type("[b: perm] b")) == KIND_PERM
+    assert resolver.kind_of(TVar("b")) == KIND_TYPE
+    assert resolver.tyvars == {"b": KIND_TYPE}
 
 
 def test_constructor_arity_error():

@@ -80,11 +80,11 @@ def test_duplicability_table(tree_env):
         ("int -> int", DUPLICABLE),
         ("()", DUPLICABLE),
     ]
-    from minimz.kinds import Resolver, Scope
+    from minimz.kinds import Resolver
 
     resolver = Resolver(env)
     for text, expected in cases:
-        resolved = resolver.resolve_type(ty(text), Scope())
+        resolved = resolver.resolve_type(ty(text))
         assert duplicability(resolved, env) == expected, text
 
 
@@ -95,13 +95,14 @@ def test_type_variables_and_abstract_are_affine(tree_env):
 
 
 def test_wand_and_focused_are_affine(tree_env):
-    from minimz.kinds import Resolver, Scope
+    from minimz.ast import Scope
+    from minimz.kinds import Resolver
 
     resolver = Resolver(tree_env)
-    scope = Scope(tyvars={"post": KIND_PERM}, values={"v"})
-    wand = resolver.resolve_type(ty("wand (v @ int) post"), scope)
+    resolver.tyvars, resolver.values = Scope(post=KIND_PERM), Scope(v=None)
+    wand = resolver.resolve_type(ty("wand (v @ int) post"))
     assert duplicability(wand, tree_env) == AFFINE
-    focused = resolver.resolve_type(ty("focused int post"), scope)
+    focused = resolver.resolve_type(ty("focused int post"))
     assert duplicability(focused, tree_env) == AFFINE
 
 
@@ -625,9 +626,10 @@ def test_subsume_empty_env_fails(tree_env):
 
 
 def test_either_of_focused_is_affine(tree_env):
-    from minimz.kinds import Resolver, Scope
+    from minimz.ast import Scope
+    from minimz.kinds import Resolver
 
     resolver = Resolver(tree_env)
-    scope = Scope(tyvars={"a": KIND_TYPE, "s": KIND_PERM, "post": KIND_PERM}, values=set())
-    resolved = resolver.resolve_type(ty("either (focused a s) (| post)"), scope)
+    resolver.tyvars = Scope(a=KIND_TYPE, s=KIND_PERM, post=KIND_PERM)
+    resolved = resolver.resolve_type(ty("either (focused a s) (| post)"))
     assert duplicability(resolved, tree_env) == AFFINE
