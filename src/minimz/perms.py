@@ -14,11 +14,7 @@ a version reroots the store at it, in a loop. Atoms are named by handles
 that stay valid across versions and ordered by order keys, so a
 replacement keeps its place. Editing the root costs O(1) and copies
 nothing. A store belongs to one check and is not shared between threads.
-
-Subsumption search order per goal atom: exact match, singleton
-unification, alias expansion, fold of a structural permission to its
-nominal type, split of a nominal permission along a structural one, and
-existential witness via unification metavariables.
+The search that extracts atoms from it is in `subsume.py`.
 """
 
 from __future__ import annotations

@@ -4,6 +4,19 @@ The entry point is `Subsumer.subsume`, which extracts a list of goal
 atoms from a `PermEnv`, solving unification metavariables along the way.
 The leftover environment is the frame. Search is deterministic; there is
 no backtracking across conjuncts beyond one retry pass.
+
+Subsumption search order (`subsume_atom`). A goal is first taken apart by
+its shape: a bar, an existential, a singleton, a tuple, a concrete type;
+`x @ ?m` takes the first atom of `x`. Then the first of these that applies
+meets it:
+
+1. exact match: a held atom of the anchor, then its global permission;
+2. alias expansion of the goal;
+3. opening a held atom of the anchor (alias, existential, bar, tuple);
+4. fold of a structural permission to the nominal goal;
+5. split of a nominal permission along a structural one;
+6. for a goal that is an unsolved metavariable: deferral, when the caller
+   keeps a list of deferred goals, or else the empty permission.
 """
 
 from __future__ import annotations
@@ -12,6 +25,7 @@ from dataclasses import dataclass, field
 
 from .ast import (
     KIND_TYPE,
+    Scope,
     TApp,
     TArrow,
     TAt,
@@ -31,7 +45,7 @@ from .ast import (
     has_meta,
     map_children,
 )
-from .kinds import DataInfo, Env, domain_bar, domain_comps
+from .kinds import DataInfo, Env
 from .perms import (
     Anchored,
     Atom,
@@ -53,22 +67,21 @@ from .perms import (
 )
 
 _MAX_DEPTH = 80
+_EMPTY = TEmpty()
 
 
 class Unifier:
+    """The solutions of one definition's metavariables. `bindings` keeps an
+    undo trail: an attempt that backs off takes its `mark()` first and gives
+    back what it bound with `undo_to`."""
+
     def __init__(self) -> None:
-        self.bindings: dict[str, Type] = {}
+        self.bindings = Scope()
         self._counter = 0
 
     def fresh(self, base: str, kind=KIND_TYPE) -> TMeta:
         self._counter += 1
         return TMeta(f"{base}%{self._counter}", kind)
-
-    def snapshot(self) -> dict[str, Type]:
-        return dict(self.bindings)
-
-    def restore(self, snap: dict[str, Type]) -> None:
-        self.bindings = snap
 
     def shallow(self, t: Type) -> Type:
         while isinstance(t, TMeta) and t.name in self.bindings:
@@ -92,7 +105,7 @@ class Unifier:
             return True
         if _occurs(name, ty):
             return False
-        self.bindings[name] = ty
+        self.bindings.enter(name, ty)
         return True
 
 
@@ -116,131 +129,119 @@ class Subsumer:
     # unification
     # ------------------------------------------------------------------
 
-    def unify(self, a: Type, b: Type, ren_a: dict[str, str] | None = None,
-              ren_b: dict[str, str] | None = None, depth: int = 0) -> bool:
+    def unify(self, a: Type, b: Type, depth: int = 0) -> bool:
         """Structural unification; metavariables may occur on either side.
-        `ren_a`/`ren_b` carry alpha-renamings of bound names."""
+        Names bound on both sides, by a pair of quantifiers or a pair of
+        components, are renamed at their binder to one fresh name, so that
+        types compare up to the names of their binders."""
         if depth > _MAX_DEPTH:
             return False
-        ren_a = ren_a if ren_a is not None else {}
-        ren_b = ren_b if ren_b is not None else {}
-        a = self.uni.shallow(a)
-        b = self.uni.shallow(b)
-        a = _strip_empty_bar(a)
-        b = _strip_empty_bar(b)
+        a = _strip_empty_bar(self.uni.shallow(a))
+        b = _strip_empty_bar(self.uni.shallow(b))
         if isinstance(a, TMeta):
-            return self.uni.bind(a.name, _apply_ren(b, ren_b))
+            return self.uni.bind(a.name, b)
         if isinstance(b, TMeta):
-            return self.uni.bind(b.name, _apply_ren(a, ren_a))
+            return self.uni.bind(b.name, a)
         if isinstance(a, TVar) and isinstance(b, TVar):
-            return ren_a.get(a.name, a.name) == ren_b.get(b.name, b.name)
+            return a.name == b.name
         if isinstance(a, TEmpty) and isinstance(b, TEmpty):
             return True
         if isinstance(a, TSingleton) and isinstance(b, TSingleton):
-            return ren_a.get(a.name, a.name) == ren_b.get(b.name, b.name)
+            return a.name == b.name
         if isinstance(a, TApp) and isinstance(b, TApp) and a.head == b.head:
-            return all(
-                self.unify(x, y, ren_a, ren_b, depth + 1) for x, y in zip(a.args, b.args)
-            )
+            return all(self.unify(x, y, depth + 1) for x, y in zip(a.args, b.args))
         if is_alias(self.env, a):
-            return self.unify(expand_alias(self.env, a), b, ren_a, ren_b, depth + 1)
+            return self.unify(expand_alias(self.env, a), b, depth + 1)
         if is_alias(self.env, b):
-            return self.unify(a, expand_alias(self.env, b), ren_a, ren_b, depth + 1)
+            return self.unify(a, expand_alias(self.env, b), depth + 1)
         if isinstance(a, TApp) and isinstance(b, TApp):
             return False
         if isinstance(a, TArrow) and isinstance(b, TArrow):
-            return self._unify_arrow(a, b, ren_a, ren_b, depth)
-        if isinstance(a, TTuple) and isinstance(b, TTuple):
-            return self._unify_comps(a.comps, b.comps, dict(ren_a), dict(ren_b), depth)
-        if isinstance(a, TBar) and isinstance(b, TBar):
-            if a.consumed != b.consumed:
-                return False
-            if not self.unify(a.carrier, b.carrier, ren_a, ren_b, depth + 1):
-                return False
-            return self.unify_perms(a.perm, b.perm, ren_a, ren_b, depth)
+            ren = self._unify_domain(_as_domain(a.domain), _as_domain(b.domain), depth)
+            return ren is not None and self.unify(
+                subst_type(a.codomain, {}, ren[0]), subst_type(b.codomain, {}, ren[1]), depth + 1
+            )
+        if isinstance(a, (TTuple, TBar)) and type(a) is type(b):
+            return self._unify_domain(a, b, depth) is not None
         if isinstance(a, TConcrete) and isinstance(b, TConcrete):
             if a.tag != b.tag or len(a.fields) != len(b.fields):
                 return False
             for (na, fa), (nb, fb) in zip(a.fields, b.fields):
-                if na != nb or not self.unify(fa, fb, ren_a, ren_b, depth + 1):
+                if na != nb or not self.unify(fa, fb, depth + 1):
                     return False
-            pa = a.bar if a.bar is not None else TEmpty()
-            pb = b.bar if b.bar is not None else TEmpty()
-            return self.unify_perms(pa, pb, ren_a, ren_b, depth)
+            return self.unify_perms(a.bar or _EMPTY, b.bar or _EMPTY, depth)
         if isinstance(a, (TForall, TExists)) and type(a) is type(b):
             if len(a.binders) != len(b.binders):
                 return False
-            ren_a2, ren_b2 = dict(ren_a), dict(ren_b)
+            subst_a: dict[str, Type] = {}
+            subst_b: dict[str, Type] = {}
             for (na, ka), (nb, kb) in zip(a.binders, b.binders):
                 if ka != kb:
                     return False
-                tok = self.names.fresh("alpha")
-                ren_a2[na] = tok
-                ren_b2[nb] = tok
-            return self.unify(a.body, b.body, ren_a2, ren_b2, depth + 1)
+                subst_a[na] = subst_b[nb] = TVar(self.names.fresh("alpha"))
+            return self.unify(
+                subst_type(a.body, subst_a), subst_type(b.body, subst_b), depth + 1
+            )
         if isinstance(b, TForall):
             # A polymorphic permission meets a monomorphic requirement by
             # instantiating its binders.
             subst = {n: self.uni.fresh(n, k) for n, k in b.binders}
-            return self.unify(a, subst_type(b.body, subst), ren_a, ren_b, depth + 1)
+            return self.unify(a, subst_type(b.body, subst), depth + 1)
         if isinstance(a, TAt) and isinstance(b, TAt):
-            if ren_a.get(a.anchor, a.anchor) != ren_b.get(b.anchor, b.anchor):
-                return False
-            return self.unify(a.ty, b.ty, ren_a, ren_b, depth + 1)
+            return a.anchor == b.anchor and self.unify(a.ty, b.ty, depth + 1)
         if isinstance(a, (TAt, TStar, TEmpty, TVar)) or isinstance(b, (TAt, TStar, TEmpty, TVar)):
             # permission-kinded comparison falls back to multiset matching
             try:
-                return self.unify_perms(a, b, ren_a, ren_b, depth)
+                return self.unify_perms(a, b, depth)
             except TypeError:
                 return False
         return False
 
-    def _unify_comps(
-        self, comps_a: tuple[TupleComp, ...], comps_b: tuple[TupleComp, ...],
-        ren_a: dict[str, str], ren_b: dict[str, str], depth: int,
-    ) -> bool:
-        """Unify two component lists pairwise. A component's name scopes over
-        the later components (and, in a domain, over the bar and the
-        codomain), so the names of a matched pair are renamed, in `ren_a` and
-        `ren_b`, to one fresh token."""
-        if len(comps_a) != len(comps_b):
-            return False
-        for ca, cb in zip(comps_a, comps_b):
-            if ca.consumed != cb.consumed:
-                return False
-            if not self.unify(ca.ty, cb.ty, ren_a, ren_b, depth + 1):
-                return False
+    def _unify_domain(
+        self, a: Type, b: Type, depth: int
+    ) -> tuple[dict[str, str], dict[str, str]] | None:
+        """Unify two arrow domains, tuples or bars, walking them as
+        `perms._subst_domain` walks one. A component's name scopes over the
+        later components, the bar and, in an arrow, the codomain, so the
+        names of a pair of components are renamed to one fresh value name.
+        Returns the renamings of either side that hold after the domains, or
+        None when they do not unify. A side without a bar has an empty one."""
+        if a.__class__ is TBar or b.__class__ is TBar:
+            a = a if a.__class__ is TBar else TBar(a, _EMPTY)
+            b = b if b.__class__ is TBar else TBar(b, _EMPTY)
+            if a.consumed != b.consumed:
+                return None
+            ren = self._unify_domain(a.carrier, b.carrier, depth)
+            if ren is None or not self.unify_perms(
+                subst_type(a.perm, {}, ren[0]), subst_type(b.perm, {}, ren[1]), depth
+            ):
+                return None
+            return ren
+        if a.__class__ is not TTuple or b.__class__ is not TTuple:
+            return ({}, {}) if self.unify(a, b, depth + 1) else None
+        if len(a.comps) != len(b.comps):
+            return None
+        values_a: dict[str, str] = {}
+        values_b: dict[str, str] = {}
+        for ca, cb in zip(a.comps, b.comps):
+            if ca.consumed != cb.consumed or not self.unify(
+                subst_type(ca.ty, {}, values_a), subst_type(cb.ty, {}, values_b), depth + 1
+            ):
+                return None
             if ca.name is not None or cb.name is not None:
                 tok = self.names.fresh("comp")
                 if ca.name is not None:
-                    ren_a[ca.name] = tok
+                    values_a[ca.name] = tok
                 if cb.name is not None:
-                    ren_b[cb.name] = tok
-        return True
+                    values_b[cb.name] = tok
+        return values_a, values_b
 
-    def _unify_arrow(
-        self, a: TArrow, b: TArrow, ren_a: dict[str, str], ren_b: dict[str, str], depth: int
-    ) -> bool:
-        comps_a, comps_b = domain_comps(a.domain), domain_comps(b.domain)
-        bar_a, cons_a = domain_bar(a.domain)
-        bar_b, cons_b = domain_bar(b.domain)
-        ren_a2, ren_b2 = dict(ren_a), dict(ren_b)
-        if cons_a != cons_b or not self._unify_comps(comps_a, comps_b, ren_a2, ren_b2, depth):
-            return False
-        pa = bar_a if bar_a is not None else TEmpty()
-        pb = bar_b if bar_b is not None else TEmpty()
-        if not self.unify_perms(pa, pb, ren_a2, ren_b2, depth):
-            return False
-        return self.unify(a.codomain, b.codomain, ren_a2, ren_b2, depth + 1)
-
-    def unify_perms(
-        self, a: Type, b: Type, ren_a: dict[str, str], ren_b: dict[str, str], depth: int = 0
-    ) -> bool:
+    def unify_perms(self, a: Type, b: Type, depth: int = 0) -> bool:
         """Multiset unification of two permissions. Matches rigid atoms
         pairwise; a single unmatched metavariable on one side absorbs the
         other side's remainder (remaining metavariables default to empty)."""
-        atoms_a = normalize(self.uni.resolve(_apply_ren(a, ren_a)))
-        atoms_b = normalize(self.uni.resolve(_apply_ren(b, ren_b)))
+        atoms_a = normalize(self.uni.resolve(a))
+        atoms_b = normalize(self.uni.resolve(b))
         rigid_a = [x for x in atoms_a if not isinstance(x, MetaPerm)]
         metas_a = [x for x in atoms_a if isinstance(x, MetaPerm)]
         rigid_b = [x for x in atoms_b if not isinstance(x, MetaPerm)]
@@ -274,14 +275,14 @@ class Subsumer:
         return all(self.uni.bind(m.name, TEmpty()) for m in rest)
 
     def _atoms_unifiable(self, a: Atom, b: Atom, depth: int) -> bool:
-        snap = self.uni.snapshot()
+        mark = self.uni.bindings.mark()
         ok = False
         if isinstance(a, Anchored) and isinstance(b, Anchored):
-            ok = a.anchor == b.anchor and self.unify(a.ty, b.ty, None, None, depth + 1)
+            ok = a.anchor == b.anchor and self.unify(a.ty, b.ty, depth + 1)
         elif isinstance(a, PermVar) and isinstance(b, PermVar):
             ok = a.name == b.name
         if not ok:
-            self.uni.restore(snap)
+            self.uni.bindings.undo_to(mark)
         return ok
 
     # ------------------------------------------------------------------
@@ -376,20 +377,21 @@ class Subsumer:
     ) -> PermEnv:
         pending: list[Atom] = list(goals)
         failed: list[tuple[Atom, SubsumptionFailure]] = []
+        bindings = self.uni.bindings
         for goal in pending:
-            snap = self.uni.snapshot()
+            mark = bindings.mark()
             try:
                 penv = self.subsume_atom(penv, goal, defer=defer)
             except SubsumptionFailure as exc:
-                self.uni.restore(snap)
+                bindings.undo_to(mark)
                 failed.append((goal, exc))
         still: list[tuple[Atom, SubsumptionFailure]] = []
         for goal, first_exc in failed:
-            snap = self.uni.snapshot()
+            mark = bindings.mark()
             try:
                 penv = self.subsume_atom(penv, goal, defer=defer)
             except SubsumptionFailure:
-                self.uni.restore(snap)
+                bindings.undo_to(mark)
                 still.append((goal, first_exc))
         if still:
             raise still[0][1]
@@ -492,17 +494,17 @@ class Subsumer:
     ) -> PermEnv | None:
         """Extract an atom among `hits`, the atoms of `anchor` in `penv`, or
         the global permission of `anchor`, whose type unifies with `ty`."""
+        bindings = self.uni.bindings
+        mark = bindings.mark()
         for handle, atom in hits:
-            snap = self.uni.snapshot()
-            if self.unify(ty, atom.ty, None, None, depth + 1):
+            if self.unify(ty, atom.ty, depth + 1):
                 return self._extract(penv, handle)
-            self.uni.restore(snap)
+            bindings.undo_to(mark)
         gty = penv.global_type(anchor)
         if gty is not None:
-            snap = self.uni.snapshot()
-            if self.unify(ty, gty, None, None, depth + 1):
+            if self.unify(ty, gty, depth + 1):
                 return penv  # global permissions are duplicable
-            self.uni.restore(snap)
+            bindings.undo_to(mark)
         return None
 
     def _extract(self, penv: PermEnv, handle: Handle) -> PermEnv:
@@ -574,7 +576,7 @@ class Subsumer:
         assert isinstance(info, DataInfo)
         branch = info.branches[structural.tag]
         subst = dict(zip((n for n, _ in info.params), ty.args))
-        snap = self.uni.snapshot()
+        mark = self.uni.bindings.mark()
         try:
             working = self._extract(penv, handle)
             for (fname, declared), (aname, actual) in zip(branch.fields, structural.fields):
@@ -588,7 +590,7 @@ class Subsumer:
                 working = self.subsume_perm(working, subst_type(branch.bar, subst))
             return working
         except SubsumptionFailure:
-            self.uni.restore(snap)
+            self.uni.bindings.undo_to(mark)
             return None
 
     def _try_split(self, penv: PermEnv, wanted_anchor: str) -> PermEnv | None:
@@ -643,15 +645,16 @@ def _is_structural_tuple(t: TTuple) -> bool:
     return all(isinstance(c.ty, TSingleton) for c in t.comps)
 
 
+def _as_domain(domain: Type) -> Type:
+    """An arrow domain with a tuple for its carrier: a carrier that is not a
+    tuple is the one unnamed component, as `kinds.domain_comps` reads it."""
+    if domain.__class__ is TBar:
+        return TBar(_as_domain(domain.carrier), domain.perm, domain.consumed, domain.span)
+    return domain if domain.__class__ is TTuple else TTuple((TupleComp(None, domain, False),))
+
+
 def _strip_empty_bar(t: Type) -> Type:
     if isinstance(t, TBar) and isinstance(t.perm, TEmpty):
         return _strip_empty_bar(t.carrier)
     return t
 
-
-def _apply_ren(t: Type, ren: dict[str, str]) -> Type:
-    if not ren:
-        return t
-    subst = {name: TVar(tok) for name, tok in ren.items()}
-    values = dict(ren)
-    return subst_type(t, subst, values)

@@ -465,3 +465,24 @@ val main () = g (Ref { contents = 3 }, 4)
     assert check_text(src, "t")[2] == []
     value, program = run_text(src, "main")
     assert program.render(value) == "3"
+
+
+@pytest.mark.parametrize(
+    "id_sig", ["[a] (consumes a: a) -> a", "[c] (consumes y: c) -> c"]
+)
+def test_a_polymorphic_argument_is_matched_up_to_the_names_of_its_binders(id_sig):
+    # `id`'s type variable and its component may share a name: the two are
+    # bound apart, and neither name has to match the ones `use` wrote.
+    src = f"""
+val id: {id_sig}
+val id (x) = x
+
+val use: (f: [b] (consumes x: b) -> b) -> int
+val use (f) = f [int] 7
+
+val main: () -> int
+val main () = use id
+"""
+    assert check_text(src, "t")[2] == []
+    value, program = run_text(src, "main")
+    assert program.render(value) == "7"

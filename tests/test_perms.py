@@ -633,3 +633,36 @@ def test_either_of_focused_is_affine(tree_env):
     resolver.tyvars = Scope(a=KIND_TYPE, s=KIND_PERM, post=KIND_PERM)
     resolved = resolver.resolve_type(ty("either (focused a s) (| post)"))
     assert duplicability(resolved, tree_env) == AFFINE
+
+
+def test_a_bare_bar_carries_its_component_names_over_its_permission(tree_env):
+    # As in an arrow's domain, `x` and `y` are each bound by their component.
+    def bar(name):
+        carrier = TTuple((TupleComp(name, TApp("int", ())),))
+        return TBar(carrier, TAt(name, TApp("int", ())))
+
+    sub = Subsumer(tree_env, NameSupply())
+    assert sub.unify(bar("x"), bar("y"))
+    assert sub.unify(TArrow(bar("x"), TEmpty()), TArrow(bar("y"), TEmpty()))
+    assert not sub.unify(bar("x"), TBar(bar("y").carrier, TAt("x", TApp("int", ()))))
+    # A domain's inner bar is compared as well as its outer one.
+    def nested(p):
+        return TArrow(TBar(TBar(bar("x").carrier, TVar(p)), TVar("q")), TEmpty())
+
+    assert sub.unify(nested("p"), nested("p"))
+    assert not sub.unify(nested("p"), nested("r"))
+
+
+def test_a_failed_attempt_leaves_no_binding_behind():
+    # Matching `pair ?a ?a` against the first atom binds `?a` to bool before
+    # it fails on the second argument; the second atom needs `?a` unbound.
+    _, env = load_text("data pair a b = Pair { fst: a; snd: b }\n", "t")
+    int_, bool_ = TApp("int", ()), TApp("bool", ())
+    penv = PermEnv(
+        env,
+        (Anchored("x", TApp("pair", (bool_, int_))), Anchored("x", TApp("pair", (int_, int_)))),
+    )
+    sub = Subsumer(env, NameSupply())
+    a = sub.uni.fresh("a")
+    sub.subsume(penv, [Anchored("x", TApp("pair", (a, a)))])
+    assert sub.uni.resolve(a) == int_

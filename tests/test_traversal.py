@@ -40,7 +40,8 @@ from minimz.ast import (
 )
 from minimz.driver import CORPUS_DIR, PRELUDE_PATH, load_text, prelude
 from minimz.kinds import AliasInfo, DataInfo
-from minimz.perms import subst_type
+from minimz.perms import NameSupply, subst_type
+from minimz.subsume import Subsumer
 
 # ---------------------------------------------------------------------------
 # the reference walker
@@ -133,6 +134,54 @@ def ref_domain(t: Type, subst, values) -> tuple[Type, dict[str, str]]:
             after.pop(c.name, None)
         return dataclasses.replace(t, comps=tuple(comps)), after
     return ref_subst(t, subst, values), values
+
+
+def alpha_rename(t: Type, binder, comp) -> Type:
+    """`t` with the k-th quantifier binder renamed `binder(k)` and the k-th
+    component name `comp(k)`, in order of appearance, each new name scoped
+    as `subst_type` scopes the old one."""
+    binders, comps = itertools.count(), itertools.count()
+
+    def walk(t: Type, tvars: dict[str, Type], values: dict[str, str]) -> Type:
+        if isinstance(t, TVar):
+            return tvars.get(t.name, t)
+        if isinstance(t, TSingleton):
+            return dataclasses.replace(t, name=values.get(t.name, t.name))
+        if isinstance(t, TAt):
+            anchor = values.get(t.anchor, t.anchor)
+            return dataclasses.replace(t, anchor=anchor, ty=walk(t.ty, tvars, values))
+        if isinstance(t, (TForall, TExists)):
+            new = tuple((binder(next(binders)), k) for _, k in t.binders)
+            inner = dict(tvars)
+            inner.update({n: TVar(m) for (n, _), (m, _) in zip(t.binders, new)})
+            return dataclasses.replace(t, binders=new, body=walk(t.body, inner, values))
+        if isinstance(t, TArrow):
+            domain, after = walk_domain(t.domain, tvars, values)
+            return dataclasses.replace(
+                t, domain=domain, codomain=walk(t.codomain, tvars, after)
+            )
+        if isinstance(t, (TTuple, TBar)):
+            return walk_domain(t, tvars, values)[0]
+        return ref_map(t, lambda c: walk(c, tvars, values))
+
+    def walk_domain(t: Type, tvars, values) -> tuple[Type, dict[str, str]]:
+        if isinstance(t, TBar):
+            carrier, after = walk_domain(t.carrier, tvars, values)
+            perm = walk(t.perm, tvars, after)
+            return dataclasses.replace(t, carrier=carrier, perm=perm), after
+        if isinstance(t, TTuple):
+            after = dict(values)
+            out = []
+            for c in t.comps:
+                ty = walk(c.ty, tvars, after)
+                name = None
+                if c.name is not None:
+                    name = after[c.name] = comp(next(comps))
+                out.append(TupleComp(name, ty, c.consumed))
+            return dataclasses.replace(t, comps=tuple(out)), after
+        return walk(t, tvars, values), values
+
+    return walk(t, {}, {})
 
 
 def alpha_canon(t: Type, names: dict[str, str] | None = None, count=None) -> Type:
@@ -347,3 +396,21 @@ def test_a_renamed_binder_avoids_every_name_in_sight(quant):
     assert got == quant(
         (("a$1", KIND_TYPE),), TApp("pair", (TVar("a$1"), TVar("a"), TVar("a$0")))
     )
+
+
+# Names that no corpus type uses, and names that give a type variable and a
+# value the same name.
+_RENAMINGS = {
+    "disjoint": (lambda k: f"t{k}'", lambda k: f"v{k}'"),
+    "shared": (lambda k: f"n{k}", lambda k: f"n{k}"),
+}
+
+
+@pytest.mark.parametrize("renaming", sorted(_RENAMINGS))
+def test_every_corpus_type_unifies_with_its_alpha_renaming(renaming):
+    binder, comp = _RENAMINGS[renaming]
+    env = prelude()[1]
+    pairs = [(name, t, alpha_rename(t, binder, comp)) for name, t in CORPUS_TYPES]
+    assert sum(r != t for _, t, r in pairs) >= 50
+    failed = [name for name, t, r in pairs if not Subsumer(env, NameSupply()).unify(t, r)]
+    assert failed == []
