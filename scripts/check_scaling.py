@@ -10,13 +10,15 @@ with a `main`, of a run of `main` (compiling it included, as a fresh
 - `pos/tree_size.mz` plus a `main` that binds a balanced tree literal of
   n nodes, at n = 256, 512, 1024 and 2048;
 - a `main` made of n sequential lets over ints, at n = 1000 and 3000;
+- a `main` that builds a list of n cells, one `let` per cell, and returns
+  it, at n = 1000 and 3000;
 - n one-line top-level functions, each after its signature, at n = 500,
   1000 and 2000.
 
 Each layer is timed on its own: each timing of a layer redoes the layers
 before it afresh, untimed, so no memo carries over from one timing to the
-next. The last lines give the ratios 2048/1024, 3000/1000 and 2000/1000 for
-each column; linear time gives 2.0, 3.0 and 2.0.
+next. The last lines give the ratios 2048/1024, 3000/1000, 3000/1000 and
+2000/1000 for each column; linear time gives 2.0, 3.0, 3.0 and 2.0.
 
 Run from the root of the repository:
 
@@ -42,6 +44,7 @@ from minimz.parser import Parser, tokenize  # noqa: E402
 
 TREE_SIZES = (256, 512, 1024, 2048)
 CHAIN_SIZES = (1000, 3000)
+LIST_SIZES = (1000, 3000)
 DEFS_SIZES = (500, 1000, 2000)
 REPEATS = 9  # short rows on a shared machine need more than 3 to settle
 
@@ -79,6 +82,14 @@ def let_chain(n: int) -> str:
         lines.append(f"  let x{i} = {rhs} in")
     lines.append(f"  x{n - 1}")
     return "\n".join(lines) + "\n"
+
+
+def let_list(n: int) -> str:
+    """`main` returning a list of n cells, each bound by a `let`: checking
+    it folds the cells into `list int`, one inside the other."""
+    lines = ["val main: () -> list int", "", "val main () =", "  let l0 = Nil in"]
+    lines += [f"  let l{i} = Cons {{ head = {i}; tail = l{i - 1} }} in" for i in range(1, n + 1)]
+    return "\n".join(lines + [f"  l{n}"]) + "\n"
 
 
 def many_defs(n: int) -> str:
@@ -147,6 +158,7 @@ COLUMNS = ("lex", "parse", "resolve", "check", "check, gc off", "run")
 def main() -> None:
     rows = [(f"tree literal n={n}", tree_program(n), True) for n in TREE_SIZES]
     rows += [(f"let chain n={n}", let_chain(n), True) for n in CHAIN_SIZES]
+    rows += [(f"let list n={n}", let_list(n), True) for n in LIST_SIZES]
     rows += [(f"definitions n={n}", many_defs(n), False) for n in DEFS_SIZES]
     times = {}
     print(f"{'program':<22}" + "".join(f"{c:>14}" for c in COLUMNS) + "   (ms)")
@@ -155,6 +167,7 @@ def main() -> None:
         print(f"{name:<22}" + "".join(f"{t:14.1f}" for t in times[name]), flush=True)
     for big, small in (("tree literal n=2048", "tree literal n=1024"),
                        ("let chain n=3000", "let chain n=1000"),
+                       ("let list n=3000", "let list n=1000"),
                        ("definitions n=2000", "definitions n=1000")):
         ratios = ", ".join(
             f"{c} {b / s:.2f}x" for c, b, s in zip(COLUMNS, times[big], times[small])

@@ -52,7 +52,7 @@ from .ast import (
     has_meta,
 )
 from .ast import TupleComp
-from .kinds import DataInfo, Env, domain_bar, domain_comps
+from .kinds import DataInfo, Env, domain_bars, domain_comps
 from .perms import (
     Anchored,
     Atom,
@@ -194,8 +194,7 @@ class Checker:
             penv = penv.add(*admit_atoms(anchor, self.sub.uni.resolve(comp_ty)))
             if not comp.consumed:
                 exit_goals.append(Anchored(anchor, comp_ty))
-        bar, bar_consumed = domain_bar(domain)
-        if bar is not None:
+        for bar, bar_consumed in domain_bars(domain):
             bar_atoms = normalize(subst_type(bar, {}, values))
             penv = penv.add(*bar_atoms)
             if not bar_consumed:
@@ -415,7 +414,6 @@ class Checker:
             self._fail("E-SUBSUME", "callee has no function permission", e.span, penv)
 
         comps = domain_comps(fn_ty.domain)
-        bar, bar_consumed = domain_bar(fn_ty.domain)
 
         if len(comps) == 1:
             arg_exprs = [e.arg]
@@ -447,17 +445,19 @@ class Checker:
                 values[comp.name] = anchor
             if not comp.consumed:
                 restores.append((anchor, comp_ty))
-        bar_ty = None
-        if bar is not None:
+        borrowed: list[Type] = []
+        for bar, bar_consumed in domain_bars(fn_ty.domain):
             bar_ty = subst_type(bar, subst, values)
             penv = self._subsume_or_fail(
                 penv, normalize(self.sub.uni.resolve(bar_ty)), e.span, defer=deferred
             )
+            if not bar_consumed:
+                borrowed.append(bar_ty)
         if deferred:
             # Every unification constraint has now been seen; unsolved
             # permission metavariables default to empty.
             penv = self._subsume_or_fail(penv, deferred, e.span)
-        if bar_ty is not None and not bar_consumed:
+        for bar_ty in borrowed:
             penv = _put_back(penv, normalize(self.sub.uni.resolve(bar_ty)))
         for anchor, ty in restores:
             penv = _put_back(penv, admit_atoms(anchor, self.sub.uni.resolve(ty)))
@@ -531,7 +531,7 @@ class Checker:
         assert isinstance(info, DataInfo)
         (branch,) = info.branches.values()
         names = (self.sub.names.fresh(fname) for fname, _ in branch.fields)
-        split = split_branch(atom.anchor, info, ty.args, branch, names)
+        split = split_branch(self.env, atom.anchor, ty, branch.tag, names)
         return penv.replace(handle, *split)
 
     # -- match -------------------------------------------------------------------
@@ -589,7 +589,7 @@ class Checker:
                     names.append(self._mk_anchor(penv, fpat.name))
                 else:
                     names.append(self.sub.names.fresh(fname))
-            split = split_branch(scrutinee, info, ty.args, branch, names)
+            split = split_branch(self.env, scrutinee, ty, pat.tag, names)
             penv2 = penv.replace(handle, *split)
             pairs = []
             for (_, fpat), a in zip(pat.fields, names):

@@ -144,10 +144,13 @@ class Env:
     types: dict[str, TypeInfo] = field(default_factory=dict)
     tags: dict[str, tuple[str, Branch]] = field(default_factory=dict)
     sigs: dict[str, Type] = field(default_factory=dict)
-    # `perms.duplicability` and `perms.expand_alias` answers for this
-    # environment; a clone starts with neither.
+    # `perms.duplicability`, `perms.expand_alias` and `perms.branch_instance`
+    # answers for this environment; a clone starts with none.
     dup_memo: dict[Type, str] = field(default_factory=dict, compare=False, repr=False)
     alias_memo: dict[Type, Type] = field(default_factory=dict, compare=False, repr=False)
+    branch_memo: dict[tuple[Type, str], Branch] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def lookup_type(self, name: str, span: Span) -> TypeInfo:
         info = self.types.get(name)
@@ -643,11 +646,15 @@ def domain_comps(domain: Type) -> tuple[TupleComp, ...]:
     return (TupleComp(None, domain, False),)
 
 
-def domain_bar(domain: Type) -> tuple[Type | None, bool]:
-    """The permission side of an arrow domain and whether it is consumed."""
-    if isinstance(domain, TBar):
-        return domain.perm, domain.consumed
-    return None, False
+def domain_bars(domain: Type) -> list[tuple[Type, bool]]:
+    """The bars of an arrow domain, inner first, as `perms.admit_atoms`
+    reads them: each bar's permission and whether it is consumed."""
+    bars = []
+    while isinstance(domain, TBar):
+        bars.append((domain.perm, domain.consumed))
+        domain = domain.carrier
+    bars.reverse()
+    return bars
 
 
 def resolve(file: SourceFile, base: Env | None = None) -> tuple[SourceFile, Env]:

@@ -73,8 +73,16 @@ def duplicability(t: Type, env: Env, _assume: frozenset[str] | None = None) -> s
     """Least-fixed-point duplicability; recursive occurrences are optimistically
     assumed duplicable and iterated until stable (sufficient for `list`).
     Answers are memoised in `env.dup_memo`, so they live exactly as long as
-    the environment whose declarations they depend on."""
+    the environment whose declarations they depend on. A structural atom
+    (a tag whose fields are all singletons, with no bar) is answered from
+    its tag, unmemoised: each value built makes a new one."""
     if _assume is None:
+        if t.__class__ is TConcrete and t.bar is None and all(
+            f.__class__ is TSingleton for _, f in t.fields
+        ):
+            entry = env.tags.get(t.tag)
+            data = env.types.get(entry[0]) if entry is not None else None
+            return AFFINE if isinstance(data, DataInfo) and data.mutable else DUPLICABLE
         result = env.dup_memo.get(t)
         if result is None:
             result = env.dup_memo[t] = duplicability(t, env, frozenset())
@@ -102,14 +110,13 @@ def duplicability(t: Type, env: Env, _assume: frozenset[str] | None = None) -> s
             if key in _assume:
                 return DUPLICABLE  # optimistic; iterated below
             inner = _assume | {key}
-            subst = dict(zip((n for n, _ in info.params), t.args))
-            for branch in info.branches.values():
+            for tag in info.branches:
+                branch = branch_instance(env, t, tag)
                 for _, fty in branch.fields:
-                    if duplicability(subst_type(fty, subst), env, inner) == AFFINE:
+                    if duplicability(fty, env, inner) == AFFINE:
                         return AFFINE
-                if branch.bar is not None:
-                    if duplicability(subst_type(branch.bar, subst), env, inner) == AFFINE:
-                        return AFFINE
+                if branch.bar is not None and duplicability(branch.bar, env, inner) == AFFINE:
+                    return AFFINE
             return DUPLICABLE
         return AFFINE  # abstract type
     if any(duplicability(c, env, _assume) == AFFINE for c in children(t)):
@@ -249,6 +256,24 @@ def expand_alias(env: Env, t: TApp) -> Type:
         subst = dict(zip((n for n, _ in info.params), t.args))
         body = env.alias_memo[t] = subst_type(info.body, subst)
     return body
+
+
+def branch_instance(env: Env, t: TApp, tag: str) -> Branch:
+    """The branch `tag` of the data type `t`, with the type's parameters
+    replaced by the arguments of `t`. Memoised in `env.branch_memo`, so the
+    nodes of one instance, with the hashes they keep, serve every fold and
+    split of it."""
+    key = (t, tag)
+    inst = env.branch_memo.get(key)
+    if inst is None:
+        info = env.types[t.head]
+        assert isinstance(info, DataInfo)
+        branch = info.branches[tag]
+        subst = dict(zip((n for n, _ in info.params), t.args))
+        fields = tuple([(fname, subst_type(fty, subst)) for fname, fty in branch.fields])
+        bar = branch.bar if branch.bar is None else subst_type(branch.bar, subst)
+        inst = env.branch_memo[key] = Branch(tag, fields, bar, branch.span)
+    return inst
 
 
 def is_alias(env: Env, t: Type) -> bool:
@@ -599,13 +624,10 @@ class PermEnv:
 
 
 def split_branch(
-    anchor: str,
-    info: DataInfo,
-    args: tuple[Type, ...],
-    branch: Branch,
-    names: Iterable[str | None],
+    env: Env, anchor: str, t: TApp, tag: str, names: Iterable[str | None]
 ) -> list[Atom]:
-    """Split `anchor @ D args` along `branch`, one of the branches of D.
+    """Split `anchor @ t`, where `t` is a data type `D args`, along its
+    branch `tag`.
 
     The result is the structural atom `anchor @ Tag { f = a; ... }`, then
     the permissions split off it: `a @ t` for each field `f: t` of the
@@ -615,16 +637,15 @@ def split_branch(
     name is None is not split off, and the structural atom keeps it at its
     type `t`.
     """
-    subst = dict(zip((n for n, _ in info.params), args))
+    branch = branch_instance(env, t, tag)
     fields: list[tuple[str, Type]] = []
     split: list[Atom] = []
-    for (fname, declared), name in zip(branch.fields, names):
-        fty = subst_type(declared, subst)
+    for (fname, fty), name in zip(branch.fields, names):
         if name is None:
             fields.append((fname, fty))
             continue
         fields.append((fname, TSingleton(name)))
         split.extend(admit_atoms(name, fty))
     if branch.bar is not None:
-        split.extend(normalize(subst_type(branch.bar, subst)))
-    return [Anchored(anchor, TConcrete(branch.tag, tuple(fields), None)), *split]
+        split.extend(normalize(branch.bar))
+    return [Anchored(anchor, TConcrete(tag, tuple(fields), None)), *split]

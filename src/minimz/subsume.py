@@ -17,6 +17,10 @@ meets it:
 5. split of a nominal permission along a structural one;
 6. for a goal that is an unsolved metavariable: deferral, when the caller
    keeps a list of deferred goals, or else the empty permission.
+
+A goal `x @ D args` for a data type `D`, where `x` holds only structural
+atoms and no global permission, goes straight to steps 4 and 5, which run
+in one loop over an explicit goal stack (`Subsumer._fold`).
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from .perms import (
     SubsumptionFailure,
     admit_atoms,
     atoms_to_type,
+    branch_instance,
     duplicability,
     expand_alias,
     is_alias,
@@ -68,6 +73,8 @@ from .perms import (
 
 _MAX_DEPTH = 80
 _EMPTY = TEmpty()
+_CUT = object()  # on a fold's goal stack: the fold's goals are all met
+_NO_FOLD = object()  # on a fold's goal stack: a field that cannot be folded
 
 
 class Unifier:
@@ -138,6 +145,11 @@ class Subsumer:
             return False
         a = _strip_empty_bar(self.uni.shallow(a))
         b = _strip_empty_bar(self.uni.shallow(b))
+        # the name of a data type never unifies with one of its tags
+        if a.__class__ is TApp and b.__class__ is TConcrete and not is_alias(self.env, a):
+            return False
+        if a.__class__ is TConcrete and b.__class__ is TApp and not is_alias(self.env, b):
+            return False
         if isinstance(a, TMeta):
             return self.uni.bind(a.name, b)
         if isinstance(b, TMeta):
@@ -295,7 +307,7 @@ class Subsumer:
         or decompose a tuple type into a structural tuple plus components.
         Returns None when the atom is already in head form."""
         atom = penv.atom(handle)
-        if not isinstance(atom, Anchored):
+        if not isinstance(atom, Anchored) or atom.ty.__class__ is TConcrete:
             return None
         ty = self.uni.resolve(atom.ty)
         if is_alias(self.env, ty):
@@ -423,8 +435,11 @@ class Subsumer:
                 raise SubsumptionFailure(goal, penv)
             return penv.remove(handle)
         assert isinstance(goal, Anchored)
-        ty = self.uni.resolve(goal.ty)
-        ty = _strip_empty_bar(ty)
+        ty = _strip_empty_bar(self.uni.resolve(goal.ty))
+        if ty.__class__ is TApp:
+            folds = self._foldable(penv, goal.anchor, ty)
+            if folds is not None:
+                return self._fold(penv, goal, ty, folds, depth)
         if isinstance(ty, TMeta):
             hits = penv.atoms_of(goal.anchor)
             if not hits:
@@ -474,20 +489,10 @@ class Subsumer:
             opened = self.open_atom(penv, handle)
             if opened is not None:
                 return self.subsume_atom(opened, goal, depth + 1)
-        # fold a structural permission to the nominal goal
-        if isinstance(ty, TApp) and isinstance(self.env.types.get(ty.head), DataInfo):
-            info = self.env.types[ty.head]
-            for handle, atom in hits:
-                sty = atom.ty
-                if isinstance(sty, TConcrete) and sty.tag in info.branches:
-                    folded = self._fold_at(penv, handle, sty, ty, depth)
-                    if folded is not None:
-                        return folded
-        # split a nominal permission along a structural one
-        split = self._try_split(penv, goal.anchor)
-        if split is not None:
-            return self.subsume_atom(split, goal, depth + 1)
-        raise SubsumptionFailure(goal, penv)
+        # fold a structural permission to the nominal goal, else split
+        info = self.env.types.get(ty.head) if ty.__class__ is TApp else None
+        folds = _folds(hits, info) if info.__class__ is DataInfo else []
+        return self._fold(penv, goal, ty, folds, depth)
 
     def _find_exact(
         self, penv: PermEnv, hits: list[tuple[Handle, Anchored]], anchor: str, ty: Type, depth: int
@@ -568,30 +573,123 @@ class Subsumer:
             working = self.subsume(working, normalize(self.uni.resolve(ty.bar)))
         return working
 
-    def _fold_at(
-        self, penv: PermEnv, handle: Handle, structural: TConcrete, ty: TApp, depth: int
-    ) -> PermEnv | None:
-        """Fold the structural atom `handle` into the nominal goal `ty`."""
-        info = self.env.types[ty.head]
-        assert isinstance(info, DataInfo)
-        branch = info.branches[structural.tag]
-        subst = dict(zip((n for n, _ in info.params), ty.args))
-        mark = self.uni.bindings.mark()
-        try:
-            working = self._extract(penv, handle)
-            for (fname, declared), (aname, actual) in zip(branch.fields, structural.fields):
-                if not isinstance(actual, TSingleton):
-                    raise SubsumptionFailure(Anchored(structural.tag, ty), penv)
-                goal_field = subst_type(declared, subst)
-                working = self.subsume_atom(
-                    working, Anchored(actual.name, goal_field), depth + 1
-                )
-            if branch.bar is not None:
-                working = self.subsume_perm(working, subst_type(branch.bar, subst))
-            return working
-        except SubsumptionFailure:
-            self.uni.bindings.undo_to(mark)
+    def _foldable(
+        self, penv: PermEnv, anchor: str, ty: TApp
+    ) -> list[tuple[Handle, TConcrete]] | None:
+        """For a goal `anchor @ ty` that only a fold or a split can meet, the
+        structural atoms of `anchor` whose tag is a branch of `ty`; else
+        None. That is so when `ty` names a data type, `anchor` has no global
+        permission and every atom it holds is structural: a data type does
+        not unify with a tag, and a tag opens no further."""
+        info = self.env.types.get(ty.head)
+        if info.__class__ is not DataInfo or penv.global_type(anchor) is not None:
             return None
+        hits = penv.atoms_of(anchor)
+        for _, atom in hits:
+            if atom.ty.__class__ is not TConcrete:
+                return None
+        return _folds(hits, info)
+
+    def _fold(
+        self,
+        penv: PermEnv,
+        goal: Anchored,
+        ty: Type,
+        folds: list[tuple[Handle, TConcrete]],
+        depth: int,
+    ) -> PermEnv:
+        """Meet `goal`, whose type is `ty`, by the last steps of the search:
+        fold one of `folds`, structural atoms of its anchor whose tag is a
+        branch of `ty`, in order; else split, and search for the goal again
+        in the split environment; else fail.
+
+        A fold takes its atom (unless it is duplicable), then meets each
+        field at the branch's field type, then the branch's bar. These goals
+        go on an explicit stack, a linked tuple. A popped goal that only a
+        fold or a split can meet (`_foldable`) opens its fold level in this
+        loop, so nested folds take neither Python stack nor search depth;
+        any other goal goes through `subsume_atom`. Each fold attempt keeps
+        a choice point: the bindings' mark, and its level's environment,
+        goal, type, atoms left to try and the goals after it. A failure
+        backs off to the newest choice point, which tries its next atom,
+        then its split. When a fold's goals are all met its choice point is
+        dropped, so a goal that was met is never tried again.
+
+        The search ends: a fold of an affine atom takes it out, and a
+        duplicable atom is not folded again inside its own fold, which
+        could only go round a cycle of immutable atoms."""
+        bindings = self.uni.bindings
+        stack: tuple | None = None  # the goals after the current level's
+        choices: tuple | None = None  # the open fold attempts, newest first
+        folding: set[Handle] = set()  # the duplicable atoms among them
+        todo = iter(folds)
+        while True:
+            try:
+                # the level of `goal` at `penv`: its next fold, else a split
+                for handle, sty in todo:
+                    working = self._extract(penv, handle)
+                    kept = None
+                    if working is penv:
+                        if handle in folding:
+                            continue
+                        folding.add(handle)
+                        kept = handle
+                    choices = (bindings.mark(), penv, goal, ty, todo, stack, kept, choices)
+                    stack = self._fold_goals(sty, ty, stack)
+                    break
+                else:
+                    split = self._try_split(penv, goal.anchor)
+                    if split is None:
+                        raise SubsumptionFailure(goal, penv)
+                    working = self.subsume_atom(split, goal, depth + 1)
+                # the goals on the stack, until one opens a fold level
+                while stack is not None:
+                    item, stack = stack
+                    if item is _CUT:
+                        kept, choices = choices[6:]  # type: ignore[index]
+                        if kept is not None:
+                            folding.discard(kept)
+                    elif item is _NO_FOLD:
+                        raise SubsumptionFailure(goal, working)
+                    elif item.__class__ is not Anchored:
+                        working = self.subsume_perm(working, item)  # a branch's bar
+                    else:
+                        gty = _strip_empty_bar(self.uni.resolve(item.ty))
+                        found = None
+                        if gty.__class__ is TApp:
+                            found = self._foldable(working, item.anchor, gty)
+                        if found is None:
+                            working = self.subsume_atom(working, item, depth + 1)
+                        else:
+                            penv, goal, ty, todo = working, item, gty, iter(found)
+                            break
+                else:
+                    return working
+            except SubsumptionFailure:
+                if choices is None:
+                    raise
+                mark, penv, goal, ty, todo, stack, kept, choices = choices
+                bindings.undo_to(mark)
+                if kept is not None:
+                    folding.discard(kept)
+
+    def _fold_goals(self, sty: TConcrete, ty: TApp, stack: tuple | None) -> tuple:
+        """`stack` with the goals of a fold of `sty` into `ty` on top, in
+        order: each field at its branch type, the branch's bar, the cut. A
+        field that `sty` does not name by a singleton cannot be folded."""
+        branch = branch_instance(self.env, ty, sty.tag)
+        stack = (_CUT, stack)
+        if branch.bar is not None:
+            stack = (branch.bar, stack)
+        goals: list[object] = []
+        for (_, declared), (_, actual) in zip(branch.fields, sty.fields):
+            if actual.__class__ is not TSingleton:
+                goals.append(_NO_FOLD)
+                break
+            goals.append(Anchored(actual.name, declared))  # type: ignore[union-attr]
+        for g in reversed(goals):
+            stack = (g, stack)
+        return stack
 
     def _try_split(self, penv: PermEnv, wanted_anchor: str) -> PermEnv | None:
         """Split `y @ D args` along a structural `y @ Tag{.. f = wanted ..}`
@@ -623,9 +721,7 @@ class Subsumer:
         entry = self.env.tags.get(sty.tag)
         if entry is None:
             return None
-        data_name, branch = entry
-        info = self.env.types[data_name]
-        assert isinstance(info, DataInfo)
+        data_name = entry[0]
         anchor = penv.atom(shandle).anchor
         for nhandle, natom in penv.atoms_of(anchor):
             if nhandle == shandle:
@@ -636,9 +732,15 @@ class Subsumer:
             if isinstance(nty, TApp) and nty.head == data_name:
                 names = (f.name if isinstance(f, TSingleton) else None for _, f in sty.fields)
                 # the structural atom is already there
-                _, *fields = split_branch(anchor, info, nty.args, branch, names)
+                _, *fields = split_branch(self.env, anchor, nty, sty.tag, names)
                 return penv.remove(nhandle).add(*fields)
         return None
+
+
+def _folds(hits: list[tuple[Handle, Anchored]], info: DataInfo) -> list[tuple[Handle, TConcrete]]:
+    """The atoms among `hits` that may fold into the data type `info`: the
+    structural ones whose tag is one of its branches."""
+    return [(h, a.ty) for h, a in hits if a.ty.__class__ is TConcrete and a.ty.tag in info.branches]  # type: ignore[misc]
 
 
 def _is_structural_tuple(t: TTuple) -> bool:

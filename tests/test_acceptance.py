@@ -24,7 +24,7 @@ from minimz.check import Checker
 from minimz.cli import parse_manifest, run_case
 from minimz.driver import check_text, load_text, prelude, run_text
 from minimz.interp import Interp, RuntimeTrap, VBool
-from minimz.kinds import DataInfo, domain_bar, domain_comps
+from minimz.kinds import DataInfo, domain_comps
 from minimz.parser import parse_file
 from minimz.perms import Anchored, NameSupply, PermEnv, split_branch
 from minimz.printer import pretty_print
@@ -104,7 +104,7 @@ def test_criterion_2_splitting_oracle():
         existing = {a.anchor for a in decoys} | {"x"}
         # split `x @ name` as the checker refines a one-branch data type
         names = (supply.fresh(f) for f, _ in branch.fields)
-        atoms = split_branch("x", info, (), branch, names)
+        atoms = split_branch(env, "x", TApp(name, ()), branch.tag, names)
         introduced = {a.anchor for a in atoms[1:] if isinstance(a, Anchored)}
         assert introduced.isdisjoint(existing), "freshness violated"
         penv = PermEnv(env, decoys + tuple(atoms))
@@ -132,9 +132,14 @@ FRAME = TupleComp(None, TVar("frame$ty"), False)
 def _with_frame(sig):
     if isinstance(sig, TForall):
         return replace(sig, body=_with_frame(sig.body))
-    bar, consumed = domain_bar(sig.domain)
-    comps = TTuple(domain_comps(sig.domain) + (FRAME,))
-    return replace(sig, domain=comps if bar is None else TBar(comps, bar, consumed))
+    return replace(sig, domain=_framed_domain(sig.domain))
+
+
+def _framed_domain(domain):
+    """`domain` with the frame after its components, inside all its bars."""
+    if isinstance(domain, TBar):
+        return replace(domain, carrier=_framed_domain(domain.carrier))
+    return TTuple(domain_comps(domain) + (FRAME,))
 
 
 class FramedChecker(Checker):

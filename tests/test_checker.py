@@ -486,3 +486,58 @@ val main () = use id
     assert check_text(src, "t")[2] == []
     value, program = run_text(src, "main")
     assert program.render(value) == "7"
+
+
+# A domain with nested bars: `g` consumes `p`, its inner bar, and borrows
+# `q`, its outer one.
+NESTED_DOMAIN = """
+val g: [p: perm, q: perm] ((x: int | consumes p) | q) -> int
+val g (x) = x
+"""
+
+
+@pytest.mark.parametrize(
+    "caller, expected",
+    [
+        # `h` never holds `p`
+        ("val h: [p: perm, q: perm] (y: int | q) -> int\nval h (y) = g [p, q] y", ["E-SUBSUME"]),
+        ("val h: [p: perm, q: perm] (y: int | consumes p * q) -> int\nval h (y) = g [p, q] y", []),
+        # `g` does not give `p` back
+        ("val h: [p: perm, q: perm] (y: int | p * q) -> int\nval h (y) = g [p, q] y", ["E-CONSUMED"]),
+    ],
+    ids=["without p", "consuming p", "borrowing p"],
+)
+def test_a_call_takes_every_bar_of_the_callees_domain(caller, expected):
+    assert codes(check_text(NESTED_DOMAIN + caller, "t")[2]) == expected
+
+
+def test_a_body_holds_every_bar_of_its_domain():
+    src = """
+val g: [p: perm] ((x: int | consumes p) | empty) -> (| p)
+val g (x) = ()
+"""
+    assert check_text(src, "t")[2] == []
+
+
+def let_built_list(n: int) -> str:
+    """`main` returning a list of n cells, each bound by a `let`."""
+    lines = ["val main: () -> list int", "val main () =", "  let l0 = Nil in"]
+    lines += [f"  let l{i} = Cons {{ head = {i}; tail = l{i - 1} }} in" for i in range(1, n + 1)]
+    return "\n".join(lines + [f"  l{n}"]) + "\n"
+
+
+def test_a_let_built_list_deeper_than_the_search_depth_checks():
+    assert check_text(let_built_list(80), "t")[2] == []
+
+
+def test_a_long_let_built_list_checks_under_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    assert check_text(let_built_list(10_000), "t")[2] == []
+
+
+def test_a_deeply_nested_list_literal_checks():
+    literal = "Nil"
+    for i in range(100):
+        literal = f"Cons {{ head = {i}; tail = {literal} }}"
+    src = f"val main: () -> list int\nval main () = {literal}\n"
+    assert check_text(src, "t")[2] == []

@@ -130,7 +130,7 @@ def _split_tree(env, tag, names=None, supply=None):
     if names is None:
         supply = supply or NameSupply()
         names = (supply.fresh(f) for f, _ in branch.fields)
-    return branch, split_branch("t", info, (INT,), branch, names)
+    return branch, split_branch(env, "t", TREE_INT, tag, names)
 
 
 def test_split_concrete_node(tree_env):
