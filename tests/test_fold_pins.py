@@ -1,11 +1,13 @@
-"""Golden test of how folds fail and back off.
+"""Golden test of how subsumption searches fail and back off.
 
 `fold_pins.txt` holds, for each program of `PROGRAMS`, every diagnostic the
 checker gives it (code, span, message and permission snapshot), or `clean`.
 The programs fold structural permissions into nominal ones where a fold
 fails deep down, backs off to another atom, falls back to a split, or
-needs a bar. A change to the search that keeps its behaviour must leave
-the file unchanged.
+needs a bar; they choose between several atoms of one tag, take apart
+deep tuples, nested bars, existentials and aliases, and open held atoms.
+A change to the search that keeps its behaviour must leave the file
+unchanged.
 
 To rewrite the file after an intended change of behaviour:
 
@@ -54,6 +56,15 @@ def _let_list(n: int, bad: int | None = None, ty: str = "list int") -> str:
         lines.append(f"  let l{i} = Cons {{ head = {head}; tail = l{i - 1} }} in")
     lines.append(f"  l{n}")
     return "\n".join(lines) + "\n"
+
+
+def _nested_tuple(n: int, inner: str) -> str:
+    """`main` returning `(1, (1, ... inner))`, n levels deep, at
+    `(int, (int, ... int))`."""
+    ty, value = "int", inner
+    for _ in range(n - 1):
+        ty, value = f"(int, {ty})", f"(1, {value})"
+    return f"val main: () -> {ty}\nval main () = {value}\n"
 
 
 PROGRAMS: dict[str, str] = {
@@ -208,6 +219,97 @@ data u = U
 
 val main: (n: int, y: U, z: U | y @ Cons { head = n; tail = z } * z @ Cons { head = n; tail = y }) -> list int
 val main (n, y, z) = y
+""",
+    # several atoms of one tag
+    "three atoms of one tag, the first meets the goal": """
+val main: (n: int, m: int, consumes x: Cons { head = n; tail = m }
+           | consumes (x @ Cons { head = m; tail = n } * x @ Cons { head = m; tail = m }))
+  -> (| x @ Cons { head = n; tail = m })
+val main (n, m, x) = ()
+""",
+    "three atoms of one tag, the second meets the goal": """
+val main: (n: int, m: int, consumes x: Cons { head = n; tail = m }
+           | consumes (x @ Cons { head = m; tail = n } * x @ Cons { head = m; tail = m }))
+  -> (| x @ Cons { head = m; tail = n })
+val main (n, m, x) = ()
+""",
+    "three atoms of one tag, none meets the goal": """
+val main: (n: int, m: int, consumes x: Cons { head = n; tail = m }
+           | consumes (x @ Cons { head = m; tail = n } * x @ Cons { head = m; tail = m }))
+  -> (| x @ Cons { head = n; tail = n })
+val main (n, m, x) = ()
+""",
+    "two ref atoms, the second's content meets the goal": """
+val main: (n: int, b: bool, consumes x: Ref { contents = b } | consumes x @ Ref { contents = n })
+  -> (| x @ Ref { contents: int })
+val main (n, b, x) = ()
+""",
+    "two structural tuples of one anchor, the second meets the goal": """
+val main: (a: int, b: bool, consumes p: (=a, =b) | consumes p @ (=b, =a)) -> (| p @ (bool, int))
+val main (a, b, p) = ()
+""",
+    # deep tuples, nested bars, existentials and aliases
+    "79-deep tuple, the innermost component a bool": _nested_tuple(79, "true"),
+    "nested bars, all met": """
+val main: (consumes x: ref int, consumes y: ref int) -> ((int | x @ ref int) | y @ ref int)
+val main (x, y) = 1
+""",
+    "nested bars, the inner one met twice": """
+val main: (consumes x: ref int) -> ((int | x @ ref int) | x @ ref int)
+val main (x) = 1
+""",
+    "a focused element and its wand": """
+val focus_ref: [a] (consumes r: ref a) -> focused a (r @ ref a)
+val focus_ref (r) =
+  match r with
+  | Ref { contents = x } ->
+      (x, fun (| consumes (x @ a * r @ Ref { contents = x })) : (| r @ ref a) = ())
+""",
+    "a wand whose ammo is gone": """
+val focus_ref: [a] (consumes r: ref a) -> (focused a (r @ ref a), ref a)
+val focus_ref (r) =
+  match r with
+  | Ref { contents = x } ->
+      ((x, fun (| consumes (x @ a * r @ Ref { contents = x })) : (| r @ ref a) = ()), r)
+""",
+    "a goal met only by alias expansion": """
+alias pair = (int, int)
+val main: () -> pair
+val main () = (1, 2)
+""",
+    "an alias goal whose expansion fails": """
+alias pair = (int, int)
+val main: () -> pair
+val main () = (1, true)
+""",
+    # goals met by opening a held atom
+    "a goal met only by opening a held tuple": """
+val main: (consumes p: (int, ref int)) -> (int, ref int)
+val main (p) = p
+""",
+    "a held tuple opened, a component at the wrong type": """
+val main: (consumes p: (int, ref int)) -> (int, ref bool)
+val main (p) = p
+""",
+    "a held existential opened for a goal": """
+val main: (consumes x: ({b} ref b)) -> (| x @ ({c} ref c))
+val main (x) = ()
+""",
+    "a held existential opened, the goal at the wrong type": """
+val main: (consumes x: ({b} ref b)) -> (| x @ ref int)
+val main (x) = ()
+""",
+    # the search ends on a cell that points to itself
+    "a self-referential mutable cell": """
+data mutable node = Node { next: node } | End
+
+val take: (consumes r: node) -> ()
+val take (r) = ()
+
+val main: (consumes r: Node { next: node }) -> ()
+val main (r) =
+  r.next <- r;
+  take r
 """,
 }
 
