@@ -311,6 +311,13 @@ val main (r) =
   r.next <- r;
   take r
 """,
+    "two structural atoms that name the goal's anchor and each other, split in turn": """
+data tr = Lf | Nd { left: tr; elem: int; right: tr }
+
+val main: (e: int, w: tr, y: tr, h: tr
+           | y @ Nd { left = h; elem = e; right = w } * h @ Nd { left = y; elem = e; right = w }) -> bool
+val main (e, w, y, h) = not w
+""",
 }
 
 
