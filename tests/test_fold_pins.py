@@ -59,10 +59,10 @@ def _let_list(n: int, bad: int | None = None, ty: str = "list int") -> str:
 
 
 def _nested_tuple(n: int, inner: str) -> str:
-    """`main` returning `(1, (1, ... inner))`, n levels deep, at
+    """`main` returning `(1, (1, ... inner))`, n tuples deep, at
     `(int, (int, ... int))`."""
     ty, value = "int", inner
-    for _ in range(n - 1):
+    for _ in range(n):
         ty, value = f"(int, {ty})", f"(1, {value})"
     return f"val main: () -> {ty}\nval main () = {value}\n"
 
