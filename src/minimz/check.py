@@ -65,7 +65,7 @@ from .perms import (
     split_branch,
     subst_type,
 )
-from .subsume import Subsumer
+from .subsume import Subsumer, is_structural_tuple
 
 BOOL = TApp("bool", ())
 INT = TApp("int", ())
@@ -635,12 +635,7 @@ class Checker:
             pairs.append((pat.name, anchor))
             return penv
         if isinstance(pat, PTuple):
-            found = self.sub.head_atom(
-                penv,
-                anchor,
-                lambda t: isinstance(t, TTuple)
-                and all(isinstance(c.ty, TSingleton) for c in t.comps),
-            )
+            found = self.sub.head_atom(penv, anchor, is_structural_tuple)
             if found is None:
                 self._fail(
                     "E-SUBSUME",

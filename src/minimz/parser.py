@@ -57,11 +57,10 @@ from .lexer import Token, tokenize
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, span: Span, expected: tuple[str, ...] = ()):
+    def __init__(self, message: str, span: Span):
         super().__init__(message)
         self.message = message
         self.span = span
-        self.expected = expected
 
 
 # Tokens that may begin an expression atom (application arguments).
@@ -92,24 +91,24 @@ class Parser:
             self.tok = self.tokens[self.pos]
         return tok
 
-    def error(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+    def error(self, message: str) -> ParseError:
         tok = self.tok
         what = f"{tok.kind} {tok.text!r}" if tok.kind != "EOF" else "end of input"
-        return ParseError(f"{message}, found {what}", tok.span, expected)
+        return ParseError(f"{message}, found {what}", tok.span)
 
     def expect_op(self, op: str) -> Token:
         if self.tok.text != op:
-            raise self.error(f"expected {op!r}", (op,))
+            raise self.error(f"expected {op!r}")
         return self.next()
 
     def expect_kw(self, word: str) -> Token:
         if self.tok.text != word:
-            raise self.error(f"expected keyword {word!r}", (word,))
+            raise self.error(f"expected keyword {word!r}")
         return self.next()
 
     def expect(self, kind: str) -> Token:
         if self.tok.kind != kind:
-            raise self.error(f"expected {kind}", (kind,))
+            raise self.error(f"expected {kind}")
         return self.next()
 
     def parse_comma_list(self, parse_item) -> list:
@@ -145,7 +144,7 @@ class Parser:
             return self.parse_abstract()
         if tok.text == "val":
             return self.parse_val()
-        raise self.error("expected a declaration", ("data", "alias", "abstract", "val"))
+        raise self.error("expected a declaration")
 
     def parse_type_params(self) -> tuple[tuple[str, Kind], ...]:
         params: list[tuple[str, Kind]] = []
@@ -239,7 +238,7 @@ class Parser:
             self.expect_op("=")
             body = self.parse_expr()
             return DValDef(name.text, tuple(params), body, start.span.merge(body.span))
-        raise self.error("expected ':' (signature) or '(' (definition) after val name", (":", "("))
+        raise self.error("expected ':' (signature) or '(' (definition) after val name")
 
     # -- types -------------------------------------------------------------
 
@@ -441,7 +440,7 @@ class Parser:
     def parse_lambda(self) -> ELambda:
         start = self.expect_kw("fun")
         if self.tok.text != "(":
-            raise self.error("expected '(' after fun", ("(",))
+            raise self.error("expected '(' after fun")
         domain = self.parse_paren_type()
         if not isinstance(domain, (TTuple, TBar)):
             domain = TTuple((TupleComp(None, domain, False),))

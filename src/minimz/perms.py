@@ -377,11 +377,10 @@ def atoms_to_type(atoms: list[Atom]) -> Type:
 
 
 class SubsumptionFailure(Exception):
-    def __init__(self, goal: Atom, env: "PermEnv", note: str = ""):
+    def __init__(self, goal: Atom, env: "PermEnv"):
         super().__init__(f"cannot extract {goal}")
         self.goal = goal
         self.env = env
-        self.note = note
 
 
 Handle = int

@@ -1,31 +1,53 @@
-"""Subsumption-based extraction of permissions from an environment.
+"""Subsumption: extracting goal permissions from a permission environment.
 
-The entry point is `Subsumer.subsume`, which extracts a list of goal
-atoms from a `PermEnv`, solving unification metavariables along the way.
-The leftover environment is the frame. Search is deterministic; there is
-no backtracking across conjuncts beyond one retry pass.
-
-Subsumption search order (`subsume_atom`). A goal is first taken apart by
-its shape: a bar, an existential, a singleton, a tuple, a concrete type;
-`x @ ?m` takes the first atom of `x`. Then the first of these that applies
-meets it:
+`Subsumer.subsume` meets a list of goal atoms in a `PermEnv`, in order,
+solving unification metavariables on the way; what is left is the frame.
+Each goal is met by one search, `Subsumer.subsume_atom`: a loop over an
+explicit stack of goals. A popped goal is taken apart by its shape, and
+its parts go on the stack: a bar's carrier, then its permission; an
+existential's body, at fresh metavariables; the components of a tuple, or
+the fields and bar of a concrete type, as one atom of the anchor gives
+them (a *pick*). `x @ ?m` takes the first atom of `x`. An unsolved
+permission metavariable is deferred if the caller keeps a list and no
+level (below) is open, else it is empty. Any other goal is met by the
+first of these that applies:
 
 1. exact match: a held atom of the anchor, then its global permission;
 2. alias expansion of the goal;
 3. opening a held atom of the anchor (alias, existential, bar, tuple);
-4. fold of a structural permission to the nominal goal;
-5. split of a nominal permission along a structural one;
-6. for a goal that is an unsolved metavariable: deferral, when the caller
-   keeps a list of deferred goals, or else the empty permission.
+4. a *fold* of a structural atom of the anchor: its fields at the branch's
+   field types, then the branch's bar;
+5. a split of a nominal atom along a structural one naming the anchor,
+   then the goal again.
 
-A goal `x @ D args` for a data type `D`, where `x` holds only structural
-atoms and no global permission, goes straight to steps 4 and 5, which run
-in one loop over an explicit goal stack (`Subsumer._fold`).
+`x @ D args` for a data type `D`, where `x` holds only structural atoms
+and no global permission, goes straight to 4 and 5.
+
+A pick or a fold opens a *level*, a choice point over every atom it may
+take in `atoms_of` order: `heads` gives a pick's, opening atoms as needed,
+and a fold's are its structural atoms, then the split. The atom's goals
+go on the stack, then a cut. A failure backs off to the newest open level,
+which takes its next atom from the bindings and environment it began with.
+The cut closes a level whose goals are all met, so an atom is taken again
+only when a later goal of its level fails. A level with no atom left
+fails in turn: a pick with its first atom's failure, a fold with its own
+goal, or after its split with the split search's failure.
+
+The search ends, with no depth bound. Aliases are acyclic
+(`kinds.check_alias_cycles`); an open removes one packed layer; a bar, an
+existential, a pick's components and fields shrink the goal's type; a fold
+of an affine atom takes it out, and a duplicable atom is not folded again
+inside its own fold; a split replaces a nominal atom with atoms at its
+field types, and an anchor is not split again inside the search its own
+split began. `guard` in `subsume_atom` holds, for the current path, the
+atoms being folded and the anchors being split.
 """
 
 from __future__ import annotations
 
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ast import (
     KIND_TYPE,
@@ -71,10 +93,31 @@ from .perms import (
     subst_type,
 )
 
-_MAX_DEPTH = 80
 _EMPTY = TEmpty()
-_CUT = object()  # on a fold's goal stack: the fold's goals are all met
-_NO_FOLD = object()  # on a fold's goal stack: a field that cannot be folded
+_CUT = object()  # on the goal stack: the newest level's goals are all met
+_FAIL = object()  # on the goal stack: the newest level's atom does not meet it
+
+@dataclass(slots=True, eq=False)
+class _Level:
+    """An open level of the search: its goal, the goals after its own, the
+    level open before it, its atoms left, the marks of the bindings and of
+    the guard when it opened, and the environment of the atom taken."""
+
+    goal: Anchored
+    after: tuple | None
+    older: _Level | None
+    rest: Generator[tuple, SubsumptionFailure, None]
+    mark: int
+    guard_mark: int
+    penv: PermEnv | None = None
+
+
+class _Field(NamedTuple):
+    """On the goal stack: a concrete goal's field type `ty`, against the
+    field `actual` of the atom picked for it."""
+
+    ty: Type
+    actual: Type
 
 
 class Unifier:
@@ -136,13 +179,12 @@ class Subsumer:
     # unification
     # ------------------------------------------------------------------
 
-    def unify(self, a: Type, b: Type, depth: int = 0) -> bool:
+    def unify(self, a: Type, b: Type) -> bool:
         """Structural unification; metavariables may occur on either side.
         Names bound on both sides, by a pair of quantifiers or a pair of
         components, are renamed at their binder to one fresh name, so that
-        types compare up to the names of their binders."""
-        if depth > _MAX_DEPTH:
-            return False
+        types compare up to the names of their binders. The recursion follows
+        the size of the types, which the parser bounds."""
         a = _strip_empty_bar(self.uni.shallow(a))
         b = _strip_empty_bar(self.uni.shallow(b))
         # the name of a data type never unifies with one of its tags
@@ -161,27 +203,27 @@ class Subsumer:
         if isinstance(a, TSingleton) and isinstance(b, TSingleton):
             return a.name == b.name
         if isinstance(a, TApp) and isinstance(b, TApp) and a.head == b.head:
-            return all(self.unify(x, y, depth + 1) for x, y in zip(a.args, b.args))
+            return all(self.unify(x, y) for x, y in zip(a.args, b.args))
         if is_alias(self.env, a):
-            return self.unify(expand_alias(self.env, a), b, depth + 1)
+            return self.unify(expand_alias(self.env, a), b)
         if is_alias(self.env, b):
-            return self.unify(a, expand_alias(self.env, b), depth + 1)
+            return self.unify(a, expand_alias(self.env, b))
         if isinstance(a, TApp) and isinstance(b, TApp):
             return False
         if isinstance(a, TArrow) and isinstance(b, TArrow):
-            ren = self._unify_domain(_as_domain(a.domain), _as_domain(b.domain), depth)
+            ren = self._unify_domain(_as_domain(a.domain), _as_domain(b.domain))
             return ren is not None and self.unify(
-                subst_type(a.codomain, {}, ren[0]), subst_type(b.codomain, {}, ren[1]), depth + 1
+                subst_type(a.codomain, {}, ren[0]), subst_type(b.codomain, {}, ren[1])
             )
         if isinstance(a, (TTuple, TBar)) and type(a) is type(b):
-            return self._unify_domain(a, b, depth) is not None
+            return self._unify_domain(a, b) is not None
         if isinstance(a, TConcrete) and isinstance(b, TConcrete):
             if a.tag != b.tag or len(a.fields) != len(b.fields):
                 return False
             for (na, fa), (nb, fb) in zip(a.fields, b.fields):
-                if na != nb or not self.unify(fa, fb, depth + 1):
+                if na != nb or not self.unify(fa, fb):
                     return False
-            return self.unify_perms(a.bar or _EMPTY, b.bar or _EMPTY, depth)
+            return self.unify_perms(a.bar or _EMPTY, b.bar or _EMPTY)
         if isinstance(a, (TForall, TExists)) and type(a) is type(b):
             if len(a.binders) != len(b.binders):
                 return False
@@ -192,25 +234,25 @@ class Subsumer:
                     return False
                 subst_a[na] = subst_b[nb] = TVar(self.names.fresh("alpha"))
             return self.unify(
-                subst_type(a.body, subst_a), subst_type(b.body, subst_b), depth + 1
+                subst_type(a.body, subst_a), subst_type(b.body, subst_b)
             )
         if isinstance(b, TForall):
             # A polymorphic permission meets a monomorphic requirement by
             # instantiating its binders.
             subst = {n: self.uni.fresh(n, k) for n, k in b.binders}
-            return self.unify(a, subst_type(b.body, subst), depth + 1)
+            return self.unify(a, subst_type(b.body, subst))
         if isinstance(a, TAt) and isinstance(b, TAt):
-            return a.anchor == b.anchor and self.unify(a.ty, b.ty, depth + 1)
+            return a.anchor == b.anchor and self.unify(a.ty, b.ty)
         if isinstance(a, (TAt, TStar, TEmpty, TVar)) or isinstance(b, (TAt, TStar, TEmpty, TVar)):
             # permission-kinded comparison falls back to multiset matching
             try:
-                return self.unify_perms(a, b, depth)
+                return self.unify_perms(a, b)
             except TypeError:
                 return False
         return False
 
     def _unify_domain(
-        self, a: Type, b: Type, depth: int
+        self, a: Type, b: Type
     ) -> tuple[dict[str, str], dict[str, str]] | None:
         """Unify two arrow domains, tuples or bars, walking them as
         `perms._subst_domain` walks one. A component's name scopes over the
@@ -223,21 +265,21 @@ class Subsumer:
             b = b if b.__class__ is TBar else TBar(b, _EMPTY)
             if a.consumed != b.consumed:
                 return None
-            ren = self._unify_domain(a.carrier, b.carrier, depth)
+            ren = self._unify_domain(a.carrier, b.carrier)
             if ren is None or not self.unify_perms(
-                subst_type(a.perm, {}, ren[0]), subst_type(b.perm, {}, ren[1]), depth
+                subst_type(a.perm, {}, ren[0]), subst_type(b.perm, {}, ren[1])
             ):
                 return None
             return ren
         if a.__class__ is not TTuple or b.__class__ is not TTuple:
-            return ({}, {}) if self.unify(a, b, depth + 1) else None
+            return ({}, {}) if self.unify(a, b) else None
         if len(a.comps) != len(b.comps):
             return None
         values_a: dict[str, str] = {}
         values_b: dict[str, str] = {}
         for ca, cb in zip(a.comps, b.comps):
             if ca.consumed != cb.consumed or not self.unify(
-                subst_type(ca.ty, {}, values_a), subst_type(cb.ty, {}, values_b), depth + 1
+                subst_type(ca.ty, {}, values_a), subst_type(cb.ty, {}, values_b)
             ):
                 return None
             if ca.name is not None or cb.name is not None:
@@ -248,7 +290,7 @@ class Subsumer:
                     values_b[cb.name] = tok
         return values_a, values_b
 
-    def unify_perms(self, a: Type, b: Type, depth: int = 0) -> bool:
+    def unify_perms(self, a: Type, b: Type) -> bool:
         """Multiset unification of two permissions. Matches rigid atoms
         pairwise; a single unmatched metavariable on one side absorbs the
         other side's remainder (remaining metavariables default to empty)."""
@@ -262,7 +304,7 @@ class Subsumer:
         unmatched_a: list[Atom] = []
         for atom in rigid_a:
             for i, other in enumerate(remaining):
-                if self._atoms_unifiable(atom, other, depth):
+                if self._atoms_unifiable(atom, other):
                     del remaining[i]
                     break
             else:
@@ -286,11 +328,11 @@ class Subsumer:
             return False
         return all(self.uni.bind(m.name, TEmpty()) for m in rest)
 
-    def _atoms_unifiable(self, a: Atom, b: Atom, depth: int) -> bool:
+    def _atoms_unifiable(self, a: Atom, b: Atom) -> bool:
         mark = self.uni.bindings.mark()
         ok = False
         if isinstance(a, Anchored) and isinstance(b, Anchored):
-            ok = a.anchor == b.anchor and self.unify(a.ty, b.ty, depth + 1)
+            ok = a.anchor == b.anchor and self.unify(a.ty, b.ty)
         elif isinstance(a, PermVar) and isinstance(b, PermVar):
             ok = a.name == b.name
         if not ok:
@@ -319,7 +361,7 @@ class Subsumer:
             return penv.replace(handle, Anchored(atom.anchor, subst_type(ty.body, subst)))
         if isinstance(ty, TBar):
             return penv.replace(handle, *admit_atoms(atom.anchor, ty))
-        if isinstance(ty, TTuple) and not _is_structural_tuple(ty):
+        if isinstance(ty, TTuple) and not is_structural_tuple(ty):
             # If a structural view of the same tuple is already around, pin the
             # released component permissions to its component names.
             view = self._tuple_view(penv, atom.anchor, len(ty.comps), structural=True)
@@ -355,30 +397,33 @@ class Subsumer:
             ty = self.uni.resolve(atom.ty)
             if (
                 isinstance(ty, TTuple)
-                and _is_structural_tuple(ty) == structural
+                and is_structural_tuple(ty) == structural
                 and len(ty.comps) == length
             ):
                 return handle, ty
         return None
 
-    def head_atom(self, penv: PermEnv, anchor: str, want) -> tuple[PermEnv, Handle] | None:
-        """Find (opening as needed) an atom for `anchor` whose type satisfies
-        the predicate `want`."""
-        for _ in range(_MAX_DEPTH):
+    def heads(self, penv: PermEnv, anchor: str, want) -> Iterator[tuple[PermEnv, Handle]]:
+        """Every atom of `anchor` whose type satisfies the predicate `want`,
+        with the environment that holds it: those of `penv`, in order, then
+        those that each opening of an atom of `anchor` brings. An opening
+        gives its atoms handles above every older one."""
+        seen = -1
+        while penv is not None:
             hits = penv.atoms_of(anchor)
             for handle, atom in hits:
-                if want(self.uni.resolve(atom.ty)):
-                    return penv, handle
-            progressed = False
-            for handle, atom in hits:
-                opened = self.open_atom(penv, handle)
-                if opened is not None:
-                    penv = opened
-                    progressed = True
-                    break
-            if not progressed:
-                return None
-        return None
+                if handle > seen and want(self.uni.resolve(atom.ty)):
+                    yield penv, handle
+            seen = max((h for h, _ in hits), default=seen)
+            penv = self._open_first(penv, hits)
+
+    def head_atom(self, penv: PermEnv, anchor: str, want) -> tuple[PermEnv, Handle] | None:
+        """The first atom that `heads` finds, or None."""
+        return next(self.heads(penv, anchor, want), None)
+
+    def _open_first(self, penv: PermEnv, hits: list[tuple[Handle, Anchored]]) -> PermEnv | None:
+        """`penv` with the first atom among `hits` that opens opened, or None."""
+        return next((o for h, _ in hits if (o := self.open_atom(penv, h)) is not None), None)
 
     # ------------------------------------------------------------------
     # subsumption
@@ -387,127 +432,201 @@ class Subsumer:
     def subsume(
         self, penv: PermEnv, goals: list[Atom], defer: list[Atom] | None = None
     ) -> PermEnv:
-        pending: list[Atom] = list(goals)
-        failed: list[tuple[Atom, SubsumptionFailure]] = []
+        """Meet `goals` in `penv`, in order. The first goal that fails gives
+        back what it bound and raises its failure."""
         bindings = self.uni.bindings
-        for goal in pending:
+        for goal in goals:
             mark = bindings.mark()
             try:
-                penv = self.subsume_atom(penv, goal, defer=defer)
-            except SubsumptionFailure as exc:
-                bindings.undo_to(mark)
-                failed.append((goal, exc))
-        still: list[tuple[Atom, SubsumptionFailure]] = []
-        for goal, first_exc in failed:
-            mark = bindings.mark()
-            try:
-                penv = self.subsume_atom(penv, goal, defer=defer)
+                penv = self.subsume_atom(penv, goal, defer)
             except SubsumptionFailure:
                 bindings.undo_to(mark)
-                still.append((goal, first_exc))
-        if still:
-            raise still[0][1]
+                raise
         return penv
 
-    def subsume_perm(self, penv: PermEnv, perm: Type) -> PermEnv:
-        return self.subsume(penv, normalize(self.uni.resolve(perm)))
-
     def subsume_atom(
-        self, penv: PermEnv, goal: Atom, depth: int = 0, defer: list[Atom] | None = None
+        self, penv: PermEnv, goal: Atom, defer: list[Atom] | None = None
     ) -> PermEnv:
-        if depth > _MAX_DEPTH:
-            raise SubsumptionFailure(goal, penv, "search depth exceeded")
-        if isinstance(goal, MetaPerm):
-            bound = self.uni.bindings.get(goal.name)
-            if bound is None:
-                if defer is not None:
-                    # A later component's unification may still solve this
-                    # metavariable; postpone it.
-                    defer.append(goal)
-                    return penv
-                # Unconstrained permission metavariable defaults to empty.
-                self.uni.bind(goal.name, TEmpty())
+        """Meet `goal` in `penv`, appending deferred goals to `defer`. `stack`
+        holds the goals left, as a linked tuple, and `choices` the open
+        levels, newest first."""
+        bindings = self.uni.bindings
+        guard = Scope()
+        choices: _Level | None = None
+        stack: tuple | None = (goal, None)
+        while True:
+            try:
+                while stack is not None:
+                    item, stack = stack
+                    if item is _CUT:
+                        guard.undo_to(choices.guard_mark)
+                        choices = choices.older
+                        continue
+                    if item is _FAIL:
+                        raise SubsumptionFailure(choices.goal, choices.penv)
+                    cls = item.__class__
+                    if cls is _Field:
+                        fty = self.uni.resolve(item.ty)
+                        aty = item.actual
+                        if aty.__class__ is TSingleton and fty.__class__ is not TSingleton:
+                            item, cls = Anchored(aty.name, fty), Anchored
+                        elif self.unify(fty, aty):
+                            continue  # the atom holds the content, or the goal names it
+                        else:
+                            raise SubsumptionFailure(choices.goal, choices.penv)
+                    if cls is MetaPerm:
+                        bound = bindings.get(item.name)
+                        if bound is not None:
+                            stack = (bound, stack)
+                        elif defer is not None and choices is None:
+                            # a later goal may still solve it, and no level can
+                            # back off past this point
+                            defer.append(item)
+                        else:
+                            self.uni.bind(item.name, _EMPTY)
+                        continue
+                    if cls is PermVar:
+                        handle = penv.perm_var(item.name)
+                        if handle is None:
+                            raise SubsumptionFailure(item, penv)
+                        penv = penv.remove(handle)
+                        continue
+                    if cls is not Anchored:  # a permission: its atoms, in order
+                        for atom in reversed(normalize(self.uni.resolve(item))):
+                            stack = (atom, stack)
+                        continue
+                    anchor = item.anchor
+                    ty = _strip_empty_bar(self.uni.resolve(item.ty))
+                    tcls = ty.__class__
+                    rest = None
+                    if tcls is TTuple or tcls is TConcrete:
+                        item = Anchored(anchor, ty)
+                        rest = self._pick(item, penv)
+                    elif tcls is TMeta:
+                        hits = penv.atoms_of(anchor)
+                        if not hits or not self.uni.bind(ty.name, hits[0][1].ty):
+                            raise SubsumptionFailure(item, penv)
+                        penv = self._extract(penv, hits[0][0])
+                    elif tcls is TBar:
+                        stack = (Anchored(anchor, ty.carrier), (ty.perm, stack))
+                    elif tcls is TExists:
+                        subst = {name: self.uni.fresh(name, kind) for name, kind in ty.binders}
+                        stack = (Anchored(anchor, subst_type(ty.body, subst)), stack)
+                    elif tcls is TSingleton:
+                        if ty.name != anchor:
+                            found = self._find_exact(penv, penv.atoms_of(anchor), anchor, ty)
+                            if found is None:
+                                raise SubsumptionFailure(item, penv)
+                            penv = found
+                    elif tcls is not TEmpty:
+                        hits = penv.atoms_of(anchor)
+                        folds = self._foldable(penv, anchor, ty, hits) if tcls is TApp else None
+                        if folds is None:
+                            found = self._find_exact(penv, hits, anchor, ty)
+                            if found is not None:
+                                penv = found
+                            elif is_alias(self.env, ty):
+                                stack = (Anchored(anchor, expand_alias(self.env, ty)), stack)
+                            elif (opened := self._open_first(penv, hits)) is not None:
+                                penv, stack = opened, (item, stack)
+                            else:
+                                info = self.env.types.get(ty.head) if tcls is TApp else None
+                                folds = _folds(hits, info) if info.__class__ is DataInfo else []
+                        if folds is not None:
+                            rest = self._fold(item, ty, penv, folds, guard)
+                    if rest is not None:
+                        level = _Level(item, stack, choices, rest, bindings.mark(), guard.mark())
+                        penv, stack = _take(level, next(rest))
+                        choices = level
                 return penv
-            return self.subsume(penv, normalize(self.uni.resolve(bound)))
-        if isinstance(goal, PermVar):
-            handle = penv.perm_var(goal.name)
-            if handle is None:
-                raise SubsumptionFailure(goal, penv)
-            return penv.remove(handle)
-        assert isinstance(goal, Anchored)
-        ty = _strip_empty_bar(self.uni.resolve(goal.ty))
-        if ty.__class__ is TApp:
-            folds = self._foldable(penv, goal.anchor, ty)
-            if folds is not None:
-                return self._fold(penv, goal, ty, folds, depth)
-        if isinstance(ty, TMeta):
-            hits = penv.atoms_of(goal.anchor)
-            if not hits:
-                raise SubsumptionFailure(goal, penv)
-            handle, atom = hits[0]
-            if not self.uni.bind(ty.name, atom.ty):
-                raise SubsumptionFailure(goal, penv)
-            return self._extract(penv, handle)
-        if isinstance(ty, TBar):
-            penv = self.subsume_atom(
-                penv, Anchored(goal.anchor, ty.carrier), depth + 1, defer=defer
-            )
-            return self.subsume(penv, normalize(self.uni.resolve(ty.perm)), defer=defer)
-        if isinstance(ty, TExists):
-            subst: dict[str, Type] = {}
-            for name, kind in ty.binders:
-                subst[name] = self.uni.fresh(name, kind)
-            return self.subsume_atom(
-                penv, Anchored(goal.anchor, subst_type(ty.body, subst)), depth + 1, defer=defer
-            )
-        if isinstance(ty, TEmpty):
-            return penv
-        if isinstance(ty, TSingleton):
-            if ty.name == goal.anchor:
-                return penv
-            hits = penv.atoms_of(goal.anchor)
-            found = self._find_exact(penv, hits, goal.anchor, ty, depth)
-            if found is not None:
-                return found
-            raise SubsumptionFailure(goal, penv)
-        if isinstance(ty, TTuple):
-            return self._subsume_tuple(penv, goal.anchor, ty, depth)
-        if isinstance(ty, TConcrete):
-            return self._subsume_concrete(penv, goal.anchor, ty, depth)
+            except SubsumptionFailure as failure:
+                penv, stack, choices = self._back_off(failure, choices, guard)
 
-        hits = penv.atoms_of(goal.anchor)
-        found = self._find_exact(penv, hits, goal.anchor, ty, depth)
-        if found is not None:
-            return found
-        # alias expansion of the goal
-        if is_alias(self.env, ty):
-            return self.subsume_atom(
-                penv, Anchored(goal.anchor, expand_alias(self.env, ty)), depth + 1
-            )
-        # opening packed environment atoms (aliases, existentials, bars)
-        for handle, _ in hits:
-            opened = self.open_atom(penv, handle)
-            if opened is not None:
-                return self.subsume_atom(opened, goal, depth + 1)
-        # fold a structural permission to the nominal goal, else split
-        info = self.env.types.get(ty.head) if ty.__class__ is TApp else None
-        folds = _folds(hits, info) if info.__class__ is DataInfo else []
-        return self._fold(penv, goal, ty, folds, depth)
+    def _back_off(
+        self, failure: SubsumptionFailure, choices: _Level | None, guard: Scope
+    ) -> tuple[PermEnv, tuple, _Level]:
+        """Back off from `failure` to the newest open level with an atom left:
+        the environment, goal stack and open levels with that atom taken."""
+        while choices is not None:
+            level = choices
+            choices = level.older
+            self.uni.bindings.undo_to(level.mark)
+            guard.undo_to(level.guard_mark)
+            try:
+                penv, stack = _take(level, level.rest.send(failure))
+                return penv, stack, level
+            except SubsumptionFailure as exc:  # the level has none left
+                failure = exc
+        raise failure
+
+    def _pick(self, goal: Anchored, penv: PermEnv) -> Generator[tuple, SubsumptionFailure, None]:
+        """The atoms a tuple or concrete goal may take: each structural tuple,
+        or atom of its tag, that `heads` finds, with the goals of its
+        components or fields. Fails with the failure of the first, or with
+        `goal` when there is none."""
+        ty = goal.ty
+        want = is_structural_tuple if ty.__class__ is TTuple else (
+            lambda t: t.__class__ is TConcrete and t.tag == ty.tag
+        )
+        first = None
+        for env, handle in self.heads(penv, goal.anchor, want):
+            actual = env.atom(handle).ty
+            if ty.__class__ is TTuple:
+                goals = _tuple_goals(actual, ty)
+            else:  # the resolver gives a concrete type its branch's fields, in order
+                goals = [_Field(f, a) for (_, f), (_, a) in zip(ty.fields, actual.fields)]
+                if ty.bar is not None:
+                    goals.append(ty.bar)
+            failure = yield env, self._extract(env, handle), goals
+            if first is None:
+                first = failure
+        raise first if first is not None else SubsumptionFailure(goal, penv)
+
+    def _fold(
+        self, goal: Anchored, ty: Type, penv: PermEnv, folds: list[tuple[Handle, TConcrete]], guard: Scope
+    ) -> Generator[tuple, SubsumptionFailure, None]:
+        """The atoms a goal of type `ty` that only a fold or a split can meet
+        may take: each of `folds`, but a duplicable one that `guard` holds,
+        with its fields at their branch types and the branch's bar; then a
+        split, with the goal again. Fails with `goal`, or after the split
+        with the failure of the goal's search."""
+        for handle, sty in folds:
+            working = self._extract(penv, handle)
+            if working is penv:
+                if handle in guard:
+                    continue
+                guard.enter(handle, True)
+            branch = branch_instance(self.env, ty, sty.tag)
+            goals: list[object] = []
+            for (_, declared), (_, actual) in zip(branch.fields, sty.fields):
+                if actual.__class__ is not TSingleton:  # a field a fold cannot name
+                    goals.append(_FAIL)
+                    break
+                goals.append(Anchored(actual.name, declared))
+            if branch.bar is not None:
+                goals.append(branch.bar)
+            yield penv, working, goals
+        split = self._try_split(penv, goal.anchor, guard)
+        if split is None:
+            raise SubsumptionFailure(goal, penv)
+        guard.enter(split[1], True)
+        failure = yield penv, split[0], [goal]
+        raise failure
 
     def _find_exact(
-        self, penv: PermEnv, hits: list[tuple[Handle, Anchored]], anchor: str, ty: Type, depth: int
+        self, penv: PermEnv, hits: list[tuple[Handle, Anchored]], anchor: str, ty: Type
     ) -> PermEnv | None:
         """Extract an atom among `hits`, the atoms of `anchor` in `penv`, or
         the global permission of `anchor`, whose type unifies with `ty`."""
         bindings = self.uni.bindings
         mark = bindings.mark()
         for handle, atom in hits:
-            if self.unify(ty, atom.ty, depth + 1):
+            if self.unify(ty, atom.ty):
                 return self._extract(penv, handle)
             bindings.undo_to(mark)
         gty = penv.global_type(anchor)
         if gty is not None:
-            if self.unify(ty, gty, depth + 1):
+            if self.unify(ty, gty):
                 return penv  # global permissions are duplicable
             bindings.undo_to(mark)
         return None
@@ -520,197 +639,45 @@ class Subsumer:
             return penv
         return penv.remove(handle)
 
-    def _subsume_tuple(self, penv: PermEnv, anchor: str, ty: TTuple, depth: int) -> PermEnv:
-        found = self.head_atom(
-            penv, anchor, lambda t: isinstance(t, TTuple) and _is_structural_tuple(t)
-        )
-        if found is None:
-            raise SubsumptionFailure(Anchored(anchor, ty), penv)
-        penv, handle = found
-        actual = penv.atom(handle).ty
-        assert isinstance(actual, TTuple)
-        if len(actual.comps) != len(ty.comps):
-            raise SubsumptionFailure(Anchored(anchor, ty), penv)
-        values: dict[str, str] = {}
-        working = self._extract(penv, handle)
-        for comp, actual_comp in zip(ty.comps, actual.comps):
-            target = actual_comp.ty
-            assert isinstance(target, TSingleton)
-            comp_ty = subst_type(self.uni.resolve(comp.ty), {}, values)
-            working = self.subsume_atom(working, Anchored(target.name, comp_ty), depth + 1)
-            if comp.name is not None:
-                values[comp.name] = target.name
-        return working
-
-    def _subsume_concrete(self, penv: PermEnv, anchor: str, ty: TConcrete, depth: int) -> PermEnv:
-        found = self.head_atom(
-            penv, anchor, lambda t: isinstance(t, TConcrete) and t.tag == ty.tag
-        )
-        if found is None:
-            raise SubsumptionFailure(Anchored(anchor, ty), penv)
-        penv, handle = found
-        actual = penv.atom(handle).ty
-        assert isinstance(actual, TConcrete)
-        working = self._extract(penv, handle)
-        for (fname, fty), (aname, aty) in zip(ty.fields, actual.fields):
-            if fname != aname:
-                raise SubsumptionFailure(Anchored(anchor, ty), penv)
-            goal_field = self.uni.resolve(fty)
-            if not isinstance(aty, TSingleton):
-                # The structural permission owns this field's content
-                # directly; the types must agree.
-                if not self.unify(goal_field, aty):
-                    raise SubsumptionFailure(Anchored(anchor, ty), penv)
-                continue
-            if isinstance(goal_field, TSingleton):
-                if goal_field.name != aty.name and not self.unify(goal_field, aty):
-                    raise SubsumptionFailure(Anchored(anchor, ty), penv)
-            else:
-                working = self.subsume_atom(
-                    working, Anchored(aty.name, goal_field), depth + 1
-                )
-        if ty.bar is not None:
-            working = self.subsume(working, normalize(self.uni.resolve(ty.bar)))
-        return working
-
     def _foldable(
-        self, penv: PermEnv, anchor: str, ty: TApp
+        self, penv: PermEnv, anchor: str, ty: TApp, hits: list[tuple[Handle, Anchored]]
     ) -> list[tuple[Handle, TConcrete]] | None:
         """For a goal `anchor @ ty` that only a fold or a split can meet, the
-        structural atoms of `anchor` whose tag is a branch of `ty`; else
-        None. That is so when `ty` names a data type, `anchor` has no global
-        permission and every atom it holds is structural: a data type does
-        not unify with a tag, and a tag opens no further."""
+        structural atoms among `hits`, the atoms of `anchor`, whose tag is a
+        branch of `ty`; else None. So it is when `ty` names a data type and
+        `anchor` has no global permission and only structural atoms: a data
+        type does not unify with a tag, and a tag opens no further."""
         info = self.env.types.get(ty.head)
         if info.__class__ is not DataInfo or penv.global_type(anchor) is not None:
             return None
-        hits = penv.atoms_of(anchor)
         for _, atom in hits:
             if atom.ty.__class__ is not TConcrete:
                 return None
         return _folds(hits, info)
 
-    def _fold(
-        self,
-        penv: PermEnv,
-        goal: Anchored,
-        ty: Type,
-        folds: list[tuple[Handle, TConcrete]],
-        depth: int,
-    ) -> PermEnv:
-        """Meet `goal`, whose type is `ty`, by the last steps of the search:
-        fold one of `folds`, structural atoms of its anchor whose tag is a
-        branch of `ty`, in order; else split, and search for the goal again
-        in the split environment; else fail.
-
-        A fold takes its atom (unless it is duplicable), then meets each
-        field at the branch's field type, then the branch's bar. These goals
-        go on an explicit stack, a linked tuple. A popped goal that only a
-        fold or a split can meet (`_foldable`) opens its fold level in this
-        loop, so nested folds take neither Python stack nor search depth;
-        any other goal goes through `subsume_atom`. Each fold attempt keeps
-        a choice point: the bindings' mark, and its level's environment,
-        goal, type, atoms left to try and the goals after it. A failure
-        backs off to the newest choice point, which tries its next atom,
-        then its split. When a fold's goals are all met its choice point is
-        dropped, so a goal that was met is never tried again.
-
-        The search ends: a fold of an affine atom takes it out, and a
-        duplicable atom is not folded again inside its own fold, which
-        could only go round a cycle of immutable atoms."""
-        bindings = self.uni.bindings
-        stack: tuple | None = None  # the goals after the current level's
-        choices: tuple | None = None  # the open fold attempts, newest first
-        folding: set[Handle] = set()  # the duplicable atoms among them
-        todo = iter(folds)
-        while True:
-            try:
-                # the level of `goal` at `penv`: its next fold, else a split
-                for handle, sty in todo:
-                    working = self._extract(penv, handle)
-                    kept = None
-                    if working is penv:
-                        if handle in folding:
-                            continue
-                        folding.add(handle)
-                        kept = handle
-                    choices = (bindings.mark(), penv, goal, ty, todo, stack, kept, choices)
-                    stack = self._fold_goals(sty, ty, stack)
-                    break
-                else:
-                    split = self._try_split(penv, goal.anchor)
-                    if split is None:
-                        raise SubsumptionFailure(goal, penv)
-                    working = self.subsume_atom(split, goal, depth + 1)
-                # the goals on the stack, until one opens a fold level
-                while stack is not None:
-                    item, stack = stack
-                    if item is _CUT:
-                        kept, choices = choices[6:]  # type: ignore[index]
-                        if kept is not None:
-                            folding.discard(kept)
-                    elif item is _NO_FOLD:
-                        raise SubsumptionFailure(goal, working)
-                    elif item.__class__ is not Anchored:
-                        working = self.subsume_perm(working, item)  # a branch's bar
-                    else:
-                        gty = _strip_empty_bar(self.uni.resolve(item.ty))
-                        found = None
-                        if gty.__class__ is TApp:
-                            found = self._foldable(working, item.anchor, gty)
-                        if found is None:
-                            working = self.subsume_atom(working, item, depth + 1)
-                        else:
-                            penv, goal, ty, todo = working, item, gty, iter(found)
-                            break
-                else:
-                    return working
-            except SubsumptionFailure:
-                if choices is None:
-                    raise
-                mark, penv, goal, ty, todo, stack, kept, choices = choices
-                bindings.undo_to(mark)
-                if kept is not None:
-                    folding.discard(kept)
-
-    def _fold_goals(self, sty: TConcrete, ty: TApp, stack: tuple | None) -> tuple:
-        """`stack` with the goals of a fold of `sty` into `ty` on top, in
-        order: each field at its branch type, the branch's bar, the cut. A
-        field that `sty` does not name by a singleton cannot be folded."""
-        branch = branch_instance(self.env, ty, sty.tag)
-        stack = (_CUT, stack)
-        if branch.bar is not None:
-            stack = (branch.bar, stack)
-        goals: list[object] = []
-        for (_, declared), (_, actual) in zip(branch.fields, sty.fields):
-            if actual.__class__ is not TSingleton:
-                goals.append(_NO_FOLD)
-                break
-            goals.append(Anchored(actual.name, declared))  # type: ignore[union-attr]
-        for g in reversed(goals):
-            stack = (g, stack)
-        return stack
-
-    def _try_split(self, penv: PermEnv, wanted_anchor: str) -> PermEnv | None:
+    def _try_split(
+        self, penv: PermEnv, wanted_anchor: str, guard: Scope
+    ) -> tuple[PermEnv, str] | None:
         """Split `y @ D args` along a structural `y @ Tag{.. f = wanted ..}`
-        (see `split_along`). Also splits a raw tuple permission along a
-        structural tuple naming the wanted anchor."""
+        (see `split_along`), for a `y` not in `guard`. Also splits a raw tuple
+        permission along a structural tuple naming the wanted anchor. Returns
+        the split environment and `y`."""
         for shandle, satom in penv.items():
-            if not isinstance(satom, Anchored):
+            if not isinstance(satom, Anchored) or satom.anchor in guard:
                 continue
             sty = self.uni.resolve(satom.ty)
-            if isinstance(sty, TTuple) and _is_structural_tuple(sty):
-                if any(c.ty.name == wanted_anchor for c in sty.comps):  # type: ignore[union-attr]
+            if is_structural_tuple(sty):
+                if any(c.ty.name == wanted_anchor for c in sty.comps):
                     raw = self._tuple_view(penv, satom.anchor, len(sty.comps), structural=False)
                     if raw is not None:
-                        return self.open_atom(penv, raw[0])
+                        return self.open_atom(penv, raw[0]), satom.anchor
                 continue
             if isinstance(sty, TConcrete) and any(
                 isinstance(f, TSingleton) and f.name == wanted_anchor for _, f in sty.fields
             ):
                 split = self.split_along(penv, shandle, sty)
                 if split is not None:
-                    return split
+                    return split, satom.anchor
         return None
 
     def split_along(self, penv: PermEnv, shandle: Handle, sty: TConcrete) -> PermEnv | None:
@@ -737,14 +704,44 @@ class Subsumer:
         return None
 
 
+def _take(level: _Level, alternative: tuple) -> tuple[PermEnv, tuple]:
+    """Take at `level` the atom of `alternative`, which holds the environment
+    with the atom, the environment without it, and the atom's goals: the
+    latter environment, and the stack of the goals, a cut, then the level's
+    after."""
+    level.penv, working, goals = alternative
+    stack = (_CUT, level.after)
+    for g in reversed(goals):
+        stack = (g, stack)
+    return working, stack
+
+
 def _folds(hits: list[tuple[Handle, Anchored]], info: DataInfo) -> list[tuple[Handle, TConcrete]]:
     """The atoms among `hits` that may fold into the data type `info`: the
     structural ones whose tag is one of its branches."""
     return [(h, a.ty) for h, a in hits if a.ty.__class__ is TConcrete and a.ty.tag in info.branches]  # type: ignore[misc]
 
 
-def _is_structural_tuple(t: TTuple) -> bool:
-    return all(isinstance(c.ty, TSingleton) for c in t.comps)
+def _tuple_goals(actual: TTuple, ty: TTuple) -> list:
+    """The goals of the tuple goal `ty` met by the structural tuple `actual`:
+    each component, at the anchor `actual` gives it, with the names of the
+    components before it renamed to their anchors. A tuple of another
+    length does not meet it."""
+    if len(actual.comps) != len(ty.comps):
+        return [_FAIL]
+    values: dict[str, str] = {}
+    goals = []
+    for comp, actual_comp in zip(ty.comps, actual.comps):
+        target = actual_comp.ty.name
+        goals.append(Anchored(target, subst_type(comp.ty, {}, values)))
+        if comp.name is not None:
+            values[comp.name] = target
+    return goals
+
+
+def is_structural_tuple(t: Type) -> bool:
+    """Is `t` a tuple whose every component is a singleton?"""
+    return t.__class__ is TTuple and all(c.ty.__class__ is TSingleton for c in t.comps)
 
 
 def _as_domain(domain: Type) -> Type:
@@ -759,4 +756,3 @@ def _strip_empty_bar(t: Type) -> Type:
     if isinstance(t, TBar) and isinstance(t.perm, TEmpty):
         return _strip_empty_bar(t.carrier)
     return t
-

@@ -541,3 +541,27 @@ def test_a_deeply_nested_list_literal_checks():
         literal = f"Cons {{ head = {i}; tail = {literal} }}"
     src = f"val main: () -> list int\nval main () = {literal}\n"
     assert check_text(src, "t")[2] == []
+
+
+def test_a_goal_is_met_by_the_second_atom_of_its_tag():
+    # `x`'s exit goals are its two atoms; the first atom of the tag meets
+    # only the first goal, and the second goal needs the second atom
+    src = """
+val main: (n: int, m: int, x: Cons { head = m; tail = m } | x @ Cons { head = n; tail = m }) -> int
+val main (n, m, x) = n
+"""
+    assert check_text(src, "t")[2] == []
+
+
+def nested_tuple(n: int) -> str:
+    """`f` returning `(1, (1, ... 1))`, n tuples deep, at `(int, (int, ... int))`."""
+    ty, value = "int", "1"
+    for _ in range(n):
+        ty, value = f"(int, {ty})", f"(1, {value})"
+    return f"val f: () -> {ty}\nval f () = {value}\n"
+
+
+@pytest.mark.parametrize("n", [80, 120])
+def test_a_deep_tuple_checks_under_the_default_recursion_limit(n):
+    assert sys.getrecursionlimit() <= 1000
+    assert check_text(nested_tuple(n), "t")[2] == []
