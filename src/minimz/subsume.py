@@ -39,8 +39,8 @@ existential, a pick's components and fields shrink the goal's type; a fold
 of an affine atom takes it out, and a duplicable atom is not folded again
 inside its own fold; a split replaces a nominal atom with atoms at its
 field types, and an anchor is not split again inside the search its own
-split began. `guard` in `subsume_atom` holds, for the current path, the
-atoms being folded and the anchors being split.
+split began. `Subsumer.guard` holds, for the current path, the atoms being
+folded and the anchors being split.
 """
 
 from __future__ import annotations
@@ -96,6 +96,7 @@ from .perms import (
 _EMPTY = TEmpty()
 _CUT = object()  # on the goal stack: the newest level's goals are all met
 _FAIL = object()  # on the goal stack: the newest level's atom does not meet it
+
 
 @dataclass(slots=True, eq=False)
 class _Level:
@@ -169,11 +170,14 @@ def _occurs(name: str, t: Type) -> bool:
 @dataclass
 class Subsumer:
     """Extraction for one definition: `uni` holds its metavariables, and
-    `names` is the supply of the check it belongs to."""
+    `names` is the supply of the check it belongs to. `guard` holds, on the
+    path of the current search, the duplicable atoms being folded and the
+    anchors being split; it is empty between searches."""
 
     env: Env
     names: NameSupply
     uni: Unifier = field(default_factory=Unifier)
+    guard: Scope = field(default_factory=Scope)
 
     # ------------------------------------------------------------------
     # unification
@@ -451,7 +455,7 @@ class Subsumer:
         holds the goals left, as a linked tuple, and `choices` the open
         levels, newest first."""
         bindings = self.uni.bindings
-        guard = Scope()
+        guard = self.guard
         choices: _Level | None = None
         stack: tuple | None = (goal, None)
         while True:
@@ -533,17 +537,17 @@ class Subsumer:
                                 info = self.env.types.get(ty.head) if tcls is TApp else None
                                 folds = _folds(hits, info) if info.__class__ is DataInfo else []
                         if folds is not None:
-                            rest = self._fold(item, ty, penv, folds, guard)
+                            rest = self._fold(item, ty, penv, folds)
                     if rest is not None:
                         level = _Level(item, stack, choices, rest, bindings.mark(), guard.mark())
                         penv, stack = _take(level, next(rest))
                         choices = level
                 return penv
             except SubsumptionFailure as failure:
-                penv, stack, choices = self._back_off(failure, choices, guard)
+                penv, stack, choices = self._back_off(failure, choices)
 
     def _back_off(
-        self, failure: SubsumptionFailure, choices: _Level | None, guard: Scope
+        self, failure: SubsumptionFailure, choices: _Level | None
     ) -> tuple[PermEnv, tuple, _Level]:
         """Back off from `failure` to the newest open level with an atom left:
         the environment, goal stack and open levels with that atom taken."""
@@ -551,7 +555,7 @@ class Subsumer:
             level = choices
             choices = level.older
             self.uni.bindings.undo_to(level.mark)
-            guard.undo_to(level.guard_mark)
+            self.guard.undo_to(level.guard_mark)
             try:
                 penv, stack = _take(level, level.rest.send(failure))
                 return penv, stack, level
@@ -583,13 +587,14 @@ class Subsumer:
         raise first if first is not None else SubsumptionFailure(goal, penv)
 
     def _fold(
-        self, goal: Anchored, ty: Type, penv: PermEnv, folds: list[tuple[Handle, TConcrete]], guard: Scope
+        self, goal: Anchored, ty: Type, penv: PermEnv, folds: list[tuple[Handle, TConcrete]]
     ) -> Generator[tuple, SubsumptionFailure, None]:
         """The atoms a goal of type `ty` that only a fold or a split can meet
-        may take: each of `folds`, but a duplicable one that `guard` holds,
+        may take: each of `folds`, but a duplicable one already being folded,
         with its fields at their branch types and the branch's bar; then a
         split, with the goal again. Fails with `goal`, or after the split
         with the failure of the goal's search."""
+        guard = self.guard
         for handle, sty in folds:
             working = self._extract(penv, handle)
             if working is penv:
@@ -606,7 +611,7 @@ class Subsumer:
             if branch.bar is not None:
                 goals.append(branch.bar)
             yield penv, working, goals
-        split = self._try_split(penv, goal.anchor, guard)
+        split = self._try_split(penv, goal.anchor)
         if split is None:
             raise SubsumptionFailure(goal, penv)
         guard.enter(split[1], True)
@@ -655,15 +660,13 @@ class Subsumer:
                 return None
         return _folds(hits, info)
 
-    def _try_split(
-        self, penv: PermEnv, wanted_anchor: str, guard: Scope
-    ) -> tuple[PermEnv, str] | None:
+    def _try_split(self, penv: PermEnv, wanted_anchor: str) -> tuple[PermEnv, str] | None:
         """Split `y @ D args` along a structural `y @ Tag{.. f = wanted ..}`
-        (see `split_along`), for a `y` not in `guard`. Also splits a raw tuple
+        (see `split_along`), for a `y` not being split already. Also splits a raw tuple
         permission along a structural tuple naming the wanted anchor. Returns
         the split environment and `y`."""
         for shandle, satom in penv.items():
-            if not isinstance(satom, Anchored) or satom.anchor in guard:
+            if not isinstance(satom, Anchored) or satom.anchor in self.guard:
                 continue
             sty = self.uni.resolve(satom.ty)
             if is_structural_tuple(sty):
