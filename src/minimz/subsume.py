@@ -33,7 +33,7 @@ only when a later goal of its level fails. A level with no atom left
 fails in turn: a pick with its first atom's failure, a fold with its own
 goal, or after its split with the split search's failure.
 
-The search ends, with no depth bound. Aliases are acyclic
+The search ends without a bound on its nesting. Aliases are acyclic
 (`kinds.check_alias_cycles`); an open removes one packed layer; a bar, an
 existential, a pick's components and fields shrink the goal's type; a fold
 of an affine atom takes it out, and a duplicable atom is not folded again
