@@ -72,16 +72,6 @@ class KPerm(Kind):
         return "perm"
 
 
-@dataclass(frozen=True)
-class KArrow(Kind):
-    params: tuple[Kind, ...]
-    result: Kind
-
-    def __str__(self) -> str:
-        args = ", ".join(str(p) for p in self.params)
-        return f"({args}) -> {self.result}"
-
-
 KIND_TYPE = KType()
 KIND_PERM = KPerm()
 

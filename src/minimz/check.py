@@ -31,6 +31,7 @@ from .ast import (
     EVar,
     Expr,
     KIND_PERM,
+    Kind,
     PTag,
     PTuple,
     PVar,
@@ -52,7 +53,7 @@ from .ast import (
     has_meta,
 )
 from .ast import TupleComp
-from .kinds import DataInfo, Env, domain_bars, domain_comps
+from .kinds import DataInfo, Env, domain_bars, domain_comps, kind_of
 from .perms import (
     Anchored,
     Atom,
@@ -146,8 +147,10 @@ class Checker:
         self.sub = Subsumer(self.env, names)
         self.available = available
         self.locals = Scope()
+        self.tyvars: dict[str, Kind] = {}
         body_ty = sig
         while isinstance(body_ty, TForall):
+            self.tyvars.update(body_ty.binders)
             body_ty = body_ty.body
         assert isinstance(body_ty, TArrow)
 
@@ -191,11 +194,11 @@ class Checker:
                 self.locals.enter(param, anchor)
             if comp.name is not None:
                 values[comp.name] = anchor
-            penv = penv.add(*admit_atoms(anchor, self.sub.uni.resolve(comp_ty)))
+            penv = penv.add(*admit_atoms(self.env, anchor, self.sub.uni.resolve(comp_ty)))
             if not comp.consumed:
                 exit_goals.append(Anchored(anchor, comp_ty))
         for bar, bar_consumed in domain_bars(domain):
-            bar_atoms = normalize(subst_type(bar, {}, values))
+            bar_atoms = normalize(self.env, subst_type(bar, {}, values))
             penv = penv.add(*bar_atoms)
             if not bar_consumed:
                 exit_goals.extend(bar_atoms)
@@ -212,7 +215,7 @@ class Checker:
             return ty.name, penv
         if isinstance(ty, TBar):
             anchor, penv = self._admit_result(penv, ty.carrier, base)
-            return anchor, penv.add(*normalize(ty.perm))
+            return anchor, penv.add(*normalize(self.env, ty.perm))
         return self._new_value(penv, ty, base)
 
     def _subsume_or_fail(
@@ -387,8 +390,8 @@ class Checker:
                     )
                 witnesses = [subst_type(t, {}, self.locals) for t in e.type_args]
                 for (bname, bkind), witness in zip(fn_ty.binders, witnesses):
-                    wkind = _obvious_kind(witness)
-                    if wkind is not None and wkind != bkind:
+                    wkind = kind_of(witness, self.env, self.tyvars)
+                    if wkind != bkind:
                         self._fail(
                             "E-KIND",
                             f"type argument for {bname!r} has kind {wkind}, "
@@ -449,7 +452,7 @@ class Checker:
         for bar, bar_consumed in domain_bars(fn_ty.domain):
             bar_ty = subst_type(bar, subst, values)
             penv = self._subsume_or_fail(
-                penv, normalize(self.sub.uni.resolve(bar_ty)), e.span, defer=deferred
+                penv, normalize(self.env, self.sub.uni.resolve(bar_ty)), e.span, defer=deferred
             )
             if not bar_consumed:
                 borrowed.append(bar_ty)
@@ -458,9 +461,9 @@ class Checker:
             # permission metavariables default to empty.
             penv = self._subsume_or_fail(penv, deferred, e.span)
         for bar_ty in borrowed:
-            penv = _put_back(penv, normalize(self.sub.uni.resolve(bar_ty)))
+            penv = _put_back(penv, normalize(self.env, self.sub.uni.resolve(bar_ty)))
         for anchor, ty in restores:
-            penv = _put_back(penv, admit_atoms(anchor, self.sub.uni.resolve(ty)))
+            penv = _put_back(penv, admit_atoms(self.env, anchor, self.sub.uni.resolve(ty)))
 
         codomain = self.sub.uni.resolve(subst_type(fn_ty.codomain, subst, values))
         self._default_unsolved(codomain, e.span, penv)
@@ -478,7 +481,8 @@ class Checker:
                 if u.kind == KIND_PERM:
                     self.sub.uni.bind(u.name, TEmpty())
                 else:
-                    unsolved_type.append(u.name)
+                    # named by its binder, as `printer` shows a metavariable
+                    unsolved_type.append(u.name.split("%")[0])
             elif has_meta(u):
                 work += reversed(children(u))
         if unsolved_type:
@@ -761,18 +765,6 @@ def _put_back(penv: PermEnv, atoms: list[Atom]) -> PermEnv:
 
 def _singleton_comp(anchor: str) -> TupleComp:
     return TupleComp(None, TSingleton(anchor), False)
-
-
-def _obvious_kind(t: Type):
-    """The kind of a type-argument witness when it is syntactically clear;
-    bare variables stay ambiguous (they may name rigid perm binders)."""
-    from .ast import KIND_TYPE, TAt, TEmpty, TStar
-
-    if isinstance(t, (TAt, TStar, TEmpty)):
-        return KIND_PERM
-    if isinstance(t, (TApp, TArrow, TTuple, TConcrete, TSingleton, TBar)):
-        return KIND_TYPE
-    return None
 
 
 def _intersect(lists: Sequence[Sequence[Atom]]) -> list[Atom]:

@@ -54,12 +54,19 @@ def _emit_diags(path: str, text: str, diags: list[Diagnostic], as_json: bool) ->
             print(d.render(path, text), file=sys.stderr)
 
 
-def _front_end_error(
-    path: str, text: str, exc: LexError | ParseError | ResolveError, as_json: bool
-) -> None:
+# What the front end fails with: a lexing, parsing or resolution error, or
+# input nested deeper than Python's stack allows.
+FRONT_END_ERRORS = (LexError, ParseError, ResolveError, RecursionError)
+
+
+def _front_end_error(exc: Exception, text: str) -> tuple[str, str, int | None, int | None]:
+    """The code, message, line and column of a front-end failure `exc` in
+    `text`; a failure of nesting has no position."""
+    if isinstance(exc, RecursionError):
+        return "NESTING", "input too deeply nested", None, None
     line, col = line_col(text, exc.span.start)
     code = {LexError: "LEX", ParseError: "PARSE"}.get(type(exc)) or exc.code
-    _report(path, as_json, code, exc.message, line, col)
+    return code, exc.message, line, col
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -70,13 +77,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 2
     try:
         _, _, diags = check_text(text, args.file)
-    except (LexError, ParseError, ResolveError) as exc:
+    except FRONT_END_ERRORS as exc:
         # Resolution errors are reported in the same line format but exit 2,
         # distinguishing malformed programs from permission failures.
-        _front_end_error(args.file, text, exc, args.json)
-        return 2
-    except RecursionError:
-        _report(args.file, args.json, "NESTING", "input too deeply nested")
+        _report(args.file, args.json, *_front_end_error(exc, text))
         return 2
     _emit_diags(args.file, text, diags, args.json)
     return 0 if not diags else 1
@@ -100,11 +104,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             max_steps=args.max_steps,
             trace=args.trace,
         )
-    except (LexError, ParseError, ResolveError) as exc:
-        _front_end_error(args.file, text, exc, False)
-        return 2
-    except RecursionError:
-        _report(args.file, False, "NESTING", "input too deeply nested")
+    except FRONT_END_ERRORS as exc:
+        _report(args.file, False, *_front_end_error(exc, text))
         return 2
     except CheckedProgramError as exc:
         _emit_diags(args.file, text, exc.diags, False)
@@ -149,11 +150,17 @@ def run_case(root: Path, expectation: str, rel: str, args: str) -> tuple[bool, s
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         return False, f"cannot read: {exc}"
+    try:
+        return _judge(text, expectation, rel, args)
+    except FRONT_END_ERRORS as exc:
+        return False, f"front-end error: {_front_end_error(exc, text)[1]}"
+
+
+def _judge(text: str, expectation: str, rel: str, args: str) -> tuple[bool, str]:
+    """`run_case` for the manifest row `expectation rel args` whose file
+    holds `text`."""
     if expectation == "ACCEPT":
-        try:
-            _, _, diags = check_text(text, rel)
-        except (LexError, ParseError, ResolveError) as exc:
-            return False, f"front-end error: {exc}"
+        _, _, diags = check_text(text, rel)
         if diags:
             return False, f"unexpected diagnostics: {[d.code for d in diags]}"
         return True, "clean"
@@ -161,10 +168,7 @@ def run_case(root: Path, expectation: str, rel: str, args: str) -> tuple[bool, s
         expected = [item.strip() for item in args.split(",") if item.strip()]
         if not expected:
             return False, "manifest error: REJECT requires at least one code"
-        try:
-            _, _, diags = check_text(text, rel)
-        except (LexError, ParseError, ResolveError) as exc:
-            return False, f"front-end error: {exc}"
+        _, _, diags = check_text(text, rel)
         got = []
         for d in diags:
             line, col = line_col(text, d.span.start)
@@ -196,8 +200,6 @@ def run_case(root: Path, expectation: str, rel: str, args: str) -> tuple[bool, s
         if trap_expected and trap.kind == expected[len("TRAP:") :]:
             return True, f"trapped {trap.kind}"
         return False, f"unexpected trap {trap.kind}"
-    except (LexError, ParseError, ResolveError) as exc:
-        return False, f"front-end error: {exc}"
     if trap_expected:
         return False, f"expected a trap, got {interp.render(value)}"
     rendered = interp.render(value)

@@ -4,11 +4,14 @@ Runs after parsing and before permission checking. Rewrites the AST so
 that nullary type-constructor references become `TApp(name, ())`, the
 builtin `empty` becomes `TEmpty`, and every type is well-kinded. Value
 anchors inside types (`x @ t`, `=x`, singleton fields) are checked
-against the lexical value scope.
+against the lexical value scope. `kind_of` gives the kind of a resolved
+type, to the resolver, to alias declarations and to the checker's
+explicit type arguments.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 from .ast import (
@@ -33,7 +36,6 @@ from .ast import (
     ETuple,
     EVar,
     Expr,
-    KArrow,
     KIND_PERM,
     KIND_TYPE,
     Kind,
@@ -79,37 +81,22 @@ class DataInfo:
     params: tuple[tuple[str, Kind], ...]
     branches: dict[str, Branch] = field(default_factory=dict)
 
-    @property
-    def kind(self) -> Kind:
-        if not self.params:
-            return KIND_TYPE
-        return KArrow(tuple(k for _, k in self.params), KIND_TYPE)
-
 
 @dataclass
 class AliasInfo:
+    """An alias; its body and the body's kind are set when the body is
+    resolved."""
+
     name: str
     params: tuple[tuple[str, Kind], ...]
     body: Type | None = None
-
-    @property
-    def kind(self) -> Kind:
-        result = KIND_TYPE if self.body is None else kind_tag(self.body)
-        if not self.params:
-            return result
-        return KArrow(tuple(k for _, k in self.params), result)
+    kind: Kind | None = None
 
 
 @dataclass
 class AbstractInfo:
     name: str
     params: tuple[tuple[str, Kind], ...]
-
-    @property
-    def kind(self) -> Kind:
-        if not self.params:
-            return KIND_TYPE
-        return KArrow(tuple(k for _, k in self.params), KIND_TYPE)
 
 
 @dataclass
@@ -120,21 +107,8 @@ class PrimInfo:
 
     params: tuple[tuple[str, Kind], ...] = ()
 
-    @property
-    def kind(self) -> Kind:
-        return KIND_TYPE
-
 
 TypeInfo = DataInfo | AliasInfo | AbstractInfo | PrimInfo
-
-
-def kind_tag(t: Type) -> Kind:
-    """Shallow syntactic kind of a resolved alias body (TYPE vs PERM)."""
-    if isinstance(t, (TAt, TStar, TEmpty)):
-        return KIND_PERM
-    if isinstance(t, (TForall, TExists)):
-        return kind_tag(t.body)
-    return KIND_TYPE
 
 
 @dataclass
@@ -166,6 +140,28 @@ class Env:
 
     def clone(self) -> "Env":
         return Env(dict(self.types), dict(self.tags), dict(self.sigs))
+
+
+def kind_of(t: Type, env: Env, tyvars: Mapping[str, Kind]) -> Kind:
+    """The kind of the resolved type `t`, where `tyvars` maps the type
+    variables in scope to their kinds. An alias has its body's kind; every
+    other type constructor, and every quantifier, makes a type."""
+    cls = t.__class__
+    if cls is TVar:
+        return tyvars[t.name]
+    if cls is TMeta:
+        return t.kind
+    if cls is TAt or cls is TStar or cls is TEmpty:
+        return KIND_PERM
+    if cls is TApp:
+        info = env.types.get(t.head)
+        if isinstance(info, AliasInfo):
+            if info.kind is None:
+                raise ResolveError(
+                    "E-KIND", f"alias {t.head!r} used before its definition", t.span
+                )
+            return info.kind
+    return KIND_TYPE
 
 
 class Resolver:
@@ -245,12 +241,14 @@ class Resolver:
                 self.tyvars.undo_to(0)
             elif isinstance(decl, DAlias):
                 self.bind_tyvars(decl.params, decl.span)
-                body = self.resolve_type(decl.body)
-                self.tyvars.undo_to(0)
                 info = self.env.types[decl.name]
                 assert isinstance(info, AliasInfo)
-                info.body = body
-                resolved.append(replace(decl, body=body))
+                info.body = self.resolve_type(decl.body)
+                # a cycle is closed by the definition of its last alias
+                self.check_alias_cycles()
+                info.kind = kind_of(info.body, self.env, self.tyvars)
+                self.tyvars.undo_to(0)
+                resolved.append(replace(decl, body=info.body))
             elif isinstance(decl, DValSig):
                 if decl.name in self.env.sigs:
                     raise ResolveError(
@@ -275,7 +273,6 @@ class Resolver:
                 resolved.append(self.resolve_def(decl, sig))
             else:
                 resolved.append(decl)
-        self.check_alias_cycles()
         return SourceFile(file.path, tuple(resolved))
 
     def check_alias_cycles(self) -> None:
@@ -363,7 +360,7 @@ class Resolver:
                     f"fields of {t.tag!r} must be exactly {declared}, got {actual}",
                     t.span,
                 )
-            ftys = [self.resolve_type(fty) for _, fty in t.fields]
+            ftys = [self.check_kind(self.resolve_type(fty), KIND_TYPE) for _, fty in t.fields]
             bar = None
             if t.bar is not None:
                 bar = self.check_kind(self.resolve_type(t.bar), KIND_PERM)
@@ -379,6 +376,8 @@ class Resolver:
             mark = self.tyvars.mark()
             self.bind_tyvars(t.binders, t.span)
             body = self.resolve_type(t.body)
+            if kind_of(body, self.env, self.tyvars) != KIND_TYPE:
+                raise ResolveError("E-KIND", "a permission cannot be quantified", t.span)
             self.tyvars.undo_to(mark)
             return t if body is t.body else cls(t.binders, body, t.span)
         if cls is TAt:
@@ -420,7 +419,7 @@ class Resolver:
         return self.check_kind(self.resolve_type(t), KIND_TYPE)
 
     def check_kind(self, t: Type, expected: Kind) -> Type:
-        actual = self.kind_of(t)
+        actual = kind_of(t, self.env, self.tyvars)
         if actual != expected:
             raise ResolveError(
                 "E-KIND",
@@ -428,34 +427,6 @@ class Resolver:
                 getattr(t, "span", Span(0, 0)),
             )
         return t
-
-    def kind_of(self, t: Type) -> Kind:
-        if isinstance(t, TVar):
-            return self.tyvars.get(t.name, KIND_TYPE)
-        if isinstance(t, TMeta):
-            return t.kind
-        if isinstance(t, (TAt, TStar, TEmpty)):
-            return KIND_PERM
-        if isinstance(t, TApp):
-            info = self.env.types.get(t.head)
-            if isinstance(info, AliasInfo):
-                if info.body is None:
-                    raise ResolveError(
-                        "E-KIND",
-                        f"alias {t.head!r} used before its definition",
-                        getattr(t, "span", Span(0, 0)),
-                    )
-                kind = info.kind
-                return kind.result if isinstance(kind, KArrow) else kind
-            return KIND_TYPE
-        if isinstance(t, (TForall, TExists)):
-            mark = self.tyvars.mark()
-            for name, kind in t.binders:
-                self.tyvars.enter(name, kind)
-            kind = self.kind_of(t.body)
-            self.tyvars.undo_to(mark)
-            return kind
-        return KIND_TYPE
 
     # -- expressions ----------------------------------------------------------
 

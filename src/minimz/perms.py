@@ -319,39 +319,38 @@ class MetaPerm(Atom):
         return f"?{self.name}"
 
 
-def normalize(perm: Type) -> list[Atom]:
-    """Flatten a permission into atoms; `x @ (t | p)` splits into `x @ t * p`."""
+def normalize(env: Env, perm: Type) -> list[Atom]:
+    """Flatten a permission into atoms; `x @ (t | p)` splits into `x @ t * p`,
+    and an alias of kind perm is expanded. Anything else, a type included,
+    raises TypeError."""
     atoms: list[Atom] = []
-
-    def walk(p: Type) -> None:
+    work = [perm]
+    while work:
+        p = work.pop()
         if isinstance(p, TEmpty):
-            return
+            continue
         if isinstance(p, TStar):
-            for item in p.items:
-                walk(item)
-            return
-        if isinstance(p, TVar):
+            work.extend(reversed(p.items))
+        elif isinstance(p, TVar):
             atoms.append(PermVar(p.name))
-            return
-        if isinstance(p, TMeta):
+        elif isinstance(p, TMeta):
             atoms.append(MetaPerm(p.name))
-            return
-        if isinstance(p, TAt):
-            atoms.extend(admit_atoms(p.anchor, p.ty))
-            return
-        raise TypeError(f"not a permission: {p!r}")
-
-    walk(perm)
+        elif isinstance(p, TAt):
+            atoms.extend(admit_atoms(env, p.anchor, p.ty))
+        elif is_alias(env, p) and env.types[p.head].kind == KIND_PERM:
+            work.append(expand_alias(env, p))
+        else:
+            raise TypeError(f"not a permission: {p!r}")
     return atoms
 
 
-def admit_atoms(anchor: str, ty: Type) -> list[Atom]:
+def admit_atoms(env: Env, anchor: str, ty: Type) -> list[Atom]:
     """Atoms released when a value of type `ty` is bound to `anchor`: the
     atom `anchor @ t` for the carrier `t` under the bars of `ty`, then each
     bar's permission, split off so that extraction sees it. Inner bars come
     first: `((t | p) | q)` gives `anchor @ t`, then `p`, then `q`."""
     if isinstance(ty, TBar):
-        return admit_atoms(anchor, ty.carrier) + normalize(ty.perm)
+        return admit_atoms(env, anchor, ty.carrier) + normalize(env, ty.perm)
     return [Anchored(anchor, ty)]
 
 
@@ -644,7 +643,7 @@ def split_branch(
             fields.append((fname, fty))
             continue
         fields.append((fname, TSingleton(name)))
-        split.extend(admit_atoms(name, fty))
+        split.extend(admit_atoms(env, name, fty))
     if branch.bar is not None:
-        split.extend(normalize(branch.bar))
+        split.extend(normalize(env, branch.bar))
     return [Anchored(anchor, TConcrete(tag, tuple(fields), None)), *split]

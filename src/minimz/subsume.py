@@ -298,8 +298,8 @@ class Subsumer:
         """Multiset unification of two permissions. Matches rigid atoms
         pairwise; a single unmatched metavariable on one side absorbs the
         other side's remainder (remaining metavariables default to empty)."""
-        atoms_a = normalize(self.uni.resolve(a))
-        atoms_b = normalize(self.uni.resolve(b))
+        atoms_a = normalize(self.env, self.uni.resolve(a))
+        atoms_b = normalize(self.env, self.uni.resolve(b))
         rigid_a = [x for x in atoms_a if not isinstance(x, MetaPerm)]
         metas_a = [x for x in atoms_a if isinstance(x, MetaPerm)]
         rigid_b = [x for x in atoms_b if not isinstance(x, MetaPerm)]
@@ -364,7 +364,7 @@ class Subsumer:
                 subst[name] = TVar(self.names.fresh(name))
             return penv.replace(handle, Anchored(atom.anchor, subst_type(ty.body, subst)))
         if isinstance(ty, TBar):
-            return penv.replace(handle, *admit_atoms(atom.anchor, ty))
+            return penv.replace(handle, *admit_atoms(self.env, atom.anchor, ty))
         if isinstance(ty, TTuple) and not is_structural_tuple(ty):
             # If a structural view of the same tuple is already around, pin the
             # released component permissions to its component names.
@@ -381,10 +381,10 @@ class Subsumer:
                     anchor = cty.name
                 elif pinned is not None:
                     anchor = pinned[i]
-                    extra.extend(admit_atoms(anchor, cty))
+                    extra.extend(admit_atoms(self.env, anchor, cty))
                 else:
                     anchor = self.names.fresh(comp.name or "c")
-                    extra.extend(admit_atoms(anchor, cty))
+                    extra.extend(admit_atoms(self.env, anchor, cty))
                 if comp.name is not None:
                     values[comp.name] = anchor
                 comps.append(TupleComp(None, TSingleton(anchor), False))
@@ -496,7 +496,7 @@ class Subsumer:
                         penv = penv.remove(handle)
                         continue
                     if cls is not Anchored:  # a permission: its atoms, in order
-                        for atom in reversed(normalize(self.uni.resolve(item))):
+                        for atom in reversed(normalize(self.env, self.uni.resolve(item))):
                             stack = (atom, stack)
                         continue
                     anchor = item.anchor

@@ -71,6 +71,22 @@ def test_check_json_records_front_end_errors(tmp_path):
         assert record["code"] == code and record["path"] == str(path)
 
 
+def test_a_manifest_row_nested_too_deeply_fails_its_row(tmp_path):
+    # `f` returns a tuple 150 deep: `check` reports NESTING for it
+    ty, value = "int", "1"
+    for _ in range(150):
+        ty, value = f"(int, {ty})", f"(1, {value})"
+    (tmp_path / "deep.mz").write_text(f"val f: () -> {ty}\nval f () = {value}\n")
+    (tmp_path / "manifest.tsv").write_text("ACCEPT\tdeep.mz\n")
+    assert run_cli("check", str(tmp_path / "deep.mz")).returncode == 2
+    out = run_cli("test", str(tmp_path))
+    assert (out.returncode, out.stderr) == (1, "")
+    assert out.stdout.splitlines() == [
+        "FAIL  ACCEPT  deep.mz  front-end error: input too deeply nested",
+        "0/1 corpus cases passed",
+    ]
+
+
 def test_run_prints_value():
     out = run_cli("run", str(CORPUS / "run" / "run_size.mz"), "main")
     assert out.returncode == 0

@@ -1,8 +1,8 @@
 import pytest
 
-from minimz.ast import KArrow, KIND_PERM, KIND_TYPE, Scope, TVar
+from minimz.ast import KIND_PERM, KIND_TYPE, Scope, TApp, TVar
 from minimz.driver import load_text, prelude
-from minimz.kinds import DataInfo, ResolveError, Resolver
+from minimz.kinds import AliasInfo, DataInfo, ResolveError, Resolver, kind_of
 
 TREE = """
 data mutable tree a =
@@ -15,7 +15,11 @@ def test_tree_resolves_with_constructor_kind():
     file, env = load_text(TREE + "\nval size: [a] tree a -> int", "t")
     info = env.types["tree"]
     assert isinstance(info, DataInfo)
-    assert info.kind == KArrow((KIND_TYPE,), KIND_TYPE)
+    assert info.params == (("a", KIND_TYPE),)
+    assert kind_of(TApp("tree", (TVar("a"),)), env, {"a": KIND_TYPE}) == KIND_TYPE
+    with pytest.raises(ResolveError) as exc:
+        load_text(TREE + "\nval size: tree empty -> int", "t")
+    assert exc.value.message == "expected kind type, found perm for empty"
 
 
 def test_cyclic_alias_rejected():
@@ -33,7 +37,11 @@ def test_mutual_alias_cycle_rejected():
 def test_abstract_iterator_kind():
     _, env = load_text("abstract tree_iterator a (post: perm)", "t")
     info = env.types["tree_iterator"]
-    assert info.kind == KArrow((KIND_TYPE, KIND_PERM), KIND_TYPE)
+    assert info.params == (("a", KIND_TYPE), ("post", KIND_PERM))
+    assert kind_of(TApp("tree_iterator", (TVar("a"), TVar("p"))), env, {}) == KIND_TYPE
+    with pytest.raises(ResolveError) as exc:
+        load_text("abstract tree_iterator a (post: perm)\nval f: tree_iterator int int", "t")
+    assert exc.value.message == "expected kind perm, found type for int"
 
 
 def test_anchored_permission_kind():
@@ -43,23 +51,25 @@ def test_anchored_permission_kind():
     from minimz.parser import parse_type
 
     ty = resolver.resolve_type(parse_type("t @ list a"))
-    assert resolver.kind_of(ty) == KIND_PERM
+    assert kind_of(ty, resolver.env, resolver.tyvars) == KIND_PERM
 
 
 def test_an_inner_quantifier_binds_its_variable_for_its_body_alone():
-    from minimz.parser import parse_type
-
     # resolve_type: `b` is a type variable inside `[b] ...`, unbound after it
     load_text("val f: ([b] (x: b) -> b, int) -> int", "t")
     with pytest.raises(ResolveError) as exc:
         load_text("val f: ([b] (x: b) -> b, b) -> int", "t")
     assert (exc.value.code, exc.value.message) == ("E-UNBOUND", "unbound type name 'b'")
-    # kind_of: an inner `b: perm` hides an outer `b`, which comes back after it
-    resolver = Resolver(prelude()[1].clone())
-    resolver.tyvars = Scope(b=KIND_TYPE)
-    assert resolver.kind_of(parse_type("[b: perm] b")) == KIND_PERM
-    assert resolver.kind_of(TVar("b")) == KIND_TYPE
-    assert resolver.tyvars == {"b": KIND_TYPE}
+    # kind_of: an inner `p: perm` is a permission inside its body alone
+    load_text("val f: [a] ([p: perm] (x: a | p) -> int, a) -> int", "t")
+    with pytest.raises(ResolveError) as exc:
+        load_text("val f: [a] ([p: perm] (x: p | a) -> int, a) -> int", "t")
+    assert exc.value.message == "expected kind type, found perm for p"
+    env = prelude()[1]
+    assert [kind_of(TVar("p"), env, {"p": k}) for k in (KIND_TYPE, KIND_PERM)] == [
+        KIND_TYPE,
+        KIND_PERM,
+    ]
 
 
 def test_constructor_arity_error():
@@ -78,6 +88,15 @@ def test_bar_right_side_must_be_perm():
     with pytest.raises(ResolveError) as exc:
         load_text("val f: (int | int) -> int", "t")
     assert exc.value.code == "E-KIND"
+
+
+def test_a_field_of_a_structural_type_is_a_type():
+    with pytest.raises(ResolveError) as exc:
+        load_text("val f: (x: Cons { head: empty; tail: list int }) -> int", "t")
+    assert (exc.value.code, exc.value.message) == (
+        "E-KIND",
+        "expected kind type, found perm for empty",
+    )
 
 
 def test_unbound_value_in_type():
@@ -117,3 +136,53 @@ val f (t) =
     with pytest.raises(ResolveError) as exc:
         load_text(src, "t")
     assert exc.value.code == "E-MATCH"
+
+
+def test_an_alias_has_the_kind_of_its_body():
+    src = """
+alias same (p: perm) = p
+alias both (p: perm) (r: perm) = p * r
+alias pair a = (a, a)
+alias twice (p: perm) = same (both p p)
+"""
+    _, env = load_text(src, "t")
+    kinds = {}
+    for name in ("same", "both", "pair", "twice", "wand", "focused"):
+        info = env.types[name]
+        assert isinstance(info, AliasInfo)
+        kinds[name] = info.kind
+    assert kinds == {
+        "same": KIND_PERM,
+        "both": KIND_PERM,
+        "pair": KIND_TYPE,
+        "twice": KIND_PERM,
+        "wand": KIND_TYPE,
+        "focused": KIND_TYPE,
+    }
+
+
+def test_an_alias_is_used_after_its_definition():
+    # an alias's kind is its body's, known once its body is resolved
+    with pytest.raises(ResolveError) as exc:
+        load_text("alias a = b\nalias b = int", "t")
+    assert (exc.value.code, exc.value.message) == (
+        "E-KIND",
+        "alias 'b' used before its definition",
+    )
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "val f: [q: perm] (x: int | [a] q) -> int",
+        "val f: [q: perm] (x: int | {a} q) -> int",
+        "val f: [q: perm] (x: int, y: [a] (x @ a)) -> int",
+        "alias pick (p: perm) = [a] p\nval f: [q: perm] (x: int | pick q) -> int",
+    ],
+    ids=["forall", "exists", "anchored", "alias"],
+)
+def test_a_permission_cannot_be_quantified(src):
+    with pytest.raises(ResolveError) as exc:
+        load_text(src, "t")
+    assert (exc.value.code, exc.value.message) == ("E-KIND", "a permission cannot be quantified")
+    assert src[exc.value.span.start :].startswith(("[a]", "{a}"))

@@ -188,26 +188,36 @@ def test_split_names_are_fresh(tree_env):
 # ---------------------------------------------------------------------------
 
 
-def test_normalize_flattens_and_drops_empty():
+def test_normalize_flattens_and_drops_empty(tree_env):
     perm = TStar((TStar((TAt("x", TApp("int", ())), TEmpty())), TVar("s")))
-    atoms = normalize(perm)
+    atoms = normalize(tree_env, perm)
     assert atoms == [Anchored("x", TApp("int", ())), PermVar("s")]
 
 
-def test_normalize_splits_anchored_bar():
+def test_normalize_splits_anchored_bar(tree_env):
     perm = TAt("x", TBar(TApp("int", ()), TVar("s")))
-    atoms = normalize(perm)
+    atoms = normalize(tree_env, perm)
     assert PermVar("s") in atoms
     assert Anchored("x", TApp("int", ())) in atoms
 
 
-def test_normalize_idempotent_multiset():
+def test_normalize_idempotent_multiset(tree_env):
     perm = TStar((TVar("p"), TAt("x", TApp("int", ())), TVar("p")))
-    once = normalize(perm)
+    once = normalize(tree_env, perm)
     from minimz.perms import atoms_to_type
 
-    twice = normalize(atoms_to_type(once))
+    twice = normalize(tree_env, atoms_to_type(once))
     assert sorted(map(str, once)) == sorted(map(str, twice))
+
+
+def test_normalize_expands_an_alias_of_kind_perm_alone():
+    _, env = load_text("alias both (p: perm) (r: perm) = p * r\nalias pair a = (a, a)", "t")
+    perm = TApp("both", (TVar("s"), TApp("both", (TAt("x", TApp("int", ())), TEmpty()))))
+    assert normalize(env, perm) == [PermVar("s"), Anchored("x", TApp("int", ()))]
+    # a type is no permission, not even when an alias names it
+    for not_perm in (TApp("pair", (TVar("s"),)), TApp("int", ())):
+        with pytest.raises(TypeError):
+            normalize(env, not_perm)
 
 
 # ---------------------------------------------------------------------------
