@@ -315,6 +315,42 @@ val main () = {call}
     assert exc.value.kind == "BAD_FIELD"
 
 
+# An unchecked run that gives a builtin, a condition, a field access or an
+# update a value of the wrong kind traps, whether the call is written out in
+# place (a builtin applied to a tuple literal) or made through a variable.
+# `true` is no integer and `0` no boolean, though Python's `bool` is an `int`.
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("add (true, 1)", "add expects integers"),
+        ("let b = true in add (1, b)", "add expects integers"),
+        ("let f = add in f (true, 1)", "add expects integers"),
+        ("eq (1, false)", "eq expects integers"),
+        ("let f = eq in f (1, false)", "eq expects integers"),
+        ("lt (true, false)", "lt expects integers"),
+        ("div (7, false)", "div expects integers"),
+        ("if 3 then 1 else 2", "condition is not a boolean"),
+        ("let c = 1 in if c then 1 else 2", "condition is not a boolean"),
+        ("if add (1, 2) then 1 else 2", "condition is not a boolean"),
+        ("not 0", "not expects a boolean"),
+        ("let f = not in f 0", "not expects a boolean"),
+        ("not (add (0, 1))", "not expects a boolean"),
+        ("let n = 3 in n.v", "value is not a record"),
+        ("let n = true in n.v", "value is not a record"),
+        ("let n = 3 in n.v <- 1", "value is not a record"),
+        ("let n = 3 in tag of n <- Box { v = 2 }", "value is not a record"),
+        ("let n = 3 in match n with | Box { v = x } -> x", "value is not a record"),
+        ("let b = Box { v = 1 } in b.v <- 2", "Box is immutable"),
+        ("let b = Box { v = 1 } in tag of b <- Box { v = 2 }", "Box is immutable"),
+    ],
+)
+def test_a_value_of_the_wrong_kind_traps(body, message):
+    src = f"data box = Box {{ v: int }}\nval main: () -> int\nval main () = {body}\n"
+    with pytest.raises(RuntimeTrap) as exc:
+        _run_unchecked(src)
+    assert (exc.value.kind, exc.value.message) == ("BAD_FIELD", message)
+
+
 # ---------------------------------------------------------------------------
 # Arithmetic
 # ---------------------------------------------------------------------------
