@@ -65,25 +65,19 @@ from .runtime import (
     _BINARY,
     _INT_MAX,
     _INT_MIN,
-    FALSE,
-    TRUE,
     UNIT,
-    VAddr,
-    VBool,
+    Cell,
     VBuiltin,
     VClosure,
-    VInt,
     VTuple,
     _alloc,
     _build,
     _Check,
-    _done,
     _package,
     _quot,
     _rem,
     _spread,
     _wrap64,
-    _writable,
 )
 
 if TYPE_CHECKING:
@@ -153,13 +147,10 @@ def _code(text: str, filename: str):
 
 # Names the generated code uses from `runtime`.
 _RUNTIME = MappingProxyType({
-    "VInt": VInt,
-    "VBool": VBool,
+    "Cell": Cell,
     "VTuple": VTuple,
     "VClosure": VClosure,
     "UNIT": UNIT,
-    "TRUE": TRUE,
-    "FALSE": FALSE,
     "I0": _INT_MIN,
     "I1": _INT_MAX,
     "_wrap64": _wrap64,
@@ -168,10 +159,8 @@ _RUNTIME = MappingProxyType({
     "_Check": _Check,
     "_package": _package,
     "_spread": _spread,
-    "_writable": _writable,
     "_alloc": _alloc,
     "_build": _build,
-    "_done": _done,
 })
 
 
@@ -186,7 +175,7 @@ class _Body:
     return. A check that fails before then hands them to its `_Check`,
     which finds out whether the limit came first."""
 
-    def __init__(self, root: _Body | None, base: int, named: str | None):
+    def __init__(self, root: _Body | None, base: int, records: bool):
         self.root = root  # None for a root itself
         self.base = base  # the depth of the `def` line
         self.depth = 1  # of the next line, relative to `base`
@@ -194,7 +183,7 @@ class _Body:
         self.size = 0  # identifiers made in this function
         self.params: list[str] = []  # a root's captured identifiers
         self.prologue: dict[str, str] = {}
-        self.named = named  # the constant of a definition's name
+        self.records = records  # a definition's: its returns record the call's steps
         self.pending: list[int] = []
 
 
@@ -211,13 +200,13 @@ class _Compiler:
     def __init__(self, rt: Interp):
         self.globals = rt.globals
         self.env = rt.env
+        self.stats = rt.stats
         self.ns: dict[str, object] = dict(_RUNTIME, L=rt.max_steps)
         self.consts: dict[tuple, str] = {}
         self.checks: dict[tuple, str] = {}
         self.sizes: dict[int, int] = {}  # id of an expression -> its `nodes`
-        self.ints: dict[str, str] = {}  # an int constant's atom -> its int
-        # The class of an atom's value, where it is fixed.
-        self.known: dict[str, type] = {"TRUE": VBool, "FALSE": VBool}
+        # The type of an atom's value, where it is fixed.
+        self.known: dict[str, type] = {"True": bool, "False": bool}
         self.scope = Scope()  # program name -> atom
         self.owner: dict[str, _Body] = {}  # identifier -> the root that binds it
         self.roots: list[tuple[_Body, str]] = []  # with the `def` line of each
@@ -234,15 +223,13 @@ class _Compiler:
         return name
 
     def const(self, value: object) -> str:
-        key = (type(value), value.value if type(value) is VInt else value)
+        key = (type(value), value)  # apart from its type, `True` is `1`
         name = self.consts.get(key)
         if name is None:
             name = self.consts[key] = f"k{len(self.consts)}"
             # Tags and field names compare and hash fastest as one object.
             self.ns[name] = sys.intern(value) if type(value) is str else value
             self.known[name] = type(value)
-            if type(value) is VInt:
-                self.ints[name] = self.const(value.value)
         return name
 
     def emit(self, line: str) -> None:
@@ -287,8 +274,8 @@ class _Compiler:
 
     def ret(self, atom: str) -> None:
         self.flush()
-        if self.b.named is not None:
-            atom = f"_done(rt, {self.b.named}, s0, {atom})"
+        if self.b.records:
+            self.emit("C.append(rt.steps - s0)")
         self.emit(f"return {atom}")
 
     def finish(self, body: _Body, head: str, pad: str) -> list[str]:
@@ -298,7 +285,9 @@ class _Compiler:
     # -- functions -----------------------------------------------------------------
 
     def definition(self, decl: DValDef):
-        fn = self.function(decl.name, list(decl.params), decl.body, 1)
+        # The steps of each call of the definition that returns, in order.
+        self.ns["C"] = self.stats.call_steps.setdefault(decl.name, [])
+        fn = self.function(True, list(decl.params), decl.body, 1)
         if len(self.roots) == 1:
             text = self.finish(*self.roots[0], "")
         else:
@@ -311,14 +300,13 @@ class _Compiler:
         # The namespace keeps no function, or each would hold itself.
         return self.ns.pop(fn) if len(self.roots) == 1 else self.ns.pop("_make")()
 
-    def function(self, name: str | None, params: list[str | None], body: Expr,
+    def function(self, definition: bool, params: list[str | None], body: Expr,
                  base: int) -> str:
-        """Write a function of `params` returning `body`: a definition when
-        `name` is set, else a lambda nested in the current body, whose `def`
-        is at depth `base`. Returns the function's identifier."""
+        """Write a function of `params` returning `body`: a definition, or
+        a lambda nested in the current body, whose `def` is at depth `base`.
+        Returns the function's identifier."""
         outer = self.b
-        named = None if name is None else self.const(name)
-        self.b = b = _Body(None if outer is None else outer.root or outer, base, named)
+        self.b = b = _Body(None if outer is None else outer.root or outer, base, definition)
         fn = self.fresh("f" if outer is None else "l")
         idents = [self.fresh("v") for _ in params]
         mark = self.scope.mark()
@@ -331,7 +319,7 @@ class _Compiler:
             arg = "x"
             if params:
                 self.emit(f"{', '.join(idents)}, = x")
-        if outer is None:
+        if definition:
             self.emit("s0 = rt.steps")
         self.tail(body)
         self.scope.undo_to(mark)
@@ -347,7 +335,7 @@ class _Compiler:
         """Compute `e` in a helper function of its own, at the top of the
         module, that takes what it uses of the current body as parameters."""
         outer = self.b
-        self.b = b = _Body(None, 1, None)
+        self.b = b = _Body(None, 1, False)
         fn = self.fresh("h")
         self.tail(e)
         self.b = outer
@@ -509,15 +497,15 @@ class _Compiler:
     def constant(self, e: EInt | EBool) -> str:
         self.step(1)
         if type(e) is EBool:
-            return "TRUE" if e.value else "FALSE"
-        return self.const(VInt(e.value))
+            return "True" if e.value else "False"
+        return self.const(e.value)
 
     def condition(self, e: EIf) -> str:
         """Charge `e`'s step and compute its condition; returns a Python
         expression of its truth."""
         if not self.lead([e.cond]):
             inline = self.inline(e.cond, 1)
-            if inline is not None and inline[1] is VBool:
+            if inline is not None and inline[1] is bool:
                 return inline[0]
             if inline is not None:
                 atom = self.box(inline)
@@ -526,10 +514,12 @@ class _Compiler:
                 atom = self.expr(e.cond)
         else:
             atom = self.operand(e.cond)
-        self.check(atom, VBool, "condition is not a boolean")
-        return f"{atom}.value"
+        self.check(atom, bool, "condition is not a boolean")
+        return atom
 
     def check(self, atom: str, cls: type, message: str) -> None:
+        """Trap unless `atom` holds a value of type `cls`: exactly, since a
+        `bool` is an `int` to `isinstance`."""
         if self.known.get(atom) is not cls:
             self.emit(f"if type({atom}) is not {cls.__name__}: {self.trap('BAD_FIELD', message)}")
 
@@ -548,25 +538,31 @@ class _Compiler:
         return t
 
     def match(self, e: EMatch, result: str | None = None) -> str | None:
-        cell = self.record(self.operand(e.scrutinee))
+        record = self.operand(e.scrutinee)
+        tag = self.fresh("t")
+        if self.known.get(record) is Cell:
+            self.emit(f"{tag} = {record}.tag")
+        else:
+            self.emit(f"try: {tag} = {record}.tag")
+            self.emit(self.not_record())
         pending = self.b.pending
         seen = set()
         for pat, body in e.branches:
             if pat.tag in seen:
                 continue
-            self.emit(f"{'elif' if seen else 'if'} {cell}.tag == {self.const(pat.tag)}:")
+            self.emit(f"{'elif' if seen else 'if'} {tag} == {self.const(pat.tag)}:")
             seen.add(pat.tag)
             self.b.pending = list(pending)
             self.b.depth += 1
             mark = self.scope.mark()
-            self.fields(cell, pat.fields)
+            self.fields(record, pat.fields)
             self.branch(body, result)
             self.scope.undo_to(mark)
             self.b.depth -= 1
         self.b.pending = pending
         self.emit("else:" if seen else "if True:")
         self.b.depth += 1
-        self.emit(self.trap("BAD_TAG", "no branch for tag {!r}", f"{cell}.tag"))
+        self.emit(self.trap("BAD_TAG", "no branch for tag {!r}", tag))
         self.b.depth -= 1
         self.b.pending = []
         return result
@@ -598,23 +594,19 @@ class _Compiler:
                 self.bind(pat, v)
             group = []
 
-    def record(self, atom: str) -> str:
-        """The heap cell that `atom` points to."""
-        cell = self.fresh("t")
-        read = f"{cell} = {self.need('H', 'H = rt.heap')}[{atom}.addr]"
-        if self.known.get(atom) is VAddr:
-            self.emit(read)
-        else:
-            self.emit(f"try: {read}")
-            self.emit(f"except AttributeError: {self.trap('BAD_FIELD', 'value is not a record')}")
-        return cell
+    def not_record(self) -> str:
+        """The handler of a read of `tag` or `fields` that no value but a
+        record has."""
+        return f"except AttributeError: {self.trap('BAD_FIELD', 'value is not a record')}"
 
     def field_(self, e: EField) -> str:
-        cell = self.record(self.operand(e.obj))
+        record = self.operand(e.obj)
         t = self.fresh("t")
-        self.emit(f"try: {t} = {cell}.fields[{self.const(e.name)}]")
+        self.emit(f"try: {t} = {record}.fields[{self.const(e.name)}]")
+        if self.known.get(record) is not Cell:
+            self.emit(self.not_record())
         message = f"no field {e.name!r} on {{}}"
-        self.emit(f"except KeyError: {self.trap('BAD_FIELD', message, f'{cell}.tag')}")
+        self.emit(f"except KeyError: {self.trap('BAD_FIELD', message, f'{record}.tag')}")
         return t
 
     def update(self, e: EAssign | ETagUpdate) -> str:
@@ -629,17 +621,17 @@ class _Compiler:
         values = self.operands(exprs, lead)
         obj = self.expr(e.obj)
         self.flush()
-        cell = self.fresh("t")
-        self.emit(f"{cell} = _writable(rt, {obj})")
+        self.check(obj, Cell, "value is not a record")
+        self.emit(f"if not {obj}.mutable: {self.trap('BAD_FIELD', '{} is immutable', f'{obj}.tag')}")
         if tag is not None:
-            self.emit(f"{cell}.tag = {self.const(tag)}")
+            self.emit(f"{obj}.tag = {self.const(tag)}")
         for name, value in zip(names, values):
-            self.emit(f"{cell}.fields[{self.const(name)}] = {value}")
+            self.emit(f"{obj}.fields[{self.const(name)}] = {value}")
         return "UNIT"
 
     def construct(self, e: EConstruct) -> str:
         t = self.fresh("t")
-        self.known[t] = VAddr
+        self.known[t] = Cell
         if _constant(e) and any(type(x) is EConstruct for _, x in e.fields):
             # Nested records of constants are built from a plan, not code.
             self.count += 1
@@ -668,7 +660,7 @@ class _Compiler:
                 value = self.plan(x)
             else:
                 self.step(1)
-                value = VInt(x.value) if type(x) is EInt else TRUE if x.value else FALSE
+                value = x.value
             fields.append((sys.intern(name), value))
         limit = self.ns[self.check_for(None, None)]
         self.b.pending = []
@@ -694,7 +686,7 @@ class _Compiler:
     def lambda_(self, e: ELambda) -> str:
         self.step(1)
         params = [c.name for c in domain_comps(e.domain)]
-        fn = self.function(None, params, e.body, self.b.base + self.b.depth)
+        fn = self.function(False, params, e.body, self.b.base + self.b.depth)
         t = self.fresh("t")
         self.emit(f"{t} = VClosure({len(params)}, {fn})")
         return t
@@ -761,8 +753,8 @@ class _Compiler:
             self.step(charge)
             self.step(2)
             atom = self.expr(e.arg)
-            self.check(atom, VBool, "not expects a boolean")
-            return f"not {atom}.value", VBool
+            self.check(atom, bool, "not expects a boolean")
+            return f"not {atom}", bool
         if items is None or len(items) != 2:
             return None
         template, _, result, zero = _BINARY[name]
@@ -771,26 +763,23 @@ class _Compiler:
         lead = self.lead(items)
         self.step(lead)
         atoms = self.operands(items, lead)
-        unknown = [a for a in atoms if self.known.get(a) is not VInt]
+        unknown = [a for a in atoms if self.known.get(a) is not int]
         if unknown:
-            test = " or ".join(f"type({a}) is not VInt" for a in unknown)
+            test = " or ".join(f"type({a}) is not int" for a in unknown)
             self.emit(f"if {test}: {self.trap('BAD_FIELD', f'{name} expects integers')}")
-        ints = [self.ints.get(a) or f"{a}.value" for a in atoms]
         if zero is not None:
-            divisor = self.ints.get(atoms[1])
-            if divisor is None or self.ns[divisor] == 0:
-                self.emit(f"if {ints[1]} == 0: {self.trap('DIV_ZERO', zero)}")
-        return template.format(*ints), result
+            divisor = self.ns.get(atoms[1])  # the value of a constant
+            if type(divisor) is not int or divisor == 0:
+                self.emit(f"if {atoms[1]} == 0: {self.trap('DIV_ZERO', zero)}")
+        return template.format(*atoms), result
 
     def box(self, inline: tuple[str, type]) -> str:
-        """The value of an inlined builtin's result."""
+        """The value of an inlined builtin's result, wrapped to 64 bits."""
         expr, cls = inline
         t = self.fresh("t")
-        if cls is VBool:
-            self.emit(f"{t} = TRUE if {expr} else FALSE")
-        else:
-            self.emit(f"{t} = {expr}")
-            self.emit(f"{t} = VInt({t} if I0 <= {t} <= I1 else _wrap64({t}))")
+        self.emit(f"{t} = {expr}")
+        if cls is int:
+            self.emit(f"if not I0 <= {t} <= I1: {t} = _wrap64({t})")
         self.known[t] = cls
         return t
 

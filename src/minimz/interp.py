@@ -1,6 +1,6 @@
-"""Call-by-value interpreter over a mutable heap of tagged records.
+"""Call-by-value interpreter over mutable tagged records.
 
-The values, the heap and the semantics of a step are in `runtime`; each
+The values and the semantics of a step are in `runtime`; each
 definition is compiled, on its first call in a run, by `codegen`. A run
 raises the recursion limit, so deep (but checked) recursion works while
 runaway recursion traps. A trap for recursion too deep reports the count
@@ -21,11 +21,8 @@ from .runtime import (
     RuntimeTrap,
     Stats,
     Value,
-    VAddr,
-    VBool,
     VBuiltin,
     VClosure,
-    VInt,
     VTuple,
     _builtins,
     _Check,
@@ -48,9 +45,11 @@ class Interp:
                  trace: bool = False):
         self.env = env
         self.max_steps = max_steps
-        self.heap: list[Cell] = []
         self.stats = Stats()
-        self.steps = 0  # the step count, as of the last call or trap; `run` copies it into `stats`
+        # The step count, as of the last call or trap, and the records made;
+        # `run` copies both into `stats`.
+        self.steps = 0
+        self.allocations = 0
         self.trace_enabled = trace
         self.trace: list[str] = []
         self.oneshot_seq = 0
@@ -92,53 +91,57 @@ class Interp:
                 raise RuntimeTrap("STEP_LIMIT", "evaluation recursion too deep") from None
             finally:
                 sys.setrecursionlimit(limit)
-                self.stats.steps = self.steps
-                self.stats.allocations = len(self.heap)
+                stats = self.stats
+                stats.steps = self.steps
+                stats.allocations = self.allocations
+                # A definition's list is made when it is compiled, and stays
+                # empty while no call of it has returned.
+                stats.call_steps = {name: s for name, s in stats.call_steps.items() if s}
 
     # -- rendering ---------------------------------------------------------------
 
     def render(self, v: Value) -> str:
         """Render `v` in full, without recursion, so that no value is too
-        deep to print. A heap cell met again while it is still being rendered
+        deep to print. A record met again while it is still being rendered
         lies on a cycle and prints as `<cycle>`."""
         out: list[str] = []
-        open_cells: set[int] = set()
-        # Work, last item first: text to emit, a value to render, or the
-        # address of a cell whose rendering ends here.
-        work: list[str | int | Value] = [v]
+        open_cells: set[int] = set()  # the ids of the records being rendered
+        # Work, last item first: text to emit, a value to render, or a
+        # one-item tuple holding the id of a record whose rendering ends here.
+        work: list = [v]
         while work:
             item = work.pop()
-            if isinstance(item, str):
+            cls = type(item)
+            if cls is str:
                 out.append(item)
-            elif isinstance(item, int):
-                open_cells.discard(item)
-            elif isinstance(item, VInt):
-                out.append(str(item.value))
-            elif isinstance(item, VBool):
-                out.append("true" if item.value else "false")
-            elif isinstance(item, VTuple):
+            elif cls is tuple:
+                open_cells.discard(item[0])
+            elif cls is bool:
+                out.append("true" if item else "false")
+            elif cls is int:
+                out.append(str(item))
+            elif cls is VTuple:
                 work.append(")")
                 for i, value in enumerate(reversed(item.items)):
                     work.append(value)
                     if i < len(item.items) - 1:
                         work.append(", ")
                 out.append("(")
-            elif isinstance(item, (VClosure, VBuiltin, OneShot)):
+            elif cls in (VClosure, VBuiltin, OneShot):
                 out.append("<fun>")
-            elif isinstance(item, VAddr):
-                cell = self.heap[item.addr]
-                if item.addr in open_cells:
+            elif cls is Cell:
+                if id(item) in open_cells:
                     out.append("<cycle>")
-                elif not cell.fields:
-                    out.append(cell.tag)
+                elif not item.fields:
+                    out.append(item.tag)
                 else:
-                    open_cells.add(item.addr)
-                    work += [item.addr, " }"]
-                    for i, (name, value) in enumerate(reversed(cell.fields.items())):
+                    open_cells.add(id(item))
+                    work += [(id(item),), " }"]
+                    for i, (name, value) in enumerate(reversed(item.fields.items())):
                         work += [value, f"{name} = "]
-                        if i < len(cell.fields) - 1:
+                        if i < len(item.fields) - 1:
                             work.append("; ")
-                    out.append(f"{cell.tag} {{ ")
+                    out.append(f"{item.tag} {{ ")
             else:
                 out.append(repr(item))
         return "".join(out)

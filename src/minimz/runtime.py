@@ -1,4 +1,10 @@
-"""Values, heap and the helpers that compiled code calls.
+"""Values and the helpers that compiled code calls.
+
+An `int` value is a Python `int` and a `bool` value a Python `bool`; since
+`bool` is a subclass of `int`, a value's kind is told by `type(v) is int`
+or `type(v) is bool`, never by `isinstance`. A record is its own `Cell`,
+reached by reference; a run counts the records it allocates and keeps no
+heap of them.
 
 Permissions never reach runtime; what remains is deterministic
 left-to-right evaluation plus optional affinity instrumentation: any
@@ -50,23 +56,18 @@ def _over(limit: int) -> RuntimeTrap:
 
 
 # ---------------------------------------------------------------------------
-# Values and heap
+# Values
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class VInt:
-    value: int
+@dataclass(slots=True, eq=False)
+class Cell:
+    """A record, compared by identity: every record literal allocates a new
+    one, and an update writes it in place."""
 
-
-@dataclass(slots=True)
-class VBool:
-    value: bool
-
-
-@dataclass(slots=True)
-class VAddr:
-    addr: int
+    tag: str
+    fields: dict[str, Value]
+    mutable: bool
 
 
 @dataclass(slots=True)
@@ -115,18 +116,9 @@ class OneShot:
         return self.inner.fn(rt, arg)
 
 
-Value = VInt | VBool | VAddr | VTuple | VClosure | VBuiltin | OneShot
+Value = int | bool | Cell | VTuple | VClosure | VBuiltin | OneShot
 
 UNIT = VTuple([])
-TRUE = VBool(True)
-FALSE = VBool(False)
-
-
-@dataclass(slots=True)
-class Cell:
-    tag: str
-    fields: dict[str, Value]
-    mutable: bool
 
 
 @dataclass
@@ -148,17 +140,17 @@ def _rem(a: int, b: int) -> int:
 
 
 # The binary builtins: the Python expression an inlined call computes from
-# the two ints, the same as a function, the class of the result, and the
+# the two ints, the same as a function, the type of the result, and the
 # message of the trap on a zero divisor (None when there is none).
 _BINARY = MappingProxyType({
-    "add": ("{} + {}", operator.add, VInt, None),
-    "sub": ("{} - {}", operator.sub, VInt, None),
-    "mul": ("{} * {}", operator.mul, VInt, None),
-    "div": ("_quot({}, {})", _quot, VInt, "division by zero"),
-    "mod": ("_rem({}, {})", _rem, VInt, "modulo by zero"),
-    "eq": ("{} == {}", operator.eq, VBool, None),
-    "lt": ("{} < {}", operator.lt, VBool, None),
-    "le": ("{} <= {}", operator.le, VBool, None),
+    "add": ("{} + {}", operator.add, int, None),
+    "sub": ("{} - {}", operator.sub, int, None),
+    "mul": ("{} * {}", operator.mul, int, None),
+    "div": ("_quot({}, {})", _quot, int, "division by zero"),
+    "mod": ("_rem({}, {})", _rem, int, "modulo by zero"),
+    "eq": ("{} == {}", operator.eq, bool, None),
+    "lt": ("{} < {}", operator.lt, bool, None),
+    "le": ("{} <= {}", operator.le, bool, None),
 })
 
 
@@ -166,21 +158,19 @@ def _builtins() -> dict[str, VBuiltin]:
     def binary(name, fn, result, zero):
         def call(rt: Interp, arg) -> Value:
             a, b = arg
-            if type(a) is not VInt or type(b) is not VInt:
+            if type(a) is not int or type(b) is not int:
                 raise RuntimeTrap("BAD_FIELD", f"{name} expects integers")
-            if zero is not None and b.value == 0:
+            if zero is not None and b == 0:
                 raise RuntimeTrap("DIV_ZERO", zero)
-            v = fn(a.value, b.value)
-            if result is VInt:
-                return VInt(_wrap64(v))
-            return TRUE if v else FALSE
+            v = fn(a, b)
+            return _wrap64(v) if result is int else v
 
         return VBuiltin(name, 2, call)
 
     def not_(rt: Interp, a: Value) -> Value:
-        if type(a) is not VBool:
+        if type(a) is not bool:
             raise RuntimeTrap("BAD_FIELD", "not expects a boolean")
-        return FALSE if a.value else TRUE
+        return not a
 
     table = {name: binary(name, *spec[1:]) for name, spec in _BINARY.items()}
     table["not"] = VBuiltin("not", 1, not_)
@@ -244,30 +234,19 @@ def _spread(value: Value, arity: int):
     return value.items
 
 
-def _writable(rt: Interp, value: Value) -> Cell:
-    """The cell that an update of `value` writes."""
-    if type(value) is not VAddr:
-        raise RuntimeTrap("BAD_FIELD", "value is not a record")
-    cell = rt.heap[value.addr]
-    if not cell.mutable:
-        raise RuntimeTrap("BAD_FIELD", f"{cell.tag} is immutable")
-    return cell
-
-
-def _alloc(rt: Interp, limit: _Check, tag: str, fields: dict, mutable: bool) -> VAddr:
+def _alloc(rt: Interp, limit: _Check, tag: str, fields: dict, mutable: bool) -> Cell:
     """A new record, once the pending charges that `limit` checks are
-    taken."""
+    taken. The trace names it by its ordinal among the run's records."""
     rt.steps += limit.total
     if rt.steps > rt.max_steps:
         raise limit
-    addr = len(rt.heap)
-    rt.heap.append(Cell(tag, fields, mutable))
     if rt.trace_enabled:
-        rt.trace.append(f"alloc {addr} {tag}")
-    return VAddr(addr)
+        rt.trace.append(f"alloc {rt.allocations} {tag}")
+    rt.allocations += 1
+    return Cell(tag, fields, mutable)
 
 
-def _build(rt: Interp, plan: tuple) -> VAddr:
+def _build(rt: Interp, plan: tuple) -> Cell:
     """A record literal of constants, from its plan: the arguments of its
     `_alloc`, with the plan of each field that is a record literal in
     place of its value. Fields are made in order, each before its record,
@@ -275,13 +254,3 @@ def _build(rt: Interp, plan: tuple) -> VAddr:
     limit, tag, fields, mutable = plan
     values = {f: _build(rt, v) if type(v) is tuple else v for f, v in fields}
     return _alloc(rt, limit, tag, values, mutable)
-
-
-def _done(rt: Interp, name: str, before: int, value: Value) -> Value:
-    """Record the steps of a call of definition `name` that started at
-    step `before`; returns the call's value."""
-    try:
-        rt.stats.call_steps[name].append(rt.steps - before)
-    except KeyError:
-        rt.stats.call_steps[name] = [rt.steps - before]
-    return value

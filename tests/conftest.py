@@ -82,21 +82,20 @@ def tree_literal(tree) -> str:
     )
 
 
-def value_to_pylist(interp, value) -> list[int]:
+def value_to_pylist(value) -> list[int]:
     """Convert a runtime `list int` into a Python list."""
-    from minimz.interp import VAddr, VInt
+    from minimz.interp import Cell
 
     out = []
     while True:
-        assert isinstance(value, VAddr)
-        cell = interp.heap[value.addr]
-        if cell.tag == "Nil":
+        assert type(value) is Cell
+        if value.tag == "Nil":
             return out
-        assert cell.tag == "Cons"
-        head = cell.fields["head"]
-        assert isinstance(head, VInt)
-        out.append(head.value)
-        value = cell.fields["tail"]
+        assert value.tag == "Cons"
+        head = value.fields["head"]
+        assert type(head) is int
+        out.append(head)
+        value = value.fields["tail"]
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from minimz.ast import DValDef, TApp, TBar, TForall, TTuple, TupleComp, TVar
 from minimz.check import Checker
 from minimz.cli import parse_manifest, run_case
 from minimz.driver import check_text, load_text, prelude, run_text
-from minimz.interp import Interp, RuntimeTrap, VBool
+from minimz.interp import Interp, RuntimeTrap
 from minimz.kinds import DataInfo, domain_comps
 from minimz.parser import parse_file
 from minimz.perms import Anchored, NameSupply, PermEnv, split_branch
@@ -301,7 +301,7 @@ def test_criterion_4_traversal_equivalence():
         for (value, interp), oracle, i in zip(
             _check_and_run(source, f"equiv_{style}.mz", entries), oracles, range(len(trees))
         ):
-            assert value_to_pylist(interp, value) == oracle, (style, i)
+            assert value_to_pylist(value) == oracle, (style, i)
     report(4, "four iteration styles agree with the in-order oracle on 100 trees")
 
 
@@ -338,8 +338,8 @@ def test_criterion_5_same_fringe():
     for (value, _), (a, b), i in zip(
         _check_and_run(source, "fringe.mz", entries), pairs, range(len(pairs))
     ):
-        assert isinstance(value, VBool)
-        assert value.value == (inorder(a) == inorder(b)), i
+        assert type(value) is bool
+        assert value == (inorder(a) == inorder(b)), i
     report(5, "equal over object iterators matches the fringe oracle on 50 pairs")
 
 
@@ -379,7 +379,7 @@ def test_criterion_6_filter():
         _check_and_run(source, "filter_equiv.mz", entries), trees, range(len(trees))
     ):
         expected = [x for x in inorder(t) if x % 2 == 0]
-        assert value_to_pylist(interp, value) == expected, i
+        assert value_to_pylist(value) == expected, i
     report(6, "filtered sequences match the oracle on 50 trees; size re-runs statically")
 
 

@@ -6,13 +6,13 @@ import pytest
 from conftest import corpus_text, value_to_pylist
 
 from minimz.driver import check_text, load_text, prelude, run_text
-from minimz.interp import Cell, RuntimeTrap, VAddr, VBool, VInt, VTuple, eval_program
+from minimz.interp import Cell, RuntimeTrap, VTuple, eval_program
 from minimz.runtime import _wrap64
 
 
 def test_size_of_three_node_tree():
     value, interp = run_text(corpus_text("run/run_size.mz"), "main", "run_size.mz")
-    assert isinstance(value, VInt) and value.value == 3
+    assert type(value) is int and value == 3
 
 
 def test_size_of_leaf():
@@ -21,7 +21,7 @@ val main: () -> int
 val main () = size Leaf
 """
     value, _ = run_text(src, "main", "t")
-    assert isinstance(value, VInt) and value.value == 0
+    assert type(value) is int and value == 0
 
 
 def test_plain_closure_can_fire_twice():
@@ -32,7 +32,7 @@ val main () =
   add (f 1, f 2)
 """
     value, _ = run_text(src, "main", "t")
-    assert value.value == 5
+    assert type(value) is int and value == 5
 
 
 def test_one_shot_reuse_traps():
@@ -64,12 +64,12 @@ def test_checked_corpus_runs_trap_free():
 
 def test_adt_loop_sequence():
     value, interp = run_text(corpus_text("run/run_adt_loop.mz"), "main", "t")
-    assert value_to_pylist(interp, value) == [1, 2, 3]
+    assert value_to_pylist(value) == [1, 2, 3]
 
 
 def test_same_fringe_run():
     value, _ = run_text(corpus_text("run/run_same_fringe.mz"), "main", "t")
-    assert isinstance(value, VBool) and value.value is True
+    assert value is True
 
 
 def test_determinism_value_and_trace():
@@ -200,13 +200,12 @@ def test_render_a_list_of_thousands_of_cells():
 
 def test_render_marks_cycles_and_repeats_shared_cells():
     _, interp = run_text(corpus_text("run/run_size.mz"), "main", "t")
-    base = len(interp.heap)
     # a: A { self = a; pair = (b, b) }, b: B { n = 7 }, shared but acyclic
-    a, b = VAddr(base), VAddr(base + 1)
-    interp.heap.append(Cell("A", {"self": a, "pair": VTuple([b, b])}, True))
-    interp.heap.append(Cell("B", {"n": VInt(7)}, True))
+    b = Cell("B", {"n": 7}, True)
+    a = Cell("A", {}, True)
+    a.fields.update(self=a, pair=VTuple([b, b]))
     assert interp.render(a) == "A { self = <cycle>; pair = (B { n = 7 }, B { n = 7 }) }"
-    assert interp.render(VTuple([a, VBool(True), VTuple([])])) == (
+    assert interp.render(VTuple([a, True, VTuple([])])) == (
         "(A { self = <cycle>; pair = (B { n = 7 }, B { n = 7 }) }, true, ())"
     )
 
@@ -431,7 +430,10 @@ def test_concurrent_runs_keep_each_others_recursion_limit():
     threads[1].start()
     for thread in threads:
         thread.join()
-    assert results == {"shallow": VInt(6765), "deep": VInt(3000)}
+    assert {entry: (type(v), v) for entry, v in results.items()} == {
+        "shallow": (int, 6765),
+        "deep": (int, 3000),
+    }
     assert sys.getrecursionlimit() == limit
 
 
@@ -469,7 +471,7 @@ val main () = st (3, 4)
 def test_names_that_are_python_keywords_builtins_or_internal_names_run():
     value, interp = run_text(NAMES, "main", "t")
     # class = 7, print 4 = 47, class' = 3 + 7 + 47, then 57 - 3
-    assert value == VInt(54)
+    assert (type(value), value) == (int, 54)
     assert interp.stats.steps == 49
 
 
@@ -478,7 +480,7 @@ def test_a_300_deep_else_if_chain_runs():
     src = f"val f: (n: int) -> int\nval f (n) =\n{arms}  0\n"
     src += "val main: () -> int\nval main () = f 305\n"
     value, interp = run_text(src, "main", "t")
-    assert value == VInt(0)
+    assert (type(value), value) == (int, 0)
     assert interp.stats.steps == 1504
 
 
@@ -521,7 +523,7 @@ def test_a_long_chain_runs_under_the_default_recursion_limit(chain, n):
     assert sys.getrecursionlimit() <= 1000
     text, expected, steps = chain(n)
     value, interp = run_text(text, "main", "t")
-    assert value == VInt(expected)
+    assert (type(value), value) == (int, expected)
     assert interp.stats.steps == steps
 
 
@@ -541,7 +543,8 @@ val main () = f true
 """
     assert check_text(src, "t")[2] == []
     for checked in (True, False):
-        assert run_text(src, "main", "t", checked=checked)[0] == VInt(112)
+        value = run_text(src, "main", "t", checked=checked)[0]
+        assert (type(value), value) == (int, 112)
 
 
 def _deep(shape: str, depth: int) -> str:
@@ -573,5 +576,5 @@ def _deep(shape: str, depth: int) -> str:
 )
 def test_deeply_nested_branches_run(shape, depth, value, steps):
     result, interp = run_text(_deep(shape, depth), "main", "t")
-    assert result == VInt(value)
+    assert (type(result), result) == (int, value)
     assert interp.stats.steps == steps

@@ -3,8 +3,9 @@
 `interp_pins.txt` holds, for every `run/` and `dyn/` RUN row of the corpus
 manifest and for each `--max-steps` value from 1 to the row's full step
 count, what the run gives: the trap, or the rendered value; `stats.steps`;
-the heap's size; the one-shot fires; the trace, as its length and a digest;
-and the number and sum of each function's `call_steps`. A row longer than
+the records allocated (`stats.allocations`, printed as `heap=`); the
+one-shot fires; the trace, as its length and a digest; and the number and
+sum of each function's `call_steps`. A row longer than
 `EVERY` steps is pinned at every value up to `EVERY`, then at every
 `STRIDE`-th value, then at its full count: its tail repeats one recursion,
 and a prime stride lands on each node of it. The file also pins the four
@@ -98,7 +99,7 @@ def pin(files, env, entry: str, max_steps: int, trace: bool = True) -> tuple[int
         f"{name}:{len(steps)}/{sum(steps)}" for name, steps in sorted(stats.call_steps.items())
     )
     return stats.steps, (
-        f"{shown} | steps={stats.steps} heap={len(interp.heap)} fires={stats.oneshot_fires}"
+        f"{shown} | steps={stats.steps} heap={stats.allocations} fires={stats.oneshot_fires}"
         f" trace={len(interp.trace)}:{digest} calls={calls}"
     )
 
