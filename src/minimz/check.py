@@ -229,18 +229,14 @@ class Checker:
         try:
             return self.sub.subsume(penv, goals, defer=defer)
         except SubsumptionFailure as exc:
-            goal = exc.goal
-            if isinstance(goal, Anchored):
-                goal = Anchored(goal.anchor, self.sub.uni.resolve(goal.ty))
-            raise CheckFailure(
-                Diagnostic(
-                    code,
-                    f"permission not available: {goal}",
-                    span,
-                    str(exc.env),
-                    goal=goal,
-                )
-            ) from exc
+            goal, env = exc.goal, exc.env
+        # Raised outside the handler, the check's failure keeps no frame of
+        # the search as its cause or context.
+        if isinstance(goal, Anchored):
+            goal = Anchored(goal.anchor, self.sub.uni.resolve(goal.ty))
+        raise CheckFailure(
+            Diagnostic(code, f"permission not available: {goal}", span, str(env), goal=goal)
+        )
 
     def _fail(self, code: str, message: str, span: Span, penv: PermEnv | None = None):
         snapshot = str(penv) if penv is not None else ""
@@ -330,6 +326,7 @@ class Checker:
         if isinstance(e, EField):
             obj, penv = self.check_expr(penv, e.obj, None)
             penv, handle = self._structural(penv, obj, e.span)
+            penv, handle = self.sub.open_fields(penv, handle)
             ty = penv.atom(handle).ty
             assert isinstance(ty, TConcrete)
             for fname, fty in ty.fields:
@@ -559,9 +556,9 @@ class Checker:
                 if pat.tag == ty.tag:
                     # also split a nominal permission held next to this one
                     split = self.sub.split_along(penv, handle, ty)
-                    penv2 = penv if split is None else split
+                    penv2, opened = self.sub.open_fields(penv if split is None else split, handle)
                     pairs = []
-                    for (_, fpat), (_, actual) in zip(pat.fields, ty.fields):
+                    for (_, fpat), (_, actual) in zip(pat.fields, penv2.atom(opened).ty.fields):
                         assert isinstance(actual, TSingleton)
                         penv2 = self._bind_pattern(penv2, fpat, actual.name, pairs)
                     return self.check_expr(penv2, body, tail, pairs)

@@ -392,6 +392,28 @@ class Subsumer:
             return penv.replace(handle, structural, *extra)
         return None
 
+    def open_fields(self, penv: PermEnv, handle: Handle) -> tuple[PermEnv, Handle]:
+        """Name the typed fields of the structural atom `handle`, as
+        `open_atom` names a tuple's typed components: `x @ T { f: t }`
+        becomes `x @ T { f = a }` and `a @ t`, for a fresh anchor `a` after
+        `f`. Returns the environment and the handle of the structural atom;
+        `penv` and `handle` themselves when every field is named."""
+        atom = penv.atom(handle)
+        ty = atom.ty
+        fields: list[tuple[str, Type]] = []
+        extra: list[Atom] = []
+        for fname, fty in ty.fields:
+            if fty.__class__ is not TSingleton:
+                anchor = self.names.fresh(fname)
+                extra.extend(admit_atoms(self.env, anchor, fty))
+                fty = TSingleton(anchor)
+            fields.append((fname, fty))
+        if not extra:
+            return penv, handle
+        structural = Anchored(atom.anchor, TConcrete(ty.tag, tuple(fields), ty.bar, ty.span))
+        penv = penv.replace(handle, structural, *extra)
+        return penv, next(h for h, a in penv.atoms_of(atom.anchor) if a is structural)
+
     def _tuple_view(
         self, penv: PermEnv, anchor: str, length: int, structural: bool
     ) -> tuple[Handle, TTuple] | None:
@@ -443,9 +465,10 @@ class Subsumer:
             mark = bindings.mark()
             try:
                 penv = self.subsume_atom(penv, goal, defer)
-            except SubsumptionFailure:
+            except SubsumptionFailure as failure:
                 bindings.undo_to(mark)
-                raise
+                # Its traceback holds the frame of `_back_off`, which holds it.
+                raise failure.with_traceback(None)
         return penv
 
     def subsume_atom(
@@ -550,7 +573,10 @@ class Subsumer:
         self, failure: SubsumptionFailure, choices: _Level | None
     ) -> tuple[PermEnv, tuple, _Level]:
         """Back off from `failure` to the newest open level with an atom left:
-        the environment, goal stack and open levels with that atom taken."""
+        the environment, goal stack and open levels with that atom taken.
+        A failure is sent to a level, which may keep it, without its
+        traceback: the frames of the search it holds would hold it in turn."""
+        failure.__traceback__ = None
         while choices is not None:
             level = choices
             choices = level.older
@@ -560,7 +586,7 @@ class Subsumer:
                 penv, stack = _take(level, level.rest.send(failure))
                 return penv, stack, level
             except SubsumptionFailure as exc:  # the level has none left
-                failure = exc
+                failure = exc.with_traceback(None)
         raise failure
 
     def _pick(self, goal: Anchored, penv: PermEnv) -> Generator[tuple, SubsumptionFailure, None]:

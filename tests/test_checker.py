@@ -1,5 +1,7 @@
+import gc
 import subprocess
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -680,9 +682,9 @@ def test_a_checker_diagnostic(src, code, spanned, message):
     )
 
 
-# A structural permission with a typed field, `x @ Cell { v: int }`, is not
-# opened into a field permission: only a tuple's is (`Subsumer.open_atom`).
-# Reading its field or matching on it fails an assertion in the checker.
+# A structural permission with a typed field, `x @ Cell { v: int }`: reading
+# the field or matching on the tag names the field, as a tuple's typed
+# components are named (`Subsumer.open_fields`).
 STRUCTURAL_FIELD = """
 data mutable cell = Cell { v: int }
 
@@ -691,7 +693,6 @@ val mk () = Cell { v = 1 }
 """
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True, reason="typed fields are not opened")
 @pytest.mark.parametrize(
     "src",
     [
@@ -702,3 +703,53 @@ val mk () = Cell { v = 1 }
 )
 def test_a_typed_field_of_a_structural_permission_is_read(src):
     assert check_text(STRUCTURAL_FIELD + src, "t")[2] == []
+
+
+@pytest.mark.parametrize(
+    "body, accepted",
+    [("x.v", True), ("(x.v, x.v)", False),
+     ("match x with | Cell { v = r } -> r", True), ("match x with | Cell { v = r } -> (r, r)", False)],
+)
+def test_a_named_typed_field_holds_its_one_permission(body, accepted):
+    # `ref int` is affine: the field's one permission goes to one result.
+    result = "ref int" if accepted else "(ref int, ref int)"
+    src = (
+        "data mutable cell = Cell { v: ref int }\n"
+        f"val f: (consumes x: Cell {{ v: ref int }}) -> {result}\nval f (x) = {body}\n"
+    )
+    diags = check_text(src, "t")[2]
+    assert [(d.code, d.message) for d in diags] == (
+        [] if accepted else [("E-SUBSUME", "permission not available: v$0 @ ref int")]
+    )
+
+
+# A clean check whose search backs off from a tuple to the next: the first
+# structural tuple of `p` fails its component's field goal.
+BACKED_OFF = """
+val f: (n: int, m: int, p: (Cons { head = m; tail = m }, int) | p @ (Cons { head = n; tail = m }, int)) -> int
+val f (n, m, p) = n
+"""
+
+
+@pytest.mark.parametrize(
+    "src, rejected",
+    [(corpus_text("neg/neg_double_stop.mz"), True), (corpus_text("pos/iter.mz"), False),
+     (BACKED_OFF, False)],
+    ids=["rejected", "clean", "backed off"],
+)
+def test_a_finished_check_is_freed_without_the_cycle_collector(src, rejected):
+    # A rejected definition's failure, and the failures its search backed off
+    # from, must keep no frame of the search that holds them.
+    file, env = load_text(src, "t")
+    gc.collect()
+    gc.disable()
+    try:
+        checker = Checker(env)
+        diags = checker.check_file(file)
+        assert bool(diags) == rejected
+        ref = weakref.ref(checker)
+        del checker, diags
+        assert ref() is None
+        assert gc.collect() == 0  # the check left no cyclic garbage either
+    finally:
+        gc.enable()
