@@ -13,11 +13,19 @@ the shape of the definition, and `_code` keeps the code of recent texts:
 the runs of one process that load the same definition, as the files of
 `minimz test` that share a library do, compile it once.
 
+Values are those of `runtime`: an int or bool is the Python value, whose
+kind the code tests with `type(x) is int` or `type(x) is bool` (a `bool`
+is an `int` to `isinstance`), and a record is its `Cell`, whose `tag` and
+`fields` no other value has, so a read of either traps on any other value
+by its `AttributeError`. Where an atom's type is fixed (a constant, a new
+record, the result of a builtin written out) its checks are left out.
+
 A function reaches the run through its first parameter, and a call of
 another definition reads the run's globals at call time, so compiled code
-holds no `Interp`, heap or globals: closures end up in heap records, and
-holding the run would make every finished run a reference cycle that only
-the cycle collector frees.
+holds no `Interp` or globals: closures end up in records, and holding the
+run would make every finished run a reference cycle that only the cycle
+collector frees. A definition's code appends the steps of each call that
+returns to its list in `Stats.calls`, a constant of its namespace.
 
 The step count is `Interp.steps`. Steps charged in a row are added and
 checked against the limit at once, before anything that can be seen after
@@ -285,8 +293,7 @@ class _Compiler:
     # -- functions -----------------------------------------------------------------
 
     def definition(self, decl: DValDef):
-        # The steps of each call of the definition that returns, in order.
-        self.ns["C"] = self.stats.call_steps.setdefault(decl.name, [])
+        self.ns["C"] = self.stats.calls.setdefault(decl.name, [])
         fn = self.function(True, list(decl.params), decl.body, 1)
         if len(self.roots) == 1:
             text = self.finish(*self.roots[0], "")

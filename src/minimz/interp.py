@@ -91,12 +91,8 @@ class Interp:
                 raise RuntimeTrap("STEP_LIMIT", "evaluation recursion too deep") from None
             finally:
                 sys.setrecursionlimit(limit)
-                stats = self.stats
-                stats.steps = self.steps
-                stats.allocations = self.allocations
-                # A definition's list is made when it is compiled, and stays
-                # empty while no call of it has returned.
-                stats.call_steps = {name: s for name, s in stats.call_steps.items() if s}
+                self.stats.steps = self.steps
+                self.stats.allocations = self.allocations
 
     # -- rendering ---------------------------------------------------------------
 

@@ -265,7 +265,7 @@ val main_{i} () =
 
 def _check_and_run(source: str, path: str, entries: list[str]):
     """Parse and resolve once; check; evaluate every entry on one shared
-    interpreter (the entries are self-contained, so a shared heap is
+    interpreter (the entries are self-contained, so sharing it is
     harmless)."""
     from minimz.check import Checker
 

@@ -6,7 +6,7 @@ import pytest
 from conftest import corpus_text, value_to_pylist
 
 from minimz.driver import check_text, load_text, prelude, run_text
-from minimz.interp import Cell, RuntimeTrap, VTuple, eval_program
+from minimz.interp import Cell, Interp, RuntimeTrap, VTuple, eval_program
 from minimz.runtime import _wrap64
 
 
@@ -125,6 +125,26 @@ def test_stop_is_constant_time_mid_iteration():
         (steps,) = interp.stats.call_steps["stop"]
         counts.append(steps)
     assert counts[0] == counts[1] == counts[2]
+
+
+def test_only_returned_calls_record_their_steps_across_runs():
+    src = """
+val f: (n: int) -> int
+val f (n) = if eq (n, 0) then div (1, n) else n
+val bad: () -> int
+val bad () = f 0
+val good: () -> int
+val good () = f 5
+"""
+    file, env = load_text(src, "t")
+    interp = Interp(env, [prelude()[0], file])
+    with pytest.raises(RuntimeTrap):
+        interp.run("bad")
+    assert interp.stats.call_steps == {}  # f was compiled, and trapped
+    interp.run("good")
+    steps = interp.stats.call_steps
+    assert sorted(steps) == ["f", "good"] and len(steps["f"]) == len(steps["good"]) == 1
+    assert steps["good"][0] == steps["f"][0] + 3  # the call, its callee and its argument
 
 
 def test_runaway_recursion_traps_instead_of_crashing():
