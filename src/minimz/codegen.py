@@ -25,7 +25,7 @@ another definition reads the run's globals at call time, so compiled code
 holds no `Interp` or globals: closures end up in records, and holding the
 run would make every finished run a reference cycle that only the cycle
 collector frees. A definition's code appends the steps of each call that
-returns to its list in `Stats.calls`, a constant of its namespace.
+returns to its list in `Interp.calls`, a constant of its namespace.
 
 The step count is `Interp.steps`. Steps charged in a row are added and
 checked against the limit at once, before anything that can be seen after
@@ -208,7 +208,7 @@ class _Compiler:
     def __init__(self, rt: Interp):
         self.globals = rt.globals
         self.env = rt.env
-        self.stats = rt.stats
+        self.calls = rt.calls
         self.ns: dict[str, object] = dict(_RUNTIME, L=rt.max_steps)
         self.consts: dict[tuple, str] = {}
         self.checks: dict[tuple, str] = {}
@@ -293,7 +293,7 @@ class _Compiler:
     # -- functions -----------------------------------------------------------------
 
     def definition(self, decl: DValDef):
-        self.ns["C"] = self.stats.calls.setdefault(decl.name, [])
+        self.ns["C"] = self.calls.setdefault(decl.name, [])
         fn = self.function(True, list(decl.params), decl.body, 1)
         if len(self.roots) == 1:
             text = self.finish(*self.roots[0], "")

@@ -46,10 +46,13 @@ class Interp:
         self.env = env
         self.max_steps = max_steps
         self.stats = Stats()
-        # The step count, as of the last call or trap, and the records made;
-        # `run` copies both into `stats`.
+        # The step count, as of the last call or trap; the records made; and
+        # for each compiled definition, the steps of each of its calls that
+        # returned, in a list its code appends to. `run` copies them into
+        # `stats`.
         self.steps = 0
         self.allocations = 0
+        self.calls: dict[str, list[int]] = {}
         self.trace_enabled = trace
         self.trace: list[str] = []
         self.oneshot_seq = 0
@@ -93,6 +96,7 @@ class Interp:
                 sys.setrecursionlimit(limit)
                 self.stats.steps = self.steps
                 self.stats.allocations = self.allocations
+                self.stats.call_steps = {name: s for name, s in self.calls.items() if s}
 
     # -- rendering ---------------------------------------------------------------
 

@@ -126,15 +126,9 @@ class Stats:
     steps: int = 0
     allocations: int = 0
     oneshot_fires: int = 0
-    # The steps of each returned call of a definition, in order, in a list
-    # made when the definition is compiled; its code appends to it.
-    calls: dict[str, list[int]] = field(default_factory=dict)
-
-    @property
-    def call_steps(self) -> dict[str, list[int]]:
-        """The steps of each returned call, by definition: a definition
-        none of whose calls has returned has no entry."""
-        return {name: steps for name, steps in self.calls.items() if steps}
+    # The steps of each returned call, by definition: a definition none of
+    # whose calls has returned has no entry.
+    call_steps: dict[str, list[int]] = field(default_factory=dict)
 
 
 def _quot(a: int, b: int) -> int:
