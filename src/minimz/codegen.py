@@ -191,7 +191,7 @@ class _Body:
         self.size = 0  # identifiers made in this function
         self.params: list[str] = []  # a root's captured identifiers
         self.prologue: dict[str, str] = {}
-        self.records = records  # a definition's: its returns record the call's steps
+        self.records = records  # a definition: each return records the call's steps
         self.pending: list[int] = []
 
 
