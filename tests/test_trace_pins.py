@@ -1,10 +1,11 @@
 """Golden test of `minimz run --trace`.
 
 `trace_pins.txt` holds, for each command below, the command, its exit
-status and everything it prints: the trace lines (`alloc N Tag` for the
-N-th record allocated, `oneshot K` for a fire of the K-th one-shot group),
-then the value, or the trap a trapped run ends with. A change to the
-interpreter that keeps its behaviour must leave the file unchanged.
+status and everything it prints: the trace lines (`alloc N Tag` for a
+record allocated after N others, `oneshot K` for a fire of the K-th
+one-shot group), then the value, or the trap a trapped run ends with. A
+change to the interpreter that keeps its behaviour must leave the file
+unchanged.
 
 To rewrite the file after an intended change of behaviour:
 
