@@ -753,3 +753,70 @@ def test_a_finished_check_is_freed_without_the_cycle_collector(src, rejected):
         assert gc.collect() == 0  # the check left no cyclic garbage either
     finally:
         gc.enable()
+
+
+SAME = (
+    "data mutable cell = Cell { v: int }\n"
+    "val same: (c: cell) -> =c\nval same (c) = c\n"
+)
+
+
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        ("val id: (x: int) -> =x\nval id (x) = x\nval g: () -> int\nval g () = id 1", []),
+        (SAME + "val g: (consumes c: cell) -> cell\nval g (c) = same c", []),
+        # `same c` is `c` itself, and `c` has one permission
+        (
+            SAME + "val g: (consumes c: cell) -> (cell, cell)\nval g (c) = (same c, c)",
+            [("E-SUBSUME", "permission not available: c @ cell")],
+        ),
+    ],
+    ids=["int", "cell", "cell twice"],
+)
+def test_a_call_with_a_singleton_codomain_gives_back_its_argument(src, expected):
+    assert [(d.code, d.message) for d in check_text(src, "t")[2]] == expected
+
+
+@pytest.mark.parametrize(
+    "pattern, expected",
+    [
+        ("(a, b)", []),
+        ("(a, b, c)", [("E-ARITY", "tuple pattern expects 2 component(s)", "(a, b, c)")]),
+    ],
+)
+def test_a_tuple_pattern_in_a_field_of_a_match_arm(pattern, expected):
+    src = (
+        "val f: (l: list (int, int)) -> int\nval f (l) = match l with\n"
+        f"  | Nil -> 0\n  | Cons {{ head = {pattern}; tail = t }} -> add (a, b)\n"
+    )
+    diags = check_text(src, "t")[2]
+    assert [(d.code, d.message, src[d.span.start :][: d.span.length]) for d in diags] == expected
+
+
+TAG_KEEPS = """
+data mutable d = A { x: int; y: int } | B { x: int }
+
+val f: (v: d) -> int
+val f (v) = match v with
+  | A { x = x; y = y } -> tag of v <- B { }; v.x
+  | B { x = x } -> x
+
+val g: (consumes v: d) -> d
+val g (v) = match v with
+  | A { x = x; y = y } -> tag of v <- B { }; v
+  | B { x = x } -> v
+
+val main: () -> int
+val main () = f (A { x = 5; y = 6 })
+"""
+
+
+def test_a_tag_update_keeps_the_fields_it_does_not_give():
+    assert check_text(TAG_KEEPS, "t")[2] == []
+    assert run_text(TAG_KEEPS, "main", "t")[0] == 5
+    # the field `B` has not is gone
+    gone = TAG_KEEPS.replace("<- B { }; v.x", "<- B { }; v.y")
+    assert [(d.code, d.message) for d in check_text(gone, "t")[2]] == [
+        ("E-SUBSUME", "no field 'y' on B")
+    ]
