@@ -58,7 +58,6 @@ from .perms import (
     Anchored,
     Atom,
     Handle,
-    NameSupply,
     PermEnv,
     SubsumptionFailure,
     admit_atoms,
@@ -121,7 +120,6 @@ class Checker:
     # ------------------------------------------------------------------
 
     def check_file(self, file: SourceFile) -> list[Diagnostic]:
-        names = NameSupply()
         diags: list[Diagnostic] = []
         own = {d.name for d in file.decls if isinstance(d, DValSig)}
         # names this file declares and never defines: nothing runs for them
@@ -132,19 +130,17 @@ class Checker:
                 available[decl.name] = self.env.sigs[decl.name]
             elif isinstance(decl, DValDef):
                 try:
-                    self.check_function_def(
-                        decl, self.env.sigs[decl.name], available, names
-                    )
+                    self.check_function_def(decl, self.env.sigs[decl.name], available)
                 except CheckFailure as exc:
                     diags.append(exc.diag)
         return diags
 
-    def check_function_def(
-        self, decl: DValDef, sig: Type, available: dict[str, Type], names: NameSupply
-    ) -> None:
+    def check_function_def(self, decl: DValDef, sig: Type, available: dict[str, Type]) -> None:
         """Check `decl` against `sig`, with the top-level values `available`
-        (name to type) in scope, drawing fresh names from `names`."""
-        self.sub = Subsumer(self.env, names)
+        (name to type) in scope. The check has its own `Subsumer`, whose
+        unifier draws every fresh name, so a definition is checked alike
+        alone or after others."""
+        self.sub = Subsumer(self.env)
         self.available = available
         self.locals = Scope()
         self.tyvars: dict[str, Kind] = {}
@@ -169,7 +165,7 @@ class Checker:
         names a top-level value, a held permission or a local's anchor."""
         taken = penv.global_type(name) is not None or penv.holds_anchor(name)
         if taken or name in self.locals.values():
-            return self.sub.names.fresh(name)
+            return self.sub.uni.fresh_name(name)
         return name
 
     def _enter_domain(
@@ -206,7 +202,7 @@ class Checker:
 
     def _new_value(self, penv: PermEnv, ty: Type, base: str) -> tuple[str, PermEnv]:
         """A value of type `ty` at a fresh anchor named after `base`."""
-        anchor = self.sub.names.fresh(base)
+        anchor = self.sub.uni.fresh_name(base)
         return anchor, penv.add(Anchored(anchor, ty))
 
     def _admit_result(self, penv: PermEnv, ty: Type, base: str) -> tuple[str, PermEnv]:
@@ -531,7 +527,7 @@ class Checker:
         info = self.env.types[ty.head]
         assert isinstance(info, DataInfo)
         (branch,) = info.branches.values()
-        names = (self.sub.names.fresh(fname) for fname, _ in branch.fields)
+        names = (self.sub.uni.fresh_name(fname) for fname, _ in branch.fields)
         split = split_branch(self.env, atom.anchor, ty, branch.tag, names)
         return penv.replace(handle, *split)
 
@@ -589,7 +585,7 @@ class Checker:
                 if isinstance(fpat, PVar):
                     names.append(self._mk_anchor(penv, fpat.name))
                 else:
-                    names.append(self.sub.names.fresh(fname))
+                    names.append(self.sub.uni.fresh_name(fname))
             split = split_branch(self.env, scrutinee, ty, pat.tag, names)
             penv2 = penv.replace(handle, *split)
             pairs = []
@@ -619,7 +615,7 @@ class Checker:
             penv = self._subsume_or_fail(penv, [Anchored(anchor, result_ty)], span)
             left.append(penv.atoms)
         common = _intersect(left)
-        anchor = self.sub.names.fresh("j")
+        anchor = self.sub.uni.fresh_name("j")
         penv = PermEnv(self.env, common, self.available).add(
             Anchored(anchor, self.sub.uni.resolve(result_ty))
         )

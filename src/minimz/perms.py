@@ -48,18 +48,6 @@ from .ast import (
 from .kinds import AliasInfo, DataInfo, Env, PrimInfo
 
 
-class NameSupply:
-    """Fresh names of the form `base$k`; `$` is not lexable, so they never
-    collide with user-written identifiers. Each check owns one supply, so
-    the names it draws depend only on what it checks."""
-
-    def __init__(self) -> None:
-        self._next = itertools.count()
-
-    def fresh(self, base: str) -> str:
-        return f"{base}${next(self._next)}"
-
-
 # ---------------------------------------------------------------------------
 # Duplicability
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ folded and the anchors being split.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Generator, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -78,7 +79,6 @@ from .perms import (
     DUPLICABLE,
     Handle,
     MetaPerm,
-    NameSupply,
     PermEnv,
     PermVar,
     SubsumptionFailure,
@@ -122,17 +122,23 @@ class _Field(NamedTuple):
 
 
 class Unifier:
-    """The solutions of one definition's metavariables. `bindings` keeps an
-    undo trail: an attempt that backs off takes its `mark()` first and gives
-    back what it bound with `undo_to`."""
+    """The solutions of one definition's metavariables, and its one supply
+    of fresh names. `bindings` keeps an undo trail: an attempt that backs
+    off takes its `mark()` first and gives back what it bound with
+    `undo_to`. One counter numbers the fresh names `base$k` and the
+    metavariables `base%k`, so the names a definition's check draws depend
+    on that definition alone; `$` and `%` are not lexable, so they never
+    collide with user-written identifiers."""
 
     def __init__(self) -> None:
         self.bindings = Scope()
-        self._counter = 0
+        self._counter = itertools.count()
+
+    def fresh_name(self, base: str) -> str:
+        return f"{base}${next(self._counter)}"
 
     def fresh(self, base: str, kind=KIND_TYPE) -> TMeta:
-        self._counter += 1
-        return TMeta(f"{base}%{self._counter}", kind)
+        return TMeta(f"{base}%{next(self._counter)}", kind)
 
     def shallow(self, t: Type) -> Type:
         while isinstance(t, TMeta) and t.name in self.bindings:
@@ -169,13 +175,12 @@ def _occurs(name: str, t: Type) -> bool:
 
 @dataclass
 class Subsumer:
-    """Extraction for one definition: `uni` holds its metavariables, and
-    `names` is the supply of the check it belongs to. `guard` holds, on the
-    path of the current search, the duplicable atoms being folded and the
-    anchors being split; it is empty between searches."""
+    """Extraction for one definition: `uni` holds its metavariables and
+    draws its fresh names. `guard` holds, on the path of the current
+    search, the duplicable atoms being folded and the anchors being split;
+    it is empty between searches."""
 
     env: Env
-    names: NameSupply
     uni: Unifier = field(default_factory=Unifier)
     guard: Scope = field(default_factory=Scope)
 
@@ -236,7 +241,7 @@ class Subsumer:
             for (na, ka), (nb, kb) in zip(a.binders, b.binders):
                 if ka != kb:
                     return False
-                subst_a[na] = subst_b[nb] = TVar(self.names.fresh("alpha"))
+                subst_a[na] = subst_b[nb] = TVar(self.uni.fresh_name("alpha"))
             return self.unify(
                 subst_type(a.body, subst_a), subst_type(b.body, subst_b)
             )
@@ -287,7 +292,7 @@ class Subsumer:
             ):
                 return None
             if ca.name is not None or cb.name is not None:
-                tok = self.names.fresh("comp")
+                tok = self.uni.fresh_name("comp")
                 if ca.name is not None:
                     values_a[ca.name] = tok
                 if cb.name is not None:
@@ -361,7 +366,7 @@ class Subsumer:
         if isinstance(ty, TExists):
             subst: dict[str, Type] = {}
             for name, kind in ty.binders:
-                subst[name] = TVar(self.names.fresh(name))
+                subst[name] = TVar(self.uni.fresh_name(name))
             return penv.replace(handle, Anchored(atom.anchor, subst_type(ty.body, subst)))
         if isinstance(ty, TBar):
             return penv.replace(handle, *admit_atoms(self.env, atom.anchor, ty))
@@ -383,7 +388,7 @@ class Subsumer:
                     anchor = pinned[i]
                     extra.extend(admit_atoms(self.env, anchor, cty))
                 else:
-                    anchor = self.names.fresh(comp.name or "c")
+                    anchor = self.uni.fresh_name(comp.name or "c")
                     extra.extend(admit_atoms(self.env, anchor, cty))
                 if comp.name is not None:
                     values[comp.name] = anchor
@@ -404,7 +409,7 @@ class Subsumer:
         extra: list[Atom] = []
         for fname, fty in ty.fields:
             if fty.__class__ is not TSingleton:
-                anchor = self.names.fresh(fname)
+                anchor = self.uni.fresh_name(fname)
                 extra.extend(admit_atoms(self.env, anchor, fty))
                 fty = TSingleton(anchor)
             fields.append((fname, fty))

@@ -26,7 +26,7 @@ from minimz.driver import check_text, load_text, prelude, run_text
 from minimz.interp import Interp, RuntimeTrap
 from minimz.kinds import DataInfo, domain_comps
 from minimz.parser import parse_file
-from minimz.perms import Anchored, NameSupply, PermEnv, split_branch
+from minimz.perms import Anchored, PermEnv, split_branch
 from minimz.printer import pretty_print
 from minimz.subsume import Subsumer
 
@@ -93,7 +93,6 @@ def test_criterion_2_splitting_oracle():
     rng = random.Random(1342)
     source, names = _random_record_decls(rng, 200)
     _, env = load_text(source, "records.mz")
-    supply = NameSupply()
     checked = 0
     for name in names:
         info = env.types[name]
@@ -102,13 +101,14 @@ def test_criterion_2_splitting_oracle():
         # seed the environment with colliding-looking names
         decoys = tuple(Anchored(f"f{j}", TApp("int", ())) for j in range(5))
         existing = {a.anchor for a in decoys} | {"x"}
-        # split `x @ name` as the checker refines a one-branch data type
-        names = (supply.fresh(f) for f, _ in branch.fields)
+        # split `x @ name` as the checker refines a one-branch data type,
+        # with the fresh names of one definition's check
+        sub = Subsumer(env)
+        names = (sub.uni.fresh_name(f) for f, _ in branch.fields)
         atoms = split_branch(env, "x", TApp(name, ()), branch.tag, names)
         introduced = {a.anchor for a in atoms[1:] if isinstance(a, Anchored)}
         assert introduced.isdisjoint(existing), "freshness violated"
         penv = PermEnv(env, decoys + tuple(atoms))
-        sub = Subsumer(env, supply)
         left = sub.subsume(penv, [Anchored("x", TApp(name, ()))])
         # every decoy is untouched (frame)
         for decoy in decoys:
@@ -150,10 +150,10 @@ class FramedChecker(Checker):
         super().__init__(env)
         self.framed = []
 
-    def check_function_def(self, decl, sig, available, names):
+    def check_function_def(self, decl, sig, available):
         self.framed.append(decl.name)
         framed = replace(decl, params=decl.params + (None,))
-        super().check_function_def(framed, _with_frame(sig), available, names)
+        super().check_function_def(framed, _with_frame(sig), available)
 
 
 def test_criterion_3_frame_property():

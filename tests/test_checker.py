@@ -7,7 +7,8 @@ from collections import Counter
 import pytest
 from conftest import CORPUS, corpus_text
 
-from minimz.check import Checker
+from minimz.ast import DValDef, DValSig
+from minimz.check import Checker, CheckFailure
 from minimz.driver import check_text, load_text, run_text
 from minimz.interp import RuntimeTrap
 
@@ -23,6 +24,11 @@ val size (t) =
   | Leaf -> 0
   | Node { left = l; elem = x; right = r } -> add (add (size l, size r), 1)
 """
+
+
+CORPUS_FILES = sorted(
+    p.relative_to(CORPUS).as_posix() for p in CORPUS.rglob("*.mz") if p.name != "prelude.mz"
+)
 
 
 def codes(diags):
@@ -181,8 +187,37 @@ def test_checking_twice_in_one_process_gives_the_same_names():
     text = corpus_text("neg/neg_double_stop.mz")
     first = check_text(text, "neg_double_stop.mz")[2]
     second = check_text(text, "neg_double_stop.mz")[2]
-    assert [d.perm_snapshot for d in first] == ["r$39 @ () * post"]
+    assert [d.perm_snapshot for d in first] == ["r$2 @ () * post"]
     assert first == second
+
+
+def _each_definition_alone(rel):
+    """The diagnostics of every definition of `rel`, each checked by a new
+    checker with what `check_file` gives it at that point: the signatures
+    available so far and the file's undefined names."""
+    file, env = load_text(corpus_text(rel), rel)
+    own = {d.name for d in file.decls if isinstance(d, DValSig)}
+    undefined = own - {d.name for d in file.decls if isinstance(d, DValDef)}
+    available = {name: ty for name, ty in env.sigs.items() if name not in own}
+    diags = []
+    for decl in file.decls:
+        if isinstance(decl, DValSig):
+            available[decl.name] = env.sigs[decl.name]
+        elif isinstance(decl, DValDef):
+            checker = Checker(env)
+            checker.undefined = undefined
+            try:
+                checker.check_function_def(decl, env.sigs[decl.name], dict(available))
+            except CheckFailure as exc:
+                diags.append(exc.diag)
+    return diags
+
+
+@pytest.mark.parametrize("rel", CORPUS_FILES)
+def test_a_definition_checks_as_it_does_in_its_file(rel):
+    # Code, span, message and snapshot: the names a diagnostic shows are
+    # drawn by its own definition alone.
+    assert _each_definition_alone(rel) == check_text(corpus_text(rel), rel)[2]
 
 
 def _check_corpus(order: list[str], out: dict) -> None:
@@ -198,14 +233,12 @@ def _check_corpus(order: list[str], out: dict) -> None:
 
 
 def test_checks_on_two_threads_give_the_sequential_diagnostics():
-    """Each check draws its `$k` names from a supply of its own, so a check
-    that runs next to another gives every diagnostic (code, span, message
-    and permission snapshot) that it gives alone."""
+    """Each definition's check draws its `$k` names from its own unifier, so
+    a check that runs next to another gives every diagnostic (code, span,
+    message and permission snapshot) that it gives alone."""
     import threading
 
-    files = sorted(
-        p.relative_to(CORPUS).as_posix() for p in CORPUS.rglob("*.mz") if p.name != "prelude.mz"
-    )
+    files = CORPUS_FILES
     sequential: dict = {}
     _check_corpus(files, sequential)
     assert any(isinstance(d, list) and d for d in sequential.values())

@@ -30,7 +30,6 @@ from minimz.perms import (
     Anchored,
     DUPLICABLE,
     MetaPerm,
-    NameSupply,
     PermEnv,
     PermVar,
     SubsumptionFailure,
@@ -119,17 +118,17 @@ INT = TApp("int", ())
 TREE_INT = TApp("tree", (INT,))
 
 
-def _split_tree(env, tag, names=None, supply=None):
+def _split_tree(env, tag, names=None, uni=None):
     """Split `t @ tree int` along its branch `tag`, with field names drawn
-    from `supply` (a new one by default) unless `names` are given."""
+    from the unifier `uni` (a new one by default) unless `names` are given."""
     from minimz.kinds import DataInfo
 
     info = env.types["tree"]
     assert isinstance(info, DataInfo)
     branch = info.branches[tag]
     if names is None:
-        supply = supply or NameSupply()
-        names = (supply.fresh(f) for f, _ in branch.fields)
+        uni = uni or Unifier()
+        names = (uni.fresh_name(f) for f, _ in branch.fields)
     return branch, split_branch(env, "t", TREE_INT, tag, names)
 
 
@@ -164,7 +163,7 @@ def test_split_concrete_no_fields(tree_env):
 def test_split_then_fold_subsumes_nominal(tree_env):
     _, atoms = _split_tree(tree_env, "Node")
     penv = PermEnv(tree_env, tuple(atoms))
-    sub = Subsumer(tree_env, NameSupply())
+    sub = Subsumer(tree_env)
     left = sub.subsume(penv, [Anchored("t", TREE_INT)])
     # The nominal permission was reassembled: the affine pieces (subtrees)
     # are consumed; only duplicable residue (the int element) may remain.
@@ -174,9 +173,9 @@ def test_split_then_fold_subsumes_nominal(tree_env):
 
 
 def test_split_names_are_fresh(tree_env):
-    supply = NameSupply()
-    _, first = _split_tree(tree_env, "Node", supply=supply)
-    _, second = _split_tree(tree_env, "Node", supply=supply)
+    uni = Unifier()
+    _, first = _split_tree(tree_env, "Node", uni=uni)
+    _, second = _split_tree(tree_env, "Node", uni=uni)
     names_first = {a.anchor for a in first[1:]}
     names_second = {a.anchor for a in second[1:]}
     assert names_first.isdisjoint(names_second)
@@ -227,14 +226,14 @@ def test_normalize_expands_an_alias_of_kind_perm_alone():
 
 def test_duplicable_idempotence(tree_env):
     penv = PermEnv(tree_env, (Anchored("x", TApp("int", ())),))
-    sub = Subsumer(tree_env, NameSupply())
+    sub = Subsumer(tree_env)
     out = sub.subsume(penv, [Anchored("x", TApp("int", ())), Anchored("x", TApp("int", ()))])
     assert out.atoms == penv.atoms  # duplicable extraction removes nothing
 
 
 def test_affine_linearity(tree_env):
     penv = PermEnv(tree_env, (Anchored("x", ty("tree int")),))
-    sub = Subsumer(tree_env, NameSupply())
+    sub = Subsumer(tree_env)
     with pytest.raises(SubsumptionFailure):
         sub.subsume(penv, [Anchored("x", ty("tree int")), Anchored("x", ty("tree int"))])
 
@@ -255,11 +254,11 @@ def test_frame_monotonicity(tree_env):
             atoms = list(base_atoms)
             rng.shuffle(atoms)
             penv = PermEnv(tree_env, tuple(atoms))
-            sub = Subsumer(tree_env, NameSupply())
+            sub = Subsumer(tree_env)
             left = sub.subsume(penv, list(goal))
             extra = rng.choice(extras)
             penv2 = PermEnv(tree_env, tuple(atoms) + (extra,))
-            sub2 = Subsumer(tree_env, NameSupply())
+            sub2 = Subsumer(tree_env)
             left2 = sub2.subsume(penv2, list(goal))
             assert list(left2.atoms) == list(left.atoms) + [extra]
 
@@ -592,7 +591,7 @@ def test_capture_avoiding_substitution_against_oracle(term, var, replacement):
 def test_subsume_exact_affine_extraction(tree_env):
     tree_int = TApp("tree", (TApp("int", ()),))
     penv = PermEnv(tree_env, (Anchored("t", tree_int),))
-    sub = Subsumer(tree_env, NameSupply())
+    sub = Subsumer(tree_env)
     left = sub.subsume(penv, [Anchored("t", tree_int)])
     assert left.atoms == ()  # affine: the unique token is gone
 
@@ -617,7 +616,7 @@ def test_subsume_fold_consumes_all_pieces(tree_env):
         Anchored("r", tree_int),
     )
     penv = PermEnv(tree_env, atoms)
-    sub = Subsumer(tree_env, NameSupply())
+    sub = Subsumer(tree_env)
     left = sub.subsume(penv, [Anchored("t", tree_int)])
     # the structural atom and both subtree permissions are consumed by the
     # fold; only the duplicable int residue may survive
@@ -630,7 +629,7 @@ def test_subsume_fold_consumes_all_pieces(tree_env):
 
 def test_subsume_empty_env_fails(tree_env):
     penv = PermEnv(tree_env)
-    sub = Subsumer(tree_env, NameSupply())
+    sub = Subsumer(tree_env)
     with pytest.raises(SubsumptionFailure):
         sub.subsume(penv, [Anchored("t", TApp("tree", (TApp("int", ()),)))])
 
@@ -651,7 +650,7 @@ def test_a_bare_bar_carries_its_component_names_over_its_permission(tree_env):
         carrier = TTuple((TupleComp(name, TApp("int", ())),))
         return TBar(carrier, TAt(name, TApp("int", ())))
 
-    sub = Subsumer(tree_env, NameSupply())
+    sub = Subsumer(tree_env)
     assert sub.unify(bar("x"), bar("y"))
     assert sub.unify(TArrow(bar("x"), TEmpty()), TArrow(bar("y"), TEmpty()))
     assert not sub.unify(bar("x"), TBar(bar("y").carrier, TAt("x", TApp("int", ()))))
@@ -672,7 +671,7 @@ def test_a_failed_attempt_leaves_no_binding_behind():
         env,
         (Anchored("x", TApp("pair", (bool_, int_))), Anchored("x", TApp("pair", (int_, int_)))),
     )
-    sub = Subsumer(env, NameSupply())
+    sub = Subsumer(env)
     a = sub.uni.fresh("a")
     sub.subsume(penv, [Anchored("x", TApp("pair", (a, a)))])
     assert sub.uni.resolve(a) == int_

@@ -40,7 +40,7 @@ from minimz.ast import (
 )
 from minimz.driver import CORPUS_DIR, PRELUDE_PATH, load_text, prelude
 from minimz.kinds import AliasInfo, DataInfo
-from minimz.perms import NameSupply, subst_type
+from minimz.perms import subst_type
 from minimz.subsume import Subsumer
 
 # ---------------------------------------------------------------------------
@@ -412,5 +412,5 @@ def test_every_corpus_type_unifies_with_its_alpha_renaming(renaming):
     env = prelude()[1]
     pairs = [(name, t, alpha_rename(t, binder, comp)) for name, t in CORPUS_TYPES]
     assert sum(r != t for _, t, r in pairs) >= 50
-    failed = [name for name, t, r in pairs if not Subsumer(env, NameSupply()).unify(t, r)]
+    failed = [name for name, t, r in pairs if not Subsumer(env).unify(t, r)]
     assert failed == []
