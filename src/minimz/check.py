@@ -415,8 +415,6 @@ class Checker:
             arg_exprs = [e.arg]
         elif isinstance(e.arg, ETuple) and len(e.arg.items) == len(comps):
             arg_exprs = list(e.arg.items)
-        elif len(comps) == 0 and isinstance(e.arg, ETuple) and not e.arg.items:
-            arg_exprs = []
         else:
             self._fail(
                 "E-ARITY",
@@ -502,11 +500,8 @@ class Checker:
         penv, handle = found
         ty = penv.atom(handle).ty
         assert isinstance(ty, TConcrete)
-        if mutate:
-            entry = self.env.tags.get(ty.tag)
-            data = self.env.types.get(entry[0]) if entry else None
-            if not (isinstance(data, DataInfo) and data.mutable):
-                self._fail("E-SUBSUME", f"type of {anchor!r} is not mutable", span, penv)
+        if mutate and not self.env.mutable_tag(ty.tag):
+            self._fail("E-SUBSUME", f"type of {anchor!r} is not mutable", span, penv)
         return penv, handle
 
     def _auto_refine(self, penv: PermEnv, anchor: str) -> PermEnv | None:

@@ -68,7 +68,7 @@ from .ast import (
     Pattern,
     Scope,
 )
-from .kinds import DataInfo, domain_comps
+from .kinds import domain_comps
 from .runtime import (
     _BINARY,
     _INT_MAX,
@@ -553,12 +553,9 @@ class _Compiler:
             self.emit(f"try: {tag} = {record}.tag")
             self.emit(self.not_record())
         pending = self.b.pending
-        seen = set()
-        for pat, body in e.branches:
-            if pat.tag in seen:
-                continue
-            self.emit(f"{'elif' if seen else 'if'} {tag} == {self.const(pat.tag)}:")
-            seen.add(pat.tag)
+        # The resolver keeps one branch per tag, and the parser at least one.
+        for i, (pat, body) in enumerate(e.branches):
+            self.emit(f"{'elif' if i else 'if'} {tag} == {self.const(pat.tag)}:")
             self.b.pending = list(pending)
             self.b.depth += 1
             mark = self.scope.mark()
@@ -567,7 +564,7 @@ class _Compiler:
             self.scope.undo_to(mark)
             self.b.depth -= 1
         self.b.pending = pending
-        self.emit("else:" if seen else "if True:")
+        self.emit("else:")
         self.b.depth += 1
         self.emit(self.trap("BAD_TAG", "no branch for tag {!r}", tag))
         self.b.depth -= 1
@@ -652,7 +649,7 @@ class _Compiler:
         values = self.operands(exprs, lead)
         fields = ", ".join(f"{self.const(f)}: {v}" for (f, _), v in zip(e.fields, values))
         limit = self.check_for(None, None)
-        mutable = self.mutable(e.tag)
+        mutable = self.env.mutable_tag(e.tag)
         self.emit(f"{t} = _alloc(rt, {limit}, {self.const(e.tag)}, {{{fields}}}, {mutable})")
         self.b.pending = []
         return t
@@ -671,12 +668,7 @@ class _Compiler:
             fields.append((sys.intern(name), value))
         limit = self.ns[self.check_for(None, None)]
         self.b.pending = []
-        return limit, sys.intern(e.tag), tuple(fields), self.mutable(e.tag)
-
-    def mutable(self, tag: str) -> bool:
-        entry = self.env.tags.get(tag)
-        info = self.env.types.get(entry[0]) if entry is not None else None
-        return isinstance(info, DataInfo) and info.mutable
+        return limit, sys.intern(e.tag), tuple(fields), self.env.mutable_tag(e.tag)
 
     def tuple_(self, e: ETuple) -> str:
         lead = self.lead(e.items)
@@ -720,12 +712,14 @@ class _Compiler:
             return self.invoke(
                 f"{f}.fn(rt, {whole} if {arity} == 1 else _spread({whole}, {arity}))"
             )
-        # The tuple takes its own step only when it is passed whole.
+        # The tuple takes its own step only when it is passed whole; that
+        # charge is added and checked with the pending ones.
         lead, k = self.lead(items), len(items)
-        self.flush()
+        pending = "".join(f"{n}, " for n in self.b.pending)
         charge = f"{lead} + ({arity} != {k})"
-        self.emit(f"rt.steps += {charge}")
-        self.emit(f"if rt.steps > L: raise _Check(None, None, ({charge},))")
+        self.emit(f"rt.steps += {sum(self.b.pending) + lead} + ({arity} != {k})")
+        self.emit(f"if rt.steps > L: raise _Check(None, None, ({pending}{charge},))")
+        self.b.pending = []
         atoms = ", ".join(self.operands(items, lead))
         return self.invoke(
             f"{f}.fn(rt, ({atoms}{',' if k else ''}) if {arity} == {k} "

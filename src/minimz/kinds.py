@@ -138,6 +138,12 @@ class Env:
             raise ResolveError("E-MATCH", f"unknown data tag {tag!r}", span)
         return entry
 
+    def mutable_tag(self, tag: str) -> bool:
+        """Is `tag` a tag of a mutable data type?"""
+        entry = self.tags.get(tag)
+        info = self.types.get(entry[0]) if entry is not None else None
+        return isinstance(info, DataInfo) and info.mutable
+
     def clone(self) -> "Env":
         return Env(dict(self.types), dict(self.tags), dict(self.sigs))
 

@@ -68,9 +68,7 @@ def duplicability(t: Type, env: Env, _assume: frozenset[str] | None = None) -> s
         if t.__class__ is TConcrete and t.bar is None and all(
             f.__class__ is TSingleton for _, f in t.fields
         ):
-            entry = env.tags.get(t.tag)
-            data = env.types.get(entry[0]) if entry is not None else None
-            return AFFINE if isinstance(data, DataInfo) and data.mutable else DUPLICABLE
+            return AFFINE if env.mutable_tag(t.tag) else DUPLICABLE
         result = env.dup_memo.get(t)
         if result is None:
             result = env.dup_memo[t] = duplicability(t, env, frozenset())
@@ -79,12 +77,8 @@ def duplicability(t: Type, env: Env, _assume: frozenset[str] | None = None) -> s
         return DUPLICABLE
     if isinstance(t, (TMeta, TVar)):
         return AFFINE  # unsolved, or a rigid type/permission variable
-    if isinstance(t, TConcrete):
-        info = env.tags.get(t.tag)
-        if info is not None:
-            data = env.types.get(info[0])
-            if isinstance(data, DataInfo) and data.mutable:
-                return AFFINE
+    if isinstance(t, TConcrete) and env.mutable_tag(t.tag):
+        return AFFINE
     if isinstance(t, TApp):
         info = env.types.get(t.head)
         if isinstance(info, PrimInfo):
