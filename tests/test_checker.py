@@ -207,7 +207,7 @@ def _each_definition_alone(rel):
             checker = Checker(env)
             checker.undefined = undefined
             try:
-                checker.check_function_def(decl, env.sigs[decl.name], dict(available))
+                checker.check_function_def(decl, env.sigs[decl.name], available)
             except CheckFailure as exc:
                 diags.append(exc.diag)
     return diags
