@@ -3,11 +3,21 @@
 Every node carries a source span (byte offset + length) that is excluded
 from structural equality, so two parses of the same text compare equal
 even when whitespace differs.
+
+Every node class, here and in `perms` and `check`, is made by `node`: a
+frozen dataclass with slots and no instance dict, whose `__init__` writes
+each field through its slot's member descriptor. A frozen dataclass's own
+`__init__` would write each field through `object.__setattr__` by name,
+which costs about twice as much, and the checker makes tens of thousands
+of nodes per large file. Nodes stay frozen: a type node keeps its hash,
+what `has_meta` found and what `plain` found in slots of its own, which
+hold only while the node never changes, and nodes are shared between
+types, checks and memos.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter, is_
 
 
@@ -50,23 +60,47 @@ def _span_field() -> Span:
     return field(default=DUMMY, compare=False, repr=False)  # type: ignore[return-value]
 
 
+def node(cls: type) -> type:
+    """Make `cls` a frozen dataclass with slots, and give it an `__init__`
+    that writes each field through its slot's member descriptor, which
+    skips the frozen class's `__setattr__`. A class that declares its own
+    `__slots__` keeps them."""
+    cls = dataclass(frozen=True, init=False, slots="__slots__" not in cls.__dict__)(cls)
+    ns: dict[str, object] = {}
+    params: list[str] = []
+    lines: list[str] = []
+    for f in fields(cls):
+        ns[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            ns[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        lines.append(f"    _set_{f.name}(self, {f.name})")
+    if lines:
+        exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(lines), ns)
+        ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = ns["__init__"]
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Kinds
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node
 class Kind:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class KType(Kind):
     def __str__(self) -> str:
         return "type"
 
 
-@dataclass(frozen=True)
+@node
 class KPerm(Kind):
     def __str__(self) -> str:
         return "perm"
@@ -81,25 +115,31 @@ KIND_PERM = KPerm()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node
 class Type:
-    """Type nodes are immutable and have no per-instance dict: each concrete
-    node stores its fields in slots, plus the two slots declared here:
-    `_has_meta`, which `has_meta` fills in the first time it is asked
-    whether the node contains a `TMeta`, and `_hash`, which keeps the
-    structural hash of a node with children once it is computed (see
-    `_keep_hash`)."""
+    """Type nodes are made by `node`: frozen, with no per-instance dict.
+    Each concrete node stores its fields in slots, plus the three slots
+    declared here, each filled in the first time it is asked for and kept,
+    which is sound only because a node never changes: `_has_meta`, whether
+    the node contains a `TMeta` (`has_meta`); `_plain`, whether it binds
+    no name and holds no `TMeta` (`plain`); and `_hash`, the structural
+    hash of a node with children (`_keep_hash`)."""
 
-    __slots__ = ("_has_meta", "_hash")
+    __slots__ = ("_has_meta", "_plain", "_hash")
 
 
-@dataclass(frozen=True, slots=True)
+_set_has_meta = Type._has_meta.__set__
+_set_plain = Type._plain.__set__
+_set_hash = Type._hash.__set__
+
+
+@node
 class TVar(Type):
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TMeta(Type):
     """Unification variable introduced by the checker; never produced by parsing."""
 
@@ -108,34 +148,34 @@ class TMeta(Type):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TApp(Type):
     head: str
     args: tuple[Type, ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class TupleComp:
     name: str | None
     ty: Type
     consumed: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TTuple(Type):
     comps: tuple[TupleComp, ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TArrow(Type):
     domain: Type
     codomain: Type
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TBar(Type):
     """`(t | p)`: the carrier type together with a permission."""
 
@@ -145,7 +185,7 @@ class TBar(Type):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TConcrete(Type):
     """Structural tagged-record type, e.g. `Node { left = l; elem = x; right = r }`.
 
@@ -158,27 +198,27 @@ class TConcrete(Type):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TSingleton(Type):
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TForall(Type):
     binders: tuple[tuple[str, Kind], ...]
     body: Type
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TExists(Type):
     binders: tuple[tuple[str, Kind], ...]
     body: Type
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TAt(Type):
     """Anchored permission `x @ t`."""
 
@@ -187,7 +227,7 @@ class TAt(Type):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TStar(Type):
     """Permission conjunction `p * q * ...`, kept flat after normalization."""
 
@@ -195,7 +235,7 @@ class TStar(Type):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TEmpty(Type):
     span: Span = _span_field()
 
@@ -205,13 +245,12 @@ def _keep_hash(cls: type) -> None:
     equality compares once per node and keeps the hash in the `_hash`
     slot, so that a memo lookup hashes no subtree again."""
     key = attrgetter(*[f.name for f in fields(cls) if f.compare], "__class__")
-    keep = object.__setattr__
 
     def __hash__(self: Type) -> int:
         h = getattr(self, "_hash", None)
         if h is None:
             h = hash(key(self))
-            keep(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     cls.__hash__ = __hash__
@@ -318,7 +357,27 @@ def has_meta(t: Type) -> bool:
     except AttributeError:
         pass
     found = t.__class__ is TMeta or any(map(has_meta, children(t)))
-    object.__setattr__(t, "_has_meta", found)
+    _set_has_meta(t, found)
+    return found
+
+
+def plain(t: Type) -> bool:
+    """Does `t` bind no name and hold no `TMeta`? A name is bound by a
+    `TForall`, a `TExists` or a named tuple component. `Subsumer.unify` of
+    a plain type against an equal one binds nothing and draws no fresh
+    name. Kept in the `_plain` slot."""
+    try:
+        return t._plain
+    except AttributeError:
+        pass
+    cls = t.__class__
+    if cls is TMeta or cls is TForall or cls is TExists:
+        found = False
+    elif cls is TTuple and any(c.name is not None for c in t.comps):
+        found = False
+    else:
+        found = all(map(plain, children(t)))
+    _set_plain(t, found)
     return found
 
 
@@ -327,24 +386,24 @@ def has_meta(t: Type) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node
 class Pattern:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class PVar(Pattern):
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class PTuple(Pattern):
     items: tuple[Pattern, ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class PTag(Pattern):
     tag: str
     fields: tuple[tuple[str, Pattern], ...]
@@ -356,30 +415,30 @@ class PTag(Pattern):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node
 class Expr:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class EVar(Expr):
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class EInt(Expr):
     value: int
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class EBool(Expr):
     value: bool
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class ELet(Expr):
     pattern: Pattern
     bound: Expr
@@ -387,7 +446,7 @@ class ELet(Expr):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class ECall(Expr):
     callee: Expr
     arg: Expr
@@ -395,14 +454,14 @@ class ECall(Expr):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class EMatch(Expr):
     scrutinee: Expr
     branches: tuple[tuple[Pattern, Expr], ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class EIf(Expr):
     cond: Expr
     then: Expr
@@ -410,14 +469,14 @@ class EIf(Expr):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class EField(Expr):
     obj: Expr
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class EAssign(Expr):
     obj: Expr
     name: str
@@ -425,7 +484,7 @@ class EAssign(Expr):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class ETagUpdate(Expr):
     obj: Expr
     tag: str
@@ -433,20 +492,20 @@ class ETagUpdate(Expr):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class EConstruct(Expr):
     tag: str
     fields: tuple[tuple[str, Expr], ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class ETuple(Expr):
     items: tuple[Expr, ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class ELambda(Expr):
     domain: Type
     codomain: Type | None
@@ -459,7 +518,7 @@ class ELambda(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node
 class Branch:
     tag: str
     fields: tuple[tuple[str, Type], ...]
@@ -467,12 +526,12 @@ class Branch:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class Decl:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class DData(Decl):
     name: str
     mutable: bool
@@ -481,7 +540,7 @@ class DData(Decl):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class DAlias(Decl):
     name: str
     params: tuple[tuple[str, Kind], ...]
@@ -489,21 +548,21 @@ class DAlias(Decl):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class DAbstract(Decl):
     name: str
     params: tuple[tuple[str, Kind], ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class DValSig(Decl):
     name: str
     ty: Type
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class DValDef(Decl):
     name: str
     params: tuple[str, ...]
@@ -511,7 +570,7 @@ class DValDef(Decl):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@node
 class SourceFile:
     path: str
     decls: tuple[Decl, ...]

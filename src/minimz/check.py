@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .ast import (
     DValDef,
@@ -49,10 +49,11 @@ from .ast import (
     TSingleton,
     TTuple,
     Type,
+    TupleComp,
     children,
     has_meta,
+    node,
 )
-from .ast import TupleComp
 from .kinds import DataInfo, Env, domain_bars, domain_comps, kind_of
 from .perms import (
     Anchored,
@@ -76,7 +77,7 @@ _TAIL_DONE = object()
 Bindings = Sequence[tuple[str, str]]
 
 
-@dataclass(frozen=True)
+@node
 class Diagnostic:
     code: str
     message: str
@@ -97,7 +98,7 @@ class CheckFailure(Exception):
         self.diag = diag
 
 
-@dataclass
+@node
 class Tail:
     codomain: Type
     exit_goals: list[Atom]
@@ -113,7 +114,6 @@ class Checker:
 
     def __init__(self, env: Env):
         self.env = env
-        self.undefined: set[str] = set()
 
     # ------------------------------------------------------------------
     # declarations
@@ -123,25 +123,31 @@ class Checker:
         diags: list[Diagnostic] = []
         own = {d.name for d in file.decls if isinstance(d, DValSig)}
         # names this file declares and never defines: nothing runs for them
-        self.undefined = own - {d.name for d in file.decls if isinstance(d, DValDef)}
+        undefined = own - {d.name for d in file.decls if isinstance(d, DValDef)}
         available = {name: ty for name, ty in self.env.sigs.items() if name not in own}
         for decl in file.decls:
             if isinstance(decl, DValSig):
                 available[decl.name] = self.env.sigs[decl.name]
             elif isinstance(decl, DValDef):
                 try:
-                    self.check_function_def(decl, self.env.sigs[decl.name], available)
+                    self.check_function_def(
+                        decl, self.env.sigs[decl.name], available, undefined
+                    )
                 except CheckFailure as exc:
                     diags.append(exc.diag)
         return diags
 
-    def check_function_def(self, decl: DValDef, sig: Type, available: dict[str, Type]) -> None:
+    def check_function_def(
+        self, decl: DValDef, sig: Type, available: dict[str, Type], undefined: set[str]
+    ) -> None:
         """Check `decl` against `sig`, with the top-level values `available`
-        (name to type) in scope. The check has its own `Subsumer`, whose
-        unifier draws every fresh name, so a definition is checked alike
-        alone or after others."""
+        (name to type) in scope, of which those in `undefined` have no
+        definition. The check has its own `Subsumer`, whose unifier draws
+        every fresh name, so a definition is checked alike alone or after
+        others."""
         self.sub = Subsumer(self.env)
         self.available = available
+        self.undefined = undefined
         self.locals = Scope()
         self.tyvars: dict[str, Kind] = {}
         body_ty = sig

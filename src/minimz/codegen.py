@@ -18,7 +18,9 @@ kind the code tests with `type(x) is int` or `type(x) is bool` (a `bool`
 is an `int` to `isinstance`), and a record is its `Cell`, whose `tag` and
 `fields` no other value has, so a read of either traps on any other value
 by its `AttributeError`. Where an atom's type is fixed (a constant, a new
-record, the result of a builtin written out) its checks are left out.
+record, the result of a builtin written out) its checks are left out, and
+so are those of an atom already tested on the way there: a test holds to
+the end of the `if` or `match` arm, lambda or helper function it is in.
 
 A function reaches the run through its first parameter, and a call of
 another definition reads the run's globals at call time, so compiled code
@@ -213,8 +215,9 @@ class _Compiler:
         self.consts: dict[tuple, str] = {}
         self.checks: dict[tuple, str] = {}
         self.sizes: dict[int, int] = {}  # id of an expression -> its `nodes`
-        # The type of an atom's value, where it is fixed.
-        self.known: dict[str, type] = {"True": bool, "False": bool}
+        # The type of an atom's value, where it is fixed or tested; a test
+        # is undone at the end of its arm, lambda or helper.
+        self.known = Scope({"True": bool, "False": bool})
         self.scope = Scope()  # program name -> atom
         self.owner: dict[str, _Body] = {}  # identifier -> the root that binds it
         self.roots: list[tuple[_Body, str]] = []  # with the `def` line of each
@@ -316,7 +319,7 @@ class _Compiler:
         self.b = b = _Body(None if outer is None else outer.root or outer, base, definition)
         fn = self.fresh("f" if outer is None else "l")
         idents = [self.fresh("v") for _ in params]
-        mark = self.scope.mark()
+        mark, known = self.scope.mark(), self.known.mark()
         for param, ident in zip(params, idents):
             if param is not None:
                 self.scope.enter(param, ident)
@@ -330,6 +333,7 @@ class _Compiler:
             self.emit("s0 = rt.steps")
         self.tail(body)
         self.scope.undo_to(mark)
+        self.known.undo_to(known)
         self.b = outer
         head = f"def {fn}(rt, {arg}):"
         if outer is None:
@@ -344,7 +348,9 @@ class _Compiler:
         outer = self.b
         self.b = b = _Body(None, 1, False)
         fn = self.fresh("h")
+        known = self.known.mark()
         self.tail(e)
+        self.known.undo_to(known)
         self.b = outer
         for ident in b.params:
             self.use(ident)
@@ -460,16 +466,18 @@ class _Compiler:
     def branch(self, e: Expr, result: str | None) -> None:
         """Write one branch of an `if` or `match`: its value goes to
         `result`, or is returned when that is None."""
+        known = self.known.mark()
         big = self.big(e)
         if result is None and not big:
             self.tail(e)
-            return
-        atom = self.split(e) if big else self.expr(e)
-        if result is None:
-            self.ret(atom)
         else:
-            self.flush()
-            self.emit(f"{result} = {atom}")
+            atom = self.split(e) if big else self.expr(e)
+            if result is None:
+                self.ret(atom)
+            else:
+                self.flush()
+                self.emit(f"{result} = {atom}")
+        self.known.undo_to(known)
 
     # -- nodes ---------------------------------------------------------------------
 
@@ -529,6 +537,7 @@ class _Compiler:
         `bool` is an `int` to `isinstance`."""
         if self.known.get(atom) is not cls:
             self.emit(f"if type({atom}) is not {cls.__name__}: {self.trap('BAD_FIELD', message)}")
+            self.known.enter(atom, cls)
 
     def if_(self, e: EIf) -> str:
         t = self.fresh("t")
@@ -768,6 +777,8 @@ class _Compiler:
         if unknown:
             test = " or ".join(f"type({a}) is not int" for a in unknown)
             self.emit(f"if {test}: {self.trap('BAD_FIELD', f'{name} expects integers')}")
+            for a in unknown:
+                self.known.enter(a, int)
         if zero is not None:
             divisor = self.ns.get(atoms[1])  # the value of a constant
             if type(divisor) is not int or divisor == 0:

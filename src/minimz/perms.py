@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, insort
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .ast import (
     KIND_PERM,
@@ -43,6 +42,7 @@ from .ast import (
     Type,
     TupleComp,
     children,
+    node,
     same_items,
 )
 from .kinds import AliasInfo, DataInfo, Env, PrimInfo
@@ -267,12 +267,12 @@ def is_alias(env: Env, t: Type) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node
 class Atom:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class Anchored(Atom):
     anchor: str
     ty: Type
@@ -283,7 +283,7 @@ class Anchored(Atom):
         return f"{self.anchor} @ {print_type(self.ty, 4)}"
 
 
-@dataclass(frozen=True)
+@node
 class PermVar(Atom):
     name: str
 
@@ -291,7 +291,7 @@ class PermVar(Atom):
         return self.name
 
 
-@dataclass(frozen=True)
+@node
 class MetaPerm(Atom):
     """A permission metavariable awaiting an existential witness."""
 

@@ -71,6 +71,7 @@ from .ast import (
     children,
     has_meta,
     map_children,
+    plain,
 )
 from .kinds import DataInfo, Env
 from .perms import (
@@ -193,7 +194,15 @@ class Subsumer:
         Names bound on both sides, by a pair of quantifiers or a pair of
         components, are renamed at their binder to one fresh name, so that
         types compare up to the names of their binders. The recursion follows
-        the size of the types, which the parser bounds."""
+        the size of the types, which the parser bounds.
+
+        Two equal types that bind no name and hold no metavariable (`plain`)
+        unify at once, as the walk would bind nothing and draw no name; most
+        calls are such pairs. Other equal pairs still take the walk: it
+        draws a fresh name for each pair of binders, which numbers every
+        later name of the definition, and it may solve a metavariable."""
+        if (a is b or a == b) and plain(a):
+            return True
         a = _strip_empty_bar(self.uni.shallow(a))
         b = _strip_empty_bar(self.uni.shallow(b))
         # the name of a data type never unifies with one of its tags

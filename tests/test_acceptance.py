@@ -150,10 +150,10 @@ class FramedChecker(Checker):
         super().__init__(env)
         self.framed = []
 
-    def check_function_def(self, decl, sig, available):
+    def check_function_def(self, decl, sig, available, undefined):
         self.framed.append(decl.name)
         framed = replace(decl, params=decl.params + (None,))
-        super().check_function_def(framed, _with_frame(sig), available)
+        super().check_function_def(framed, _with_frame(sig), available, undefined)
 
 
 def test_criterion_3_frame_property():

@@ -204,10 +204,10 @@ def _each_definition_alone(rel):
         if isinstance(decl, DValSig):
             available[decl.name] = env.sigs[decl.name]
         elif isinstance(decl, DValDef):
-            checker = Checker(env)
-            checker.undefined = undefined
             try:
-                checker.check_function_def(decl, env.sigs[decl.name], available)
+                Checker(env).check_function_def(
+                    decl, env.sigs[decl.name], available, undefined
+                )
             except CheckFailure as exc:
                 diags.append(exc.diag)
     return diags
@@ -218,6 +218,21 @@ def test_a_definition_checks_as_it_does_in_its_file(rel):
     # Code, span, message and snapshot: the names a diagnostic shows are
     # drawn by its own definition alone.
     assert _each_definition_alone(rel) == check_text(corpus_text(rel), rel)[2]
+
+
+def test_a_definition_checked_alone_cannot_use_a_name_its_file_never_defines():
+    src = """
+val g: () -> int
+val f: () -> int
+val f () = g ()
+"""
+    file, env = load_text(src, "t")
+    (diag,) = Checker(env).check_file(file)
+    assert (diag.code, diag.message) == ("E-UNDEFINED", "'g' has a signature but no definition")
+    (decl,) = [d for d in file.decls if isinstance(d, DValDef)]
+    with pytest.raises(CheckFailure) as exc:
+        Checker(env).check_function_def(decl, env.sigs["f"], dict(env.sigs), {"g"})
+    assert exc.value.diag == diag
 
 
 def _check_corpus(order: list[str], out: dict) -> None:

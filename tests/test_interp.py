@@ -5,6 +5,7 @@ import pytest
 
 from conftest import corpus_text, value_to_pylist
 
+from minimz.codegen import _MAX_DEPTH
 from minimz.driver import check_text, load_text, prelude, run_text
 from minimz.interp import Cell, Interp, RuntimeTrap, VTuple, eval_program
 from minimz.runtime import _wrap64
@@ -598,3 +599,84 @@ def test_deeply_nested_branches_run(shape, depth, value, steps):
     result, interp = run_text(_deep(shape, depth), "main", "t")
     assert (type(result), result) == (int, value)
     assert interp.stats.steps == steps
+
+
+BUILD = """
+data tree a = Leaf | Node { left: tree a; elem: a; right: tree a }
+
+val build: (lo: int, hi: int) -> tree int
+
+val build (lo, hi) =
+  if lt (hi, lo)
+  then Leaf
+  else
+    let mid = div (add (lo, hi), 2) in
+    let l = build (lo, sub (mid, 1)) in
+    let r = build (add (mid, 1), hi) in
+    Node { left = l; elem = mid; right = r }
+
+val main: () -> tree int
+val main () = build (1, 7)
+"""
+
+
+def test_an_atom_tested_once_is_not_tested_again_on_its_path(monkeypatch):
+    # `lt (hi, lo)` tests both parameters; `add (lo, hi)` on the path that
+    # falls through needs no test of its own.
+    from minimz import codegen
+
+    texts = {}
+    code = codegen._code
+
+    def capture(text, filename):
+        texts[filename] = text
+        return code(text, filename)
+
+    monkeypatch.setattr(codegen, "_code", capture)
+    value, _ = run_text(BUILD, "main", "t")
+    assert value.tag == "Node"
+    build = texts["<minimz build>"]
+    assert "v2, v3, = x" in build
+    assert build.count("type(v2) is not int") == 1
+    assert build.count("type(v3) is not int") == 1
+
+
+def _in_lambdas(depth: int, body: str) -> str:
+    for _ in range(depth):
+        body = f"(fun (u: int) : int = {body}) 1"
+    return body
+
+
+# Each program tests `x` on a path that `f (true, true)` or `f (false, true)`
+# does not take, and then adds `x` where every path meets: that add still
+# tests `x`, and traps on the bool.
+TESTED_ON_ANOTHER_PATH = {
+    "if arm": ("let y = if c then add (x, 1) else 0 in add (x, y)", "false"),
+    "tail if arm": ("if c then add (x, 1) else add (x, 2)", "false"),
+    "match arm": (
+        "let y = match (if c then A else B) with | A -> add (x, 1) | B -> 0 in add (x, y)",
+        "false",
+    ),
+    "lambda body": ("let g = fun (u: int) : int = add (x, u) in add (x, 1)", "true"),
+    # Nested lambdas take the `if` past the depth at which it moves to a
+    # helper function; its `add` tests `x` there, on the `else` path.
+    "helper": (
+        _in_lambdas(
+            _MAX_DEPTH - 1, "let y = (if c then 0 else add (x, 1)) in add (x, y)"
+        ),
+        "true",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TESTED_ON_ANOTHER_PATH)
+def test_a_type_test_holds_only_on_its_own_path(case):
+    body, c = TESTED_ON_ANOTHER_PATH[case]
+    src = (
+        "data ab = A | B\n"
+        f"val f: (c: bool, x: int) -> int\nval f (c, x) = {body}\n"
+        f"val main: () -> int\nval main () = f ({c}, true)\n"
+    )
+    with pytest.raises(RuntimeTrap) as exc:
+        run_text(src, "main", "t", checked=False)
+    assert (exc.value.kind, exc.value.message) == ("BAD_FIELD", "add expects integers")

@@ -37,6 +37,7 @@ from minimz.ast import (
     children,
     has_meta,
     map_children,
+    plain,
 )
 from minimz.driver import CORPUS_DIR, PRELUDE_PATH, load_text, prelude
 from minimz.kinds import AliasInfo, DataInfo
@@ -414,3 +415,54 @@ def test_every_corpus_type_unifies_with_its_alpha_renaming(renaming):
     assert sum(r != t for _, t, r in pairs) >= 50
     failed = [name for name, t, r in pairs if not Subsumer(env).unify(t, r)]
     assert failed == []
+
+
+class _CountingSubsumer(Subsumer):
+    """Counts the calls of `unify`, the recursive ones too."""
+
+    calls = 0
+
+    def unify(self, a, b):
+        self.calls += 1
+        return super().unify(a, b)
+
+
+def test_equal_types_that_bind_no_name_unify_at_once():
+    env = prelude()[1]
+    types = [t for _, t in CORPUS_TYPES if plain(t)]
+    assert sum(bool(children(t)) for t in types) >= 20
+    for t in types:
+        for other in (t, _rebuilt(t)):
+            sub = _CountingSubsumer(env)
+            assert sub.unify(t, other)
+            assert sub.calls == 1  # no walk
+            assert not sub.uni.bindings and sub.uni.bindings.trail == []
+            assert sub.uni.fresh_name("x") == "x$0"
+
+
+_INT = TApp("int", ())
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        TForall((("a", KIND_TYPE),), TArrow(TVar("a"), TVar("a"))),
+        TExists((("p", KIND_PERM),), TBar(_INT, TVar("p"))),
+        TTuple((TupleComp("x", _INT), TupleComp(None, TSingleton("x")))),
+        TApp("list", (TForall((("a", KIND_TYPE),), TVar("a")),)),
+    ],
+    ids=["forall", "exists", "named component", "nested forall"],
+)
+def test_equal_types_that_bind_names_still_draw_them(t):
+    # The walk draws one name for the pair of binders, as it did before
+    # equal types took a shorter way.
+    assert not plain(t)
+    for other in (t, _rebuilt(t)):
+        sub = Subsumer(prelude()[1])
+        assert sub.unify(t, other)
+        assert sub.uni.fresh_name("x") == "x$1"
+
+
+def test_a_type_with_a_metavariable_is_not_plain():
+    assert plain(TApp("list", (_INT,)))
+    assert not plain(TApp("list", (TMeta("a%0"),)))
