@@ -17,7 +17,7 @@ types, checks and memos.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from operator import attrgetter, is_
 
 
@@ -60,12 +60,25 @@ def _span_field() -> Span:
     return field(default=DUMMY, compare=False, repr=False)  # type: ignore[return-value]
 
 
+def _frozen_setattr(self: object, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: object, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def node(cls: type) -> type:
     """Make `cls` a frozen dataclass with slots, and give it an `__init__`
     that writes each field through its slot's member descriptor, which
     skips the frozen class's `__setattr__`. A class that declares its own
-    `__slots__` keeps them."""
+    `__slots__` keeps them. Assigning or deleting any attribute raises
+    `FrozenInstanceError`: the `__setattr__` and `__delattr__` that
+    `dataclasses` makes for a class it rebuilds with slots refer to the
+    class it replaced, and raise `TypeError` for a name that is no field."""
     cls = dataclass(frozen=True, init=False, slots="__slots__" not in cls.__dict__)(cls)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
     ns: dict[str, object] = {}
     params: list[str] = []
     lines: list[str] = []

@@ -2,34 +2,25 @@
 
 Identifiers are ASCII: `[a-z][a-zA-Z0-9_']*` for values and type names,
 `[A-Z][a-zA-Z0-9_']*` for data tags. Line comments start with `--`.
+
+`tokenize` reads the text in one pass of one regular expression and
+returns a `Tokens`: three parallel lists, the kind, the text and the start
+offset of each token, that end in one EOF token. No object is made per
+token; the parser reads the lists by index and makes a `Span` only where a
+node or an error keeps one. `len(tokenize(text)) - 1` is the number of
+tokens in the text.
 """
 
 from __future__ import annotations
 
 import re
+from types import MappingProxyType
 
 from .ast import Span
 
 KEYWORDS = frozenset(
-    [
-        "data",
-        "mutable",
-        "alias",
-        "abstract",
-        "val",
-        "perm",
-        "consumes",
-        "let",
-        "in",
-        "match",
-        "with",
-        "fun",
-        "if",
-        "then",
-        "else",
-        "true",
-        "false",
-    ]
+    "data mutable alias abstract val perm consumes let in match with fun if then else true false"
+    .split()
 )
 
 
@@ -40,60 +31,70 @@ class LexError(Exception):
         self.span = span
 
 
-class Token:
-    """A token of kind KW, LIDENT, UIDENT, INT, OP or EOF, its text, and the
-    offset at which the text starts; its span is made when asked for."""
+class Tokens:
+    """`kinds` (KW, LIDENT, UIDENT, INT, OP or EOF), `texts` and `starts`,
+    one item per token. The last token is the EOF, whose text is empty and
+    whose start is the length of the input."""
 
-    __slots__ = ("kind", "text", "start")
+    __slots__ = ("kinds", "texts", "starts")
 
-    def __init__(self, kind: str, text: str, start: int):
-        self.kind = kind
-        self.text = text
-        self.start = start
+    def __init__(self, kinds: list[str], texts: list[str], starts: list[int]):
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
 
-    @property
-    def span(self) -> Span:
-        return Span(self.start, len(self.text))
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.text!r})"
+    def __len__(self) -> int:
+        return len(self.kinds)
 
 
 # One match per token: the blanks and comments before it, then the token.
 # Every position matches: after the blanks comes a token, an illegal
 # character or the end of the input, so a comment is never given back to
-# make a token of its tail.
+# make a token of its tail. The end of the input matches once more after
+# a match that ends there: the last match is always an empty token at the
+# end, and it may follow a match of blanks alone.
 _TOKEN_RE = re.compile(
-    r"""(?:[ \t\r\n]+|--[^\n]*)*
-      (?: ([a-z][a-zA-Z0-9_']*)         # 1: a keyword or a value or type name
-        | (->|<-|[@*|={}()\[\],;:.])    # 2: an operator
-        | ([A-Z][a-zA-Z0-9_']*)         # 3: a data tag
-        | ([0-9]+)                      # 4: an integer
-        | (.)                           # 5: an illegal character
-        | \Z )
+    r"""((?:[ \t\r\n]+|--[^\n]*)*)
+      ( [a-z][a-zA-Z0-9_']*         # a keyword or a value or type name
+      | ->|<-|[@*|={}()\[\],;:.]    # an operator
+      | [A-Z][a-zA-Z0-9_']*         # a data tag
+      | [0-9]+                      # an integer
+      | .                           # an illegal character
+      | \Z )
     """,
     re.VERBOSE,
 )
 
+# The kind of a token by its text (a keyword, an operator, the empty text
+# of the end) or else by its first character; an illegal character has none.
+_KINDS = MappingProxyType({
+    "": "EOF",
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "LIDENT"),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "UIDENT"),
+    **dict.fromkeys("0123456789", "INT"),
+    **dict.fromkeys(["->", "<-", *"@*|={}()[],;:."], "OP"),
+    **dict.fromkeys(KEYWORDS, "KW"),
+})
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    for match in _TOKEN_RE.finditer(text):
-        group = match.lastindex
-        if group == 1:
-            word = match.group(1)
-            append(Token("KW" if word in KEYWORDS else "LIDENT", word, match.start(1)))
-        elif group == 2:
-            append(Token("OP", match.group(2), match.start(2)))
-        elif group == 3:
-            append(Token("UIDENT", match.group(3), match.start(3)))
-        elif group == 4:
-            append(Token("INT", match.group(4), match.start(4)))
-        elif group == 5:
-            raise LexError(f"illegal character {match.group(5)!r}", Span(match.start(5), 1))
-    append(Token("EOF", "", len(text)))
-    return tokens
+
+def tokenize(text: str) -> Tokens:
+    kinds: list[str | None] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    kind_of = _KINDS.get
+    pos = 0
+    for blanks, word in _TOKEN_RE.findall(text):
+        pos += len(blanks)
+        kinds.append(kind_of(word) or kind_of(word[0]))
+        texts.append(word)
+        starts.append(pos)
+        pos += len(word)
+    if None in kinds:
+        i = kinds.index(None)
+        raise LexError(f"illegal character {texts[i]!r}", Span(starts[i], 1))
+    if len(kinds) > 1 and kinds[-2] == "EOF":  # blanks alone before the end
+        del kinds[-1], texts[-1], starts[-1]
+    return Tokens(kinds, texts, starts)  # type: ignore[arg-type]
 
 
 def line_col(text: str, offset: int) -> tuple[int, int]:

@@ -53,7 +53,7 @@ from .ast import (
     Type,
     TupleComp,
 )
-from .lexer import Token, tokenize
+from .lexer import Tokens, tokenize
 
 
 class ParseError(Exception):
@@ -64,57 +64,68 @@ class ParseError(Exception):
 
 
 # Tokens that may begin an expression atom (application arguments).
-_EXPR_ATOM_START = ("INT", "LIDENT", "UIDENT")
+_EXPR_ATOM_KINDS = ("INT", "LIDENT", "UIDENT")
+_EXPR_ATOM_TEXTS = ("(", "true", "false")
 
 
 class Parser:
-    """Reads a token list that ends in EOF. A keyword or an operator is
-    recognised by its text alone, which no token of another kind has."""
+    """Reads the token lists of a `Tokens` by index. `kind` and `text` are
+    those of the next token to read, the one at `pos`; reading a token
+    returns its index. A keyword or an operator is recognised by its text
+    alone, which no token of another kind has."""
 
-    def __init__(self, tokens: list[Token], path: str = "<input>"):
-        # Two more EOFs bound a lookahead of up to two tokens: `next` stops
-        # at the first EOF, so no peek runs past the list.
-        self.tokens = tokens + tokens[-1:] * 2
+    def __init__(self, tokens: Tokens, path: str = "<input>"):
+        # Every read follows a test that the token is not EOF, so `pos`
+        # stops at the EOF; two more EOFs bound a lookahead of two tokens.
+        self.kinds = tokens.kinds + ["EOF", "EOF"]
+        self.texts = tokens.texts + ["", ""]
+        self.starts = tokens.starts + tokens.starts[-1:] * 2
         self.pos = 0
-        self.tok = tokens[0]  # the next token to read, tokens[pos]
+        self.kind = self.kinds[0]
+        self.text = self.texts[0]
         self.path = path
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int) -> Token:
-        return self.tokens[self.pos + offset]
+    def next(self) -> int:
+        i = self.pos
+        self.pos = j = i + 1
+        self.kind = self.kinds[j]
+        self.text = self.texts[j]
+        return i
 
-    def next(self) -> Token:
-        tok = self.tok
-        if tok.kind != "EOF":
-            self.pos += 1
-            self.tok = self.tokens[self.pos]
-        return tok
+    def span(self, i: int) -> Span:
+        return Span(self.starts[i], len(self.texts[i]))
+
+    def span_to(self, i: int, end: Span) -> Span:
+        """`self.span(i).merge(end)`, where `end` lies after token `i`."""
+        start = self.starts[i]
+        return Span(start, end.start + end.length - start)
 
     def error(self, message: str) -> ParseError:
-        tok = self.tok
-        what = f"{tok.kind} {tok.text!r}" if tok.kind != "EOF" else "end of input"
-        return ParseError(f"{message}, found {what}", tok.span)
+        what = f"{self.kind} {self.text!r}" if self.kind != "EOF" else "end of input"
+        return ParseError(f"{message}, found {what}", self.span(self.pos))
 
-    def expect_op(self, op: str) -> Token:
-        if self.tok.text != op:
+    def expect_op(self, op: str) -> int:
+        if self.text != op:
             raise self.error(f"expected {op!r}")
         return self.next()
 
-    def expect_kw(self, word: str) -> Token:
-        if self.tok.text != word:
+    def expect_kw(self, word: str) -> int:
+        if self.text != word:
             raise self.error(f"expected keyword {word!r}")
         return self.next()
 
-    def expect(self, kind: str) -> Token:
-        if self.tok.kind != kind:
-            raise self.error(f"expected {kind}")
-        return self.next()
+    def expect_name(self) -> str:
+        """Read a LIDENT and return its text."""
+        if self.kind != "LIDENT":
+            raise self.error("expected LIDENT")
+        return self.texts[self.next()]
 
     def parse_comma_list(self, parse_item) -> list:
         """`x, ...`: one or more items."""
         items = [parse_item()]
-        while self.tok.text == ",":
+        while self.text == ",":
             self.next()
             items.append(parse_item())
         return items
@@ -122,40 +133,39 @@ class Parser:
     def parse_paren_list(self, parse_item) -> tuple[list, Span]:
         """`( x, ... )`, possibly empty; returns the items and the span of the
         parentheses."""
-        open_tok = self.expect_op("(")
-        items = [] if self.tok.text == ")" else self.parse_comma_list(parse_item)
-        return items, open_tok.span.merge(self.expect_op(")").span)
+        open_ = self.expect_op("(")
+        items = [] if self.text == ")" else self.parse_comma_list(parse_item)
+        return items, self.span_to(open_, self.span(self.expect_op(")")))
 
     # -- declarations ------------------------------------------------------
 
     def parse_file(self) -> SourceFile:
         decls: list[Decl] = []
-        while self.tok.kind != "EOF":
+        while self.kind != "EOF":
             decls.append(self.parse_decl())
         return SourceFile(self.path, tuple(decls))
 
     def parse_decl(self) -> Decl:
-        tok = self.tok
-        if tok.text == "data":
+        text = self.text
+        if text == "data":
             return self.parse_data()
-        if tok.text == "alias":
+        if text == "alias":
             return self.parse_alias()
-        if tok.text == "abstract":
+        if text == "abstract":
             return self.parse_abstract()
-        if tok.text == "val":
+        if text == "val":
             return self.parse_val()
         raise self.error("expected a declaration")
 
     def parse_type_params(self) -> tuple[tuple[str, Kind], ...]:
         params: list[tuple[str, Kind]] = []
         while True:
-            tok = self.tok
-            if tok.kind == "LIDENT":
+            i = self.pos
+            if self.kind == "LIDENT":
+                params.append((self.texts[self.next()], KIND_TYPE))
+            elif self.text == "(" and self.kinds[i + 1] == "LIDENT" and self.texts[i + 2] == ":":
                 self.next()
-                params.append((tok.text, KIND_TYPE))
-            elif tok.text == "(" and self.peek(1).kind == "LIDENT" and self.peek(2).text == ":":
-                self.next()
-                name = self.expect("LIDENT").text
+                name = self.expect_name()
                 self.expect_op(":")
                 self.expect_kw("perm")
                 self.expect_op(")")
@@ -167,18 +177,18 @@ class Parser:
     def parse_data(self) -> DData:
         start = self.expect_kw("data")
         mutable = False
-        if self.tok.text == "mutable":
+        if self.text == "mutable":
             self.next()
             mutable = True
-        name = self.expect("LIDENT")
+        name = self.expect_name()
         params = self.parse_type_params()
         self.expect_op("=")
         branches = [self.parse_branch()]
-        while self.tok.text == "|":
+        while self.text == "|":
             self.next()
             branches.append(self.parse_branch())
-        span = start.span.merge(branches[-1].span)
-        return DData(name.text, mutable, params, tuple(branches), span)
+        span = self.span_to(start, branches[-1].span)
+        return DData(name, mutable, params, tuple(branches), span)
 
     def parse_branch(self) -> Branch:
         return Branch(*self.parse_tagged(":", self.parse_type, with_bar=True))
@@ -191,53 +201,55 @@ class Parser:
         bar `| p`. Returns the tag, the fields, the bar (None when there is
         none) and the span from the tag to the closing brace.
         """
-        tag = self.expect("UIDENT")
+        if self.kind != "UIDENT":
+            raise self.error("expected UIDENT")
+        tag = self.next()
+        if self.text != "{":
+            return self.texts[tag], (), None, self.span(tag)
+        self.next()
         fields: list[tuple[str, object]] = []
-        bar: Type | None = None
-        span = tag.span
-        if self.tok.text == "{":
-            self.next()
-            while self.tok.kind == "LIDENT":
-                fname = self.next().text
-                if sep is not None:
-                    self.expect_op(sep)
-                fields.append((fname, parse_value()))
-                if self.tok.text == ";":
-                    self.next()
-                else:
-                    break
-            if with_bar and self.tok.text == "|":
+        while self.kind == "LIDENT":
+            fname = self.texts[self.next()]
+            if sep is not None:
+                self.expect_op(sep)
+            fields.append((fname, parse_value()))
+            if self.text == ";":
                 self.next()
-                bar = self.parse_type()
-            span = tag.span.merge(self.expect_op("}").span)
-        return tag.text, tuple(fields), bar, span
+            else:
+                break
+        bar: Type | None = None
+        if with_bar and self.text == "|":
+            self.next()
+            bar = self.parse_type()
+        span = self.span_to(tag, self.span(self.expect_op("}")))
+        return self.texts[tag], tuple(fields), bar, span
 
     def parse_alias(self) -> DAlias:
         start = self.expect_kw("alias")
-        name = self.expect("LIDENT")
+        name = self.expect_name()
         params = self.parse_type_params()
         self.expect_op("=")
         body = self.parse_type()
-        return DAlias(name.text, params, body, start.span.merge(body.span))
+        return DAlias(name, params, body, self.span_to(start, body.span))
 
     def parse_abstract(self) -> DAbstract:
         start = self.expect_kw("abstract")
-        name = self.expect("LIDENT")
+        name = self.expect_name()
         params = self.parse_type_params()
-        return DAbstract(name.text, params, start.span.merge(name.span))
+        return DAbstract(name, params, self.span_to(start, self.span(start + 1)))
 
     def parse_val(self) -> Decl:
         start = self.expect_kw("val")
-        name = self.expect("LIDENT")
-        if self.tok.text == ":":
+        name = self.expect_name()
+        if self.text == ":":
             self.next()
             ty = self.parse_type()
-            return DValSig(name.text, ty, start.span.merge(ty.span))
-        if self.tok.text == "(":
-            params, _ = self.parse_paren_list(lambda: self.expect("LIDENT").text)
+            return DValSig(name, ty, self.span_to(start, ty.span))
+        if self.text == "(":
+            params, _ = self.parse_paren_list(self.expect_name)
             self.expect_op("=")
             body = self.parse_expr()
-            return DValDef(name.text, tuple(params), body, start.span.merge(body.span))
+            return DValDef(name, tuple(params), body, self.span_to(start, body.span))
         raise self.error("expected ':' (signature) or '(' (definition) after val name")
 
     # -- types -------------------------------------------------------------
@@ -245,33 +257,32 @@ class Parser:
     def parse_type(self) -> Type:
         # `{` never begins a type atom (concrete types follow a tag), so a
         # brace here opens the binders of an existential.
-        tok = self.tok
-        if tok.text == "[":
+        if self.text == "[":
             close, quantifier = "]", TForall
-        elif tok.text == "{":
+        elif self.text == "{":
             close, quantifier = "}", TExists
         else:
             return self.parse_arrow()
-        self.next()
+        start = self.next()
         binders = self.parse_binders()
         self.expect_op(close)
         body = self.parse_type()
-        return quantifier(binders, body, tok.span.merge(body.span))
+        return quantifier(binders, body, self.span_to(start, body.span))
 
     def parse_binders(self) -> tuple[tuple[str, Kind], ...]:
         return tuple(self.parse_comma_list(self.parse_binder))
 
     def parse_binder(self) -> tuple[str, Kind]:
-        name = self.expect("LIDENT")
-        if self.tok.text == ":":
+        name = self.expect_name()
+        if self.text == ":":
             self.next()
             self.expect_kw("perm")
-            return name.text, KIND_PERM
-        return name.text, KIND_TYPE
+            return name, KIND_PERM
+        return name, KIND_TYPE
 
     def parse_arrow(self) -> Type:
         left = self.parse_star()
-        if self.tok.text == "->":
+        if self.text == "->":
             self.next()
             right = self.parse_type()
             return TArrow(left, right, left.span.merge(right.span))
@@ -279,20 +290,20 @@ class Parser:
 
     def parse_star(self) -> Type:
         first = self.parse_at()
-        if self.tok.text != "*":
+        if self.text != "*":
             return first
         items = [first]
-        while self.tok.text == "*":
+        while self.text == "*":
             self.next()
             items.append(self.parse_at())
         return TStar(tuple(items), items[0].span.merge(items[-1].span))
 
     def parse_at(self) -> Type:
         left = self.parse_app()
-        if self.tok.text == "@":
+        if self.text == "@":
             at = self.next()
             if not isinstance(left, TVar):
-                raise ParseError("left side of '@' must be a value name", at.span)
+                raise ParseError("left side of '@' must be a value name", self.span(at))
             right = self.parse_app()
             return TAt(left.name, right, left.span.merge(right.span))
         return left
@@ -301,71 +312,65 @@ class Parser:
         head = self.parse_type_atom()
         if isinstance(head, TVar):
             args: list[Type] = []
-            while self._starts_type_atom():
+            while self.kind == "LIDENT" or self.kind == "UIDENT" or self.text == "(":
                 args.append(self.parse_type_atom())
             if args:
                 return TApp(head.name, tuple(args), head.span.merge(args[-1].span))
         return head
 
-    def _starts_type_atom(self) -> bool:
-        tok = self.tok
-        return tok.kind in ("LIDENT", "UIDENT") or tok.text == "("
-
     def parse_type_atom(self) -> Type:
-        tok = self.tok
-        if tok.kind == "LIDENT":
-            self.next()
-            return TVar(tok.text, tok.span)
-        if tok.kind == "UIDENT":
+        kind = self.kind
+        if kind == "LIDENT":
+            return TVar(self.text, self.span(self.next()))
+        if kind == "UIDENT":
             return TConcrete(*self.parse_tagged(None, self._concrete_field, with_bar=True))
-        if tok.text == "=":
-            self.next()
-            name = self.expect("LIDENT")
-            return TSingleton(name.text, tok.span.merge(name.span))
-        if tok.text == "(":
+        if self.text == "=":
+            start = self.next()
+            name = self.expect_name()
+            return TSingleton(name, self.span_to(start, self.span(start + 1)))
+        if self.text == "(":
             return self.parse_paren_type()
         raise self.error("expected a type")
 
     def _concrete_field(self) -> Type:
         """A field of a concrete type: `= x`, the singleton `=x`, or `: t`."""
-        if self.tok.text == "=":
+        if self.text == "=":
             self.next()
-            val = self.expect("LIDENT")
-            return TSingleton(val.text, val.span)
+            i = self.pos
+            return TSingleton(self.expect_name(), self.span(i))
         self.expect_op(":")
         return self.parse_type()
 
     def parse_paren_type(self) -> Type:
-        open_tok = self.expect_op("(")
+        open_ = self.expect_op("(")
         comps: list[TupleComp] = []
         named_or_consumed = False
-        while self.tok.text != ")" and self.tok.text != "|":
+        while self.text != ")" and self.text != "|":
             consumed = False
-            if self.tok.text == "consumes":
+            if self.text == "consumes":
                 self.next()
                 consumed = True
                 named_or_consumed = True
             name: str | None = None
-            if self.tok.kind == "LIDENT" and self.peek(1).text == ":":
-                name = self.next().text
+            if self.kind == "LIDENT" and self.texts[self.pos + 1] == ":":
+                name = self.texts[self.next()]
                 self.next()
                 named_or_consumed = True
             ty = self.parse_type()
             comps.append(TupleComp(name, ty, consumed))
-            if self.tok.text == ",":
+            if self.text == ",":
                 self.next()
             else:
                 break
         bar: Type | None = None
         bar_consumed = False
-        if self.tok.text == "|":
+        if self.text == "|":
             self.next()
-            if self.tok.text == "consumes":
+            if self.text == "consumes":
                 self.next()
                 bar_consumed = True
             bar = self.parse_type()
-        close = self.expect_op(")")
-        span = open_tok.span.merge(close.span)
+        span = self.span_to(open_, self.span(self.expect_op(")")))
         plain = len(comps) == 1 and not named_or_consumed
         if bar is None:
             if plain:
@@ -377,11 +382,9 @@ class Parser:
     # -- patterns ------------------------------------------------------------
 
     def parse_let_pattern(self) -> Pattern:
-        tok = self.tok
-        if tok.kind == "LIDENT":
-            self.next()
-            return PVar(tok.text, tok.span)
-        if tok.text == "(":
+        if self.kind == "LIDENT":
+            return PVar(self.text, self.span(self.next()))
+        if self.text == "(":
             items, span = self.parse_paren_list(self.parse_let_pattern)
             if len(items) == 1:
                 return items[0]
@@ -400,26 +403,26 @@ class Parser:
         takes no stack; `e;` is a let with an unmentionable binder."""
         links = None  # the links read, last first: (start, pattern, bound, rest)
         while True:
-            tok = self.tok
-            if tok.text == "let":
-                self.next()
+            text = self.text
+            if text == "let":
+                start = self.span(self.next())
                 pat = self.parse_let_pattern()
                 self.expect_op("=")
                 bound = self.parse_expr()
                 self.expect_kw("in")
-                links = (tok.span, pat, bound, links)
-            elif tok.text == "fun":
+                links = (start, pat, bound, links)
+            elif text == "fun":
                 e = self.parse_lambda()
                 break
-            elif tok.text == "if":
+            elif text == "if":
                 e = self.parse_if()
                 break
-            elif tok.text == "match":
+            elif text == "match":
                 e = self.parse_match()
                 break
             else:
                 e = self.parse_assign()
-                if self.tok.text != ";":
+                if self.text != ";":
                     break
                 self.next()
                 links = (e.span, PVar("seq%"), e, links)
@@ -435,30 +438,30 @@ class Parser:
         then = self.parse_expr()
         self.expect_kw("else")
         otherwise = self.parse_expr()
-        return EIf(cond, then, otherwise, start.span.merge(otherwise.span))
+        return EIf(cond, then, otherwise, self.span_to(start, otherwise.span))
 
     def parse_lambda(self) -> ELambda:
         start = self.expect_kw("fun")
-        if self.tok.text != "(":
+        if self.text != "(":
             raise self.error("expected '(' after fun")
         domain = self.parse_paren_type()
         if not isinstance(domain, (TTuple, TBar)):
             domain = TTuple((TupleComp(None, domain, False),))
         codomain: Type | None = None
-        if self.tok.text == ":":
+        if self.text == ":":
             self.next()
             codomain = self.parse_type()
             self.expect_op("=")
         else:
             self.expect_op("->")
         body = self.parse_expr()
-        return ELambda(domain, codomain, body, start.span.merge(body.span))
+        return ELambda(domain, codomain, body, self.span_to(start, body.span))
 
     def parse_match(self) -> EMatch:
         start = self.expect_kw("match")
         scrutinee = self.parse_expr()
         self.expect_kw("with")
-        if self.tok.text == "|":
+        if self.text == "|":
             self.next()
         branches: list[tuple[Pattern, Expr]] = []
         while True:
@@ -466,31 +469,26 @@ class Parser:
             self.expect_op("->")
             body = self.parse_expr()
             branches.append((pat, body))
-            if self.tok.text == "|":
+            if self.text == "|":
                 self.next()
             else:
                 break
-        return EMatch(scrutinee, tuple(branches), start.span.merge(branches[-1][1].span))
+        return EMatch(scrutinee, tuple(branches), self.span_to(start, branches[-1][1].span))
 
     def parse_assign(self) -> Expr:
-        tok = self.tok
-        if (
-            tok.kind == "LIDENT"
-            and tok.text == "tag"
-            and self.peek(1).kind == "LIDENT"
-            and self.peek(1).text == "of"
-        ):
+        start = self.pos
+        if self.text == "tag" and self.texts[start + 1] == "of":
             self.next()
             self.next()
             obj = self.parse_postfix()
             self.expect_op("<-")
             tag, fields, _, span = self.parse_tagged("=", self.parse_assign)
-            return ETagUpdate(obj, tag, fields, tok.span.merge(span))
+            return ETagUpdate(obj, tag, fields, self.span_to(start, span))
         e = self.parse_app_expr()
-        if self.tok.text == "<-":
+        if self.text == "<-":
             arrow = self.next()
             if not isinstance(e, EField):
-                raise ParseError("left side of '<-' must be a field access", arrow.span)
+                raise ParseError("left side of '<-' must be a field access", self.span(arrow))
             value = self.parse_assign()
             return EAssign(e.obj, e.name, value, e.span.merge(value.span))
         return e
@@ -498,13 +496,13 @@ class Parser:
     def parse_app_expr(self) -> Expr:
         head = self.parse_postfix()
         type_args: tuple[Type, ...] | None = None
-        if self.tok.text == "[":
+        if self.text == "[":
             self.next()
             type_args = tuple(self.parse_comma_list(self.parse_type))
             self.expect_op("]")
         result = head
         first = True
-        while self._starts_expr_atom():
+        while self.kind in _EXPR_ATOM_KINDS or self.text in _EXPR_ATOM_TEXTS:
             arg = self.parse_postfix()
             result = ECall(
                 result,
@@ -517,47 +515,29 @@ class Parser:
             raise ParseError("type application must be followed by an argument", head.span)
         return result
 
-    def _starts_expr_atom(self) -> bool:
-        tok = self.tok
-        if tok.kind in _EXPR_ATOM_START:
-            return True
-        if tok.text == "(":
-            return True
-        if tok.text == "true" or tok.text == "false":
-            return True
-        return False
-
     def parse_postfix(self) -> Expr:
-        e = self.parse_atom_expr()
-        while self.tok.text == ".":
-            self.next()
-            name = self.expect("LIDENT")
-            e = EField(e, name.text, e.span.merge(name.span))
-        return e
-
-    def parse_atom_expr(self) -> Expr:
-        tok = self.tok
-        if tok.kind == "INT":
-            self.next()
-            return EInt(int(tok.text), tok.span)
-        if tok.text == "true":
-            self.next()
-            return EBool(True, tok.span)
-        if tok.text == "false":
-            self.next()
-            return EBool(False, tok.span)
-        if tok.kind == "LIDENT":
-            self.next()
-            return EVar(tok.text, tok.span)
-        if tok.kind == "UIDENT":
+        """An atom and the fields read from it: `a.f.g`."""
+        kind = self.kind
+        text = self.text
+        if kind == "LIDENT":
+            e = EVar(text, self.span(self.next()))
+        elif kind == "INT":
+            e = EInt(int(text), self.span(self.next()))
+        elif text == "true" or text == "false":
+            e = EBool(text == "true", self.span(self.next()))
+        elif kind == "UIDENT":
             tag, fields, _, span = self.parse_tagged("=", self.parse_assign)
-            return EConstruct(tag, fields, span)
-        if tok.text == "(":
+            e = EConstruct(tag, fields, span)
+        elif text == "(":
             items, span = self.parse_paren_list(self.parse_expr)
-            if len(items) == 1:
-                return items[0]
-            return ETuple(tuple(items), span)
-        raise self.error("expected an expression")
+            e = items[0] if len(items) == 1 else ETuple(tuple(items), span)
+        else:
+            raise self.error("expected an expression")
+        while self.text == ".":
+            self.next()
+            i = self.pos
+            e = EField(e, self.expect_name(), e.span.merge(self.span(i)))
+        return e
 
 
 def parse_file(text: str, path: str = "<input>") -> SourceFile:
@@ -567,7 +547,7 @@ def parse_file(text: str, path: str = "<input>") -> SourceFile:
 def parse_type(text: str) -> Type:
     parser = Parser(tokenize(text))
     ty = parser.parse_type()
-    if parser.tok.kind != "EOF":
+    if parser.kind != "EOF":
         raise parser.error("trailing input after type")
     return ty
 
@@ -575,6 +555,6 @@ def parse_type(text: str) -> Type:
 def parse_expr(text: str) -> Expr:
     parser = Parser(tokenize(text))
     e = parser.parse_expr()
-    if parser.tok.kind != "EOF":
+    if parser.kind != "EOF":
         raise parser.error("trailing input after expression")
     return e

@@ -39,6 +39,17 @@ def test_a_node_is_frozen_and_has_no_instance_dict(cls):
 
 
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_assigning_or_deleting_any_attribute_of_a_node_raises_frozen(cls):
+    node = cls(*_values(cls, "a"))
+    for name in [f.name for f in dataclasses.fields(cls)] + ["other"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, "b")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
+    assert node == cls(*_values(cls, "a"))
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
 def test_every_way_to_build_a_node_gives_the_same_node(cls):
     fields = dataclasses.fields(cls)
     values = _values(cls, "a")
