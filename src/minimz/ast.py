@@ -4,27 +4,25 @@ Every node carries a source span (byte offset + length) that is excluded
 from structural equality, so two parses of the same text compare equal
 even when whitespace differs.
 
-Every node class, here and in `perms` and `check`, is made by `node`: a
-frozen dataclass with slots and no instance dict, whose `__init__` writes
-each field through its slot's member descriptor. A frozen dataclass's own
-`__init__` would write each field through `object.__setattr__` by name,
-which costs about twice as much, and the checker makes tens of thousands
-of nodes per large file. Nodes stay frozen: a type node keeps its hash,
-what `has_meta` found and what `plain` found in slots of its own, which
-hold only while the node never changes, and nodes are shared between
-types, checks and memos.
+Every node class, here and in `perms` and `check`, is made by `node` from
+the field annotations and defaults of its class body: a class with slots
+and no instance dict, whose `__init__` writes each field through its
+slot's member descriptor, and whose `==`, hash and `repr` go by its
+fields. `fields` and `replace` read a node class's fields. Nodes are
+frozen: a type node keeps its hash, what `has_meta` found and what
+`plain` found in slots of its own, which hold only while the node never
+changes, and nodes are shared between types, checks and memos.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
-from operator import attrgetter, is_
+from operator import is_
 
 
 class Span:
-    """A byte offset and a length. Spans compare, hash and print as a frozen
-    dataclass of these two fields would; a plain slotted class is four times
-    cheaper to make, and every AST leaf makes one."""
+    """A byte offset and a length. Spans compare, hash and print as a node
+    of these two fields would; a plain slotted class is four times cheaper
+    to make, and every AST leaf makes one."""
 
     __slots__ = ("start", "length")
 
@@ -55,9 +53,30 @@ class Span:
 
 DUMMY = Span(0, 0)
 
+MISSING = object()  # the default of a field that has none
+
+
+class FrozenInstanceError(AttributeError):
+    """An attempt to set or delete an attribute of a node."""
+
+
+class Field:
+    """A field of a node class: its name, its default (`MISSING` if none),
+    and whether `==` compares it and `repr` shows it. A class body writes
+    `name: T = Field(default, compare=False)` to change these; `node`
+    fills in the name."""
+
+    __slots__ = ("name", "default", "compare", "repr")
+
+    def __init__(self, default: object = MISSING, *, compare: bool = True, repr: bool = True):
+        self.name = ""
+        self.default = default
+        self.compare = compare
+        self.repr = repr
+
 
 def _span_field() -> Span:
-    return field(default=DUMMY, compare=False, repr=False)  # type: ignore[return-value]
+    return Field(DUMMY, compare=False, repr=False)  # type: ignore[return-value]
 
 
 def _frozen_setattr(self: object, name: str, value: object) -> None:
@@ -68,33 +87,108 @@ def _frozen_delattr(self: object, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def node(cls: type) -> type:
-    """Make `cls` a frozen dataclass with slots, and give it an `__init__`
-    that writes each field through its slot's member descriptor, which
-    skips the frozen class's `__setattr__`. A class that declares its own
-    `__slots__` keeps them. Assigning or deleting any attribute raises
-    `FrozenInstanceError`: the `__setattr__` and `__delattr__` that
-    `dataclasses` makes for a class it rebuilds with slots refer to the
-    class it replaced, and raise `TypeError` for a name that is no field."""
-    cls = dataclass(frozen=True, init=False, slots="__slots__" not in cls.__dict__)(cls)
-    cls.__setattr__ = _frozen_setattr
-    cls.__delattr__ = _frozen_delattr
-    ns: dict[str, object] = {}
-    params: list[str] = []
-    lines: list[str] = []
-    for f in fields(cls):
-        ns[f"_set_{f.name}"] = getattr(cls, f.name).__set__
-        if f.default is MISSING:
-            params.append(f.name)
+def node(cls: type | None = None, *, keep_hash: bool = False):
+    """Make a node class from the class `cls`: its fields are those of its
+    node base, then one per annotation of its body, in order, each with
+    the default the body gives it. The new class has a slot per field of
+    its own, beside any `__slots__` the body declares, and one `exec`
+    writes its methods:
+
+    - `__init__(self, *fields)`, which writes each field through its
+      slot's member descriptor, skipping the frozen `__setattr__`;
+    - `__eq__`, true for a node of the very same class whose compared
+      fields are equal, and `__hash__` over the compared fields. A class
+      that writes its own `__eq__` writes its own `__hash__`;
+    - `__repr__`, as `Name(field=value, ...)`, unless the body writes one.
+
+    With `keep_hash`, the hash also covers the class and is kept in the
+    node's `_hash` slot (a `Type`'s), so that a memo lookup hashes no
+    subtree twice; a leaf type's hash walks no subtree and need not.
+    Assigning or deleting any attribute raises `FrozenInstanceError`."""
+    if cls is None:
+        return lambda cls: node(cls, keep_hash=keep_hash)
+    body = cls.__dict__
+    own = []
+    for name in body.get("__annotations__", ()):
+        given = body.get(name, MISSING)
+        f = given if given.__class__ is Field else Field(given)
+        f.name = name
+        own.append(f)
+    every = getattr(cls, "_node_fields", ()) + tuple(own)
+    slots = tuple(body.get("__slots__", ())) + tuple(f.name for f in own)
+
+    params = [f.name if f.default is MISSING else f"{f.name}=_default_{f.name}" for f in every]
+    lines = [f"def __init__(self, {', '.join(params)}):"]
+    lines += [f"    _set_{f.name}(self, {f.name})" for f in every] or ["    pass"]
+    if "__eq__" not in body:
+        compared = [f.name for f in every if f.compare]
+        mine, theirs = _fields_tuple("self", compared), _fields_tuple("other", compared)
+        lines += [
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            f"        return {mine} == {theirs}",
+            "    return NotImplemented",
+            "def __hash__(self):",
+        ]
+        if keep_hash:
+            lines += [
+                "    h = getattr(self, '_hash', None)",
+                "    if h is None:",
+                f"        h = hash({_fields_tuple('self', [*compared, '__class__'])})",
+                "        _set_hash(self, h)",
+                "    return h",
+            ]
         else:
-            ns[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
-        lines.append(f"    _set_{f.name}(self, {f.name})")
-    if lines:
-        exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(lines), ns)
-        ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = ns["__init__"]
-    return cls
+            lines += [f"    return hash({mine})"]
+    if "__repr__" not in body:
+        shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in every if f.repr)
+        lines += ["def __repr__(self):", f'    return self.__class__.__qualname__ + f"({shown})"']
+    ns: dict[str, object] = {f"_default_{f.name}": f.default for f in every}
+    exec("\n".join(lines), ns)
+
+    skip = {*slots, "__dict__", "__weakref__"}
+    made = {name: value for name, value in body.items() if name not in skip}
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        if name in ns:
+            made[name] = ns[name]
+            ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    made.update(
+        __slots__=slots,
+        __qualname__=cls.__qualname__,
+        __setattr__=_frozen_setattr,
+        __delattr__=_frozen_delattr,
+        _node_fields=every,
+    )
+    new = type(cls)(cls.__name__, cls.__bases__, made)
+    # The setters are the new class's slots, so the methods find them in
+    # their namespace once the class is made.
+    for f in every:
+        ns[f"_set_{f.name}"] = getattr(new, f.name).__set__
+    if keep_hash:
+        ns["_set_hash"] = new._hash.__set__
+    return new
+
+
+def _fields_tuple(owner: str, names: list[str]) -> str:
+    """The source text of a tuple of the attributes `names` of `owner`."""
+    return "(" + "".join(f"{owner}.{name}, " for name in names) + ")"
+
+
+def fields(node_or_class: object) -> tuple[Field, ...]:
+    """The fields of a node class, or of a node's class, in order."""
+    try:
+        return node_or_class._node_fields  # type: ignore[attr-defined]
+    except AttributeError:
+        raise TypeError(f"{node_or_class!r} is no node or node class") from None
+
+
+def replace(n, /, **changes):
+    """A node of `n`'s class with `changes` made to its fields; every other
+    field keeps `n`'s value."""
+    for f in fields(n):
+        if f.name not in changes:
+            changes[f.name] = getattr(n, f.name)
+    return n.__class__(**changes)
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +230,13 @@ class Type:
     which is sound only because a node never changes: `_has_meta`, whether
     the node contains a `TMeta` (`has_meta`); `_plain`, whether it binds
     no name and holds no `TMeta` (`plain`); and `_hash`, the structural
-    hash of a node with children (`_keep_hash`)."""
+    hash of a node with children (`node`'s `keep_hash`)."""
 
     __slots__ = ("_has_meta", "_plain", "_hash")
 
 
 _set_has_meta = Type._has_meta.__set__
 _set_plain = Type._plain.__set__
-_set_hash = Type._hash.__set__
 
 
 @node
@@ -161,7 +254,7 @@ class TMeta(Type):
     span: Span = _span_field()
 
 
-@node
+@node(keep_hash=True)
 class TApp(Type):
     head: str
     args: tuple[Type, ...]
@@ -175,20 +268,20 @@ class TupleComp:
     consumed: bool = False
 
 
-@node
+@node(keep_hash=True)
 class TTuple(Type):
     comps: tuple[TupleComp, ...]
     span: Span = _span_field()
 
 
-@node
+@node(keep_hash=True)
 class TArrow(Type):
     domain: Type
     codomain: Type
     span: Span = _span_field()
 
 
-@node
+@node(keep_hash=True)
 class TBar(Type):
     """`(t | p)`: the carrier type together with a permission."""
 
@@ -198,7 +291,7 @@ class TBar(Type):
     span: Span = _span_field()
 
 
-@node
+@node(keep_hash=True)
 class TConcrete(Type):
     """Structural tagged-record type, e.g. `Node { left = l; elem = x; right = r }`.
 
@@ -217,21 +310,21 @@ class TSingleton(Type):
     span: Span = _span_field()
 
 
-@node
+@node(keep_hash=True)
 class TForall(Type):
     binders: tuple[tuple[str, Kind], ...]
     body: Type
     span: Span = _span_field()
 
 
-@node
+@node(keep_hash=True)
 class TExists(Type):
     binders: tuple[tuple[str, Kind], ...]
     body: Type
     span: Span = _span_field()
 
 
-@node
+@node(keep_hash=True)
 class TAt(Type):
     """Anchored permission `x @ t`."""
 
@@ -240,7 +333,7 @@ class TAt(Type):
     span: Span = _span_field()
 
 
-@node
+@node(keep_hash=True)
 class TStar(Type):
     """Permission conjunction `p * q * ...`, kept flat after normalization."""
 
@@ -252,27 +345,6 @@ class TStar(Type):
 class TEmpty(Type):
     span: Span = _span_field()
 
-
-def _keep_hash(cls: type) -> None:
-    """Give a type node class a `__hash__` that hashes the fields its
-    equality compares once per node and keeps the hash in the `_hash`
-    slot, so that a memo lookup hashes no subtree again."""
-    key = attrgetter(*[f.name for f in fields(cls) if f.compare], "__class__")
-
-    def __hash__(self: Type) -> int:
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash(key(self))
-            _set_hash(self, h)
-        return h
-
-    cls.__hash__ = __hash__
-
-
-# A leaf's hash walks no subtree: it keeps the dataclass's.
-for _cls in (TApp, TTuple, TArrow, TBar, TConcrete, TForall, TExists, TAt, TStar):
-    _keep_hash(_cls)
-del _cls
 
 UNIT = TTuple(())
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import field
 
 from .ast import (
     DValDef,
@@ -30,6 +29,7 @@ from .ast import (
     ETuple,
     EVar,
     Expr,
+    Field,
     KIND_PERM,
     Kind,
     PTag,
@@ -83,7 +83,7 @@ class Diagnostic:
     message: str
     span: Span
     perm_snapshot: str = ""
-    goal: Atom | None = field(default=None, compare=False)
+    goal: Atom | None = Field(None, compare=False)
 
     def render(self, path: str, text: str) -> str:
         from .lexer import line_col

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 check or test failure, 2 I/O or parse failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -30,6 +29,8 @@ def _report(
     """Write one error to stderr: a JSON record under `--json`, else
     `path:line:col CODE message`, or `path: message` when it has no position."""
     if as_json:
+        import json
+
         record = {
             "path": path,
             "line": line,
@@ -228,6 +229,17 @@ def cmd_test(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
+def _step_count(text: str) -> int:
+    """A `--max-steps` value: a whole number of steps, 0 or more."""
+    try:
+        steps = int(text)
+    except ValueError:
+        steps = None
+    if steps is None or steps < 0:
+        raise argparse.ArgumentTypeError(f"must be a whole number 0 or more, not {text!r}")
+    return steps
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="minimz", description="permission-typed miniature ML"
@@ -244,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("entry")
     p_run.add_argument("--unchecked", action="store_true", help="skip the checker")
     p_run.add_argument("--trace", action="store_true", help="log allocations and one-shot fires")
-    p_run.add_argument("--max-steps", type=int, default=10_000_000)
+    p_run.add_argument("--max-steps", type=_step_count, default=10_000_000)
     p_run.set_defaults(fn=cmd_run)
 
     p_test = sub.add_parser("test", help="run the corpus manifest")

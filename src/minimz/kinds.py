@@ -12,7 +12,6 @@ explicit type arguments.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
 
 from .ast import (
     Branch,
@@ -62,6 +61,7 @@ from .ast import (
     Type,
     TupleComp,
     children,
+    replace,
     same_items,
 )
 
@@ -74,57 +74,105 @@ class ResolveError(Exception):
         self.span = span
 
 
-@dataclass
 class DataInfo:
-    name: str
-    mutable: bool
-    params: tuple[tuple[str, Kind], ...]
-    branches: dict[str, Branch] = field(default_factory=dict)
+    def __init__(
+        self,
+        name: str,
+        mutable: bool,
+        params: tuple[tuple[str, Kind], ...],
+        branches: dict[str, Branch] | None = None,
+    ):
+        self.name = name
+        self.mutable = mutable
+        self.params = params
+        self.branches = {} if branches is None else branches
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.mutable, self.params, self.branches) == (
+            other.name, other.mutable, other.params, other.branches
+        )
 
 
-@dataclass
 class AliasInfo:
     """An alias; its body and the body's kind are set when the body is
     resolved."""
 
-    name: str
-    params: tuple[tuple[str, Kind], ...]
-    body: Type | None = None
-    kind: Kind | None = None
+    def __init__(
+        self,
+        name: str,
+        params: tuple[tuple[str, Kind], ...],
+        body: Type | None = None,
+        kind: Kind | None = None,
+    ):
+        self.name = name
+        self.params = params
+        self.body = body
+        self.kind = kind
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.params, self.body, self.kind) == (
+            other.name, other.params, other.body, other.kind
+        )
 
 
-@dataclass
 class AbstractInfo:
-    name: str
-    params: tuple[tuple[str, Kind], ...]
+    def __init__(self, name: str, params: tuple[tuple[str, Kind], ...]):
+        self.name = name
+        self.params = params
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.params) == (other.name, other.params)
 
 
-@dataclass
 class PrimInfo:
     """Builtin base type (int, bool)."""
 
-    name: str
+    def __init__(self, name: str, params: tuple[tuple[str, Kind], ...] = ()):
+        self.name = name
+        self.params = params
 
-    params: tuple[tuple[str, Kind], ...] = ()
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.params) == (other.name, other.params)
 
 
 TypeInfo = DataInfo | AliasInfo | AbstractInfo | PrimInfo
 
 
-@dataclass
 class Env:
-    """Resolution environment: type constructors, tags, and value signatures."""
+    """Resolution environment: type constructors, tags, and value
+    signatures. Two environments are equal when these three are."""
 
-    types: dict[str, TypeInfo] = field(default_factory=dict)
-    tags: dict[str, tuple[str, Branch]] = field(default_factory=dict)
-    sigs: dict[str, Type] = field(default_factory=dict)
-    # `perms.duplicability`, `perms.expand_alias` and `perms.branch_instance`
-    # answers for this environment; a clone starts with none.
-    dup_memo: dict[Type, str] = field(default_factory=dict, compare=False, repr=False)
-    alias_memo: dict[Type, Type] = field(default_factory=dict, compare=False, repr=False)
-    branch_memo: dict[tuple[Type, str], Branch] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    def __init__(
+        self,
+        types: dict[str, TypeInfo] | None = None,
+        tags: dict[str, tuple[str, Branch]] | None = None,
+        sigs: dict[str, Type] | None = None,
+        dup_memo: dict[Type, str] | None = None,
+        alias_memo: dict[Type, Type] | None = None,
+        branch_memo: dict[tuple[Type, str], Branch] | None = None,
+    ):
+        self.types = {} if types is None else types
+        self.tags = {} if tags is None else tags
+        self.sigs = {} if sigs is None else sigs
+        # `perms.duplicability`, `perms.expand_alias` and
+        # `perms.branch_instance` answers for this environment; a clone
+        # starts with none.
+        self.dup_memo = {} if dup_memo is None else dup_memo
+        self.alias_memo = {} if alias_memo is None else alias_memo
+        self.branch_memo = {} if branch_memo is None else branch_memo
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.types, self.tags, self.sigs) == (other.types, other.tags, other.sigs)
 
     def lookup_type(self, name: str, span: Span) -> TypeInfo:
         info = self.types.get(name)

@@ -23,7 +23,6 @@ any other argument must evaluate to a tuple as long as the arity.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -60,19 +59,28 @@ def _over(limit: int) -> RuntimeTrap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True, eq=False)
 class Cell:
     """A record, compared by identity: every record literal allocates a new
     one, and an update writes it in place."""
 
-    tag: str
-    fields: dict[str, Value]
-    mutable: bool
+    __slots__ = ("tag", "fields", "mutable")
+
+    def __init__(self, tag: str, fields: dict[str, Value], mutable: bool):
+        self.tag = tag
+        self.fields = fields
+        self.mutable = mutable
 
 
-@dataclass(slots=True)
 class VTuple:
-    items: list
+    __slots__ = ("items",)
+
+    def __init__(self, items: list):
+        self.items = items
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items
 
 
 # A function value is called as `f.fn(rt, arg)`, where `rt` is the run and
@@ -80,30 +88,51 @@ class VTuple:
 # arguments otherwise.
 
 
-@dataclass(slots=True)
 class VClosure:
     """A compiled function. A top-level definition's `fn` compiles the
     definition on its first call and puts the result in its place."""
 
-    arity: int
-    fn: object
+    __slots__ = ("arity", "fn")
+
+    def __init__(self, arity: int, fn: object):
+        self.arity = arity
+        self.fn = fn
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.arity, self.fn) == (other.arity, other.fn)
 
 
-@dataclass(slots=True)
 class VBuiltin:
-    name: str
-    arity: int
-    fn: object
+    __slots__ = ("name", "arity", "fn")
+
+    def __init__(self, name: str, arity: int, fn: object):
+        self.name = name
+        self.arity = arity
+        self.fn = fn
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.arity, self.fn) == (other.name, other.arity, other.fn)
 
 
-@dataclass(slots=True)
 class OneShot:
     """A closure instrumented to fire at most once; `cell` is shared by every
     closure packaged by the same tuple literal."""
 
-    inner: VClosure
-    cell: list
-    arity: int
+    __slots__ = ("inner", "cell", "arity")
+
+    def __init__(self, inner: VClosure, cell: list, arity: int):
+        self.inner = inner
+        self.cell = cell
+        self.arity = arity
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.inner, self.cell, self.arity) == (other.inner, other.cell, other.arity)
 
     def fn(self, rt: Interp, arg):
         cell = self.cell
@@ -121,14 +150,27 @@ Value = int | bool | Cell | VTuple | VClosure | VBuiltin | OneShot
 UNIT = VTuple([])
 
 
-@dataclass
 class Stats:
-    steps: int = 0
-    allocations: int = 0
-    oneshot_fires: int = 0
-    # The steps of each returned call, by definition: a definition none of
-    # whose calls has returned has no entry.
-    call_steps: dict[str, list[int]] = field(default_factory=dict)
+    def __init__(
+        self,
+        steps: int = 0,
+        allocations: int = 0,
+        oneshot_fires: int = 0,
+        call_steps: dict[str, list[int]] | None = None,
+    ):
+        self.steps = steps
+        self.allocations = allocations
+        self.oneshot_fires = oneshot_fires
+        # The steps of each returned call, by definition: a definition none
+        # of whose calls has returned has no entry.
+        self.call_steps = {} if call_steps is None else call_steps
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.steps, self.allocations, self.oneshot_fires, self.call_steps) == (
+            other.steps, other.allocations, other.oneshot_fires, other.call_steps
+        )
 
 
 def _quot(a: int, b: int) -> int:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Generator, Iterator
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .ast import (
@@ -99,19 +98,30 @@ _CUT = object()  # on the goal stack: the newest level's goals are all met
 _FAIL = object()  # on the goal stack: the newest level's atom does not meet it
 
 
-@dataclass(slots=True, eq=False)
 class _Level:
     """An open level of the search: its goal, the goals after its own, the
     level open before it, its atoms left, the marks of the bindings and of
     the guard when it opened, and the environment of the atom taken."""
 
-    goal: Anchored
-    after: tuple | None
-    older: _Level | None
-    rest: Generator[tuple, SubsumptionFailure, None]
-    mark: int
-    guard_mark: int
-    penv: PermEnv | None = None
+    __slots__ = ("goal", "after", "older", "rest", "mark", "guard_mark", "penv")
+
+    def __init__(
+        self,
+        goal: Anchored,
+        after: tuple | None,
+        older: _Level | None,
+        rest: Generator[tuple, SubsumptionFailure, None],
+        mark: int,
+        guard_mark: int,
+        penv: PermEnv | None = None,
+    ):
+        self.goal = goal
+        self.after = after
+        self.older = older
+        self.rest = rest
+        self.mark = mark
+        self.guard_mark = guard_mark
+        self.penv = penv
 
 
 class _Field(NamedTuple):
@@ -174,16 +184,21 @@ def _occurs(name: str, t: Type) -> bool:
     return has_meta(t) and any(_occurs(name, c) for c in children(t))
 
 
-@dataclass
 class Subsumer:
     """Extraction for one definition: `uni` holds its metavariables and
     draws its fresh names. `guard` holds, on the path of the current
     search, the duplicable atoms being folded and the anchors being split;
     it is empty between searches."""
 
-    env: Env
-    uni: Unifier = field(default_factory=Unifier)
-    guard: Scope = field(default_factory=Scope)
+    def __init__(self, env: Env, uni: Unifier | None = None, guard: Scope | None = None):
+        self.env = env
+        self.uni = Unifier() if uni is None else uni
+        self.guard = Scope() if guard is None else guard
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.env, self.uni, self.guard) == (other.env, other.uni, other.guard)
 
     # ------------------------------------------------------------------
     # unification

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from minimz.ast import fields
 from minimz.driver import CORPUS_DIR
 
 # Every property test draws the same examples on every run and keeps no
@@ -28,6 +29,15 @@ CORPUS = CORPUS_DIR
 
 def corpus_text(rel: str) -> str:
     return (CORPUS / rel).read_text(encoding="utf-8")
+
+
+def is_node(value) -> bool:
+    """Is `value` a node or a node class, one that `ast.fields` reads?"""
+    try:
+        fields(value)
+    except TypeError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

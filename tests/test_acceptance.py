@@ -5,7 +5,6 @@ a pytest failure on any test is the corresponding fail line.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -19,7 +18,7 @@ from conftest import (
     value_to_pylist,
 )
 
-from minimz.ast import DValDef, TApp, TBar, TForall, TTuple, TupleComp, TVar
+from minimz.ast import DValDef, TApp, TBar, TForall, TTuple, TupleComp, TVar, replace
 from minimz.check import Checker
 from minimz.cli import parse_manifest, run_case
 from minimz.driver import check_text, load_text, prelude, run_text

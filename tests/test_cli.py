@@ -93,6 +93,19 @@ def test_run_prints_value():
     assert out.stdout.strip() == "3"
 
 
+def test_run_rejects_a_negative_step_limit_as_a_usage_error():
+    path = str(CORPUS / "run" / "run_size.mz")
+    out = run_cli("run", path, "main", "--max-steps", "-5")
+    assert out.returncode == 2 and out.stdout == ""
+    assert "usage:" in out.stderr
+    assert "--max-steps: must be a whole number 0 or more, not '-5'" in out.stderr
+    out = run_cli("run", path, "main", "--max-steps", "x")
+    assert out.returncode == 2 and "not 'x'" in out.stderr
+    # 0 is a limit like any other: the first step passes it.
+    out = run_cli("run", path, "main", "--max-steps", "0")
+    assert out.returncode == 3 and out.stderr == "trap STEP_LIMIT: exceeded 0 steps\n"
+
+
 def test_run_same_fringe_prints_true():
     out = run_cli("run", str(CORPUS / "run" / "run_same_fringe.mz"), "main")
     assert out.returncode == 0
@@ -188,3 +201,26 @@ def test_corrupted_manifest_reported(tmp_path):
 def test_missing_manifest_reported(tmp_path):
     out = run_cli("test", str(tmp_path))
     assert out.returncode == 1
+
+
+# `check` loads the command line, the front end and the prelude before it
+# reads its file; `run` alone loads the interpreter, and JSON output its
+# module. Modules the interpreter loads at start-up, before `minimz`, are
+# left out.
+START_UP = "import minimz.cli, minimz.driver; minimz.driver.prelude()"
+LOADED = "import sys; print(*sorted(sys.modules))"
+
+
+def _loaded(code: str) -> set[str]:
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.split())
+
+
+def test_start_up_loads_the_front_end_and_no_more():
+    loaded = _loaded(f"{START_UP}; {LOADED}") - _loaded(LOADED)
+    assert loaded & {"dataclasses", "inspect", "json", "copy"} == set()
+    front_end = "ast check cli driver kinds lexer parser perms subsume".split()
+    assert sorted(name for name in loaded if name.startswith("minimz.")) == [
+        f"minimz.{name}" for name in front_end
+    ]

@@ -21,6 +21,7 @@ from minimz.ast import (
     TTuple,
     TVar,
     TupleComp,
+    replace,
 )
 from minimz.check import _intersect
 from minimz.driver import load_text
@@ -472,8 +473,6 @@ _counter = [0]
 
 
 def _freshen(t):
-    from dataclasses import replace
-
     if isinstance(t, (TForall, TExists)):
         mapping = {}
         binders = []
@@ -488,8 +487,6 @@ def _freshen(t):
 
 
 def _map_children(t, f):
-    from dataclasses import replace
-
     if isinstance(t, TApp):
         return replace(t, args=tuple(f(a) for a in t.args))
     if isinstance(t, TArrow):
@@ -514,16 +511,12 @@ def _blind_subst(t, mapping):
         return mapping.get(t.name, t)
     if isinstance(t, (TForall, TExists)):
         inner = {k: v for k, v in mapping.items() if k not in [n for n, _ in t.binders]}
-        from dataclasses import replace
-
         return replace(t, body=_blind_subst(t.body, inner))
     return _map_children(t, lambda u: _blind_subst(u, mapping))
 
 
 def _alpha_canon(t, env_names=None, counter=None):
     """Canonical renaming of quantifier binders for alpha comparison."""
-    from dataclasses import replace
-
     env_names = env_names or {}
     counter = counter or [0]
     if isinstance(t, TVar):

@@ -15,11 +15,12 @@ To rewrite the file after an intended change of the parser's output:
 
 from __future__ import annotations
 
-import dataclasses
 import difflib
 import sys
 from pathlib import Path
 
+from conftest import is_node
+from minimz.ast import fields
 from minimz.driver import CORPUS_DIR
 from minimz.parser import parse_file
 
@@ -30,11 +31,11 @@ def walk(value, out: list[str]) -> None:
     if isinstance(value, tuple):
         for item in value:
             walk(item, out)
-    elif dataclasses.is_dataclass(value):
+    elif is_node(value):
         span = getattr(value, "span", None)
         if span is not None:
             out.append(f"{type(value).__name__} {span.start} {span.length}")
-        for f in dataclasses.fields(value):
+        for f in fields(value):
             walk(getattr(value, f.name), out)
 
 

@@ -1,15 +1,15 @@
 """The type traversals (`map_children`, `children`, `has_meta`, `subst_type`)
 against a small reference walker kept here.
 
-The reference finds a node's children by reflection over its dataclass
-fields, so it shares no dispatch with the code under test. It runs on every
-kind of type node, and on the signatures, alias bodies and data fields of
-the prelude and of every corpus file, bare and instantiated.
+The reference finds a node's children by reflection over its fields
+(`ast.fields`), so it shares no dispatch with the code under test. It
+runs on every kind of type node, and on the signatures, alias bodies and
+data fields of the prelude and of every corpus file, bare and
+instantiated.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import sys
 
@@ -35,9 +35,11 @@ from minimz.ast import (
     Type,
     TupleComp,
     children,
+    fields,
     has_meta,
     map_children,
     plain,
+    replace,
 )
 from minimz.driver import CORPUS_DIR, PRELUDE_PATH, load_text, prelude
 from minimz.kinds import AliasInfo, DataInfo
@@ -60,7 +62,7 @@ def _types_in(value) -> list[Type]:
 
 
 def ref_children(t: Type) -> list[Type]:
-    return [c for f in dataclasses.fields(t) for c in _types_in(getattr(t, f.name))]
+    return [c for f in fields(t) for c in _types_in(getattr(t, f.name))]
 
 
 def _map_in(value, f):
@@ -75,8 +77,8 @@ def _map_in(value, f):
 
 def ref_map(t: Type, f) -> Type:
     """A new node like `t` with `f` applied to each child."""
-    return dataclasses.replace(
-        t, **{fl.name: _map_in(getattr(t, fl.name), f) for fl in dataclasses.fields(t)}
+    return replace(
+        t, **{fl.name: _map_in(getattr(t, fl.name), f) for fl in fields(t)}
     )
 
 
@@ -93,7 +95,7 @@ def freshen(t: Type, fresh) -> Type:
     if isinstance(t, (TForall, TExists)):
         renaming = {n: TVar(f"{n}!{next(fresh)}") for n, _ in t.binders}
         body = ref_subst(freshen(t.body, fresh), renaming, {})
-        return dataclasses.replace(
+        return replace(
             t, binders=tuple((renaming[n].name, k) for n, k in t.binders), body=body
         )
     return ref_map(t, lambda c: freshen(c, fresh))
@@ -104,16 +106,16 @@ def ref_subst(t: Type, subst: dict[str, Type], values: dict[str, str]) -> Type:
     if isinstance(t, TVar):
         return subst.get(t.name, t)
     if isinstance(t, TSingleton):
-        return dataclasses.replace(t, name=values.get(t.name, t.name))
+        return replace(t, name=values.get(t.name, t.name))
     if isinstance(t, TAt):
         anchor = values.get(t.anchor, t.anchor)
-        return dataclasses.replace(t, anchor=anchor, ty=ref_subst(t.ty, subst, values))
+        return replace(t, anchor=anchor, ty=ref_subst(t.ty, subst, values))
     if isinstance(t, (TForall, TExists)):
         inner = {n: w for n, w in subst.items() if n not in _binder_names(t)}
-        return dataclasses.replace(t, body=ref_subst(t.body, inner, values))
+        return replace(t, body=ref_subst(t.body, inner, values))
     if isinstance(t, TArrow):
         domain, after = ref_domain(t.domain, subst, values)
-        return dataclasses.replace(
+        return replace(
             t, domain=domain, codomain=ref_subst(t.codomain, subst, after)
         )
     if isinstance(t, (TTuple, TBar)):
@@ -126,14 +128,14 @@ def ref_domain(t: Type, subst, values) -> tuple[Type, dict[str, str]]:
     components, the bar and, in an arrow, the codomain."""
     if isinstance(t, TBar):
         carrier, after = ref_domain(t.carrier, subst, values)
-        return dataclasses.replace(t, carrier=carrier, perm=ref_subst(t.perm, subst, after)), after
+        return replace(t, carrier=carrier, perm=ref_subst(t.perm, subst, after)), after
     if isinstance(t, TTuple):
         after = dict(values)
         comps = []
         for c in t.comps:
             comps.append(TupleComp(c.name, ref_subst(c.ty, subst, after), c.consumed))
             after.pop(c.name, None)
-        return dataclasses.replace(t, comps=tuple(comps)), after
+        return replace(t, comps=tuple(comps)), after
     return ref_subst(t, subst, values), values
 
 
@@ -147,18 +149,18 @@ def alpha_rename(t: Type, binder, comp) -> Type:
         if isinstance(t, TVar):
             return tvars.get(t.name, t)
         if isinstance(t, TSingleton):
-            return dataclasses.replace(t, name=values.get(t.name, t.name))
+            return replace(t, name=values.get(t.name, t.name))
         if isinstance(t, TAt):
             anchor = values.get(t.anchor, t.anchor)
-            return dataclasses.replace(t, anchor=anchor, ty=walk(t.ty, tvars, values))
+            return replace(t, anchor=anchor, ty=walk(t.ty, tvars, values))
         if isinstance(t, (TForall, TExists)):
             new = tuple((binder(next(binders)), k) for _, k in t.binders)
             inner = dict(tvars)
             inner.update({n: TVar(m) for (n, _), (m, _) in zip(t.binders, new)})
-            return dataclasses.replace(t, binders=new, body=walk(t.body, inner, values))
+            return replace(t, binders=new, body=walk(t.body, inner, values))
         if isinstance(t, TArrow):
             domain, after = walk_domain(t.domain, tvars, values)
-            return dataclasses.replace(
+            return replace(
                 t, domain=domain, codomain=walk(t.codomain, tvars, after)
             )
         if isinstance(t, (TTuple, TBar)):
@@ -169,7 +171,7 @@ def alpha_rename(t: Type, binder, comp) -> Type:
         if isinstance(t, TBar):
             carrier, after = walk_domain(t.carrier, tvars, values)
             perm = walk(t.perm, tvars, after)
-            return dataclasses.replace(t, carrier=carrier, perm=perm), after
+            return replace(t, carrier=carrier, perm=perm), after
         if isinstance(t, TTuple):
             after = dict(values)
             out = []
@@ -179,7 +181,7 @@ def alpha_rename(t: Type, binder, comp) -> Type:
                 if c.name is not None:
                     name = after[c.name] = comp(next(comps))
                 out.append(TupleComp(name, ty, c.consumed))
-            return dataclasses.replace(t, comps=tuple(out)), after
+            return replace(t, comps=tuple(out)), after
         return walk(t, tvars, values), values
 
     return walk(t, {}, {})
@@ -198,7 +200,7 @@ def alpha_canon(t: Type, names: dict[str, str] | None = None, count=None) -> Typ
             inner[n] = f"#{next(count)}"
             binders.append((inner[n], k))
         body = alpha_canon(t.body, inner, count)
-        return dataclasses.replace(t, binders=tuple(binders), body=body)
+        return replace(t, binders=tuple(binders), body=body)
     return ref_map(t, lambda c: alpha_canon(c, names, count))
 
 
@@ -228,7 +230,7 @@ def value_names(t: Type) -> set[str]:
 
 def _concrete_subclasses(cls):
     for sub in cls.__subclasses__():
-        # `dataclass(slots=True)` makes a new class; the one it replaced may
+        # `ast.node` makes a new class; the one it replaced may
         # linger among the subclasses until it is collected.
         if getattr(sys.modules[sub.__module__], sub.__name__, None) is sub:
             yield sub
@@ -270,7 +272,7 @@ def _rebuilt(t: Type) -> Type:
 
 def _respanned(t: Type) -> Type:
     """A node equal to `t`, built apart from it, with other spans."""
-    return dataclasses.replace(ref_map(t, _respanned), span=Span(99, 1))
+    return replace(ref_map(t, _respanned), span=Span(99, 1))
 
 
 @pytest.mark.parametrize("cls", TYPE_CLASSES, ids=lambda c: c.__name__)
@@ -378,7 +380,7 @@ def test_a_substituted_variable_is_not_captured_by_a_corpus_binder():
             # a variable `z` free under the quantifier, replaced by a type
             # naming the quantifier's first binder
             first = n.binders[0][0]
-            q = dataclasses.replace(n, body=TApp("pair", (n.body, TVar("z"))))
+            q = replace(n, body=TApp("pair", (n.body, TVar("z"))))
             subst = {"z": TApp("list", (TVar(first),))}
             got = subst_type(q, subst)
             want = ref_subst(freshen(q, itertools.count()), subst, {})
