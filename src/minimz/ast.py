@@ -8,10 +8,11 @@ Every node class, here and in `perms` and `check`, is made by `node` from
 the field annotations and defaults of its class body: a class with slots
 and no instance dict, whose `__init__` writes each field through its
 slot's member descriptor, and whose `==`, hash and `repr` go by its
-fields. `fields` and `replace` read a node class's fields. Nodes are
-frozen: a type node keeps its hash, what `has_meta` found and what
-`plain` found in slots of its own, which hold only while the node never
-changes, and nodes are shared between types, checks and memos.
+fields; no class body writes its own. `fields` and `replace` read a node
+class's fields. Nodes are frozen: a type node keeps its hash, what
+`has_meta` found and what `plain` found in slots of its own, which hold
+only while the node never changes, and nodes are shared between types,
+checks and memos.
 """
 
 from __future__ import annotations
@@ -92,14 +93,13 @@ def node(cls: type | None = None, *, keep_hash: bool = False):
     node base, then one per annotation of its body, in order, each with
     the default the body gives it. The new class has a slot per field of
     its own, beside any `__slots__` the body declares, and one `exec`
-    writes its methods:
+    writes its methods, over any the body writes:
 
     - `__init__(self, *fields)`, which writes each field through its
       slot's member descriptor, skipping the frozen `__setattr__`;
     - `__eq__`, true for a node of the very same class whose compared
-      fields are equal, and `__hash__` over the compared fields. A class
-      that writes its own `__eq__` writes its own `__hash__`;
-    - `__repr__`, as `Name(field=value, ...)`, unless the body writes one.
+      fields are equal, and `__hash__` over the compared fields;
+    - `__repr__`, as `Name(field=value, ...)`.
 
     With `keep_hash`, the hash also covers the class and is kept in the
     node's `_hash` slot (a `Type`'s), so that a memo lookup hashes no
@@ -120,38 +120,35 @@ def node(cls: type | None = None, *, keep_hash: bool = False):
     params = [f.name if f.default is MISSING else f"{f.name}=_default_{f.name}" for f in every]
     lines = [f"def __init__(self, {', '.join(params)}):"]
     lines += [f"    _set_{f.name}(self, {f.name})" for f in every] or ["    pass"]
-    if "__eq__" not in body:
-        compared = [f.name for f in every if f.compare]
-        mine, theirs = _fields_tuple("self", compared), _fields_tuple("other", compared)
+    compared = [f.name for f in every if f.compare]
+    mine, theirs = _fields_tuple("self", compared), _fields_tuple("other", compared)
+    lines += [
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return {mine} == {theirs}",
+        "    return NotImplemented",
+        "def __hash__(self):",
+    ]
+    if keep_hash:
         lines += [
-            "def __eq__(self, other):",
-            "    if other.__class__ is self.__class__:",
-            f"        return {mine} == {theirs}",
-            "    return NotImplemented",
-            "def __hash__(self):",
+            "    h = getattr(self, '_hash', None)",
+            "    if h is None:",
+            f"        h = hash({_fields_tuple('self', [*compared, '__class__'])})",
+            "        _set_hash(self, h)",
+            "    return h",
         ]
-        if keep_hash:
-            lines += [
-                "    h = getattr(self, '_hash', None)",
-                "    if h is None:",
-                f"        h = hash({_fields_tuple('self', [*compared, '__class__'])})",
-                "        _set_hash(self, h)",
-                "    return h",
-            ]
-        else:
-            lines += [f"    return hash({mine})"]
-    if "__repr__" not in body:
-        shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in every if f.repr)
-        lines += ["def __repr__(self):", f'    return self.__class__.__qualname__ + f"({shown})"']
+    else:
+        lines += [f"    return hash({mine})"]
+    shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in every if f.repr)
+    lines += ["def __repr__(self):", f'    return self.__class__.__qualname__ + f"({shown})"']
     ns: dict[str, object] = {f"_default_{f.name}": f.default for f in every}
     exec("\n".join(lines), ns)
 
     skip = {*slots, "__dict__", "__weakref__"}
     made = {name: value for name, value in body.items() if name not in skip}
     for name in ("__init__", "__eq__", "__hash__", "__repr__"):
-        if name in ns:
-            made[name] = ns[name]
-            ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        made[name] = ns[name]
+        ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
     made.update(
         __slots__=slots,
         __qualname__=cls.__qualname__,
@@ -176,10 +173,7 @@ def _fields_tuple(owner: str, names: list[str]) -> str:
 
 def fields(node_or_class: object) -> tuple[Field, ...]:
     """The fields of a node class, or of a node's class, in order."""
-    try:
-        return node_or_class._node_fields  # type: ignore[attr-defined]
-    except AttributeError:
-        raise TypeError(f"{node_or_class!r} is no node or node class") from None
+    return node_or_class._node_fields  # type: ignore[attr-defined]
 
 
 def replace(n, /, **changes):
@@ -657,16 +651,8 @@ class DValDef(Decl):
 
 @node
 class SourceFile:
-    path: str
+    path: str = Field(compare=False)  # not structural
     decls: tuple[Decl, ...]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SourceFile):
-            return NotImplemented
-        return self.decls == other.decls  # path is not structural
-
-    def __hash__(self) -> int:
-        return hash(self.decls)
 
 
 # ---------------------------------------------------------------------------

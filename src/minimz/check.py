@@ -609,8 +609,7 @@ class Checker:
         # Join: each branch must subsume the first branch's result type;
         # the joined environment is the atom-multiset intersection.
         first_anchor, first_penv = results[0]
-        hits = first_penv.atoms_of(first_anchor)
-        result_ty: Type = hits[0][1].ty if hits else TTuple(())
+        result_ty = _held_type(first_penv, first_anchor)
         left: list[tuple[Atom, ...]] = []
         for anchor, penv in results:
             penv = self._subsume_or_fail(penv, [Anchored(anchor, result_ty)], span)
@@ -716,13 +715,8 @@ class Checker:
                 out = self.check_expr(inner, e.body, None)
                 assert out is not _TAIL_DONE
                 anchor2, inner = out
-                hits = inner.atoms_of(anchor2)
-                result_cod = hits[0][1].ty if hits else TTuple(())
-                inner = self._subsume_or_fail(
-                    inner, [Anchored(anchor2, result_cod)], e.span
-                )
-                if exit_goals:
-                    self._subsume_or_fail(inner, list(exit_goals), e.span, code="E-CONSUMED")
+                result_cod = _held_type(inner, anchor2)
+                self._finish_tail(inner, anchor2, Tail(result_cod, exit_goals, e.span), e.span)
         except CheckFailure as exc:
             goal = exc.diag.goal
             if (
@@ -755,6 +749,13 @@ def _put_back(penv: PermEnv, atoms: list[Atom]) -> PermEnv:
             if not (isinstance(a, Anchored) and a in [b for _, b in penv.atoms_of(a.anchor)])
         ]
     )
+
+
+def _held_type(penv: PermEnv, anchor: str) -> Type:
+    """The type that `anchor`'s first atom in `penv` holds, else unit: the
+    type a result is taken to have when none is declared."""
+    hits = penv.atoms_of(anchor)
+    return hits[0][1].ty if hits else TTuple(())
 
 
 def _singleton_comp(anchor: str) -> TupleComp:

@@ -73,7 +73,7 @@ def _front_end_error(exc: Exception, text: str) -> tuple[str, str, int | None, i
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _report(args.file, args.json, "IO", str(exc))
         return 2
     try:
@@ -93,7 +93,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     try:
         text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _report(args.file, False, "IO", str(exc))
         return 2
     try:
@@ -149,7 +149,7 @@ def run_case(root: Path, expectation: str, rel: str, args: str) -> tuple[bool, s
     path = root / rel
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return False, f"cannot read: {exc}"
     try:
         return _judge(text, expectation, rel, args)
@@ -169,6 +169,11 @@ def _judge(text: str, expectation: str, rel: str, args: str) -> tuple[bool, str]
         expected = [item.strip() for item in args.split(",") if item.strip()]
         if not expected:
             return False, "manifest error: REJECT requires at least one code"
+        for want in expected:
+            code, at, loc = want.partition("@")
+            line_s, _, col_s = loc.partition(":")
+            if at and not (code and line_s.isdecimal() and col_s.isdecimal()):
+                return False, f"manifest error: {want!r} is not CODE@line:col"
         _, _, diags = check_text(text, rel)
         got = []
         for d in diags:

@@ -75,48 +75,22 @@ class ResolveError(Exception):
 
 
 class DataInfo:
-    def __init__(
-        self,
-        name: str,
-        mutable: bool,
-        params: tuple[tuple[str, Kind], ...],
-        branches: dict[str, Branch] | None = None,
-    ):
+    def __init__(self, name: str, mutable: bool, params: tuple[tuple[str, Kind], ...]):
         self.name = name
         self.mutable = mutable
         self.params = params
-        self.branches = {} if branches is None else branches
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.mutable, self.params, self.branches) == (
-            other.name, other.mutable, other.params, other.branches
-        )
+        self.branches: dict[str, Branch] = {}
 
 
 class AliasInfo:
     """An alias; its body and the body's kind are set when the body is
     resolved."""
 
-    def __init__(
-        self,
-        name: str,
-        params: tuple[tuple[str, Kind], ...],
-        body: Type | None = None,
-        kind: Kind | None = None,
-    ):
+    def __init__(self, name: str, params: tuple[tuple[str, Kind], ...]):
         self.name = name
         self.params = params
-        self.body = body
-        self.kind = kind
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.params, self.body, self.kind) == (
-            other.name, other.params, other.body, other.kind
-        )
+        self.body: Type | None = None
+        self.kind: Kind | None = None
 
 
 class AbstractInfo:
@@ -124,23 +98,13 @@ class AbstractInfo:
         self.name = name
         self.params = params
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.params) == (other.name, other.params)
-
 
 class PrimInfo:
     """Builtin base type (int, bool)."""
 
-    def __init__(self, name: str, params: tuple[tuple[str, Kind], ...] = ()):
+    def __init__(self, name: str):
         self.name = name
-        self.params = params
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.params) == (other.name, other.params)
+        self.params: tuple[tuple[str, Kind], ...] = ()
 
 
 TypeInfo = DataInfo | AliasInfo | AbstractInfo | PrimInfo
@@ -148,16 +112,13 @@ TypeInfo = DataInfo | AliasInfo | AbstractInfo | PrimInfo
 
 class Env:
     """Resolution environment: type constructors, tags, and value
-    signatures. Two environments are equal when these three are."""
+    signatures."""
 
     def __init__(
         self,
         types: dict[str, TypeInfo] | None = None,
         tags: dict[str, tuple[str, Branch]] | None = None,
         sigs: dict[str, Type] | None = None,
-        dup_memo: dict[Type, str] | None = None,
-        alias_memo: dict[Type, Type] | None = None,
-        branch_memo: dict[tuple[Type, str], Branch] | None = None,
     ):
         self.types = {} if types is None else types
         self.tags = {} if tags is None else tags
@@ -165,14 +126,9 @@ class Env:
         # `perms.duplicability`, `perms.expand_alias` and
         # `perms.branch_instance` answers for this environment; a clone
         # starts with none.
-        self.dup_memo = {} if dup_memo is None else dup_memo
-        self.alias_memo = {} if alias_memo is None else alias_memo
-        self.branch_memo = {} if branch_memo is None else branch_memo
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.types, self.tags, self.sigs) == (other.types, other.tags, other.sigs)
+        self.dup_memo: dict[Type, str] = {}
+        self.alias_memo: dict[Type, Type] = {}
+        self.branch_memo: dict[tuple[Type, str], Branch] = {}
 
     def lookup_type(self, name: str, span: Span) -> TypeInfo:
         info = self.types.get(name)

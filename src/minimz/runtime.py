@@ -77,11 +77,6 @@ class VTuple:
     def __init__(self, items: list):
         self.items = items
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.items == other.items
-
 
 # A function value is called as `f.fn(rt, arg)`, where `rt` is the run and
 # `arg` is the argument itself at arity 1 and a sequence of `f.arity`
@@ -98,11 +93,6 @@ class VClosure:
         self.arity = arity
         self.fn = fn
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.arity, self.fn) == (other.arity, other.fn)
-
 
 class VBuiltin:
     __slots__ = ("name", "arity", "fn")
@@ -111,11 +101,6 @@ class VBuiltin:
         self.name = name
         self.arity = arity
         self.fn = fn
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.arity, self.fn) == (other.name, other.arity, other.fn)
 
 
 class OneShot:
@@ -128,11 +113,6 @@ class OneShot:
         self.inner = inner
         self.cell = cell
         self.arity = arity
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.inner, self.cell, self.arity) == (other.inner, other.cell, other.arity)
 
     def fn(self, rt: Interp, arg):
         cell = self.cell
@@ -151,26 +131,13 @@ UNIT = VTuple([])
 
 
 class Stats:
-    def __init__(
-        self,
-        steps: int = 0,
-        allocations: int = 0,
-        oneshot_fires: int = 0,
-        call_steps: dict[str, list[int]] | None = None,
-    ):
-        self.steps = steps
-        self.allocations = allocations
-        self.oneshot_fires = oneshot_fires
+    def __init__(self) -> None:
+        self.steps = 0
+        self.allocations = 0
+        self.oneshot_fires = 0
         # The steps of each returned call, by definition: a definition none
         # of whose calls has returned has no entry.
-        self.call_steps = {} if call_steps is None else call_steps
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.steps, self.allocations, self.oneshot_fires, self.call_steps) == (
-            other.steps, other.allocations, other.oneshot_fires, other.call_steps
-        )
+        self.call_steps: dict[str, list[int]] = {}
 
 
 def _quot(a: int, b: int) -> int:

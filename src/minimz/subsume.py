@@ -113,7 +113,6 @@ class _Level:
         rest: Generator[tuple, SubsumptionFailure, None],
         mark: int,
         guard_mark: int,
-        penv: PermEnv | None = None,
     ):
         self.goal = goal
         self.after = after
@@ -121,7 +120,7 @@ class _Level:
         self.rest = rest
         self.mark = mark
         self.guard_mark = guard_mark
-        self.penv = penv
+        self.penv: PermEnv | None = None
 
 
 class _Field(NamedTuple):
@@ -190,15 +189,10 @@ class Subsumer:
     search, the duplicable atoms being folded and the anchors being split;
     it is empty between searches."""
 
-    def __init__(self, env: Env, uni: Unifier | None = None, guard: Scope | None = None):
+    def __init__(self, env: Env):
         self.env = env
-        self.uni = Unifier() if uni is None else uni
-        self.guard = Scope() if guard is None else guard
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.env, self.uni, self.guard) == (other.env, other.uni, other.guard)
+        self.uni = Unifier()
+        self.guard = Scope()
 
     # ------------------------------------------------------------------
     # unification

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from minimz.ast import fields
 from minimz.driver import CORPUS_DIR
 
 # Every property test draws the same examples on every run and keeps no
@@ -33,11 +32,7 @@ def corpus_text(rel: str) -> str:
 
 def is_node(value) -> bool:
     """Is `value` a node or a node class, one that `ast.fields` reads?"""
-    try:
-        fields(value)
-    except TypeError:
-        return False
-    return True
+    return hasattr(value, "_node_fields")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import CORPUS
 
 
@@ -84,6 +86,59 @@ def test_a_manifest_row_nested_too_deeply_fails_its_row(tmp_path):
     assert out.stdout.splitlines() == [
         "FAIL  ACCEPT  deep.mz  front-end error: input too deeply nested",
         "0/1 corpus cases passed",
+    ]
+
+
+NOT_UTF8 = b"\xff\xfe val"
+
+
+def test_check_input_that_is_not_utf8_exits_two_as_io(tmp_path):
+    bad = tmp_path / "bad.mz"
+    bad.write_bytes(NOT_UTF8)
+    out = run_cli("check", str(bad))
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith(f"{bad}: ") and "utf-8" in out.stderr
+    assert "Traceback" not in out.stderr
+    out = run_cli("check", str(bad), "--json")
+    assert out.returncode == 2
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert (record["code"], record["path"], record["line"]) == ("IO", str(bad), None)
+
+
+def test_run_input_that_is_not_utf8_exits_two(tmp_path):
+    bad = tmp_path / "bad.mz"
+    bad.write_bytes(NOT_UTF8)
+    out = run_cli("run", str(bad), "main")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith(f"{bad}: ") and "Traceback" not in out.stderr
+
+
+def test_a_manifest_row_not_utf8_fails_its_row(tmp_path):
+    (tmp_path / "bad.mz").write_bytes(NOT_UTF8)
+    (tmp_path / "manifest.tsv").write_text("ACCEPT\tbad.mz\nACCEPT\tgood.mz\n")
+    (tmp_path / "good.mz").write_text("")
+    out = run_cli("test", str(tmp_path))
+    assert (out.returncode, out.stderr) == (1, "")
+    rows = out.stdout.splitlines()
+    assert rows[0].startswith("FAIL  ACCEPT  bad.mz   cannot read: ") and "utf-8" in rows[0]
+    assert rows[1:] == ["pass  ACCEPT  good.mz  clean", "1/2 corpus cases passed"]
+
+
+@pytest.mark.parametrize("location", ["E-SUBSUME@82", "E-SUBSUME@x:3", "E-SUBSUME@82:", "@82:3"])
+def test_a_malformed_reject_location_fails_its_row(tmp_path, location):
+    text = (CORPUS / "neg" / "neg_double_stop.mz").read_text(encoding="utf-8")
+    (tmp_path / "neg.mz").write_text(text, encoding="utf-8")
+    (tmp_path / "manifest.tsv").write_text(
+        f"REJECT\tneg.mz\t{location}\nREJECT\tneg.mz\tE-SUBSUME@82:3\n"
+    )
+    out = run_cli("test", str(tmp_path))
+    assert (out.returncode, out.stderr) == (1, "")
+    assert out.stdout.splitlines() == [
+        f"FAIL  REJECT  neg.mz  manifest error: {location!r} is not CODE@line:col",
+        "pass  REJECT  neg.mz  rejected with ['E-SUBSUME']",
+        "1/2 corpus cases passed",
     ]
 
 

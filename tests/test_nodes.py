@@ -187,7 +187,7 @@ PINS = [
         "DValDef(name='name', params='params', body='body')",
         "span",
     ),
-    # `SourceFile` writes its own `==`: the path is not structural.
+    # `SourceFile`'s path is not structural.
     (ast.SourceFile, "path decls", "SourceFile(path='path', decls='decls')", "path"),
     (perms.Atom, "", "Atom()", ""),
     (perms.Anchored, "anchor ty", "Anchored(anchor='anchor', ty='ty')", ""),

@@ -437,14 +437,19 @@ def test_traversals_reach_under_every_node_kind(node):
     assert free_type_vars(wrap(TForall((("w", KIND_TYPE),), _V))) == {"v"}
     # an alias whose body refers back to it is a cycle
     resolver = Resolver(load_text("", "t")[1])
-    resolver.env.types["c"] = AliasInfo("c", (), wrap(TApp("c", ())))
+
+    def alias(name, body):
+        resolver.env.types[name] = info = AliasInfo(name, ())
+        info.body = body
+
+    alias("c", wrap(TApp("c", ())))
     with pytest.raises(ResolveError, match="cyclic alias: c -> c"):
         resolver.check_alias_cycles()
-    resolver.env.types["c"] = AliasInfo("c", (), wrap(TApp("d", ())))
-    resolver.env.types["d"] = AliasInfo("d", (), TApp("list", (TApp("c", ()),)))
+    alias("c", wrap(TApp("d", ())))
+    alias("d", TApp("list", (TApp("c", ()),)))
     with pytest.raises(ResolveError, match="cyclic alias: c -> d -> c"):
         resolver.check_alias_cycles()
-    resolver.env.types["c"] = AliasInfo("c", (), wrap(_INT))
+    alias("c", wrap(_INT))
     resolver.check_alias_cycles()
 
 

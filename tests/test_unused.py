@@ -1,7 +1,9 @@
 """No production code exists only for tests: every function, class and
 method defined in `src/minimz` is referenced from `src/minimz` itself,
-except for the public entry points named here, and every attribute that
-`src/minimz` stores on `self` is read by `src/minimz`."""
+except for the public entry points named here; every attribute that
+`src/minimz` stores on `self` is read by `src/minimz`, except for the
+public attributes named here; and every parameter with a default is
+passed by some call in `src/minimz`. Each rule goes by names alone."""
 
 import ast
 from pathlib import Path
@@ -13,6 +15,20 @@ SRC = Path(minimz.__file__).parent
 # Public API that the program itself never calls.
 ENTRY_POINTS = {
     "printer.pretty_print",  # the printer's documented API
+}
+
+# Attributes that the program stores and only its users read: the
+# interpreter's counters, read by the step pins and the benchmark.
+PUBLIC_ATTRIBUTES = {
+    "runtime.Stats.oneshot_fires",
+    "runtime.Stats.call_steps",
+}
+
+# Parameters with a default that no call in the program passes: the
+# arguments of the command line's entry point, which read `sys.argv`
+# unless a caller that embeds `minimz` passes its own.
+DEFAULTS_NOT_PASSED = {
+    "cli.main(argv)",
 }
 
 
@@ -89,4 +105,77 @@ def test_every_attribute_stored_on_self_is_read_by_the_program():
     stored, reads = _stored_and_read_attributes()
     assert len(stored) > 20
     unread = sorted(f"{owner}.{name}" for owner, name in stored if name not in reads)
-    assert unread == []
+    # Each public attribute is stored, and every other stored one is read.
+    assert unread == sorted(PUBLIC_ATTRIBUTES)
+
+
+def _defaulted_parameters_and_calls():
+    """(module.qualified.name(parameter), callee name, position, keyword)
+    of every parameter with a default, where the callee name of an
+    `__init__` is its class's name and `position` counts the arguments
+    after `self` (None for a keyword-only parameter); and (callee name,
+    number of positional arguments, whether one is starred, keywords) of
+    every call, a bare decorator being a call with one argument."""
+    params: list[tuple[str, str, int | None, str]] = []
+    calls: list[tuple[str, int, bool, set[str]]] = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def visit(node, prefix, cls):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, prefix + child.name + ".", child.name)
+                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = child.args
+                    positional = args.posonlyargs + args.args
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in child.decorator_list
+                    )
+                    skipped = 1 if cls is not None and not static else 0
+                    callee = cls if child.name == "__init__" else child.name
+                    first = len(positional) - len(args.defaults)
+                    defaulted = [(a, i - skipped) for i, a in enumerate(positional) if i >= first]
+                    defaulted += [
+                        (a, None)
+                        for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                        if d is not None
+                    ]
+                    for a, position in defaulted:
+                        qualified = f"{prefix}{child.name}({a.arg})"
+                        params.append((qualified, callee, position, a.arg))
+                    visit(child, prefix + child.name + ".", None)
+                else:
+                    visit(child, prefix, cls)
+
+        visit(tree, path.stem + ".", None)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.append((name, len(node.args), starred, keywords))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for d in node.decorator_list:
+                    if isinstance(d, ast.Name):
+                        calls.append((d.id, 1, False, set()))
+    return params, calls
+
+
+def test_every_parameter_with_a_default_is_passed_by_the_program():
+    params, calls = _defaulted_parameters_and_calls()
+    assert len(params) > 20
+    never_passed = [
+        qualified
+        for qualified, callee, position, keyword in params
+        if not any(
+            name == callee
+            and (
+                (position is not None and (count > position or starred))
+                or keyword in keywords
+            )
+            for name, count, starred, keywords in calls
+        )
+    ]
+    assert sorted(never_passed) == sorted(DEFAULTS_NOT_PASSED)
