@@ -13,6 +13,13 @@ class's fields. Nodes are frozen: a type node keeps its hash, what
 `has_meta` found and what `plain` found in slots of its own, which hold
 only while the node never changes, and nodes are shared between types,
 checks and memos.
+
+A type node's children are read by `children` and replaced by `rebuild`,
+which keeps every other field and gives back the node itself when no
+child changed. The traversals that make types anew (`map_children`,
+`perms.subst_type`, `kinds.Resolver.resolve_type`) make a node through
+`rebuild` unless they change a field besides its children too, as
+`subst_type` renames an anchor or a binder.
 """
 
 from __future__ import annotations
@@ -41,10 +48,6 @@ class Span:
 
     def __repr__(self) -> str:
         return f"Span(start={self.start}, length={self.length})"
-
-    @property
-    def end(self) -> int:
-        return self.start + self.length
 
     def merge(self, other: "Span") -> "Span":
         start = min(self.start, other.start)
@@ -343,68 +346,9 @@ class TEmpty(Type):
 UNIT = TTuple(())
 
 
-def map_children(t: Type, g) -> Type:
-    """Apply `g` to each child of `t`, left to right. Returns `t` itself when
-    every child comes back as the same object, else a copy of `t` holding
-    the new children.
-
-    This function, `children` and `perms.subst_type` dispatch on the node's
-    class with `is` tests, the most frequent classes first, and rebuild a
-    node with its constructor."""
-    cls = t.__class__
-    if cls is TApp:
-        args = t.args
-        if not args:
-            return t
-        new = tuple(map(g, args))
-        return t if same_items(new, args) else TApp(t.head, new, t.span)
-    if cls is TAt:
-        ty = g(t.ty)
-        return t if ty is t.ty else TAt(t.anchor, ty, t.span)
-    if cls is TBar:
-        carrier, perm = g(t.carrier), g(t.perm)
-        if carrier is t.carrier and perm is t.perm:
-            return t
-        return TBar(carrier, perm, t.consumed, t.span)
-    if cls is TStar:
-        items = tuple(map(g, t.items))
-        return t if same_items(items, t.items) else TStar(items, t.span)
-    if cls is TVar or cls is TSingleton or cls is TMeta or cls is TEmpty:
-        return t
-    if cls is TConcrete:
-        fields = t.fields
-        ftys = [g(ft) for _, ft in fields]
-        bar = t.bar if t.bar is None else g(t.bar)
-        if bar is t.bar and same_items(ftys, [ft for _, ft in fields]):
-            return t
-        fields = tuple((n, ft) for (n, _), ft in zip(fields, ftys))
-        return TConcrete(t.tag, fields, bar, t.span)
-    if cls is TTuple:
-        comps = t.comps
-        tys = [g(c.ty) for c in comps]
-        if same_items(tys, [c.ty for c in comps]):
-            return t
-        return TTuple(
-            tuple(TupleComp(c.name, ty, c.consumed) for c, ty in zip(comps, tys)), t.span
-        )
-    if cls is TArrow:
-        dom, cod = g(t.domain), g(t.codomain)
-        if dom is t.domain and cod is t.codomain:
-            return t
-        return TArrow(dom, cod, t.span)
-    if cls is TForall or cls is TExists:
-        body = g(t.body)
-        return t if body is t.body else cls(t.binders, body, t.span)
-    raise TypeError(f"unknown type node {t!r}")
-
-
-def same_items(xs, ys) -> bool:
-    """Is each item of `xs` the very object at the same place in `ys`?"""
-    return all(map(is_, xs, ys))
-
-
 def children(t: Type) -> tuple[Type, ...]:
-    """The children of `t`, left to right, as `map_children` visits them."""
+    """The children of `t`, left to right: the field types of a concrete
+    type come before its bar."""
     cls = t.__class__
     if cls is TApp:
         return t.args
@@ -426,6 +370,52 @@ def children(t: Type) -> tuple[Type, ...]:
     if cls is TForall or cls is TExists:
         return (t.body,)
     raise TypeError(f"unknown type node {t!r}")
+
+
+def rebuild(t: Type, old, new) -> Type:
+    """`t` itself when each item of `new` is the very object at the same
+    place in `old`, the children of `t`; else a copy of `t` with `new` as
+    its children and every other field kept: head, tag, anchor, component
+    names, `consumed` flags, binders, whether a concrete type has a bar,
+    and span. It dispatches as `children` does; these two are the only
+    per-class tables of a type's children."""
+    if all(map(is_, new, old)):  # `same_items`, without a call of its own
+        return t
+    cls = t.__class__
+    if cls is TApp:
+        return TApp(t.head, tuple(new), t.span)
+    if cls is TAt:
+        return TAt(t.anchor, new[0], t.span)
+    if cls is TBar:
+        return TBar(new[0], new[1], t.consumed, t.span)
+    if cls is TStar:
+        return TStar(tuple(new), t.span)
+    if cls is TConcrete:
+        fields = tuple([(name, ft) for (name, _), ft in zip(t.fields, new)])
+        return TConcrete(t.tag, fields, None if t.bar is None else new[-1], t.span)
+    if cls is TTuple:
+        comps = tuple([TupleComp(c.name, ty, c.consumed) for c, ty in zip(t.comps, new)])
+        return TTuple(comps, t.span)
+    if cls is TArrow:
+        return TArrow(new[0], new[1], t.span)
+    if cls is TForall or cls is TExists:
+        return cls(t.binders, new[0], t.span)
+    raise TypeError(f"unknown type node {t!r}")
+
+
+def map_children(t: Type, g, *args) -> Type:
+    """`t` with `g(child, *args)` for each child, left to right: `t` itself
+    when every child comes back as the same object (`rebuild`)."""
+    kids = children(t)
+    new = []
+    for k in kids:  # on Python 3.11 a comprehension would be a call of its own
+        new.append(g(k, *args))
+    return rebuild(t, kids, new)
+
+
+def same_items(xs, ys) -> bool:
+    """Is each item of `xs` the very object at the same place in `ys`?"""
+    return all(map(is_, xs, ys))
 
 
 def has_meta(t: Type) -> bool:

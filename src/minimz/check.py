@@ -275,7 +275,7 @@ class Checker:
             out = self._check_match(penv, e, tail)
         elif tail is not None:
             anchor, penv = self._synth(penv, e)
-            out = self._finish_tail(penv, anchor, tail, getattr(e, "span", tail.span))
+            out = self._finish_tail(penv, anchor, tail, e.span)
         else:
             out = self._synth(penv, e)
         scope.undo_to(mark)
@@ -637,7 +637,7 @@ class Checker:
                 self._fail(
                     "E-SUBSUME",
                     "no tuple permission to destructure",
-                    getattr(pat, "span", Span(0, 0)),
+                    pat.span,
                     penv,
                 )
             penv, handle = found
@@ -647,7 +647,7 @@ class Checker:
                 self._fail(
                     "E-ARITY",
                     f"tuple pattern expects {len(ty.comps)} component(s)",
-                    getattr(pat, "span", Span(0, 0)),
+                    pat.span,
                     penv,
                 )
             for comp, sub_pat in zip(ty.comps, pat.items):

@@ -169,11 +169,13 @@ def _judge(text: str, expectation: str, rel: str, args: str) -> tuple[bool, str]
         expected = [item.strip() for item in args.split(",") if item.strip()]
         if not expected:
             return False, "manifest error: REJECT requires at least one code"
+        wanted = []  # (code, line, col), or (code,) where no place is given
         for want in expected:
             code, at, loc = want.partition("@")
             line_s, _, col_s = loc.partition(":")
             if at and not (code and line_s.isdecimal() and col_s.isdecimal()):
                 return False, f"manifest error: {want!r} is not CODE@line:col"
+            wanted.append((code, int(line_s), int(col_s)) if at else (code,))
         _, _, diags = check_text(text, rel)
         got = []
         for d in diags:
@@ -181,14 +183,10 @@ def _judge(text: str, expectation: str, rel: str, args: str) -> tuple[bool, str]
             got.append((d.code, line, col))
         if len(got) != len(expected):
             return False, f"expected {expected}, got {got}"
-        for want, have in zip(expected, got):
-            if "@" in want:
-                code, loc = want.split("@", 1)
-                line_s, col_s = loc.split(":", 1)
-                if have != (code, int(line_s), int(col_s)):
-                    return False, f"expected {want}, got {have[0]}@{have[1]}:{have[2]}"
-            elif want != have[0]:
-                return False, f"expected {want}, got {have[0]}"
+        for want, parsed, have in zip(expected, wanted, got):
+            if have[: len(parsed)] != parsed:
+                place = f"@{have[1]}:{have[2]}" if len(parsed) > 1 else ""
+                return False, f"expected {want}, got {have[0]}{place}"
         return True, f"rejected with {[g[0] for g in got]}"
     if "=" not in args:
         return False, "manifest error: RUN requires entry=expected"

@@ -61,6 +61,7 @@ from .ast import (
     Type,
     TupleComp,
     children,
+    rebuild,
     replace,
     same_items,
 )
@@ -310,9 +311,9 @@ class Resolver:
     # -- types --------------------------------------------------------------
 
     def resolve_type(self, t: Type) -> Type:
-        """`t` resolved in the current scope; like `ast.map_children`, a
-        node whose children all come back as the same objects comes back
-        itself."""
+        """`t` resolved in the current scope. Each node is made again by
+        `ast.rebuild`, so a node whose children all come back as the same
+        objects comes back itself."""
         cls = t.__class__
         if cls is TVar:
             if t.name in self.tyvars:
@@ -346,15 +347,13 @@ class Resolver:
                     for (_, pkind), arg in zip(info.params, t.args)
                 ]
             )
-            return t if same_items(args, t.args) else TApp(t.head, args, t.span)
+            return rebuild(t, t.args, args)
         if cls is TArrow:
             mark = self.values.mark()
             dom = self.resolve_domain(t.domain)
             cod = self.check_kind(self.resolve_type(t.codomain), KIND_TYPE)
             self.values.undo_to(mark)
-            if dom is t.domain and cod is t.codomain:
-                return t
-            return TArrow(dom, cod, t.span)
+            return rebuild(t, (t.domain, t.codomain), (dom, cod))
         if cls is TTuple or cls is TBar:
             mark = self.values.mark()
             resolved = self.resolve_domain(t)
@@ -362,22 +361,11 @@ class Resolver:
             return resolved
         if cls is TConcrete:
             _, branch = self.env.data_of_tag(t.tag, t.span)
-            declared = [f for f, _ in branch.fields]
-            actual = [f for f, _ in t.fields]
-            if declared != actual:
-                raise ResolveError(
-                    "E-MATCH",
-                    f"fields of {t.tag!r} must be exactly {declared}, got {actual}",
-                    t.span,
-                )
-            ftys = [self.check_kind(self.resolve_type(fty), KIND_TYPE) for _, fty in t.fields]
-            bar = None
+            _check_field_names(branch, t.fields, f"fields of {t.tag!r} must be", t.span)
+            kids = [self.check_kind(self.resolve_type(fty), KIND_TYPE) for _, fty in t.fields]
             if t.bar is not None:
-                bar = self.check_kind(self.resolve_type(t.bar), KIND_PERM)
-            if bar is t.bar and all(new is old for new, (_, old) in zip(ftys, t.fields)):
-                return t
-            fields = tuple((fname, fty) for (fname, _), fty in zip(t.fields, ftys))
-            return TConcrete(t.tag, fields, bar, t.span)
+                kids.append(self.check_kind(self.resolve_type(t.bar), KIND_PERM))
+            return rebuild(t, children(t), kids)
         if cls is TSingleton:
             if not self.has_value(t.name):
                 raise ResolveError("E-UNBOUND", f"unbound value name {t.name!r}", t.span)
@@ -389,17 +377,15 @@ class Resolver:
             if kind_of(body, self.env, self.tyvars) != KIND_TYPE:
                 raise ResolveError("E-KIND", "a permission cannot be quantified", t.span)
             self.tyvars.undo_to(mark)
-            return t if body is t.body else cls(t.binders, body, t.span)
+            return rebuild(t, (t.body,), (body,))
         if cls is TAt:
             if not self.has_value(t.anchor):
                 raise ResolveError("E-UNBOUND", f"unbound value name {t.anchor!r}", t.span)
             ty = self.check_kind(self.resolve_type(t.ty), KIND_TYPE)
-            return t if ty is t.ty else TAt(t.anchor, ty, t.span)
+            return rebuild(t, (t.ty,), (ty,))
         if cls is TStar:
-            items = tuple(
-                [self.check_kind(self.resolve_type(i), KIND_PERM) for i in t.items]
-            )
-            return t if same_items(items, t.items) else TStar(items, t.span)
+            items = [self.check_kind(self.resolve_type(i), KIND_PERM) for i in t.items]
+            return rebuild(t, t.items, items)
         if cls is TEmpty or cls is TMeta:
             return t
         raise TypeError(f"unknown type node {t!r}")
@@ -413,19 +399,14 @@ class Resolver:
         if cls is TBar:
             carrier = self.resolve_domain(t.carrier)
             perm = self.check_kind(self.resolve_type(t.perm), KIND_PERM)
-            if carrier is t.carrier and perm is t.perm:
-                return t
-            return TBar(carrier, perm, t.consumed, t.span)
+            return rebuild(t, (t.carrier, t.perm), (carrier, perm))
         if cls is TTuple:
             tys = []
             for comp in t.comps:
                 tys.append(self.check_kind(self.resolve_type(comp.ty), KIND_TYPE))
                 if comp.name is not None:
                     self.values.enter(comp.name, None)
-            if all(new is comp.ty for new, comp in zip(tys, t.comps)):
-                return t
-            comps = tuple(TupleComp(c.name, ty, c.consumed) for c, ty in zip(t.comps, tys))
-            return TTuple(comps, t.span)
+            return rebuild(t, children(t), tys)
         return self.check_kind(self.resolve_type(t), KIND_TYPE)
 
     def check_kind(self, t: Type, expected: Kind) -> Type:
@@ -434,7 +415,7 @@ class Resolver:
             raise ResolveError(
                 "E-KIND",
                 f"expected kind {expected}, found {actual} for {_describe(t)}",
-                getattr(t, "span", Span(0, 0)),
+                t.span,
             )
         return t
 
@@ -503,14 +484,7 @@ class Resolver:
             return replace(e, callee=callee, arg=arg, type_args=targs)
         if isinstance(e, EConstruct):
             _, branch = self.env.data_of_tag(e.tag, e.span)
-            declared = [f for f, _ in branch.fields]
-            actual = [f for f, _ in e.fields]
-            if declared != actual:
-                raise ResolveError(
-                    "E-MATCH",
-                    f"construction of {e.tag!r} must set exactly {declared}, got {actual}",
-                    e.span,
-                )
+            _check_field_names(branch, e.fields, f"construction of {e.tag!r} must set", e.span)
             fields = self.resolve_fields(e.fields)
             return e if fields is e.fields else replace(e, fields=fields)
         if isinstance(e, ETuple):
@@ -525,18 +499,12 @@ class Resolver:
             seen_tags: set[str] = set()
             for pat, body in e.branches:
                 assert isinstance(pat, PTag)
-                data_name, branch = self.env.data_of_tag(pat.tag, pat.span)
+                _, branch = self.env.data_of_tag(pat.tag, pat.span)
                 if pat.tag in seen_tags:
                     raise ResolveError("E-MATCH", f"duplicate branch {pat.tag!r}", pat.span)
                 seen_tags.add(pat.tag)
-                declared = [f for f, _ in branch.fields]
-                actual = [f for f, _ in pat.fields]
-                if declared != actual:
-                    raise ResolveError(
-                        "E-MATCH",
-                        f"pattern for {pat.tag!r} must bind exactly {declared}, got {actual}",
-                        pat.span,
-                    )
+                claim = f"pattern for {pat.tag!r} must bind"
+                _check_field_names(branch, pat.fields, claim, pat.span)
                 mark = self.values.mark()
                 self.bind_pattern(pat, set())
                 branches.append(self.resolve_expr(body))
@@ -602,6 +570,16 @@ class Resolver:
         elif isinstance(p, PTag):
             for _, sub in p.fields:
                 self.bind_pattern(sub, seen)
+
+
+def _check_field_names(branch: Branch, fields: tuple, claim: str, span: Span) -> None:
+    """Raise an E-MATCH error unless `fields` name exactly the fields of
+    `branch`, in order; its message is `claim`, the list `branch` declares
+    and the list found."""
+    declared = [f for f, _ in branch.fields]
+    actual = [f for f, _ in fields]
+    if declared != actual:
+        raise ResolveError("E-MATCH", f"{claim} exactly {declared}, got {actual}", span)
 
 
 def _alias_refs(t: Type) -> set[str]:

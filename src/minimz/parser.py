@@ -542,19 +542,3 @@ class Parser:
 
 def parse_file(text: str, path: str = "<input>") -> SourceFile:
     return Parser(tokenize(text), path).parse_file()
-
-
-def parse_type(text: str) -> Type:
-    parser = Parser(tokenize(text))
-    ty = parser.parse_type()
-    if parser.kind != "EOF":
-        raise parser.error("trailing input after type")
-    return ty
-
-
-def parse_expr(text: str) -> Expr:
-    parser = Parser(tokenize(text))
-    e = parser.parse_expr()
-    if parser.kind != "EOF":
-        raise parser.error("trailing input after expression")
-    return e

@@ -40,10 +40,10 @@ from .ast import (
     TTuple,
     TVar,
     Type,
-    TupleComp,
     children,
+    map_children,
     node,
-    same_items,
+    rebuild,
 )
 from .kinds import AliasInfo, DataInfo, Env, PrimInfo
 
@@ -118,19 +118,14 @@ def subst_type(t: Type, subst: dict[str, Type], values: dict[str, str] | None = 
     singleton references, component names) to other value names. Every
     subtree that they leave unchanged comes back as the same object, and so
     does `t` itself when both are empty. A binder that would capture a
-    variable free in a substituted type is renamed.
+    variable free in a substituted type is renamed. Only the classes that
+    hold a name or scope one are cased here; `map_children` walks the rest.
     """
     if not subst and not values:
         return t
     cls = t.__class__
     if cls is TVar:
         return subst.get(t.name, t)
-    if cls is TApp:
-        args = t.args
-        if not args:
-            return t
-        new = tuple([subst_type(a, subst, values) for a in args])
-        return t if same_items(new, args) else TApp(t.head, new, t.span)
     if cls is TAt:
         anchor = values.get(t.anchor, t.anchor) if values else t.anchor
         ty = subst_type(t.ty, subst, values)
@@ -139,28 +134,13 @@ def subst_type(t: Type, subst: dict[str, Type], values: dict[str, str] | None = 
         return TAt(anchor, ty, t.span)
     if cls is TBar or cls is TTuple:
         return _subst_domain(t, subst, values)[0]
-    if cls is TStar:
-        items = tuple([subst_type(i, subst, values) for i in t.items])
-        return t if same_items(items, t.items) else TStar(items, t.span)
     if cls is TSingleton:
         name = values.get(t.name, t.name) if values else t.name
         return t if name == t.name else TSingleton(name, t.span)
-    if cls is TMeta or cls is TEmpty:
-        return t
     if cls is TArrow:
         dom, values2 = _subst_domain(t.domain, subst, values)
         cod = subst_type(t.codomain, subst, values2)
-        if dom is t.domain and cod is t.codomain:
-            return t
-        return TArrow(dom, cod, t.span)
-    if cls is TConcrete:
-        fields = t.fields
-        ftys = [subst_type(ft, subst, values) for _, ft in fields]
-        bar = t.bar if t.bar is None else subst_type(t.bar, subst, values)
-        if bar is t.bar and same_items(ftys, [ft for _, ft in fields]):
-            return t
-        fields = tuple((n, ft) for (n, _), ft in zip(fields, ftys))
-        return TConcrete(t.tag, fields, bar, t.span)
+        return rebuild(t, (t.domain, t.codomain), (dom, cod))
     if cls is TForall or cls is TExists:
         binders = []
         inner = dict(subst)
@@ -186,7 +166,7 @@ def subst_type(t: Type, subst: dict[str, Type], values: dict[str, str] | None = 
         if body is t.body and new_binders == t.binders:
             return t
         return cls(new_binders, body, t.span)
-    raise TypeError(f"unknown type node {t!r}")
+    return map_children(t, subst_type, subst, values)
 
 
 def _subst_domain(
@@ -199,21 +179,15 @@ def _subst_domain(
     if cls is TBar:
         carrier, values2 = _subst_domain(t.carrier, subst, values)
         perm = subst_type(t.perm, subst, values2)
-        if carrier is t.carrier and perm is t.perm:
-            return t, values2
-        return TBar(carrier, perm, t.consumed, t.span), values2
+        return rebuild(t, (t.carrier, t.perm), (carrier, perm)), values2
     if cls is TTuple:
         values2 = values
-        comps = t.comps
         tys = []
-        for comp in comps:
+        for comp in t.comps:
             tys.append(subst_type(comp.ty, subst, values2))
             if values2 and comp.name in values2:
                 values2 = {k: v for k, v in values2.items() if k != comp.name}
-        if same_items(tys, [c.ty for c in comps]):
-            return t, values2
-        comps = tuple(TupleComp(c.name, ty, c.consumed) for c, ty in zip(comps, tys))
-        return TTuple(comps, t.span), values2
+        return rebuild(t, children(t), tys), values2
     return subst_type(t, subst, values), values
 
 

@@ -71,6 +71,7 @@ from .ast import (
     has_meta,
     map_children,
     plain,
+    rebuild,
 )
 from .kinds import DataInfo, Env
 from .perms import (
@@ -423,17 +424,17 @@ class Subsumer:
         `penv` and `handle` themselves when every field is named."""
         atom = penv.atom(handle)
         ty = atom.ty
-        fields: list[tuple[str, Type]] = []
+        old = children(ty)
+        kids = list(old)
         extra: list[Atom] = []
-        for fname, fty in ty.fields:
+        for i, (fname, fty) in enumerate(ty.fields):
             if fty.__class__ is not TSingleton:
                 anchor = self.uni.fresh_name(fname)
                 extra.extend(admit_atoms(self.env, anchor, fty))
-                fty = TSingleton(anchor)
-            fields.append((fname, fty))
+                kids[i] = TSingleton(anchor)
         if not extra:
             return penv, handle
-        structural = Anchored(atom.anchor, TConcrete(ty.tag, tuple(fields), ty.bar, ty.span))
+        structural = Anchored(atom.anchor, rebuild(ty, old, kids))
         penv = penv.replace(handle, structural, *extra)
         return penv, next(h for h, a in penv.atoms_of(atom.anchor) if a is structural)
 

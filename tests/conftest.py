@@ -8,6 +8,8 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from minimz.driver import CORPUS_DIR
+from minimz.lexer import tokenize
+from minimz.parser import Parser
 
 # Every property test draws the same examples on every run and keeps no
 # example database, so two runs of one tree test the same inputs.
@@ -28,6 +30,26 @@ CORPUS = CORPUS_DIR
 
 def corpus_text(rel: str) -> str:
     return (CORPUS / rel).read_text(encoding="utf-8")
+
+
+def parse_type(text: str):
+    """The type `text` spells, parsed alone; input after it is a
+    `ParseError`."""
+    parser = Parser(tokenize(text))
+    ty = parser.parse_type()
+    if parser.kind != "EOF":
+        raise parser.error("trailing input after type")
+    return ty
+
+
+def parse_expr(text: str):
+    """The expression `text` spells, parsed alone; input after it is a
+    `ParseError`."""
+    parser = Parser(tokenize(text))
+    e = parser.parse_expr()
+    if parser.kind != "EOF":
+        raise parser.error("trailing input after expression")
+    return e
 
 
 def is_node(value) -> bool:

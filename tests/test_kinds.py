@@ -48,7 +48,7 @@ def test_anchored_permission_kind():
     _, base = prelude()
     resolver = Resolver(base.clone())
     resolver.tyvars, resolver.values = Scope(a=KIND_TYPE), Scope(t=None)
-    from minimz.parser import parse_type
+    from conftest import parse_type
 
     ty = resolver.resolve_type(parse_type("t @ list a"))
     assert kind_of(ty, resolver.env, resolver.tyvars) == KIND_PERM

@@ -1,4 +1,5 @@
 import pytest
+from conftest import parse_expr, parse_type
 
 from minimz.ast import (
     DAlias,
@@ -12,7 +13,7 @@ from minimz.ast import (
     TTuple,
 )
 from minimz.kinds import ResolveError
-from minimz.parser import ParseError, parse_expr, parse_file, parse_type
+from minimz.parser import ParseError, parse_file
 from minimz.driver import load_text
 
 WAND_SOURCE = """

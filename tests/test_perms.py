@@ -2,6 +2,7 @@ import random
 import sys
 
 import pytest
+from conftest import parse_type
 from hypothesis import example, given, settings, strategies as st
 
 from minimz.ast import (
@@ -25,7 +26,6 @@ from minimz.ast import (
 )
 from minimz.check import _intersect
 from minimz.driver import load_text
-from minimz.parser import parse_type
 from minimz.perms import (
     AFFINE,
     Anchored,

@@ -1,5 +1,7 @@
+from conftest import parse_type
+
 from minimz.ast import TConcrete, TSingleton, TTuple
-from minimz.parser import parse_file, parse_type
+from minimz.parser import parse_file
 from minimz.printer import pretty_print, print_type
 
 

@@ -1,5 +1,5 @@
-"""The type traversals (`map_children`, `children`, `has_meta`, `subst_type`)
-against a small reference walker kept here.
+"""The type traversals (`children`, `rebuild`, `map_children`, `has_meta`,
+`subst_type`) against a small reference walker kept here.
 
 The reference finds a node's children by reflection over its fields
 (`ast.fields`), so it shares no dispatch with the code under test. It
@@ -39,6 +39,7 @@ from minimz.ast import (
     has_meta,
     map_children,
     plain,
+    rebuild,
     replace,
 )
 from minimz.driver import CORPUS_DIR, PRELUDE_PATH, load_text, prelude
@@ -261,6 +262,10 @@ SAMPLES = {
 }
 
 
+# A concrete type with no fields, whose only child is its bar.
+BAR_ONLY = TConcrete("L", (), TAt("x", _M), _SPAN)
+
+
 def test_every_type_class_has_a_sample():
     assert set(SAMPLES) == set(TYPE_CLASSES)
 
@@ -286,9 +291,33 @@ def test_equal_nodes_built_apart_hash_equal_and_keep_their_hash(cls):
         assert u._hash == hash(u)  # a node with children keeps its hash
 
 
-@pytest.mark.parametrize("cls", TYPE_CLASSES, ids=lambda c: c.__name__)
-def test_every_type_class_is_handled(cls):
-    t = SAMPLES[cls]
+_HOLE = TVar("_")
+_CHANGED = TApp("changed", ())
+
+
+def _shape(t: Type) -> Type:
+    """`t` with a hole for each child: every field but the children."""
+    return ref_map(t, lambda c: _HOLE)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [pytest.param(SAMPLES[c], id=c.__name__) for c in TYPE_CLASSES]
+    + [pytest.param(BAR_ONLY, id="TConcrete-bar-only")],
+)
+def test_every_type_class_is_handled(t):
+    cls = type(t)
+    kids = children(t)
+    assert rebuild(t, kids, list(kids)) is t
+    for i in range(len(kids)):
+        # a rebuild that changes one child keeps the others and every
+        # other field, the span too
+        new = [*kids[:i], _CHANGED, *kids[i + 1 :]]
+        got = rebuild(t, kids, new)
+        assert got == ref_map(t, lambda c, rest=iter(new): next(rest))
+        assert type(got) is cls and got.span is t.span
+        assert all(c is n for c, n in zip(children(got), new))
+        assert _shape(got) == _shape(t)
     assert map_children(t, lambda c: c) is t
     assert list(children(t)) == ref_children(t)
     assert all(c is r for c, r in zip(children(t), ref_children(t)))
