@@ -227,7 +227,8 @@ class Type:
     which is sound only because a node never changes: `_has_meta`, whether
     the node contains a `TMeta` (`has_meta`); `_plain`, whether it binds
     no name and holds no `TMeta` (`plain`); and `_hash`, the structural
-    hash of a node with children (`node`'s `keep_hash`)."""
+    hash of a node with children (`node`'s `keep_hash`). A leaf's class
+    gives the first two as constants, which no node of it ever misses."""
 
     __slots__ = ("_has_meta", "_plain", "_hash")
 
@@ -241,6 +242,9 @@ class TVar(Type):
     name: str
     span: Span = _span_field()
 
+    _has_meta = False
+    _plain = True
+
 
 @node
 class TMeta(Type):
@@ -249,6 +253,9 @@ class TMeta(Type):
     name: str
     kind: Kind = KIND_TYPE
     span: Span = _span_field()
+
+    _has_meta = True
+    _plain = False
 
 
 @node(keep_hash=True)
@@ -306,6 +313,9 @@ class TSingleton(Type):
     name: str
     span: Span = _span_field()
 
+    _has_meta = False
+    _plain = True
+
 
 @node(keep_hash=True)
 class TForall(Type):
@@ -341,6 +351,9 @@ class TStar(Type):
 @node
 class TEmpty(Type):
     span: Span = _span_field()
+
+    _has_meta = False
+    _plain = True
 
 
 UNIT = TTuple(())
@@ -420,13 +433,14 @@ def same_items(xs, ys) -> bool:
 
 def has_meta(t: Type) -> bool:
     """Does `t` contain a `TMeta`? Nodes are immutable, so the answer is
-    computed once per node and kept in its `_has_meta` slot."""
-    try:
-        return t._has_meta
-    except AttributeError:
-        pass
-    found = t.__class__ is TMeta or any(map(has_meta, children(t)))
-    _set_has_meta(t, found)
+    computed once per node and kept in its `_has_meta` slot; a leaf's class
+    gives it as a constant. `getattr` with a default reads an unset slot
+    without raising in Python: a raised and caught `AttributeError` would
+    cost more than twice as much, once per node."""
+    found = getattr(t, "_has_meta", None)
+    if found is None:
+        found = any(map(has_meta, children(t)))
+        _set_has_meta(t, found)
     return found
 
 
@@ -434,19 +448,18 @@ def plain(t: Type) -> bool:
     """Does `t` bind no name and hold no `TMeta`? A name is bound by a
     `TForall`, a `TExists` or a named tuple component. `Subsumer.unify` of
     a plain type against an equal one binds nothing and draws no fresh
-    name. Kept in the `_plain` slot."""
-    try:
-        return t._plain
-    except AttributeError:
-        pass
-    cls = t.__class__
-    if cls is TMeta or cls is TForall or cls is TExists:
-        found = False
-    elif cls is TTuple and any(c.name is not None for c in t.comps):
-        found = False
-    else:
-        found = all(map(plain, children(t)))
-    _set_plain(t, found)
+    name. Kept in the `_plain` slot, and read as `has_meta` reads its
+    own."""
+    found = getattr(t, "_plain", None)
+    if found is None:
+        cls = t.__class__
+        if cls is TForall or cls is TExists:
+            found = False
+        elif cls is TTuple and any(c.name is not None for c in t.comps):
+            found = False
+        else:
+            found = all(map(plain, children(t)))
+        _set_plain(t, found)
     return found
 
 

@@ -254,24 +254,30 @@ class Checker:
         """Returns (anchor, environment) in non-tail positions, _TAIL_DONE
         in tail positions (where the declared result has been subsumed).
         The names of `pairs` are bound over `e` alone; a chain of `let`s is
-        checked in a loop, each binding over the rest of the chain."""
+        checked in a loop, each binding over the rest of the chain. Any other
+        expression, outside a tail and with no names, binds none that its
+        own check does not undo, so it goes straight to `_synth`."""
+        cls = e.__class__
+        if tail is None and not pairs and cls is not ELet and cls is not EIf and cls is not EMatch:
+            return self._synth(penv, e)
         scope = self.locals
         mark = scope.mark()
         while True:
             for name, anchor in pairs:
                 scope.enter(name, anchor)
-            if e.__class__ is not ELet:
+            if cls is not ELet:
                 break
             anchor, penv = self.check_expr(penv, e.bound, None)
             pairs = []
             penv = self._bind_pattern(penv, e.pattern, anchor, pairs)
             e = e.body
-        if isinstance(e, EIf):
+            cls = e.__class__
+        if cls is EIf:
             cond_anchor, penv = self.check_expr(penv, e.cond, None)
             penv = self._subsume_or_fail(penv, [Anchored(cond_anchor, BOOL)], e.span)
             work = [(penv, (), e.then), (penv, (), e.otherwise)]
             out = self._run_branches(work, e.span, tail)
-        elif isinstance(e, EMatch):
+        elif cls is EMatch:
             out = self._check_match(penv, e, tail)
         elif tail is not None:
             anchor, penv = self._synth(penv, e)
@@ -290,7 +296,10 @@ class Checker:
     # -- synthesis ----------------------------------------------------------
 
     def _synth(self, penv: PermEnv, e: Expr) -> tuple[str, PermEnv]:
-        if isinstance(e, EVar):
+        cls = e.__class__
+        if cls is ECall:
+            return self._check_call(penv, e)
+        if cls is EVar:
             anchor = self.locals.get(e.name)
             if anchor is not None:
                 return anchor, penv
@@ -302,18 +311,18 @@ class Checker:
                     penv,
                 )
             return e.name, penv
-        if isinstance(e, EInt):
+        if cls is EInt:
             return self._new_value(penv, INT, "n")
-        if isinstance(e, EBool):
+        if cls is EBool:
             return self._new_value(penv, BOOL, "b")
-        if isinstance(e, ETuple):
+        if cls is ETuple:
             anchors = []
             for item in e.items:
                 a, penv = self.check_expr(penv, item, None)
                 anchors.append(a)
             ty = TTuple(tuple(_singleton_comp(a) for a in anchors))
             return self._new_value(penv, ty, "tup")
-        if isinstance(e, EConstruct):
+        if cls is EConstruct:
             anchors = []
             for _, value in e.fields:
                 a, penv = self.check_expr(penv, value, None)
@@ -323,9 +332,7 @@ class Checker:
             )
             ty = TConcrete(e.tag, fields, None)
             return self._new_value(penv, ty, e.tag.lower())
-        if isinstance(e, ECall):
-            return self._check_call(penv, e)
-        if isinstance(e, EField):
+        if cls is EField:
             obj, penv = self.check_expr(penv, e.obj, None)
             penv, handle = self._structural(penv, obj, e.span)
             penv, handle = self.sub.open_fields(penv, handle)
@@ -336,7 +343,7 @@ class Checker:
                     assert isinstance(fty, TSingleton)
                     return fty.name, penv
             self._fail("E-SUBSUME", f"no field {e.name!r} on {ty.tag}", e.span, penv)
-        if isinstance(e, EAssign):
+        if cls is EAssign:
             value, penv = self.check_expr(penv, e.value, None)
             obj, penv = self.check_expr(penv, e.obj, None)
             penv, handle = self._structural(penv, obj, e.span, mutate=True)
@@ -350,9 +357,9 @@ class Checker:
             )
             new_atom = Anchored(atom.anchor, TConcrete(ty.tag, fields, ty.bar, ty.span))
             return self._unit(penv.replace(handle, new_atom))
-        if isinstance(e, ETagUpdate):
+        if cls is ETagUpdate:
             return self._check_tag_update(penv, e)
-        if isinstance(e, ELambda):
+        if cls is ELambda:
             return self._check_lambda(penv, e)
         raise TypeError(f"unknown expression {e!r}")
 

@@ -451,13 +451,28 @@ class Resolver:
         """`e` resolved in the current scope. Only types change (a lambda's,
         a call's type arguments), so a node whose children all come back as
         the same objects comes back itself."""
-        if isinstance(e, EVar):
+        cls = e.__class__  # the most frequent classes first
+        if cls is EVar:
             if not self.has_value(e.name):
                 raise ResolveError("E-UNBOUND", f"unbound value name {e.name!r}", e.span)
             return e
-        if isinstance(e, (EInt, EBool)):
+        if cls is EInt or cls is EBool:
             return e
-        if isinstance(e, ELet):
+        if cls is EConstruct:
+            _, branch = self.env.data_of_tag(e.tag, e.span)
+            _check_field_names(branch, e.fields, f"construction of {e.tag!r} must set", e.span)
+            fields = self.resolve_fields(e.fields)
+            return e if fields is e.fields else replace(e, fields=fields)
+        if cls is ECall:
+            callee = self.resolve_expr(e.callee)
+            arg = self.resolve_expr(e.arg)
+            targs = e.type_args
+            if targs is not None:
+                targs = tuple(self.resolve_type(t) for t in targs)
+            if callee is e.callee and arg is e.arg and targs is e.type_args:
+                return e
+            return replace(e, callee=callee, arg=arg, type_args=targs)
+        if cls is ELet:
             # A chain of lets is resolved in a loop, then rebuilt from its
             # end; a link whose parts come back unchanged is kept.
             mark = self.values.mark()
@@ -473,27 +488,13 @@ class Resolver:
                     link = replace(link, bound=bound, body=body)
                 body = link
             return body
-        if isinstance(e, ECall):
-            callee = self.resolve_expr(e.callee)
-            arg = self.resolve_expr(e.arg)
-            targs = e.type_args
-            if targs is not None:
-                targs = tuple(self.resolve_type(t) for t in targs)
-            if callee is e.callee and arg is e.arg and targs is e.type_args:
-                return e
-            return replace(e, callee=callee, arg=arg, type_args=targs)
-        if isinstance(e, EConstruct):
-            _, branch = self.env.data_of_tag(e.tag, e.span)
-            _check_field_names(branch, e.fields, f"construction of {e.tag!r} must set", e.span)
-            fields = self.resolve_fields(e.fields)
-            return e if fields is e.fields else replace(e, fields=fields)
-        if isinstance(e, ETuple):
+        if cls is ETuple:
             items = tuple([self.resolve_expr(i) for i in e.items])
             return e if same_items(items, e.items) else replace(e, items=items)
-        if isinstance(e, EField):
+        if cls is EField:
             obj = self.resolve_expr(e.obj)
             return e if obj is e.obj else replace(e, obj=obj)
-        if isinstance(e, EMatch):
+        if cls is EMatch:
             scrutinee = self.resolve_expr(e.scrutinee)
             branches = []
             seen_tags: set[str] = set()
@@ -516,25 +517,25 @@ class Resolver:
                 scrutinee=scrutinee,
                 branches=tuple((pat, b) for (pat, _), b in zip(e.branches, branches)),
             )
-        if isinstance(e, EIf):
+        if cls is EIf:
             cond = self.resolve_expr(e.cond)
             then = self.resolve_expr(e.then)
             otherwise = self.resolve_expr(e.otherwise)
             if cond is e.cond and then is e.then and otherwise is e.otherwise:
                 return e
             return replace(e, cond=cond, then=then, otherwise=otherwise)
-        if isinstance(e, EAssign):
+        if cls is EAssign:
             obj = self.resolve_expr(e.obj)
             value = self.resolve_expr(e.value)
             return e if obj is e.obj and value is e.value else replace(e, obj=obj, value=value)
-        if isinstance(e, ETagUpdate):
+        if cls is ETagUpdate:
             self.env.data_of_tag(e.tag, e.span)
             obj = self.resolve_expr(e.obj)
             fields = self.resolve_fields(e.fields)
             if obj is e.obj and fields is e.fields:
                 return e
             return replace(e, obj=obj, fields=fields)
-        if isinstance(e, ELambda):
+        if cls is ELambda:
             mark = self.values.mark()
             domain = self.resolve_domain(e.domain)
             codomain = e.codomain

@@ -3,17 +3,20 @@
 Identifiers are ASCII: `[a-z][a-zA-Z0-9_']*` for values and type names,
 `[A-Z][a-zA-Z0-9_']*` for data tags. Line comments start with `--`.
 
-`tokenize` reads the text in one pass of one regular expression and
-returns a `Tokens`: three parallel lists, the kind, the text and the start
-offset of each token, that end in one EOF token. No object is made per
-token; the parser reads the lists by index and makes a `Span` only where a
-node or an error keeps one. `len(tokenize(text)) - 1` is the number of
-tokens in the text.
+`tokenize` makes no Python step per token. It blanks each comment to
+spaces, then one C-level `re.split` cuts the text into gaps of blanks and
+tokens in turn; the starts are the running sums of the parts' lengths,
+and each distinct text is given its kind once. It returns a `Tokens`:
+three parallel lists, the kind, the text and the start offset of each
+token, that end in one EOF token. No object is made per token; the parser
+reads the lists by index and makes a `Span` only where a node or an error
+keeps one. `len(tokenize(text)) - 1` is the number of tokens in the text.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import accumulate, islice
 from types import MappingProxyType
 
 from .ast import Span
@@ -33,8 +36,8 @@ class LexError(Exception):
 
 class Tokens:
     """`kinds` (KW, LIDENT, UIDENT, INT, OP or EOF), `texts` and `starts`,
-    one item per token. The last token is the EOF, whose text is empty and
-    whose start is the length of the input."""
+    one item per token, as `tokenize` makes them. The last token is the
+    EOF, whose text is empty and whose start is the length of the input."""
 
     __slots__ = ("kinds", "texts", "starts")
 
@@ -47,28 +50,19 @@ class Tokens:
         return len(self.kinds)
 
 
-# One match per token: the blanks and comments before it, then the token.
-# Every position matches: after the blanks comes a token, an illegal
-# character or the end of the input, so a comment is never given back to
-# make a token of its tail. The end of the input matches once more after
-# a match that ends there: the last match is always an empty token at the
-# end, and it may follow a match of blanks alone.
-_TOKEN_RE = re.compile(
-    r"""((?:[ \t\r\n]+|--[^\n]*)*)
-      ( [a-z][a-zA-Z0-9_']*         # a keyword or a value or type name
-      | ->|<-|[@*|={}()\[\],;:.]    # an operator
-      | [A-Z][a-zA-Z0-9_']*         # a data tag
-      | [0-9]+                      # an integer
-      | .                           # an illegal character
-      | \Z )
-    """,
-    re.VERBOSE,
-)
+# A comment runs from `--` to the end of its line and is blanked to spaces
+# of its length before the split, so every offset stays. A comment starts
+# only where a token could: right after `<`, `--` reads as `<-` then `-`.
+_COMMENT_RE = re.compile(r"(?<!<)--[^\n]*")
 
-# The kind of a token by its text (a keyword, an operator, the empty text
-# of the end) or else by its first character; an illegal character has none.
+# One capture group, so `split` gives the gaps and the tokens in turn. A gap
+# holds blanks alone: any other character is a token, an illegal one if it
+# has no kind.
+_SPLIT_RE = re.compile(r"([a-zA-Z][a-zA-Z0-9_']*|[0-9]+|->|<-|[^ \t\r\n])")
+
+# The kind of a token by its text (a keyword, an operator) or else by its
+# first character; an illegal character has none.
 _KINDS = MappingProxyType({
-    "": "EOF",
     **dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "LIDENT"),
     **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "UIDENT"),
     **dict.fromkeys("0123456789", "INT"),
@@ -78,22 +72,20 @@ _KINDS = MappingProxyType({
 
 
 def tokenize(text: str) -> Tokens:
-    kinds: list[str | None] = []
-    texts: list[str] = []
-    starts: list[int] = []
-    kind_of = _KINDS.get
-    pos = 0
-    for blanks, word in _TOKEN_RE.findall(text):
-        pos += len(blanks)
-        kinds.append(kind_of(word) or kind_of(word[0]))
-        texts.append(word)
-        starts.append(pos)
-        pos += len(word)
-    if None in kinds:
+    if "--" in text:
+        text = _COMMENT_RE.sub(lambda m: " " * len(m[0]), text)
+    parts = _SPLIT_RE.split(text)
+    texts = parts[1::2]
+    # The running ends of the parts: a gap ends where the token after it
+    # starts, and the last gap at the EOF.
+    starts = list(islice(accumulate(map(len, parts)), 0, None, 2))
+    kind_of = {t: _KINDS.get(t) or _KINDS.get(t[0]) for t in set(texts)}
+    kinds = list(map(kind_of.__getitem__, texts))
+    if None in kind_of.values():
         i = kinds.index(None)
         raise LexError(f"illegal character {texts[i]!r}", Span(starts[i], 1))
-    if len(kinds) > 1 and kinds[-2] == "EOF":  # blanks alone before the end
-        del kinds[-1], texts[-1], starts[-1]
+    kinds.append("EOF")
+    texts.append("")
     return Tokens(kinds, texts, starts)  # type: ignore[arg-type]
 
 

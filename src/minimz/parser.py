@@ -53,7 +53,7 @@ from .ast import (
     Type,
     TupleComp,
 )
-from .lexer import Tokens, tokenize
+from .lexer import KEYWORDS, Tokens, tokenize
 
 
 class ParseError(Exception):
@@ -62,6 +62,10 @@ class ParseError(Exception):
         self.message = message
         self.span = span
 
+
+# The largest integer literal: an int is a signed 64-bit integer, as
+# `runtime` wraps the result of every operation on ints.
+_INT_MAX = 2**63 - 1
 
 # Tokens that may begin an expression atom (application arguments).
 _EXPR_ATOM_KINDS = ("INT", "LIDENT", "UIDENT")
@@ -72,7 +76,10 @@ class Parser:
     """Reads the token lists of a `Tokens` by index. `kind` and `text` are
     those of the next token to read, the one at `pos`; reading a token
     returns its index. A keyword or an operator is recognised by its text
-    alone, which no token of another kind has."""
+    alone, which no token of another kind has. The hottest reads (in
+    `expect`, an atom of `parse_postfix`, a field list and a pattern's
+    name) write `next`'s three assignments in place, which saves a call
+    per token."""
 
     def __init__(self, tokens: Tokens, path: str = "<input>"):
         # Every read follows a test that the token is not EOF, so `pos`
@@ -106,15 +113,16 @@ class Parser:
         what = f"{self.kind} {self.text!r}" if self.kind != "EOF" else "end of input"
         return ParseError(f"{message}, found {what}", self.span(self.pos))
 
-    def expect_op(self, op: str) -> int:
-        if self.text != op:
-            raise self.error(f"expected {op!r}")
-        return self.next()
-
-    def expect_kw(self, word: str) -> int:
-        if self.text != word:
-            raise self.error(f"expected keyword {word!r}")
-        return self.next()
+    def expect(self, text: str) -> int:
+        """Read the keyword or operator `text` and return its index."""
+        i = self.pos
+        if self.text != text:
+            what = f"keyword {text!r}" if text in KEYWORDS else repr(text)
+            raise self.error(f"expected {what}")
+        self.pos = j = i + 1
+        self.kind = self.kinds[j]
+        self.text = self.texts[j]
+        return i
 
     def expect_name(self) -> str:
         """Read a LIDENT and return its text."""
@@ -133,9 +141,9 @@ class Parser:
     def parse_paren_list(self, parse_item) -> tuple[list, Span]:
         """`( x, ... )`, possibly empty; returns the items and the span of the
         parentheses."""
-        open_ = self.expect_op("(")
+        open_ = self.expect("(")
         items = [] if self.text == ")" else self.parse_comma_list(parse_item)
-        return items, self.span_to(open_, self.span(self.expect_op(")")))
+        return items, self.span_to(open_, self.span(self.expect(")")))
 
     # -- declarations ------------------------------------------------------
 
@@ -166,23 +174,23 @@ class Parser:
             elif self.text == "(" and self.kinds[i + 1] == "LIDENT" and self.texts[i + 2] == ":":
                 self.next()
                 name = self.expect_name()
-                self.expect_op(":")
-                self.expect_kw("perm")
-                self.expect_op(")")
+                self.expect(":")
+                self.expect("perm")
+                self.expect(")")
                 params.append((name, KIND_PERM))
             else:
                 break
         return tuple(params)
 
     def parse_data(self) -> DData:
-        start = self.expect_kw("data")
+        start = self.expect("data")
         mutable = False
         if self.text == "mutable":
             self.next()
             mutable = True
         name = self.expect_name()
         params = self.parse_type_params()
-        self.expect_op("=")
+        self.expect("=")
         branches = [self.parse_branch()]
         while self.text == "|":
             self.next()
@@ -208,38 +216,43 @@ class Parser:
             return self.texts[tag], (), None, self.span(tag)
         self.next()
         fields: list[tuple[str, object]] = []
+        kinds, texts = self.kinds, self.texts
         while self.kind == "LIDENT":
-            fname = self.texts[self.next()]
+            fname = self.text
+            self.pos = i = self.pos + 1
+            self.kind = kinds[i]
+            self.text = texts[i]
             if sep is not None:
-                self.expect_op(sep)
+                self.expect(sep)
             fields.append((fname, parse_value()))
-            if self.text == ";":
-                self.next()
-            else:
+            if self.text != ";":
                 break
+            self.pos = i = self.pos + 1
+            self.kind = kinds[i]
+            self.text = texts[i]
         bar: Type | None = None
         if with_bar and self.text == "|":
             self.next()
             bar = self.parse_type()
-        span = self.span_to(tag, self.span(self.expect_op("}")))
+        span = self.span_to(tag, self.span(self.expect("}")))
         return self.texts[tag], tuple(fields), bar, span
 
     def parse_alias(self) -> DAlias:
-        start = self.expect_kw("alias")
+        start = self.expect("alias")
         name = self.expect_name()
         params = self.parse_type_params()
-        self.expect_op("=")
+        self.expect("=")
         body = self.parse_type()
         return DAlias(name, params, body, self.span_to(start, body.span))
 
     def parse_abstract(self) -> DAbstract:
-        start = self.expect_kw("abstract")
+        start = self.expect("abstract")
         name = self.expect_name()
         params = self.parse_type_params()
         return DAbstract(name, params, self.span_to(start, self.span(start + 1)))
 
     def parse_val(self) -> Decl:
-        start = self.expect_kw("val")
+        start = self.expect("val")
         name = self.expect_name()
         if self.text == ":":
             self.next()
@@ -247,7 +260,7 @@ class Parser:
             return DValSig(name, ty, self.span_to(start, ty.span))
         if self.text == "(":
             params, _ = self.parse_paren_list(self.expect_name)
-            self.expect_op("=")
+            self.expect("=")
             body = self.parse_expr()
             return DValDef(name, tuple(params), body, self.span_to(start, body.span))
         raise self.error("expected ':' (signature) or '(' (definition) after val name")
@@ -265,7 +278,7 @@ class Parser:
             return self.parse_arrow()
         start = self.next()
         binders = self.parse_binders()
-        self.expect_op(close)
+        self.expect(close)
         body = self.parse_type()
         return quantifier(binders, body, self.span_to(start, body.span))
 
@@ -276,7 +289,7 @@ class Parser:
         name = self.expect_name()
         if self.text == ":":
             self.next()
-            self.expect_kw("perm")
+            self.expect("perm")
             return name, KIND_PERM
         return name, KIND_TYPE
 
@@ -338,11 +351,11 @@ class Parser:
             self.next()
             i = self.pos
             return TSingleton(self.expect_name(), self.span(i))
-        self.expect_op(":")
+        self.expect(":")
         return self.parse_type()
 
     def parse_paren_type(self) -> Type:
-        open_ = self.expect_op("(")
+        open_ = self.expect("(")
         comps: list[TupleComp] = []
         named_or_consumed = False
         while self.text != ")" and self.text != "|":
@@ -370,7 +383,7 @@ class Parser:
                 self.next()
                 bar_consumed = True
             bar = self.parse_type()
-        span = self.span_to(open_, self.span(self.expect_op(")")))
+        span = self.span_to(open_, self.span(self.expect(")")))
         plain = len(comps) == 1 and not named_or_consumed
         if bar is None:
             if plain:
@@ -382,9 +395,14 @@ class Parser:
     # -- patterns ------------------------------------------------------------
 
     def parse_let_pattern(self) -> Pattern:
+        text = self.text
         if self.kind == "LIDENT":
-            return PVar(self.text, self.span(self.next()))
-        if self.text == "(":
+            i = self.pos
+            self.pos = j = i + 1
+            self.kind = self.kinds[j]
+            self.text = self.texts[j]
+            return PVar(text, Span(self.starts[i], len(text)))
+        if text == "(":
             items, span = self.parse_paren_list(self.parse_let_pattern)
             if len(items) == 1:
                 return items[0]
@@ -405,11 +423,11 @@ class Parser:
         while True:
             text = self.text
             if text == "let":
-                start = self.span(self.next())
+                start = Span(self.starts[self.expect("let")], 3)
                 pat = self.parse_let_pattern()
-                self.expect_op("=")
+                self.expect("=")
                 bound = self.parse_expr()
-                self.expect_kw("in")
+                self.expect("in")
                 links = (start, pat, bound, links)
             elif text == "fun":
                 e = self.parse_lambda()
@@ -432,16 +450,16 @@ class Parser:
         return e
 
     def parse_if(self) -> EIf:
-        start = self.expect_kw("if")
+        start = self.expect("if")
         cond = self.parse_expr()
-        self.expect_kw("then")
+        self.expect("then")
         then = self.parse_expr()
-        self.expect_kw("else")
+        self.expect("else")
         otherwise = self.parse_expr()
         return EIf(cond, then, otherwise, self.span_to(start, otherwise.span))
 
     def parse_lambda(self) -> ELambda:
-        start = self.expect_kw("fun")
+        start = self.expect("fun")
         if self.text != "(":
             raise self.error("expected '(' after fun")
         domain = self.parse_paren_type()
@@ -451,22 +469,22 @@ class Parser:
         if self.text == ":":
             self.next()
             codomain = self.parse_type()
-            self.expect_op("=")
+            self.expect("=")
         else:
-            self.expect_op("->")
+            self.expect("->")
         body = self.parse_expr()
         return ELambda(domain, codomain, body, self.span_to(start, body.span))
 
     def parse_match(self) -> EMatch:
-        start = self.expect_kw("match")
+        start = self.expect("match")
         scrutinee = self.parse_expr()
-        self.expect_kw("with")
+        self.expect("with")
         if self.text == "|":
             self.next()
         branches: list[tuple[Pattern, Expr]] = []
         while True:
             pat = self.parse_branch_pattern()
-            self.expect_op("->")
+            self.expect("->")
             body = self.parse_expr()
             branches.append((pat, body))
             if self.text == "|":
@@ -481,7 +499,7 @@ class Parser:
             self.next()
             self.next()
             obj = self.parse_postfix()
-            self.expect_op("<-")
+            self.expect("<-")
             tag, fields, _, span = self.parse_tagged("=", self.parse_assign)
             return ETagUpdate(obj, tag, fields, self.span_to(start, span))
         e = self.parse_app_expr()
@@ -499,7 +517,7 @@ class Parser:
         if self.text == "[":
             self.next()
             type_args = tuple(self.parse_comma_list(self.parse_type))
-            self.expect_op("]")
+            self.expect("]")
         result = head
         first = True
         while self.kind in _EXPR_ATOM_KINDS or self.text in _EXPR_ATOM_TEXTS:
@@ -519,12 +537,22 @@ class Parser:
         """An atom and the fields read from it: `a.f.g`."""
         kind = self.kind
         text = self.text
-        if kind == "LIDENT":
-            e = EVar(text, self.span(self.next()))
-        elif kind == "INT":
-            e = EInt(int(text), self.span(self.next()))
-        elif text == "true" or text == "false":
-            e = EBool(text == "true", self.span(self.next()))
+        if kind == "LIDENT" or kind == "INT" or text == "true" or text == "false":
+            i = self.pos
+            span = Span(self.starts[i], len(text))
+            self.pos = i = i + 1
+            self.kind = self.kinds[i]
+            self.text = self.texts[i]
+            if kind == "LIDENT":
+                e = EVar(text, span)
+            elif kind == "INT":
+                value = int(text)
+                if value > _INT_MAX:
+                    message = f"integer literal {text} exceeds {_INT_MAX}, the largest int"
+                    raise ParseError(message, span)
+                e = EInt(value, span)
+            else:
+                e = EBool(text == "true", span)
         elif kind == "UIDENT":
             tag, fields, _, span = self.parse_tagged("=", self.parse_assign)
             e = EConstruct(tag, fields, span)

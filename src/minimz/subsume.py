@@ -24,14 +24,15 @@ first of these that applies:
 and no global permission, goes straight to 4 and 5.
 
 A pick or a fold opens a *level*, a choice point over every atom it may
-take in `atoms_of` order: `heads` gives a pick's, opening atoms as needed,
-and a fold's are its structural atoms, then the split. The atom's goals
-go on the stack, then a cut. A failure backs off to the newest open level,
-which takes its next atom from the bindings and environment it began with.
-The cut closes a level whose goals are all met, so an atom is taken again
-only when a later goal of its level fails. A level with no atom left
-fails in turn: a pick with its first atom's failure, a fold with its own
-goal, or after its split with the split search's failure.
+take in `atoms_of` order: the walk of `Subsumer._next_head` finds a pick's,
+opening atoms as needed, and a fold's are its structural atoms, then the
+split. The atom's goals go on the stack, then a cut. A failure backs off
+to the newest open level, which takes its next atom from the bindings and
+environment it began with. The cut closes a level whose goals are all
+met, so an atom is taken again only when a later goal of its level fails.
+A level with no atom left fails in turn: a pick with its first atom's
+failure, a fold with its own goal, or after its split with the split
+search's failure.
 
 The search ends without a bound on its nesting. Aliases are acyclic
 (`kinds.check_alias_cycles`); an open removes one packed layer; a bar, an
@@ -46,7 +47,7 @@ folded and the anchors being split.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Generator, Iterator
+from collections.abc import Generator
 from typing import NamedTuple
 
 from .ast import (
@@ -453,27 +454,42 @@ class Subsumer:
                 return handle, ty
         return None
 
-    def heads(self, penv: PermEnv, anchor: str, want) -> Iterator[tuple[PermEnv, Handle]]:
-        """Every atom of `anchor` whose type satisfies the predicate `want`,
-        with the environment that holds it: those of `penv`, in order, then
-        those that each opening of an atom of `anchor` brings. An opening
-        gives its atoms handles above every older one."""
-        seen = -1
-        while penv is not None:
-            hits = penv.atoms_of(anchor)
-            for handle, atom in hits:
-                if handle > seen and want(self.uni.resolve(atom.ty)):
-                    yield penv, handle
+    def head_atom(self, penv: PermEnv, anchor: str, want) -> tuple[PermEnv, Handle] | None:
+        """The first atom of `anchor` whose type satisfies the predicate
+        `want`, with the environment that holds it, or None: one step of the
+        walk that `_pick` takes to its end (`_next_head`). No generator is
+        left suspended, for a `GeneratorExit` to close."""
+        at = self._next_head(anchor, want, penv, penv.atoms_of(anchor), 0, -1)
+        return None if at is None else at[:2]
+
+    def _next_head(self, anchor: str, want, penv: PermEnv, hits, i: int, seen: Handle):
+        """One step of the walk over the atoms of `anchor` whose type
+        satisfies `want`: those of `penv`, in order, then those that each
+        opening of an atom of `anchor` brings. An opening gives its atoms
+        handles above every older one, and `seen` is the highest handle of
+        the environments before. The step goes on from the `i`th of `hits`,
+        the atoms of `anchor` in `penv`. It gives the environment and the
+        handle of the next atom, then the walk's state past it (`hits`, `i`
+        and `seen` again), or None at the walk's end."""
+        resolve = self.uni.resolve
+        while True:
+            for handle, atom in hits[i:]:
+                i += 1
+                if handle > seen and want(resolve(atom.ty)):
+                    return penv, handle, hits, i, seen
             seen = max((h for h, _ in hits), default=seen)
             penv = self._open_first(penv, hits)
-
-    def head_atom(self, penv: PermEnv, anchor: str, want) -> tuple[PermEnv, Handle] | None:
-        """The first atom that `heads` finds, or None."""
-        return next(self.heads(penv, anchor, want), None)
+            if penv is None:
+                return None
+            hits, i = penv.atoms_of(anchor), 0
 
     def _open_first(self, penv: PermEnv, hits: list[tuple[Handle, Anchored]]) -> PermEnv | None:
         """`penv` with the first atom among `hits` that opens opened, or None."""
-        return next((o for h, _ in hits if (o := self.open_atom(penv, h)) is not None), None)
+        for handle, _ in hits:
+            opened = self.open_atom(penv, handle)
+            if opened is not None:
+                return opened
+        return None
 
     # ------------------------------------------------------------------
     # subsumption
@@ -615,15 +631,18 @@ class Subsumer:
 
     def _pick(self, goal: Anchored, penv: PermEnv) -> Generator[tuple, SubsumptionFailure, None]:
         """The atoms a tuple or concrete goal may take: each structural tuple,
-        or atom of its tag, that `heads` finds, with the goals of its
-        components or fields. Fails with the failure of the first, or with
-        `goal` when there is none."""
+        or atom of its tag, that the walk of `_next_head` finds, with the
+        goals of its components or fields. Fails with the failure of the
+        first, or with `goal` when there is none."""
         ty = goal.ty
         want = is_structural_tuple if ty.__class__ is TTuple else (
             lambda t: t.__class__ is TConcrete and t.tag == ty.tag
         )
         first = None
-        for env, handle in self.heads(penv, goal.anchor, want):
+        anchor = goal.anchor
+        at = self._next_head(anchor, want, penv, penv.atoms_of(anchor), 0, -1)
+        while at is not None:
+            env, handle, hits, i, seen = at
             actual = env.atom(handle).ty
             if ty.__class__ is TTuple:
                 goals = _tuple_goals(actual, ty)
@@ -634,6 +653,7 @@ class Subsumer:
             failure = yield env, self._extract(env, handle), goals
             if first is None:
                 first = failure
+            at = self._next_head(anchor, want, env, hits, i, seen)
         raise first if first is not None else SubsumptionFailure(goal, penv)
 
     def _fold(
@@ -688,7 +708,7 @@ class Subsumer:
 
     def _extract(self, penv: PermEnv, handle: Handle) -> PermEnv:
         atom = penv.atom(handle)
-        if isinstance(atom, Anchored) and duplicability(
+        if atom.__class__ is Anchored and duplicability(
             self.uni.resolve(atom.ty), self.env
         ) == DUPLICABLE:
             return penv
@@ -801,11 +821,12 @@ def _as_domain(domain: Type) -> Type:
     """An arrow domain with a tuple for its carrier: a carrier that is not a
     tuple is the one unnamed component, as `kinds.domain_comps` reads it."""
     if domain.__class__ is TBar:
-        return TBar(_as_domain(domain.carrier), domain.perm, domain.consumed, domain.span)
+        kids = children(domain)
+        return rebuild(domain, kids, (_as_domain(kids[0]), kids[1]))
     return domain if domain.__class__ is TTuple else TTuple((TupleComp(None, domain, False),))
 
 
 def _strip_empty_bar(t: Type) -> Type:
-    if isinstance(t, TBar) and isinstance(t.perm, TEmpty):
+    if t.__class__ is TBar and t.perm.__class__ is TEmpty:
         return _strip_empty_bar(t.carrier)
     return t

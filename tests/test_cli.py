@@ -42,6 +42,14 @@ def test_check_parse_error_exits_two(tmp_path):
     assert out.returncode == 2
 
 
+def test_check_an_integer_literal_past_64_bits_exits_two(tmp_path):
+    big = tmp_path / "big.mz"
+    big.write_text("val main: () -> int\nval main () = 9223372036854775808\n")
+    out = run_cli("check", str(big))
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith(f"{big}:2:15 PARSE integer literal 9223372036854775808")
+
+
 def test_check_json_records(tmp_path):
     out = run_cli("check", str(CORPUS / "neg" / "neg_dup_tree.mz"), "--json")
     assert out.returncode == 1

@@ -1,0 +1,89 @@
+"""The checker's per-node path raises nothing it catches again.
+
+A raised and caught exception costs a Python frame's unwinding: reading
+an unset cache slot by catching its `AttributeError`, or leaving a
+generator suspended for a `GeneratorExit` to close, costs several times
+what the plain read or loop does, once per type node or per lookup. This
+test checks the corpus and two large programs under `sys.settrace` and
+counts the exceptions raised in the functions of that path."""
+
+from __future__ import annotations
+
+import random
+import sys
+from collections import Counter
+
+from conftest import CORPUS, corpus_text
+
+from minimz.driver import check_text
+from minimz.kinds import ResolveError
+from minimz.lexer import LexError
+from minimz.parser import ParseError
+
+# Where an exception of each type may not be raised.
+FORBIDDEN = {
+    "AttributeError": {"has_meta", "plain"},
+    "GeneratorExit": {"head_atom", "_next_head", "_open_first"},
+}
+
+
+def tree_program(rng: random.Random, n: int) -> str:
+    """`main` binds one balanced tree literal of n nodes and takes its size,
+    below the library of `pos/tree_size.mz`."""
+
+    def literal(lo: int, hi: int) -> str:
+        if lo > hi:
+            return "Leaf"
+        mid = (lo + hi) // 2
+        left, elem, right = literal(lo, mid - 1), rng.randrange(1000), literal(mid + 1, hi)
+        return f"Node {{ left = {left}; elem = {elem}; right = {right} }}"
+
+    main = f"\nval main: () -> int\n\nval main () =\n  let t = {literal(1, n)} in\n  size t\n"
+    return corpus_text("pos/tree_size.mz") + main
+
+
+def let_chain(rng: random.Random, n: int) -> str:
+    """`main` as n lets over ints, each using earlier ones."""
+    lines = ["val main: () -> int", "val main () =", "  let x0 = 1 in"]
+    for i in range(1, n):
+        a, b = rng.randrange(i), rng.randrange(i)
+        rhs = rng.choice([f"add (x{a}, x{b})", f"sub (x{a}, x{b})", f"mul (x{a}, 3)"])
+        lines.append(f"  let x{i} = {rhs} in")
+    return "\n".join([*lines, f"  x{n - 1}", ""])
+
+
+def raised_while_checking(texts: list[str]) -> Counter:
+    """(function, exception type) of each exception raised while checking
+    `texts`."""
+    raised: Counter = Counter()
+
+    def trace(frame, event, arg):
+        if event == "call":
+            frame.f_trace_lines = False
+        elif event == "exception":
+            raised[frame.f_code.co_name, arg[0].__name__] += 1
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for text in texts:
+            try:
+                check_text(text)
+            except (LexError, ParseError, ResolveError):
+                pass
+    finally:
+        sys.settrace(previous)
+    return raised
+
+
+def test_checking_raises_no_exception_on_the_hot_path():
+    rng = random.Random(1)
+    texts = [p.read_text(encoding="utf-8") for p in sorted(CORPUS.rglob("*.mz"))]
+    texts += [tree_program(rng, 300), let_chain(rng, 300)]
+    raised = raised_while_checking(texts)
+    assert raised, "the trace saw no exception at all: it is not tracing"
+    bad = {
+        (fn, exc): n for (fn, exc), n in raised.items() if fn in FORBIDDEN.get(exc, ())
+    }
+    assert bad == {}

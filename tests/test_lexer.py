@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -137,6 +139,14 @@ def scan(text: str):
     return out
 
 
+def scanned(text: str):
+    """`tokenize`'s answer in the form `scan` gives it."""
+    try:
+        return rows(tokenize(text))
+    except LexError as exc:
+        return ("error", exc.message, exc.span.start, exc.span.length)
+
+
 def _word(first: str):
     rest = st.text(alphabet="aZ09_'", max_size=4)
     return st.tuples(st.sampled_from(first), rest).map("".join)
@@ -159,9 +169,20 @@ PIECES = st.one_of(
 @example("val -- trailing")
 @example("-- ab\n?")
 @example("x --\n--y\n-- z")
+@example("<--")  # `<-` then an illegal `-`: no comment starts inside `<-`
+@example("<---")
+@example("x<--y")
+@example("->--x")
+@example("a--b")
+@example("?--")
+@example("x --")
+@example(" \t\r\n ")
 def test_tokenize_agrees_with_a_character_scanner(text):
-    try:
-        got = rows(tokenize(text))
-    except LexError as exc:
-        got = ("error", exc.message, exc.span.start, exc.span.length)
-    assert got == scan(text)
+    assert scanned(text) == scan(text)
+
+
+def test_tokenize_agrees_with_a_character_scanner_on_every_short_string():
+    texts = ["".join(t) for n in range(5) for t in product("<->aA1 \n?", repeat=n)]
+    assert len(texts) == 1 + 9 + 9**2 + 9**3 + 9**4
+    for text in texts:
+        assert scanned(text) == scan(text), text

@@ -93,6 +93,20 @@ def test_parse_error_reports_expected():
         parse_file("data tree =")
 
 
+def test_an_integer_literal_must_fit_in_64_signed_bits():
+    from minimz.ast import EInt, Span
+
+    big = "9223372036854775807"
+    assert parse_expr(big) == EInt(2**63 - 1)
+    text = "val main () = add (9223372036854775808, 0)"
+    with pytest.raises(ParseError) as exc:
+        parse_file(text)
+    assert exc.value.span == Span(text.index("9"), 19)
+    assert exc.value.message == (
+        "integer literal 9223372036854775808 exceeds 9223372036854775807, the largest int"
+    )
+
+
 def test_sequencing_sugar():
     from minimz.ast import ELet, PVar
 
