@@ -1,0 +1,149 @@
+"""In-process A/B of the front end and the checker: two checkouts in one
+process, their rounds alternated.
+
+The host's speed drifts by up to 2x over seconds to minutes, so an A/B of
+separate processes needs many pairs to tell a change of a few percent.
+Here both checkouts run in one Python process, close together in time:
+
+- each side's `src/minimz` is copied, without its `__pycache__`, into a
+  temporary directory as the package `minimz_a` or `minimz_b`, which
+  imports its own modules by relative imports only, and nothing is written
+  into either checkout;
+- a workload's round at seed 1 is built by B's `perfbench/workloads.py`,
+  read-only;
+- each round takes every operation's program text through the front end
+  (`driver.load_text`: lex, parse and resolve over the prelude) and the
+  checker (`Checker(env).check_file`) of one side, then of the other, so
+  that the two sides' times of a round span the same stretch of time; the
+  side that goes first alternates from program to program and from round
+  to round. Runs of programs are not made.
+
+One untimed round of each side first fills the lazy caches, and its
+outcomes are compared: the script exits 1 if any diagnostic differs
+between the sides (code, span, message or snapshot), or a front-end error.
+The report gives, per workload and layer, each side's median round time,
+the ratio B/A of the medians, and in how many rounds B took less time.
+
+Run from anywhere, with the two checkouts' roots (A is the baseline):
+
+    python3 scripts/ab_check.py ../parent . --workload check_wide --rounds 15
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+WORKLOADS = ("iterate", "check_wide", "corpus_mix")
+LAYERS = ("front end", "check")
+SEED = 1
+
+
+def load_side(root: Path, tmp: Path, name: str):
+    """The package of `root`'s `src/minimz`, copied under `tmp` as `name`."""
+    shutil.copytree(
+        root / "src" / "minimz", tmp / name, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    return {
+        module: importlib.import_module(f"{name}.{module}")
+        for module in ("cli", "driver", "check")
+    }
+
+
+def run_one(side, path: str, text: str, times: dict[str, float]):
+    """The program `text` through the front end and the checker of `side`:
+    its diagnostics, or its front-end error; the layers' times are added to
+    `times`."""
+    t0 = time.perf_counter()
+    try:
+        file, env = side["driver"].load_text(text, path)
+    except side["cli"].FRONT_END_ERRORS as exc:
+        times["front end"] += time.perf_counter() - t0
+        return ("front-end error", type(exc).__name__, str(exc))
+    t1 = time.perf_counter()
+    diags = side["check"].Checker(env).check_file(file)
+    t2 = time.perf_counter()
+    times["front end"] += t1 - t0
+    times["check"] += t2 - t1
+    return [(d.code, d.span.start, d.span.length, d.message, d.perm_snapshot) for d in diags]
+
+
+def run_round(sides: dict, texts: list[tuple[str, str]], first: int) -> tuple[dict, dict]:
+    """Each of `texts` (path, text) through both sides, the side that goes
+    first alternating from `first`: each side's outcomes, and its layers'
+    times."""
+    outcomes: dict[str, list] = {name: [] for name in sides}
+    times = {name: dict.fromkeys(LAYERS, 0.0) for name in sides}
+    gc.collect()
+    gc.freeze()  # as in a fresh process, the collector does not walk the round's inputs
+    try:
+        for k, (path, text) in enumerate(texts):
+            for name in ("A", "B") if (first + k) % 2 == 0 else ("B", "A"):
+                outcomes[name].append(run_one(sides[name], path, text, times[name]))
+    finally:
+        gc.unfreeze()
+    return outcomes, times
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("a", type=Path, help="root of the baseline checkout")
+    parser.add_argument("b", type=Path, help="root of the changed checkout")
+    parser.add_argument("--workload", choices=WORKLOADS, help="the workload (default: all three)")
+    parser.add_argument("--rounds", type=int, default=11, help="timed rounds a side")
+    args = parser.parse_args()
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+
+    sys.dont_write_bytecode = True
+    with tempfile.TemporaryDirectory(prefix="minimz-ab-") as tmp:
+        sys.path.insert(0, tmp)
+        sides = {"A": load_side(args.a, Path(tmp), "minimz_a"),
+                 "B": load_side(args.b, Path(tmp), "minimz_b")}
+        # `workloads` reads the manifest with `minimz.cli.parse_manifest`:
+        # B's, under the name it imports.
+        sys.modules["minimz"] = sys.modules["minimz_b"]
+        sys.modules["minimz.cli"] = sides["B"]["cli"]
+        sys.path.insert(0, str(args.b.resolve() / "perfbench"))
+        import workloads
+
+        corpus = Path(tmp) / "minimz_b" / "corpus"
+        different = 0
+        for workload in [args.workload] if args.workload else WORKLOADS:
+            ops = workloads.make_round(workload, SEED, corpus)
+            texts = [(op.path, op.text) for op in ops]
+            outcomes, _ = run_round(sides, texts, 0)
+            for (path, _), a, b in zip(texts, outcomes["A"], outcomes["B"]):
+                if a != b:
+                    different += 1
+                    print(f"{workload}: {path}: outcomes differ\n  A: {a}\n  B: {b}")
+            rounds: dict[str, list] = {name: [] for name in sides}
+            for i in range(args.rounds):
+                _, times = run_round(sides, texts, i)
+                for name in sides:
+                    rounds[name].append(times[name])
+
+            print(f"{workload}, seed {SEED}: {len(texts)} programs, "
+                  f"{args.rounds} rounds a side, ms per round, median")
+            print(f"  {'layer':<10} {'A':>9} {'B':>9} {'B/A':>6} {'B less':>7}")
+            for layer in LAYERS:
+                a_ms = [r[layer] * 1e3 for r in rounds["A"]]
+                b_ms = [r[layer] * 1e3 for r in rounds["B"]]
+                a, b = statistics.median(a_ms), statistics.median(b_ms)
+                wins = sum(y < x for x, y in zip(a_ms, b_ms))
+                print(f"  {layer:<10} {a:9.1f} {b:9.1f} {b / a:6.3f} {wins:>3}/{args.rounds}")
+    if different:
+        print(f"{different} program(s) with different outcomes")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -323,14 +323,11 @@ class Checker:
             ty = TTuple(tuple(_singleton_comp(a) for a in anchors))
             return self._new_value(penv, ty, "tup")
         if cls is EConstruct:
-            anchors = []
-            for _, value in e.fields:
+            fields = []
+            for fname, value in e.fields:
                 a, penv = self.check_expr(penv, value, None)
-                anchors.append(a)
-            fields = tuple(
-                (fname, TSingleton(a)) for (fname, _), a in zip(e.fields, anchors)
-            )
-            ty = TConcrete(e.tag, fields, None)
+                fields.append((fname, TSingleton(a)))
+            ty = TConcrete(e.tag, tuple(fields), None)
             return self._new_value(penv, ty, e.tag.lower())
         if cls is EField:
             obj, penv = self.check_expr(penv, e.obj, None)
@@ -370,9 +367,7 @@ class Checker:
 
     def _check_call(self, penv: PermEnv, e: ECall) -> tuple[str, PermEnv]:
         callee, penv = self.check_expr(penv, e.callee, None)
-        found = self.sub.head_atom(
-            penv, callee, lambda t: isinstance(t, (TArrow, TForall))
-        )
+        found = self.sub.head_atom(penv, callee, _is_function)
         if found is not None:
             penv, handle = found
             fn_ty = self.sub.uni.resolve(penv.atom(handle).ty)
@@ -502,12 +497,12 @@ class Checker:
     def _structural(
         self, penv: PermEnv, anchor: str, span: Span, mutate: bool = False
     ) -> tuple[PermEnv, Handle]:
-        found = self.sub.head_atom(penv, anchor, lambda t: isinstance(t, TConcrete))
+        found = self.sub.head_atom(penv, anchor, _is_concrete)
         if found is None:
             refined = self._auto_refine(penv, anchor)
             if refined is not None:
                 penv = refined
-                found = self.sub.head_atom(penv, anchor, lambda t: isinstance(t, TConcrete))
+                found = self.sub.head_atom(penv, anchor, _is_concrete)
         if found is None:
             self._fail("E-SUBSUME", "no structural permission for field access", span, penv)
         penv, handle = found
@@ -748,14 +743,29 @@ class Checker:
 
 def _put_back(penv: PermEnv, atoms: list[Atom]) -> PermEnv:
     """`penv` with the borrowed `atoms` given back, all but the anchored
-    atoms it still holds: extraction leaves a duplicable atom in place."""
-    return penv.add(
-        *[
-            a
-            for a in atoms
-            if not (isinstance(a, Anchored) and a in [b for _, b in penv.atoms_of(a.anchor)])
-        ]
-    )
+    atoms it still holds: extraction leaves a duplicable atom in place. An
+    atom is still held when an atom of its anchor has its type, compared by
+    identity, then by `==`."""
+    back = []
+    for a in atoms:
+        if a.__class__ is Anchored:
+            ty = a.ty
+            for _, held in penv.atoms_of(a.anchor):
+                if held.ty is ty or held.ty == ty:
+                    break
+            else:
+                back.append(a)
+        else:
+            back.append(a)
+    return penv.add(*back)
+
+
+def _is_function(t: Type) -> bool:
+    return isinstance(t, (TArrow, TForall))
+
+
+def _is_concrete(t: Type) -> bool:
+    return isinstance(t, TConcrete)
 
 
 def _held_type(penv: PermEnv, anchor: str) -> Type:

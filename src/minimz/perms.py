@@ -63,12 +63,16 @@ def duplicability(t: Type, env: Env, _assume: frozenset[str] | None = None) -> s
     Answers are memoised in `env.dup_memo`, so they live exactly as long as
     the environment whose declarations they depend on. A structural atom
     (a tag whose fields are all singletons, with no bar) is answered from
-    its tag, unmemoised: each value built makes a new one."""
+    its tag, unmemoised: each value built makes a new one. Its loops are
+    plain: `all` or `any` over a generator that stops early leaves it for a
+    `GeneratorExit` to close."""
     if _assume is None:
-        if t.__class__ is TConcrete and t.bar is None and all(
-            f.__class__ is TSingleton for _, f in t.fields
-        ):
-            return AFFINE if env.mutable_tag(t.tag) else DUPLICABLE
+        if t.__class__ is TConcrete and t.bar is None:
+            for _, f in t.fields:
+                if f.__class__ is not TSingleton:
+                    break
+            else:
+                return AFFINE if env.mutable_tag(t.tag) else DUPLICABLE
         result = env.dup_memo.get(t)
         if result is None:
             result = env.dup_memo[t] = duplicability(t, env, frozenset())
@@ -101,8 +105,9 @@ def duplicability(t: Type, env: Env, _assume: frozenset[str] | None = None) -> s
                     return AFFINE
             return DUPLICABLE
         return AFFINE  # abstract type
-    if any(duplicability(c, env, _assume) == AFFINE for c in children(t)):
-        return AFFINE
+    for c in children(t):
+        if duplicability(c, env, _assume) == AFFINE:
+            return AFFINE
     return DUPLICABLE
 
 
@@ -278,7 +283,7 @@ class MetaPerm(Atom):
 def normalize(env: Env, perm: Type) -> list[Atom]:
     """Flatten a permission into atoms; `x @ (t | p)` splits into `x @ t * p`,
     and an alias of kind perm is expanded. Anything else, a type included,
-    raises TypeError."""
+    raises TypeError: `is_permission` tells which without raising."""
     atoms: list[Atom] = []
     work = [perm]
     while work:
@@ -298,6 +303,27 @@ def normalize(env: Env, perm: Type) -> list[Atom]:
         else:
             raise TypeError(f"not a permission: {p!r}")
     return atoms
+
+
+def is_permission(env: Env, perm: Type) -> bool:
+    """Does `normalize` accept `perm`? It walks `perm` as `normalize` does,
+    and with `admit_atoms` under the bars of an anchored atom."""
+    work = [perm]
+    while work:
+        p = work.pop()
+        cls = p.__class__
+        if cls is TStar:
+            work.extend(p.items)
+        elif cls is TAt:
+            ty = p.ty
+            while ty.__class__ is TBar:
+                work.append(ty.perm)
+                ty = ty.carrier
+        elif is_alias(env, p) and env.types[p.head].kind == KIND_PERM:
+            work.append(expand_alias(env, p))
+        elif cls is not TEmpty and cls is not TVar and cls is not TMeta:
+            return False
+    return True
 
 
 def admit_atoms(env: Env, anchor: str, ty: Type) -> list[Atom]:

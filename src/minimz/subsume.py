@@ -12,6 +12,10 @@ permission metavariable is deferred if the caller keeps a list and no
 level (below) is open, else it is empty. Any other goal is met by the
 first of these that applies:
 
+0. a *held* goal, `x @ T` for a `TApp` `T` that binds no name and holds
+   no metavariable, where the first atom of `x` has type `T`: that atom.
+   This is rule 1's answer, found without setting up a search
+   (`Subsumer._held`); `Subsumer.subsume` tries it before the search;
 1. exact match: a held atom of the anchor, then its global permission;
 2. alias expansion of the goal;
 3. opening a held atom of the anchor (alias, existential, bar, tuple);
@@ -90,6 +94,7 @@ from .perms import (
     duplicability,
     expand_alias,
     is_alias,
+    is_permission,
     normalize,
     split_branch,
     subst_type,
@@ -273,11 +278,14 @@ class Subsumer:
         if isinstance(a, TAt) and isinstance(b, TAt):
             return a.anchor == b.anchor and self.unify(a.ty, b.ty)
         if isinstance(a, (TAt, TStar, TEmpty, TVar)) or isinstance(b, (TAt, TStar, TEmpty, TVar)):
-            # permission-kinded comparison falls back to multiset matching
-            try:
-                return self.unify_perms(a, b)
-            except TypeError:
-                return False
+            # permission-kinded comparison falls back to multiset matching;
+            # a side that is no permission unifies with none
+            resolve = self.uni.resolve
+            return (
+                is_permission(self.env, resolve(a))
+                and is_permission(self.env, resolve(b))
+                and self.unify_perms(a, b)
+            )
         return False
 
     def _unify_domain(
@@ -458,8 +466,12 @@ class Subsumer:
         """The first atom of `anchor` whose type satisfies the predicate
         `want`, with the environment that holds it, or None: one step of the
         walk that `_pick` takes to its end (`_next_head`). No generator is
-        left suspended, for a `GeneratorExit` to close."""
-        at = self._next_head(anchor, want, penv, penv.atoms_of(anchor), 0, -1)
+        left suspended, for a `GeneratorExit` to close. An anchor that holds
+        no atom, as a global callee holds none, has none to open."""
+        hits = penv.atoms_of(anchor)
+        if not hits:
+            return None
+        at = self._next_head(anchor, want, penv, hits, 0, -1)
         return None if at is None else at[:2]
 
     def _next_head(self, anchor: str, want, penv: PermEnv, hits, i: int, seen: Handle):
@@ -499,9 +511,15 @@ class Subsumer:
         self, penv: PermEnv, goals: list[Atom], defer: list[Atom] | None = None
     ) -> PermEnv:
         """Meet `goals` in `penv`, in order. The first goal that fails gives
-        back what it bound and raises its failure."""
+        back what it bound and raises its failure. A held goal (`_held`)
+        is met without setting up a search."""
         bindings = self.uni.bindings
         for goal in goals:
+            if goal.__class__ is Anchored:
+                held = self._held(penv, penv.atoms_of(goal.anchor), goal.ty)
+                if held is not None:
+                    penv = held
+                    continue
             mark = bindings.mark()
             try:
                 penv = self.subsume_atom(penv, goal, defer)
@@ -518,7 +536,9 @@ class Subsumer:
         holds the goals left, as a linked tuple, and `choices` the open
         levels, newest first."""
         bindings = self.uni.bindings
+        resolve = self.uni.resolve
         guard = self.guard
+        types = self.env.types
         choices: _Level | None = None
         stack: tuple | None = (goal, None)
         while True:
@@ -533,7 +553,7 @@ class Subsumer:
                         raise SubsumptionFailure(choices.goal, choices.penv)
                     cls = item.__class__
                     if cls is _Field:
-                        fty = self.uni.resolve(item.ty)
+                        fty = resolve(item.ty)
                         aty = item.actual
                         if aty.__class__ is TSingleton and fty.__class__ is not TSingleton:
                             item, cls = Anchored(aty.name, fty), Anchored
@@ -559,11 +579,13 @@ class Subsumer:
                         penv = penv.remove(handle)
                         continue
                     if cls is not Anchored:  # a permission: its atoms, in order
-                        for atom in reversed(normalize(self.env, self.uni.resolve(item))):
+                        for atom in reversed(normalize(self.env, resolve(item))):
                             stack = (atom, stack)
                         continue
                     anchor = item.anchor
-                    ty = _strip_empty_bar(self.uni.resolve(item.ty))
+                    ty = resolve(item.ty)
+                    if ty.__class__ is TBar:
+                        ty = _strip_empty_bar(ty)
                     tcls = ty.__class__
                     rest = None
                     if tcls is TTuple or tcls is TConcrete:
@@ -573,7 +595,7 @@ class Subsumer:
                         hits = penv.atoms_of(anchor)
                         if not hits or not self.uni.bind(ty.name, hits[0][1].ty):
                             raise SubsumptionFailure(item, penv)
-                        penv = self._extract(penv, hits[0][0])
+                        penv = self._extract(penv, hits[0][0], hits[0][1].ty)
                     elif tcls is TBar:
                         stack = (Anchored(anchor, ty.carrier), (ty.perm, stack))
                     elif tcls is TExists:
@@ -587,19 +609,35 @@ class Subsumer:
                             penv = found
                     elif tcls is not TEmpty:
                         hits = penv.atoms_of(anchor)
-                        folds = self._foldable(penv, anchor, ty, hits) if tcls is TApp else None
-                        if folds is None:
-                            found = self._find_exact(penv, hits, anchor, ty)
-                            if found is not None:
-                                penv = found
-                            elif is_alias(self.env, ty):
-                                stack = (Anchored(anchor, expand_alias(self.env, ty)), stack)
-                            elif (opened := self._open_first(penv, hits)) is not None:
-                                penv, stack = opened, (item, stack)
-                            else:
-                                info = self.env.types.get(ty.head) if tcls is TApp else None
-                                folds = _folds(hits, info) if info.__class__ is DataInfo else []
-                        if folds is not None:
+                        held = self._held(penv, hits, ty)
+                        if held is not None:
+                            penv = held
+                            continue
+                        # The structural atoms that may fold into the data
+                        # type `ty`; only a fold or a split can meet the goal
+                        # when `anchor` holds no other atom and no global
+                        # permission, as a data type does not unify with a
+                        # tag, and a tag opens no further.
+                        folds = []
+                        only_folds = False
+                        if tcls is TApp and (info := types.get(ty.head)).__class__ is DataInfo:
+                            only_folds = penv.global_type(anchor) is None
+                            branches = info.branches
+                            for handle, atom in hits:
+                                aty = atom.ty
+                                if aty.__class__ is not TConcrete:
+                                    only_folds = False
+                                elif aty.tag in branches:
+                                    folds.append((handle, aty))
+                        if only_folds:
+                            rest = self._fold(item, ty, penv, folds)
+                        elif (found := self._find_exact(penv, hits, anchor, ty)) is not None:
+                            penv = found
+                        elif is_alias(self.env, ty):
+                            stack = (Anchored(anchor, expand_alias(self.env, ty)), stack)
+                        elif (opened := self._open_first(penv, hits)) is not None:
+                            penv, stack = opened, (item, stack)
+                        else:
                             rest = self._fold(item, ty, penv, folds)
                     if rest is not None:
                         level = _Level(item, stack, choices, rest, bindings.mark(), guard.mark())
@@ -650,7 +688,7 @@ class Subsumer:
                 goals = [_Field(f, a) for (_, f), (_, a) in zip(ty.fields, actual.fields)]
                 if ty.bar is not None:
                     goals.append(ty.bar)
-            failure = yield env, self._extract(env, handle), goals
+            failure = yield env, self._extract(env, handle, actual), goals
             if first is None:
                 first = failure
             at = self._next_head(anchor, want, env, hits, i, seen)
@@ -663,21 +701,31 @@ class Subsumer:
         may take: each of `folds`, but a duplicable one already being folded,
         with its fields at their branch types and the branch's bar; then a
         split, with the goal again. Fails with `goal`, or after the split
-        with the failure of the goal's search."""
+        with the failure of the goal's search. A structural atom (no bar,
+        every field a singleton) is duplicable as its tag is immutable,
+        which is what `duplicability` answers for it, so it is taken
+        without `_extract`."""
+        env = self.env
         guard = self.guard
         for handle, sty in folds:
-            working = self._extract(penv, handle)
+            branch = branch_instance(env, ty, sty.tag)
+            goals: list[object] = []
+            structural = sty.bar is None
+            # the resolver gives a concrete type its branch's fields, in order
+            for (_, declared), (_, actual) in zip(branch.fields, sty.fields):
+                if actual.__class__ is not TSingleton:  # a field a fold cannot name
+                    goals.append(_FAIL)
+                    structural = False
+                    break
+                goals.append(Anchored(actual.name, declared))
+            if structural:
+                working = penv.remove(handle) if env.mutable_tag(sty.tag) else penv
+            else:
+                working = self._extract(penv, handle, sty)
             if working is penv:
                 if handle in guard:
                     continue
                 guard.enter(handle, True)
-            branch = branch_instance(self.env, ty, sty.tag)
-            goals: list[object] = []
-            for (_, declared), (_, actual) in zip(branch.fields, sty.fields):
-                if actual.__class__ is not TSingleton:  # a field a fold cannot name
-                    goals.append(_FAIL)
-                    break
-                goals.append(Anchored(actual.name, declared))
             if branch.bar is not None:
                 goals.append(branch.bar)
             yield penv, working, goals
@@ -688,6 +736,22 @@ class Subsumer:
         failure = yield penv, split[0], [goal]
         raise failure
 
+    def _held(
+        self, penv: PermEnv, hits: list[tuple[Handle, Anchored]], ty: Type
+    ) -> PermEnv | None:
+        """`penv` with the goal `x @ ty` met, where `hits` are the atoms of
+        `x`, when the goal is *held*: `ty` is a `TApp` that binds no name
+        and holds no metavariable (`plain`), and the first of `hits` has
+        type `ty`. Else None. The search meets such a goal so: that atom is
+        no tag, so the goal is not a fold's alone, and `_find_exact`
+        unifies it with `ty` at once, binding nothing and drawing no name."""
+        if ty.__class__ is TApp and hits:
+            handle, atom = hits[0]
+            aty = atom.ty
+            if (aty is ty or (aty.__class__ is TApp and aty == ty)) and plain(ty):
+                return self._extract(penv, handle, aty)
+        return None
+
     def _find_exact(
         self, penv: PermEnv, hits: list[tuple[Handle, Anchored]], anchor: str, ty: Type
     ) -> PermEnv | None:
@@ -697,7 +761,7 @@ class Subsumer:
         mark = bindings.mark()
         for handle, atom in hits:
             if self.unify(ty, atom.ty):
-                return self._extract(penv, handle)
+                return self._extract(penv, handle, atom.ty)
             bindings.undo_to(mark)
         gty = penv.global_type(anchor)
         if gty is not None:
@@ -706,29 +770,12 @@ class Subsumer:
             bindings.undo_to(mark)
         return None
 
-    def _extract(self, penv: PermEnv, handle: Handle) -> PermEnv:
-        atom = penv.atom(handle)
-        if atom.__class__ is Anchored and duplicability(
-            self.uni.resolve(atom.ty), self.env
-        ) == DUPLICABLE:
+    def _extract(self, penv: PermEnv, handle: Handle, ty: Type) -> PermEnv:
+        """`penv` with the anchored atom `handle`, whose type is `ty`,
+        taken: kept in place when it is duplicable."""
+        if duplicability(self.uni.resolve(ty), self.env) == DUPLICABLE:
             return penv
         return penv.remove(handle)
-
-    def _foldable(
-        self, penv: PermEnv, anchor: str, ty: TApp, hits: list[tuple[Handle, Anchored]]
-    ) -> list[tuple[Handle, TConcrete]] | None:
-        """For a goal `anchor @ ty` that only a fold or a split can meet, the
-        structural atoms among `hits`, the atoms of `anchor`, whose tag is a
-        branch of `ty`; else None. So it is when `ty` names a data type and
-        `anchor` has no global permission and only structural atoms: a data
-        type does not unify with a tag, and a tag opens no further."""
-        info = self.env.types.get(ty.head)
-        if info.__class__ is not DataInfo or penv.global_type(anchor) is not None:
-            return None
-        for _, atom in hits:
-            if atom.ty.__class__ is not TConcrete:
-                return None
-        return _folds(hits, info)
 
     def _try_split(self, penv: PermEnv, wanted_anchor: str) -> tuple[PermEnv, str] | None:
         """Split `y @ D args` along a structural `y @ Tag{.. f = wanted ..}`
@@ -789,12 +836,6 @@ def _take(level: _Level, alternative: tuple) -> tuple[PermEnv, tuple]:
     return working, stack
 
 
-def _folds(hits: list[tuple[Handle, Anchored]], info: DataInfo) -> list[tuple[Handle, TConcrete]]:
-    """The atoms among `hits` that may fold into the data type `info`: the
-    structural ones whose tag is one of its branches."""
-    return [(h, a.ty) for h, a in hits if a.ty.__class__ is TConcrete and a.ty.tag in info.branches]  # type: ignore[misc]
-
-
 def _tuple_goals(actual: TTuple, ty: TTuple) -> list:
     """The goals of the tuple goal `ty` met by the structural tuple `actual`:
     each component, at the anchor `actual` gives it, with the names of the
@@ -813,8 +854,15 @@ def _tuple_goals(actual: TTuple, ty: TTuple) -> list:
 
 
 def is_structural_tuple(t: Type) -> bool:
-    """Is `t` a tuple whose every component is a singleton?"""
-    return t.__class__ is TTuple and all(c.ty.__class__ is TSingleton for c in t.comps)
+    """Is `t` a tuple whose every component is a singleton? A loop, not
+    `all` over a generator, which a `GeneratorExit` closes when it stops
+    early."""
+    if t.__class__ is not TTuple:
+        return False
+    for c in t.comps:
+        if c.ty.__class__ is not TSingleton:
+            return False
+    return True
 
 
 def _as_domain(domain: Type) -> Type:
