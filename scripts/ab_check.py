@@ -9,8 +9,8 @@ Here both checkouts run in one Python process, close together in time:
   temporary directory as the package `minimz_a` or `minimz_b`, which
   imports its own modules by relative imports only, and nothing is written
   into either checkout;
-- a workload's round at seed 1 is built by B's `perfbench/workloads.py`,
-  read-only;
+- a workload's rounds are built by B's `perfbench/workloads.py`,
+  read-only: the timed rounds at seed 1;
 - each round takes every operation's program text through the front end
   (`driver.load_text`: lex, parse and resolve over the prelude) and the
   checker (`Checker(env).check_file`) of one side, then of the other, so
@@ -18,9 +18,10 @@ Here both checkouts run in one Python process, close together in time:
   side that goes first alternates from program to program and from round
   to round. Runs of programs are not made.
 
-One untimed round of each side first fills the lazy caches, and its
-outcomes are compared: the script exits 1 if any diagnostic differs
-between the sides (code, span, message or snapshot), or a front-end error.
+One untimed round of each side at each of `COMPARED_SEEDS` first fills
+the lazy caches, and its outcomes are compared: the script exits 1 if any
+diagnostic differs between the sides (code, span, message or snapshot),
+or a front-end error.
 The report gives, per workload and layer, each side's median round time,
 the ratio B/A of the medians, and in how many rounds B took less time.
 
@@ -43,7 +44,8 @@ from pathlib import Path
 
 WORKLOADS = ("iterate", "check_wide", "corpus_mix")
 LAYERS = ("front end", "check")
-SEED = 1
+SEED = 1  # of the timed rounds
+COMPARED_SEEDS = (1, 2)  # of the untimed rounds whose outcomes are compared
 
 
 def load_side(root: Path, tmp: Path, name: str):
@@ -117,13 +119,17 @@ def main() -> int:
         corpus = Path(tmp) / "minimz_b" / "corpus"
         different = 0
         for workload in [args.workload] if args.workload else WORKLOADS:
+            for seed in COMPARED_SEEDS:
+                ops = workloads.make_round(workload, seed, corpus)
+                texts = [(op.path, op.text) for op in ops]
+                outcomes, _ = run_round(sides, texts, 0)
+                for (path, _), a, b in zip(texts, outcomes["A"], outcomes["B"]):
+                    if a != b:
+                        different += 1
+                        print(f"{workload}, seed {seed}: {path}: outcomes differ"
+                              f"\n  A: {a}\n  B: {b}")
             ops = workloads.make_round(workload, SEED, corpus)
             texts = [(op.path, op.text) for op in ops]
-            outcomes, _ = run_round(sides, texts, 0)
-            for (path, _), a, b in zip(texts, outcomes["A"], outcomes["B"]):
-                if a != b:
-                    different += 1
-                    print(f"{workload}: {path}: outcomes differ\n  A: {a}\n  B: {b}")
             rounds: dict[str, list] = {name: [] for name in sides}
             for i in range(args.rounds):
                 _, times = run_round(sides, texts, i)

@@ -1,10 +1,11 @@
 """Permission-aware expression and declaration checking.
 
-Checking is flow-sensitive: every expression threads a permission
-environment. Function bodies are checked against their declared
-signatures; at every tail position the declared result (value type plus
-codomain permissions) and all non-consumed domain permissions must be
-subsumable from the current environment.
+Checking is flow-sensitive: every expression edits one permission
+environment in place, and the branches of a `match` or `if` each undo
+theirs before the next begins. Function bodies are checked against their
+declared signatures; at every tail position the declared result (value
+type plus codomain permissions) and all non-consumed domain permissions
+must be subsumable from the current environment.
 """
 
 from __future__ import annotations
@@ -110,7 +111,13 @@ class Checker:
     to its anchor; a binder's names are undone after its body. A name not
     bound locally is a top-level value: its own anchor, with its type in
     `available`. A top-level name that the file declares and never defines
-    (`undefined`) cannot be used."""
+    (`undefined`) cannot be used.
+
+    A definition's body is checked in one `PermEnv`, which each expression
+    edits in place, and a lambda's body in one of its own. Each store that
+    a check edits and undoes keeps its own trail: `locals` is undone after a
+    binder's body and keeps the environment's edits; the environment is
+    undone after each branch; the subsumer undoes its bindings and guard."""
 
     def __init__(self, env: Env):
         self.env = env
@@ -156,9 +163,8 @@ class Checker:
             body_ty = body_ty.body
         assert isinstance(body_ty, TArrow)
 
-        penv, values, exit_goals = self._enter_domain(
-            PermEnv(self.env, (), available), body_ty.domain, decl.params
-        )
+        penv = PermEnv(self.env, (), available)
+        values, exit_goals = self._enter_domain(penv, body_ty.domain, decl.params)
         codomain = subst_type(body_ty.codomain, {}, values)
         self.check_expr(penv, decl.body, Tail(codomain, exit_goals, decl.span))
 
@@ -176,16 +182,15 @@ class Checker:
 
     def _enter_domain(
         self, penv: PermEnv, domain: Type, params: Sequence[str | None]
-    ) -> tuple[PermEnv, dict[str, str], list[Atom]]:
+    ) -> tuple[dict[str, str], list[Atom]]:
         """Admit the components and bar of an arrow's domain into `penv`.
 
         Component `i` enters at an anchor based on `params[i]`, the name the
         body gives it, or on `arg{i}` when the body gives it none; the
         parameter names enter `locals`. A component's own name scopes over
-        the later components, the bar and the codomain. Returns the new
-        environment, the renaming of component names to anchors, and the
-        exit goals: the permissions of the components and the bar that the
-        arrow does not consume.
+        the later components, the bar and the codomain. Returns the renaming
+        of component names to anchors, and the exit goals: the permissions
+        of the components and the bar that the arrow does not consume.
         """
         values: dict[str, str] = {}
         exit_goals: list[Atom] = []
@@ -196,28 +201,30 @@ class Checker:
                 self.locals.enter(param, anchor)
             if comp.name is not None:
                 values[comp.name] = anchor
-            penv = penv.add(*admit_atoms(self.env, anchor, self.sub.uni.resolve(comp_ty)))
+            penv.add(*admit_atoms(self.env, anchor, self.sub.uni.resolve(comp_ty)))
             if not comp.consumed:
                 exit_goals.append(Anchored(anchor, comp_ty))
         for bar, bar_consumed in domain_bars(domain):
             bar_atoms = normalize(self.env, subst_type(bar, {}, values))
-            penv = penv.add(*bar_atoms)
+            penv.add(*bar_atoms)
             if not bar_consumed:
                 exit_goals.extend(bar_atoms)
-        return penv, values, exit_goals
+        return values, exit_goals
 
-    def _new_value(self, penv: PermEnv, ty: Type, base: str) -> tuple[str, PermEnv]:
+    def _new_value(self, penv: PermEnv, ty: Type, base: str) -> str:
         """A value of type `ty` at a fresh anchor named after `base`."""
         anchor = self.sub.uni.fresh_name(base)
-        return anchor, penv.add(Anchored(anchor, ty))
+        penv.add(Anchored(anchor, ty))
+        return anchor
 
-    def _admit_result(self, penv: PermEnv, ty: Type, base: str) -> tuple[str, PermEnv]:
+    def _admit_result(self, penv: PermEnv, ty: Type, base: str) -> str:
         ty = self.sub.uni.resolve(ty)
         if isinstance(ty, TSingleton):
-            return ty.name, penv
+            return ty.name
         if isinstance(ty, TBar):
-            anchor, penv = self._admit_result(penv, ty.carrier, base)
-            return anchor, penv.add(*normalize(self.env, ty.perm))
+            anchor = self._admit_result(penv, ty.carrier, base)
+            penv.add(*normalize(self.env, ty.perm))
+            return anchor
         return self._new_value(penv, ty, base)
 
     def _subsume_or_fail(
@@ -227,17 +234,18 @@ class Checker:
         span: Span,
         code: str = "E-SUBSUME",
         defer: list[Atom] | None = None,
-    ) -> PermEnv:
+    ) -> None:
         try:
-            return self.sub.subsume(penv, goals, defer=defer)
+            self.sub.subsume(penv, goals, defer=defer)
+            return
         except SubsumptionFailure as exc:
-            goal, env = exc.goal, exc.env
+            goal, snapshot = exc.goal, exc.snapshot
         # Raised outside the handler, the check's failure keeps no frame of
         # the search as its cause or context.
         if isinstance(goal, Anchored):
             goal = Anchored(goal.anchor, self.sub.uni.resolve(goal.ty))
         raise CheckFailure(
-            Diagnostic(code, f"permission not available: {goal}", span, str(env), goal=goal)
+            Diagnostic(code, f"permission not available: {goal}", span, snapshot, goal=goal)
         )
 
     def _fail(self, code: str, message: str, span: Span, penv: PermEnv | None = None):
@@ -251,7 +259,7 @@ class Checker:
     def check_expr(
         self, penv: PermEnv, e: Expr, tail: Tail | None = None, pairs: Bindings = ()
     ):
-        """Returns (anchor, environment) in non-tail positions, _TAIL_DONE
+        """Returns the result's anchor in non-tail positions, _TAIL_DONE
         in tail positions (where the declared result has been subsumed).
         The names of `pairs` are bound over `e` alone; a chain of `let`s is
         checked in a loop, each binding over the rest of the chain. Any other
@@ -267,42 +275,41 @@ class Checker:
                 scope.enter(name, anchor)
             if cls is not ELet:
                 break
-            anchor, penv = self.check_expr(penv, e.bound, None)
+            anchor = self.check_expr(penv, e.bound, None)
             pairs = []
-            penv = self._bind_pattern(penv, e.pattern, anchor, pairs)
+            self._bind_pattern(penv, e.pattern, anchor, pairs)
             e = e.body
             cls = e.__class__
         if cls is EIf:
-            cond_anchor, penv = self.check_expr(penv, e.cond, None)
-            penv = self._subsume_or_fail(penv, [Anchored(cond_anchor, BOOL)], e.span)
-            work = [(penv, (), e.then), (penv, (), e.otherwise)]
-            out = self._run_branches(work, e.span, tail)
+            cond_anchor = self.check_expr(penv, e.cond, None)
+            self._subsume_or_fail(penv, [Anchored(cond_anchor, BOOL)], e.span)
+            work = [((), (), e.then), ((), (), e.otherwise)]
+            out = self._run_branches(penv, None, work, e.span, tail)
         elif cls is EMatch:
             out = self._check_match(penv, e, tail)
         elif tail is not None:
-            anchor, penv = self._synth(penv, e)
-            out = self._finish_tail(penv, anchor, tail, e.span)
+            out = self._finish_tail(penv, self._synth(penv, e), tail, e.span)
         else:
             out = self._synth(penv, e)
         scope.undo_to(mark)
         return out
 
     def _finish_tail(self, penv: PermEnv, anchor: str, tail: Tail, span: Span):
-        penv = self._subsume_or_fail(penv, [Anchored(anchor, tail.codomain)], span)
+        self._subsume_or_fail(penv, [Anchored(anchor, tail.codomain)], span)
         if tail.exit_goals:
             self._subsume_or_fail(penv, list(tail.exit_goals), span, code="E-CONSUMED")
         return _TAIL_DONE
 
     # -- synthesis ----------------------------------------------------------
 
-    def _synth(self, penv: PermEnv, e: Expr) -> tuple[str, PermEnv]:
+    def _synth(self, penv: PermEnv, e: Expr) -> str:
         cls = e.__class__
         if cls is ECall:
             return self._check_call(penv, e)
         if cls is EVar:
             anchor = self.locals.get(e.name)
             if anchor is not None:
-                return anchor, penv
+                return anchor
             if e.name in self.undefined:
                 self._fail(
                     "E-UNDEFINED",
@@ -310,7 +317,7 @@ class Checker:
                     e.span,
                     penv,
                 )
-            return e.name, penv
+            return e.name
         if cls is EInt:
             return self._new_value(penv, INT, "n")
         if cls is EBool:
@@ -318,32 +325,29 @@ class Checker:
         if cls is ETuple:
             anchors = []
             for item in e.items:
-                a, penv = self.check_expr(penv, item, None)
-                anchors.append(a)
+                anchors.append(self.check_expr(penv, item, None))
             ty = TTuple(tuple(_singleton_comp(a) for a in anchors))
             return self._new_value(penv, ty, "tup")
         if cls is EConstruct:
             fields = []
             for fname, value in e.fields:
-                a, penv = self.check_expr(penv, value, None)
-                fields.append((fname, TSingleton(a)))
+                fields.append((fname, TSingleton(self.check_expr(penv, value, None))))
             ty = TConcrete(e.tag, tuple(fields), None)
             return self._new_value(penv, ty, e.tag.lower())
         if cls is EField:
-            obj, penv = self.check_expr(penv, e.obj, None)
-            penv, handle = self._structural(penv, obj, e.span)
-            penv, handle = self.sub.open_fields(penv, handle)
+            obj = self.check_expr(penv, e.obj, None)
+            handle = self.sub.open_fields(penv, self._structural(penv, obj, e.span))
             ty = penv.atom(handle).ty
             assert isinstance(ty, TConcrete)
             for fname, fty in ty.fields:
                 if fname == e.name:
                     assert isinstance(fty, TSingleton)
-                    return fty.name, penv
+                    return fty.name
             self._fail("E-SUBSUME", f"no field {e.name!r} on {ty.tag}", e.span, penv)
         if cls is EAssign:
-            value, penv = self.check_expr(penv, e.value, None)
-            obj, penv = self.check_expr(penv, e.obj, None)
-            penv, handle = self._structural(penv, obj, e.span, mutate=True)
+            value = self.check_expr(penv, e.value, None)
+            obj = self.check_expr(penv, e.obj, None)
+            handle = self._structural(penv, obj, e.span, mutate=True)
             atom = penv.atom(handle)
             ty = atom.ty
             assert isinstance(atom, Anchored) and isinstance(ty, TConcrete)
@@ -353,23 +357,23 @@ class Checker:
                 (f, TSingleton(value) if f == e.name else fv) for f, fv in ty.fields
             )
             new_atom = Anchored(atom.anchor, TConcrete(ty.tag, fields, ty.bar, ty.span))
-            return self._unit(penv.replace(handle, new_atom))
+            penv.replace(handle, new_atom)
+            return self._unit(penv)
         if cls is ETagUpdate:
             return self._check_tag_update(penv, e)
         if cls is ELambda:
             return self._check_lambda(penv, e)
         raise TypeError(f"unknown expression {e!r}")
 
-    def _unit(self, penv: PermEnv) -> tuple[str, PermEnv]:
+    def _unit(self, penv: PermEnv) -> str:
         return self._new_value(penv, TTuple(()), "u")
 
     # -- calls ---------------------------------------------------------------
 
-    def _check_call(self, penv: PermEnv, e: ECall) -> tuple[str, PermEnv]:
-        callee, penv = self.check_expr(penv, e.callee, None)
-        found = self.sub.head_atom(penv, callee, _is_function)
-        if found is not None:
-            penv, handle = found
+    def _check_call(self, penv: PermEnv, e: ECall) -> str:
+        callee = self.check_expr(penv, e.callee, None)
+        handle = self.sub.head_atom(penv, callee, _is_function)
+        if handle is not None:
             fn_ty = self.sub.uni.resolve(penv.atom(handle).ty)
         else:
             gty = penv.global_type(callee)
@@ -430,19 +434,14 @@ class Checker:
                 e.span,
                 penv,
             )
-        anchors: list[str] = []
-        for arg in arg_exprs:
-            a, penv = self.check_expr(penv, arg, None)
-            anchors.append(a)
+        anchors = [self.check_expr(penv, arg, None) for arg in arg_exprs]
 
         values: dict[str, str] = {}
         restores: list[tuple[str, Type]] = []
         deferred: list[Atom] = []
         for comp, anchor in zip(comps, anchors):
             comp_ty = subst_type(comp.ty, subst, values)
-            penv = self._subsume_or_fail(
-                penv, [Anchored(anchor, comp_ty)], e.span, defer=deferred
-            )
+            self._subsume_or_fail(penv, [Anchored(anchor, comp_ty)], e.span, defer=deferred)
             if comp.name is not None:
                 values[comp.name] = anchor
             if not comp.consumed:
@@ -450,7 +449,7 @@ class Checker:
         borrowed: list[Type] = []
         for bar, bar_consumed in domain_bars(fn_ty.domain):
             bar_ty = subst_type(bar, subst, values)
-            penv = self._subsume_or_fail(
+            self._subsume_or_fail(
                 penv, normalize(self.env, self.sub.uni.resolve(bar_ty)), e.span, defer=deferred
             )
             if not bar_consumed:
@@ -458,11 +457,11 @@ class Checker:
         if deferred:
             # Every unification constraint has now been seen; unsolved
             # permission metavariables default to empty.
-            penv = self._subsume_or_fail(penv, deferred, e.span)
+            self._subsume_or_fail(penv, deferred, e.span)
         for bar_ty in borrowed:
-            penv = _put_back(penv, normalize(self.env, self.sub.uni.resolve(bar_ty)))
+            _put_back(penv, normalize(self.env, self.sub.uni.resolve(bar_ty)))
         for anchor, ty in restores:
-            penv = _put_back(penv, admit_atoms(self.env, anchor, self.sub.uni.resolve(ty)))
+            _put_back(penv, admit_atoms(self.env, anchor, self.sub.uni.resolve(ty)))
 
         codomain = self.sub.uni.resolve(subst_type(fn_ty.codomain, subst, values))
         self._default_unsolved(codomain, e.span, penv)
@@ -494,36 +493,30 @@ class Checker:
 
     # -- structural access -----------------------------------------------------
 
-    def _structural(
-        self, penv: PermEnv, anchor: str, span: Span, mutate: bool = False
-    ) -> tuple[PermEnv, Handle]:
-        found = self.sub.head_atom(penv, anchor, _is_concrete)
-        if found is None:
-            refined = self._auto_refine(penv, anchor)
-            if refined is not None:
-                penv = refined
-                found = self.sub.head_atom(penv, anchor, _is_concrete)
-        if found is None:
+    def _structural(self, penv: PermEnv, anchor: str, span: Span, mutate: bool = False) -> Handle:
+        handle = self.sub.head_atom(penv, anchor, _is_concrete)
+        if handle is None and self._auto_refine(penv, anchor):
+            handle = self.sub.head_atom(penv, anchor, _is_concrete)
+        if handle is None:
             self._fail("E-SUBSUME", "no structural permission for field access", span, penv)
-        penv, handle = found
         ty = penv.atom(handle).ty
         assert isinstance(ty, TConcrete)
         if mutate and not self.env.mutable_tag(ty.tag):
             self._fail("E-SUBSUME", f"type of {anchor!r} is not mutable", span, penv)
-        return penv, handle
+        return handle
 
-    def _auto_refine(self, penv: PermEnv, anchor: str) -> PermEnv | None:
-        """Refine `x @ D args` to its structural form when D has one branch."""
-        found = self.sub.head_atom(
+    def _auto_refine(self, penv: PermEnv, anchor: str) -> bool:
+        """Refine `x @ D args` to its structural form when D has one branch,
+        if `x` holds such a permission."""
+        handle = self.sub.head_atom(
             penv,
             anchor,
             lambda t: isinstance(t, TApp)
             and isinstance(self.env.types.get(t.head), DataInfo)
             and len(self.env.types[t.head].branches) == 1,
         )
-        if found is None:
-            return None
-        penv, handle = found
+        if handle is None:
+            return False
         atom = penv.atom(handle)
         ty = self.sub.uni.resolve(atom.ty)
         assert isinstance(ty, TApp)
@@ -531,22 +524,21 @@ class Checker:
         assert isinstance(info, DataInfo)
         (branch,) = info.branches.values()
         names = (self.sub.uni.fresh_name(fname) for fname, _ in branch.fields)
-        split = split_branch(self.env, atom.anchor, ty, branch.tag, names)
-        return penv.replace(handle, *split)
+        penv.replace(handle, *split_branch(self.env, atom.anchor, ty, branch.tag, names))
+        return True
 
     # -- match -------------------------------------------------------------------
 
     def _check_match(self, penv: PermEnv, e: EMatch, tail: Tail | None):
-        scrutinee, penv = self.check_expr(penv, e.scrutinee, None)
-        found = self.sub.head_atom(
+        scrutinee = self.check_expr(penv, e.scrutinee, None)
+        handle = self.sub.head_atom(
             penv,
             scrutinee,
             lambda t: isinstance(t, TConcrete)
             or (isinstance(t, TApp) and isinstance(self.env.types.get(t.head), DataInfo)),
         )
-        if found is None:
+        if handle is None:
             self._fail("E-MATCH", "no data permission for match scrutinee", e.span, penv)
-        penv, handle = found
         ty = self.sub.uni.resolve(penv.atom(handle).ty)
 
         if isinstance(ty, TConcrete):
@@ -554,13 +546,13 @@ class Checker:
                 assert isinstance(pat, PTag)
                 if pat.tag == ty.tag:
                     # also split a nominal permission held next to this one
-                    split = self.sub.split_along(penv, handle, ty)
-                    penv2, opened = self.sub.open_fields(penv if split is None else split, handle)
+                    self.sub.split_along(penv, handle, ty)
+                    opened = self.sub.open_fields(penv, handle)
                     pairs = []
-                    for (_, fpat), (_, actual) in zip(pat.fields, penv2.atom(opened).ty.fields):
+                    for (_, fpat), (_, actual) in zip(pat.fields, penv.atom(opened).ty.fields):
                         assert isinstance(actual, TSingleton)
-                        penv2 = self._bind_pattern(penv2, fpat, actual.name, pairs)
-                    return self.check_expr(penv2, body, tail, pairs)
+                        self._bind_pattern(penv, fpat, actual.name, pairs)
+                    return self.check_expr(penv, body, tail, pairs)
             self._fail("E-MATCH", f"no branch for known tag {ty.tag!r}", e.span, penv)
 
         assert isinstance(ty, TApp)
@@ -577,9 +569,9 @@ class Checker:
                     "E-MATCH", f"branch {pat.tag!r} is not part of {ty.head!r}", pat.span, penv
                 )
 
-        # Every branch draws its anchors and splits before any body is
-        # checked: the fresh names a body draws come after all of them.
-        branch_work: list[tuple[PermEnv, Bindings, Expr]] = []
+        # Every branch draws its anchors before any body is checked: the
+        # fresh names a body draws come after all of them.
+        work: list[tuple[list[Atom], list[tuple[Pattern, str]], Expr]] = []
         for pat, body in e.branches:
             assert isinstance(pat, PTag)
             branch = info.branches[pat.tag]
@@ -590,59 +582,66 @@ class Checker:
                 else:
                     names.append(self.sub.uni.fresh_name(fname))
             split = split_branch(self.env, scrutinee, ty, pat.tag, names)
-            penv2 = penv.replace(handle, *split)
-            pairs = []
-            for (_, fpat), a in zip(pat.fields, names):
-                penv2 = self._bind_pattern(penv2, fpat, a, pairs)
-            branch_work.append((penv2, pairs, body))
-        return self._run_branches(branch_work, e.span, tail)
+            patterns = [(fpat, a) for (_, fpat), a in zip(pat.fields, names)]
+            work.append((split, patterns, body))
+        return self._run_branches(penv, handle, work, e.span, tail)
 
     def _run_branches(
         self,
-        work: list[tuple[PermEnv, Bindings, Expr]],
+        penv: PermEnv,
+        handle: Handle | None,
+        work: Sequence[tuple[Sequence[Atom], Sequence[tuple[Pattern, str]], Expr]],
         span: Span,
         tail: Tail | None,
     ):
-        """Check each body of `work` in its environment, with its names
-        bound for it alone, and join the outcomes."""
-        results = [self.check_expr(penv, body, tail, pairs) for penv, pairs, body in work]
+        """Check the branches of `work` in turn, each from `penv` as it is
+        now: the atom `handle` replaced by the branch's atoms `split` (when
+        `handle` is not None), each of its patterns bound to its anchor for
+        the body alone, then the body. Outside a tail, each branch's result
+        must subsume the first branch's result type, and `penv` becomes the
+        atom-multiset intersection of what the branches leave, with the
+        result."""
+        mark = penv.mark()
+        result_ty = None
+        left: list[tuple[Atom, ...]] = []
+        for split, patterns, body in work:
+            if handle is not None:
+                penv.replace(handle, *split)
+            pairs: list[tuple[str, str]] = []
+            for pat, anchor in patterns:
+                self._bind_pattern(penv, pat, anchor, pairs)
+            anchor = self.check_expr(penv, body, tail, pairs)
+            if tail is None:
+                if result_ty is None:
+                    result_ty = _held_type(penv, anchor)
+                self._subsume_or_fail(penv, [Anchored(anchor, result_ty)], span)
+                left.append(penv.atoms)
+            penv.undo_to(mark)
         if tail is not None:
             return _TAIL_DONE
-        # Join: each branch must subsume the first branch's result type;
-        # the joined environment is the atom-multiset intersection.
-        first_anchor, first_penv = results[0]
-        result_ty = _held_type(first_penv, first_anchor)
-        left: list[tuple[Atom, ...]] = []
-        for anchor, penv in results:
-            penv = self._subsume_or_fail(penv, [Anchored(anchor, result_ty)], span)
-            left.append(penv.atoms)
-        common = _intersect(left)
         anchor = self.sub.uni.fresh_name("j")
-        penv = PermEnv(self.env, common, self.available).add(
-            Anchored(anchor, self.sub.uni.resolve(result_ty))
-        )
-        return anchor, penv
+        penv.reset([*_intersect(left), Anchored(anchor, self.sub.uni.resolve(result_ty))])
+        return anchor
 
     # -- patterns, tag update, lambdas ------------------------------------------
 
     def _bind_pattern(
         self, penv: PermEnv, pat: Pattern, anchor: str, pairs: list[tuple[str, str]]
-    ) -> PermEnv:
+    ) -> None:
         """Destructure the value at `anchor` by `pat`, appending to `pairs`
         each name the pattern binds with its anchor."""
         if isinstance(pat, PVar):
             pairs.append((pat.name, anchor))
-            return penv
+            return
         if isinstance(pat, PTuple):
-            found = self.sub.head_atom(penv, anchor, is_structural_tuple)
-            if found is None:
+            handle = self.sub.head_atom(penv, anchor, is_structural_tuple)
+            if handle is None:
                 self._fail(
                     "E-SUBSUME",
                     "no tuple permission to destructure",
                     pat.span,
                     penv,
                 )
-            penv, handle = found
             ty = penv.atom(handle).ty
             assert isinstance(ty, TTuple)
             if len(ty.comps) != len(pat.items):
@@ -654,17 +653,14 @@ class Checker:
                 )
             for comp, sub_pat in zip(ty.comps, pat.items):
                 assert isinstance(comp.ty, TSingleton)
-                penv = self._bind_pattern(penv, sub_pat, comp.ty.name, pairs)
-            return penv
+                self._bind_pattern(penv, sub_pat, comp.ty.name, pairs)
+            return
         raise TypeError(f"unsupported pattern {pat!r}")
 
-    def _check_tag_update(self, penv: PermEnv, e: ETagUpdate) -> tuple[str, PermEnv]:
-        anchors = []
-        for _, value in e.fields:
-            a, penv = self.check_expr(penv, value, None)
-            anchors.append(a)
-        obj, penv = self.check_expr(penv, e.obj, None)
-        penv, handle = self._structural(penv, obj, e.span, mutate=True)
+    def _check_tag_update(self, penv: PermEnv, e: ETagUpdate) -> str:
+        anchors = [self.check_expr(penv, value, None) for _, value in e.fields]
+        obj = self.check_expr(penv, e.obj, None)
+        handle = self._structural(penv, obj, e.span, mutate=True)
         atom = penv.atom(handle)
         ty = atom.ty
         assert isinstance(atom, Anchored) and isinstance(ty, TConcrete)
@@ -692,10 +688,10 @@ class Checker:
                     e.span,
                     penv,
                 )
-        new_atom = Anchored(atom.anchor, TConcrete(e.tag, tuple(new_fields), None))
-        return self._unit(penv.replace(handle, new_atom))
+        penv.replace(handle, Anchored(atom.anchor, TConcrete(e.tag, tuple(new_fields), None)))
+        return self._unit(penv)
 
-    def _check_lambda(self, penv: PermEnv, e: ELambda) -> tuple[str, PermEnv]:
+    def _check_lambda(self, penv: PermEnv, e: ELambda) -> str:
         cod = e.codomain if e.codomain is not None else TTuple(())
         arrow = subst_type(TArrow(e.domain, cod), {}, self.locals)
         assert isinstance(arrow, TArrow)
@@ -703,10 +699,9 @@ class Checker:
         codomain = arrow.codomain if e.codomain is not None else None
 
         mark = self.locals.mark()
-        inner, values, exit_goals = self._enter_domain(
-            PermEnv(self.env, penv.duplicable_atoms(), self.available),
-            domain,
-            [c.name for c in domain_comps(domain)],
+        inner = PermEnv(self.env, penv.duplicable_atoms(), self.available)
+        values, exit_goals = self._enter_domain(
+            inner, domain, [c.name for c in domain_comps(domain)]
         )
         try:
             if codomain is not None:
@@ -714,9 +709,8 @@ class Checker:
                 self.check_expr(inner, e.body, tail)
                 result_cod = codomain
             else:
-                out = self.check_expr(inner, e.body, None)
-                assert out is not _TAIL_DONE
-                anchor2, inner = out
+                anchor2 = self.check_expr(inner, e.body, None)
+                assert anchor2 is not _TAIL_DONE
                 result_cod = _held_type(inner, anchor2)
                 self._finish_tail(inner, anchor2, Tail(result_cod, exit_goals, e.span), e.span)
         except CheckFailure as exc:
@@ -741,9 +735,9 @@ class Checker:
         return self._new_value(penv, TArrow(domain, result_cod), "fn")
 
 
-def _put_back(penv: PermEnv, atoms: list[Atom]) -> PermEnv:
-    """`penv` with the borrowed `atoms` given back, all but the anchored
-    atoms it still holds: extraction leaves a duplicable atom in place. An
+def _put_back(penv: PermEnv, atoms: list[Atom]) -> None:
+    """Give the borrowed `atoms` back to `penv`, all but the anchored atoms
+    it still holds: extraction leaves a duplicable atom in place. An
     atom is still held when an atom of its anchor has its type, compared by
     identity, then by `==`."""
     back = []
@@ -757,7 +751,7 @@ def _put_back(penv: PermEnv, atoms: list[Atom]) -> PermEnv:
                 back.append(a)
         else:
             back.append(a)
-    return penv.add(*back)
+    penv.add(*back)
 
 
 def _is_function(t: Type) -> bool:

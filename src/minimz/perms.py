@@ -5,16 +5,15 @@ anchored atoms `x @ t` and permission variables. The environment is an
 ordered multiset of atoms; extraction deterministically removes the first
 match (affine atoms are removed, duplicable ones are not).
 
-The environment, `PermEnv`, is persistent: an edit returns a new version
-and the old one stays valid. The versions of one environment share a
-mutable store holding the atoms of one version, the root, with an index
-from each anchor to its atoms. Every other version holds the edit that
-turns its neighbour towards the root back into it, and reading or editing
-a version reroots the store at it, in a loop. Atoms are named by handles
-that stay valid across versions and ordered by order keys, so a
-replacement keeps its place. Editing the root costs O(1) and copies
-nothing. A store belongs to one check and is not shared between threads.
-The search that extracts atoms from it is in `subsume.py`.
+The environment, `PermEnv`, is edited in place and keeps an undo trail,
+as `ast.Scope` does for names: `mark()` names the state it is in, and
+`undo_to` that mark gives it back, so a search that backs off or a branch
+that ends undoes only what it did. An edit costs O(1) per atom added or
+taken out, and copies nothing. Atoms are named by handles, which an edit
+or an undo leaves as they are, and ordered by order keys, so a
+replacement keeps its place. An environment belongs to one check and is
+not shared between threads. The search that extracts atoms from it is in
+`subsume.py`.
 """
 
 from __future__ import annotations
@@ -358,46 +357,74 @@ def atoms_to_type(atoms: list[Atom]) -> Type:
 
 
 class SubsumptionFailure(Exception):
-    def __init__(self, goal: Atom, env: "PermEnv"):
+    """A goal the search could not meet, with the text of the environment it
+    failed in; None until the search has undone its edits to that
+    environment (see `Subsumer._back_off`)."""
+
+    def __init__(self, goal: Atom, snapshot: str | None):
         super().__init__(f"cannot extract {goal}")
         self.goal = goal
-        self.env = env
+        self.snapshot = snapshot
 
 
 Handle = int
-"""Names one atom of one environment version. An edit that keeps an atom
-keeps its handle, so a handle taken from a version stays valid for it and
-for every version derived from it that still holds the atom."""
+"""Names one atom of one environment. An edit that keeps an atom keeps its
+handle, and an undo gives an atom back with the handle it had. Handles are
+never reused: an atom added after an undo gets a handle above every other."""
 
-# A slot is one atom with its handle and its order key. Order keys are
-# tuples of ints, unique within a version, and they give the atom order:
-# an added atom gets `(h,)` for its new handle `h`, larger than every key
-# before it. The atoms spliced in for the atom of key `K` get `K` when
+# A slot is one atom with its order key and its handle. Order keys are
+# tuples of ints, unique within an environment, and they give the atom
+# order: an added atom gets `(h,)` for its new handle `h`, larger than every
+# key before it. The atoms spliced in for the atom of key `K` get `K` when
 # there is one of them, and `K + (0,)`, `K + (1,)`, ... when there are
 # more, which lie between `K` and the key after it.
 _Slot = tuple[tuple[int, ...], Handle, Atom]
 
 
-class _Family:
-    """The state shared by a family of environment versions, all derived
-    from one `PermEnv(...)`: the slots of the version that is currently the
-    root, and an index from the anchor of each anchored atom, and from each
-    permission variable, to its slots in order. Metavariables are not
-    indexed."""
+class PermEnv:
+    """An ordered multiset of permission atoms, edited in place, with an undo
+    trail: every edit logs the slots it took out and put in, and `undo_to`
+    a `mark` takes back every edit made since, newest first, as
+    `ast.Scope.undo_to` does for names. A search that backs off, a branch
+    of a `match` or `if`, and a walk that finds no atom undo so.
 
-    __slots__ = ("env", "globals", "slots", "index", "handles")
+    Atoms are named by handles (`Handle`), which do not shift when another
+    atom goes. The order of the atoms is that of their slots' order keys
+    (see `_Slot`), so a replacement sits where the atom it replaces sat;
+    `items` and `atoms` sort the slots when asked. An index from the anchor
+    of each anchored atom, and from each permission variable, to its slots
+    in order makes `atoms_of` cost only its hits. Metavariables are not
+    indexed.
 
-    def __init__(self, env: Env, globals: dict[str, Type] | None):
-        self.env = env
-        self.globals = globals
-        self.slots: dict[Handle, _Slot] = {}
-        self.index: dict[str | PermVar, list[_Slot]] = {}
-        self.handles = itertools.count()
+    `globals` is a shared side table of duplicable permissions for top-level
+    values; they are never extracted and never copied per operation.
 
-    def apply(self, out: Sequence[_Slot], into: Sequence[_Slot]) -> None:
+    An environment belongs to one check and is not shared between threads.
+    """
+
+    __slots__ = ("_env", "_globals", "_slots", "_index", "_handles", "_trail")
+
+    def __init__(
+        self, env: Env, atoms: Iterable[Atom] = (), globals: dict[str, Type] | None = None
+    ):
+        self._env = env
+        self._globals = globals
+        self._slots: dict[Handle, _Slot] = {}
+        self._index: dict[str | PermVar, list[_Slot]] = {}
+        self._handles = itertools.count()
+        self._trail: list[tuple[Sequence[_Slot], Sequence[_Slot]]] = []
+        self._apply((), self._appended(atoms))
+
+    def __str__(self) -> str:
+        atoms = self.atoms
+        return " * ".join(str(a) for a in atoms) if atoms else "empty"
+
+    # -- the trail ------------------------------------------------------------
+
+    def _apply(self, out: Sequence[_Slot], into: Sequence[_Slot]) -> None:
         """Take the slots `out` out and put the slots `into` in. Swapping
         the two undoes the edit."""
-        slots, index = self.slots, self.index
+        slots, index = self._slots, self._index
         for slot in out:
             del slots[slot[1]]
             atom = slot[2]
@@ -423,83 +450,23 @@ class _Family:
             else:
                 insort(hits, slot)
 
+    def _edit(self, out: Sequence[_Slot], into: Sequence[_Slot]) -> None:
+        self._apply(out, into)
+        self._trail.append((out, into))
 
-class PermEnv:
-    """An ordered multiset of permission atoms, as a persistent value: every
-    edit returns a new version and leaves the old one as it was.
+    def mark(self) -> int:
+        return len(self._trail)
 
-    The versions derived from one `PermEnv(env, atoms, globals)` form a
-    family that shares one `_Family`: a slot per atom of the *root* version,
-    and the index that makes `atoms_of` cost only its hits. Every other
-    version holds a diff to the next version towards the root: the slots
-    to take out of that version and to put in to get this one (Baker's
-    rerooted arrays, after Conchon and Filliâtre, *A Persistent Union-Find
-    Data Structure*, 2007). Reading or editing a version first reroots the
-    family at it, in a loop that applies the diffs on the path from the
-    root and reverses each one, so the version read becomes the root and
-    the others hold diffs towards it. Deriving from the newest version,
-    which the checker does for all but a few edits, thus costs O(1) per
-    atom added or taken out; going back to an older one (a `match` or `if`
-    branch, a subsumption attempt that backs off, a failure's environment
-    printed later) costs the edits in between.
-
-    Atoms are named by handles (`Handle`), which do not shift when another
-    atom goes. The order of the atoms is that of their slots' order keys
-    (see `_Slot`), so a replacement sits where the atom it replaces sat;
-    `items` and `atoms` sort the slots when asked.
-
-    `globals` is a shared side table of duplicable permissions for top-level
-    values; they are never extracted and never copied per operation.
-
-    A family belongs to one check: reading a version changes the state its
-    family shares, so the versions of a family must not be used from two
-    threads.
-    """
-
-    __slots__ = ("_family", "_diff")
-
-    def __init__(
-        self, env: Env, atoms: Iterable[Atom] = (), globals: dict[str, Type] | None = None
-    ):
-        self._family = _Family(env, globals)
-        self._diff: tuple[Sequence[_Slot], Sequence[_Slot], PermEnv] | None = None
-        self._family.apply((), self._appended(atoms))
-
-    def __str__(self) -> str:
-        atoms = self.atoms
-        return " * ".join(str(a) for a in atoms) if atoms else "empty"
-
-    # -- versions -------------------------------------------------------------
-
-    def _reroot(self) -> None:
-        """Make this version the root of its family."""
-        path = []
-        version = self
-        while version._diff is not None:
-            path.append(version)
-            version = version._diff[2]
-        apply = self._family.apply
-        for version in reversed(path):
-            out, into, newer = version._diff  # type: ignore[misc]
-            apply(out, into)
-            newer._diff = (into, out, version)
-            version._diff = None
-
-    def _derive(self, out: Sequence[_Slot], into: Sequence[_Slot]) -> "PermEnv":
-        """The version with the slots `out` taken out of this one and the
-        slots `into` put in."""
-        if self._diff is not None:
-            self._reroot()
-        self._family.apply(out, into)
-        child = object.__new__(PermEnv)
-        child._family = self._family
-        child._diff = None
-        self._diff = (into, out, child)
-        return child
+    def undo_to(self, mark: int) -> None:
+        trail = self._trail
+        apply = self._apply
+        while len(trail) > mark:
+            out, into = trail.pop()
+            apply(into, out)
 
     def _appended(self, atoms: Iterable[Atom]) -> list[_Slot]:
         """New slots for `atoms`, after every slot there is."""
-        handles = self._family.handles
+        handles = self._handles
         into = []
         for atom in atoms:
             h = next(handles)
@@ -508,75 +475,76 @@ class PermEnv:
 
     # -- edits ----------------------------------------------------------------
 
-    def add(self, *new: Atom) -> "PermEnv":
-        """The atoms `new` appended, in order."""
+    def add(self, *new: Atom) -> None:
+        """Append the atoms `new`, in order."""
         if len(new) == 1:  # the common case, without the loop
-            h = next(self._family.handles)
-            return self._derive((), (((h,), h, new[0]),))
-        if not new:
-            return self
-        return self._derive((), self._appended(new))
+            h = next(self._handles)
+            self._edit((), (((h,), h, new[0]),))
+        elif new:
+            self._edit((), self._appended(new))
 
-    def remove(self, handle: Handle) -> "PermEnv":
-        return self._derive((self._slot(handle),), ())
+    def remove(self, handle: Handle) -> None:
+        self._edit((self._slots[handle],), ())
 
-    def replace(self, handle: Handle, *new: Atom) -> "PermEnv":
-        """The atoms `new` in place of the atom `handle`, in order."""
-        slot = self._slot(handle)
+    def replace(self, handle: Handle, *new: Atom) -> Handle | None:
+        """Put the atoms `new` in place of the atom `handle`, in order.
+        Returns the handle of the first of them."""
+        slot = self._slots[handle]
         key = slot[0]
-        handles = self._family.handles
+        handles = self._handles
         if len(new) == 1:
-            return self._derive((slot,), ((key, next(handles), new[0]),))
-        into = []
-        for j, atom in enumerate(new):
-            into.append((key + (j,), next(handles), atom))
-        return self._derive((slot,), into)
+            into: Sequence[_Slot] = ((key, next(handles), new[0]),)
+        else:
+            into = [(key + (j,), next(handles), atom) for j, atom in enumerate(new)]
+        self._edit((slot,), into)
+        return into[0][1] if into else None
+
+    def reset(self, atoms: Sequence[Atom]) -> None:
+        """Make the atoms `atoms`, in order, all there is, as one edit. The
+        slots of the longest prefix that already holds them are kept, so a
+        `match` or `if` join logs only the atoms after what its branches
+        left alone, and the trail of a chain of joins stays linear."""
+        slots = sorted(self._slots.values())
+        k = 0
+        for slot, atom in zip(slots, atoms):
+            if slot[2] is not atom and slot[2] != atom:
+                break
+            k += 1
+        self._edit(slots[k:], self._appended(atoms[k:]))
 
     # -- reads ----------------------------------------------------------------
 
-    def _slot(self, handle: Handle) -> _Slot:
-        if self._diff is not None:
-            self._reroot()
-        return self._family.slots[handle]
-
     def atom(self, handle: Handle) -> Atom:
-        return self._slot(handle)[2]
+        return self._slots[handle][2]
 
     def items(self) -> list[tuple[Handle, Atom]]:
         """The atoms with their handles, in order."""
-        if self._diff is not None:
-            self._reroot()
-        return [(h, atom) for _, h, atom in sorted(self._family.slots.values())]
+        return [(h, atom) for _, h, atom in sorted(self._slots.values())]
 
     @property
     def atoms(self) -> tuple[Atom, ...]:
         return tuple(atom for _, atom in self.items())
 
     def atoms_of(self, anchor: str) -> list[tuple[Handle, Anchored]]:
-        """The atoms anchored at `anchor`, with their handles, in order."""
-        if self._diff is not None:
-            self._reroot()
-        return [(h, atom) for _, h, atom in self._family.index.get(anchor, ())]
+        """The atoms anchored at `anchor`, with their handles, in order: a
+        new list, which later edits leave as it is."""
+        return [(h, atom) for _, h, atom in self._index.get(anchor, ())]
 
     def holds_anchor(self, anchor: str) -> bool:
-        if self._diff is not None:
-            self._reroot()
-        return bool(self._family.index.get(anchor))
+        return bool(self._index.get(anchor))
 
     def perm_var(self, name: str) -> Handle | None:
         """The first atom that is the permission variable `name`."""
-        if self._diff is not None:
-            self._reroot()
-        hits = self._family.index.get(PermVar(name))
+        hits = self._index.get(PermVar(name))
         return hits[0][1] if hits else None
 
     def global_type(self, anchor: str) -> Type | None:
-        if self._family.globals is None:
+        if self._globals is None:
             return None
-        return self._family.globals.get(anchor)
+        return self._globals.get(anchor)
 
     def duplicable_atoms(self) -> list[Atom]:
-        env = self._family.env
+        env = self._env
         return [
             a
             for a in self.atoms
@@ -589,7 +557,7 @@ class PermEnv:
         atoms are copied into closure environments, so only an affine
         holding explains the miss."""
         if isinstance(goal, Anchored):
-            env = self._family.env
+            env = self._env
             return any(
                 duplicability(a.ty, env) == AFFINE for _, a in self.atoms_of(goal.anchor)
             )

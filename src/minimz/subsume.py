@@ -1,7 +1,8 @@
 """Subsumption: extracting goal permissions from a permission environment.
 
 `Subsumer.subsume` meets a list of goal atoms in a `PermEnv`, in order,
-solving unification metavariables on the way; what is left is the frame.
+taking them out of it in place and solving unification metavariables on
+the way; what is left is the frame.
 Each goal is met by one search, `Subsumer.subsume_atom`: a loop over an
 explicit stack of goals. A popped goal is taken apart by its shape, and
 its parts go on the stack: a bar's carrier, then its permission; an
@@ -30,10 +31,13 @@ and no global permission, goes straight to 4 and 5.
 A pick or a fold opens a *level*, a choice point over every atom it may
 take in `atoms_of` order: the walk of `Subsumer._next_head` finds a pick's,
 opening atoms as needed, and a fold's are its structural atoms, then the
-split. The atom's goals go on the stack, then a cut. A failure backs off
-to the newest open level, which takes its next atom from the bindings and
-environment it began with. The cut closes a level whose goals are all
-met, so an atom is taken again only when a later goal of its level fails.
+split. The atom's goals go on the stack, then a cut. A level keeps three
+marks, one for each store that the search edits and undoes: the bindings
+and the guard when it opened, and the environment before its atom was
+taken. A failure backs off to the newest open level, which undoes each
+store to its mark and takes its next atom. The cut closes a level whose
+goals are all met, keeping what they did, so an atom is taken again only
+when a later goal of its level fails.
 A level with no atom left fails in turn: a pick with its first atom's
 failure, a fold with its own goal, or after its split with the split
 search's failure.
@@ -108,9 +112,10 @@ _FAIL = object()  # on the goal stack: the newest level's atom does not meet it
 class _Level:
     """An open level of the search: its goal, the goals after its own, the
     level open before it, its atoms left, the marks of the bindings and of
-    the guard when it opened, and the environment of the atom taken."""
+    the guard when it opened, and the mark of the environment before the
+    atom it took was taken."""
 
-    __slots__ = ("goal", "after", "older", "rest", "mark", "guard_mark", "penv")
+    __slots__ = ("goal", "after", "older", "rest", "mark", "guard_mark", "env_mark")
 
     def __init__(
         self,
@@ -127,7 +132,7 @@ class _Level:
         self.rest = rest
         self.mark = mark
         self.guard_mark = guard_mark
-        self.penv: PermEnv | None = None
+        self.env_mark: int | None = None
 
 
 class _Field(NamedTuple):
@@ -380,25 +385,25 @@ class Subsumer:
     # opening packed atoms
     # ------------------------------------------------------------------
 
-    def open_atom(self, penv: PermEnv, handle: Handle) -> PermEnv | None:
+    def open_atom(self, penv: PermEnv, handle: Handle) -> bool:
         """Expose one more layer of the atom `handle`: expand an alias, open
         an existential (skolemizing its binders), split off a bar permission,
         or decompose a tuple type into a structural tuple plus components.
-        Returns None when the atom is already in head form."""
+        False when the atom is already in head form."""
         atom = penv.atom(handle)
         if not isinstance(atom, Anchored) or atom.ty.__class__ is TConcrete:
-            return None
+            return False
         ty = self.uni.resolve(atom.ty)
         if is_alias(self.env, ty):
-            return penv.replace(handle, Anchored(atom.anchor, expand_alias(self.env, ty)))
-        if isinstance(ty, TExists):
+            penv.replace(handle, Anchored(atom.anchor, expand_alias(self.env, ty)))
+        elif isinstance(ty, TExists):
             subst: dict[str, Type] = {}
             for name, kind in ty.binders:
                 subst[name] = TVar(self.uni.fresh_name(name))
-            return penv.replace(handle, Anchored(atom.anchor, subst_type(ty.body, subst)))
-        if isinstance(ty, TBar):
-            return penv.replace(handle, *admit_atoms(self.env, atom.anchor, ty))
-        if isinstance(ty, TTuple) and not is_structural_tuple(ty):
+            penv.replace(handle, Anchored(atom.anchor, subst_type(ty.body, subst)))
+        elif isinstance(ty, TBar):
+            penv.replace(handle, *admit_atoms(self.env, atom.anchor, ty))
+        elif isinstance(ty, TTuple) and not is_structural_tuple(ty):
             # If a structural view of the same tuple is already around, pin the
             # released component permissions to its component names.
             view = self._tuple_view(penv, atom.anchor, len(ty.comps), structural=True)
@@ -422,15 +427,17 @@ class Subsumer:
                     values[comp.name] = anchor
                 comps.append(TupleComp(None, TSingleton(anchor), False))
             structural = Anchored(atom.anchor, TTuple(tuple(comps)))
-            return penv.replace(handle, structural, *extra)
-        return None
+            penv.replace(handle, structural, *extra)
+        else:
+            return False
+        return True
 
-    def open_fields(self, penv: PermEnv, handle: Handle) -> tuple[PermEnv, Handle]:
+    def open_fields(self, penv: PermEnv, handle: Handle) -> Handle:
         """Name the typed fields of the structural atom `handle`, as
         `open_atom` names a tuple's typed components: `x @ T { f: t }`
         becomes `x @ T { f = a }` and `a @ t`, for a fresh anchor `a` after
-        `f`. Returns the environment and the handle of the structural atom;
-        `penv` and `handle` themselves when every field is named."""
+        `f`. Returns the handle of the structural atom: `handle` itself when
+        every field is named."""
         atom = penv.atom(handle)
         ty = atom.ty
         old = children(ty)
@@ -442,10 +449,8 @@ class Subsumer:
                 extra.extend(admit_atoms(self.env, anchor, fty))
                 kids[i] = TSingleton(anchor)
         if not extra:
-            return penv, handle
-        structural = Anchored(atom.anchor, rebuild(ty, old, kids))
-        penv = penv.replace(handle, structural, *extra)
-        return penv, next(h for h, a in penv.atoms_of(atom.anchor) if a is structural)
+            return handle
+        return penv.replace(handle, Anchored(atom.anchor, rebuild(ty, old, kids)), *extra)
 
     def _tuple_view(
         self, penv: PermEnv, anchor: str, length: int, structural: bool
@@ -462,79 +467,77 @@ class Subsumer:
                 return handle, ty
         return None
 
-    def head_atom(self, penv: PermEnv, anchor: str, want) -> tuple[PermEnv, Handle] | None:
+    def head_atom(self, penv: PermEnv, anchor: str, want) -> Handle | None:
         """The first atom of `anchor` whose type satisfies the predicate
-        `want`, with the environment that holds it, or None: one step of the
-        walk that `_pick` takes to its end (`_next_head`). No generator is
-        left suspended, for a `GeneratorExit` to close. An anchor that holds
-        no atom, as a global callee holds none, has none to open."""
+        `want`, with the atoms opened on the way to it, or None, with
+        nothing opened: one step of the walk that `_pick` takes to its end
+        (`_next_head`). No generator is left suspended, for a
+        `GeneratorExit` to close. An anchor that holds no atom, as a global
+        callee holds none, has none to open."""
         hits = penv.atoms_of(anchor)
         if not hits:
             return None
+        mark = penv.mark()
         at = self._next_head(anchor, want, penv, hits, 0, -1)
-        return None if at is None else at[:2]
+        if at is None:
+            penv.undo_to(mark)
+            return None
+        return at[0]
 
     def _next_head(self, anchor: str, want, penv: PermEnv, hits, i: int, seen: Handle):
         """One step of the walk over the atoms of `anchor` whose type
         satisfies `want`: those of `penv`, in order, then those that each
         opening of an atom of `anchor` brings. An opening gives its atoms
-        handles above every older one, and `seen` is the highest handle of
-        the environments before. The step goes on from the `i`th of `hits`,
-        the atoms of `anchor` in `penv`. It gives the environment and the
-        handle of the next atom, then the walk's state past it (`hits`, `i`
-        and `seen` again), or None at the walk's end."""
+        handles above every older one, and `seen` is the highest handle
+        before it. The step goes on from the `i`th of `hits`, the atoms of
+        `anchor` in `penv`, opening atoms in `penv` as it needs. It gives
+        the handle of the next atom, then the walk's state past it (`hits`,
+        `i` and `seen` again), or None at the walk's end."""
         resolve = self.uni.resolve
         while True:
             for handle, atom in hits[i:]:
                 i += 1
                 if handle > seen and want(resolve(atom.ty)):
-                    return penv, handle, hits, i, seen
+                    return handle, hits, i, seen
             seen = max((h for h, _ in hits), default=seen)
-            penv = self._open_first(penv, hits)
-            if penv is None:
+            if not self._open_first(penv, hits):
                 return None
             hits, i = penv.atoms_of(anchor), 0
 
-    def _open_first(self, penv: PermEnv, hits: list[tuple[Handle, Anchored]]) -> PermEnv | None:
-        """`penv` with the first atom among `hits` that opens opened, or None."""
+    def _open_first(self, penv: PermEnv, hits: list[tuple[Handle, Anchored]]) -> bool:
+        """Open the first atom among `hits` that opens, if one does."""
         for handle, _ in hits:
-            opened = self.open_atom(penv, handle)
-            if opened is not None:
-                return opened
-        return None
+            if self.open_atom(penv, handle):
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # subsumption
     # ------------------------------------------------------------------
 
-    def subsume(
-        self, penv: PermEnv, goals: list[Atom], defer: list[Atom] | None = None
-    ) -> PermEnv:
+    def subsume(self, penv: PermEnv, goals: list[Atom], defer: list[Atom] | None = None) -> None:
         """Meet `goals` in `penv`, in order. The first goal that fails gives
-        back what it bound and raises its failure. A held goal (`_held`)
-        is met without setting up a search."""
+        back what it bound and raises its failure; what the goals took out
+        of `penv` stays taken. A held goal (`_held`) is met without setting
+        up a search."""
         bindings = self.uni.bindings
         for goal in goals:
-            if goal.__class__ is Anchored:
-                held = self._held(penv, penv.atoms_of(goal.anchor), goal.ty)
-                if held is not None:
-                    penv = held
-                    continue
+            if goal.__class__ is Anchored and self._held(penv, penv.atoms_of(goal.anchor), goal.ty):
+                continue
             mark = bindings.mark()
             try:
-                penv = self.subsume_atom(penv, goal, defer)
+                self.subsume_atom(penv, goal, defer)
             except SubsumptionFailure as failure:
                 bindings.undo_to(mark)
                 # Its traceback holds the frame of `_back_off`, which holds it.
                 raise failure.with_traceback(None)
-        return penv
 
-    def subsume_atom(
-        self, penv: PermEnv, goal: Atom, defer: list[Atom] | None = None
-    ) -> PermEnv:
+    def subsume_atom(self, penv: PermEnv, goal: Atom, defer: list[Atom] | None = None) -> None:
         """Meet `goal` in `penv`, appending deferred goals to `defer`. `stack`
         holds the goals left, as a linked tuple, and `choices` the open
-        levels, newest first."""
+        levels, newest first. A goal of a level that fails raises its
+        failure without a snapshot: `_back_off` takes it once it has undone
+        the environment to the level's."""
         bindings = self.uni.bindings
         resolve = self.uni.resolve
         guard = self.guard
@@ -550,7 +553,7 @@ class Subsumer:
                         choices = choices.older
                         continue
                     if item is _FAIL:
-                        raise SubsumptionFailure(choices.goal, choices.penv)
+                        raise SubsumptionFailure(choices.goal, None)
                     cls = item.__class__
                     if cls is _Field:
                         fty = resolve(item.ty)
@@ -560,7 +563,7 @@ class Subsumer:
                         elif self.unify(fty, aty):
                             continue  # the atom holds the content, or the goal names it
                         else:
-                            raise SubsumptionFailure(choices.goal, choices.penv)
+                            raise SubsumptionFailure(choices.goal, None)
                     if cls is MetaPerm:
                         bound = bindings.get(item.name)
                         if bound is not None:
@@ -575,8 +578,8 @@ class Subsumer:
                     if cls is PermVar:
                         handle = penv.perm_var(item.name)
                         if handle is None:
-                            raise SubsumptionFailure(item, penv)
-                        penv = penv.remove(handle)
+                            raise SubsumptionFailure(item, str(penv))
+                        penv.remove(handle)
                         continue
                     if cls is not Anchored:  # a permission: its atoms, in order
                         for atom in reversed(normalize(self.env, resolve(item))):
@@ -594,24 +597,21 @@ class Subsumer:
                     elif tcls is TMeta:
                         hits = penv.atoms_of(anchor)
                         if not hits or not self.uni.bind(ty.name, hits[0][1].ty):
-                            raise SubsumptionFailure(item, penv)
-                        penv = self._extract(penv, hits[0][0], hits[0][1].ty)
+                            raise SubsumptionFailure(item, str(penv))
+                        self._extract(penv, hits[0][0], hits[0][1].ty)
                     elif tcls is TBar:
                         stack = (Anchored(anchor, ty.carrier), (ty.perm, stack))
                     elif tcls is TExists:
                         subst = {name: self.uni.fresh(name, kind) for name, kind in ty.binders}
                         stack = (Anchored(anchor, subst_type(ty.body, subst)), stack)
                     elif tcls is TSingleton:
-                        if ty.name != anchor:
-                            found = self._find_exact(penv, penv.atoms_of(anchor), anchor, ty)
-                            if found is None:
-                                raise SubsumptionFailure(item, penv)
-                            penv = found
+                        if ty.name != anchor and not self._find_exact(
+                            penv, penv.atoms_of(anchor), anchor, ty
+                        ):
+                            raise SubsumptionFailure(item, str(penv))
                     elif tcls is not TEmpty:
                         hits = penv.atoms_of(anchor)
-                        held = self._held(penv, hits, ty)
-                        if held is not None:
-                            penv = held
+                        if self._held(penv, hits, ty):
                             continue
                         # The structural atoms that may fold into the data
                         # type `ty`; only a fold or a split can meet the goal
@@ -631,38 +631,43 @@ class Subsumer:
                                     folds.append((handle, aty))
                         if only_folds:
                             rest = self._fold(item, ty, penv, folds)
-                        elif (found := self._find_exact(penv, hits, anchor, ty)) is not None:
-                            penv = found
+                        elif self._find_exact(penv, hits, anchor, ty):
+                            pass
                         elif is_alias(self.env, ty):
                             stack = (Anchored(anchor, expand_alias(self.env, ty)), stack)
-                        elif (opened := self._open_first(penv, hits)) is not None:
-                            penv, stack = opened, (item, stack)
+                        elif self._open_first(penv, hits):
+                            stack = (item, stack)
                         else:
                             rest = self._fold(item, ty, penv, folds)
                     if rest is not None:
                         level = _Level(item, stack, choices, rest, bindings.mark(), guard.mark())
-                        penv, stack = _take(level, next(rest))
+                        stack = _take(level, next(rest))
                         choices = level
-                return penv
+                return
             except SubsumptionFailure as failure:
-                penv, stack, choices = self._back_off(failure, choices)
+                stack, choices = self._back_off(penv, failure, choices)
 
     def _back_off(
-        self, failure: SubsumptionFailure, choices: _Level | None
-    ) -> tuple[PermEnv, tuple, _Level]:
+        self, penv: PermEnv, failure: SubsumptionFailure, choices: _Level | None
+    ) -> tuple[tuple, _Level]:
         """Back off from `failure` to the newest open level with an atom left:
-        the environment, goal stack and open levels with that atom taken.
-        A failure is sent to a level, which may keep it, without its
-        traceback: the frames of the search it holds would hold it in turn."""
+        each store undone to that level's marks, and its next atom taken;
+        the goal stack and open levels that follow. A failure without a
+        snapshot is a goal of the newest level, and takes the environment
+        undone to that level's. A failure is sent to a level, which may keep
+        it, without its traceback: the frames of the search it holds would
+        hold it in turn."""
         failure.__traceback__ = None
         while choices is not None:
             level = choices
             choices = level.older
             self.uni.bindings.undo_to(level.mark)
             self.guard.undo_to(level.guard_mark)
+            penv.undo_to(level.env_mark)
+            if failure.snapshot is None:
+                failure.snapshot = str(penv)
             try:
-                penv, stack = _take(level, level.rest.send(failure))
-                return penv, stack, level
+                return _take(level, level.rest.send(failure)), level
             except SubsumptionFailure as exc:  # the level has none left
                 failure = exc.with_traceback(None)
         raise failure
@@ -678,21 +683,27 @@ class Subsumer:
         )
         first = None
         anchor = goal.anchor
+        start = penv.mark()
         at = self._next_head(anchor, want, penv, penv.atoms_of(anchor), 0, -1)
         while at is not None:
-            env, handle, hits, i, seen = at
-            actual = env.atom(handle).ty
+            handle, hits, i, seen = at
+            actual = penv.atom(handle).ty
             if ty.__class__ is TTuple:
                 goals = _tuple_goals(actual, ty)
             else:  # the resolver gives a concrete type its branch's fields, in order
                 goals = [_Field(f, a) for (_, f), (_, a) in zip(ty.fields, actual.fields)]
                 if ty.bar is not None:
                     goals.append(ty.bar)
-            failure = yield env, self._extract(env, handle, actual), goals
+            mark = penv.mark()
+            self._extract(penv, handle, actual)
+            failure = yield mark, goals
             if first is None:
                 first = failure
-            at = self._next_head(anchor, want, env, hits, i, seen)
-        raise first if first is not None else SubsumptionFailure(goal, penv)
+            at = self._next_head(anchor, want, penv, hits, i, seen)
+        if first is None:
+            penv.undo_to(start)
+            first = SubsumptionFailure(goal, str(penv))
+        raise first
 
     def _fold(
         self, goal: Anchored, ty: Type, penv: PermEnv, folds: list[tuple[Handle, TConcrete]]
@@ -707,6 +718,7 @@ class Subsumer:
         without `_extract`."""
         env = self.env
         guard = self.guard
+        start = penv.mark()
         for handle, sty in folds:
             branch = branch_instance(env, ty, sty.tag)
             goals: list[object] = []
@@ -719,69 +731,73 @@ class Subsumer:
                     break
                 goals.append(Anchored(actual.name, declared))
             if structural:
-                working = penv.remove(handle) if env.mutable_tag(sty.tag) else penv
+                taken = env.mutable_tag(sty.tag)
+                if taken:
+                    penv.remove(handle)
             else:
-                working = self._extract(penv, handle, sty)
-            if working is penv:
+                taken = self._extract(penv, handle, sty)
+            if not taken:
                 if handle in guard:
                     continue
                 guard.enter(handle, True)
             if branch.bar is not None:
                 goals.append(branch.bar)
-            yield penv, working, goals
+            yield start, goals
         split = self._try_split(penv, goal.anchor)
         if split is None:
-            raise SubsumptionFailure(goal, penv)
-        guard.enter(split[1], True)
-        failure = yield penv, split[0], [goal]
+            raise SubsumptionFailure(goal, str(penv))
+        guard.enter(split, True)
+        failure = yield start, [goal]
         raise failure
 
-    def _held(
-        self, penv: PermEnv, hits: list[tuple[Handle, Anchored]], ty: Type
-    ) -> PermEnv | None:
-        """`penv` with the goal `x @ ty` met, where `hits` are the atoms of
-        `x`, when the goal is *held*: `ty` is a `TApp` that binds no name
-        and holds no metavariable (`plain`), and the first of `hits` has
-        type `ty`. Else None. The search meets such a goal so: that atom is
-        no tag, so the goal is not a fold's alone, and `_find_exact`
-        unifies it with `ty` at once, binding nothing and drawing no name."""
+    def _held(self, penv: PermEnv, hits: list[tuple[Handle, Anchored]], ty: Type) -> bool:
+        """Meet the goal `x @ ty` in `penv`, where `hits` are the atoms of
+        `x`, if the goal is *held*: `ty` is a `TApp` that binds no name and
+        holds no metavariable (`plain`), and the first of `hits` has type
+        `ty`. The search meets such a goal so: that atom is no tag, so the
+        goal is not a fold's alone, and `_find_exact` unifies it with `ty`
+        at once, binding nothing and drawing no name."""
         if ty.__class__ is TApp and hits:
             handle, atom = hits[0]
             aty = atom.ty
             if (aty is ty or (aty.__class__ is TApp and aty == ty)) and plain(ty):
-                return self._extract(penv, handle, aty)
-        return None
+                self._extract(penv, handle, aty)
+                return True
+        return False
 
     def _find_exact(
         self, penv: PermEnv, hits: list[tuple[Handle, Anchored]], anchor: str, ty: Type
-    ) -> PermEnv | None:
+    ) -> bool:
         """Extract an atom among `hits`, the atoms of `anchor` in `penv`, or
-        the global permission of `anchor`, whose type unifies with `ty`."""
+        the global permission of `anchor`, whose type unifies with `ty`, if
+        there is one."""
         bindings = self.uni.bindings
         mark = bindings.mark()
         for handle, atom in hits:
             if self.unify(ty, atom.ty):
-                return self._extract(penv, handle, atom.ty)
+                self._extract(penv, handle, atom.ty)
+                return True
             bindings.undo_to(mark)
         gty = penv.global_type(anchor)
         if gty is not None:
             if self.unify(ty, gty):
-                return penv  # global permissions are duplicable
+                return True  # global permissions are duplicable
             bindings.undo_to(mark)
-        return None
+        return False
 
-    def _extract(self, penv: PermEnv, handle: Handle, ty: Type) -> PermEnv:
-        """`penv` with the anchored atom `handle`, whose type is `ty`,
-        taken: kept in place when it is duplicable."""
+    def _extract(self, penv: PermEnv, handle: Handle, ty: Type) -> bool:
+        """Take the anchored atom `handle`, whose type is `ty`, out of
+        `penv`, unless it is duplicable: whether it was taken out."""
         if duplicability(self.uni.resolve(ty), self.env) == DUPLICABLE:
-            return penv
-        return penv.remove(handle)
+            return False
+        penv.remove(handle)
+        return True
 
-    def _try_split(self, penv: PermEnv, wanted_anchor: str) -> tuple[PermEnv, str] | None:
+    def _try_split(self, penv: PermEnv, wanted_anchor: str) -> str | None:
         """Split `y @ D args` along a structural `y @ Tag{.. f = wanted ..}`
         (see `split_along`), for a `y` not being split already. Also splits a raw tuple
         permission along a structural tuple naming the wanted anchor. Returns
-        the split environment and `y`."""
+        `y`, or None with `penv` left as it was."""
         for shandle, satom in penv.items():
             if not isinstance(satom, Anchored) or satom.anchor in self.guard:
                 continue
@@ -790,24 +806,25 @@ class Subsumer:
                 if any(c.ty.name == wanted_anchor for c in sty.comps):
                     raw = self._tuple_view(penv, satom.anchor, len(sty.comps), structural=False)
                     if raw is not None:
-                        return self.open_atom(penv, raw[0]), satom.anchor
+                        self.open_atom(penv, raw[0])
+                        return satom.anchor
                 continue
             if isinstance(sty, TConcrete) and any(
                 isinstance(f, TSingleton) and f.name == wanted_anchor for _, f in sty.fields
             ):
-                split = self.split_along(penv, shandle, sty)
-                if split is not None:
-                    return split, satom.anchor
+                if self.split_along(penv, shandle, sty):
+                    return satom.anchor
         return None
 
-    def split_along(self, penv: PermEnv, shandle: Handle, sty: TConcrete) -> PermEnv | None:
+    def split_along(self, penv: PermEnv, shandle: Handle, sty: TConcrete) -> bool:
         """Split a nominal `y @ D args` along the structural atom `y @ sty`,
         whose handle is `shandle`: the nominal atom is dropped, and the permissions of the fields
         that `sty` names by a singleton, and of the branch's bar, are added.
-        None when `y` holds no permission of the data type of `sty`'s tag."""
+        False, with `penv` left as it was, when `y` holds no permission of
+        the data type of `sty`'s tag."""
         entry = self.env.tags.get(sty.tag)
         if entry is None:
-            return None
+            return False
         data_name = entry[0]
         anchor = penv.atom(shandle).anchor
         for nhandle, natom in penv.atoms_of(anchor):
@@ -820,20 +837,21 @@ class Subsumer:
                 names = (f.name if isinstance(f, TSingleton) else None for _, f in sty.fields)
                 # the structural atom is already there
                 _, *fields = split_branch(self.env, anchor, nty, sty.tag, names)
-                return penv.remove(nhandle).add(*fields)
-        return None
+                penv.remove(nhandle)
+                penv.add(*fields)
+                return True
+        return False
 
 
-def _take(level: _Level, alternative: tuple) -> tuple[PermEnv, tuple]:
-    """Take at `level` the atom of `alternative`, which holds the environment
-    with the atom, the environment without it, and the atom's goals: the
-    latter environment, and the stack of the goals, a cut, then the level's
-    after."""
-    level.penv, working, goals = alternative
+def _take(level: _Level, alternative: tuple) -> tuple:
+    """Take at `level` the atom of `alternative`, which holds the mark of
+    the environment before the atom was taken, and the atom's goals: the
+    stack of the goals, a cut, then the level's after."""
+    level.env_mark, goals = alternative
     stack = (_CUT, level.after)
     for g in reversed(goals):
         stack = (g, stack)
-    return working, stack
+    return stack
 
 
 def _tuple_goals(actual: TTuple, ty: TTuple) -> list:

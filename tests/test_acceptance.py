@@ -92,14 +92,17 @@ def test_criterion_2_splitting_oracle():
     rng = random.Random(1342)
     source, names = _random_record_decls(rng, 200)
     _, env = load_text(source, "records.mz")
+    # one environment seeded with colliding-looking names, undone after
+    # each record type
+    decoys = tuple(Anchored(f"f{j}", TApp("int", ())) for j in range(5))
+    existing = {a.anchor for a in decoys} | {"x"}
+    penv = PermEnv(env, decoys)
+    mark = penv.mark()
     checked = 0
     for name in names:
         info = env.types[name]
         assert isinstance(info, DataInfo)
         (branch,) = info.branches.values()
-        # seed the environment with colliding-looking names
-        decoys = tuple(Anchored(f"f{j}", TApp("int", ())) for j in range(5))
-        existing = {a.anchor for a in decoys} | {"x"}
         # split `x @ name` as the checker refines a one-branch data type,
         # with the fresh names of one definition's check
         sub = Subsumer(env)
@@ -107,11 +110,13 @@ def test_criterion_2_splitting_oracle():
         atoms = split_branch(env, "x", TApp(name, ()), branch.tag, names)
         introduced = {a.anchor for a in atoms[1:] if isinstance(a, Anchored)}
         assert introduced.isdisjoint(existing), "freshness violated"
-        penv = PermEnv(env, decoys + tuple(atoms))
-        left = sub.subsume(penv, [Anchored("x", TApp(name, ()))])
+        penv.add(*atoms)
+        sub.subsume(penv, [Anchored("x", TApp(name, ()))])
         # every decoy is untouched (frame)
         for decoy in decoys:
-            assert decoy in left.atoms
+            assert decoy in penv.atoms
+        penv.undo_to(mark)
+        assert penv.atoms == decoys
         checked += 1
     assert checked == 200
     report(2, "200 random record types split, refold, and stay fresh")

@@ -718,8 +718,44 @@ val use () = let l = mk () in 0
             "tag of v <- B { x = x }",
             "tag update to 'B' is missing field 'y'",
         ),
+        (
+            "val give: [p: perm] (| consumes p) -> ()\nval give () = ()\n"
+            "val f: [p: perm] (| consumes p) -> ()\n"
+            "val f () = let g = fun () -> give [p] () in ()",
+            "E-CONSUMED",
+            "fun () -> give [p] ()",
+            "lambda captures affine permission (p); "
+            "affine permissions must enter through the domain",
+        ),
+        (
+            "data tree = Leaf | Node { v: int }\n"
+            "val f: (consumes l: list int) -> int\n"
+            "val f (l) = match l with\n"
+            "  | Nil -> 0\n"
+            "  | Cons { head = h; tail = t } -> 1\n"
+            "  | Leaf -> 2",
+            "E-MATCH",
+            "Leaf",
+            "branch 'Leaf' is not part of 'list'",
+        ),
+        (
+            "val f: (x: int) -> int\nval f (x) = match x with | Nil -> 0",
+            "E-MATCH",
+            "match x with | Nil -> 0",
+            "no data permission for match scrutinee",
+        ),
     ],
-    ids=["type arity", "not polymorphic", "known tag", "tuple pattern", "tag family", "tag field"],
+    ids=[
+        "type arity",
+        "not polymorphic",
+        "known tag",
+        "tuple pattern",
+        "tag family",
+        "tag field",
+        "captured permission variable",
+        "foreign branch",
+        "scrutinee without data",
+    ],
 )
 def test_a_checker_diagnostic(src, code, spanned, message):
     (diag,) = check_text(src, "t")[2]

@@ -110,15 +110,19 @@ def subsumer(bind_meta: bool) -> Subsumer:
     [Anchored("x", SHARED["list ([a] a -> a)"])], None, False, "x", SHARED["list ([a] a -> a)"]
 )
 def test_a_held_goal_is_met_as_the_search_meets_it(atoms, globals, bind_meta, anchor, ty):
+    # Both meet the goal in one environment, undone in between.
     penv = PermEnv(ENV, atoms, globals)
+    start, mark = penv.items(), penv.mark()
     direct, search = subsumer(bind_meta), subsumer(bind_meta)
     before = dict(direct.uni.bindings)
-    held = direct._held(penv, penv.atoms_of(anchor), ty)
-    if held is None:
+    if not direct._held(penv, penv.atoms_of(anchor), ty):
+        assert penv.items() == start
         return
-    found = search._find_exact(penv, penv.atoms_of(anchor), anchor, ty)
-    assert found is not None
-    assert found.items() == held.items()
+    held = penv.items()
+    penv.undo_to(mark)
+    assert penv.items() == start
+    assert search._find_exact(penv, penv.atoms_of(anchor), anchor, ty)
+    assert penv.items() == held
     assert dict(search.uni.bindings) == dict(direct.uni.bindings) == before
     # neither drew a fresh name, which would number every later name
     assert search.uni.fresh_name("k") == direct.uni.fresh_name("k")
@@ -144,11 +148,17 @@ def test_a_fold_takes_a_structural_atom_as_extract_takes_it(atoms, ty):
         if a.ty.__class__ is TConcrete and a.ty.tag in info.branches
     ]
     sub = Subsumer(ENV)
+    start = penv.items()
     alternatives = sub._fold(Anchored("x", ty), ty, penv, folds)
     for handle, sty in folds:  # the guard is empty: each is taken once
-        at, working, _ = next(alternatives)
-        assert at is penv
-        assert working.items() == sub._extract(penv, handle, sty).items()
+        mark, _ = next(alternatives)
+        taken = penv.items()
+        # undone to the fold's mark, as a search backs off to it
+        penv.undo_to(mark)
+        assert penv.items() == start
+        sub._extract(penv, handle, sty)
+        assert penv.items() == taken
+        penv.undo_to(mark)
 
 
 _INT, _BOOL = TApp("int", ()), TApp("bool", ())

@@ -165,10 +165,10 @@ def test_split_then_fold_subsumes_nominal(tree_env):
     _, atoms = _split_tree(tree_env, "Node")
     penv = PermEnv(tree_env, tuple(atoms))
     sub = Subsumer(tree_env)
-    left = sub.subsume(penv, [Anchored("t", TREE_INT)])
+    sub.subsume(penv, [Anchored("t", TREE_INT)])
     # The nominal permission was reassembled: the affine pieces (subtrees)
     # are consumed; only duplicable residue (the int element) may remain.
-    for atom in left.atoms:
+    for atom in penv.atoms:
         assert isinstance(atom, Anchored)
         assert duplicability(atom.ty, tree_env) == DUPLICABLE
 
@@ -228,8 +228,8 @@ def test_normalize_expands_an_alias_of_kind_perm_alone():
 def test_duplicable_idempotence(tree_env):
     penv = PermEnv(tree_env, (Anchored("x", TApp("int", ())),))
     sub = Subsumer(tree_env)
-    out = sub.subsume(penv, [Anchored("x", TApp("int", ())), Anchored("x", TApp("int", ()))])
-    assert out.atoms == penv.atoms  # duplicable extraction removes nothing
+    sub.subsume(penv, [Anchored("x", TApp("int", ())), Anchored("x", TApp("int", ()))])
+    assert penv.atoms == (Anchored("x", TApp("int", ())),)  # duplicable extraction removes nothing
 
 
 def test_affine_linearity(tree_env):
@@ -241,7 +241,8 @@ def test_affine_linearity(tree_env):
 
 def test_frame_monotonicity(tree_env):
     """If subsume(env, g) leaves L, then subsume(env + extra, g) leaves
-    L + extra, for unrelated extra atoms."""
+    L + extra, for unrelated extra atoms. Both are met in one environment,
+    undone in between."""
     rng = random.Random(7)
     base_atoms = [
         Anchored("t", ty("tree int")),
@@ -255,13 +256,15 @@ def test_frame_monotonicity(tree_env):
             atoms = list(base_atoms)
             rng.shuffle(atoms)
             penv = PermEnv(tree_env, tuple(atoms))
-            sub = Subsumer(tree_env)
-            left = sub.subsume(penv, list(goal))
+            mark = penv.mark()
+            Subsumer(tree_env).subsume(penv, list(goal))
+            left = list(penv.atoms)
+            penv.undo_to(mark)
+            assert list(penv.atoms) == atoms
             extra = rng.choice(extras)
-            penv2 = PermEnv(tree_env, tuple(atoms) + (extra,))
-            sub2 = Subsumer(tree_env)
-            left2 = sub2.subsume(penv2, list(goal))
-            assert list(left2.atoms) == list(left.atoms) + [extra]
+            penv.add(extra)
+            Subsumer(tree_env).subsume(penv, list(goal))
+            assert list(penv.atoms) == left + [extra]
 
 
 # Names are drawn from one small pool, so permission variables, metavariables
@@ -272,12 +275,10 @@ _atoms = st.one_of(
     _names.map(PermVar),
     _names.map(MetaPerm),
 )
-_edits = st.tuples(
-    st.sampled_from(["add", "remove", "replace"]),
-    st.integers(0, 40),  # the version edited, among those made so far
-    st.integers(0, 40),  # the position of the atom removed or replaced
+_steps = st.tuples(
+    st.sampled_from(["add", "remove", "replace", "reset", "mark", "undo"]),
+    st.integers(0, 40),  # the atom removed or replaced, or the mark undone to
     st.lists(_atoms, max_size=3),
-    st.integers(0, 40),  # a version read after the edit is made
 )
 
 
@@ -297,61 +298,88 @@ def _assert_matches(penv, model):
         assert penv.perm_var(name) == (var[0] if var else None)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_atoms, max_size=6), st.lists(_edits, max_size=25))
-def test_anchor_index_follows_edits(tree_env, start, edits):
-    """Edits applied anywhere in a tree of versions, each version checked
-    against a list model after every step, old versions read between edits.
-    An edit is made without reading its version first, with the handles
-    recorded when that version was made."""
-    first = PermEnv(tree_env, start)
-    versions = [(first, list(start), [h for h, _ in first.items()])]
-    for op, which, pos, new, read in edits:
-        base, model, handles = versions[which % len(versions)]
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_atoms, max_size=6), st.lists(_steps, max_size=30))
+def test_anchor_index_follows_edits(tree_env, start, steps):
+    """Random edits, marks and undos to one environment, checked against a
+    list model after every step. An undo gives back the atoms of its mark
+    with the handles they had; an edit keeps the handles of the atoms it
+    keeps, and every atom it puts in gets a handle above every handle
+    given out before, an undone one too."""
+    penv = PermEnv(tree_env, start)
+    model = list(start)
+    handles = [h for h, _ in penv.items()]
+    issued = max(handles, default=-1)
+    marks = []  # (mark, model, handles) of each mark taken, oldest first
+    for op, pos, new in steps:
+        if op == "mark":
+            marks.append((penv.mark(), list(model), list(handles)))
+            continue
+        if op == "undo":
+            if not marks:
+                continue
+            # a mark newer than the one undone to is gone with its edits
+            del marks[pos % len(marks) + 1 :]
+            mark, model, handles = marks[-1]
+            model, handles = list(model), list(handles)
+            penv.undo_to(mark)
+            assert [h for h, _ in penv.items()] == handles
+            _assert_matches(penv, model)
+            continue
         if op == "add":
-            penv, model = base.add(*new), model + new
-            kept = handles
+            penv.add(*new)
+            model, kept = model + new, handles
+        elif op == "reset":
+            penv.reset(new)
+            # the slots of the longest common prefix are kept
+            k = 0
+            while k < min(len(model), len(new)) and model[k] == new[k]:
+                k += 1
+            model, kept = list(new), handles[:k]
         elif not model:
             continue
         else:
             idx = pos % len(model)
+            kept = handles[:idx] + handles[idx + 1 :]
             if op == "remove":
-                penv = base.remove(handles[idx])
+                penv.remove(handles[idx])
                 model = model[:idx] + model[idx + 1 :]
             else:
-                penv = base.replace(handles[idx], *new)
+                first = penv.replace(handles[idx], *new)
                 model = model[:idx] + new + model[idx + 1 :]
-            kept = handles[:idx] + handles[idx + 1 :]
-        _assert_matches(*versions[read % len(versions)][:2])
+                assert first == (penv.items()[idx][0] if new else None)
+        _assert_matches(penv, model)
         handles = [h for h, _ in penv.items()]
         # the atoms an edit keeps keep their handles
         assert [h for h in handles if h in kept] == kept
-        versions.append((penv, model, handles))
-        for penv, model, _ in versions:
-            _assert_matches(penv, model)
+        put_in = [h for h in handles if h not in kept]
+        assert all(h > issued for h in put_in)
+        issued = max([issued, *put_in])
 
 
-def test_rerooting_a_long_history_needs_no_stack(tree_env):
-    """Reading the oldest of 100,000 linearly derived versions, and then the
-    newest again, reroots along the whole history without recursion."""
+def test_undoing_a_long_trail_needs_no_stack(tree_env):
+    """Undoing 100,000 edits, back to the environment's first atoms, runs in
+    a loop under the interpreter's default recursion limit."""
     x, y = Anchored("x", INT), Anchored("y", INT)
-    oldest = penv = PermEnv(tree_env, (x,))
+    penv = PermEnv(tree_env, (x,))
+    mark = penv.mark()
     for _ in range(50_000):
-        penv = penv.add(y)
+        penv.add(y)
         ((handle, _),) = penv.atoms_of("y")
-        penv = penv.remove(handle)
-    newest = penv.add(y)
+        penv.remove(handle)
+    penv.add(y)
+    assert penv.atoms == (x, y)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter's default
     try:
-        assert oldest.atoms == (x,)
-        assert [a for _, a in oldest.atoms_of("x")] == [x]
-        assert oldest.atoms_of("y") == []
-        assert newest.atoms == (x, y)
-        assert oldest.atoms == (x,)
+        penv.undo_to(mark)
+        assert penv.atoms == (x,)
+        assert [a for _, a in penv.atoms_of("x")] == [x]
+        assert penv.atoms_of("y") == []
+        assert penv.mark() == mark
     finally:
         sys.setrecursionlimit(limit)
-    del oldest, penv, newest  # freeing the history must not overflow the stack either
+    del penv  # freeing the environment must not overflow the stack either
 
 
 def _intersect_by_removal(lists):
@@ -590,8 +618,8 @@ def test_subsume_exact_affine_extraction(tree_env):
     tree_int = TApp("tree", (TApp("int", ()),))
     penv = PermEnv(tree_env, (Anchored("t", tree_int),))
     sub = Subsumer(tree_env)
-    left = sub.subsume(penv, [Anchored("t", tree_int)])
-    assert left.atoms == ()  # affine: the unique token is gone
+    sub.subsume(penv, [Anchored("t", tree_int)])
+    assert penv.atoms == ()  # affine: the unique token is gone
 
 
 def test_subsume_fold_consumes_all_pieces(tree_env):
@@ -615,12 +643,12 @@ def test_subsume_fold_consumes_all_pieces(tree_env):
     )
     penv = PermEnv(tree_env, atoms)
     sub = Subsumer(tree_env)
-    left = sub.subsume(penv, [Anchored("t", tree_int)])
+    sub.subsume(penv, [Anchored("t", tree_int)])
     # the structural atom and both subtree permissions are consumed by the
     # fold; only the duplicable int residue may survive
     assert all(
         duplicability(a.ty, tree_env) == DUPLICABLE
-        for a in left.atoms
+        for a in penv.atoms
         if isinstance(a, Anchored)
     )
 

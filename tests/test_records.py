@@ -68,6 +68,6 @@ def test_cells_and_levels_compare_by_identity():
     params = "goal after older rest mark guard_mark".split()
     assert list(inspect.signature(_Level).parameters) == params
     level = _Level("goal", None, None, iter(()), 0, 0)
-    assert level.penv is None and level != _Level("goal", None, None, level.rest, 0, 0)
+    assert level.env_mark is None and level != _Level("goal", None, None, level.rest, 0, 0)
     cell = Cell("A", {}, True)
     assert cell == cell and hash(cell) == hash(cell)
