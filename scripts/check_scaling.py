@@ -23,11 +23,23 @@ next. The last lines give the ratios 2048/1024, 3000/1000, 3000/1000 and
 Run from the root of the repository:
 
     python3 scripts/check_scaling.py
+
+With `--calls` it times nothing: it prints, for the smallest size of each
+family, the number of function calls that `cProfile` counts in each of
+lex, parse, resolve and check, and in the four together, per node (per
+tree node, `let` or definition). The counts do not depend on the machine
+or its load, so they show a change to the per-node work of a layer on
+their own:
+
+    python3 scripts/check_scaling.py --calls
 """
 
 from __future__ import annotations
 
+import argparse
+import cProfile
 import gc
+import pstats
 import random
 import sys
 import time
@@ -153,9 +165,50 @@ def layer_times(text: str, runs: bool) -> tuple[float, ...]:
 
 
 COLUMNS = ("lex", "parse", "resolve", "check", "check, gc off", "run")
+CALL_LAYERS = ("lex", "parse", "resolve", "check", "total")
+
+
+def calls(fn, *args):
+    """`fn(*args)`, and the number of calls `cProfile` counts in it."""
+    profile = cProfile.Profile()
+    result = profile.runcall(fn, *args)
+    return result, pstats.Stats(profile).total_calls
+
+
+def layer_calls(text: str) -> tuple[int, ...]:
+    """The calls counted in each layer of loading and checking `text`, each
+    run once on the output of the one before, and their sum."""
+    _, base = prelude()
+    tokens, lex = calls(tokenize, text)
+    file, parse = calls(lambda: Parser(tokens).parse_file())
+    (file, env), res = calls(resolve, file, base.clone())
+    diags, check = calls(lambda: Checker(env).check_file(file))
+    if diags:
+        raise SystemExit(f"unexpected diagnostics: {diags}")
+    return lex, parse, res, check, lex + parse + res + check
+
+
+def print_calls() -> None:
+    rows = [
+        (f"tree literal n={TREE_SIZES[0]}", tree_program(TREE_SIZES[0]), TREE_SIZES[0]),
+        (f"let chain n={CHAIN_SIZES[0]}", let_chain(CHAIN_SIZES[0]), CHAIN_SIZES[0]),
+        (f"let list n={LIST_SIZES[0]}", let_list(LIST_SIZES[0]), LIST_SIZES[0]),
+        (f"definitions n={DEFS_SIZES[0]}", many_defs(DEFS_SIZES[0]), DEFS_SIZES[0]),
+    ]
+    print(f"{'program':<22}" + "".join(f"{c:>10}" for c in CALL_LAYERS) + "   (calls per node)")
+    for name, text, n in rows:
+        counts = layer_calls(text)
+        print(f"{name:<22}" + "".join(f"{c / n:10.1f}" for c in counts), flush=True)
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--calls", action="store_true", help="print profiled calls per node instead of times"
+    )
+    if parser.parse_args().calls:
+        print_calls()
+        return
     rows = [(f"tree literal n={n}", tree_program(n), True) for n in TREE_SIZES]
     rows += [(f"let chain n={n}", let_chain(n), True) for n in CHAIN_SIZES]
     rows += [(f"let list n={n}", let_list(n), True) for n in LIST_SIZES]

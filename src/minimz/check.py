@@ -54,15 +54,18 @@ from .ast import (
     children,
     has_meta,
     node,
+    plain,
 )
 from .kinds import DataInfo, Env, domain_bars, domain_comps, kind_of
 from .perms import (
+    DUPLICABLE,
     Anchored,
     Atom,
     Handle,
     PermEnv,
     SubsumptionFailure,
     admit_atoms,
+    duplicability,
     normalize,
     split_branch,
     subst_type,
@@ -371,6 +374,14 @@ class Checker:
     # -- calls ---------------------------------------------------------------
 
     def _check_call(self, penv: PermEnv, e: ECall) -> str:
+        """Check the call `e`: its callee's function permission, instantiated
+        at explicit or fresh witnesses; its arguments, each met at its
+        component's type with the names of the components before it
+        renamed to their anchors; the domain's bars; and its result,
+        admitted at the codomain. What the domain does not consume is put
+        back. A plain call (`_plain_call`), of a monomorphic function on
+        duplicable arguments of its plain component types, meets its
+        arguments without taking any, so its result is admitted at once."""
         callee = self.check_expr(penv, e.callee, None)
         handle = self.sub.head_atom(penv, callee, _is_function)
         if handle is not None:
@@ -435,6 +446,8 @@ class Checker:
                 penv,
             )
         anchors = [self.check_expr(penv, arg, None) for arg in arg_exprs]
+        if not subst and self._plain_call(penv, fn_ty, comps, anchors):
+            return self._new_value(penv, fn_ty.codomain, "r")
 
         values: dict[str, str] = {}
         restores: list[tuple[str, Type]] = []
@@ -467,6 +480,36 @@ class Checker:
         self._default_unsolved(codomain, e.span, penv)
         codomain = self.sub.uni.resolve(codomain)
         return self._admit_result(penv, codomain, "r")
+
+    def _plain_call(
+        self, penv: PermEnv, fn_ty: TArrow, comps: Sequence[TupleComp], anchors: list[str]
+    ) -> bool:
+        """Is the call of the monomorphic `fn_ty` on `anchors` a plain one,
+        whose result the general path admits at the codomain with nothing
+        else done? It is when the domain has no bar, each component is
+        unnamed and has a plain `TApp` type, the codomain is a plain `TApp`,
+        and each argument's first atom has its component's type and is
+        duplicable. Each argument is then met as `Subsumer._held` meets it,
+        taking nothing out, so nothing is put back; no metavariable is
+        solved or left unsolved; and the codomain, with nothing to
+        substitute, is its own result."""
+        if fn_ty.domain.__class__ is TBar:
+            return False
+        cod = fn_ty.codomain
+        if cod.__class__ is not TApp or not plain(cod):
+            return False
+        env = self.env
+        for comp, anchor in zip(comps, anchors):
+            ty = comp.ty
+            if comp.name is not None or ty.__class__ is not TApp or not plain(ty):
+                return False
+            hits = penv.atoms_of(anchor)
+            if not hits:
+                return False
+            held = hits[0][1].ty
+            if not (held is ty or held == ty) or duplicability(ty, env) != DUPLICABLE:
+                return False
+        return True
 
     def _default_unsolved(self, ty: Type, span: Span, penv: PermEnv) -> None:
         """Unsolved PERM metavariables default to empty; unsolved TYPE

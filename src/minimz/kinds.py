@@ -450,7 +450,8 @@ class Resolver:
     def resolve_expr(self, e: Expr) -> Expr:
         """`e` resolved in the current scope. Only types change (a lambda's,
         a call's type arguments), so a node whose children all come back as
-        the same objects comes back itself."""
+        the same objects comes back itself. A construction or a tag update
+        is resolved by `resolve_record`, its fields in one loop."""
         cls = e.__class__  # the most frequent classes first
         if cls is EVar:
             if not self.has_value(e.name):
@@ -458,11 +459,8 @@ class Resolver:
             return e
         if cls is EInt or cls is EBool:
             return e
-        if cls is EConstruct:
-            _, branch = self.env.data_of_tag(e.tag, e.span)
-            _check_field_names(branch, e.fields, f"construction of {e.tag!r} must set", e.span)
-            fields = self.resolve_fields(e.fields)
-            return e if fields is e.fields else replace(e, fields=fields)
+        if cls is EConstruct or cls is ETagUpdate:
+            return self.resolve_record(e)
         if cls is ECall:
             callee = self.resolve_expr(e.callee)
             arg = self.resolve_expr(e.arg)
@@ -528,13 +526,6 @@ class Resolver:
             obj = self.resolve_expr(e.obj)
             value = self.resolve_expr(e.value)
             return e if obj is e.obj and value is e.value else replace(e, obj=obj, value=value)
-        if cls is ETagUpdate:
-            self.env.data_of_tag(e.tag, e.span)
-            obj = self.resolve_expr(e.obj)
-            fields = self.resolve_fields(e.fields)
-            if obj is e.obj and fields is e.fields:
-                return e
-            return replace(e, obj=obj, fields=fields)
         if cls is ELambda:
             mark = self.values.mark()
             domain = self.resolve_domain(e.domain)
@@ -546,15 +537,51 @@ class Resolver:
             return replace(e, domain=domain, codomain=codomain, body=body)
         raise TypeError(f"unknown expression {e!r}")
 
-    def resolve_fields(
-        self, fields: tuple[tuple[str, Expr], ...]
-    ) -> tuple[tuple[str, Expr], ...]:
-        """The field list with each value resolved: `fields` itself when
-        every value comes back as the same object."""
-        values = [self.resolve_expr(v) for _, v in fields]
-        if all(new is old for new, (_, old) in zip(values, fields)):
-            return fields
-        return tuple((n, v) for (n, _), v in zip(fields, values))
+    def resolve_record(self, e: EConstruct | ETagUpdate) -> Expr:
+        """A construction or a tag update resolved: its tag looked up, a
+        tag update's object, then its fields in one loop. A construction
+        sets exactly its branch's fields, in order: each name is compared
+        as its value is reached, and an error in the names comes before any
+        error in the values, as if they were all compared first. A name or
+        an integer as a value, the common case, is resolved without a call.
+        A node whose parts all come back as the same objects comes back
+        itself."""
+        _, branch = self.env.data_of_tag(e.tag, e.span)
+        construct = e.__class__ is EConstruct
+        obj = None if construct else self.resolve_expr(e.obj)
+        declared = branch.fields
+        fields = e.fields
+        names_ok = not construct or len(fields) == len(declared)
+        resolved: list[Expr] | None = None  # the values, once one has changed
+        try:
+            for i, (fname, value) in enumerate(fields):
+                if construct and (not names_ok or fname != declared[i][0]):
+                    names_ok = False
+                    break
+                vcls = value.__class__
+                if vcls is EVar:
+                    name = value.name
+                    if name not in self.values and name not in self.sigs:
+                        raise ResolveError("E-UNBOUND", f"unbound value name {name!r}", value.span)
+                elif vcls is not EInt:
+                    new = self.resolve_expr(value)
+                    if new is not value:
+                        if resolved is None:
+                            resolved = [v for _, v in fields]
+                        resolved[i] = new
+        except ResolveError:
+            if construct:
+                _check_field_names(branch, fields, f"construction of {e.tag!r} must set", e.span)
+            raise
+        if not names_ok:
+            _check_field_names(branch, fields, f"construction of {e.tag!r} must set", e.span)
+        if resolved is not None:
+            fields = tuple((fname, v) for (fname, _), v in zip(fields, resolved))
+        if construct:
+            return e if resolved is None else replace(e, fields=fields)
+        if obj is e.obj and resolved is None:
+            return e
+        return replace(e, obj=obj, fields=fields)
 
     def bind_pattern(self, p: Pattern, seen: set[str]) -> None:
         """Bring the names `p` binds into scope, none of them twice."""

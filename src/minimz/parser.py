@@ -205,9 +205,12 @@ class Parser:
         """A tag and its optional braced field list `Tag { f <sep> v; ... }`.
 
         `parse_value` reads each field's value after `sep`, or reads `sep`
-        itself when `sep` is None. Only a list read `with_bar` may end in a
-        bar `| p`. Returns the tag, the fields, the bar (None when there is
-        none) and the span from the tag to the closing brace.
+        itself when `sep` is None: a type of a branch or of a concrete type,
+        a pattern of a branch pattern, or an expression of a construction
+        or a tag update (`parse_field_value`, which reads a field's first
+        atom in place). Only a list read `with_bar` may end in a bar `| p`.
+        Returns the tag, the fields, the bar (None when there is none) and
+        the span from the tag to the closing brace.
         """
         if self.kind != "UIDENT":
             raise self.error("expected UIDENT")
@@ -493,16 +496,18 @@ class Parser:
                 break
         return EMatch(scrutinee, tuple(branches), self.span_to(start, branches[-1][1].span))
 
-    def parse_assign(self) -> Expr:
+    def parse_assign(self, head: Expr | None = None) -> Expr:
+        """An assignment `e.f <- v`, a tag update or an application. `head`,
+        when given, is its first atom, already read."""
         start = self.pos
-        if self.text == "tag" and self.texts[start + 1] == "of":
+        if head is None and self.text == "tag" and self.texts[start + 1] == "of":
             self.next()
             self.next()
             obj = self.parse_postfix()
             self.expect("<-")
-            tag, fields, _, span = self.parse_tagged("=", self.parse_assign)
+            tag, fields, _, span = self.parse_tagged("=", self.parse_field_value)
             return ETagUpdate(obj, tag, fields, self.span_to(start, span))
-        e = self.parse_app_expr()
+        e = self.parse_app_expr(head)
         if self.text == "<-":
             arrow = self.next()
             if not isinstance(e, EField):
@@ -511,8 +516,44 @@ class Parser:
             return EAssign(e.obj, e.name, value, e.span.merge(value.span))
         return e
 
-    def parse_app_expr(self) -> Expr:
-        head = self.parse_postfix()
+    def parse_field_value(self) -> Expr:
+        """The value of a field of a construction or a tag update, as
+        `parse_assign` reads it. A first atom that is a name, an integer or
+        a construction is read here, into the node `parse_postfix` makes of
+        it, without the calls down to `parse_postfix`. A `;` or a `}` after
+        it, as after most values, ends the value; anything else goes on as
+        `parse_assign` goes on after its first atom. A construction nested
+        in a field so takes two frames of the stack a level."""
+        kind = self.kind
+        i = self.pos
+        after = self.texts[i + 1]
+        if kind == "UIDENT" and after == "{":
+            tag, fields, _, span = self.parse_tagged("=", self.parse_field_value)
+            e: Expr = EConstruct(tag, fields, span)
+        elif kind == "INT" or kind == "UIDENT" or (
+            kind == "LIDENT" and not (self.text == "tag" and after == "of")
+        ):
+            text = self.text
+            span = Span(self.starts[i], len(text))
+            self.pos = i = i + 1
+            self.kind = self.kinds[i]
+            self.text = after
+            if kind == "LIDENT":
+                e = EVar(text, span)
+            elif kind == "INT":
+                e = _int_literal(text, span)
+            else:  # a tag without fields
+                e = EConstruct(text, (), span)
+        else:
+            return self.parse_assign()
+        if self.text == ";" or self.text == "}":
+            return e
+        return self.parse_assign(e)
+
+    def parse_app_expr(self, head: Expr | None = None) -> Expr:
+        """An application `f [types] a b`, or one atom and its fields.
+        `head`, when given, is its first atom, already read."""
+        head = self.parse_postfix(head)
         type_args: tuple[Type, ...] | None = None
         if self.text == "[":
             self.next()
@@ -533,39 +574,45 @@ class Parser:
             raise ParseError("type application must be followed by an argument", head.span)
         return result
 
-    def parse_postfix(self) -> Expr:
-        """An atom and the fields read from it: `a.f.g`."""
-        kind = self.kind
-        text = self.text
-        if kind == "LIDENT" or kind == "INT" or text == "true" or text == "false":
-            i = self.pos
-            span = Span(self.starts[i], len(text))
-            self.pos = i = i + 1
-            self.kind = self.kinds[i]
-            self.text = self.texts[i]
-            if kind == "LIDENT":
-                e = EVar(text, span)
-            elif kind == "INT":
-                value = int(text)
-                if value > _INT_MAX:
-                    message = f"integer literal {text} exceeds {_INT_MAX}, the largest int"
-                    raise ParseError(message, span)
-                e = EInt(value, span)
+    def parse_postfix(self, e: Expr | None = None) -> Expr:
+        """An atom and the fields read from it: `a.f.g`. `e`, when given, is
+        the atom, already read."""
+        if e is None:
+            kind = self.kind
+            text = self.text
+            if kind == "LIDENT" or kind == "INT" or text == "true" or text == "false":
+                i = self.pos
+                span = Span(self.starts[i], len(text))
+                self.pos = i = i + 1
+                self.kind = self.kinds[i]
+                self.text = self.texts[i]
+                if kind == "LIDENT":
+                    e = EVar(text, span)
+                elif kind == "INT":
+                    e = _int_literal(text, span)
+                else:
+                    e = EBool(text == "true", span)
+            elif kind == "UIDENT":
+                tag, fields, _, span = self.parse_tagged("=", self.parse_field_value)
+                e = EConstruct(tag, fields, span)
+            elif text == "(":
+                items, span = self.parse_paren_list(self.parse_expr)
+                e = items[0] if len(items) == 1 else ETuple(tuple(items), span)
             else:
-                e = EBool(text == "true", span)
-        elif kind == "UIDENT":
-            tag, fields, _, span = self.parse_tagged("=", self.parse_assign)
-            e = EConstruct(tag, fields, span)
-        elif text == "(":
-            items, span = self.parse_paren_list(self.parse_expr)
-            e = items[0] if len(items) == 1 else ETuple(tuple(items), span)
-        else:
-            raise self.error("expected an expression")
+                raise self.error("expected an expression")
         while self.text == ".":
             self.next()
             i = self.pos
             e = EField(e, self.expect_name(), e.span.merge(self.span(i)))
         return e
+
+
+def _int_literal(text: str, span: Span) -> EInt:
+    """The integer literal `text`, read at `span`: at most `_INT_MAX`."""
+    value = int(text)
+    if value > _INT_MAX:
+        raise ParseError(f"integer literal {text} exceeds {_INT_MAX}, the largest int", span)
+    return EInt(value, span)
 
 
 def parse_file(text: str, path: str = "<input>") -> SourceFile:

@@ -14,9 +14,10 @@ level (below) is open, else it is empty. Any other goal is met by the
 first of these that applies:
 
 0. a *held* goal, `x @ T` for a `TApp` `T` that binds no name and holds
-   no metavariable, where the first atom of `x` has type `T`: that atom.
-   This is rule 1's answer, found without setting up a search
-   (`Subsumer._held`); `Subsumer.subsume` tries it before the search;
+   no metavariable, or for a type variable `T`, where the first atom of
+   `x` has type `T`: that atom. This is rule 1's answer, found without
+   setting up a search (`Subsumer._held`); `Subsumer.subsume` tries it
+   before the search;
 1. exact match: a held atom of the anchor, then its global permission;
 2. alias expansion of the goal;
 3. opening a held atom of the anchor (alias, existential, bar, tuple);
@@ -26,7 +27,14 @@ first of these that applies:
    then the goal again.
 
 `x @ D args` for a data type `D`, where `x` holds only structural atoms
-and no global permission, goes straight to 4 and 5.
+and no global permission, goes straight to 4 and 5. When `D` is mutable,
+the first fold is first walked directly (`Subsumer._fold_direct`), with no
+level: the atom is taken out and its fields' goals are met by rule 0, by
+such a fold again, or, at a metavariable, by the first atom. This is the
+answer the search gives when each of those goals is met by its first
+step, as a literal's are; a walk that reaches any other goal undoes what
+it did, and the search takes the goal from the start. A search walks so
+until one walk fails, so a failure costs at most one walk.
 
 A pick or a fold opens a *level*, a choice point over every atom it may
 take in `atoms_of` order: the walk of `Subsumer._next_head` finds a pick's,
@@ -544,6 +552,7 @@ class Subsumer:
         types = self.env.types
         choices: _Level | None = None
         stack: tuple | None = (goal, None)
+        walk = True  # until a direct fold fails, at most once a search
         while True:
             try:
                 while stack is not None:
@@ -595,10 +604,8 @@ class Subsumer:
                         item = Anchored(anchor, ty)
                         rest = self._pick(item, penv)
                     elif tcls is TMeta:
-                        hits = penv.atoms_of(anchor)
-                        if not hits or not self.uni.bind(ty.name, hits[0][1].ty):
+                        if not self._take_first(penv, anchor, ty):
                             raise SubsumptionFailure(item, str(penv))
-                        self._extract(penv, hits[0][0], hits[0][1].ty)
                     elif tcls is TBar:
                         stack = (Anchored(anchor, ty.carrier), (ty.perm, stack))
                     elif tcls is TExists:
@@ -613,23 +620,12 @@ class Subsumer:
                         hits = penv.atoms_of(anchor)
                         if self._held(penv, hits, ty):
                             continue
-                        # The structural atoms that may fold into the data
-                        # type `ty`; only a fold or a split can meet the goal
-                        # when `anchor` holds no other atom and no global
-                        # permission, as a data type does not unify with a
-                        # tag, and a tag opens no further.
-                        folds = []
-                        only_folds = False
-                        if tcls is TApp and (info := types.get(ty.head)).__class__ is DataInfo:
-                            only_folds = penv.global_type(anchor) is None
-                            branches = info.branches
-                            for handle, atom in hits:
-                                aty = atom.ty
-                                if aty.__class__ is not TConcrete:
-                                    only_folds = False
-                                elif aty.tag in branches:
-                                    folds.append((handle, aty))
+                        folds, only_folds = self._folds(penv, anchor, ty, hits)
                         if only_folds:
+                            if walk and folds and types[ty.head].mutable:
+                                if self._fold_direct(penv, anchor, ty):
+                                    continue
+                                walk = False
                             rest = self._fold(item, ty, penv, folds)
                         elif self._find_exact(penv, hits, anchor, ty):
                             pass
@@ -750,17 +746,109 @@ class Subsumer:
         failure = yield start, [goal]
         raise failure
 
+    def _folds(
+        self, penv: PermEnv, anchor: str, ty: Type, hits: list[tuple[Handle, Anchored]]
+    ) -> tuple[list[tuple[Handle, TConcrete]], bool]:
+        """The structural atoms among `hits`, the atoms of `anchor`, that
+        may fold into `ty`, with their handles, in order; and whether only a
+        fold or a split can meet `anchor @ ty`. They can when `ty` is a data
+        type and `anchor` holds no other atom and no global permission, as
+        a data type does not unify with a tag, and a tag opens no further."""
+        folds: list[tuple[Handle, TConcrete]] = []
+        info = self.env.types.get(ty.head) if ty.__class__ is TApp else None
+        if info.__class__ is not DataInfo:
+            return folds, False
+        only_folds = penv.global_type(anchor) is None
+        branches = info.branches
+        for handle, atom in hits:
+            aty = atom.ty
+            if aty.__class__ is not TConcrete:
+                only_folds = False
+            elif aty.tag in branches:
+                folds.append((handle, aty))
+        return folds, only_folds
+
+    def _fold_direct(self, penv: PermEnv, anchor: str, ty: TApp) -> bool:
+        """Meet `anchor @ ty`, for a mutable data type `ty` that only a fold
+        or a split can meet, by a walk of the first steps the search tries
+        (`_direct_step`): its first fold, each goal of that fold's fields
+        in turn, at its type as it then stands, and so on down. The search
+        takes these steps in this order, and the cut of a level whose goals
+        are all met keeps what they did, so the search ends where the walk
+        ends; but the walk opens no level, builds no generator and enters
+        nothing in the guard. It is all or nothing: at a goal whose first
+        step it does not take, it undoes the environment and the bindings
+        to their marks and is False, and the search takes the goal from
+        the start. No step of the walk draws a fresh name."""
+        bindings = self.uni.bindings
+        mark, env_mark = bindings.mark(), penv.mark()
+        goals: list[tuple[str, Type]] = [(anchor, ty)]  # the goals left, the next one last
+        while goals:
+            if not self._direct_step(penv, goals, *goals.pop()):
+                bindings.undo_to(mark)
+                penv.undo_to(env_mark)
+                return False
+        return True
+
+    def _direct_step(self, penv: PermEnv, goals: list, anchor: str, ty: Type) -> bool:
+        """Meet the goal `anchor @ ty` of a walk of `_fold_direct` by the
+        first step the search tries for it, if it is one of these:
+
+        - an unsolved metavariable: the first atom (`_take_first`);
+        - a held goal (`_held`);
+        - a mutable data type that only a fold or a split can meet, when
+          each field of the first fold's atom is a singleton and its branch
+          has no bar: that atom is taken out, as `_fold` takes an affine
+          one (a bar of the atom's own goes with it), and the goals of its
+          fields, at the branch's field types, go on `goals`.
+
+        False when the first step is another, and the walk ends."""
+        ty = self.uni.resolve(ty)
+        if ty.__class__ is TMeta:
+            return self._take_first(penv, anchor, ty)
+        hits = penv.atoms_of(anchor)
+        if self._held(penv, hits, ty):
+            return True
+        if ty.__class__ is not TApp:
+            return False
+        folds, only_folds = self._folds(penv, anchor, ty, hits)
+        if not (only_folds and folds and self.env.types[ty.head].mutable):
+            return False
+        handle, sty = folds[0]
+        branch = branch_instance(self.env, ty, sty.tag)
+        if branch.bar is not None:
+            return False
+        # the resolver gives a concrete type its branch's fields, in order
+        for (_, declared), (_, actual) in zip(reversed(branch.fields), reversed(sty.fields)):
+            if actual.__class__ is not TSingleton:
+                return False
+            goals.append((actual.name, declared))
+        penv.remove(handle)
+        return True
+
+    def _take_first(self, penv: PermEnv, anchor: str, meta: TMeta) -> bool:
+        """Meet `anchor @ meta`, for an unsolved metavariable `meta`: solve
+        it with the type of the first atom of `anchor` and extract that
+        atom. False, with nothing done, when there is no such atom or the
+        type holds `meta`."""
+        hits = penv.atoms_of(anchor)
+        if not hits or not self.uni.bind(meta.name, hits[0][1].ty):
+            return False
+        self._extract(penv, hits[0][0], hits[0][1].ty)
+        return True
+
     def _held(self, penv: PermEnv, hits: list[tuple[Handle, Anchored]], ty: Type) -> bool:
         """Meet the goal `x @ ty` in `penv`, where `hits` are the atoms of
         `x`, if the goal is *held*: `ty` is a `TApp` that binds no name and
-        holds no metavariable (`plain`), and the first of `hits` has type
-        `ty`. The search meets such a goal so: that atom is no tag, so the
-        goal is not a fold's alone, and `_find_exact` unifies it with `ty`
-        at once, binding nothing and drawing no name."""
-        if ty.__class__ is TApp and hits:
+        holds no metavariable (`plain`), or a type variable, and the first
+        of `hits` has type `ty`. The search meets such a goal so: that atom
+        is no tag, so the goal is not a fold's alone, and `_find_exact`
+        unifies it with `ty` at once, binding nothing and drawing no name."""
+        cls = ty.__class__
+        if (cls is TApp or cls is TVar) and hits:
             handle, atom = hits[0]
             aty = atom.ty
-            if (aty is ty or (aty.__class__ is TApp and aty == ty)) and plain(ty):
+            if (aty is ty or (aty.__class__ is cls and aty == ty)) and plain(ty):
                 self._extract(penv, handle, aty)
                 return True
         return False

@@ -904,3 +904,34 @@ def test_a_tag_update_keeps_the_fields_it_does_not_give():
     assert [(d.code, d.message) for d in check_text(gone, "t")[2]] == [
         ("E-SUBSUME", "no field 'y' on B")
     ]
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "val f: (a: ref int) -> (=a)\nval f (b) = b",
+        "val g: (a: int, c: list (=a)) -> list (=a)\nval g (b, d) = d",
+        "val h: (a: ref int | a @ ref int) -> (=a)\nval h (b) = b",
+    ],
+    ids=["codomain", "later component", "bar"],
+)
+def test_a_domain_component_is_named_apart_from_its_parameter(src):
+    # the component's name stands for the parameter's anchor in what it
+    # scopes over, whatever name the definition gives the parameter
+    assert check_text(src, "t")[2] == []
+
+
+def test_a_call_with_named_components_renames_them_to_its_arguments():
+    # `k`'s components are named, so the call takes the general path: `y`'s
+    # type names `x`, which is `p` at this call
+    src = (
+        "val k: (x: int, y: list (=x)) -> int\nval k (a, b) = a\n"
+        "val main: (p: int, q: int, l: list (=q)) -> int\nval main (p, q, l) = k (p, l)"
+    )
+    (diag,) = check_text(src, "t")[2]
+    assert (diag.code, src[diag.span.start :][: diag.span.length], diag.message) == (
+        "E-SUBSUME",
+        "k (p, l)",
+        "permission not available: l @ list (=p)",
+    )
+    assert diag.perm_snapshot == "p @ int * q @ int * l @ list (=q)"

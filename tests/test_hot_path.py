@@ -108,6 +108,24 @@ def test_checking_raises_no_exception_on_the_hot_path():
     assert bad == {}
 
 
+def let_list(n: int) -> str:
+    """`main` returns a list of n cells, one `let` per cell: a list is
+    immutable, so each cell is folded by a level of the search."""
+    lines = ["val main: () -> list int", "val main () =", "  let l0 = Nil in"]
+    lines += [f"  let l{i} = Cons {{ head = {i}; tail = l{i - 1} }} in" for i in range(1, n + 1)]
+    return "\n".join([*lines, f"  l{n}", ""])
+
+
+def test_a_tree_literal_is_folded_without_a_level():
+    # A mutable tree literal has one way forward at each node, which
+    # `Subsumer._fold_direct` walks: no `_fold` generator is left for a
+    # `GeneratorExit` to close. A list's cells still take the search's
+    # levels, which shows that the trace sees such an exit.
+    closed = ("Subsumer._fold", "GeneratorExit")
+    assert raised_while_checking([tree_program(random.Random(2), 300)])[closed] == 0
+    assert raised_while_checking([let_list(3)])[closed] > 0
+
+
 def test_the_guard_knows_a_function_by_its_qualified_name():
     assert forbidden("Subsumer.head_atom", "GeneratorExit")
     assert forbidden("duplicability.<locals>.<genexpr>", "GeneratorExit")

@@ -1,8 +1,10 @@
 import pytest
 
 from minimz.ast import KIND_PERM, KIND_TYPE, Scope, TApp, TVar
-from minimz.driver import load_text, prelude
+from minimz.driver import check_text, load_text, prelude
 from minimz.kinds import AliasInfo, DataInfo, ResolveError, Resolver, kind_of
+from minimz.lexer import line_col
+from minimz.parser import ParseError
 
 TREE = """
 data mutable tree a =
@@ -186,3 +188,116 @@ def test_a_permission_cannot_be_quantified(src):
         load_text(src, "t")
     assert (exc.value.code, exc.value.message) == ("E-KIND", "a permission cannot be quantified")
     assert src[exc.value.span.start :].startswith(("[a]", "{a}"))
+
+
+# A definition whose body is a construction, each of whose fields the
+# resolver compares with the branch's and whose values it resolves, and the
+# parser reads a lone atom of in place.
+BUILD = TREE + "\nval f: (x: int) -> tree int\nval f (x) =\n  "
+
+
+def first_error(src: str) -> tuple[str, str, str, str]:
+    """The first error of loading, then checking, `src`: its code (`parse`
+    for a `ParseError`), the `line:col` where its span starts, the text
+    its span covers, and its message."""
+    try:
+        _, _, diags = check_text(src, "t")
+    except ResolveError as exc:
+        code, span, message = exc.code, exc.span, exc.message
+    except ParseError as exc:
+        code, span, message = "parse", exc.span, exc.message
+    else:
+        code, span, message = diags[0].code, diags[0].span, diags[0].message
+    line, col = line_col(src, span.start)
+    return code, f"{line}:{col}", src[span.start : span.start + span.length], message
+
+
+NODE = "Node { left = Leaf; elem = x; right = Leaf }"
+MUST_SET = "construction of 'Node' must set exactly ['left', 'elem', 'right'], got "
+
+
+@pytest.mark.parametrize(
+    "src, code, where, spanned, message",
+    [
+        (
+            "val f: int\n\nval f (x) = x",
+            "E-KIND", "3:1", "val f (x) = x",
+            "signature of 'f' is not a function type",
+        ),
+        (
+            "val g: (int, int) -> int\n\nval g (x) = x",
+            "E-ARITY", "3:1", "val g (x) = x",
+            "'g' signature expects 2 parameter(s), definition has 1",
+        ),
+        (
+            BUILD + "Node { elem = x; left = Leaf; right = Leaf }",
+            "E-MATCH", "8:3", "Node { elem = x; left = Leaf; right = Leaf }",
+            MUST_SET + "['elem', 'left', 'right']",
+        ),
+        (
+            BUILD + "Node { left = Leaf; elem = x }",
+            "E-MATCH", "8:3", "Node { left = Leaf; elem = x }",
+            MUST_SET + "['left', 'elem']",
+        ),
+        (
+            BUILD + "Node { left = Leaf; elem = x; right = Leaf; extra = x }",
+            "E-MATCH", "8:3", "Node { left = Leaf; elem = x; right = Leaf; extra = x }",
+            MUST_SET + "['left', 'elem', 'right', 'extra']",
+        ),
+        (
+            BUILD + "Node { left = Leaf; elem = zz; right = Leaf }",
+            "E-UNBOUND", "8:30", "zz", "unbound value name 'zz'",
+        ),
+        (
+            BUILD + "Node { left = Leaf; elem = 9223372036854775808; right = Leaf }",
+            "parse", "8:30", "9223372036854775808",
+            "integer literal 9223372036854775808 exceeds 9223372036854775807, the largest int",
+        ),
+        # a name mismatch of a construction wins over an error in its values
+        (
+            BUILD + "Node { left = Node { left = Leaf; elem = zz; right = Leaf }; elem = x; rigth = Leaf }",
+            "E-MATCH", "8:3",
+            "Node { left = Node { left = Leaf; elem = zz; right = Leaf }; elem = x; rigth = Leaf }",
+            MUST_SET + "['left', 'elem', 'rigth']",
+        ),
+        (
+            BUILD + "Node { left = Leaf; elem = zz; rigth = Leaf }",
+            "E-MATCH", "8:3", "Node { left = Leaf; elem = zz; rigth = Leaf }",
+            MUST_SET + "['left', 'elem', 'rigth']",
+        ),
+        # a field value that goes on after its first atom
+        (
+            BUILD + "Node { left = Leaf; elem = x zz; right = Leaf }",
+            "E-UNBOUND", "8:32", "zz", "unbound value name 'zz'",
+        ),
+        (
+            BUILD + "Node { left = Leaf; elem = x 1; right = Leaf }",
+            "E-SUBSUME", "8:30", "x 1", "callee has no function permission",
+        ),
+        (
+            BUILD + "Node { left = Leaf; elem = x.elem; right = Leaf }",
+            "E-SUBSUME", "8:30", "x.elem", "no structural permission for field access",
+        ),
+        (
+            BUILD + "Node { left = Leaf; elem = x <- 1; right = Leaf }",
+            "parse", "8:32", "<-", "left side of '<-' must be a field access",
+        ),
+        (
+            BUILD + "Node { left = Leaf; elem = x.elem <- zz; right = Leaf }",
+            "E-UNBOUND", "8:40", "zz", "unbound value name 'zz'",
+        ),
+        (
+            BUILD + "let t = " + NODE + " in tag of t <- Node { elem = zz }; t",
+            "E-UNBOUND", "8:85", "zz", "unbound value name 'zz'",
+        ),
+    ],
+    ids=[
+        "signature not a function", "signature arity", "fields out of order",
+        "missing field", "extra field", "unbound field value", "over-large field value",
+        "outer names before inner values", "names before values", "application",
+        "application of a value", "field read", "assignment to a name", "assignment",
+        "tag update value",
+    ],
+)
+def test_a_front_end_diagnostic(src, code, where, spanned, message):
+    assert first_error(src) == (code, where, spanned, message)

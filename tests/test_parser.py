@@ -1,5 +1,6 @@
 import pytest
 from conftest import parse_expr, parse_type
+from test_span_pins import walk
 
 from minimz.ast import (
     DAlias,
@@ -13,8 +14,9 @@ from minimz.ast import (
     TTuple,
 )
 from minimz.kinds import ResolveError
-from minimz.parser import ParseError, parse_file
-from minimz.driver import load_text
+from minimz.lexer import tokenize
+from minimz.parser import ParseError, Parser, parse_file
+from minimz.driver import check_text, load_text
 
 WAND_SOURCE = """
 alias wand (pre: perm) (post: perm) =
@@ -136,3 +138,40 @@ def test_spans_are_not_structural():
     a = parse_file("val  size:  [a] tree a -> int")
     b = parse_file("val size: [a] tree a -> int")
     assert a == b
+
+
+FIELD_VALUES = [
+    "x", "42", "Leaf", "true", "tag", "x y", "f x 1", "x.f", "x.f.g", "Leaf.f", "x.f <- y",
+    "x <- 1", "Node { a = 1 }", "(x)", "(x, y)", "tag of x <- Leaf", "f [int] y", "x [int]",
+    "9223372036854775808", "9223372036854775807", "let", "", "(",
+]
+
+
+@pytest.mark.parametrize("follow", [";", "}", " in", ""])
+@pytest.mark.parametrize("value", FIELD_VALUES)
+def test_a_field_value_is_read_as_parse_assign_reads_it(value, follow):
+    # the node, the spans of it and its parts, and the position after it;
+    # or the error, with its span
+    def read(method: str):
+        parser = Parser(tokenize(value + follow))
+        try:
+            node = getattr(parser, method)()
+        except ParseError as exc:
+            return exc.message, exc.span
+        spans: list[str] = []
+        walk(node, spans)
+        return node, spans, parser.pos
+
+    assert read("parse_field_value") == read("parse_assign")
+
+
+def test_a_construction_nested_in_fields_costs_two_frames_a_level():
+    # `parse_field_value` reads a construction in a field without the calls
+    # down to `parse_postfix`, so 350 levels load and check under the
+    # default recursion limit; at four frames a level they would not
+    lib = "data mutable mlist a = MNil | MCons { head: a; tail: mlist a }\n"
+    literal = "MNil"
+    for i in range(350):
+        literal = f"MCons {{ head = {i}; tail = {literal} }}"
+    src = lib + f"val main: () -> mlist int\nval main () = {literal}\n"
+    assert check_text(src, "t")[2] == []
