@@ -449,13 +449,14 @@ def plain(t: Type) -> bool:
     `TForall`, a `TExists` or a named tuple component. `Subsumer.unify` of
     a plain type against an equal one binds nothing and draws no fresh
     name. Kept in the `_plain` slot, and read as `has_meta` reads its
-    own."""
+    own. A tuple's names are tested over a list: `any` over a generator
+    that stops early leaves it for a `GeneratorExit` to close."""
     found = getattr(t, "_plain", None)
     if found is None:
         cls = t.__class__
         if cls is TForall or cls is TExists:
             found = False
-        elif cls is TTuple and any(c.name is not None for c in t.comps):
+        elif cls is TTuple and any([c.name is not None for c in t.comps]):
             found = False
         else:
             found = all(map(plain, children(t)))

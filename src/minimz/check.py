@@ -566,7 +566,7 @@ class Checker:
         info = self.env.types[ty.head]
         assert isinstance(info, DataInfo)
         (branch,) = info.branches.values()
-        names = (self.sub.uni.fresh_name(fname) for fname, _ in branch.fields)
+        names = [self.sub.uni.fresh_name(fname) for fname, _ in branch.fields]
         penv.replace(handle, *split_branch(self.env, atom.anchor, ty, branch.tag, names))
         return True
 

@@ -558,9 +558,7 @@ class PermEnv:
         holding explains the miss."""
         if isinstance(goal, Anchored):
             env = self._env
-            return any(
-                duplicability(a.ty, env) == AFFINE for _, a in self.atoms_of(goal.anchor)
-            )
+            return AFFINE in [duplicability(a.ty, env) for _, a in self.atoms_of(goal.anchor)]
         if isinstance(goal, PermVar):
             return self.perm_var(goal.name) is not None
         return False

@@ -27,14 +27,7 @@ first of these that applies:
    then the goal again.
 
 `x @ D args` for a data type `D`, where `x` holds only structural atoms
-and no global permission, goes straight to 4 and 5. When `D` is mutable,
-the first fold is first walked directly (`Subsumer._fold_direct`), with no
-level: the atom is taken out and its fields' goals are met by rule 0, by
-such a fold again, or, at a metavariable, by the first atom. This is the
-answer the search gives when each of those goals is met by its first
-step, as a literal's are; a walk that reaches any other goal undoes what
-it did, and the search takes the goal from the start. A search walks so
-until one walk fails, so a failure costs at most one walk.
+and no global permission, goes straight to 4 and 5.
 
 A pick or a fold opens a *level*, a choice point over every atom it may
 take in `atoms_of` order: the walk of `Subsumer._next_head` finds a pick's,
@@ -50,6 +43,16 @@ A level with no atom left fails in turn: a pick with its first atom's
 failure, a fold with its own goal, or after its split with the split
 search's failure.
 
+A fold of a mutable data type whose first atom a fold can take opens a
+*walk's level* (`Subsumer._walk`): that fold, then the goal searched again
+without walking. While it is the newest level, such a fold of another goal
+takes its atom and pushes its goals with no level of its own, so a literal
+is met in one level; a fold under a newer level opens its own, for a
+back-off to that level to find its other atoms. A failure that backs off
+to a walk's level gives back the fresh names drawn since it opened. The
+search is deterministic, so either way the goal ends as a search without
+walks ends it, but for the handles a retried walk spent.
+
 The search ends without a bound on its nesting. Aliases are acyclic
 (`kinds.check_alias_cycles`); an open removes one packed layer; a bar, an
 existential, a pick's components and fields shrink the goal's type; a fold
@@ -62,7 +65,6 @@ folded and the anchors being split.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Generator
 from typing import NamedTuple
 
@@ -121,9 +123,12 @@ class _Level:
     """An open level of the search: its goal, the goals after its own, the
     level open before it, its atoms left, the marks of the bindings and of
     the guard when it opened, and the mark of the environment before the
-    atom it took was taken."""
+    atom it took was taken. `walk` is True at a walk's level while it takes
+    its first fold; None where walking is off, at a walk's level that
+    searches its goal again and at every level opened inside one; else
+    False."""
 
-    __slots__ = ("goal", "after", "older", "rest", "mark", "guard_mark", "env_mark")
+    __slots__ = ("goal", "after", "older", "rest", "mark", "guard_mark", "env_mark", "walk")
 
     def __init__(
         self,
@@ -141,6 +146,7 @@ class _Level:
         self.mark = mark
         self.guard_mark = guard_mark
         self.env_mark: int | None = None
+        self.walk = None if older is not None and older.walk is None else False
 
 
 class _Field(NamedTuple):
@@ -158,17 +164,22 @@ class Unifier:
     `undo_to`. One counter numbers the fresh names `base$k` and the
     metavariables `base%k`, so the names a definition's check draws depend
     on that definition alone; `$` and `%` are not lexable, so they never
-    collide with user-written identifiers."""
+    collide with user-written identifiers. The counter goes back only when
+    a walk's level searches its goal again (`Subsumer._walk`)."""
 
     def __init__(self) -> None:
         self.bindings = Scope()
-        self._counter = itertools.count()
+        self._counter = 0
 
     def fresh_name(self, base: str) -> str:
-        return f"{base}${next(self._counter)}"
+        n = self._counter
+        self._counter = n + 1
+        return f"{base}${n}"
 
     def fresh(self, base: str, kind=KIND_TYPE) -> TMeta:
-        return TMeta(f"{base}%{next(self._counter)}", kind)
+        n = self._counter
+        self._counter = n + 1
+        return TMeta(f"{base}%{n}", kind)
 
     def shallow(self, t: Type) -> Type:
         while isinstance(t, TMeta) and t.name in self.bindings:
@@ -394,12 +405,13 @@ class Subsumer:
     # ------------------------------------------------------------------
 
     def open_atom(self, penv: PermEnv, handle: Handle) -> bool:
-        """Expose one more layer of the atom `handle`: expand an alias, open
-        an existential (skolemizing its binders), split off a bar permission,
-        or decompose a tuple type into a structural tuple plus components.
-        False when the atom is already in head form."""
+        """Expose one more layer of the anchored atom `handle`, one of
+        `atoms_of`: expand an alias, open an existential (skolemizing its
+        binders), split off a bar permission, or decompose a tuple type into
+        a structural tuple plus components. False when the atom is already
+        in head form."""
         atom = penv.atom(handle)
-        if not isinstance(atom, Anchored) or atom.ty.__class__ is TConcrete:
+        if atom.ty.__class__ is TConcrete:
             return False
         ty = self.uni.resolve(atom.ty)
         if is_alias(self.env, ty):
@@ -543,16 +555,16 @@ class Subsumer:
     def subsume_atom(self, penv: PermEnv, goal: Atom, defer: list[Atom] | None = None) -> None:
         """Meet `goal` in `penv`, appending deferred goals to `defer`. `stack`
         holds the goals left, as a linked tuple, and `choices` the open
-        levels, newest first. A goal of a level that fails raises its
+        levels, newest first. An anchored goal that the search makes itself
+        is a pair `(anchor, type)`, made an `Anchored` atom only for a level
+        or a failure to keep. A goal of a level that fails raises its
         failure without a snapshot: `_back_off` takes it once it has undone
         the environment to the level's."""
         bindings = self.uni.bindings
         resolve = self.uni.resolve
         guard = self.guard
-        types = self.env.types
         choices: _Level | None = None
         stack: tuple | None = (goal, None)
-        walk = True  # until a direct fold fails, at most once a search
         while True:
             try:
                 while stack is not None:
@@ -568,12 +580,16 @@ class Subsumer:
                         fty = resolve(item.ty)
                         aty = item.actual
                         if aty.__class__ is TSingleton and fty.__class__ is not TSingleton:
-                            item, cls = Anchored(aty.name, fty), Anchored
+                            item, cls = (aty.name, fty), tuple
                         elif self.unify(fty, aty):
                             continue  # the atom holds the content, or the goal names it
                         else:
                             raise SubsumptionFailure(choices.goal, None)
-                    if cls is MetaPerm:
+                    if cls is tuple:
+                        anchor, goal_ty = item
+                    elif cls is Anchored:
+                        anchor, goal_ty = item.anchor, item.ty
+                    elif cls is MetaPerm:
                         bound = bindings.get(item.name)
                         if bound is not None:
                             stack = (bound, stack)
@@ -584,18 +600,17 @@ class Subsumer:
                         else:
                             self.uni.bind(item.name, _EMPTY)
                         continue
-                    if cls is PermVar:
+                    elif cls is PermVar:
                         handle = penv.perm_var(item.name)
                         if handle is None:
                             raise SubsumptionFailure(item, str(penv))
                         penv.remove(handle)
                         continue
-                    if cls is not Anchored:  # a permission: its atoms, in order
+                    else:  # a permission: its atoms, in order
                         for atom in reversed(normalize(self.env, resolve(item))):
                             stack = (atom, stack)
                         continue
-                    anchor = item.anchor
-                    ty = resolve(item.ty)
+                    ty = resolve(goal_ty)
                     if ty.__class__ is TBar:
                         ty = _strip_empty_bar(ty)
                     tcls = ty.__class__
@@ -604,36 +619,52 @@ class Subsumer:
                         item = Anchored(anchor, ty)
                         rest = self._pick(item, penv)
                     elif tcls is TMeta:
-                        if not self._take_first(penv, anchor, ty):
-                            raise SubsumptionFailure(item, str(penv))
+                        hits = penv.atoms_of(anchor)
+                        if not hits or not self.uni.bind(ty.name, hits[0][1].ty):
+                            raise SubsumptionFailure(Anchored(anchor, goal_ty), str(penv))
+                        self._extract(penv, hits[0][0], hits[0][1].ty)
                     elif tcls is TBar:
-                        stack = (Anchored(anchor, ty.carrier), (ty.perm, stack))
+                        stack = ((anchor, ty.carrier), (ty.perm, stack))
                     elif tcls is TExists:
                         subst = {name: self.uni.fresh(name, kind) for name, kind in ty.binders}
-                        stack = (Anchored(anchor, subst_type(ty.body, subst)), stack)
+                        stack = ((anchor, subst_type(ty.body, subst)), stack)
                     elif tcls is TSingleton:
                         if ty.name != anchor and not self._find_exact(
                             penv, penv.atoms_of(anchor), anchor, ty
                         ):
-                            raise SubsumptionFailure(item, str(penv))
+                            raise SubsumptionFailure(Anchored(anchor, goal_ty), str(penv))
                     elif tcls is not TEmpty:
                         hits = penv.atoms_of(anchor)
                         if self._held(penv, hits, ty):
                             continue
                         folds, only_folds = self._folds(penv, anchor, ty, hits)
                         if only_folds:
-                            if walk and folds and types[ty.head].mutable:
-                                if self._fold_direct(penv, anchor, ty):
-                                    continue
-                                walk = False
-                            rest = self._fold(item, ty, penv, folds)
+                            walk = choices.walk if choices is not None else False
+                            goals = None if walk is None else self._walk_goals(ty, folds)
+                            if goals is not None and walk:  # inside a walk: no level
+                                penv.remove(folds[0][0])
+                                for g in reversed(goals):
+                                    stack = (g, stack)
+                                continue
+                            item = Anchored(anchor, goal_ty)
+                            if goals is None:
+                                rest = self._fold(item, ty, penv, folds)
+                            else:
+                                rest = self._walk(item, ty, penv, folds, goals)
+                                choices = _Level(
+                                    item, stack, choices, rest, bindings.mark(), guard.mark()
+                                )
+                                choices.walk = True
+                                stack = _take(choices, next(rest))
+                                continue
                         elif self._find_exact(penv, hits, anchor, ty):
                             pass
                         elif is_alias(self.env, ty):
-                            stack = (Anchored(anchor, expand_alias(self.env, ty)), stack)
+                            stack = ((anchor, expand_alias(self.env, ty)), stack)
                         elif self._open_first(penv, hits):
                             stack = (item, stack)
                         else:
+                            item = Anchored(anchor, goal_ty)
                             rest = self._fold(item, ty, penv, folds)
                     if rest is not None:
                         level = _Level(item, stack, choices, rest, bindings.mark(), guard.mark())
@@ -660,6 +691,8 @@ class Subsumer:
             self.uni.bindings.undo_to(level.mark)
             self.guard.undo_to(level.guard_mark)
             penv.undo_to(level.env_mark)
+            if level.walk:  # the walk failed: its goal is searched again, without walking
+                level.walk = None
             if failure.snapshot is None:
                 failure.snapshot = str(penv)
             try:
@@ -705,8 +738,8 @@ class Subsumer:
         self, goal: Anchored, ty: Type, penv: PermEnv, folds: list[tuple[Handle, TConcrete]]
     ) -> Generator[tuple, SubsumptionFailure, None]:
         """The atoms a goal of type `ty` that only a fold or a split can meet
-        may take: each of `folds`, but a duplicable one already being folded,
-        with its fields at their branch types and the branch's bar; then a
+        may take: each of `folds` that a fold can take (`_fold_goals`), but
+        a duplicable one already being folded, with its fold's goals; then a
         split, with the goal again. Fails with `goal`, or after the split
         with the failure of the goal's search. A structural atom (no bar,
         every field a singleton) is duplicable as its tag is immutable,
@@ -716,17 +749,10 @@ class Subsumer:
         guard = self.guard
         start = penv.mark()
         for handle, sty in folds:
-            branch = branch_instance(env, ty, sty.tag)
-            goals: list[object] = []
-            structural = sty.bar is None
-            # the resolver gives a concrete type its branch's fields, in order
-            for (_, declared), (_, actual) in zip(branch.fields, sty.fields):
-                if actual.__class__ is not TSingleton:  # a field a fold cannot name
-                    goals.append(_FAIL)
-                    structural = False
-                    break
-                goals.append(Anchored(actual.name, declared))
-            if structural:
+            goals = self._fold_goals(ty, sty)
+            if goals is None:
+                continue
+            if sty.bar is None:
                 taken = env.mutable_tag(sty.tag)
                 if taken:
                     penv.remove(handle)
@@ -736,8 +762,6 @@ class Subsumer:
                 if handle in guard:
                     continue
                 guard.enter(handle, True)
-            if branch.bar is not None:
-                goals.append(branch.bar)
             yield start, goals
         split = self._try_split(penv, goal.anchor)
         if split is None:
@@ -745,6 +769,46 @@ class Subsumer:
         guard.enter(split, True)
         failure = yield start, [goal]
         raise failure
+
+    def _walk(
+        self, goal: Anchored, ty: TApp, penv: PermEnv, folds: list[tuple[Handle, TConcrete]],
+        goals: list,
+    ) -> Generator[tuple, SubsumptionFailure, None]:
+        """A walk's level for `goal`, of the mutable data type `ty`: the
+        first of `folds`, taken out as `_fold` takes it, with its fold's
+        `goals`; then the goal searched again by `_fold`, with the fresh
+        names drawn since the walk began given back, so that the search
+        draws them as it would have without the walk."""
+        uni = self.uni
+        counter = uni._counter
+        start = penv.mark()
+        penv.remove(folds[0][0])
+        yield start, goals
+        uni._counter = counter
+        yield from self._fold(goal, ty, penv, folds)
+
+    def _fold_goals(self, ty: TApp, sty: TConcrete) -> list | None:
+        """The goals of folding the structural atom of type `sty` into `ty`:
+        each field's anchor at its branch's field type, then the branch's
+        bar. None when a field is no singleton, which a fold cannot name."""
+        branch = branch_instance(self.env, ty, sty.tag)
+        goals: list[object] = []
+        # the resolver gives a concrete type its branch's fields, in order
+        for (_, declared), (_, actual) in zip(branch.fields, sty.fields):
+            if actual.__class__ is not TSingleton:
+                return None
+            goals.append((actual.name, declared))
+        if branch.bar is not None:
+            goals.append(branch.bar)
+        return goals
+
+    def _walk_goals(self, ty: TApp, folds: list[tuple[Handle, TConcrete]]) -> list | None:
+        """The goals of the first of `folds` if a walk may take it: `ty` is
+        a mutable data type, whose atoms a fold takes out, and a fold can
+        take that atom. None otherwise."""
+        if not folds or not self.env.types[ty.head].mutable:
+            return None
+        return self._fold_goals(ty, folds[0][1])
 
     def _folds(
         self, penv: PermEnv, anchor: str, ty: Type, hits: list[tuple[Handle, Anchored]]
@@ -767,75 +831,6 @@ class Subsumer:
             elif aty.tag in branches:
                 folds.append((handle, aty))
         return folds, only_folds
-
-    def _fold_direct(self, penv: PermEnv, anchor: str, ty: TApp) -> bool:
-        """Meet `anchor @ ty`, for a mutable data type `ty` that only a fold
-        or a split can meet, by a walk of the first steps the search tries
-        (`_direct_step`): its first fold, each goal of that fold's fields
-        in turn, at its type as it then stands, and so on down. The search
-        takes these steps in this order, and the cut of a level whose goals
-        are all met keeps what they did, so the search ends where the walk
-        ends; but the walk opens no level, builds no generator and enters
-        nothing in the guard. It is all or nothing: at a goal whose first
-        step it does not take, it undoes the environment and the bindings
-        to their marks and is False, and the search takes the goal from
-        the start. No step of the walk draws a fresh name."""
-        bindings = self.uni.bindings
-        mark, env_mark = bindings.mark(), penv.mark()
-        goals: list[tuple[str, Type]] = [(anchor, ty)]  # the goals left, the next one last
-        while goals:
-            if not self._direct_step(penv, goals, *goals.pop()):
-                bindings.undo_to(mark)
-                penv.undo_to(env_mark)
-                return False
-        return True
-
-    def _direct_step(self, penv: PermEnv, goals: list, anchor: str, ty: Type) -> bool:
-        """Meet the goal `anchor @ ty` of a walk of `_fold_direct` by the
-        first step the search tries for it, if it is one of these:
-
-        - an unsolved metavariable: the first atom (`_take_first`);
-        - a held goal (`_held`);
-        - a mutable data type that only a fold or a split can meet, when
-          each field of the first fold's atom is a singleton and its branch
-          has no bar: that atom is taken out, as `_fold` takes an affine
-          one (a bar of the atom's own goes with it), and the goals of its
-          fields, at the branch's field types, go on `goals`.
-
-        False when the first step is another, and the walk ends."""
-        ty = self.uni.resolve(ty)
-        if ty.__class__ is TMeta:
-            return self._take_first(penv, anchor, ty)
-        hits = penv.atoms_of(anchor)
-        if self._held(penv, hits, ty):
-            return True
-        if ty.__class__ is not TApp:
-            return False
-        folds, only_folds = self._folds(penv, anchor, ty, hits)
-        if not (only_folds and folds and self.env.types[ty.head].mutable):
-            return False
-        handle, sty = folds[0]
-        branch = branch_instance(self.env, ty, sty.tag)
-        if branch.bar is not None:
-            return False
-        # the resolver gives a concrete type its branch's fields, in order
-        for (_, declared), (_, actual) in zip(reversed(branch.fields), reversed(sty.fields)):
-            if actual.__class__ is not TSingleton:
-                return False
-            goals.append((actual.name, declared))
-        penv.remove(handle)
-        return True
-
-    def _take_first(self, penv: PermEnv, anchor: str, meta: TMeta) -> bool:
-        """Meet `anchor @ meta`, for an unsolved metavariable `meta`: solve
-        it with the type of the first atom of `anchor` and extract that
-        atom. False, with nothing done, when there is no such atom or the
-        type holds `meta`."""
-        hits = penv.atoms_of(anchor)
-        if not hits or not self.uni.bind(meta.name, hits[0][1].ty):
-            return False
-        self._extract(penv, hits[0][0], hits[0][1].ty)
-        return True
 
     def _held(self, penv: PermEnv, hits: list[tuple[Handle, Anchored]], ty: Type) -> bool:
         """Meet the goal `x @ ty` in `penv`, where `hits` are the atoms of
@@ -890,16 +885,17 @@ class Subsumer:
             if not isinstance(satom, Anchored) or satom.anchor in self.guard:
                 continue
             sty = self.uni.resolve(satom.ty)
+            # lists, not `any` over a generator, which a `GeneratorExit` closes
             if is_structural_tuple(sty):
-                if any(c.ty.name == wanted_anchor for c in sty.comps):
+                if wanted_anchor in [c.ty.name for c in sty.comps]:
                     raw = self._tuple_view(penv, satom.anchor, len(sty.comps), structural=False)
                     if raw is not None:
                         self.open_atom(penv, raw[0])
                         return satom.anchor
                 continue
-            if isinstance(sty, TConcrete) and any(
-                isinstance(f, TSingleton) and f.name == wanted_anchor for _, f in sty.fields
-            ):
+            if isinstance(sty, TConcrete) and wanted_anchor in [
+                f.name for _, f in sty.fields if f.__class__ is TSingleton
+            ]:
                 if self.split_along(penv, shandle, sty):
                     return satom.anchor
         return None
@@ -922,7 +918,7 @@ class Subsumer:
             while is_alias(self.env, nty):
                 nty = expand_alias(self.env, nty)
             if isinstance(nty, TApp) and nty.head == data_name:
-                names = (f.name if isinstance(f, TSingleton) else None for _, f in sty.fields)
+                names = [f.name if isinstance(f, TSingleton) else None for _, f in sty.fields]
                 # the structural atom is already there
                 _, *fields = split_branch(self.env, anchor, nty, sty.tag, names)
                 penv.remove(nhandle)
@@ -953,7 +949,7 @@ def _tuple_goals(actual: TTuple, ty: TTuple) -> list:
     goals = []
     for comp, actual_comp in zip(ty.comps, actual.comps):
         target = actual_comp.ty.name
-        goals.append(Anchored(target, subst_type(comp.ty, {}, values)))
+        goals.append((target, subst_type(comp.ty, {}, values)))
         if comp.name is not None:
             values[comp.name] = target
     return goals

@@ -935,3 +935,63 @@ def test_a_call_with_named_components_renames_them_to_its_arguments():
         "permission not available: l @ list (=p)",
     )
     assert diag.perm_snapshot == "p @ int * q @ int * l @ list (=q)"
+
+
+# A walk over a tree that lends each element to a callback, whose domain
+# has a bar; the callbacks below are unified with that domain.
+ITER = """
+data mutable tree a = Leaf | Node { left: tree a; elem: a; right: tree a }
+val iter: [a, s: perm] (f: (a | s) -> bool, t: tree a | s) -> bool
+val iter (f, t) = true
+"""
+
+
+def test_a_domain_without_a_bar_unifies_with_one_whose_bar_is_empty():
+    # the callback's domain has no bar: it meets `(a | s)` with `s` empty
+    src = ITER + (
+        "val main: (t: tree int) -> bool\n"
+        "val main (t) =\n  let cb = fun (x: int) : bool = true in\n  iter (cb, t)"
+    )
+    assert check_text(src, "t")[2] == []
+
+
+def test_a_component_named_on_one_side_draws_a_name():
+    # unifying `(x: int)` with `(a | s)` renames `x` to a fresh name, which
+    # numbers every later one: here `r$8`, the result of `newref`
+    src = ITER + (
+        "val main: (t: tree int) -> int\n"
+        "val main (t) =\n  let cb = fun (x: int) : bool = true in\n"
+        "  let ok = iter (cb, t) in\n  let r = newref 0 in\n  add (r, 1)"
+    )
+    (diag,) = check_text(src, "t")[2]
+    assert (diag.code, diag.message) == ("E-SUBSUME", "permission not available: r$8 @ int")
+    assert diag.perm_snapshot == (
+        "fn$1 @ ((x: int) -> bool) * fn$1 @ ((int | empty) -> bool) * t @ tree int"
+        " * r$5 @ bool * n$7 @ int * r$8 @ ref int * n$9 @ int"
+    )
+
+
+def test_a_bar_over_a_tuple_does_not_unify_with_a_bar_over_an_int():
+    # the carriers of two bars, one a tuple and one not, do not unify
+    src = (
+        "val f: [p: perm] (r: ref (int | p)) -> int\nval f (r) = 0\n"
+        "val main: [q: perm] (r: ref ((int, int) | q)) -> int\nval main (r) = f r"
+    )
+    (diag,) = check_text(src, "t")[2]
+    assert (diag.code, diag.message, diag.perm_snapshot) == (
+        "E-SUBSUME",
+        "permission not available: r @ ref (int | ?p)",
+        "r @ ref (int, int | q)",
+    )
+
+
+def test_an_atom_of_a_bar_solves_a_metavariable():
+    # `a` is solved only by matching `c @ ref a` in the callback's bar
+    # against `c @ ref int`: the match keeps its binding
+    src = (
+        "val apply: [a] (c: ref int, f: (int | c @ ref a) -> bool) -> a\n"
+        "val apply (c, f) = apply (c, f)\n"
+        "val main: (c: ref int) -> int\nval main (c) =\n"
+        "  let cb = fun (x: int | c @ ref int) : bool = true in\n  add (apply (c, cb), 1)"
+    )
+    assert check_text(src, "t")[2] == []

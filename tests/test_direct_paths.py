@@ -6,13 +6,17 @@ variable `T` that the first atom of `x` has, without the search: it must
 give what `Subsumer._find_exact`, the step of the search that meets it,
 gives, and bind and draw nothing more. `Subsumer._fold` takes a structural
 atom by its tag, without `_extract`: it must take what `_extract` takes.
-`Subsumer._fold_direct` walks a fold with one way forward, and
-`Checker._plain_call` lets a plain call skip the general path: each must
-leave the environment, its handles, the bindings, the guard and the
-fresh-name counter as the general path leaves them, and fail with its
-goal and snapshot. And `perms.is_permission`, which `Subsumer.unify` asks
-instead of catching `normalize`'s `TypeError`, accepts what `normalize`
-accepts."""
+A walk's level (`Subsumer._walk`) folds the nodes of a mutable literal
+with no level of their own, and searches its goal again when the walk
+fails: the search must end as a search that never walks ends, with the
+atoms in the same order, the bindings, the guard and the fresh-name
+counter, or fail with the same goal and snapshot. Only the handles that a
+walk searched again spent may differ. `Checker._plain_call` lets a plain
+call skip the general path: it must leave the environment, its handles,
+the bindings, the guard and the fresh-name counter as the general path
+leaves them, and fail with its goal and snapshot. And
+`perms.is_permission`, which `Subsumer.unify` asks instead of catching
+`normalize`'s `TypeError`, accepts what `normalize` accepts."""
 
 from __future__ import annotations
 
@@ -35,6 +39,7 @@ from minimz.ast import (
     TStar,
     TTuple,
     TVar,
+    TupleComp,
 )
 from minimz.check import Checker
 from minimz.driver import load_text
@@ -166,6 +171,8 @@ def test_a_fold_takes_a_structural_atom_as_extract_takes_it(atoms, ty):
     start = penv.items()
     alternatives = sub._fold(Anchored("x", ty), ty, penv, folds)
     for handle, sty in folds:  # the guard is empty: each is taken once
+        if sub._fold_goals(ty, sty) is None:  # a field a fold cannot name
+            continue
         mark, _ = next(alternatives)
         taken = penv.items()
         # undone to the fold's mark, as a search backs off to it
@@ -177,23 +184,27 @@ def test_a_fold_takes_a_structural_atom_as_extract_takes_it(atoms, ty):
 
 
 class Walks(Subsumer):
-    """A subsumer that keeps the answer of each of its direct folds."""
+    """A subsumer that keeps, for each walk's level it opens, whether the
+    walk was kept (True) or its goal searched again (False)."""
 
     def __init__(self, env):
         super().__init__(env)
         self.walks: list[bool] = []
 
-    def _fold_direct(self, *args) -> bool:
-        met = super()._fold_direct(*args)
-        self.walks.append(met)
-        return met
+    def _walk(self, *args):
+        i = len(self.walks)
+        self.walks.append(True)
+        alternatives = super()._walk(*args)
+        yield next(alternatives)
+        self.walks[i] = False
+        yield from alternatives
 
 
 class SearchOnly(Walks):
-    """A subsumer that meets every fold by the general search."""
+    """A subsumer that never walks: every fold opens a level of the search."""
 
-    def _fold_direct(self, *args) -> bool:
-        return False
+    def _walk_goals(self, *args):
+        return None
 
 
 def node(left: str, elem: str, right: str, elem_ty=None) -> TConcrete:
@@ -206,9 +217,23 @@ def cons(head: str, tail: str) -> TConcrete:
     return TConcrete("Cons", (("head", TSingleton(head)), ("tail", TSingleton(tail))), None)
 
 
+def tuple_of(*types) -> TTuple:
+    return TTuple(tuple(TupleComp(None, t, False) for t in types))
+
+
+def node_at(name: str, elem, tag: str = "") -> list:
+    """The atoms of a one-node literal at `name`, whose element holds
+    `elem`, with `tag` after the names of its fields."""
+    left, e, right = (name + part + tag for part in "ler")
+    return [Anchored(name, node(left, e, right)), Anchored(e, elem),
+            Anchored(left, LEAF), Anchored(right, LEAF)]
+
+
 _I = TApp("int", ())
 _REF = TApp("ref", (_I,))
 LEAF = TConcrete("Leaf", (), None)
+_TREE_INT = TApp("tree", (_I,))
+_PAIR = tuple_of(_I, _I)
 NAMES = st.sampled_from(["x", "y", "z", "w"])
 HELD = st.sampled_from(
     [
@@ -217,11 +242,16 @@ HELD = st.sampled_from(
         TConcrete("Leaf", (), TAt("w", _I)), node("y", "z", "w", _I),
     ]
 )
+SINGLETONS = st.builds(TSingleton, NAMES)
 HOLDINGS = st.one_of(
-    HELD, st.builds(node, NAMES, NAMES, NAMES), st.builds(cons, NAMES, NAMES)
+    HELD, st.builds(node, NAMES, NAMES, NAMES), st.builds(cons, NAMES, NAMES),
+    # a tuple to open, and one to pick
+    st.just(_PAIR), st.builds(tuple_of, SINGLETONS, SINGLETONS),
 )
 FOLD_GOALS = [
     TApp("tree", (_I,)),
+    TApp("tree", (_PAIR,)),
+    TApp("tree", (tuple_of(_TREE_INT, _I),)),  # a fold under a pick
     TApp("tree", (TMeta(META, KIND_TYPE),)),
     TApp("tree", (TApp("list", (_I,)),)),  # an immutable tag one level down
     TApp("list", (_I,)),
@@ -230,9 +260,11 @@ FOLD_GOALS = [
 
 def meet(sub_class, atoms, globals, goal: Anchored):
     """What `sub_class` leaves after meeting `goal` in a new environment
-    of `atoms` and `globals`: the atoms with their handles, the bindings,
-    the guard, the next fresh name and the failure's goal and snapshot
-    (None when the goal is met); and the subsumer's direct folds."""
+    of `atoms` and `globals`: the atoms in order, the bindings, the guard,
+    the next fresh name and the failure's goal and snapshot (None when the
+    goal is met); and the subsumer's walks. A walk searched again may have
+    spent handles that the search alone does not, so handles are compared
+    only through the order of the atoms."""
     penv = PermEnv(ENV, atoms, globals)
     sub = sub_class(ENV)
     try:
@@ -240,7 +272,7 @@ def meet(sub_class, atoms, globals, goal: Anchored):
         failure = None
     except SubsumptionFailure as exc:
         failure = (exc.goal, exc.snapshot)
-    left = (penv.items(), dict(sub.uni.bindings), dict(sub.guard), sub.uni.fresh_name("k"))
+    left = (penv.atoms, dict(sub.uni.bindings), dict(sub.guard), sub.uni.fresh_name("k"))
     return left + (failure,), sub.walks
 
 
@@ -263,10 +295,10 @@ def with_at(atoms: list, anchor: str, ty) -> list:
 
 _TREE3: list = []
 tree_of("x", 3, _TREE3)
-_TREE_INT = TApp("tree", (_I,))
 _TREE_META = TApp("tree", (TMeta(META, KIND_TYPE),))
 
-# name: (atoms, globals, goal type, the direct folds' answers)
+# name: (atoms, globals, goal type, for each walk's level whether its walk
+# was kept or its goal searched again)
 FOLD_CASES = {
     "a tree literal": (_TREE3, None, _TREE_INT, [True]),
     "a goal at a metavariable": (_TREE3, None, _TREE_META, [True]),
@@ -284,15 +316,15 @@ FOLD_CASES = {
     ),
     "a bar of the branch": (
         [Anchored("x", TConcrete("Cell", (("v", TSingleton("z")),), None)), Anchored("z", _I),
-         Anchored("y", _REF)], None, TApp("cell", (TAt("y", _REF),)), [False],
+         Anchored("y", _REF)], None, TApp("cell", (TAt("y", _REF),)), [True],
     ),
     "an immutable tag one level down": (
         [Anchored("x", node("l", "e", "r")), Anchored("l", LEAF), Anchored("r", LEAF),
          Anchored("e", cons("h", "t")), Anchored("h", _I), Anchored("t", TConcrete("Nil", (), None))],
-        None, TApp("tree", (TApp("list", (_I,)),)), [False],
+        None, TApp("tree", (TApp("list", (_I,)),)), [True],
     ),
     "a global": (_TREE3, {"x": _TREE_INT}, _TREE_INT, []),
-    "a global two levels down": (_TREE3, {"xll": _TREE_INT}, _TREE_INT, [False]),
+    "a global two levels down": (_TREE3, {"xll": _TREE_INT}, _TREE_INT, [True]),
     "a failure two levels down": (with_at(_TREE3, "xlle", TApp("bool", ())), None, _TREE_INT,
                                   [False]),
     # the first fold solves the metavariable, then fails; the second,
@@ -307,6 +339,22 @@ FOLD_CASES = {
     "a metavariable solved two levels down": (
         with_at(_TREE3, "xlle", TApp("bool", ())), None, _TREE_META, [False],
     ),
+    # the walk opens `xe`'s tuple, drawing two names, then fails at `xre`:
+    # the search opens it again and must draw the same two
+    "fresh names drawn by a walk that fails": (
+        node_at("x", _PAIR)[:3] + node_at("xr", TApp("bool", ())),
+        None, TApp("tree", (_PAIR,)), [False],
+    ),
+    # `a`'s fold is met under `xe`'s pick: its first node fails, and its
+    # second must be tried before the pick's second tuple
+    "a fold under a pick": (
+        [Anchored("x", node("xl", "xe", "xr")), Anchored("xl", LEAF), Anchored("xr", LEAF),
+         Anchored("xe", tuple_of(TSingleton("a"), TSingleton("b"))),
+         Anchored("xe", tuple_of(TSingleton("c"), TSingleton("d"))),
+         Anchored("b", _I), Anchored("c", _TREE_INT), Anchored("d", _I)]
+        + node_at("a", TApp("bool", ())) + node_at("a", _I, "2"),
+        None, TApp("tree", (tuple_of(_TREE_INT, _I),)), [True, False],
+    ),
 }
 
 
@@ -315,8 +363,8 @@ def test_a_fold_falls_back_to_the_search_where_it_must(case):
     atoms, globals, ty, walks = FOLD_CASES[case]
     goal = Anchored("x", ty)
     direct, taken = meet(Walks, atoms, globals, goal)
-    assert taken == walks
     assert direct == meet(SearchOnly, atoms, globals, goal)[0]
+    assert taken == walks
 
 
 @st.composite
