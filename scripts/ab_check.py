@@ -1,5 +1,5 @@
-"""In-process A/B of the front end and the checker: two checkouts in one
-process, their rounds alternated.
+"""In-process A/B of the front end, the checker and the interpreter: two
+checkouts in one process, their rounds alternated.
 
 The host's speed drifts by up to 2x over seconds to minutes, so an A/B of
 separate processes needs many pairs to tell a change of a few percent.
@@ -16,12 +16,17 @@ Here both checkouts run in one Python process, close together in time:
   checker (`Checker(env).check_file`) of one side, then of the other, so
   that the two sides' times of a round span the same stretch of time; the
   side that goes first alternates from program to program and from round
-  to round. Runs of programs are not made.
+  to round;
+- an operation with an entry (a `run`, as in `iterate` and `check_wide`)
+  whose program checks clean is then run: `interp.eval_program` on the
+  environment that `load_text` made, as `driver.run_text` runs it.
 
 One untimed round of each side at each of `COMPARED_SEEDS` first fills
 the lazy caches, and its outcomes are compared: the script exits 1 if any
 diagnostic differs between the sides (code, span, message or snapshot),
-or a front-end error.
+or a front-end error, or a run's outcome (the rendered value or the
+trap's kind and message, the steps, allocations and one-shot firings, and
+each definition's count of returned calls and their steps).
 The report gives, per workload and layer, each side's median round time,
 the ratio B/A of the medians, and in how many rounds B took less time.
 
@@ -43,7 +48,7 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("iterate", "check_wide", "corpus_mix")
-LAYERS = ("front end", "check")
+LAYERS = ("front end", "check", "run")
 SEED = 1  # of the timed rounds
 COMPARED_SEEDS = (1, 2)  # of the untimed rounds whose outcomes are compared
 
@@ -55,14 +60,15 @@ def load_side(root: Path, tmp: Path, name: str):
     )
     return {
         module: importlib.import_module(f"{name}.{module}")
-        for module in ("cli", "driver", "check")
+        for module in ("cli", "driver", "check", "interp")
     }
 
 
-def run_one(side, path: str, text: str, times: dict[str, float]):
-    """The program `text` through the front end and the checker of `side`:
-    its diagnostics, or its front-end error; the layers' times are added to
-    `times`."""
+def run_one(side, path: str, text: str, entry: str | None, times: dict[str, float]):
+    """The program `text` through the front end and the checker of `side`,
+    and a run of `entry` if it is not None and the program checks clean:
+    its diagnostics and the outcome of its run, or its front-end error; the
+    layers' times are added to `times`."""
     t0 = time.perf_counter()
     try:
         file, env = side["driver"].load_text(text, path)
@@ -74,21 +80,36 @@ def run_one(side, path: str, text: str, times: dict[str, float]):
     t2 = time.perf_counter()
     times["front end"] += t1 - t0
     times["check"] += t2 - t1
-    return [(d.code, d.span.start, d.span.length, d.message, d.perm_snapshot) for d in diags]
+    found = [(d.code, d.span.start, d.span.length, d.message, d.perm_snapshot) for d in diags]
+    if entry is None or diags:
+        return found, None
+    files = [side["driver"].prelude()[0], file]
+    t3 = time.perf_counter()
+    try:
+        value, program = side["interp"].eval_program(env, files, entry)
+    except side["interp"].RuntimeTrap as trap:
+        return found, ("trap", trap.kind, trap.message)
+    finally:
+        times["run"] += time.perf_counter() - t3
+    stats = program.stats
+    calls = {name: (len(steps), sum(steps)) for name, steps in stats.call_steps.items()}
+    counts = (stats.steps, stats.allocations, stats.oneshot_fires, calls)
+    return found, (program.render(value), counts)
 
 
-def run_round(sides: dict, texts: list[tuple[str, str]], first: int) -> tuple[dict, dict]:
-    """Each of `texts` (path, text) through both sides, the side that goes
-    first alternating from `first`: each side's outcomes, and its layers'
+def run_round(sides: dict, ops: list, first: int) -> tuple[dict, dict]:
+    """Each of `ops` through both sides, the side that goes first
+    alternating from `first`: each side's outcomes, and its layers'
     times."""
     outcomes: dict[str, list] = {name: [] for name in sides}
     times = {name: dict.fromkeys(LAYERS, 0.0) for name in sides}
     gc.collect()
     gc.freeze()  # as in a fresh process, the collector does not walk the round's inputs
     try:
-        for k, (path, text) in enumerate(texts):
+        for k, op in enumerate(ops):
             for name in ("A", "B") if (first + k) % 2 == 0 else ("B", "A"):
-                outcomes[name].append(run_one(sides[name], path, text, times[name]))
+                outcome = run_one(sides[name], op.path, op.text, op.entry, times[name])
+                outcomes[name].append(outcome)
     finally:
         gc.unfreeze()
     return outcomes, times
@@ -121,25 +142,24 @@ def main() -> int:
         for workload in [args.workload] if args.workload else WORKLOADS:
             for seed in COMPARED_SEEDS:
                 ops = workloads.make_round(workload, seed, corpus)
-                texts = [(op.path, op.text) for op in ops]
-                outcomes, _ = run_round(sides, texts, 0)
-                for (path, _), a, b in zip(texts, outcomes["A"], outcomes["B"]):
+                outcomes, _ = run_round(sides, ops, 0)
+                for op, a, b in zip(ops, outcomes["A"], outcomes["B"]):
                     if a != b:
                         different += 1
-                        print(f"{workload}, seed {seed}: {path}: outcomes differ"
+                        print(f"{workload}, seed {seed}: {op.path}: outcomes differ"
                               f"\n  A: {a}\n  B: {b}")
             ops = workloads.make_round(workload, SEED, corpus)
-            texts = [(op.path, op.text) for op in ops]
             rounds: dict[str, list] = {name: [] for name in sides}
             for i in range(args.rounds):
-                _, times = run_round(sides, texts, i)
+                _, times = run_round(sides, ops, i)
                 for name in sides:
                     rounds[name].append(times[name])
 
-            print(f"{workload}, seed {SEED}: {len(texts)} programs, "
+            runs = sum(op.entry is not None for op in ops)
+            print(f"{workload}, seed {SEED}: {len(ops)} programs, {runs} runs, "
                   f"{args.rounds} rounds a side, ms per round, median")
             print(f"  {'layer':<10} {'A':>9} {'B':>9} {'B/A':>6} {'B less':>7}")
-            for layer in LAYERS:
+            for layer in LAYERS if runs else LAYERS[:-1]:
                 a_ms = [r[layer] * 1e3 for r in rounds["A"]]
                 b_ms = [r[layer] * 1e3 for r in rounds["B"]]
                 a, b = statistics.median(a_ms), statistics.median(b_ms)

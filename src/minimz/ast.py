@@ -356,9 +356,6 @@ class TEmpty(Type):
     _plain = True
 
 
-UNIT = TTuple(())
-
-
 def children(t: Type) -> tuple[Type, ...]:
     """The children of `t`, left to right: the field types of a concrete
     type come before its bar."""

@@ -15,9 +15,11 @@ the runs of one process that load the same definition, as the files of
 
 Values are those of `runtime`: an int or bool is the Python value, whose
 kind the code tests with `type(x) is int` or `type(x) is bool` (a `bool`
-is an `int` to `isinstance`), and a record is its `Cell`, whose `tag` and
-`fields` no other value has, so a read of either traps on any other value
-by its `AttributeError`. Where an atom's type is fixed (a constant, a new
+is an `int` to `isinstance`), a tuple is a Python `tuple`, which a tuple
+pattern tests with `type(x) is tuple` and its length before it unpacks
+it, and a record is its `Cell`, whose `tag` and `fields` no other value
+has, so a read of either traps on any other value by its
+`AttributeError`. Where an atom's type is fixed (a constant, a new
 record, the result of a builtin written out) its checks are left out, and
 so are those of an atom already tested on the way there: a test holds to
 the end of the `if` or `match` arm, lambda or helper function it is in.
@@ -75,11 +77,9 @@ from .runtime import (
     _BINARY,
     _INT_MAX,
     _INT_MIN,
-    UNIT,
     Cell,
     VBuiltin,
     VClosure,
-    VTuple,
     _alloc,
     _build,
     _Check,
@@ -158,9 +158,7 @@ def _code(text: str, filename: str):
 # Names the generated code uses from `runtime`.
 _RUNTIME = MappingProxyType({
     "Cell": Cell,
-    "VTuple": VTuple,
     "VClosure": VClosure,
-    "UNIT": UNIT,
     "I0": _INT_MIN,
     "I1": _INT_MAX,
     "_wrap64": _wrap64,
@@ -404,10 +402,10 @@ class _Compiler:
             return
         assert type(pat) is PTuple
         idents = [self.fresh("v") for _ in pat.items]
-        self.emit(f"if type({atom}) is not VTuple or len({atom}.items) != {len(idents)}: "
+        self.emit(f"if type({atom}) is not tuple or len({atom}) != {len(idents)}: "
                   + self.trap("BAD_FIELD", "tuple pattern mismatch"))
         if idents:
-            self.emit(f"{', '.join(idents)}, = {atom}.items")
+            self.emit(f"{', '.join(idents)}, = {atom}")
         for sub, ident in zip(pat.items, idents):
             self.bind(sub, ident)
 
@@ -504,7 +502,7 @@ class _Compiler:
             self.emit(f"{t} = {self.global_(e.name)}")
             return t
         self.emit(self.trap("UNBOUND", f"unbound value {e.name!r}"))
-        return "UNIT"
+        return "()"
 
     def global_(self, name: str) -> str:
         return f"{self.need('G', 'G = rt.globals')}[{self.const(name)}]"
@@ -640,7 +638,7 @@ class _Compiler:
             self.emit(f"{obj}.tag = {self.const(tag)}")
         for name, value in zip(names, values):
             self.emit(f"{obj}.fields[{self.const(name)}] = {value}")
-        return "UNIT"
+        return "()"
 
     def construct(self, e: EConstruct) -> str:
         t = self.fresh("t")
@@ -686,7 +684,7 @@ class _Compiler:
 
     def package(self, atoms: list[str]) -> str:
         if not atoms:
-            return "UNIT"
+            return "()"
         t = self.fresh("t")
         self.emit(f"{t} = _package(rt, [{', '.join(atoms)}])")
         return t

@@ -23,7 +23,6 @@ from .runtime import (
     Value,
     VBuiltin,
     VClosure,
-    VTuple,
     _builtins,
     _Check,
 )
@@ -107,24 +106,24 @@ class Interp:
         out: list[str] = []
         open_cells: set[int] = set()  # the ids of the records being rendered
         # Work, last item first: text to emit, a value to render, or a
-        # one-item tuple holding the id of a record whose rendering ends here.
+        # one-item list holding the id of a record whose rendering ends here.
         work: list = [v]
         while work:
             item = work.pop()
             cls = type(item)
             if cls is str:
                 out.append(item)
-            elif cls is tuple:
+            elif cls is list:
                 open_cells.discard(item[0])
             elif cls is bool:
                 out.append("true" if item else "false")
             elif cls is int:
                 out.append(str(item))
-            elif cls is VTuple:
+            elif cls is tuple:
                 work.append(")")
-                for i, value in enumerate(reversed(item.items)):
+                for i, value in enumerate(reversed(item)):
                     work.append(value)
-                    if i < len(item.items) - 1:
+                    if i < len(item) - 1:
                         work.append(", ")
                 out.append("(")
             elif cls in (VClosure, VBuiltin, OneShot):
@@ -136,7 +135,7 @@ class Interp:
                     out.append(item.tag)
                 else:
                     open_cells.add(id(item))
-                    work += [(id(item),), " }"]
+                    work += [[id(item)], " }"]
                     for i, (name, value) in enumerate(reversed(item.fields.items())):
                         work += [value, f"{name} = "]
                         if i < len(item.fields) - 1:

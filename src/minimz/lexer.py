@@ -90,7 +90,7 @@ def tokenize(text: str) -> Tokens:
 
 
 def line_col(text: str, offset: int) -> tuple[int, int]:
-    """1-based line and column of a byte offset."""
+    """1-based line and column of an offset into `text`, in code points."""
     line = text.count("\n", 0, offset) + 1
     last_nl = text.rfind("\n", 0, offset)
     col = offset - last_nl if last_nl >= 0 else offset + 1

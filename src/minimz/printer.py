@@ -1,4 +1,4 @@
-"""Deterministic pretty-printer; parse(pretty_print(n)) == n up to spans."""
+"""Deterministic pretty-printer; parse(pretty_print(f)) == f up to spans."""
 
 from __future__ import annotations
 
@@ -281,15 +281,5 @@ def print_decl(d: Decl) -> str:
     raise TypeError(f"unknown declaration {d!r}")
 
 
-def pretty_print(node: SourceFile | Decl | Expr | Type | Pattern) -> str:
-    if isinstance(node, SourceFile):
-        return "\n\n".join(print_decl(d) for d in node.decls) + "\n"
-    if isinstance(node, Decl):
-        return print_decl(node)
-    if isinstance(node, Expr):
-        return print_expr(node)
-    if isinstance(node, Type):
-        return print_type(node)
-    if isinstance(node, Pattern):
-        return print_pattern(node)
-    raise TypeError(f"cannot pretty-print {node!r}")
+def pretty_print(file: SourceFile) -> str:
+    return "\n\n".join(print_decl(d) for d in file.decls) + "\n"

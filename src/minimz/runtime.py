@@ -2,15 +2,17 @@
 
 An `int` value is a Python `int` and a `bool` value a Python `bool`; since
 `bool` is a subclass of `int`, a value's kind is told by `type(v) is int`
-or `type(v) is bool`, never by `isinstance`. A record is its own `Cell`,
-reached by reference; a run counts the records it allocates and keeps no
-heap of them.
+or `type(v) is bool`, never by `isinstance`. A tuple is a Python `tuple`,
+and the unit value is `()`. A record is its own `Cell`, reached by
+reference; a run counts the records it allocates and keeps no heap of
+them.
 
 Permissions never reach runtime; what remains is deterministic
-left-to-right evaluation plus optional affinity instrumentation: any
-closure literal packaged directly inside a tuple literal is treated as
-one-shot, and all closures packaged by the same tuple literal share one
-spent flag (so a double-barreled pair can fire at most one barrel).
+left-to-right evaluation plus affinity instrumentation, which every run
+has: every closure value that a tuple literal holds, whether written in
+the literal or bound to a name first, is made one-shot, and all closures
+packaged by the same tuple literal share one spent flag (so a
+double-barreled pair can fire at most one barrel).
 
 A step is the evaluation of one source expression node, counted before the
 node's work; a run traps STEP_LIMIT on step `max_steps + 1`. A call
@@ -71,15 +73,8 @@ class Cell:
         self.mutable = mutable
 
 
-class VTuple:
-    __slots__ = ("items",)
-
-    def __init__(self, items: list):
-        self.items = items
-
-
 # A function value is called as `f.fn(rt, arg)`, where `rt` is the run and
-# `arg` is the argument itself at arity 1 and a sequence of `f.arity`
+# `arg` is the argument itself at arity 1 and a tuple of `f.arity`
 # arguments otherwise.
 
 
@@ -125,9 +120,7 @@ class OneShot:
         return self.inner.fn(rt, arg)
 
 
-Value = int | bool | Cell | VTuple | VClosure | VBuiltin | OneShot
-
-UNIT = VTuple([])
+Value = int | bool | Cell | tuple | VClosure | VBuiltin | OneShot
 
 
 class Stats:
@@ -222,7 +215,7 @@ class _Check(Exception):
         return RuntimeTrap(self.kind, self.message)
 
 
-def _package(rt: Interp, items: list) -> VTuple:
+def _package(rt: Interp, items: list) -> tuple:
     """The value of a tuple literal, given the new list of its items: its
     closures become one-shot, sharing one spent flag."""
     cell = None
@@ -232,17 +225,17 @@ def _package(rt: Interp, items: list) -> VTuple:
                 rt.oneshot_seq += 1
                 cell = [False, rt.oneshot_seq]
             items[i] = OneShot(v, cell, v.arity)
-    return VTuple(items)
+    return tuple(items)
 
 
 def _spread(value: Value, arity: int):
     """The argument of a call of `arity` on `value`: the value itself at
-    arity 1, else the items of a tuple as long as the arity."""
+    arity 1, else a tuple as long as the arity."""
     if arity == 1:
         return value
-    if type(value) is not VTuple or len(value.items) != arity:
+    if type(value) is not tuple or len(value) != arity:
         raise RuntimeTrap("BAD_FIELD", f"call expects {arity} argument(s)")
-    return value.items
+    return value
 
 
 def _alloc(rt: Interp, limit: _Check, tag: str, fields: dict, mutable: bool) -> Cell:

@@ -224,6 +224,16 @@ def test_run_unchecked_trap_exits_three():
     assert "ONE_SHOT_REUSE" in out.stderr
 
 
+@pytest.mark.parametrize("entry, line", [
+    ("nosuch", "trap UNBOUND: no entry point 'nosuch'"),
+    ("size", "trap BAD_FIELD: wrong argument count"),  # a definition of one parameter
+    ("add", "trap BAD_FIELD: add expects 2"),  # a builtin
+])
+def test_run_of_an_entry_point_that_cannot_be_called_exits_three(entry, line):
+    out = run_cli("run", str(CORPUS / "run" / "run_size.mz"), entry)
+    assert (out.returncode, out.stdout, out.stderr.splitlines()) == (3, "", [line])
+
+
 def test_run_trace_logs_allocations():
     out = run_cli("run", "--trace", str(CORPUS / "run" / "run_size.mz"), "main")
     assert out.returncode == 0

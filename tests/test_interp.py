@@ -7,7 +7,7 @@ from conftest import corpus_text, value_to_pylist
 
 from minimz.codegen import _MAX_DEPTH
 from minimz.driver import check_text, load_text, prelude, run_text
-from minimz.interp import Cell, Interp, RuntimeTrap, VTuple, eval_program
+from minimz.interp import Cell, Interp, RuntimeTrap, eval_program
 from minimz.runtime import _wrap64
 
 
@@ -224,9 +224,9 @@ def test_render_marks_cycles_and_repeats_shared_cells():
     # a: A { self = a; pair = (b, b) }, b: B { n = 7 }, shared but acyclic
     b = Cell("B", {"n": 7}, True)
     a = Cell("A", {}, True)
-    a.fields.update(self=a, pair=VTuple([b, b]))
+    a.fields.update(self=a, pair=(b, b))
     assert interp.render(a) == "A { self = <cycle>; pair = (B { n = 7 }, B { n = 7 }) }"
-    assert interp.render(VTuple([a, True, VTuple([])])) == (
+    assert interp.render((a, True, ())) == (
         "(A { self = <cycle>; pair = (B { n = 7 }, B { n = 7 }) }, true, ())"
     )
 
@@ -320,6 +320,36 @@ def test_a_tuple_literal_passed_whole_packages_its_lambda_as_one_shot():
     assert exc.value.kind == "ONE_SHOT_REUSE"
     # Spread over the parameters, the same literal packages nothing.
     assert _run_unchecked(TWICE, "main2") == "2"
+
+
+# A closure whose checked type is a plain arrow, which may be called any
+# number of times, is put in a tuple literal, taken out and called twice:
+# a top-level function, a lambda bound by `let`, and a lambda written in
+# the literal. The checker accepts each program, but the run traps
+# ONE_SHOT_REUSE, since every closure a tuple literal holds is made
+# one-shot. Whether checked runs should drop that wrapping or the checker
+# should make such closures affine is still open.
+CLOSURE_FROM_A_TUPLE_TWICE = {
+    "top-level": "let (f, y) = (one, 2) in add (f (), f ())",
+    "let-bound lambda": "let h = fun () : int = 1 in let (g, y) = (h, 2) in add (g (), g ())",
+    "lambda literal": "let (g, y) = (fun () : int = 1, 2) in add (g (), g ())",
+}
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeTrap,
+                   reason="a tuple literal makes a duplicable closure one-shot")
+@pytest.mark.parametrize("body", CLOSURE_FROM_A_TUPLE_TWICE.values(),
+                         ids=CLOSURE_FROM_A_TUPLE_TWICE.keys())
+def test_an_accepted_closure_taken_from_a_tuple_fires_twice(body):
+    src = f"""
+val one: () -> int
+val one () = 1
+val main: () -> int
+val main () = {body}
+"""
+    assert check_text(src, "t")[2] == []
+    value, _ = run_text(src, "main", "t")
+    assert (type(value), value) == (int, 2)
 
 
 @pytest.mark.parametrize("call", ["diff (1, 2, 3)", "diff 5", "sub 5", "sub (1, 2, 3)"])

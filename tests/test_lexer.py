@@ -57,6 +57,19 @@ def test_line_comments_are_skipped():
     assert tokens == [("KW", "val")]
 
 
+def test_a_comment_holding_non_ascii_text_is_skipped_and_keeps_later_offsets():
+    """Offsets count code points, so a character of several bytes in a
+    comment moves nothing after it."""
+    text = "--\u539fpermission \u2200 caf\u00e9\nval x -- \u00e9\n"
+    val, x = text.index("val"), text.index("x -")
+    assert rows(tokenize(text)) == [
+        ("KW", "val", val, 3),
+        ("LIDENT", "x", x, 1),
+        ("EOF", "", len(text), 0),
+    ]
+    assert (line_col(text, val), line_col(text, x)) == ((2, 1), (2, 5))
+
+
 def test_uident_vs_lident():
     tokens = kinds_and_texts(tokenize("Node left x'2"))
     assert tokens == [("UIDENT", "Node"), ("LIDENT", "left"), ("LIDENT", "x'2")]

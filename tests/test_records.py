@@ -10,7 +10,7 @@ import pytest
 
 from minimz.ast import Scope
 from minimz.kinds import AbstractInfo, AliasInfo, DataInfo, Env, PrimInfo
-from minimz.runtime import Cell, OneShot, Stats, VBuiltin, VClosure, VTuple
+from minimz.runtime import Cell, OneShot, Stats, VBuiltin, VClosure
 from minimz.subsume import Subsumer, Unifier, _Level
 
 # Each record class; its constructor's parameters in order; and the value
@@ -21,7 +21,6 @@ RECORDS = [
     (AbstractInfo, "name params", {}),
     (PrimInfo, "name", {"params": ()}),
     (Env, "types tags sigs", {"dup_memo": {}, "alias_memo": {}, "branch_memo": {}}),
-    (VTuple, "items", {}),
     (VClosure, "arity fn", {}),
     (VBuiltin, "name arity fn", {}),
     (OneShot, "inner cell arity", {}),
