@@ -30,6 +30,17 @@ each definition's count of returned calls and their steps).
 The report gives, per workload and layer, each side's median round time,
 the ratio B/A of the medians, and in how many rounds B took less time.
 
+On Python 3.12 and later it also gives, beside the times, the bytecode
+instructions each side's layers execute in the untimed round at `SEED`,
+counted as `sys.monitoring` INSTRUCTION events (PEP 669), and their
+ratio B/A. Each side's prelude is loaded before any round, so no layer
+counts it. The counts repeat exactly from run to run, so one round tells
+a change of well under 1% that the times cannot. They are not time:
+work done in C (regular expressions, dict and set operations, sorting,
+`compile()`) is not counted, so a change that moves work into C reads as
+a gain; and they differ between Python versions, so compare them only
+within one. Counting makes that round many times slower.
+
 Run from anywhere, with the two checkouts' roots (A is the baseline):
 
     python3 scripts/ab_check.py ../parent . --workload check_wide --rounds 15
@@ -51,6 +62,7 @@ WORKLOADS = ("iterate", "check_wide", "corpus_mix")
 LAYERS = ("front end", "check", "run")
 SEED = 1  # of the timed rounds
 COMPARED_SEEDS = (1, 2)  # of the untimed rounds whose outcomes are compared
+COUNTS = hasattr(sys, "monitoring")  # Python 3.12 and later
 
 
 def load_side(root: Path, tmp: Path, name: str):
@@ -58,61 +70,85 @@ def load_side(root: Path, tmp: Path, name: str):
     shutil.copytree(
         root / "src" / "minimz", tmp / name, ignore=shutil.ignore_patterns("__pycache__")
     )
-    return {
+    side = {
         module: importlib.import_module(f"{name}.{module}")
         for module in ("cli", "driver", "check", "interp")
     }
+    side["driver"].prelude()
+    return side
 
 
-def run_one(side, path: str, text: str, entry: str | None, times: dict[str, float]):
+def run_one(side, path: str, text: str, entry: str | None, times: dict, clock=time.perf_counter):
     """The program `text` through the front end and the checker of `side`,
     and a run of `entry` if it is not None and the program checks clean:
     its diagnostics and the outcome of its run, or its front-end error; the
-    layers' times are added to `times`."""
-    t0 = time.perf_counter()
+    layers' readings of `clock`, a time by default, are added to `times`."""
+    t0 = clock()
     try:
         file, env = side["driver"].load_text(text, path)
     except side["cli"].FRONT_END_ERRORS as exc:
-        times["front end"] += time.perf_counter() - t0
+        times["front end"] += clock() - t0
         return ("front-end error", type(exc).__name__, str(exc))
-    t1 = time.perf_counter()
+    t1 = clock()
     diags = side["check"].Checker(env).check_file(file)
-    t2 = time.perf_counter()
+    t2 = clock()
     times["front end"] += t1 - t0
     times["check"] += t2 - t1
     found = [(d.code, d.span.start, d.span.length, d.message, d.perm_snapshot) for d in diags]
     if entry is None or diags:
         return found, None
     files = [side["driver"].prelude()[0], file]
-    t3 = time.perf_counter()
+    t3 = clock()
     try:
         value, program = side["interp"].eval_program(env, files, entry)
     except side["interp"].RuntimeTrap as trap:
         return found, ("trap", trap.kind, trap.message)
     finally:
-        times["run"] += time.perf_counter() - t3
+        times["run"] += clock() - t3
     stats = program.stats
     calls = {name: (len(steps), sum(steps)) for name, steps in stats.call_steps.items()}
     counts = (stats.steps, stats.allocations, stats.oneshot_fires, calls)
     return found, (program.render(value), counts)
 
 
-def run_round(sides: dict, ops: list, first: int) -> tuple[dict, dict]:
+def run_round(sides: dict, ops: list, first: int, clock=time.perf_counter) -> tuple[dict, dict]:
     """Each of `ops` through both sides, the side that goes first
     alternating from `first`: each side's outcomes, and its layers'
-    times."""
+    readings of `clock`."""
     outcomes: dict[str, list] = {name: [] for name in sides}
-    times = {name: dict.fromkeys(LAYERS, 0.0) for name in sides}
+    times = {name: dict.fromkeys(LAYERS, 0) for name in sides}
     gc.collect()
     gc.freeze()  # as in a fresh process, the collector does not walk the round's inputs
     try:
         for k, op in enumerate(ops):
             for name in ("A", "B") if (first + k) % 2 == 0 else ("B", "A"):
-                outcome = run_one(sides[name], op.path, op.text, op.entry, times[name])
+                outcome = run_one(sides[name], op.path, op.text, op.entry, times[name], clock)
                 outcomes[name].append(outcome)
     finally:
         gc.unfreeze()
     return outcomes, times
+
+
+def counted_round(sides: dict, ops: list) -> tuple[dict, dict]:
+    """`run_round` from 0, its clock the count of bytecode instructions
+    executed so far: each side's outcomes, and its layers' counts. The
+    callback's own instructions raise no events."""
+    mon = sys.monitoring
+    tool = mon.PROFILER_ID
+    executed = [0]
+
+    def on_instruction(code, offset):
+        executed[0] += 1
+
+    mon.use_tool_id(tool, "ab_check")
+    mon.register_callback(tool, mon.events.INSTRUCTION, on_instruction)
+    mon.set_events(tool, mon.events.INSTRUCTION)
+    try:
+        return run_round(sides, ops, 0, lambda: executed[0])
+    finally:
+        mon.set_events(tool, 0)
+        mon.register_callback(tool, mon.events.INSTRUCTION, None)
+        mon.free_tool_id(tool)
 
 
 def main() -> int:
@@ -139,10 +175,17 @@ def main() -> int:
 
         corpus = Path(tmp) / "minimz_b" / "corpus"
         different = 0
+        if not COUNTS:
+            print(f"bytecode counts need Python 3.12 or later (sys.monitoring); "
+                  f"this is {sys.version.split()[0]}")
         for workload in [args.workload] if args.workload else WORKLOADS:
+            counts = None
             for seed in COMPARED_SEEDS:
                 ops = workloads.make_round(workload, seed, corpus)
-                outcomes, _ = run_round(sides, ops, 0)
+                if COUNTS and seed == SEED:
+                    outcomes, counts = counted_round(sides, ops)
+                else:
+                    outcomes, _ = run_round(sides, ops, 0)
                 for op, a, b in zip(ops, outcomes["A"], outcomes["B"]):
                     if a != b:
                         different += 1
@@ -157,14 +200,22 @@ def main() -> int:
 
             runs = sum(op.entry is not None for op in ops)
             print(f"{workload}, seed {SEED}: {len(ops)} programs, {runs} runs, "
-                  f"{args.rounds} rounds a side, ms per round, median")
-            print(f"  {'layer':<10} {'A':>9} {'B':>9} {'B/A':>6} {'B less':>7}")
+                  f"{args.rounds} rounds a side, ms per round, median"
+                  + ("; bytecodes of one round" if counts else ""))
+            header = f"  {'layer':<10} {'A':>9} {'B':>9} {'B/A':>6} {'B less':>7}"
+            if counts:
+                header += f" {'bytecodes A':>13} {'bytecodes B':>13} {'B/A':>7}"
+            print(header)
             for layer in LAYERS if runs else LAYERS[:-1]:
                 a_ms = [r[layer] * 1e3 for r in rounds["A"]]
                 b_ms = [r[layer] * 1e3 for r in rounds["B"]]
                 a, b = statistics.median(a_ms), statistics.median(b_ms)
                 wins = sum(y < x for x, y in zip(a_ms, b_ms))
-                print(f"  {layer:<10} {a:9.1f} {b:9.1f} {b / a:6.3f} {wins:>3}/{args.rounds}")
+                line = f"  {layer:<10} {a:9.1f} {b:9.1f} {b / a:6.3f} {wins:>3}/{args.rounds}"
+                if counts:
+                    ca, cb = counts["A"][layer], counts["B"][layer]
+                    line += f" {ca:13,} {cb:13,} {cb / ca:7.4f}"
+                print(line)
     if different:
         print(f"{different} program(s) with different outcomes")
         return 1

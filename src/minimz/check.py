@@ -267,7 +267,8 @@ class Checker:
         The names of `pairs` are bound over `e` alone; a chain of `let`s is
         checked in a loop, each binding over the rest of the chain. Any other
         expression, outside a tail and with no names, binds none that its
-        own check does not undo, so it goes straight to `_synth`."""
+        own check does not undo, so it goes straight to `_synth`: every
+        workload takes this path, `check_wide`'s let chains most."""
         cls = e.__class__
         if tail is None and not pairs and cls is not ELet and cls is not EIf and cls is not EMatch:
             return self._synth(penv, e)
@@ -489,10 +490,13 @@ class Checker:
         else done? It is when the domain has no bar, each component is
         unnamed and has a plain `TApp` type, the codomain is a plain `TApp`,
         and each argument's first atom has its component's type and is
-        duplicable. Each argument is then met as `Subsumer._held` meets it,
-        taking nothing out, so nothing is put back; no metavariable is
-        solved or left unsolved; and the codomain, with nothing to
-        substitute, is its own result."""
+        duplicable. Each argument is then met as `Subsumer._find_exact`
+        meets it: that atom is no tag, so the goal is not a fold's alone,
+        and it unifies with the component's type at once, binding nothing
+        and drawing no name; duplicable, it is not taken out, so nothing is
+        put back. No metavariable is solved or left unsolved, and the
+        codomain, with nothing to substitute, is its own result. It serves
+        `check_wide`, whose let chains are mostly such calls."""
         if fn_ty.domain.__class__ is TBar:
             return False
         cod = fn_ty.codomain

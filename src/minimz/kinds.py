@@ -542,10 +542,8 @@ class Resolver:
         tag update's object, then its fields in one loop. A construction
         sets exactly its branch's fields, in order: each name is compared
         as its value is reached, and an error in the names comes before any
-        error in the values, as if they were all compared first. A name or
-        an integer as a value, the common case, is resolved without a call.
-        A node whose parts all come back as the same objects comes back
-        itself."""
+        error in the values, as if they were all compared first. A node
+        whose parts all come back as the same objects comes back itself."""
         _, branch = self.env.data_of_tag(e.tag, e.span)
         construct = e.__class__ is EConstruct
         obj = None if construct else self.resolve_expr(e.obj)
@@ -558,17 +556,11 @@ class Resolver:
                 if construct and (not names_ok or fname != declared[i][0]):
                     names_ok = False
                     break
-                vcls = value.__class__
-                if vcls is EVar:
-                    name = value.name
-                    if name not in self.values and name not in self.sigs:
-                        raise ResolveError("E-UNBOUND", f"unbound value name {name!r}", value.span)
-                elif vcls is not EInt:
-                    new = self.resolve_expr(value)
-                    if new is not value:
-                        if resolved is None:
-                            resolved = [v for _, v in fields]
-                        resolved[i] = new
+                new = self.resolve_expr(value)
+                if new is not value:
+                    if resolved is None:
+                        resolved = [v for _, v in fields]
+                    resolved[i] = new
         except ResolveError:
             if construct:
                 _check_field_names(branch, fields, f"construction of {e.tag!r} must set", e.span)

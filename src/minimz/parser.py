@@ -79,7 +79,8 @@ class Parser:
     alone, which no token of another kind has. The hottest reads (in
     `expect`, an atom of `parse_postfix`, a field list and a pattern's
     name) write `next`'s three assignments in place, which saves a call
-    per token."""
+    per token: the front end of every workload, `check_wide`'s large
+    literals most."""
 
     def __init__(self, tokens: Tokens, path: str = "<input>"):
         # Every read follows a test that the token is not EOF, so `pos`
@@ -523,7 +524,8 @@ class Parser:
         it, without the calls down to `parse_postfix`. A `;` or a `}` after
         it, as after most values, ends the value; anything else goes on as
         `parse_assign` goes on after its first atom. A construction nested
-        in a field so takes two frames of the stack a level."""
+        in a field so takes two frames of the stack a level. It serves
+        `check_wide`, whose tree literals are mostly such fields."""
         kind = self.kind
         i = self.pos
         after = self.texts[i + 1]

@@ -60,18 +60,10 @@ def duplicability(t: Type, env: Env, _assume: frozenset[str] | None = None) -> s
     """Least-fixed-point duplicability; recursive occurrences are optimistically
     assumed duplicable and iterated until stable (sufficient for `list`).
     Answers are memoised in `env.dup_memo`, so they live exactly as long as
-    the environment whose declarations they depend on. A structural atom
-    (a tag whose fields are all singletons, with no bar) is answered from
-    its tag, unmemoised: each value built makes a new one. Its loops are
+    the environment whose declarations they depend on. Its loops are
     plain: `all` or `any` over a generator that stops early leaves it for a
     `GeneratorExit` to close."""
     if _assume is None:
-        if t.__class__ is TConcrete and t.bar is None:
-            for _, f in t.fields:
-                if f.__class__ is not TSingleton:
-                    break
-            else:
-                return AFFINE if env.mutable_tag(t.tag) else DUPLICABLE
         result = env.dup_memo.get(t)
         if result is None:
             result = env.dup_memo[t] = duplicability(t, env, frozenset())
@@ -282,7 +274,7 @@ class MetaPerm(Atom):
 def normalize(env: Env, perm: Type) -> list[Atom]:
     """Flatten a permission into atoms; `x @ (t | p)` splits into `x @ t * p`,
     and an alias of kind perm is expanded. Anything else, a type included,
-    raises TypeError: `is_permission` tells which without raising."""
+    raises TypeError."""
     atoms: list[Atom] = []
     work = [perm]
     while work:
@@ -302,27 +294,6 @@ def normalize(env: Env, perm: Type) -> list[Atom]:
         else:
             raise TypeError(f"not a permission: {p!r}")
     return atoms
-
-
-def is_permission(env: Env, perm: Type) -> bool:
-    """Does `normalize` accept `perm`? It walks `perm` as `normalize` does,
-    and with `admit_atoms` under the bars of an anchored atom."""
-    work = [perm]
-    while work:
-        p = work.pop()
-        cls = p.__class__
-        if cls is TStar:
-            work.extend(p.items)
-        elif cls is TAt:
-            ty = p.ty
-            while ty.__class__ is TBar:
-                work.append(ty.perm)
-                ty = ty.carrier
-        elif is_alias(env, p) and env.types[p.head].kind == KIND_PERM:
-            work.append(expand_alias(env, p))
-        elif cls is not TEmpty and cls is not TVar and cls is not TMeta:
-            return False
-    return True
 
 
 def admit_atoms(env: Env, anchor: str, ty: Type) -> list[Atom]:
@@ -476,8 +447,10 @@ class PermEnv:
     # -- edits ----------------------------------------------------------------
 
     def add(self, *new: Atom) -> None:
-        """Append the atoms `new`, in order."""
-        if len(new) == 1:  # the common case, without the loop
+        """Append the atoms `new`, in order. One atom, the common case,
+        skips the loop, as in `replace`: it serves `check_wide`, whose let
+        chains add an atom a link."""
+        if len(new) == 1:
             h = next(self._handles)
             self._edit((), (((h,), h, new[0]),))
         elif new:

@@ -13,11 +13,6 @@ permission metavariable is deferred if the caller keeps a list and no
 level (below) is open, else it is empty. Any other goal is met by the
 first of these that applies:
 
-0. a *held* goal, `x @ T` for a `TApp` `T` that binds no name and holds
-   no metavariable, or for a type variable `T`, where the first atom of
-   `x` has type `T`: that atom. This is rule 1's answer, found without
-   setting up a search (`Subsumer._held`); `Subsumer.subsume` tries it
-   before the search;
 1. exact match: a held atom of the anchor, then its global permission;
 2. alias expansion of the goal;
 3. opening a held atom of the anchor (alias, existential, bar, tuple);
@@ -108,7 +103,6 @@ from .perms import (
     duplicability,
     expand_alias,
     is_alias,
-    is_permission,
     normalize,
     split_branch,
     subst_type,
@@ -238,8 +232,9 @@ class Subsumer:
 
         Two equal types that bind no name and hold no metavariable (`plain`)
         unify at once, as the walk would bind nothing and draw no name; most
-        calls are such pairs. Other equal pairs still take the walk: it
-        draws a fresh name for each pair of binders, which numbers every
+        calls are such pairs, and the search's exact matches on `iterate`
+        and `corpus_mix` lean on it. Other equal pairs still take the walk:
+        it draws a fresh name for each pair of binders, which numbers every
         later name of the definition, and it may solve a metavariable."""
         if (a is b or a == b) and plain(a):
             return True
@@ -302,14 +297,8 @@ class Subsumer:
         if isinstance(a, TAt) and isinstance(b, TAt):
             return a.anchor == b.anchor and self.unify(a.ty, b.ty)
         if isinstance(a, (TAt, TStar, TEmpty, TVar)) or isinstance(b, (TAt, TStar, TEmpty, TVar)):
-            # permission-kinded comparison falls back to multiset matching;
-            # a side that is no permission unifies with none
-            resolve = self.uni.resolve
-            return (
-                is_permission(self.env, resolve(a))
-                and is_permission(self.env, resolve(b))
-                and self.unify_perms(a, b)
-            )
+            # permission-kinded comparison falls back to multiset matching
+            return self.unify_perms(a, b)
         return False
 
     def _unify_domain(
@@ -354,9 +343,15 @@ class Subsumer:
     def unify_perms(self, a: Type, b: Type) -> bool:
         """Multiset unification of two permissions. Matches rigid atoms
         pairwise; a single unmatched metavariable on one side absorbs the
-        other side's remainder (remaining metavariables default to empty)."""
-        atoms_a = normalize(self.env, self.uni.resolve(a))
-        atoms_b = normalize(self.env, self.uni.resolve(b))
+        other side's remainder (remaining metavariables default to empty).
+        A side that is no permission unifies with none, before anything is
+        bound."""
+        a, b = self.uni.resolve(a), self.uni.resolve(b)
+        try:
+            atoms_a = normalize(self.env, a)
+            atoms_b = normalize(self.env, b)
+        except TypeError:
+            return False
         rigid_a = [x for x in atoms_a if not isinstance(x, MetaPerm)]
         metas_a = [x for x in atoms_a if isinstance(x, MetaPerm)]
         rigid_b = [x for x in atoms_b if not isinstance(x, MetaPerm)]
@@ -538,12 +533,9 @@ class Subsumer:
     def subsume(self, penv: PermEnv, goals: list[Atom], defer: list[Atom] | None = None) -> None:
         """Meet `goals` in `penv`, in order. The first goal that fails gives
         back what it bound and raises its failure; what the goals took out
-        of `penv` stays taken. A held goal (`_held`) is met without setting
-        up a search."""
+        of `penv` stays taken."""
         bindings = self.uni.bindings
         for goal in goals:
-            if goal.__class__ is Anchored and self._held(penv, penv.atoms_of(goal.anchor), goal.ty):
-                continue
             mark = bindings.mark()
             try:
                 self.subsume_atom(penv, goal, defer)
@@ -635,8 +627,6 @@ class Subsumer:
                             raise SubsumptionFailure(Anchored(anchor, goal_ty), str(penv))
                     elif tcls is not TEmpty:
                         hits = penv.atoms_of(anchor)
-                        if self._held(penv, hits, ty):
-                            continue
                         folds, only_folds = self._folds(penv, anchor, ty, hits)
                         if only_folds:
                             walk = choices.walk if choices is not None else False
@@ -741,24 +731,14 @@ class Subsumer:
         may take: each of `folds` that a fold can take (`_fold_goals`), but
         a duplicable one already being folded, with its fold's goals; then a
         split, with the goal again. Fails with `goal`, or after the split
-        with the failure of the goal's search. A structural atom (no bar,
-        every field a singleton) is duplicable as its tag is immutable,
-        which is what `duplicability` answers for it, so it is taken
-        without `_extract`."""
-        env = self.env
+        with the failure of the goal's search."""
         guard = self.guard
         start = penv.mark()
         for handle, sty in folds:
             goals = self._fold_goals(ty, sty)
             if goals is None:
                 continue
-            if sty.bar is None:
-                taken = env.mutable_tag(sty.tag)
-                if taken:
-                    penv.remove(handle)
-            else:
-                taken = self._extract(penv, handle, sty)
-            if not taken:
+            if not self._extract(penv, handle, sty):
                 if handle in guard:
                     continue
                 guard.enter(handle, True)
@@ -778,7 +758,9 @@ class Subsumer:
         first of `folds`, taken out as `_fold` takes it, with its fold's
         `goals`; then the goal searched again by `_fold`, with the fresh
         names drawn since the walk began given back, so that the search
-        draws them as it would have without the walk."""
+        draws them as it would have without the walk. It serves
+        `check_wide`, whose tree literals it meets in one level each, where
+        the search opens a level a node."""
         uni = self.uni
         counter = uni._counter
         start = penv.mark()
@@ -831,22 +813,6 @@ class Subsumer:
             elif aty.tag in branches:
                 folds.append((handle, aty))
         return folds, only_folds
-
-    def _held(self, penv: PermEnv, hits: list[tuple[Handle, Anchored]], ty: Type) -> bool:
-        """Meet the goal `x @ ty` in `penv`, where `hits` are the atoms of
-        `x`, if the goal is *held*: `ty` is a `TApp` that binds no name and
-        holds no metavariable (`plain`), or a type variable, and the first
-        of `hits` has type `ty`. The search meets such a goal so: that atom
-        is no tag, so the goal is not a fold's alone, and `_find_exact`
-        unifies it with `ty` at once, binding nothing and drawing no name."""
-        cls = ty.__class__
-        if (cls is TApp or cls is TVar) and hits:
-            handle, atom = hits[0]
-            aty = atom.ty
-            if (aty is ty or (aty.__class__ is cls and aty == ty)) and plain(ty):
-                self._extract(penv, handle, aty)
-                return True
-        return False
 
     def _find_exact(
         self, penv: PermEnv, hits: list[tuple[Handle, Anchored]], anchor: str, ty: Type

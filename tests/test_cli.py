@@ -59,6 +59,34 @@ def test_check_json_records(tmp_path):
         assert record["code"] == "E-SUBSUME"
 
 
+# A failure that `Checker._fail` raises keeps the permissions held where it
+# was raised, as a search's failure does.
+FAIL_SNAPSHOTS = {
+    "match.mz": (
+        "data t = A | B\nval f: (x: t) -> int\nval f (x) = match x with | A -> 1\n",
+        (3, 13, "E-MATCH", "non-exhaustive match, missing ['B']", "x @ t"),
+    ),
+    "arity.mz": (
+        "val g: (int, int) -> int\nval g (a, b) = a\n"
+        "val h: () -> int\nval h () = let z = 3 in g (z, 1, 2)\n",
+        (4, 25, "E-ARITY", "call expects 2 argument(s)", "n$0 @ int"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FAIL_SNAPSHOTS)
+def test_check_json_keeps_the_snapshot_of_a_checker_failure(tmp_path, name):
+    text, expected = FAIL_SNAPSHOTS[name]
+    path = tmp_path / name
+    path.write_text(text)
+    out = run_cli("check", str(path), "--json")
+    assert out.returncode == 1
+    [line] = out.stderr.splitlines()
+    record = json.loads(line)
+    fields = ("line", "col", "code", "message", "perm_snapshot")
+    assert tuple(record[f] for f in fields) == expected
+
+
 def test_check_json_records_front_end_errors(tmp_path):
     deep = "(" * 3000 + "0" + ")" * 3000
     cases = {

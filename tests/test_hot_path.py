@@ -44,7 +44,8 @@ FORBIDDEN = {
         "duplicability",
         "plain",
     },
-    # a side of a unification that is no permission is told without raising
+    # a side of a unification that is no permission is rare: `unify_perms`
+    # catches the `TypeError` of `normalize`, and `unify` sees none
     "TypeError": {"Subsumer.unify"},
 }
 

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from minimz.ast import KIND_PERM, KIND_TYPE, Scope, TApp, TVar
@@ -301,3 +304,42 @@ MUST_SET = "construction of 'Node' must set exactly ['left', 'elem', 'right'], g
 )
 def test_a_front_end_diagnostic(src, code, where, spanned, message):
     assert first_error(src) == (code, where, spanned, message)
+
+
+# Resolver errors, each given by `minimz check` on its own line, with the
+# position where its span starts; the command exits 2, as for any error
+# of the front end.
+RESOLVER_ERRORS = {
+    "duplicate signature": (
+        "val f: () -> int\nval f: () -> int\n",
+        "2:1 E-KIND duplicate value signature 'f'",
+    ),
+    "duplicate definition": (
+        "val f: () -> int\nval f () = 1\nval f () = 2\n",
+        "3:1 E-KIND duplicate definition of 'f'",
+    ),
+    "applied type variable": (
+        "val f: [a] a int -> int\n",
+        "1:12 E-KIND type variable 'a' cannot take arguments",
+    ),
+    "duplicate branch": (
+        "data t = A | B\nval f: (x: t) -> int\n"
+        "val f (x) = match x with | A -> 1 | A -> 2 | B -> 3\n",
+        "3:37 E-MATCH duplicate branch 'A'",
+    ),
+    "name bound twice": (
+        "val f: () -> int\nval f () = let (y, y) = (1, 2) in y\n",
+        "2:20 E-MATCH pattern binds 'y' more than once",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RESOLVER_ERRORS)
+def test_check_reports_a_resolver_error_and_exits_two(tmp_path, case):
+    text, expected = RESOLVER_ERRORS[case]
+    path = tmp_path / "t.mz"
+    path.write_text(text)
+    out = subprocess.run(
+        [sys.executable, "-m", "minimz", "check", str(path)], capture_output=True, text=True
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", f"{path}:{expected}\n")

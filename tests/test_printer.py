@@ -51,6 +51,22 @@ val size (t) =
     assert parse_file(pretty_print(file), "x.mz") == file
 
 
+def test_file_roundtrip_of_a_tag_update():
+    source = """
+data mutable cell = Empty | Full { v: int }
+
+val fill: (consumes c: cell) -> cell
+
+val fill (c) =
+  tag of c <- Full { v = 1 };
+  c
+"""
+    file = parse_file(source, "x.mz")
+    printed = pretty_print(file)
+    assert "tag of c <- Full { v = 1 }" in printed
+    assert parse_file(printed, "x.mz") == file
+
+
 def test_printer_deterministic():
     source = "val f: [a, p: perm] (consumes x: (a | p)) -> (| p)"
     file = parse_file(source)
