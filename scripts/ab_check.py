@@ -19,14 +19,19 @@ Here both checkouts run in one Python process, close together in time:
   to round;
 - an operation with an entry (a `run`, as in `iterate` and `check_wide`)
   whose program checks clean is then run: `interp.eval_program` on the
-  environment that `load_text` made, as `driver.run_text` runs it.
+  environment that `load_text` made, as `driver.run_text` runs it, in the
+  checked mode where that side's `eval_program` takes a `checked` mode
+  (a checked run wraps no closure in `OneShot`, so it fires none), and
+  as the side's only mode where it does not.
 
 One untimed round of each side at each of `COMPARED_SEEDS` first fills
 the lazy caches, and its outcomes are compared: the script exits 1 if any
 diagnostic differs between the sides (code, span, message or snapshot),
 or a front-end error, or a run's outcome (the rendered value or the
 trap's kind and message, the steps, allocations and one-shot firings, and
-each definition's count of returned calls and their steps).
+each definition's count of returned calls and their steps). So a side
+whose checked runs fire no one-shot closure differs from one whose runs
+all do, on `iterate`, by its firings alone.
 The report gives, per workload and layer, each side's median round time,
 the ratio B/A of the medians, and in how many rounds B took less time.
 
@@ -51,6 +56,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
+import inspect
 import shutil
 import statistics
 import sys
@@ -75,6 +81,10 @@ def load_side(root: Path, tmp: Path, name: str):
         for module in ("cli", "driver", "check", "interp")
     }
     side["driver"].prelude()
+    # The mode of a run of a program that checks clean, where the side's
+    # interpreter has modes.
+    params = inspect.signature(side["interp"].eval_program).parameters
+    side["mode"] = {"checked": True} if "checked" in params else {}
     return side
 
 
@@ -100,7 +110,7 @@ def run_one(side, path: str, text: str, entry: str | None, times: dict, clock=ti
     files = [side["driver"].prelude()[0], file]
     t3 = clock()
     try:
-        value, program = side["interp"].eval_program(env, files, entry)
+        value, program = side["interp"].eval_program(env, files, entry, **side["mode"])
     except side["interp"].RuntimeTrap as trap:
         return found, ("trap", trap.kind, trap.message)
     finally:

@@ -151,7 +151,7 @@ def layer_times(text: str, runs: bool) -> tuple[float, ...]:
 
     def run(loaded) -> None:
         file, env = loaded
-        eval_program(env, [prelude_file, file], "main")
+        eval_program(env, [prelude_file, file], "main", checked=True)
 
     times = (
         best_ms(lambda: text, tokenize),

@@ -257,8 +257,15 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="check and evaluate an entry point")
     p_run.add_argument("file")
     p_run.add_argument("entry")
-    p_run.add_argument("--unchecked", action="store_true", help="skip the checker")
-    p_run.add_argument("--trace", action="store_true", help="log allocations and one-shot fires")
+    p_run.add_argument(
+        "--unchecked", action="store_true",
+        help="skip the checker, and instrument the run: the closures of a tuple literal "
+        "are one-shot",
+    )
+    p_run.add_argument(
+        "--trace", action="store_true",
+        help="log allocations, and the one-shot fires of an --unchecked run",
+    )
     p_run.add_argument("--max-steps", type=_step_count, default=10_000_000)
     p_run.set_defaults(fn=cmd_run)
 

@@ -24,6 +24,13 @@ record, the result of a builtin written out) its checks are left out, and
 so are those of an atom already tested on the way there: a test holds to
 the end of the `if` or `match` arm, lambda or helper function it is in.
 
+A run of a program the checker passed (`Interp.checked`) carries no
+affinity instrumentation: a tuple literal is a plain Python tuple. An
+unchecked run passes the items of each tuple literal to
+`runtime._package`, which makes its closures one-shot. Both modes write
+the allocation of a record in place, and only a traced run writes the
+line it adds to the trace.
+
 A function reaches the run through its first parameter, and a call of
 another definition reads the run's globals at call time, so compiled code
 holds no `Interp` or globals: closures end up in records, and holding the
@@ -80,7 +87,6 @@ from .runtime import (
     Cell,
     VBuiltin,
     VClosure,
-    _alloc,
     _build,
     _Check,
     _package,
@@ -167,7 +173,6 @@ _RUNTIME = MappingProxyType({
     "_Check": _Check,
     "_package": _package,
     "_spread": _spread,
-    "_alloc": _alloc,
     "_build": _build,
 })
 
@@ -210,6 +215,8 @@ class _Compiler:
         self.env = rt.env
         self.calls = rt.calls
         self.ns: dict[str, object] = dict(_RUNTIME, L=rt.max_steps)
+        self.checked = rt.checked  # a checked run wraps no closure in `OneShot`
+        self.traced = rt.trace_enabled
         self.consts: dict[tuple, str] = {}
         self.checks: dict[tuple, str] = {}
         self.sizes: dict[int, int] = {}  # id of an expression -> its `nodes`
@@ -655,10 +662,13 @@ class _Compiler:
         self.step(1 + lead)
         values = self.operands(exprs, lead)
         fields = ", ".join(f"{self.const(f)}: {v}" for (f, _), v in zip(e.fields, values))
-        limit = self.check_for(None, None)
-        mutable = self.env.mutable_tag(e.tag)
-        self.emit(f"{t} = _alloc(rt, {limit}, {self.const(e.tag)}, {{{fields}}}, {mutable})")
-        self.b.pending = []
+        tag = self.const(e.tag)
+        # `runtime._alloc`, written out.
+        self.flush()
+        if self.traced:
+            self.emit(f'rt.trace.append(f"alloc {{rt.allocations}} {{{tag}}}")')
+        self.emit("rt.allocations += 1")
+        self.emit(f"{t} = Cell({tag}, {{{fields}}}, {self.env.mutable_tag(e.tag)})")
         return t
 
     def plan(self, e: EConstruct) -> tuple:
@@ -686,8 +696,15 @@ class _Compiler:
         if not atoms:
             return "()"
         t = self.fresh("t")
-        self.emit(f"{t} = _package(rt, [{', '.join(atoms)}])")
+        self.emit(f"{t} = {self.tuple_of(atoms)}")
         return t
+
+    def tuple_of(self, atoms: list[str]) -> str:
+        """The Python expression of a tuple literal's value, given its
+        items; in an unchecked run its closures become one-shot."""
+        if self.checked:
+            return f"({''.join(a + ', ' for a in atoms)})"
+        return f"_package(rt, [{', '.join(atoms)}])"
 
     def lambda_(self, e: ELambda) -> str:
         self.step(1)
@@ -727,10 +744,10 @@ class _Compiler:
         self.emit(f"rt.steps += {sum(self.b.pending) + lead} + ({arity} != {k})")
         self.emit(f"if rt.steps > L: raise _Check(None, None, ({pending}{charge},))")
         self.b.pending = []
-        atoms = ", ".join(self.operands(items, lead))
+        atoms = self.operands(items, lead)
         return self.invoke(
-            f"{f}.fn(rt, ({atoms}{',' if k else ''}) if {arity} == {k} "
-            f"else _spread(_package(rt, [{atoms}]), {arity}))"
+            f"{f}.fn(rt, ({''.join(a + ', ' for a in atoms)}) if {arity} == {k} "
+            f"else _spread({self.tuple_of(atoms)}, {arity}))"
         )
 
     def known_call(self, name: str, arg: Expr, items: list[Expr] | None) -> str:

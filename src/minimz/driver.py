@@ -58,4 +58,6 @@ def run_text(
         if diags:
             raise CheckedProgramError(diags)
     prelude_file, _ = prelude()
-    return eval_program(env, [prelude_file, file], entry, max_steps=max_steps, trace=trace)
+    return eval_program(
+        env, [prelude_file, file], entry, checked=checked, max_steps=max_steps, trace=trace
+    )

@@ -40,9 +40,15 @@ _RECURSION_LIMIT = 100_000
 
 
 class Interp:
-    def __init__(self, env: Env, files: list[SourceFile], max_steps: int = 10_000_000,
-                 trace: bool = False):
+    """The runs of a program. `checked` says whether the checker passed
+    the program: its code then carries no affinity instrumentation, since
+    the checker has proved that no one-shot closure fires twice; an
+    unchecked run wraps the closures of each tuple literal in `OneShot`."""
+
+    def __init__(self, env: Env, files: list[SourceFile], *, checked: bool,
+                 max_steps: int = 10_000_000, trace: bool = False):
         self.env = env
+        self.checked = checked
         self.max_steps = max_steps
         self.stats = Stats()
         # The step count, as of the last call or trap; the records made; and
@@ -150,10 +156,12 @@ def eval_program(
     env: Env,
     files: list[SourceFile],
     entry: str,
+    *,
+    checked: bool,
     max_steps: int = 10_000_000,
     trace: bool = False,
 ) -> tuple[Value, Interp]:
-    interp = Interp(env, files, max_steps=max_steps, trace=trace)
+    interp = Interp(env, files, checked=checked, max_steps=max_steps, trace=trace)
     try:
         value = interp.run(entry)
     except RuntimeTrap as trap:

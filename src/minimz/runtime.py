@@ -8,11 +8,15 @@ reference; a run counts the records it allocates and keeps no heap of
 them.
 
 Permissions never reach runtime; what remains is deterministic
-left-to-right evaluation plus affinity instrumentation, which every run
-has: every closure value that a tuple literal holds, whether written in
-the literal or bound to a name first, is made one-shot, and all closures
-packaged by the same tuple literal share one spent flag (so a
-double-barreled pair can fire at most one barrel).
+left-to-right evaluation. A run of a program the checker passed carries
+nothing more: the checker has proved that no one-shot closure fires
+twice. An unchecked run adds affinity instrumentation: every closure
+value that a tuple literal holds, whether written in the literal or bound
+to a name first, is made one-shot (`_package`), and all closures packaged
+by the same tuple literal share one spent flag (so a double-barreled pair
+can fire at most one barrel). It traps ONE_SHOT_REUSE on a second fire,
+so it may trap a program the checker accepts, whose closures of a plain
+arrow type may be called any number of times.
 
 A step is the evaluation of one source expression node, counted before the
 node's work; a run traps STEP_LIMIT on step `max_steps + 1`. A call
@@ -127,6 +131,8 @@ class Stats:
     def __init__(self) -> None:
         self.steps = 0
         self.allocations = 0
+        # The fires of `OneShot` closures: always 0 in a checked run, which
+        # wraps none.
         self.oneshot_fires = 0
         # The steps of each returned call, by definition: a definition none
         # of whose calls has returned has no entry.
@@ -240,7 +246,9 @@ def _spread(value: Value, arity: int):
 
 def _alloc(rt: Interp, limit: _Check, tag: str, fields: dict, mutable: bool) -> Cell:
     """A new record, once the pending charges that `limit` checks are
-    taken. The trace names it by its ordinal among the run's records."""
+    taken. The trace names it by its ordinal among the run's records.
+    A record literal's own code does the same in place
+    (`codegen._Compiler.construct`)."""
     rt.steps += limit.total
     if rt.steps > rt.max_steps:
         raise limit

@@ -277,7 +277,7 @@ def _check_and_run(source: str, path: str, entries: list[str]):
     diags = Checker(env).check_file(file)
     assert diags == [], f"{path} does not check: {diags[:1]}"
     prelude_file, _ = prelude()
-    interp = Interp(env, [prelude_file, file], max_steps=100_000_000)
+    interp = Interp(env, [prelude_file, file], checked=True, max_steps=100_000_000)
     for entry in entries:
         yield interp.run(entry), interp
 

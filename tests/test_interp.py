@@ -83,10 +83,13 @@ def test_determinism_value_and_trace():
 
 
 def test_trace_reports_allocations_and_oneshots():
+    # A checked run wraps no closure, so only an unchecked one fires.
     text = corpus_text("run/run_adt_loop.mz")
-    _, interp = run_text(text, "main", "t", trace=True)
-    assert any(line.startswith("alloc") for line in interp.trace)
-    assert any(line.startswith("oneshot") for line in interp.trace)
+    kinds = {}
+    for checked in (True, False):
+        _, interp = run_text(text, "main", "t", checked=checked, trace=True)
+        kinds[checked] = {line.split()[0] for line in interp.trace}
+    assert kinds == {True: {"alloc"}, False: {"alloc", "oneshot"}}
 
 
 def test_step_limit_traps():
@@ -138,7 +141,7 @@ val good: () -> int
 val good () = f 5
 """
     file, env = load_text(src, "t")
-    interp = Interp(env, [prelude()[0], file])
+    interp = Interp(env, [prelude()[0], file], checked=True)
     with pytest.raises(RuntimeTrap):
         interp.run("bad")
     assert interp.stats.call_steps == {}  # f was compiled, and trapped
@@ -322,13 +325,13 @@ def test_a_tuple_literal_passed_whole_packages_its_lambda_as_one_shot():
     assert _run_unchecked(TWICE, "main2") == "2"
 
 
-# A closure whose checked type is a plain arrow, which may be called any
-# number of times, is put in a tuple literal, taken out and called twice:
-# a top-level function, a lambda bound by `let`, and a lambda written in
-# the literal. The checker accepts each program, but the run traps
-# ONE_SHOT_REUSE, since every closure a tuple literal holds is made
-# one-shot. Whether checked runs should drop that wrapping or the checker
-# should make such closures affine is still open.
+# The checker is the authority on affinity: a run of a program it accepts
+# wraps no closure in `OneShot`, so a closure whose checked type is a plain
+# arrow may be called any number of times, even when it was put in a tuple
+# literal and taken out again. Each program puts a top-level function, a
+# lambda bound by `let`, or a lambda written in the literal in a tuple and
+# calls it twice. Only an unchecked run makes the closures of a tuple
+# literal one-shot, and there each program traps ONE_SHOT_REUSE.
 CLOSURE_FROM_A_TUPLE_TWICE = {
     "top-level": "let (f, y) = (one, 2) in add (f (), f ())",
     "let-bound lambda": "let h = fun () : int = 1 in let (g, y) = (h, 2) in add (g (), g ())",
@@ -336,8 +339,6 @@ CLOSURE_FROM_A_TUPLE_TWICE = {
 }
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeTrap,
-                   reason="a tuple literal makes a duplicable closure one-shot")
 @pytest.mark.parametrize("body", CLOSURE_FROM_A_TUPLE_TWICE.values(),
                          ids=CLOSURE_FROM_A_TUPLE_TWICE.keys())
 def test_an_accepted_closure_taken_from_a_tuple_fires_twice(body):
@@ -348,8 +349,11 @@ val main: () -> int
 val main () = {body}
 """
     assert check_text(src, "t")[2] == []
-    value, _ = run_text(src, "main", "t")
-    assert (type(value), value) == (int, 2)
+    value, interp = run_text(src, "main", "t")
+    assert (type(value), value, interp.stats.oneshot_fires) == (int, 2, 0)
+    with pytest.raises(RuntimeTrap) as exc:
+        run_text(src, "main", "t", checked=False)
+    assert exc.value.kind == "ONE_SHOT_REUSE"
 
 
 @pytest.mark.parametrize("call", ["diff (1, 2, 3)", "diff 5", "sub 5", "sub (1, 2, 3)"])
@@ -434,11 +438,12 @@ def test_a_finished_run_is_freed_without_the_cycle_collector(rel):
     gc.collect()
     gc.disable()
     try:
-        value, interp = eval_program(env, [prelude_file, file], "main")
-        ref = weakref.ref(interp)
-        del value, interp
-        assert ref() is None
-        assert gc.collect() == 0  # the run left no cyclic garbage either
+        for checked in (True, False):
+            value, interp = eval_program(env, [prelude_file, file], "main", checked=checked)
+            ref = weakref.ref(interp)
+            del value, interp
+            assert ref() is None
+            assert gc.collect() == 0  # the run left no cyclic garbage either
     finally:
         gc.enable()
 

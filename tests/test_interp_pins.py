@@ -2,16 +2,19 @@
 
 `interp_pins.txt` holds, for every `run/` and `dyn/` RUN row of the corpus
 manifest and for each `--max-steps` value from 1 to the row's full step
-count, what the run gives: the trap, or the rendered value; `stats.steps`;
-the records allocated (`stats.allocations`, printed as `heap=`); the
-one-shot fires; the trace, as its length and a digest; and the number and
-sum of each function's `call_steps`. A row longer than
-`EVERY` steps is pinned at every value up to `EVERY`, then at every
-`STRIDE`-th value, then at its full count: its tail repeats one recursion,
-and a prime stride lands on each node of it. The file also pins the four
-iteration styles of the `iterate` benchmark workload at two tree sizes, in
-full, with the trace on and off. A change to the interpreter that keeps its behaviour must leave the
-file unchanged.
+count, what an unchecked run gives: the trap, or the rendered value;
+`stats.steps`; the records allocated (`stats.allocations`, printed as
+`heap=`); the one-shot fires; the trace, as its length and a digest; and
+the number and sum of each function's `call_steps`. Every run is
+unchecked, since only an unchecked run wraps closures in `OneShot` and so
+has fires to pin; `test_run_modes.py` shows that a checked run of each
+program that checks clean gives the same results with no fires. A row
+longer than `EVERY` steps is pinned at every value up to `EVERY`, then at
+every `STRIDE`-th value, then at its full count: its tail repeats one
+recursion, and a prime stride lands on each node of it. The file also pins
+the four iteration styles of the `iterate` benchmark workload at two tree
+sizes, in full, with the trace on and off. A change to the interpreter
+that keeps its behaviour must leave the file unchanged.
 
 To rewrite the file after an intended change of behaviour:
 
@@ -88,7 +91,7 @@ def iterate_text(style: str, n: int) -> str:
 
 def pin(files, env, entry: str, max_steps: int, trace: bool = True) -> tuple[int, str]:
     """(steps, line) of one run of `entry` under `max_steps`."""
-    interp = Interp(env, files, max_steps=max_steps, trace=trace)
+    interp = Interp(env, files, checked=False, max_steps=max_steps, trace=trace)
     try:
         shown = interp.render(interp.run(entry))
     except RuntimeTrap as trap:
