@@ -17,12 +17,15 @@ Here both checkouts run in one Python process, close together in time:
   that the two sides' times of a round span the same stretch of time; the
   side that goes first alternates from program to program and from round
   to round;
-- an operation with an entry (a `run`, as in `iterate` and `check_wide`)
-  whose program checks clean is then run: `interp.eval_program` on the
-  environment that `load_text` made, as `driver.run_text` runs it, in the
-  checked mode where that side's `eval_program` takes a `checked` mode
-  (a checked run wraps no closure in `OneShot`, so it fires none), and
-  as the side's only mode where it does not.
+- an operation with an entry is then run: `interp.eval_program` on the
+  environment that `load_text` made, as `driver.run_text` runs it. A
+  `run` (as in `iterate` and `check_wide`) runs checked once its program
+  checks clean. A manifest `RUN` row (as in `corpus_mix`) runs as
+  `minimz test` runs it (`cli._judge`): a row that expects a trap runs
+  unchecked whatever its diagnostics, any other row runs checked once
+  its program checks clean. Where a side's `eval_program` takes no
+  `checked` mode, every run is in its only mode. A checked run wraps no
+  closure in `OneShot`, so it fires none.
 
 One untimed round of each side at each of `COMPARED_SEEDS` first fills
 the lazy caches, and its outcomes are compared: the script exits 1 if any
@@ -81,18 +84,31 @@ def load_side(root: Path, tmp: Path, name: str):
         for module in ("cli", "driver", "check", "interp")
     }
     side["driver"].prelude()
-    # The mode of a run of a program that checks clean, where the side's
-    # interpreter has modes.
+    # Whether the side's interpreter has a checked and an unchecked mode.
     params = inspect.signature(side["interp"].eval_program).parameters
-    side["mode"] = {"checked": True} if "checked" in params else {}
+    side["modes"] = "checked" in params
     return side
 
 
-def run_one(side, path: str, text: str, entry: str | None, times: dict, clock=time.perf_counter):
+def run_of(op) -> tuple[str, bool] | None:
+    """The entry that `op` runs and whether its run is checked, or None
+    when it runs nothing: a `run`'s entry, checked, or a manifest `RUN`
+    row's, unchecked when the row expects a trap, as `cli._judge` runs it."""
+    if op.entry is not None:
+        return op.entry, True
+    if getattr(op.expect, "expectation", None) != "RUN" or "=" not in op.expect.args:
+        return None
+    entry, _, expected = op.expect.args.partition("=")
+    return entry, not expected.startswith("TRAP:")
+
+
+def run_one(side, path: str, text: str, run: tuple[str, bool] | None, times: dict,
+            clock=time.perf_counter):
     """The program `text` through the front end and the checker of `side`,
-    and a run of `entry` if it is not None and the program checks clean:
-    its diagnostics and the outcome of its run, or its front-end error; the
-    layers' readings of `clock`, a time by default, are added to `times`."""
+    and a run of `run`'s entry if it is not None, unchecked or with a
+    program that checks clean: its diagnostics and the outcome of its run,
+    or its front-end error; the layers' readings of `clock`, a time by
+    default, are added to `times`."""
     t0 = clock()
     try:
         file, env = side["driver"].load_text(text, path)
@@ -105,12 +121,14 @@ def run_one(side, path: str, text: str, entry: str | None, times: dict, clock=ti
     times["front end"] += t1 - t0
     times["check"] += t2 - t1
     found = [(d.code, d.span.start, d.span.length, d.message, d.perm_snapshot) for d in diags]
-    if entry is None or diags:
+    if run is None or (run[1] and diags):
         return found, None
+    entry, checked = run
+    mode = {"checked": checked} if side["modes"] else {}
     files = [side["driver"].prelude()[0], file]
     t3 = clock()
     try:
-        value, program = side["interp"].eval_program(env, files, entry, **side["mode"])
+        value, program = side["interp"].eval_program(env, files, entry, **mode)
     except side["interp"].RuntimeTrap as trap:
         return found, ("trap", trap.kind, trap.message)
     finally:
@@ -132,7 +150,7 @@ def run_round(sides: dict, ops: list, first: int, clock=time.perf_counter) -> tu
     try:
         for k, op in enumerate(ops):
             for name in ("A", "B") if (first + k) % 2 == 0 else ("B", "A"):
-                outcome = run_one(sides[name], op.path, op.text, op.entry, times[name], clock)
+                outcome = run_one(sides[name], op.path, op.text, run_of(op), times[name], clock)
                 outcomes[name].append(outcome)
     finally:
         gc.unfreeze()
@@ -208,7 +226,7 @@ def main() -> int:
                 for name in sides:
                     rounds[name].append(times[name])
 
-            runs = sum(op.entry is not None for op in ops)
+            runs = sum(run_of(op) is not None for op in ops)
             print(f"{workload}, seed {SEED}: {len(ops)} programs, {runs} runs, "
                   f"{args.rounds} rounds a side, ms per round, median"
                   + ("; bytecodes of one round" if counts else ""))

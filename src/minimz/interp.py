@@ -16,7 +16,6 @@ from .ast import DValDef, SourceFile
 from .codegen import first_call
 from .kinds import Env
 from .runtime import (
-    Cell,
     OneShot,
     RuntimeTrap,
     Stats,
@@ -134,7 +133,7 @@ class Interp:
                 out.append("(")
             elif cls in (VClosure, VBuiltin, OneShot):
                 out.append("<fun>")
-            elif cls is Cell:
+            else:  # a record
                 if id(item) in open_cells:
                     out.append("<cycle>")
                 elif not item.fields:
@@ -147,8 +146,6 @@ class Interp:
                         if i < len(item.fields) - 1:
                             work.append("; ")
                     out.append(f"{item.tag} {{ ")
-            else:
-                out.append(repr(item))
         return "".join(out)
 
 

@@ -19,7 +19,11 @@ so it may trap a program the checker accepts, whose closures of a plain
 arrow type may be called any number of times.
 
 A step is the evaluation of one source expression node, counted before the
-node's work; a run traps STEP_LIMIT on step `max_steps + 1`. A call
+node's work; a run traps STEP_LIMIT on step `max_steps + 1`. Steps taken
+together are one charge, added whole (`_Check.trap`): a node's step with
+the reads of the variables it takes right after it, or a call's step with
+the read of its global callee. So after a STEP_LIMIT trap the count
+passes `max_steps + 1` by the rest of the charge that held that step. A call
 evaluates its callee, then its argument: a callee of arity 1 receives the
 argument as one value; a tuple literal as long as the arity is evaluated
 item by item, and the tuple itself costs no step and packages nothing;
@@ -244,25 +248,21 @@ def _spread(value: Value, arity: int):
     return value
 
 
-def _alloc(rt: Interp, limit: _Check, tag: str, fields: dict, mutable: bool) -> Cell:
-    """A new record, once the pending charges that `limit` checks are
-    taken. The trace names it by its ordinal among the run's records.
-    A record literal's own code does the same in place
-    (`codegen._Compiler.construct`)."""
+def _build(rt: Interp, plan: tuple) -> Cell:
+    """A record literal of constants, from its plan: the pending charges'
+    `_Check` of the limit, the tag, the fields with the plan of each field
+    that is a record literal in place of its value, and whether the record
+    is mutable. Fields are made in order, each before its record, as the
+    code of the literal would make them; the record is then allocated as
+    that code allocates it in place (`codegen._Compiler.construct`): once
+    the charges are taken, named in the trace by its ordinal among the
+    run's records."""
+    limit, tag, fields, mutable = plan
+    values = {f: _build(rt, v) if type(v) is tuple else v for f, v in fields}
     rt.steps += limit.total
     if rt.steps > rt.max_steps:
         raise limit
     if rt.trace_enabled:
         rt.trace.append(f"alloc {rt.allocations} {tag}")
     rt.allocations += 1
-    return Cell(tag, fields, mutable)
-
-
-def _build(rt: Interp, plan: tuple) -> Cell:
-    """A record literal of constants, from its plan: the arguments of its
-    `_alloc`, with the plan of each field that is a record literal in
-    place of its value. Fields are made in order, each before its record,
-    as the code of the literal would make them."""
-    limit, tag, fields, mutable = plan
-    values = {f: _build(rt, v) if type(v) is tuple else v for f, v in fields}
-    return _alloc(rt, limit, tag, values, mutable)
+    return Cell(tag, values, mutable)

@@ -111,7 +111,7 @@ def tree_literal(tree) -> str:
 
 def value_to_pylist(value) -> list[int]:
     """Convert a runtime `list int` into a Python list."""
-    from minimz.interp import Cell
+    from minimz.runtime import Cell
 
     out = []
     while True:

@@ -178,6 +178,54 @@ def test_a_malformed_reject_location_fails_its_row(tmp_path, location):
     ]
 
 
+# One manifest row for each failure that `minimz test` reports, and one row
+# that passes.
+FAILING_ROWS = [
+    ("ACCEPT\tneg.mz", "FAIL  ACCEPT  neg.mz   unexpected diagnostics: ['E-SUBSUME']"),
+    ("REJECT\tneg.mz\t",
+     "FAIL  REJECT  neg.mz   manifest error: REJECT requires at least one code"),
+    ("REJECT\tneg.mz\tE-SUBSUME, E-SUBSUME",
+     "FAIL  REJECT  neg.mz   expected ['E-SUBSUME', 'E-SUBSUME'], got [('E-SUBSUME', 82, 3)]"),
+    ("REJECT\tneg.mz\tE-ARITY", "FAIL  REJECT  neg.mz   expected E-ARITY, got E-SUBSUME"),
+    ("REJECT\tneg.mz\tE-SUBSUME@1:1",
+     "FAIL  REJECT  neg.mz   expected E-SUBSUME@1:1, got E-SUBSUME@82:3"),
+    ("RUN\tgood.mz\tmain",
+     "FAIL  RUN     good.mz  manifest error: RUN requires entry=expected"),
+    ("RUN\tneg.mz\tmain=0", "FAIL  RUN     neg.mz   does not check: ['E-SUBSUME']"),
+    ("RUN\tdiv.mz\tmain=1", "FAIL  RUN     div.mz   unexpected trap DIV_ZERO"),
+    ("RUN\tgood.mz\tmain=TRAP:DIV_ZERO", "FAIL  RUN     good.mz  expected a trap, got 3"),
+    ("RUN\tgood.mz\tmain=4", "FAIL  RUN     good.mz  expected '4', got '3'"),
+    ("RUN\tgood.mz\tmain=3", "pass  RUN     good.mz  => 3"),
+]
+
+
+def test_each_failing_manifest_row_is_reported(tmp_path):
+    (tmp_path / "neg.mz").write_text((CORPUS / "neg" / "neg_double_stop.mz").read_text())
+    (tmp_path / "good.mz").write_text("val main: () -> int\nval main () = add (1, 2)\n")
+    (tmp_path / "div.mz").write_text("val main: () -> int\nval main () = div (1, 0)\n")
+    (tmp_path / "manifest.tsv").write_text("".join(row + "\n" for row, _ in FAILING_ROWS))
+    out = run_cli("test", str(tmp_path))
+    assert (out.returncode, out.stderr) == (1, "")
+    assert out.stdout.splitlines() == [
+        *(line for _, line in FAILING_ROWS), f"1/{len(FAILING_ROWS)} corpus cases passed"
+    ]
+
+
+def test_a_manifest_line_of_four_columns_is_a_manifest_error(tmp_path):
+    (tmp_path / "manifest.tsv").write_text("ACCEPT\tgood.mz\tx\ty\n")
+    out = run_cli("test", str(tmp_path))
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == "manifest error: malformed manifest line: 'ACCEPT\\tgood.mz\\tx\\ty'\n"
+
+
+def test_run_parse_error_exits_two(tmp_path):
+    bad = tmp_path / "bad.mz"
+    bad.write_text("val x:")
+    out = run_cli("run", str(bad), "main")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == f"{bad}:1:7 PARSE expected a type, found end of input\n"
+
+
 def test_run_prints_value():
     out = run_cli("run", str(CORPUS / "run" / "run_size.mz"), "main")
     assert out.returncode == 0

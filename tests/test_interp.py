@@ -7,8 +7,8 @@ from conftest import corpus_text, value_to_pylist
 
 from minimz.codegen import _MAX_DEPTH
 from minimz.driver import check_text, load_text, prelude, run_text
-from minimz.interp import Cell, Interp, RuntimeTrap, eval_program
-from minimz.runtime import _wrap64
+from minimz.interp import Interp, RuntimeTrap, eval_program
+from minimz.runtime import Cell, _wrap64
 
 
 def test_size_of_three_node_tree():
@@ -305,6 +305,46 @@ val main () = let p = (7, 2) in add (diff p, sub p)
     assert _run_unchecked(src) == "10"
 
 
+# A callee whose arity is not known before the call, given a pair literal,
+# takes the pair as its one value when its arity is 1 (`runtime._spread`).
+def test_a_function_of_one_parameter_takes_a_pair_literal_whole():
+    src = """
+val main: () -> int
+val main () =
+  let f = fun (p: (int, int)) : int = let (a, b) = p in add (a, b) in
+  f (3, 4)
+"""
+    value, interp = run_text(src, "main", "t")
+    assert interp.render(value) == "7"
+
+
+# A builtin that is not called on a pair literal runs its own function, as
+# `not` always does: the code writes only the binary builtins out in place.
+def test_a_builtin_called_through_a_variable_traps_on_a_zero_divisor():
+    with pytest.raises(RuntimeTrap) as exc:
+        run_text("val main: () -> int\nval main () = let d = div in d (1, 0)\n", "main", "t")
+    assert (exc.value.kind, exc.value.message) == ("DIV_ZERO", "division by zero")
+
+
+@pytest.mark.parametrize("body, expected", [
+    ("not true", "false"),
+    ("not (lt (2, 1))", "true"),
+    ("if not (lt (1, 2)) then false else true", "true"),
+])
+def test_not_is_called_through_its_builtin(body, expected):
+    value, interp = run_text(f"val main: () -> bool\nval main () = {body}\n", "main", "t")
+    assert (type(value), interp.render(value)) == (bool, expected)
+
+
+@pytest.mark.parametrize("ty, body", [
+    ("int -> int", "fun (x: int) -> add (x, 1)"),
+    ("(int, int) -> int", "add"),
+])
+def test_an_entry_whose_value_is_a_function_prints_fun(ty, body):
+    value, interp = run_text(f"val main: () -> {ty}\nval main () = {body}\n", "main", "t")
+    assert interp.render(value) == "<fun>"
+
+
 TWICE = """
 val twice: (pr: ((x: int) -> int, int)) -> int
 val twice (pr) = let (f, n) = pr in add (f n, f n)
@@ -581,6 +621,33 @@ def test_a_long_chain_runs_under_the_default_recursion_limit(chain, n):
     value, interp = run_text(text, "main", "t")
     assert (type(value), value) == (int, expected)
     assert interp.stats.steps == steps
+
+
+# An `if`, `match` or `let` in value position is written in its function,
+# not as a helper function: a helper would take a second Python frame per
+# call, and these recursions 60,000 deep would trap `evaluation recursion
+# too deep`.
+VALUE_POSITION_RECURSIONS = {
+    "if": "add (if eq (n, 0) then 0 else f (sub (n, 1)), 1)",
+    "match": "add (match mk n with | Z -> 0 | S { n = m } -> f (sub (m, 1)), 1)",
+    "let": "add (let m = sub (n, 1) in if lt (m, 0) then 0 else f m, 1)",
+}
+
+
+@pytest.mark.parametrize("body", VALUE_POSITION_RECURSIONS.values(),
+                         ids=VALUE_POSITION_RECURSIONS.keys())
+def test_a_recursion_60000_deep_through_a_value_position_node_runs(body):
+    src = f"""
+data nat = Z | S {{ n: int }}
+val mk: (n: int) -> nat
+val mk (n) = if eq (n, 0) then Z else S {{ n = n }}
+val f: (n: int) -> int
+val f (n) = {body}
+val main: () -> int
+val main () = f 60000
+"""
+    value, _ = run_text(src, "main", "t")
+    assert (type(value), value) == (int, 60_001)
 
 
 def test_a_binder_that_shadows_a_parameter_gives_it_back_after_its_body():

@@ -46,9 +46,15 @@ val size (t) =
   match t with
   | Leaf -> 0
   | Node { left = l; elem = x; right = r } -> add (add (size l, size r), 1)
+
+val inc: () -> int -> int
+
+val inc () = fun (x: int) -> add (x, 1)
 """
     file = parse_file(source, "x.mz")
-    assert parse_file(pretty_print(file), "x.mz") == file
+    printed = pretty_print(file)
+    assert "fun (x: int) ->\n" in printed  # a lambda without a codomain
+    assert parse_file(printed, "x.mz") == file
 
 
 def test_file_roundtrip_of_a_tag_update():
