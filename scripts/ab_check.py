@@ -39,11 +39,17 @@ The report gives, per workload and layer, each side's median round time,
 the ratio B/A of the medians, and in how many rounds B took less time.
 
 On Python 3.12 and later it also gives, beside the times, the bytecode
-instructions each side's layers execute in the untimed round at `SEED`,
-counted as `sys.monitoring` INSTRUCTION events (PEP 669), and their
-ratio B/A. Each side's prelude is loaded before any round, so no layer
-counts it. The counts repeat exactly from run to run, so one round tells
-a change of well under 1% that the times cannot. They are not time:
+instructions each side's layers execute in a further untimed round at
+`SEED`, after the compared ones, counted as `sys.monitoring` INSTRUCTION
+events (PEP 669), and their ratio B/A. Each side's prelude is loaded
+before any round, so no layer counts it. The counted round is warm: each
+process-wide memo (`codegen._compiled` and `_code` among them) holds
+what the workload's own compared rounds put in it, so its runs find the
+code of their definitions there and the counts are of running code, not
+of writing it. They are the same whether the workload runs alone
+(`--workload`) or after others, and they repeat exactly from run to run:
+one round tells a change of well under 1% that the times cannot. A cold
+round's counts depend on what the process ran before. They are not time:
 work done in C (regular expressions, dict and set operations, sorting,
 `compile()`) is not counted, so a change that moves work into C reads as
 a gain; and they differ between Python versions, so compare them only
@@ -207,19 +213,16 @@ def main() -> int:
             print(f"bytecode counts need Python 3.12 or later (sys.monitoring); "
                   f"this is {sys.version.split()[0]}")
         for workload in [args.workload] if args.workload else WORKLOADS:
-            counts = None
             for seed in COMPARED_SEEDS:
                 ops = workloads.make_round(workload, seed, corpus)
-                if COUNTS and seed == SEED:
-                    outcomes, counts = counted_round(sides, ops)
-                else:
-                    outcomes, _ = run_round(sides, ops, 0)
+                outcomes, _ = run_round(sides, ops, 0)
                 for op, a, b in zip(ops, outcomes["A"], outcomes["B"]):
                     if a != b:
                         different += 1
                         print(f"{workload}, seed {seed}: {op.path}: outcomes differ"
                               f"\n  A: {a}\n  B: {b}")
             ops = workloads.make_round(workload, SEED, corpus)
+            counts = counted_round(sides, ops)[1] if COUNTS else None
             rounds: dict[str, list] = {name: [] for name in sides}
             for i in range(args.rounds):
                 _, times = run_round(sides, ops, i)

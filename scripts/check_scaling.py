@@ -48,7 +48,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from minimz.check import Checker  # noqa: E402
-from minimz.codegen import _code  # noqa: E402
+from minimz.codegen import _code, _compiled  # noqa: E402
 from minimz.driver import CORPUS_DIR, load_text, prelude  # noqa: E402
 from minimz.interp import eval_program  # noqa: E402
 from minimz.kinds import resolve  # noqa: E402
@@ -146,7 +146,8 @@ def layer_times(text: str, runs: bool) -> tuple[float, ...]:
         return load_text(text, "scaling.mz")
 
     def load_cold():
-        _code.cache_clear()  # the code of an earlier timing's run
+        _compiled.cache_clear()  # the code of an earlier timing's run
+        _code.cache_clear()
         return load()
 
     def run(loaded) -> None:

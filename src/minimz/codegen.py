@@ -1,18 +1,23 @@
-"""Compiles each definition of a run into one Python function.
+"""Compiles each definition of a program into one Python function.
 
-Each definition is compiled once per run, on its first call: `_Compiler`
-writes its source text and `_code` turns it into code. The lambdas in the
-body become nested functions, a `let` binds a Python local, an `if` or
-`match` becomes an `if` statement, a call of a binary builtin on a pair
-literal is written out in place (any other call of a builtin, as every
-call of `not`, runs the builtin's function), and nested record literals
-of constants are built from a plan (`runtime._build`). Program text never
-becomes code: each name of the program maps to a generated identifier,
-and its tags, field names, integers and messages are constants of the
-function's namespace, made for each compile. So the text depends only on
+A definition gets its code on its first call in a run: `_Compiler`
+writes its source text and `_code` turns it into code. The text is a
+pure function of the definition, the mode of the run (checked or not,
+traced or not) and the program's interface (`Interp.interface`), and
+`_compiled` keeps the code of recent ones: a process writes a definition
+once per definition, mode and interface, and each run executes that code
+in a namespace of its own.
+
+The lambdas in the body become nested functions, a `let` binds a Python
+local, an `if` or `match` becomes an `if` statement, a call of a binary
+builtin on a pair literal is written out in place (any other call of a
+builtin, as every call of `not`, runs the builtin's function), and nested
+record literals of constants are built from a plan (`runtime._build`).
+Program text never becomes code: each name of the program maps to a
+generated identifier, and its tags, field names, integers and messages
+are constants of the function's namespace. So the text depends only on
 the shape of the definition, and `_code` keeps the code of recent texts:
-the runs of one process that load the same definition, as the files of
-`minimz test` that share a library do, compile it once.
+definitions that differ only in their constants compile once.
 
 Values are those of `runtime`: an int or bool is the Python value, whose
 kind the code tests with `type(x) is int` or `type(x) is bool` (a `bool`
@@ -36,8 +41,10 @@ A function reaches the run through its first parameter, and a call of
 another definition reads the run's globals at call time, so compiled code
 holds no `Interp` or globals: closures end up in records, and holding the
 run would make every finished run a reference cycle that only the cycle
-collector frees. A definition's code appends the steps of each call that
-returns to its list in `Interp.calls`, a constant of its namespace.
+collector frees. The namespace a run executes the code in holds the two
+values of the run it needs: the step limit `L` and the list `C`, in
+`Interp.calls`, to which the code appends the steps of each call that
+returns.
 
 The step count is `Interp.steps`. Steps charged in a row are added and
 checked against the limit at once, before anything that can be seen after
@@ -88,7 +95,6 @@ from .runtime import (
     _INT_MAX,
     _INT_MIN,
     Cell,
-    VBuiltin,
     VClosure,
     _build,
     _Check,
@@ -130,16 +136,23 @@ def _children(e: Expr) -> tuple:
 def _constant(e: Expr) -> bool:
     """Whether `e` is a record literal whose fields are integers, booleans
     or such literals."""
-    return type(e) is EConstruct and all(
-        type(x) in (EInt, EBool) or _constant(x) for _, x in e.fields
-    )
+    if type(e) is not EConstruct:
+        return False
+    for _, x in e.fields:
+        if type(x) not in (EInt, EBool) and not _constant(x):
+            return False
+    return True
 
 
 def first_call(decl: DValDef):
     """The `fn` of a top-level definition until its first call."""
 
     def first(rt: Interp, arg):
-        fn = rt.globals[decl.name].fn = _Compiler(rt).definition(decl)
+        code, consts = _compiled(decl, rt.checked, rt.trace_enabled, rt.interface)
+        ns = dict(consts, L=rt.max_steps, C=rt.calls.setdefault(decl.name, []))
+        exec(code, ns)
+        # The namespace keeps no function, or each would hold itself.
+        fn = rt.globals[decl.name].fn = ns.pop("_make")()
         return fn(rt, arg)
 
     return first
@@ -158,9 +171,30 @@ _MAX_LOCALS = 100
 
 
 @functools.lru_cache(maxsize=256)
+def _compiled(decl: DValDef, checked: bool, traced: bool, interface: tuple):
+    """The code of `decl` for a run of mode `checked` and `traced` and of
+    `interface` (`Interp.interface`), and the items of its namespace but
+    the run's own two, `L` and `C`. The text is written from these alone
+    and holds no value of a run, so runs share it: the code is immutable,
+    and `Interp.run` clears each `_Check` it catches of the run's frames.
+    `decl` is compared and hashed by its structure, without its spans; if
+    a `_Check` comes to hold the span where a run trapped, the spans must
+    join the key. Hashing it recurses through C as deep as the definition
+    nests, and only the front end keeps that shallow: it fails input
+    nested deeper than Python's recursion limit with `NESTING`. Kept, the
+    runs of a round of `iterate`, 156 first calls of 66 keys, take ×0.77
+    the time in one process (`scripts/ab_check.py`, Python 3.11.7), for
+    about 12 KB an entry: the `decl` it keeps as its key."""
+    return _Compiler(checked, traced, interface).definition(decl)
+
+
+@functools.lru_cache(maxsize=256)
 def _code(text: str, filename: str):
     """The code of generated source `text`. Code objects are immutable and
-    the text holds no value of a run, so runs can share them."""
+    the text holds no value of a run, so runs can share them. It serves
+    the definitions that `_compiled` misses because they differ from one
+    it has only in their constants, as `iterate`'s `main` and `checksum`
+    do from program to program."""
     return compile(text, filename, "exec")
 
 
@@ -203,22 +237,25 @@ class _Body:
 
 
 class _Compiler:
-    """Compiles one definition, with the lambdas inside it, for one run.
-    Every value the generated code needs is a constant of its namespace,
-    or reached through the run it is given.
+    """Compiles one definition, with the lambdas inside it, for one mode of
+    run and one interface of its program: the name, kind (builtin or not)
+    and arity of each global, and the tags of mutable data types. Every
+    value the generated code needs is a constant of its namespace, the
+    step limit `L` or the list `C` of its calls' steps, or reached through
+    the run it is given.
 
     Code is written in statements: each expression leaves its value in an
     atom, an identifier or constant that is never assigned again, so a
     program name can stand for the atom of its value and a lambda can
     capture it as a Python closure does."""
 
-    def __init__(self, rt: Interp):
-        self.globals = rt.globals
-        self.env = rt.env
-        self.calls = rt.calls
-        self.ns: dict[str, object] = dict(_RUNTIME, L=rt.max_steps)
-        self.checked = rt.checked  # a checked run wraps no closure in `OneShot`
-        self.traced = rt.trace_enabled
+    def __init__(self, checked: bool, traced: bool, interface: tuple):
+        names, self.mutable = interface
+        self.globals = {name: arity for name, _, arity in names}
+        self.builtins = {name for name, builtin, _ in names if builtin}
+        self.ns: dict[str, object] = dict(_RUNTIME)
+        self.checked = checked  # a checked run wraps no closure in `OneShot`
+        self.traced = traced
         self.consts: dict[tuple, str] = {}
         self.checks: dict[tuple, str] = {}
         self.sizes: dict[int, int] = {}  # id of an expression -> its `nodes`
@@ -298,17 +335,17 @@ class _Compiler:
 
     # -- functions -----------------------------------------------------------------
 
-    def definition(self, decl: DValDef):
-        self.ns["C"] = self.calls.setdefault(decl.name, [])
+    def definition(self, decl: DValDef) -> tuple:
+        """The code of a module whose `_make()` returns the definition's
+        function, and the items of its namespace."""
         fn = self.function(True, list(decl.params), decl.body, 1)
         # The helpers reach each other as variables of `_make`.
         text = ["def _make():"]
         for body, head in self.roots:
             text += self.finish(body, head, "    ")
         text.append(f"    return {fn}")
-        exec(_code("\n".join(text) + "\n", f"<minimz {decl.name}>"), self.ns)
-        # The namespace keeps no function, or each would hold itself.
-        return self.ns.pop("_make")()
+        code = _code("\n".join(text) + "\n", f"<minimz {decl.name}>")
+        return code, tuple(self.ns.items())
 
     def function(self, definition: bool, params: list[str | None], body: Expr,
                  base: int) -> str:
@@ -458,11 +495,16 @@ class _Compiler:
 
     def nodes(self, e: Expr) -> int:
         """The number of nodes of `e` outside its lambdas, about as many as
-        the locals of its code, memoised: unmemoised, `corpus_mix`'s runs
-        execute 11% more bytecodes and `iterate`'s 1.1% (Python 3.12.1)."""
+        the locals of its code, memoised: unmemoised, a process's first
+        round of `corpus_mix`'s runs executes 13% more bytecodes and of
+        `iterate`'s 0.3% (Python 3.12.1); a round that repeats it writes
+        no code."""
         n = self.sizes.get(id(e))
         if n is None:
-            n = self.sizes[id(e)] = 1 + sum(self.nodes(x) for x in _children(e))
+            n = 1
+            for x in _children(e):
+                n += self.nodes(x)
+            self.sizes[id(e)] = n
         return n
 
     def branch(self, e: Expr, result: str | None) -> None:
@@ -652,7 +694,7 @@ class _Compiler:
         if self.traced:
             self.emit(f'rt.trace.append(f"alloc {{rt.allocations}} {{{tag}}}")')
         self.emit("rt.allocations += 1")
-        self.emit(f"{t} = Cell({tag}, {{{fields}}}, {self.env.mutable_tag(e.tag)})")
+        self.emit(f"{t} = Cell({tag}, {{{fields}}}, {e.tag in self.mutable})")
         return t
 
     def plan(self, e: EConstruct) -> tuple:
@@ -671,7 +713,7 @@ class _Compiler:
             fields.append((name, value))
         limit = self.ns[self.check_for(None, None)]
         self.b.pending = []
-        return limit, e.tag, tuple(fields), self.env.mutable_tag(e.tag)
+        return limit, e.tag, tuple(fields), e.tag in self.mutable
 
     def tuple_(self, e: ETuple) -> str:
         lead = self.lead(e.items)
@@ -739,7 +781,7 @@ class _Compiler:
     def known_call(self, name: str, arg: Expr, items: list[Expr] | None) -> str:
         """A call of global `name`, whose arity the code knows, so it tests
         none: `iterate`'s runs execute 11.9% fewer bytecodes (Python 3.12.1)."""
-        arity = self.globals[name].arity
+        arity = self.globals[name]
         f = self.global_(name)
         if arity == 1:
             return self.invoke(f"{f}.fn(rt, {self.expr(arg)})")
@@ -760,7 +802,7 @@ class _Compiler:
             return None
         name, items = e.callee.name, e.arg.items
         if (len(items) != 2 or name not in _BINARY or name in self.scope
-                or type(self.globals.get(name)) is not VBuiltin):
+                or name not in self.builtins):
             return None
         template, _, result, zero = _BINARY[name]
         self.step(charge)

@@ -1,7 +1,7 @@
 """Call-by-value interpreter over mutable tagged records.
 
 The values and the semantics of a step are in `runtime`; each
-definition is compiled, on its first call in a run, by `codegen`. A run
+definition gets its code from `codegen` on its first call in a run. A run
 raises the recursion limit, so deep (but checked) recursion works while
 runaway recursion traps. A trap for recursion too deep reports the count
 as of the last call.
@@ -46,7 +46,6 @@ class Interp:
 
     def __init__(self, env: Env, files: list[SourceFile], *, checked: bool,
                  max_steps: int = 10_000_000, trace: bool = False):
-        self.env = env
         self.checked = checked
         self.max_steps = max_steps
         self.stats = Stats()
@@ -65,6 +64,13 @@ class Interp:
             for decl in file.decls:
                 if isinstance(decl, DValDef):
                     self.globals[decl.name] = VClosure(len(decl.params), first_call(decl))
+        # All that a definition's code depends on of the program (`codegen`):
+        # each global's name, whether it is a builtin, and its arity; and
+        # the tags of mutable data types.
+        self.interface = (
+            tuple((name, type(v) is VBuiltin, v.arity) for name, v in self.globals.items()),
+            frozenset(tag for tag in env.tags if env.mutable_tag(tag)),
+        )
 
     # -- entry ----------------------------------------------------------------
 

@@ -735,6 +735,7 @@ def test_an_atom_tested_once_is_not_tested_again_on_its_path(monkeypatch):
         return code(text, filename)
 
     monkeypatch.setattr(codegen, "_code", capture)
+    codegen._compiled.cache_clear()  # so that `build` is written here
     value, _ = run_text(BUILD, "main", "t")
     assert value.tag == "Node"
     build = texts["<minimz build>"]
