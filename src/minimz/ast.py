@@ -1,18 +1,19 @@
 """AST node definitions for the surface language.
 
-Every node carries a source span (byte offset + length) that is excluded
-from structural equality, so two parses of the same text compare equal
-even when whitespace differs.
+Every syntax node carries a source span (a `Span`: byte offset and
+length) that is excluded from structural equality, so two parses of the
+same text compare equal even when whitespace differs.
 
 Every node class, here and in `perms` and `check`, is made by `node` from
-the field annotations and defaults of its class body: a class with slots
-and no instance dict, whose `__init__` writes each field through its
-slot's member descriptor, and whose `==`, hash and `repr` go by its
-fields; no class body writes its own. `fields` and `replace` read a node
-class's fields. Nodes are frozen: a type node keeps its hash, what
-`has_meta` found and what `plain` found in slots of its own, which hold
-only while the node never changes, and nodes are shared between types,
-checks and memos.
+the field annotations and defaults of its class body: a plain class with
+slots and no instance dict, whose `__init__` stores each field, and whose
+`==`, hash and `repr` go by its fields; no class body writes its own.
+`fields` and `replace` read a node class's fields. No node is assigned
+after construction, which `tests/test_nodes.py` checks statically over
+the whole program. That keeps sound the slots in which a type node keeps
+its hash, what `has_meta` found and what `plain` found: they hold only
+while the node never changes, and nodes are shared between types, checks
+and memos.
 
 A type node's children are read by `children` and replaced by `rebuild`,
 which keeps every other field and gives back the node itself when no
@@ -27,41 +28,7 @@ from __future__ import annotations
 from operator import is_
 
 
-class Span:
-    """A byte offset and a length. Spans compare, hash and print as a node
-    of these two fields would; a plain slotted class is four times cheaper
-    to make, and every AST leaf makes one."""
-
-    __slots__ = ("start", "length")
-
-    def __init__(self, start: int, length: int):
-        self.start = start
-        self.length = length
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Span:
-            return NotImplemented
-        return self.start == other.start and self.length == other.length
-
-    def __hash__(self) -> int:
-        return hash((self.start, self.length))
-
-    def __repr__(self) -> str:
-        return f"Span(start={self.start}, length={self.length})"
-
-    def merge(self, other: "Span") -> "Span":
-        start = min(self.start, other.start)
-        end = max(self.start + self.length, other.start + other.length)
-        return Span(start, end - start)
-
-
-DUMMY = Span(0, 0)
-
 MISSING = object()  # the default of a field that has none
-
-
-class FrozenInstanceError(AttributeError):
-    """An attempt to set or delete an attribute of a node."""
 
 
 class Field:
@@ -79,18 +46,6 @@ class Field:
         self.repr = repr
 
 
-def _span_field() -> Span:
-    return Field(DUMMY, compare=False, repr=False)  # type: ignore[return-value]
-
-
-def _frozen_setattr(self: object, name: str, value: object) -> None:
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self: object, name: str) -> None:
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
 def node(cls: type | None = None, *, keep_hash: bool = False):
     """Make a node class from the class `cls`: its fields are those of its
     node base, then one per annotation of its body, in order, each with
@@ -98,16 +53,14 @@ def node(cls: type | None = None, *, keep_hash: bool = False):
     its own, beside any `__slots__` the body declares, and one `exec`
     writes its methods, over any the body writes:
 
-    - `__init__(self, *fields)`, which writes each field through its
-      slot's member descriptor, skipping the frozen `__setattr__`;
+    - `__init__(self, *fields)`, which stores each field;
     - `__eq__`, true for a node of the very same class whose compared
       fields are equal, and `__hash__` over the compared fields;
     - `__repr__`, as `Name(field=value, ...)`.
 
     With `keep_hash`, the hash also covers the class and is kept in the
     node's `_hash` slot (a `Type`'s), so that a memo lookup hashes no
-    subtree twice; a leaf type's hash walks no subtree and need not.
-    Assigning or deleting any attribute raises `FrozenInstanceError`."""
+    subtree twice; a leaf type's hash walks no subtree and need not."""
     if cls is None:
         return lambda cls: node(cls, keep_hash=keep_hash)
     body = cls.__dict__
@@ -122,7 +75,7 @@ def node(cls: type | None = None, *, keep_hash: bool = False):
 
     params = [f.name if f.default is MISSING else f"{f.name}=_default_{f.name}" for f in every]
     lines = [f"def __init__(self, {', '.join(params)}):"]
-    lines += [f"    _set_{f.name}(self, {f.name})" for f in every] or ["    pass"]
+    lines += [f"    self.{f.name} = {f.name}" for f in every] or ["    pass"]
     compared = [f.name for f in every if f.compare]
     mine, theirs = _fields_tuple("self", compared), _fields_tuple("other", compared)
     lines += [
@@ -136,8 +89,7 @@ def node(cls: type | None = None, *, keep_hash: bool = False):
         lines += [
             "    h = getattr(self, '_hash', None)",
             "    if h is None:",
-            f"        h = hash({_fields_tuple('self', [*compared, '__class__'])})",
-            "        _set_hash(self, h)",
+            f"        h = self._hash = hash({_fields_tuple('self', [*compared, '__class__'])})",
             "    return h",
         ]
     else:
@@ -152,21 +104,8 @@ def node(cls: type | None = None, *, keep_hash: bool = False):
     for name in ("__init__", "__eq__", "__hash__", "__repr__"):
         made[name] = ns[name]
         ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
-    made.update(
-        __slots__=slots,
-        __qualname__=cls.__qualname__,
-        __setattr__=_frozen_setattr,
-        __delattr__=_frozen_delattr,
-        _node_fields=every,
-    )
-    new = type(cls)(cls.__name__, cls.__bases__, made)
-    # The setters are the new class's slots, so the methods find them in
-    # their namespace once the class is made.
-    for f in every:
-        ns[f"_set_{f.name}"] = getattr(new, f.name).__set__
-    if keep_hash:
-        ns["_set_hash"] = new._hash.__set__
-    return new
+    made.update(__slots__=slots, __qualname__=cls.__qualname__, _node_fields=every)
+    return type(cls)(cls.__name__, cls.__bases__, made)
 
 
 def _fields_tuple(owner: str, names: list[str]) -> str:
@@ -186,6 +125,26 @@ def replace(n, /, **changes):
         if f.name not in changes:
             changes[f.name] = getattr(n, f.name)
     return n.__class__(**changes)
+
+
+@node
+class Span:
+    """A byte offset and a length."""
+
+    start: int
+    length: int
+
+    def merge(self, other: Span) -> Span:
+        start = min(self.start, other.start)
+        end = max(self.start + self.length, other.start + other.length)
+        return Span(start, end - start)
+
+
+DUMMY = Span(0, 0)
+
+
+def _span_field() -> Span:
+    return Field(DUMMY, compare=False, repr=False)  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +180,17 @@ KIND_PERM = KPerm()
 
 @node
 class Type:
-    """Type nodes are made by `node`: frozen, with no per-instance dict.
-    Each concrete node stores its fields in slots, plus the three slots
+    """Type nodes are made by `node`, with no per-instance dict. Each
+    concrete node stores its fields in slots, plus the three slots
     declared here, each filled in the first time it is asked for and kept,
-    which is sound only because a node never changes: `_has_meta`, whether
-    the node contains a `TMeta` (`has_meta`); `_plain`, whether it binds
+    which is sound only because a node never changes, as the static test
+    in `tests/test_nodes.py` checks: `_has_meta`, whether the node
+    contains a `TMeta` (`has_meta`); `_plain`, whether it binds
     no name and holds no `TMeta` (`plain`); and `_hash`, the structural
     hash of a node with children (`node`'s `keep_hash`). A leaf's class
     gives the first two as constants, which no node of it ever misses."""
 
     __slots__ = ("_has_meta", "_plain", "_hash")
-
-
-_set_has_meta = Type._has_meta.__set__
-_set_plain = Type._plain.__set__
 
 
 @node
@@ -437,7 +393,7 @@ def has_meta(t: Type) -> bool:
     found = getattr(t, "_has_meta", None)
     if found is None:
         found = any(map(has_meta, children(t)))
-        _set_has_meta(t, found)
+        t._has_meta = found
     return found
 
 
@@ -457,7 +413,7 @@ def plain(t: Type) -> bool:
             found = False
         else:
             found = all(map(plain, children(t)))
-        _set_plain(t, found)
+        t._plain = found
     return found
 
 

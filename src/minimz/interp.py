@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from operator import attrgetter
 
 from .ast import DValDef, SourceFile
 from .codegen import first_call
@@ -37,6 +38,8 @@ _RUN_LOCK = threading.Lock()
 # this bounds the depth of the program's calls to about as many.
 _RECURSION_LIMIT = 100_000
 
+_ARITY = attrgetter("arity")
+
 
 class Interp:
     """The runs of a program. `checked` says whether the checker passed
@@ -59,17 +62,21 @@ class Interp:
         self.trace_enabled = trace
         self.trace: list[str] = []
         self.oneshot_seq = 0
-        self.globals: dict[str, Value] = dict(_builtins())
+        defined: dict[str, Value] = {}
         for file in files:
             for decl in file.decls:
                 if isinstance(decl, DValDef):
-                    self.globals[decl.name] = VClosure(len(decl.params), first_call(decl))
-        # All that a definition's code depends on of the program (`codegen`):
-        # each global's name, whether it is a builtin, and its arity; and
+                    defined[decl.name] = VClosure(len(decl.params), first_call(decl))
+        builtins = _builtins()
+        self.globals: dict[str, Value] = builtins | defined
+        # All that a definition's code depends on of the program (`codegen`),
+        # in the form `codegen._Compiler` reads, and hashable: each global's
+        # name and arity, the builtins the program does not redefine, and
         # the tags of mutable data types.
         self.interface = (
-            tuple((name, type(v) is VBuiltin, v.arity) for name, v in self.globals.items()),
-            frozenset(tag for tag in env.tags if env.mutable_tag(tag)),
+            tuple(zip(self.globals, map(_ARITY, self.globals.values()))),
+            frozenset(builtins.keys() - defined.keys()),
+            frozenset(filter(env.mutable_tag, env.tags)),
         )
 
     # -- entry ----------------------------------------------------------------

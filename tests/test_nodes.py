@@ -1,13 +1,25 @@
 """Every node class of `ast`, `perms` and `check` is made by `ast.node`:
-a frozen class with slots, built alike by position, by keyword, from its
+a plain class with slots, built alike by position, by keyword, from its
 defaults and by `replace`, whose `repr`, `==` and hash are pinned below
-class by class."""
+class by class.
+
+No node is assigned after construction. Python does not stop a store to a
+slot, so a static test does, at the end of this file: it reads every
+module of `src/minimz` and fails on any `setattr` or `delattr`, and on any
+store or delete of an attribute named as a node field, but one on `self`
+in a class that `node` does not make and the few allowed with a reason.
+That is what keeps sound the three slots in which a type node keeps what
+it found out about itself (`_has_meta`, `_plain` and `_hash`)."""
+
+import ast as pyast
+from pathlib import Path
 
 import pytest
 
+import minimz
 from conftest import is_node
 from minimz import ast, check, perms
-from minimz.ast import MISSING, FrozenInstanceError, fields
+from minimz.ast import MISSING, fields
 from minimz.kinds import replace
 
 NODE_CLASSES = [
@@ -25,7 +37,7 @@ def _values(cls, tag: str) -> list[object]:
 
 def test_the_node_classes_are_found():
     assert " ".join(cls.__name__ for cls in NODE_CLASSES) == (
-        "Kind KType KPerm Type TVar TMeta TApp TupleComp TTuple TArrow TBar TConcrete"
+        "Span Kind KType KPerm Type TVar TMeta TApp TupleComp TTuple TArrow TBar TConcrete"
         " TSingleton TForall TExists TAt TStar TEmpty Pattern PVar PTuple PTag Expr EVar"
         " EInt EBool ELet ECall EMatch EIf EField EAssign ETagUpdate EConstruct ETuple"
         " ELambda Branch Decl DData DAlias DAbstract DValSig DValDef SourceFile"
@@ -35,27 +47,39 @@ def test_the_node_classes_are_found():
 
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
 def test_a_node_is_frozen_and_has_no_instance_dict(cls):
+    """What Python itself enforces: a node has no instance dict, so a name
+    outside its slots can be neither set nor deleted. Its fields are kept
+    from change by the static test below."""
     node = cls(*_values(cls, "a"))
     assert not hasattr(node, "__dict__")
-    for f, value in zip(fields(cls), _values(cls, "a")):
-        with pytest.raises(FrozenInstanceError):
-            setattr(node, f.name, "b")
-        assert getattr(node, f.name) == value
-
-
-def test_the_frozen_error_is_an_attribute_error():
-    assert issubclass(FrozenInstanceError, AttributeError)
+    with pytest.raises(AttributeError):
+        node.other = "b"
+    with pytest.raises(AttributeError):
+        del node.other
+    assert [getattr(node, f.name) for f in fields(cls)] == _values(cls, "a")
 
 
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
 def test_assigning_or_deleting_any_attribute_of_a_node_raises_frozen(cls):
-    node = cls(*_values(cls, "a"))
-    for name in [f.name for f in fields(cls)] + ["other"]:
-        with pytest.raises(FrozenInstanceError):
-            setattr(node, name, "b")
-        with pytest.raises(FrozenInstanceError):
-            delattr(node, name)
-    assert node == cls(*_values(cls, "a"))
+    """The static test rejects every way the program could assign or
+    delete a field of `cls`, or a type node's cache slots, on any node."""
+    names = [f.name for f in fields(cls)]
+    if issubclass(cls, ast.Type):
+        names += sorted(CACHE_SLOTS)
+    for name in names:
+        planted = [
+            f"n.{name} = v",
+            f"n.{name} += v",
+            f"del n.{name}",
+            f"a.b.{name}, c = v",
+            f"setattr(n, {name!r}, v)",
+            f"delattr(n, {name!r})",
+            f"object.__setattr__(n, {name!r}, v)",
+            f"type(n).{name}.__set__(n, v)",
+        ]
+        for line in planted:
+            tree = pyast.parse(f"def f(n, v):\n    {line}\n")
+            assert _changes(tree, "planted") != [], line
 
 
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
@@ -89,6 +113,7 @@ _SPAN, _OTHER_SPAN = ast.Span(1, 2), ast.Span(3, 4)
 # Each node class; its fields in order; the `repr` of a sample whose every
 # field holds its own name, `span` a span; and the fields `==` leaves out.
 PINS = [
+    (ast.Span, "start length", "Span(start='start', length='length')", ""),
     (ast.Kind, "", "Kind()", ""),
     (ast.KType, "", "KType()", ""),
     (ast.KPerm, "", "KPerm()", ""),
@@ -253,3 +278,88 @@ def test_a_node_keeps_its_pinned_repr_equality_hash_and_replace(cls, names, text
         assert type(replaced) is cls and getattr(replaced, name) == "new"
         kept = [other for other in fields if other != name]
         assert all(getattr(replaced, other) is getattr(node, other) for other in kept)
+
+
+# ---------------------------------------------------------------------------
+# no node is assigned after construction
+# ---------------------------------------------------------------------------
+
+SRC = Path(minimz.__file__).parent
+
+# The slots in which a type node keeps what it found out about itself
+# (`ast.Type`); each holds only while no field of the node changes.
+CACHE_SLOTS = {"_has_meta", "_plain", "_hash"}
+
+# The attribute names no store may assign, outside the classes that
+# `ast.node` does not make: every field of a node class, and the cache
+# slots.
+GUARDED = {f.name for cls in NODE_CLASSES for f in fields(cls)} | CACHE_SLOTS
+
+# The stores of a guarded name that are no change to a node, by module,
+# function and target, each with its reason.
+ALLOWED = {
+    ("ast", "node", "f.name"): "a `Field`, not a node: `node` names each field it makes",
+    ("ast", "has_meta", "t._has_meta"): "fills the cache slot once, on the first question",
+    ("ast", "plain", "t._plain"): "fills the cache slot once, on the first question",
+    ("kinds", "Resolver.resolve_file", "info.body"): (
+        "an `AliasInfo`, not a node: the alias's body, set once it is resolved"
+    ),
+    ("kinds", "Resolver.resolve_file", "info.kind"): (
+        "an `AliasInfo`, not a node: the kind of the alias's body"
+    ),
+}
+
+# Names that write an attribute whatever its name.
+_SETTERS = {"setattr", "delattr"}
+_SETTER_ATTRIBUTES = {"__setattr__", "__delattr__", "__set__", "__delete__"}
+
+
+def _made_by_node(cls: pyast.ClassDef) -> bool:
+    """Is `cls` decorated by `node`, bare or called?"""
+    for d in cls.decorator_list:
+        if isinstance(d, pyast.Call):
+            d = d.func
+        if isinstance(d, pyast.Name) and d.id == "node":
+            return True
+    return False
+
+
+def _changes(tree: pyast.AST, module: str) -> list[tuple[str, str, str]]:
+    """(module, function, code) of each place in `tree` that may change a
+    node: a store or delete of a guarded attribute name, unless it is on
+    `self` in a class that `node` does not make, and any use of a setter
+    that takes the attribute's name as a value."""
+    found = []
+
+    def visit(node, where, cls):
+        for child in pyast.iter_child_nodes(node):
+            if isinstance(child, (pyast.FunctionDef, pyast.AsyncFunctionDef)):
+                visit(child, where + [child.name], cls)
+                continue
+            if isinstance(child, pyast.ClassDef):
+                visit(child, where + [child.name], child)
+                continue
+            if isinstance(child, pyast.Name) and child.id in _SETTERS:
+                found.append((module, ".".join(where), child.id))
+            elif isinstance(child, pyast.Attribute):
+                if child.attr in _SETTER_ATTRIBUTES:
+                    found.append((module, ".".join(where), pyast.unparse(child)))
+                elif isinstance(child.ctx, (pyast.Store, pyast.Del)) and child.attr in GUARDED:
+                    on_self = isinstance(child.value, pyast.Name) and child.value.id == "self"
+                    if not (on_self and cls is not None and not _made_by_node(cls)):
+                        found.append((module, ".".join(where), pyast.unparse(child)))
+            visit(child, where, cls)
+
+    visit(tree, [], None)
+    return found
+
+
+def test_no_node_is_assigned_after_construction():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = pyast.parse(path.read_text(encoding="utf-8"))
+        found += _changes(tree, path.stem)
+    assert [place for place in found if place not in ALLOWED] == []
+    # Each allowed store is still in the program, once.
+    assert sorted(place for place in found if place in ALLOWED) == sorted(ALLOWED)
+    assert all(reason for reason in ALLOWED.values())
