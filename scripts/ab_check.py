@@ -13,10 +13,12 @@ Here both checkouts run in one Python process, close together in time:
   read-only: the timed rounds at seed 1;
 - each round takes every operation's program text through the front end
   (`driver.load_text`: lex, parse and resolve over the prelude) and the
-  checker (`Checker(env).check_file`) of one side, then of the other, so
-  that the two sides' times of a round span the same stretch of time; the
-  side that goes first alternates from program to program and from round
-  to round;
+  checker of one side, then of the other, so that the two sides' times of
+  a round span the same stretch of time; the side that goes first
+  alternates from program to program and from round to round. A side
+  checks through the entry its driver uses (`driver.check_loaded`, whose
+  memo skips a definition that checked clean before), or, if its driver
+  has none, through a bare `Checker(env).check_file`;
 - an operation with an entry is then run: `interp.eval_program` on the
   environment that `load_text` made, as `driver.run_text` runs it. A
   `run` (as in `iterate` and `check_wide`) runs checked once its program
@@ -43,11 +45,12 @@ instructions each side's layers execute in a further untimed round at
 `SEED`, after the compared ones, counted as `sys.monitoring` INSTRUCTION
 events (PEP 669), and their ratio B/A. Each side's prelude is loaded
 before any round, so no layer counts it. The counted round is warm: each
-process-wide memo (`codegen._compiled` and `_code` among them) holds
-what the workload's own compared rounds put in it, so its runs find the
-code of their definitions there and the counts are of running code, not
-of writing it. They are the same whether the workload runs alone
-(`--workload`) or after others, and they repeat exactly from run to run:
+process-wide memo (the check memo, `codegen._compiled` and `_code` among
+them) holds what the workload's own compared rounds put in it, so its
+checks are of the definitions that fail, its runs find the code of their
+definitions there, and the counts are of running code, not of writing
+it. They are the same whether the workload runs alone (`--workload`) or
+after others, and they repeat exactly from run to run:
 one round tells a change of well under 1% that the times cannot. A cold
 round's counts depend on what the process ran before. They are not time:
 work done in C (regular expressions, dict and set operations, sorting,
@@ -90,6 +93,10 @@ def load_side(root: Path, tmp: Path, name: str):
         for module in ("cli", "driver", "check", "interp")
     }
     side["driver"].prelude()
+    # The check the side's driver makes of a loaded program.
+    side["check_loaded"] = getattr(side["driver"], "check_loaded", None) or (
+        lambda file, env: side["check"].Checker(env).check_file(file)
+    )
     # Whether the side's interpreter has a checked and an unchecked mode.
     params = inspect.signature(side["interp"].eval_program).parameters
     side["modes"] = "checked" in params
@@ -122,7 +129,7 @@ def run_one(side, path: str, text: str, run: tuple[str, bool] | None, times: dic
         times["front end"] += clock() - t0
         return ("front-end error", type(exc).__name__, str(exc))
     t1 = clock()
-    diags = side["check"].Checker(env).check_file(file)
+    diags = side["check_loaded"](file, env)
     t2 = clock()
     times["front end"] += t1 - t0
     times["check"] += t2 - t1

@@ -610,6 +610,41 @@ class DValDef(Decl):
 class SourceFile:
     path: str = Field(compare=False)  # not structural
     decls: tuple[Decl, ...]
+    text: str = Field(compare=False, repr=False)  # what the decls were parsed from
+
+    def decl_texts(self) -> list[str]:
+        """The text of each declaration: from its first token to the next
+        declaration's, or to the end of the file. Parsed alone, the text of
+        a declaration gives that declaration, spans aside."""
+        starts = [decl.span.start for decl in self.decls]
+        text = self.text
+        return [text[start:end] for start, end in zip(starts, starts[1:] + [len(text)])]
+
+
+class Keyed:
+    """The argument of a memo (`functools.lru_cache`) whose answer is a
+    function of the flat `key` (strings, names), by which alone it is
+    compared and hashed: no lookup walks a definition's structure. The
+    memoised function `take`s the value it computes the answer from, so
+    the memo, which keeps its argument, keeps only the key."""
+
+    __slots__ = ("key", "_value")
+
+    def __init__(self, key: object, value: object):
+        self.key = key
+        self._value = value
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Keyed:
+            return self.key == other.key  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def take(self) -> object:
+        value, self._value = self._value, None
+        return value
 
 
 # ---------------------------------------------------------------------------

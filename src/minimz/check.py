@@ -11,9 +11,13 @@ must be subsumable from the current environment.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
 
 from .ast import (
+    DAbstract,
+    DAlias,
+    DData,
     DValDef,
     DValSig,
     EAssign,
@@ -32,6 +36,7 @@ from .ast import (
     Expr,
     Field,
     KIND_PERM,
+    Keyed,
     Kind,
     PTag,
     PTuple,
@@ -76,6 +81,8 @@ BOOL = TApp("bool", ())
 INT = TApp("int", ())
 
 _TAIL_DONE = object()
+
+_TYPE_DECLS = (DData, DAlias, DAbstract)
 
 # Local names with their anchors, in the order they are bound.
 Bindings = Sequence[tuple[str, str]]
@@ -129,20 +136,38 @@ class Checker:
     # declarations
     # ------------------------------------------------------------------
 
-    def check_file(self, file: SourceFile) -> list[Diagnostic]:
+    def check_file(
+        self, file: SourceFile, memo: Callable[[Keyed], None] | None = None
+    ) -> list[Diagnostic]:
+        """The diagnostics of `file`'s definitions. A `memo`
+        (`driver.checked_clean`) gets each definition's check, `Keyed` by
+        all that the check reads of the file: the texts of the definition,
+        of the type declarations and of the signatures, `undefined`, and
+        how many signatures are in scope (`available`: the environment's,
+        then the file's in order, so the count and the texts give their
+        names); not the environment `file` is resolved on, which the memo
+        must fix."""
         diags: list[Diagnostic] = []
         own = {d.name for d in file.decls if isinstance(d, DValSig)}
         # names this file declares and never defines: nothing runs for them
         undefined = own - {d.name for d in file.decls if isinstance(d, DValDef)}
         available = {name: ty for name, ty in self.env.sigs.items() if name not in own}
-        for decl in file.decls:
+        if memo is not None:
+            texts = file.decl_texts()
+            types = "".join(t for d, t in zip(file.decls, texts) if isinstance(d, _TYPE_DECLS))
+            sigs = "".join(t for d, t in zip(file.decls, texts) if isinstance(d, DValSig))
+            context = (types, sigs, tuple(sorted(undefined)))
+        for i, decl in enumerate(file.decls):
             if isinstance(decl, DValSig):
                 available[decl.name] = self.env.sigs[decl.name]
             elif isinstance(decl, DValDef):
+                sig = self.env.sigs[decl.name]
                 try:
-                    self.check_function_def(
-                        decl, self.env.sigs[decl.name], available, undefined
-                    )
+                    if memo is None:
+                        self.check_function_def(decl, sig, available, undefined)
+                    else:
+                        check = partial(self.check_function_def, decl, sig, available, undefined)
+                        memo(Keyed((texts[i], *context, len(available)), check))
                 except CheckFailure as exc:
                     diags.append(exc.diag)
         return diags

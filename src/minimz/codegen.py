@@ -4,9 +4,9 @@ A definition gets its code on its first call in a run: `_Compiler`
 writes its source text and `_code` turns it into code. The text is a
 pure function of the definition, the mode of the run (checked or not,
 traced or not) and the program's interface (`Interp.interface`), and
-`_compiled` keeps the code of recent ones: a process writes a definition
-once per definition, mode and interface, and each run executes that code
-in a namespace of its own.
+`_compiled` keeps the code of recent ones by the definition's text: a
+process writes a definition once per text, mode and interface, and each
+run executes that code in a namespace of its own.
 
 The lambdas in the body become nested functions, a `let` binds a Python
 local, an `if` or `match` becomes an `if` statement, a call of a binary
@@ -84,6 +84,7 @@ from .ast import (
     ETuple,
     EVar,
     Expr,
+    Keyed,
     PTuple,
     PVar,
     Pattern,
@@ -144,11 +145,12 @@ def _constant(e: Expr) -> bool:
     return True
 
 
-def first_call(decl: DValDef):
-    """The `fn` of a top-level definition until its first call."""
+def first_call(decl: DValDef, text: str):
+    """The `fn` of a top-level definition, whose declaration's text is
+    `text` (`SourceFile.decl_texts`), until its first call."""
 
     def first(rt: Interp, arg):
-        code, consts = _compiled(decl, rt.checked, rt.trace_enabled, rt.interface)
+        code, consts = _compiled(Keyed(text, decl), rt.checked, rt.trace_enabled, rt.interface)
         ns = dict(consts, L=rt.max_steps, C=rt.calls.setdefault(decl.name, []))
         exec(code, ns)
         # The namespace keeps no function, or each would hold itself.
@@ -171,21 +173,23 @@ _MAX_LOCALS = 100
 
 
 @functools.lru_cache(maxsize=256)
-def _compiled(decl: DValDef, checked: bool, traced: bool, interface: tuple):
-    """The code of `decl` for a run of mode `checked` and `traced` and of
-    `interface` (`Interp.interface`), and the items of its namespace but
-    the run's own two, `L` and `C`. The text is written from these alone
-    and holds no value of a run, so runs share it: the code is immutable,
-    and `Interp.run` clears each `_Check` it catches of the run's frames.
-    `decl` is compared and hashed by its structure, without its spans; if
-    a `_Check` comes to hold the span where a run trapped, the spans must
-    join the key. Hashing it recurses through C as deep as the definition
-    nests, and only the front end keeps that shallow: it fails input
-    nested deeper than Python's recursion limit with `NESTING`. Kept, the
-    runs of a round of `iterate`, 156 first calls of 66 keys, take ×0.77
-    the time in one process (`scripts/ab_check.py`, Python 3.11.7), for
-    about 12 KB an entry: the `decl` it keeps as its key."""
-    return _Compiler(checked, traced, interface).definition(decl)
+def _compiled(definition: Keyed, checked: bool, traced: bool, interface: tuple):
+    """The code of a definition for a run of mode `checked` and `traced`
+    and of `interface` (`Interp.interface`), and the items of its
+    namespace but the run's own two, `L` and `C`. The text is written from
+    these alone and holds no value of a run, so runs share it: the code is
+    immutable, and `Interp.run` clears each `_Check` it catches of the
+    run's frames.
+
+    The definition is `Keyed` by its declaration's text, since the code
+    reads nothing else of it: not its spans, not its types (the resolver
+    changes a definition's types alone), and of the program only the
+    interface. So no lookup hashes or compares a definition by its
+    structure. If a `_Check` comes to hold the span where a run trapped,
+    the key must hold the declaration's offset too. Kept, the runs of a
+    round of `iterate`, 156 first calls of 66 keys, take ×0.77 the time in
+    one process (`scripts/ab_check.py`, Python 3.11.7)."""
+    return _Compiler(checked, traced, interface).definition(definition.take())
 
 
 @functools.lru_cache(maxsize=256)

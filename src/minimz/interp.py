@@ -64,9 +64,9 @@ class Interp:
         self.oneshot_seq = 0
         defined: dict[str, Value] = {}
         for file in files:
-            for decl in file.decls:
+            for decl, text in zip(file.decls, file.decl_texts()):
                 if isinstance(decl, DValDef):
-                    defined[decl.name] = VClosure(len(decl.params), first_call(decl))
+                    defined[decl.name] = VClosure(len(decl.params), first_call(decl, text))
         builtins = _builtins()
         self.globals: dict[str, Value] = builtins | defined
         # All that a definition's code depends on of the program (`codegen`),

@@ -284,7 +284,7 @@ class Resolver:
                 resolved.append(self.resolve_def(decl, sig))
             else:
                 resolved.append(decl)
-        return SourceFile(file.path, tuple(resolved))
+        return SourceFile(file.path, tuple(resolved), file.text)
 
     def check_alias_cycles(self) -> None:
         graph: dict[str, set[str]] = {}

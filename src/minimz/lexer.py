@@ -8,9 +8,10 @@ spaces, then one C-level `re.split` cuts the text into gaps of blanks and
 tokens in turn; the starts are the running sums of the parts' lengths,
 and each distinct text is given its kind once. It returns a `Tokens`:
 three parallel lists, the kind, the text and the start offset of each
-token, that end in one EOF token. No object is made per token; the parser
-reads the lists by index and makes a `Span` only where a node or an error
-keeps one. `len(tokenize(text)) - 1` is the number of tokens in the text.
+token, that end in one EOF token, and the text it read. No object is
+made per token; the parser reads the lists by index and makes a `Span`
+only where a node or an error keeps one. `len(tokenize(text)) - 1` is
+the number of tokens in the text.
 """
 
 from __future__ import annotations
@@ -36,15 +37,17 @@ class LexError(Exception):
 
 class Tokens:
     """`kinds` (KW, LIDENT, UIDENT, INT, OP or EOF), `texts` and `starts`,
-    one item per token, as `tokenize` makes them. The last token is the
-    EOF, whose text is empty and whose start is the length of the input."""
+    one item per token, as `tokenize` makes them, and the `source` text
+    they were read from. The last token is the EOF, whose text is empty
+    and whose start is the length of the input."""
 
-    __slots__ = ("kinds", "texts", "starts")
+    __slots__ = ("kinds", "texts", "starts", "source")
 
-    def __init__(self, kinds: list[str], texts: list[str], starts: list[int]):
+    def __init__(self, kinds: list[str], texts: list[str], starts: list[int], source: str):
         self.kinds = kinds
         self.texts = texts
         self.starts = starts
+        self.source = source
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -72,9 +75,8 @@ _KINDS = MappingProxyType({
 
 
 def tokenize(text: str) -> Tokens:
-    if "--" in text:
-        text = _COMMENT_RE.sub(lambda m: " " * len(m[0]), text)
-    parts = _SPLIT_RE.split(text)
+    blanked = _COMMENT_RE.sub(lambda m: " " * len(m[0]), text) if "--" in text else text
+    parts = _SPLIT_RE.split(blanked)
     texts = parts[1::2]
     # The running ends of the parts: a gap ends where the token after it
     # starts, and the last gap at the EOF.
@@ -86,7 +88,7 @@ def tokenize(text: str) -> Tokens:
         raise LexError(f"illegal character {texts[i]!r}", Span(starts[i], 1))
     kinds.append("EOF")
     texts.append("")
-    return Tokens(kinds, texts, starts)  # type: ignore[arg-type]
+    return Tokens(kinds, texts, starts, text)  # type: ignore[arg-type]
 
 
 def line_col(text: str, offset: int) -> tuple[int, int]:

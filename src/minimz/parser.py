@@ -92,6 +92,7 @@ class Parser:
         self.kind = self.kinds[0]
         self.text = self.texts[0]
         self.path = path
+        self.source = tokens.source
 
     # -- token plumbing ----------------------------------------------------
 
@@ -152,7 +153,7 @@ class Parser:
         decls: list[Decl] = []
         while self.kind != "EOF":
             decls.append(self.parse_decl())
-        return SourceFile(self.path, tuple(decls))
+        return SourceFile(self.path, tuple(decls), self.source)
 
     def parse_decl(self) -> Decl:
         text = self.text

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from minimz.driver import CORPUS_DIR
+from minimz.driver import CORPUS_DIR, checked_clean
 from minimz.lexer import tokenize
 from minimz.parser import Parser
 
@@ -23,6 +23,14 @@ def pytest_configure(config):
     home = tempfile.TemporaryDirectory(prefix="hypothesis-")
     config.add_cleanup(home.cleanup)
     set_hypothesis_home_dir(home.name)
+
+
+@pytest.fixture(autouse=True)
+def cold_check_memo():
+    """Each test starts as a fresh process does, with no definition known
+    to check clean, so a test that checks a program through the driver
+    checks each of its definitions, whatever ran before it."""
+    checked_clean.cache_clear()
 
 
 CORPUS = CORPUS_DIR

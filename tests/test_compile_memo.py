@@ -1,6 +1,6 @@
 """The runs of one process share the code of a definition
-(`codegen._compiled`), keyed by the definition, the mode of the run and
-the program's interface (`Interp.interface`). Each part of the key
+(`codegen._compiled`), keyed by the definition's text, the mode of the
+run and the program's interface (`Interp.interface`). Each part of the key
 changes the code of some definition, so a run whose key differs in that
 part alone must give what it gives against a cold memo. And the code
 carries nothing of one run to the next: not the step limit, not the
@@ -17,7 +17,7 @@ import pytest
 from test_interp_pins import iterate_text
 
 from minimz import codegen
-from minimz.ast import DValDef
+from minimz.ast import DValDef, Keyed
 from minimz.cli import main as cli_main
 from minimz.driver import load_text, prelude
 from minimz.interp import Interp, RuntimeTrap
@@ -175,9 +175,10 @@ def test_a_raised_check_keeps_nothing_of_its_run():
     assert outcome(NOT_A_RECORD) == first
     file, env = load_text(NOT_A_RECORD, "t.mz")
     interp = Interp(env, [prelude()[0], file], checked=False)
-    (decl,) = [d for d in file.decls if type(d) is DValDef]
+    ((decl, text),) = [(d, t) for d, t in zip(file.decls, file.decl_texts())
+                       if type(d) is DValDef]
     hits = codegen._compiled.cache_info().hits
-    _, consts = codegen._compiled(decl, False, False, interp.interface)
+    _, consts = codegen._compiled(Keyed(text, decl), False, False, interp.interface)
     assert codegen._compiled.cache_info().hits == hits + 1
     checks = checks_in(v for _, v in consts)
     assert any(c.message == "value is not a record" for c in checks)
@@ -214,8 +215,8 @@ def nested_ifs(n: int) -> str:
 
 @pytest.mark.parametrize("text", [cons_list(400), nested_ifs(400)], ids=["list", "if"])
 def test_deep_definitions_run_cold_and_warm(text):
-    # The memo hashes and compares a definition by its structure, by a
-    # recursion through C as deep as the definition.
+    # A warm lookup compares the definition by its text, so no recursion
+    # through C goes as deep as the definition nests.
     first = cold_outcome(text)
     assert not first[0].startswith("trap")
     assert outcome(text) == first

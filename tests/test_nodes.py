@@ -212,8 +212,8 @@ PINS = [
         "DValDef(name='name', params='params', body='body')",
         "span",
     ),
-    # `SourceFile`'s path is not structural.
-    (ast.SourceFile, "path decls", "SourceFile(path='path', decls='decls')", "path"),
+    # `SourceFile`'s path and text are not structural, and its text is not printed.
+    (ast.SourceFile, "path decls text", "SourceFile(path='path', decls='decls')", "path text"),
     (perms.Atom, "", "Atom()", ""),
     (perms.Anchored, "anchor ty", "Anchored(anchor='anchor', ty='ty')", ""),
     (perms.PermVar, "name", "PermVar(name='name')", ""),
