@@ -17,7 +17,8 @@ with a `main`, of a run of `main` (compiling it included, as a fresh
 
 Each layer is timed on its own: each timing of a layer redoes the layers
 before it afresh, untimed, so no memo carries over from one timing to the
-next. The checker is timed bare (`Checker(env).check_file`), without the
+next: the front end's memos are cleared, so each timing parses and
+resolves every definition. The checker is timed bare (`Checker(env).check_file`), without the
 driver's memo of definitions that checked clean, so every timing checks
 every definition. The last lines give the ratios 2048/1024, 3000/1000,
 3000/1000 and 2000/1000 for each column; linear time gives 2.0, 3.0, 3.0
@@ -52,10 +53,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from minimz.check import Checker  # noqa: E402
 from minimz.codegen import _code, _compiled  # noqa: E402
-from minimz.driver import CORPUS_DIR, load_text, prelude  # noqa: E402
+from minimz.driver import CORPUS_DIR, load_text, prelude, resolved_clean  # noqa: E402
 from minimz.interp import eval_program  # noqa: E402
 from minimz.kinds import resolve  # noqa: E402
-from minimz.parser import Parser, tokenize  # noqa: E402
+from minimz.parser import Parser, _definition, tokenize  # noqa: E402
 
 TREE_SIZES = (256, 512, 1024, 2048)
 CHAIN_SIZES = (1000, 3000)
@@ -145,7 +146,13 @@ def layer_times(text: str, runs: bool) -> tuple[float, ...]:
         if diags:
             raise SystemExit(f"unexpected diagnostics: {diags}")
 
+    def tokens():
+        _definition.cache_clear()  # each timing parses every definition
+        return tokenize(text)
+
     def load():
+        tokens()
+        resolved_clean.cache_clear()  # nothing is left for the check to read lazily
         return load_text(text, "scaling.mz")
 
     def load_cold():
@@ -159,8 +166,8 @@ def layer_times(text: str, runs: bool) -> tuple[float, ...]:
 
     times = (
         best_ms(lambda: text, tokenize),
-        best_ms(lambda: tokenize(text), lambda tokens: Parser(tokens).parse_file()),
-        best_ms(lambda: (Parser(tokenize(text)).parse_file(), base.clone()),
+        best_ms(tokens, lambda tokens: Parser(tokens).parse_file()),
+        best_ms(lambda: (Parser(tokens()).parse_file(), base.clone()),
                 lambda args: resolve(*args)),
         best_ms(load, check),
         best_ms(load, check, collector=False),
@@ -183,6 +190,7 @@ def layer_calls(text: str) -> tuple[int, ...]:
     """The calls counted in each layer of loading and checking `text`, each
     run once on the output of the one before, and their sum."""
     _, base = prelude()
+    _definition.cache_clear()
     tokens, lex = calls(tokenize, text)
     file, parse = calls(lambda: Parser(tokens).parse_file())
     (file, env), res = calls(resolve, file, base.clone())

@@ -600,25 +600,41 @@ class DValSig(Decl):
 
 @node
 class DValDef(Decl):
+    """A definition. One made by `later` has no body until the body is
+    first read, when its `_fill()` makes it and the slot keeps it: so the
+    front end need not parse or resolve a definition known to be clean
+    (`parser.Parser.parse_file`, `kinds.Resolver.resolve_file`) unless
+    something reads its body."""
+
+    __slots__ = ("_fill",)
+
     name: str
     params: tuple[str, ...]
     body: Expr
     span: Span = _span_field()
+
+    @staticmethod
+    def later(name: str, params: tuple[str, ...], span: Span, fill) -> DValDef:
+        d = DValDef.__new__(DValDef)
+        d.name, d.params, d.span, d._fill = name, params, span, fill
+        return d
+
+    def __getattr__(self, name: str):
+        # Python calls this only for a slot that is not set.
+        if name != "body":
+            raise AttributeError(name)
+        body = self.body = self._fill()
+        self._fill = None
+        return body
 
 
 @node
 class SourceFile:
     path: str = Field(compare=False)  # not structural
     decls: tuple[Decl, ...]
-    text: str = Field(compare=False, repr=False)  # what the decls were parsed from
-
-    def decl_texts(self) -> list[str]:
-        """The text of each declaration: from its first token to the next
-        declaration's, or to the end of the file. Parsed alone, the text of
-        a declaration gives that declaration, spans aside."""
-        starts = [decl.span.start for decl in self.decls]
-        text = self.text
-        return [text[start:end] for start, end in zip(starts, starts[1:] + [len(text)])]
+    # The text of each declaration, from its first token to the next
+    # declaration's or to the end of the file (`Parser.parse_file`).
+    texts: tuple[str, ...] = Field(compare=False, repr=False)
 
 
 class Keyed:
@@ -645,6 +661,14 @@ class Keyed:
     def take(self) -> object:
         value, self._value = self._value, None
         return value
+
+
+def through(memo, key: object, make) -> tuple:
+    """`memo(Keyed(key, make))`, whose function calls what it `take`s on a
+    miss only, and what `make()` returned there, or None on a hit."""
+    made = []
+    answer = memo(Keyed(key, lambda: made.append(make()) or made[0]))
+    return answer, made[0] if made else None
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,6 @@ from collections.abc import Callable, Sequence
 from functools import partial
 
 from .ast import (
-    DAbstract,
-    DAlias,
-    DData,
     DValDef,
     DValSig,
     EAssign,
@@ -61,7 +58,7 @@ from .ast import (
     node,
     plain,
 )
-from .kinds import DataInfo, Env, domain_bars, domain_comps, kind_of
+from .kinds import DataInfo, Env, declared, domain_bars, domain_comps, kind_of
 from .perms import (
     DUPLICABLE,
     Anchored,
@@ -81,8 +78,6 @@ BOOL = TApp("bool", ())
 INT = TApp("int", ())
 
 _TAIL_DONE = object()
-
-_TYPE_DECLS = (DData, DAlias, DAbstract)
 
 # Local names with their anchors, in the order they are bound.
 Bindings = Sequence[tuple[str, str]]
@@ -153,10 +148,7 @@ class Checker:
         undefined = own - {d.name for d in file.decls if isinstance(d, DValDef)}
         available = {name: ty for name, ty in self.env.sigs.items() if name not in own}
         if memo is not None:
-            texts = file.decl_texts()
-            types = "".join(t for d, t in zip(file.decls, texts) if isinstance(d, _TYPE_DECLS))
-            sigs = "".join(t for d, t in zip(file.decls, texts) if isinstance(d, DValSig))
-            context = (types, sigs, tuple(sorted(undefined)))
+            context = (*declared(file), tuple(sorted(undefined)))
         for i, decl in enumerate(file.decls):
             if isinstance(decl, DValSig):
                 available[decl.name] = self.env.sigs[decl.name]
@@ -167,7 +159,7 @@ class Checker:
                         self.check_function_def(decl, sig, available, undefined)
                     else:
                         check = partial(self.check_function_def, decl, sig, available, undefined)
-                        memo(Keyed((texts[i], *context, len(available)), check))
+                        memo(Keyed((file.texts[i], *context, len(available)), check))
                 except CheckFailure as exc:
                     diags.append(exc.diag)
         return diags

@@ -145,9 +145,34 @@ def _constant(e: Expr) -> bool:
     return True
 
 
+class Interface:
+    """All that a definition's code reads of its program: the arity of each
+    global by name, the builtins the program does not redefine, and the
+    tags of mutable data types. Compared and hashed by identity, as
+    `interface` makes one per content."""
+
+    __slots__ = ("globals", "builtins", "mutable")
+
+    def __init__(self, arities: dict[str, int], builtins: frozenset, mutable: frozenset):
+        self.globals = arities
+        self.builtins = builtins
+        self.mutable = mutable
+
+
+@functools.lru_cache(maxsize=64)
+def interface(arities: tuple, builtins: frozenset, mutable: frozenset) -> Interface:
+    """The process's one `Interface` of these `(name, arity)` pairs and
+    sets, which `Interp.__init__` asks for once per run. So a run hashes
+    and compares the program's interface once, and each `_compiled` lookup
+    hashes its identity: a program of n definitions looks them up in time
+    linear in n, not quadratic. A seed-1 round of `iterate` makes 4, of
+    `check_wide` 1 and of `corpus_mix` 9 (5, 1 and 10 KB)."""
+    return Interface(dict(arities), builtins, mutable)
+
+
 def first_call(decl: DValDef, text: str):
     """The `fn` of a top-level definition, whose declaration's text is
-    `text` (`SourceFile.decl_texts`), until its first call."""
+    `text` (`SourceFile.texts`), until its first call."""
 
     def first(rt: Interp, arg):
         code, consts = _compiled(Keyed(text, decl), rt.checked, rt.trace_enabled, rt.interface)
@@ -173,7 +198,7 @@ _MAX_LOCALS = 100
 
 
 @functools.lru_cache(maxsize=256)
-def _compiled(definition: Keyed, checked: bool, traced: bool, interface: tuple):
+def _compiled(definition: Keyed, checked: bool, traced: bool, interface: Interface):
     """The code of a definition for a run of mode `checked` and `traced`
     and of `interface` (`Interp.interface`), and the items of its
     namespace but the run's own two, `L` and `C`. The text is written from
@@ -188,7 +213,10 @@ def _compiled(definition: Keyed, checked: bool, traced: bool, interface: tuple):
     structure. If a `_Check` comes to hold the span where a run trapped,
     the key must hold the declaration's offset too. Kept, the runs of a
     round of `iterate`, 156 first calls of 66 keys, take ×0.77 the time in
-    one process (`scripts/ab_check.py`, Python 3.11.7)."""
+    one process (`scripts/ab_check.py`, Python 3.11.7). A program of more
+    than 256 definitions that calls them all in one order evicts each
+    before its next run calls it, so each run writes and compiles all of
+    them again: its runs cost linear time, with no gain from the memo."""
     return _Compiler(checked, traced, interface).definition(definition.take())
 
 
@@ -259,9 +287,10 @@ class _Compiler:
     program name can stand for the atom of its value and a lambda can
     capture it as a Python closure does."""
 
-    def __init__(self, checked: bool, traced: bool, interface: tuple):
-        arities, self.builtins, self.mutable = interface
-        self.globals = dict(arities)  # name -> arity
+    def __init__(self, checked: bool, traced: bool, interface: Interface):
+        self.globals = interface.globals  # name -> arity, read only
+        self.builtins = interface.builtins
+        self.mutable = interface.mutable
         self.ns: dict[str, object] = dict(_RUNTIME)
         self.checked = checked  # a checked run wraps no closure in `OneShot`
         self.traced = traced

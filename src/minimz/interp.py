@@ -14,7 +14,7 @@ import threading
 from operator import attrgetter
 
 from .ast import DValDef, SourceFile
-from .codegen import first_call
+from .codegen import first_call, interface
 from .kinds import Env
 from .runtime import (
     OneShot,
@@ -64,16 +64,13 @@ class Interp:
         self.oneshot_seq = 0
         defined: dict[str, Value] = {}
         for file in files:
-            for decl, text in zip(file.decls, file.decl_texts()):
+            for decl, text in zip(file.decls, file.texts):
                 if isinstance(decl, DValDef):
                     defined[decl.name] = VClosure(len(decl.params), first_call(decl, text))
         builtins = _builtins()
         self.globals: dict[str, Value] = builtins | defined
-        # All that a definition's code depends on of the program (`codegen`),
-        # in the form `codegen._Compiler` reads, and hashable: each global's
-        # name and arity, the builtins the program does not redefine, and
-        # the tags of mutable data types.
-        self.interface = (
+        # All that a definition's code depends on of the program (`codegen`).
+        self.interface = interface(
             tuple(zip(self.globals, map(_ARITY, self.globals.values()))),
             frozenset(builtins.keys() - defined.keys()),
             frozenset(filter(env.mutable_tag, env.tags)),

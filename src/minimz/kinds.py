@@ -11,7 +11,8 @@ explicit type arguments.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
+from functools import partial
 
 from .ast import (
     Branch,
@@ -37,6 +38,7 @@ from .ast import (
     Expr,
     KIND_PERM,
     KIND_TYPE,
+    Keyed,
     Kind,
     PTag,
     PTuple,
@@ -64,6 +66,7 @@ from .ast import (
     rebuild,
     replace,
     same_items,
+    through,
 )
 
 
@@ -224,12 +227,22 @@ class Resolver:
             else:
                 self.env.types[decl.name] = AbstractInfo(decl.name, decl.params)
 
-    def resolve_file(self, file: SourceFile) -> SourceFile:
+    def resolve_file(
+        self, file: SourceFile, memo: Callable[[Keyed], None] | None = None
+    ) -> SourceFile:
+        """`file` resolved. A `memo` (`driver.resolved_clean`) gets each
+        definition's resolution, `Keyed` by all that it reads of the file:
+        the texts of the definition, of the type declarations and of the
+        signatures, and how many signatures are in scope (`Checker.check_file`'s
+        key, less `undefined`); not the environment `file` is resolved on,
+        which the memo must fix."""
         for decl in file.decls:
             self.register(decl)
+        if memo is not None:
+            types, sigs = declared(file)
         resolved: list[Decl] = []
         defs_seen: set[str] = set()
-        for decl in file.decls:
+        for i, decl in enumerate(file.decls):
             if isinstance(decl, DData):
                 self.bind_tyvars(decl.params, decl.span)
                 branches = []
@@ -281,10 +294,14 @@ class Resolver:
                         "E-KIND", f"duplicate definition of {decl.name!r}", decl.span
                     )
                 defs_seen.add(decl.name)
-                resolved.append(self.resolve_def(decl, sig))
+                if memo is None:
+                    resolved.append(self.resolve_def(decl, sig))
+                else:
+                    key = (file.texts[i], types, sigs, len(self.env.sigs))
+                    resolved.append(self.resolve_known(decl, sig, key, memo))
             else:
                 resolved.append(decl)
-        return SourceFile(file.path, tuple(resolved), file.text)
+        return SourceFile(file.path, tuple(resolved), file.texts)
 
     def check_alias_cycles(self) -> None:
         graph: dict[str, set[str]] = {}
@@ -446,6 +463,19 @@ class Resolver:
         self.tyvars.undo_to(0)
         self.values.undo_to(0)
         return replace(decl, body=body)
+
+    def resolve_known(
+        self, decl: DValDef, sig: Type, key: tuple, memo: Callable[[Keyed], None]
+    ) -> DValDef:
+        """`resolve_def(decl, sig)` unless `key` resolved clean before
+        (`memo`); if it did, a `DValDef.later` whose body is resolved when
+        first read. By then every signature of the file is in scope, not
+        only those before `decl`: a body that resolved clean in the smaller
+        scope resolves to the same in the larger."""
+        _, resolved = through(memo, key, partial(self.resolve_def, decl, sig))
+        env = self.env
+        return resolved or DValDef.later(decl.name, decl.params, decl.span,
+                                         lambda: Resolver(env).resolve_def(decl, sig).body)
 
     def resolve_expr(self, e: Expr) -> Expr:
         """`e` resolved in the current scope. Only types change (a lambda's,
@@ -616,6 +646,15 @@ def _describe(t: Type) -> str:
     return print_type(t)
 
 
+def declared(file: SourceFile) -> tuple[str, str]:
+    """The texts of `file`'s type declarations, and of its signatures, each
+    joined: the part of a definition's memo key that every definition of
+    the file shares (`Resolver.resolve_file`, `Checker.check_file`)."""
+    pairs = list(zip(file.decls, file.texts))
+    types = "".join([t for d, t in pairs if isinstance(d, (DData, DAlias, DAbstract))])
+    return types, "".join([t for d, t in pairs if isinstance(d, DValSig)])
+
+
 def domain_comps(domain: Type) -> tuple[TupleComp, ...]:
     """The component list of an arrow domain."""
     if isinstance(domain, TBar):
@@ -636,8 +675,11 @@ def domain_bars(domain: Type) -> list[tuple[Type, bool]]:
     return bars
 
 
-def resolve(file: SourceFile, base: Env | None = None) -> tuple[SourceFile, Env]:
-    """Resolve and kind-check a source file on top of an optional base env."""
+def resolve(
+    file: SourceFile, base: Env | None = None, memo: Callable[[Keyed], None] | None = None
+) -> tuple[SourceFile, Env]:
+    """Resolve and kind-check a source file on top of an optional base env,
+    through an optional `memo` (`Resolver.resolve_file`)."""
     resolver = Resolver(base)
-    resolved = resolver.resolve_file(file)
+    resolved = resolver.resolve_file(file, memo)
     return resolved, resolver.env

@@ -175,7 +175,7 @@ def test_a_raised_check_keeps_nothing_of_its_run():
     assert outcome(NOT_A_RECORD) == first
     file, env = load_text(NOT_A_RECORD, "t.mz")
     interp = Interp(env, [prelude()[0], file], checked=False)
-    ((decl, text),) = [(d, t) for d, t in zip(file.decls, file.decl_texts())
+    ((decl, text),) = [(d, t) for d, t in zip(file.decls, file.texts)
                        if type(d) is DValDef]
     hits = codegen._compiled.cache_info().hits
     _, consts = codegen._compiled(Keyed(text, decl), False, False, interp.interface)
@@ -220,3 +220,54 @@ def test_deep_definitions_run_cold_and_warm(text):
     first = cold_outcome(text)
     assert not first[0].startswith("trap")
     assert outcome(text) == first
+
+
+# -- a run of many definitions ---------------------------------------------------------
+
+
+def chain(n: int) -> str:
+    """n definitions, each calling the one before, and `main`, which calls
+    the last."""
+    lines = ["val f0: () -> int", "val f0 () = 0"]
+    for i in range(1, n):
+        lines += [f"val f{i}: () -> int", f"val f{i} () = add (f{i - 1} (), 1)"]
+    return "\n".join([*lines, "val main: () -> int", f"val main () = f{n - 1} ()", ""])
+
+
+def run_bytecodes(n: int) -> int:
+    """The bytecode instructions that a cold run of `chain(n)` executes:
+    `sys.monitoring` INSTRUCTION events (Python 3.12 and later)."""
+    import sys
+
+    file, env = load_text(chain(n), "t.mz")
+    interp = Interp(env, [prelude()[0], file], checked=True)
+    mon = sys.monitoring
+    tool = mon.PROFILER_ID
+    executed = [0]
+
+    def on_instruction(code, offset):
+        executed[0] += 1
+
+    cold()
+    mon.use_tool_id(tool, "test_compile_memo")
+    mon.register_callback(tool, mon.events.INSTRUCTION, on_instruction)
+    mon.set_events(tool, mon.events.INSTRUCTION)
+    try:
+        assert interp.run("main") == n - 1
+    finally:
+        mon.set_events(tool, 0)
+        mon.register_callback(tool, mon.events.INSTRUCTION, None)
+        mon.free_tool_id(tool)
+    return executed[0]
+
+
+def test_a_run_is_linear_in_the_number_of_definitions():
+    # Each definition is written on its first call, cold: nothing the writer
+    # does for one definition may grow with the program. The interface is
+    # read once per run (`codegen.interface`), not once per definition.
+    import sys
+
+    if not hasattr(sys, "monitoring"):
+        pytest.skip("counting bytecodes needs sys.monitoring, Python 3.12 or later")
+    small, large = run_bytecodes(150), run_bytecodes(300)
+    assert large / small <= 2.05, (small, large)

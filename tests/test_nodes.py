@@ -212,8 +212,9 @@ PINS = [
         "DValDef(name='name', params='params', body='body')",
         "span",
     ),
-    # `SourceFile`'s path and text are not structural, and its text is not printed.
-    (ast.SourceFile, "path decls text", "SourceFile(path='path', decls='decls')", "path text"),
+    # `SourceFile`'s path and declaration texts are not structural, and its
+    # texts are not printed.
+    (ast.SourceFile, "path decls texts", "SourceFile(path='path', decls='decls')", "path texts"),
     (perms.Atom, "", "Atom()", ""),
     (perms.Anchored, "anchor ty", "Anchored(anchor='anchor', ty='ty')", ""),
     (perms.PermVar, "name", "PermVar(name='name')", ""),
@@ -301,6 +302,12 @@ ALLOWED = {
     ("ast", "node", "f.name"): "a `Field`, not a node: `node` names each field it makes",
     ("ast", "has_meta", "t._has_meta"): "fills the cache slot once, on the first question",
     ("ast", "plain", "t._plain"): "fills the cache slot once, on the first question",
+    ("ast", "DValDef.later", "d.name"): "a definition being made, before anything can read it",
+    ("ast", "DValDef.later", "d.params"): "a definition being made, before anything can read it",
+    ("ast", "DValDef.later", "d.span"): "a definition being made, before anything can read it",
+    ("ast", "DValDef.__getattr__", "self.body"): (
+        "fills the body of a definition made by `later` once, on its first read"
+    ),
     ("kinds", "Resolver.resolve_file", "info.body"): (
         "an `AliasInfo`, not a node: the alias's body, set once it is resolved"
     ),
