@@ -17,12 +17,12 @@ with a `main`, of a run of `main` (compiling it included, as a fresh
 
 Each layer is timed on its own: each timing of a layer redoes the layers
 before it afresh, untimed, so no memo carries over from one timing to the
-next: the front end's memos are cleared, so each timing parses and
-resolves every definition. The checker is timed bare (`Checker(env).check_file`), without the
-driver's memo of definitions that checked clean, so every timing checks
-every definition. The last lines give the ratios 2048/1024, 3000/1000,
-3000/1000 and 2000/1000 for each column; linear time gives 2.0, 3.0, 3.0
-and 2.0.
+next. The parser, the resolver and the checker are timed bare
+(`Parser.parse_file`, `resolve`, `Checker(env).check_file`), without the
+driver's memos of definitions that parsed, resolved or checked clean, so
+every timing parses, resolves and checks every definition. The last lines
+give the ratios 2048/1024, 3000/1000, 3000/1000 and 2000/1000 for each
+column; linear time gives 2.0, 3.0, 3.0 and 2.0.
 
 Run from the root of the repository:
 
@@ -53,10 +53,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from minimz.check import Checker  # noqa: E402
 from minimz.codegen import _code, _compiled  # noqa: E402
-from minimz.driver import CORPUS_DIR, load_text, prelude, resolved_clean  # noqa: E402
+from minimz.driver import CORPUS_DIR, load_text, parsed_clean, prelude, resolved_clean  # noqa: E402
 from minimz.interp import eval_program  # noqa: E402
 from minimz.kinds import resolve  # noqa: E402
-from minimz.parser import Parser, _definition, tokenize  # noqa: E402
+from minimz.parser import Parser, tokenize  # noqa: E402
 
 TREE_SIZES = (256, 512, 1024, 2048)
 CHAIN_SIZES = (1000, 3000)
@@ -146,13 +146,9 @@ def layer_times(text: str, runs: bool) -> tuple[float, ...]:
         if diags:
             raise SystemExit(f"unexpected diagnostics: {diags}")
 
-    def tokens():
-        _definition.cache_clear()  # each timing parses every definition
-        return tokenize(text)
-
     def load():
-        tokens()
-        resolved_clean.cache_clear()  # nothing is left for the check to read lazily
+        parsed_clean.cache_clear()  # nothing is left for the check to read lazily
+        resolved_clean.cache_clear()
         return load_text(text, "scaling.mz")
 
     def load_cold():
@@ -166,8 +162,8 @@ def layer_times(text: str, runs: bool) -> tuple[float, ...]:
 
     times = (
         best_ms(lambda: text, tokenize),
-        best_ms(tokens, lambda tokens: Parser(tokens).parse_file()),
-        best_ms(lambda: (Parser(tokens()).parse_file(), base.clone()),
+        best_ms(lambda: tokenize(text), lambda tokens: Parser(tokens).parse_file()),
+        best_ms(lambda: (Parser(tokenize(text)).parse_file(), base.clone()),
                 lambda args: resolve(*args)),
         best_ms(load, check),
         best_ms(load, check, collector=False),
@@ -190,7 +186,6 @@ def layer_calls(text: str) -> tuple[int, ...]:
     """The calls counted in each layer of loading and checking `text`, each
     run once on the output of the one before, and their sum."""
     _, base = prelude()
-    _definition.cache_clear()
     tokens, lex = calls(tokenize, text)
     file, parse = calls(lambda: Parser(tokens).parse_file())
     (file, env), res = calls(resolve, file, base.clone())

@@ -233,15 +233,17 @@ class Resolver:
         """`file` resolved. A `memo` (`driver.resolved_clean`) gets each
         definition's resolution, `Keyed` by all that it reads of the file:
         the texts of the definition, of the type declarations and of the
-        signatures, and how many signatures are in scope (`Checker.check_file`'s
-        key, less `undefined`); not the environment `file` is resolved on,
-        which the memo must fix."""
+        signatures, how many signatures are in scope (`Checker.check_file`'s
+        key, less `undefined`), and how many aliases have a kind, which an
+        alias gets only where it is declared; not the environment `file`
+        is resolved on, which the memo must fix."""
         for decl in file.decls:
             self.register(decl)
         if memo is not None:
             types, sigs = declared(file)
         resolved: list[Decl] = []
         defs_seen: set[str] = set()
+        aliases = 0
         for i, decl in enumerate(file.decls):
             if isinstance(decl, DData):
                 self.bind_tyvars(decl.params, decl.span)
@@ -271,6 +273,7 @@ class Resolver:
                 # a cycle is closed by the definition of its last alias
                 self.check_alias_cycles()
                 info.kind = kind_of(info.body, self.env, self.tyvars)
+                aliases += 1
                 self.tyvars.undo_to(0)
                 resolved.append(replace(decl, body=info.body))
             elif isinstance(decl, DValSig):
@@ -297,7 +300,7 @@ class Resolver:
                 if memo is None:
                     resolved.append(self.resolve_def(decl, sig))
                 else:
-                    key = (file.texts[i], types, sigs, len(self.env.sigs))
+                    key = (file.texts[i], types, sigs, len(self.env.sigs), aliases)
                     resolved.append(self.resolve_known(decl, sig, key, memo))
             else:
                 resolved.append(decl)
@@ -469,9 +472,10 @@ class Resolver:
     ) -> DValDef:
         """`resolve_def(decl, sig)` unless `key` resolved clean before
         (`memo`); if it did, a `DValDef.later` whose body is resolved when
-        first read. By then every signature of the file is in scope, not
-        only those before `decl`: a body that resolved clean in the smaller
-        scope resolves to the same in the larger."""
+        first read. By then every signature of the file is in scope and
+        every alias has its kind, not only those before `decl`: a body that
+        resolved clean in the smaller scope resolves to the same in the
+        larger."""
         _, resolved = through(memo, key, partial(self.resolve_def, decl, sig))
         env = self.env
         return resolved or DValDef.later(decl.name, decl.params, decl.span,

@@ -8,7 +8,8 @@ permission `p`.
 
 from __future__ import annotations
 
-import functools
+from collections.abc import Callable
+from functools import partial
 from itertools import compress, count
 
 from .ast import (
@@ -35,6 +36,7 @@ from .ast import (
     Expr,
     KIND_PERM,
     KIND_TYPE,
+    Keyed,
     Kind,
     PTag,
     PTuple,
@@ -57,6 +59,7 @@ from .ast import (
     TupleComp,
     through,
 )
+from . import lexer
 from .lexer import KEYWORDS, Tokens, tokenize
 
 
@@ -156,15 +159,15 @@ class Parser:
 
     # -- declarations ------------------------------------------------------
 
-    def parse_file(self) -> SourceFile:
+    def parse_file(self, memo: Callable[[Keyed], tuple] | None = None) -> SourceFile:
         """The file's declarations, each read from its own stretch of the
         tokens: the stream is cut before each `data`, `alias`, `abstract`
         and `val`, which begin every declaration and occur in none. The
         text of a declaration runs from its first token to the next
-        declaration's, or to the end of the file. A definition whose text
-        was parsed before (`_definition`) is not parsed again: its header
-        comes from the memo, and its body from these tokens, where it
-        gets the same spans, if something reads it."""
+        declaration's, or to the end of the file. A `memo`
+        (`driver.parsed_clean`) gets each definition's parse, `Keyed` by
+        its text, and answers with its name, parameters and span length; a
+        text it knows is not parsed again (`parse_definition`)."""
         texts, starts, source = self.texts, self.starts, self.source
         eof = len(texts) - 3  # less the two EOFs `__init__` adds
         cuts = list(compress(count(), map(_DECL_KEYWORDS.__contains__, texts)))
@@ -174,8 +177,8 @@ class Parser:
         decl_texts = []
         for i, j in zip(cuts, cuts[1:] + [eof]):
             text = source[starts[i]:starts[j]]
-            if texts[i] == "val" and texts[i + 2] == "(":
-                decls.append(self.parse_definition(i, j, text))
+            if memo is not None and texts[i] == "val" and texts[i + 2] == "(":
+                decls.append(self.parse_definition(i, j, text, memo))
             else:
                 decls.append(self.parse_decl_at(i, j))
             decl_texts.append(text)
@@ -191,14 +194,20 @@ class Parser:
             raise self.error("expected a declaration")
         return decl
 
-    def parse_definition(self, i: int, j: int, text: str) -> DValDef:
+    def parse_definition(
+        self, i: int, j: int, text: str, memo: Callable[[Keyed], tuple]
+    ) -> DValDef:
         """The definition from token `i` to `j`, whose text is `text`:
-        parsed if the text is new to `_definition`, else a `DValDef.later`
-        whose body is parsed from token `i` when first read."""
-        header, parsed = through(_definition, text, functools.partial(self.parse_decl_at, i, j))
+        parsed if the text is new to `memo`, else a `DValDef.later` whose
+        body is parsed when first read (`_body_at`). The parse of a
+        declaration reads nothing but its own tokens and, at most, that
+        the next one is a declaration's first or the EOF, so the text
+        fixes the definition but for its offset."""
+        header, parsed = through(memo, text, partial(self.parse_decl_at, i, j))
         name, params, length = header
-        return parsed or DValDef.later(name, params, Span(self.starts[i], length),
-                                       lambda: self.parse_decl_at(i, j).body)
+        start = self.starts[i]
+        return parsed or DValDef.later(name, params, Span(start, length),
+                                       partial(_body_at, text, start))
 
     def parse_decl(self) -> Decl:
         text = self.text
@@ -663,21 +672,21 @@ def _int_literal(text: str, span: Span) -> EInt:
     return EInt(value, span)
 
 
-@functools.lru_cache(maxsize=1024)
-def _definition(definition: Keyed) -> tuple[str, tuple[str, ...], int]:
-    """The name, parameters and span length of a definition, `Keyed` by
-    its declaration's text alone, parsed on a miss by the `take`n
-    function. The parse of a declaration reads nothing but its own tokens
-    and, at most, that the next one is a declaration's first or the EOF,
-    so the text fixes the definition but for its offset. A definition that
-    fails to parse raises, so the memo keeps no answer for it; it keeps no
-    node either. The bound holds twice the texts of a seed-1 round of all
-    three workloads: 66 of `iterate`, 18 of `check_wide` and 154 of
-    `corpus_mix`, whose entries keep 21, 5 and 53 KB besides the texts
-    that the other memos' keys share (tracemalloc, Python 3.11.7)."""
-    decl = definition.take()()
-    return decl.name, decl.params, decl.span.length
+def _body_at(text: str, start: int) -> Expr:
+    """The body of the definition whose declaration's text is `text` and
+    which starts at offset `start` of its file, with the spans that the
+    file's parse gives it. The text is lexed again, so the definition
+    keeps no token of its file until its body is read. Whoever reads the
+    body pays for it, so it is lexed by `lexer.tokenize`, not by this
+    module's `tokenize`, the file's lexer layer (`perfbench/ops.py`)."""
+    tokens = lexer.tokenize(text)
+    starts = [start + offset for offset in tokens.starts]
+    parser = Parser(Tokens(tokens.kinds, tokens.texts, starts, text))
+    return parser.parse_decl_at(0, len(starts) - 1).body  # type: ignore[attr-defined]
 
 
-def parse_file(text: str, path: str = "<input>") -> SourceFile:
-    return Parser(tokenize(text), path).parse_file()
+def parse_file(
+    text: str, path: str = "<input>", memo: Callable[[Keyed], tuple] | None = None
+) -> SourceFile:
+    """`text` parsed, through an optional `memo` (`Parser.parse_file`)."""
+    return Parser(tokenize(text), path).parse_file(memo)

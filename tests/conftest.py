@@ -7,9 +7,9 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from minimz.driver import CORPUS_DIR, checked_clean, resolved_clean
+from minimz.driver import CORPUS_DIR, checked_clean, parsed_clean, resolved_clean
 from minimz.lexer import tokenize
-from minimz.parser import Parser, _definition
+from minimz.parser import Parser
 
 # Every property test draws the same examples on every run and keeps no
 # example database, so two runs of one tree test the same inputs.
@@ -31,7 +31,7 @@ def cold_front_end_and_check_memos():
     to parse, resolve or check clean, so a test that loads and checks a
     program through the driver parses, resolves and checks each of its
     definitions, whatever ran before it."""
-    _definition.cache_clear()
+    parsed_clean.cache_clear()
     resolved_clean.cache_clear()
     checked_clean.cache_clear()
 

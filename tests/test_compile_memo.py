@@ -271,3 +271,17 @@ def test_a_run_is_linear_in_the_number_of_definitions():
         pytest.skip("counting bytecodes needs sys.monitoring, Python 3.12 or later")
     small, large = run_bytecodes(150), run_bytecodes(300)
     assert large / small <= 2.05, (small, large)
+
+
+def test_two_runs_of_a_program_share_one_interface_hashed_by_identity():
+    # `_compiled` hashes the interface on each first call, so a program of
+    # n definitions would look them up in time quadratic in n if each run
+    # built its own interface, or hashed it by its content.
+    text = chain(3)
+    interfaces = []
+    for _ in range(2):
+        file, env = load_text(text, "t.mz")
+        interfaces.append(Interp(env, [prelude()[0], file], checked=True).interface)
+    assert interfaces[0] is interfaces[1]
+    assert type(interfaces[0]).__hash__ is object.__hash__
+    assert type(interfaces[0]).__eq__ is object.__eq__

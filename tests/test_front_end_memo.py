@@ -1,9 +1,10 @@
 """The front end's memos: a definition whose text parsed clean before is not
-parsed again (`parser._definition`), and one whose key resolved clean
+parsed again (`driver.parsed_clean`), and one whose key resolved clean
 before is not resolved again (`driver.resolved_clean`); its body is
-parsed and resolved from the file's own tokens only when something reads
-it. So a warm process gives what a cold one gives, byte for byte, spans
-included, and the memos keep no node. Every test goes through the driver,
+lexed again from its own text, parsed with the file's offsets and
+resolved only when something reads it. So a warm process gives what a
+cold one gives, byte for byte, spans included, and neither the memos nor
+a warm file keep what they need not: no node, no token. Every test goes through the driver,
 as `minimz check`, `run` and `test` do.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import gc
 import random
 import sys
+import types
 
 import pytest
 
@@ -27,10 +29,11 @@ from test_span_pins import walk
 from minimz import codegen, driver, parser
 from minimz.ast import DValDef
 from minimz.cli import FRONT_END_ERRORS
-from minimz.parser import parse_file
+from minimz.lexer import Tokens, tokenize
+from minimz.parser import Parser, parse_file
 from minimz.runtime import RuntimeTrap
 
-MEMOS = (parser._definition, driver.resolved_clean, driver.checked_clean)
+MEMOS = (driver.parsed_clean, driver.resolved_clean, driver.checked_clean)
 
 
 def cold() -> None:
@@ -73,20 +76,22 @@ def texts() -> dict[str, str]:
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_the_corpus_twice_in_shuffled_order_gives_each_files_cold_outcome(seed):
-    corpus = texts()
+    corpus = {**texts(), **ALIAS_ORDER}
     expected = {rel: cold_outcome(text, rel) for rel, text in corpus.items()}
-    order = CORPUS_FILES * 2
+    order = list(corpus) * 2
     random.Random(seed).shuffle(order)
     cold()
     for rel in order:
         assert outcome(corpus[rel], rel) == expected[rel], rel
-    assert parser._definition.cache_info().hits > 0
+    assert driver.parsed_clean.cache_info().hits > 0
     assert driver.resolved_clean.cache_info().hits > 0
 
 
 CLEAN = "val g: int -> int\nval g (x) = add (x, 1)\n"
 READ_R = "val f: r -> int\nval f (x) = match x with R { a = y } -> 1\n"
 CALLS_G = "val f () = g ()\n"
+USES_A = "val f: int -> int\nval f (y) = (fun (x: a) : a = x) (y)\n"
+ALIAS = "alias a = int\n"
 FAILS = "val f: int -> int\nval f (x) = add (x, true)\n"
 
 
@@ -115,9 +120,9 @@ def test_a_warm_text_whose_check_misses_gives_cold_diagnostics(part):
     expected = cold_outcome(second)
     cold()
     outcome(first)
-    hits = parser._definition.cache_info().hits
+    hits = driver.parsed_clean.cache_info().hits
     assert outcome(second) == expected
-    assert parser._definition.cache_info().hits > hits
+    assert driver.parsed_clean.cache_info().hits > hits
 
 
 # Pairs of programs in which `f`'s text is the same, the first resolves
@@ -132,7 +137,11 @@ RESOLVE_PAIRS = {
         "val f: () -> int\nval g: () -> int\n" + CALLS_G + "val g () = 1\n",
         "val f: () -> int\n" + CALLS_G + "val g: () -> int\nval g () = 1\n",
     ),
+    # The same texts, in another order: an alias has its kind only after
+    # its declaration.
+    "alias order": (ALIAS + USES_A, USES_A + ALIAS),
 }
+ALIAS_ORDER = dict(zip(["alias-first.mz", "alias-last.mz"], RESOLVE_PAIRS["alias order"]))
 
 
 def load_outcome(text: str) -> str:
@@ -207,9 +216,20 @@ def test_a_deep_body_read_lazily_checks_under_the_default_recursion_limit(text):
     # memo's lazy definition, deeper in the stack than a parse of the file.
     assert sys.getrecursionlimit() <= 1000
     driver.check_text(text, "t.mz")
-    hits = parser._definition.cache_info().hits
+    hits = driver.parsed_clean.cache_info().hits
     assert driver.check_text(text + "val zz: () -> int\n", "t.mz")[2] == []
-    assert parser._definition.cache_info().hits > hits
+    assert driver.parsed_clean.cache_info().hits > hits
+
+
+def test_a_body_read_lazily_is_lexed_outside_the_files_lexer(monkeypatch):
+    # perfbench's traced runs wrap `parser.tokenize` as the lexer layer of
+    # a file, with no span inside another; a body read inside the check is
+    # the check's work.
+    driver.check_text(FAILS, "t.mz")
+    lexed = []
+    monkeypatch.setattr(parser, "tokenize", lambda text: lexed.append(text) or tokenize(text))
+    (diag,) = driver.check_text(FAILS, "t.mz")[2]
+    assert diag.code == "E-SUBSUME" and lexed == [FAILS]
 
 
 # -- a body read lazily is the body parsed eagerly -----------------------------------
@@ -221,9 +241,10 @@ def test_a_lazy_body_equals_the_eager_body_and_keeps_its_pinned_spans():
         rel = path.relative_to(CORPUS).as_posix()
         text = path.read_text(encoding="utf-8")
         cold()
-        eager = parse_file(text, rel)
+        eager = parse_file(text, rel)  # no memo
+        parse_file(text, rel, driver.parsed_clean)
         parsed = misses()[0]
-        lazy = parse_file(text, rel)
+        lazy = parse_file(text, rel, driver.parsed_clean)
         assert misses()[0] == parsed  # no definition was parsed again
         bodies = [d.body for d in lazy.decls if type(d) is DValDef]
         assert bodies == [d.body for d in eager.decls if type(d) is DValDef]
@@ -258,7 +279,7 @@ def test_the_front_end_memos_keep_only_strings_and_ints():
     def unreachable():
         raise AssertionError("a stored key missed")
 
-    for memo in (parser._definition, driver.resolved_clean):
+    for memo in (driver.parsed_clean, driver.resolved_clean):
         keys = stored_keys(memo)
         assert len(keys) == memo.cache_info().currsize > 0
         for keyed in keys:
@@ -266,6 +287,35 @@ def test_the_front_end_memos_keep_only_strings_and_ints():
             answer = memo(type(keyed)(keyed.key, unreachable))
             for leaf in leaves((keyed.key, answer)):
                 assert type(leaf) in (str, int) or leaf is None, (memo, type(leaf))
+
+
+def reachable_classes(root) -> set[type]:
+    """The classes of the objects that `root` holds, directly or not; a
+    function is followed into its closure only, not its globals."""
+    seen: set[int] = set()
+    stack, classes = [root], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        classes.add(type(obj))
+        if isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif not isinstance(obj, (type, types.ModuleType, types.BuiltinFunctionType)):
+            stack.extend(gc.get_referents(obj))
+    return classes
+
+
+def test_a_warm_file_keeps_no_token_of_its_text():
+    # A definition read lazily lexes its own text again when its body is
+    # read, so the file does not keep its parser's token lists until then.
+    text = texts()["pos/tree_size.mz"]
+    driver.load_text(text, "t.mz")
+    file, _ = driver.load_text("-- moved\n" + text, "t.mz")
+    lazy = [d for d in file.decls if type(d) is DValDef and d._fill is not None]
+    assert lazy
+    assert not reachable_classes(file) & {Parser, Tokens}
 
 
 def test_the_memos_hold_every_key_of_the_three_workloads_rounds(perfbench_modules):  # noqa: F811
