@@ -14,7 +14,8 @@ Here both checkouts run in one Python process, close together in time:
 - each round takes every operation's program text through the front end
   (`driver.load_text`: lex, parse and resolve over the prelude; where a
   side's front end has memos, a definition whose text parsed and whose key
-  resolved clean before is only lexed) and the
+  resolved clean before is neither parsed nor resolved, and where it cuts
+  the text into declarations before it lexes, not lexed either) and the
   checker of one side, then of the other, so that the two sides' times of
   a round span the same stretch of time; the side that goes first
   alternates from program to program and from round to round. A side

@@ -17,10 +17,14 @@ with a `main`, of a run of `main` (compiling it included, as a fresh
 
 Each layer is timed on its own: each timing of a layer redoes the layers
 before it afresh, untimed, so no memo carries over from one timing to the
-next. The parser, the resolver and the checker are timed bare
-(`Parser.parse_file`, `resolve`, `Checker(env).check_file`), without the
-driver's memos of definitions that parsed, resolved or checked clean, so
-every timing parses, resolves and checks every definition. The last lines
+next. The lex column times the file's lexer layer, `parser.tokenize`: the
+cut of the text before each declaration and the lex of each declaration
+but the definitions. A definition is lexed where it is parsed, so its lex
+is in the parse column (`Parser.parse_file`). The parser, the resolver
+and the checker are timed bare (`Parser.parse_file`, `resolve`,
+`Checker(env).check_file`), without the driver's memos of definitions
+that parsed, resolved or checked clean, so every timing lexes, parses,
+resolves and checks every definition. The last lines
 give the ratios 2048/1024, 3000/1000, 3000/1000 and 2000/1000 for each
 column; linear time gives 2.0, 3.0, 3.0 and 2.0.
 
@@ -56,7 +60,7 @@ from minimz.codegen import _code, _compiled  # noqa: E402
 from minimz.driver import CORPUS_DIR, load_text, parsed_clean, prelude, resolved_clean  # noqa: E402
 from minimz.interp import eval_program  # noqa: E402
 from minimz.kinds import resolve  # noqa: E402
-from minimz.parser import Parser, tokenize  # noqa: E402
+from minimz.parser import Parser, parse_file, tokenize  # noqa: E402
 
 TREE_SIZES = (256, 512, 1024, 2048)
 CHAIN_SIZES = (1000, 3000)
@@ -162,8 +166,8 @@ def layer_times(text: str, runs: bool) -> tuple[float, ...]:
 
     times = (
         best_ms(lambda: text, tokenize),
-        best_ms(lambda: tokenize(text), lambda tokens: Parser(tokens).parse_file()),
-        best_ms(lambda: (Parser(tokenize(text)).parse_file(), base.clone()),
+        best_ms(lambda: tokenize(text), lambda decls: Parser.parse_file(decls, "scaling.mz")),
+        best_ms(lambda: (parse_file(text, "scaling.mz"), base.clone()),
                 lambda args: resolve(*args)),
         best_ms(load, check),
         best_ms(load, check, collector=False),
@@ -186,8 +190,8 @@ def layer_calls(text: str) -> tuple[int, ...]:
     """The calls counted in each layer of loading and checking `text`, each
     run once on the output of the one before, and their sum."""
     _, base = prelude()
-    tokens, lex = calls(tokenize, text)
-    file, parse = calls(lambda: Parser(tokens).parse_file())
+    decls, lex = calls(tokenize, text)
+    file, parse = calls(Parser.parse_file, decls, "scaling.mz")
     (file, env), res = calls(resolve, file, base.clone())
     diags, check = calls(lambda: Checker(env).check_file(file))
     if diags:

@@ -602,7 +602,7 @@ class DValSig(Decl):
 class DValDef(Decl):
     """A definition. One made by `later` has no body until the body is
     first read, when its `_fill()` makes it and the slot keeps it: so the
-    front end need not parse or resolve a definition known to be clean
+    front end need not lex, parse or resolve a definition known to be clean
     (`parser.Parser.parse_file`, `kinds.Resolver.resolve_file`) unless
     something reads its body."""
 
@@ -633,7 +633,7 @@ class SourceFile:
     path: str = Field(compare=False)  # not structural
     decls: tuple[Decl, ...]
     # The text of each declaration, from its first token to the next
-    # declaration's or to the end of the file (`Parser.parse_file`).
+    # declaration's or to the end of the file (`parser.tokenize`).
     texts: tuple[str, ...] = Field(compare=False, repr=False)
 
 

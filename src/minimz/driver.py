@@ -34,13 +34,14 @@ def load_text(text: str, path: str) -> tuple[SourceFile, Env]:
 @functools.lru_cache(maxsize=1024)
 def parsed_clean(definition: Keyed) -> tuple[str, tuple[str, ...], int]:
     """The name, parameters and span length of a definition, `Keyed` by
-    its declaration's text alone (`Parser.parse_file`), parsed by the
-    `take`n function on a miss; a hit leaves the body to be parsed when it
-    is read. A failing parse raises, so the memo keeps no answer for it;
-    it keeps no node either. The bound holds twice the texts of a seed-1
-    round of all three workloads: 65 of `iterate`, 17 of `check_wide` and
-    153 of `corpus_mix`, whose entries keep 21, 5 and 53 KB besides the
-    texts that the other memos' keys share (tracemalloc, Python 3.11.7)."""
+    its declaration's text alone (`Parser.parse_file`), lexed and parsed by
+    the `take`n function on a miss; a hit leaves the body to be lexed and
+    parsed when it is read. A failing parse raises, so the memo keeps no
+    answer for it; it keeps no node either. The bound holds twice the
+    texts of a seed-1 round of all three workloads: 65 of `iterate`, 17 of
+    `check_wide` and 153 of `corpus_mix`, whose entries keep 21, 5 and 53
+    KB besides the texts that the other memos' keys share (tracemalloc,
+    Python 3.11.7)."""
     decl = definition.take()()
     return decl.name, decl.params, decl.span.length
 

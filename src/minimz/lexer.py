@@ -5,19 +5,29 @@ Identifiers are ASCII: `[a-z][a-zA-Z0-9_']*` for values and type names,
 
 `tokenize` makes no Python step per token. It blanks each comment to
 spaces, then one C-level `re.split` cuts the text into gaps of blanks and
-tokens in turn; the starts are the running sums of the parts' lengths,
-and each distinct text is given its kind once. It returns a `Tokens`:
-three parallel lists, the kind, the text and the start offset of each
-token, that end in one EOF token, and the text it read. No object is
+tokens in turn; the starts are the running sums of the parts' lengths
+from the offset it is given, and each token is given its kind by C-level
+lookups. It returns a `Tokens`: three parallel lists, the kind, the text
+and the start offset of each token, that end in one more token, the EOF
+or the keyword of the declaration that follows the text. No object is
 made per token; the parser reads the lists by index and makes a `Span`
 only where a node or an error keeps one. `len(tokenize(text)) - 1` is
 the number of tokens in the text.
+
+A file is not lexed whole. `cut` finds the keyword of each declaration
+without lexing the text, and `parser.tokenize` lexes each declaration on
+its own, at its offset, but a definition: that is lexed only where it is
+parsed, so one whose text the parse memo knows is not lexed unless its
+body is read. Only a file whose parse fails is lexed whole, so that an
+illegal character anywhere in it is the error it reports
+(`parser.parse_file`).
 """
 
 from __future__ import annotations
 
 import re
 from itertools import accumulate, islice
+from operator import itemgetter
 from types import MappingProxyType
 
 from .ast import Span
@@ -37,26 +47,27 @@ class LexError(Exception):
 
 class Tokens:
     """`kinds` (KW, LIDENT, UIDENT, INT, OP or EOF), `texts` and `starts`,
-    one item per token, as `tokenize` makes them, and the `source` text
-    they were read from. The last token is the EOF, whose text is empty
-    and whose start is the length of the input."""
+    one item per token, as `tokenize` makes them. The last token is the
+    one that follows the text: the EOF, whose text is empty and whose
+    start is the end of the input, or the keyword of the declaration
+    after it."""
 
-    __slots__ = ("kinds", "texts", "starts", "source")
+    __slots__ = ("kinds", "texts", "starts")
 
-    def __init__(self, kinds: list[str], texts: list[str], starts: list[int], source: str):
+    def __init__(self, kinds: list[str], texts: list[str], starts: list[int]):
         self.kinds = kinds
         self.texts = texts
         self.starts = starts
-        self.source = source
 
     def __len__(self) -> int:
         return len(self.kinds)
 
 
 # A comment runs from `--` to the end of its line and is blanked to spaces
-# of its length before the split, so every offset stays. A comment starts
-# only where a token could: right after `<`, `--` reads as `<-` then `-`.
-_COMMENT_RE = re.compile(r"(?<!<)--[^\n]*")
+# of its length, so every offset stays. A comment starts only where a
+# token could: right after `<`, `--` reads as `<-` then `-`. The pattern
+# begins with its literal, which the search skips to.
+_COMMENT_RE = re.compile(r"--(?<!<--)[^\n]*")
 
 # One capture group, so `split` gives the gaps and the tokens in turn. A gap
 # holds blanks alone: any other character is a token, an illegal one if it
@@ -72,23 +83,64 @@ _KINDS = MappingProxyType({
     **dict.fromkeys(["->", "<-", *"@*|={}()[],;:."], "OP"),
     **dict.fromkeys(KEYWORDS, "KW"),
 })
+_FIRST = itemgetter(0)
+# A text of more tokens gives each of its distinct texts its kind once,
+# which pays where a large definition (`check_wide`'s) repeats its names
+# and operators. A shorter one, as most signatures and type declarations
+# are, looks up each token: a set and a dict would cost more than they save.
+_FEW_TOKENS = 128
+
+# A declaration's keyword where no identifier character follows it. It
+# begins a token unless an identifier character comes before it, or
+# before the run of digits before it: `3val` is an INT and a `val`,
+# `x3val` and `x'val` are names.
+_DECL_RE = re.compile(r"(?:data|alias|abstract|val)(?![a-zA-Z0-9_'])")
+_DIGITS = frozenset("0123456789")
+_NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_'")
 
 
-def tokenize(text: str) -> Tokens:
-    blanked = _COMMENT_RE.sub(lambda m: " " * len(m[0]), text) if "--" in text else text
-    parts = _SPLIT_RE.split(blanked)
+def blank_comments(text: str) -> str:
+    """`text` with each comment blanked to spaces of its length."""
+    return _COMMENT_RE.sub(lambda m: " " * len(m[0]), text)
+
+
+def cut(blanked: str) -> tuple[list[int], list[str]]:
+    """The starts and the texts of the `data`, `alias`, `abstract` and
+    `val` tokens of a text whose comments are blanked (`blank_comments`),
+    found without lexing it: one C-level scan for the keywords, and a look
+    at the characters before each. For a text that lexes, these are the
+    tokens that `tokenize` gives; for one that does not, whatever."""
+    starts, keywords = [], []
+    for m in _DECL_RE.finditer(blanked):
+        i = j = m.start()
+        while j and blanked[j - 1] in _DIGITS:
+            j -= 1
+        if not j or blanked[j - 1] not in _NAME_CHARS:
+            starts.append(i)
+            keywords.append(m[0])
+    return starts, keywords
+
+
+def tokenize(text: str, start: int = 0, end: str = "") -> Tokens:
+    """The tokens of `text`, read at offset `start` of its file, followed
+    by the keyword `end` of the declaration after it, or by the EOF if
+    `end` is empty."""
+    parts = _SPLIT_RE.split(blank_comments(text) if "--" in text else text)
     texts = parts[1::2]
-    # The running ends of the parts: a gap ends where the token after it
-    # starts, and the last gap at the EOF.
-    starts = list(islice(accumulate(map(len, parts)), 0, None, 2))
-    kind_of = {t: _KINDS.get(t) or _KINDS.get(t[0]) for t in set(texts)}
-    kinds = list(map(kind_of.__getitem__, texts))
-    if None in kind_of.values():
+    # The running ends of the parts from `start`: a gap ends where the
+    # token after it starts, and the last gap where the text ends.
+    starts = list(islice(accumulate(map(len, parts), initial=start), 1, None, 2))
+    last = "KW" if end else "EOF"
+    if texts[_FEW_TOKENS:]:  # more than a few tokens
+        words = set(texts)
+        kind_of = dict(zip(words, map(_KINDS.get, words, map(_KINDS.get, map(_FIRST, words)))))
+        kinds = [*map(kind_of.__getitem__, texts), last]
+    else:
+        kinds = [*map(_KINDS.get, texts, map(_KINDS.get, map(_FIRST, texts))), last]
+    if None in kinds:
         i = kinds.index(None)
         raise LexError(f"illegal character {texts[i]!r}", Span(starts[i], 1))
-    kinds.append("EOF")
-    texts.append("")
-    return Tokens(kinds, texts, starts, text)  # type: ignore[arg-type]
+    return Tokens(kinds, [*texts, end], starts)  # type: ignore[arg-type]
 
 
 def line_col(text: str, offset: int) -> tuple[int, int]:

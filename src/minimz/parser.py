@@ -8,9 +8,9 @@ permission `p`.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from functools import partial
-from itertools import compress, count
 
 from .ast import (
     Branch,
@@ -60,7 +60,7 @@ from .ast import (
     through,
 )
 from . import lexer
-from .lexer import KEYWORDS, Tokens, tokenize
+from .lexer import KEYWORDS, LexError, Tokens, blank_comments, cut
 
 
 class ParseError(Exception):
@@ -78,8 +78,34 @@ _INT_MAX = 2**63 - 1
 _EXPR_ATOM_KINDS = ("INT", "LIDENT", "UIDENT")
 _EXPR_ATOM_TEXTS = ("(", "true", "false")
 
-# The keywords that begin a declaration, and occur nowhere inside one.
-_DECL_KEYWORDS = frozenset(("data", "alias", "abstract", "val"))
+# The beginning of a definition, `val`, its name and the parenthesis of
+# its parameters, in a text whose comments are blanked.
+_DEFINITION_RE = re.compile(r"val[ \t\r\n]+[a-z][a-zA-Z0-9_']*[ \t\r\n]*\(")
+
+
+class Declarations:
+    """A file's text cut before each declaration, as `tokenize` gives it:
+    the tokens of what comes before the first declaration (`head`), which
+    must hold none but the first declaration's keyword; and for each
+    declaration, its text, from its keyword to the next declaration's or to
+    the end of the file, its offset, the keyword that follows it ("" at the
+    end of the file), and its tokens, which end in that keyword. A
+    definition has None for tokens: whether it must be lexed at all is for
+    `Parser.parse_file` to find. `len` counts the tokens lexed and one
+    EOF, as the `len` of a `Tokens` of them would."""
+
+    __slots__ = ("head", "texts", "starts", "end_keywords", "tokens")
+
+    def __init__(self, head: Tokens, texts: list[str], starts: list[int],
+                 end_keywords: list[str], tokens: list[Tokens | None]):
+        self.head = head
+        self.texts = texts
+        self.starts = starts
+        self.end_keywords = end_keywords
+        self.tokens = tokens
+
+    def __len__(self) -> int:
+        return sum(len(t) - 1 for t in self.tokens if t is not None) + len(self.head)
 
 
 class Parser:
@@ -92,17 +118,16 @@ class Parser:
     per token: the front end of every workload, `check_wide`'s large
     literals most."""
 
-    def __init__(self, tokens: Tokens, path: str = "<input>"):
-        # Every read follows a test that the token is not EOF, so `pos`
-        # stops at the EOF; two more EOFs bound a lookahead of two tokens.
+    def __init__(self, tokens: Tokens):
+        # `pos` stops at the last token, an EOF or the keyword of the next
+        # declaration, which no rule inside a declaration reads; two EOFs
+        # after it bound a lookahead of two tokens.
         self.kinds = tokens.kinds + ["EOF", "EOF"]
         self.texts = tokens.texts + ["", ""]
         self.starts = tokens.starts + tokens.starts[-1:] * 2
         self.pos = 0
         self.kind = self.kinds[0]
         self.text = self.texts[0]
-        self.path = path
-        self.source = tokens.source
 
     # -- token plumbing ----------------------------------------------------
 
@@ -159,67 +184,42 @@ class Parser:
 
     # -- declarations ------------------------------------------------------
 
-    def parse_file(self, memo: Callable[[Keyed], tuple] | None = None) -> SourceFile:
-        """The file's declarations, each read from its own stretch of the
-        tokens: the stream is cut before each `data`, `alias`, `abstract`
-        and `val`, which begin every declaration and occur in none. The
-        text of a declaration runs from its first token to the next
-        declaration's, or to the end of the file. A `memo`
-        (`driver.parsed_clean`) gets each definition's parse, `Keyed` by
-        its text, and answers with its name, parameters and span length; a
-        text it knows is not parsed again (`parse_definition`)."""
-        texts, starts, source = self.texts, self.starts, self.source
-        eof = len(texts) - 3  # less the two EOFs `__init__` adds
-        cuts = list(compress(count(), map(_DECL_KEYWORDS.__contains__, texts)))
-        if eof and cuts[:1] != [0]:
-            self.parse_decl()  # raises: the file does not begin with a declaration
-        decls: list[Decl] = []
-        decl_texts = []
-        for i, j in zip(cuts, cuts[1:] + [eof]):
-            text = source[starts[i]:starts[j]]
-            if memo is not None and texts[i] == "val" and texts[i + 2] == "(":
-                decls.append(self.parse_definition(i, j, text, memo))
-            else:
-                decls.append(self.parse_decl_at(i, j))
-            decl_texts.append(text)
-        return SourceFile(self.path, tuple(decls), tuple(decl_texts))
+    @classmethod
+    def parse_file(
+        cls, file: Declarations, path: str, memo: Callable[[Keyed], tuple] | None = None
+    ) -> SourceFile:
+        """The declarations of a file that `tokenize` cut, each parsed by
+        a parser of its own tokens. A definition is lexed here, on its
+        own, as it is parsed (`_parse_at`), unless `memo`
+        (`driver.parsed_clean`) knows its text (`_definition`)."""
+        if len(file.head) > 1:
+            cls(file.head).parse_declaration()  # raises: the file does not begin with one
+        decls = [
+            cls(tokens).parse_declaration() if tokens is not None
+            else _parse_at(text, start, end) if memo is None
+            else _definition(text, start, end, memo)
+            for text, start, end, tokens
+            in zip(file.texts, file.starts, file.end_keywords, file.tokens)
+        ]
+        return SourceFile(path, tuple(decls), tuple(file.texts))
 
-    def parse_decl_at(self, i: int, j: int) -> Decl:
-        """The declaration from token `i`, which must end at token `j`."""
-        self.pos = i
-        self.kind = self.kinds[i]
-        self.text = self.texts[i]
-        decl = self.parse_decl()
-        if self.pos != j:
-            raise self.error("expected a declaration")
-        return decl
-
-    def parse_definition(
-        self, i: int, j: int, text: str, memo: Callable[[Keyed], tuple]
-    ) -> DValDef:
-        """The definition from token `i` to `j`, whose text is `text`:
-        parsed if the text is new to `memo`, else a `DValDef.later` whose
-        body is parsed when first read (`_body_at`). The parse of a
-        declaration reads nothing but its own tokens and, at most, that
-        the next one is a declaration's first or the EOF, so the text
-        fixes the definition but for its offset."""
-        header, parsed = through(memo, text, partial(self.parse_decl_at, i, j))
-        name, params, length = header
-        start = self.starts[i]
-        return parsed or DValDef.later(name, params, Span(start, length),
-                                       partial(_body_at, text, start))
-
-    def parse_decl(self) -> Decl:
+    def parse_declaration(self) -> Decl:
+        """The declaration that the tokens hold, which must end at their
+        last: the keyword of the next declaration, or the EOF."""
         text = self.text
         if text == "data":
-            return self.parse_data()
-        if text == "alias":
-            return self.parse_alias()
-        if text == "abstract":
-            return self.parse_abstract()
-        if text == "val":
-            return self.parse_val()
-        raise self.error("expected a declaration")
+            decl: Decl = self.parse_data()
+        elif text == "alias":
+            decl = self.parse_alias()
+        elif text == "abstract":
+            decl = self.parse_abstract()
+        elif text == "val":
+            decl = self.parse_val()
+        else:
+            raise self.error("expected a declaration")
+        if self.kinds[self.pos + 1 :] != ["EOF", "EOF"]:  # not at the last token
+            raise self.error("expected a declaration")
+        return decl
 
     def parse_type_params(self) -> tuple[tuple[str, Kind], ...]:
         params: list[tuple[str, Kind]] = []
@@ -672,21 +672,58 @@ def _int_literal(text: str, span: Span) -> EInt:
     return EInt(value, span)
 
 
-def _body_at(text: str, start: int) -> Expr:
-    """The body of the definition whose declaration's text is `text` and
-    which starts at offset `start` of its file, with the spans that the
-    file's parse gives it. The text is lexed again, so the definition
-    keeps no token of its file until its body is read. Whoever reads the
-    body pays for it, so it is lexed by `lexer.tokenize`, not by this
-    module's `tokenize`, the file's lexer layer (`perfbench/ops.py`)."""
-    tokens = lexer.tokenize(text)
-    starts = [start + offset for offset in tokens.starts]
-    parser = Parser(Tokens(tokens.kinds, tokens.texts, starts, text))
-    return parser.parse_decl_at(0, len(starts) - 1).body  # type: ignore[attr-defined]
+def _parse_at(text: str, start: int, end: str) -> Decl:
+    """The declaration whose text is `text`, at offset `start` of its file
+    and followed by the keyword `end` ("" at the end of the file), lexed on
+    its own and parsed: its tokens and their spans are those that the
+    file's text gives it. It is lexed by `lexer.tokenize`, not by this
+    module's `tokenize`, the file's lexer layer (`perfbench/ops.py`):
+    whoever parses it pays for its lex, the parser on a miss of the parse
+    memo, whoever reads a lazy body otherwise."""
+    return Parser(lexer.tokenize(text, start, end)).parse_declaration()
+
+
+def _definition(text: str, start: int, end: str, memo: Callable[[Keyed], tuple]) -> DValDef:
+    """The definition `_parse_at(text, start, end)`, parsed if its text is
+    new to `memo`, else a `DValDef.later` with the name, parameters and
+    span length that `memo` keeps, whose body is lexed and parsed when first
+    read. The parse of a declaration reads nothing but its own tokens and,
+    at most, that the one after them is a declaration's keyword or the EOF,
+    so the text fixes the definition but for its offset."""
+    header, parsed = through(memo, text, partial(_parse_at, text, start, end))
+    if parsed is not None:
+        return parsed
+    name, params, length = header
+    return DValDef.later(name, params, Span(start, length),
+                         lambda: _parse_at(text, start, end).body)  # type: ignore[attr-defined]
+
+
+def tokenize(text: str) -> Declarations:
+    """`text` cut before each declaration (`lexer.cut`), and each
+    declaration but a definition lexed at its own offset. The file's
+    lexer layer: a definition is lexed only where it is parsed."""
+    blanked = blank_comments(text) if "--" in text else text
+    starts, keywords = cut(blanked)
+    bounds = [*starts, len(text)]
+    ends = [*keywords, ""]
+    head = lexer.tokenize(blanked[: bounds[0]], 0, ends[0])
+    texts = [text[i:j] for i, j in zip(bounds, bounds[1:])]
+    tokens = [
+        None if _DEFINITION_RE.match(blanked, i) else lexer.tokenize(blanked[i:j], i, end)
+        for i, j, end in zip(bounds, bounds[1:], ends[1:])
+    ]
+    return Declarations(head, texts, starts, ends[1:], tokens)
 
 
 def parse_file(
     text: str, path: str = "<input>", memo: Callable[[Keyed], tuple] | None = None
 ) -> SourceFile:
-    """`text` parsed, through an optional `memo` (`Parser.parse_file`)."""
-    return Parser(tokenize(text), path).parse_file(memo)
+    """`text` parsed, through an optional `memo` (`Parser.parse_file`).
+    Where it raises, the whole text is lexed, so that a `LexError`
+    anywhere in it comes before any other error: a file's first illegal
+    character is its error, wherever its parse stopped."""
+    try:
+        return Parser.parse_file(tokenize(text), path, memo)
+    except (LexError, ParseError):
+        lexer.tokenize(text)
+        raise

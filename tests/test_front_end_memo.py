@@ -1,11 +1,11 @@
-"""The front end's memos: a definition whose text parsed clean before is not
-parsed again (`driver.parsed_clean`), and one whose key resolved clean
-before is not resolved again (`driver.resolved_clean`); its body is
-lexed again from its own text, parsed with the file's offsets and
+"""The front end's memos: a definition whose text parsed clean before is
+neither lexed nor parsed again (`driver.parsed_clean`), and one whose key
+resolved clean before is not resolved again (`driver.resolved_clean`);
+its body is lexed from its own text, parsed with the file's offsets and
 resolved only when something reads it. So a warm process gives what a
-cold one gives, byte for byte, spans included, and neither the memos nor
-a warm file keep what they need not: no node, no token. Every test goes through the driver,
-as `minimz check`, `run` and `test` do.
+cold one gives, byte for byte, spans and errors included, and neither the
+memos nor a warm file keep what they need not: no node, no token. Every
+test goes through the driver, as `minimz check`, `run` and `test` do.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from test_front_end_errors import dump as front_end_errors
 from test_span_pins import GOLDEN as SPANS_GOLDEN
 from test_span_pins import walk
 
-from minimz import codegen, driver, parser
-from minimz.ast import DValDef
+from minimz import codegen, driver, lexer, parser
+from minimz.ast import DValDef, Span
 from minimz.cli import FRONT_END_ERRORS
 from minimz.lexer import Tokens, tokenize
-from minimz.parser import Parser, parse_file
+from minimz.parser import Declarations, Parser, parse_file
 from minimz.runtime import RuntimeTrap
 
 MEMOS = (driver.parsed_clean, driver.resolved_clean, driver.checked_clean)
@@ -182,6 +182,58 @@ def test_a_front_end_error_after_warm_definitions_is_the_cold_error():
     assert front_end_errors() == ERRORS_GOLDEN.read_text(encoding="utf-8")
 
 
+def load_error(text: str) -> tuple:
+    """The error that loading `text` raises: its class, message and span."""
+    with pytest.raises(FRONT_END_ERRORS) as exc:
+        driver.load_text(text, "t.mz")
+    return type(exc.value).__name__, exc.value.message, exc.value.span
+
+
+# Programs whose error the cut into declarations must not move. Each is
+# loaded cold, and warm after the clean declarations in it, and in every
+# other, have loaded.
+ERRORS = {
+    # The first declaration does not parse and the last does not lex, in a
+    # signature, which the file's lexer reads, or in a definition, which is
+    # lexed only where it is parsed: the `LexError` comes first.
+    "lex error in a later signature": (
+        "val f: ) int\n" + CLEAN + "val h: int -> ?\n",
+        ("LexError", "illegal character '?'", "?"),
+    ),
+    "lex error in a later definition": (
+        "val f: ) int\n" + CLEAN + "val h: int -> int\nval h (x) = x ?\n",
+        ("LexError", "illegal character '?'", "?"),
+    ),
+    # A definition that runs past its end meets the next one's keyword.
+    "a definition runs into the next": (
+        "val g: int -> int\nval g (x) = add (x,\n" + FAILS,
+        ("ParseError", "expected an expression, found KW 'val'", "val f:"),
+    ),
+    "a signature runs into the next": (
+        "val h: int ->\n" + CLEAN,
+        ("ParseError", "expected a type, found KW 'val'", "val g:"),
+    ),
+    # Tokens before the first declaration.
+    "tokens before the first declaration": (
+        "-- a comment\nx y\n" + CLEAN,
+        ("ParseError", "expected a declaration, found LIDENT 'x'", "x y"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ERRORS)
+def test_a_front_end_error_is_met_where_a_whole_file_lex_met_it_cold_and_warm(case):
+    text, (kind, message, at) = ERRORS[case]
+    start = text.index(at)
+    expected = (kind, message, Span(start, len(at.split()[0]) if kind == "ParseError" else 1))
+    cold()
+    assert load_error(text) == expected
+    for warm in (CLEAN, FAILS, *texts().values()):
+        driver.load_text(warm, "warm.mz")
+    assert driver.parsed_clean.cache_info().currsize > 0
+    assert load_error(text) == expected
+
+
 RUNS = sorted(
     str(p.relative_to(CORPUS)) for folder in ("run", "dyn") for p in (CORPUS / folder).glob("*.mz")
 )
@@ -222,14 +274,33 @@ def test_a_deep_body_read_lazily_checks_under_the_default_recursion_limit(text):
 
 
 def test_a_body_read_lazily_is_lexed_outside_the_files_lexer(monkeypatch):
-    # perfbench's traced runs wrap `parser.tokenize` as the lexer layer of
-    # a file, with no span inside another; a body read inside the check is
-    # the check's work.
+    # A warm program lexes no whole file, and each declaration at most
+    # once. The file's lexer layer (`parser.tokenize`, which perfbench's
+    # traced runs wrap as the lexer of a file) lexes what comes before the
+    # first declaration, here nothing, and the signature, which is parsed
+    # every time. `f` fails its check, so the check reads its body lazily:
+    # its text is lexed then, outside the file's lexer, and only then.
     driver.check_text(FAILS, "t.mz")
-    lexed = []
-    monkeypatch.setattr(parser, "tokenize", lambda text: lexed.append(text) or tokenize(text))
+    lexed, inside = [], []
+    files_lexer = parser.tokenize
+
+    def traced_files_lexer(text):
+        inside.append(text)
+        try:
+            return files_lexer(text)
+        finally:
+            inside.pop()
+
+    def traced_lexer(text, *at):
+        lexed.append((text, bool(inside)))
+        return tokenize(text, *at)
+
+    monkeypatch.setattr(parser, "tokenize", traced_files_lexer)
+    monkeypatch.setattr(lexer, "tokenize", traced_lexer)
     (diag,) = driver.check_text(FAILS, "t.mz")[2]
-    assert diag.code == "E-SUBSUME" and lexed == [FAILS]
+    signature, definition = FAILS.splitlines(keepends=True)
+    assert diag.code == "E-SUBSUME"
+    assert lexed == [("", True), (signature, True), (definition, False)]
 
 
 # -- a body read lazily is the body parsed eagerly -----------------------------------
@@ -308,14 +379,14 @@ def reachable_classes(root) -> set[type]:
 
 
 def test_a_warm_file_keeps_no_token_of_its_text():
-    # A definition read lazily lexes its own text again when its body is
-    # read, so the file does not keep its parser's token lists until then.
+    # A definition read lazily lexes its own text when its body is read,
+    # so the file keeps no token list of its own until then.
     text = texts()["pos/tree_size.mz"]
     driver.load_text(text, "t.mz")
     file, _ = driver.load_text("-- moved\n" + text, "t.mz")
     lazy = [d for d in file.decls if type(d) is DValDef and d._fill is not None]
     assert lazy
-    assert not reachable_classes(file) & {Parser, Tokens}
+    assert not reachable_classes(file) & {Declarations, Parser, Tokens}
 
 
 def test_the_memos_hold_every_key_of_the_three_workloads_rounds(perfbench_modules):  # noqa: F811

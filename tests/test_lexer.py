@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from minimz.ast import Span
-from minimz.lexer import KEYWORDS, LexError, line_col, tokenize
+from minimz.lexer import KEYWORDS, LexError, blank_comments, cut, line_col, tokenize
 
 
 def rows(tokens):
@@ -194,8 +194,61 @@ def test_tokenize_agrees_with_a_character_scanner(text):
     assert scanned(text) == scan(text)
 
 
+@settings(max_examples=30)
+@given(st.lists(PIECES, min_size=1, max_size=12).map("".join))
+def test_tokenize_agrees_with_a_character_scanner_on_long_texts(text):
+    # Past a few tokens, `tokenize` gives kinds by another path.
+    text = "\n".join([text] * 130)
+    assert scanned(text) == scan(text)
+
+
 def test_tokenize_agrees_with_a_character_scanner_on_every_short_string():
     texts = ["".join(t) for n in range(5) for t in product("<->aA1 \n?", repeat=n)]
     assert len(texts) == 1 + 9 + 9**2 + 9**3 + 9**4
     for text in texts:
         assert scanned(text) == scan(text), text
+
+
+# -- the cut before each declaration against the tokenizer -----------------
+
+
+def keyword_tokens(text: str):
+    """The start and the text of each `data`, `alias`, `abstract` and `val`
+    token of `text`, or None if it does not lex."""
+    try:
+        tokens = tokenize(text)
+    except LexError:
+        return None
+    keywords = ("data", "alias", "abstract", "val")
+    return [(start, word) for word, start in zip(tokens.texts, tokens.starts) if word in keywords]
+
+
+def agrees_with_the_tokenizer(text: str) -> bool:
+    """Does `cut` find the declarations' keywords that `tokenize` gives, on
+    a text that lexes? Any answer is right for one that does not."""
+    expected = keyword_tokens(text)
+    return expected is None or list(zip(*cut(blank_comments(text)))) == expected
+
+
+@settings(max_examples=600)
+@given(st.lists(PIECES, max_size=12).map("".join))
+@example("3val")
+@example("x3val")
+@example("x'val")
+@example("intervals")
+@example("valx")
+@example("-- val")
+@example("<--val")
+@example("data\r\nval")
+def test_the_cut_gives_the_declaration_keywords_of_every_text_that_lexes(text):
+    assert agrees_with_the_tokenizer(text)
+
+
+def test_the_cut_agrees_with_the_tokenizer_on_every_short_string():
+    # Up to four pieces: keywords next to digits, names, primes, comments
+    # and the characters that begin or end them.
+    pieces = ["val", "data", "3", "x", "'", "_", "--", "<", "-", "\n", " ", "(", "V"]
+    texts = ["".join(t) for n in range(1, 5) for t in product(pieces, repeat=n)]
+    lexable = [text for text in texts if keyword_tokens(text) is not None]
+    assert len(lexable) == 13_283
+    assert [text for text in lexable if not agrees_with_the_tokenizer(text)] == []
