@@ -18,14 +18,14 @@ with a `main`, of a run of `main` (compiling it included, as a fresh
 Each layer is timed on its own: each timing of a layer redoes the layers
 before it afresh, untimed, so no memo carries over from one timing to the
 next. The lex column times the file's lexer layer, `parser.tokenize`: the
-cut of the text before each declaration and the lex of each declaration
-but the definitions. A definition is lexed where it is parsed, so its lex
-is in the parse column (`Parser.parse_file`). The parser, the resolver
-and the checker are timed bare (`Parser.parse_file`, `resolve`,
-`Checker(env).check_file`), without the driver's memos of definitions
-that parsed, resolved or checked clean, so every timing lexes, parses,
-resolves and checks every definition. The last lines
-give the ratios 2048/1024, 3000/1000, 3000/1000 and 2000/1000 for each
+cut of the text before each declaration and the lex of the runs of
+declarations between the definitions. A definition is lexed where it is
+parsed, so its lex is in the parse column (`Parser.parse_file`). The
+parser, the resolver and the checker are timed bare (`Parser.parse_file`,
+`resolve`, `Checker(env).check_file`), without the driver's memos of
+definitions that parsed, resolved or checked clean, so every timing lexes,
+parses, resolves and checks every definition. The last lines give the
+ratios 2048/1024, 3000/1000, 3000/1000 and 2000/1000 for each
 column; linear time gives 2.0, 3.0, 3.0 and 2.0.
 
 Run from the root of the repository:

@@ -14,12 +14,13 @@ made per token; the parser reads the lists by index and makes a `Span`
 only where a node or an error keeps one. `len(tokenize(text)) - 1` is
 the number of tokens in the text.
 
-A file is not lexed whole. `cut` finds the keyword of each declaration
-without lexing the text, and `parser.tokenize` lexes each declaration on
-its own, at its offset, but a definition: that is lexed only where it is
-parsed, so one whose text the parse memo knows is not lexed unless its
-body is read. Only a file whose parse fails is lexed whole, so that an
-illegal character anywhere in it is the error it reports
+A file is not lexed whole. `cut` finds the keyword of each declaration,
+and which of them begin definitions, without lexing the text.
+`parser.tokenize` lexes each run of declarations between two definitions
+in one call, at its offset; a definition is lexed on its own, only where
+it is parsed, so one whose text the parse memo knows is not lexed unless
+its body is read. Only a file whose parse fails is lexed whole, so that
+an illegal character anywhere in it is the error it reports
 (`parser.parse_file`).
 """
 
@@ -86,15 +87,23 @@ _KINDS = MappingProxyType({
 _FIRST = itemgetter(0)
 # A text of more tokens gives each of its distinct texts its kind once,
 # which pays where a large definition (`check_wide`'s) repeats its names
-# and operators. A shorter one, as most signatures and type declarations
-# are, looks up each token: a set and a dict would cost more than they save.
+# and operators: per-token lookups alone lex a cold `check_wide` round's
+# texts in x1.16 the time. A shorter one, as most signatures, type
+# declarations and small definitions are, looks up each token: the set
+# and the dict alone lex the texts of the workloads' warm rounds in
+# x1.09-1.14 the time, and 2,000 one-line definitions in x1.24 (Python
+# 3.11.7; any bound from 64 to 256 does as well).
 _FEW_TOKENS = 128
 
 # A declaration's keyword where no identifier character follows it. It
 # begins a token unless an identifier character comes before it, or
 # before the run of digits before it: `3val` is an INT and a `val`,
-# `x3val` and `x'val` are names.
-_DECL_RE = re.compile(r"(?:data|alias|abstract|val)(?![a-zA-Z0-9_'])")
+# `x3val` and `x'val` are names. The group, read ahead and so not taken
+# from the scan, holds the name and the parenthesis that follow a `val`
+# which begins a definition.
+_DECL_RE = re.compile(
+    r"(?:data|alias|abstract|val(?=([ \t\r\n]+[a-z][a-zA-Z0-9_']*[ \t\r\n]*\())?)(?![a-zA-Z0-9_'])"
+)
 _DIGITS = frozenset("0123456789")
 _NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_'")
 
@@ -104,13 +113,14 @@ def blank_comments(text: str) -> str:
     return _COMMENT_RE.sub(lambda m: " " * len(m[0]), text)
 
 
-def cut(blanked: str) -> tuple[list[int], list[str]]:
+def cut(blanked: str) -> tuple[list[int], list[str], list[bool]]:
     """The starts and the texts of the `data`, `alias`, `abstract` and
     `val` tokens of a text whose comments are blanked (`blank_comments`),
     found without lexing it: one C-level scan for the keywords, and a look
     at the characters before each. For a text that lexes, these are the
-    tokens that `tokenize` gives; for one that does not, whatever."""
-    starts, keywords = [], []
+    tokens that `tokenize` gives; for one that does not, whatever. With
+    them, whether each begins a definition: `val`, a name and `(`."""
+    starts, keywords, definitions = [], [], []
     for m in _DECL_RE.finditer(blanked):
         i = j = m.start()
         while j and blanked[j - 1] in _DIGITS:
@@ -118,7 +128,8 @@ def cut(blanked: str) -> tuple[list[int], list[str]]:
         if not j or blanked[j - 1] not in _NAME_CHARS:
             starts.append(i)
             keywords.append(m[0])
-    return starts, keywords
+            definitions.append(m[1] is not None)
+    return starts, keywords, definitions
 
 
 def tokenize(text: str, start: int = 0, end: str = "") -> Tokens:

@@ -8,9 +8,9 @@ permission `p`.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Callable
 from functools import partial
+from itertools import compress, count, zip_longest
 
 from .ast import (
     Branch,
@@ -78,34 +78,33 @@ _INT_MAX = 2**63 - 1
 _EXPR_ATOM_KINDS = ("INT", "LIDENT", "UIDENT")
 _EXPR_ATOM_TEXTS = ("(", "true", "false")
 
-# The beginning of a definition, `val`, its name and the parenthesis of
-# its parameters, in a text whose comments are blanked.
-_DEFINITION_RE = re.compile(r"val[ \t\r\n]+[a-z][a-zA-Z0-9_']*[ \t\r\n]*\(")
+# What may follow a declaration: the next one's keyword, or the EOF.
+_DECL_ENDS = frozenset(("data", "alias", "abstract", "val", ""))
 
 
 class Declarations:
     """A file's text cut before each declaration, as `tokenize` gives it:
-    the tokens of what comes before the first declaration (`head`), which
-    must hold none but the first declaration's keyword; and for each
-    declaration, its text, from its keyword to the next declaration's or to
-    the end of the file, its offset, the keyword that follows it ("" at the
-    end of the file), and its tokens, which end in that keyword. A
-    definition has None for tokens: whether it must be lexed at all is for
-    `Parser.parse_file` to find. `len` counts the tokens lexed and one
-    EOF, as the `len` of a `Tokens` of them would."""
+    the `texts` of its declarations, each from its keyword to the next
+    declaration's or to the end of the file; the `definitions`, each as
+    its text, its offset and the keyword that follows it ("" at the end of
+    the file), which `Parser.parse_file` lexes only where it parses them;
+    and between them the `runs`, the tokens of each stretch of the file
+    that holds no definition, which end in the next definition's `val` or
+    in the EOF, or None for a stretch of no text. The first run holds what
+    comes before the first declaration, which must be blanks alone. `len`
+    counts the tokens lexed and one EOF, as the `len` of a `Tokens` of them
+    would."""
 
-    __slots__ = ("head", "texts", "starts", "end_keywords", "tokens")
+    __slots__ = ("texts", "definitions", "runs")
 
-    def __init__(self, head: Tokens, texts: list[str], starts: list[int],
-                 end_keywords: list[str], tokens: list[Tokens | None]):
-        self.head = head
+    def __init__(self, texts: list[str], definitions: list[tuple[str, int, str]],
+                 runs: list[Tokens | None]):
         self.texts = texts
-        self.starts = starts
-        self.end_keywords = end_keywords
-        self.tokens = tokens
+        self.definitions = definitions
+        self.runs = runs
 
     def __len__(self) -> int:
-        return sum(len(t) - 1 for t in self.tokens if t is not None) + len(self.head)
+        return sum(len(run) - 1 for run in self.runs if run is not None) + 1
 
 
 class Parser:
@@ -188,24 +187,26 @@ class Parser:
     def parse_file(
         cls, file: Declarations, path: str, memo: Callable[[Keyed], tuple] | None = None
     ) -> SourceFile:
-        """The declarations of a file that `tokenize` cut, each parsed by
-        a parser of its own tokens. A definition is lexed here, on its
-        own, as it is parsed (`_parse_at`), unless `memo`
+        """The declarations of a file that `tokenize` cut, in order: those
+        of each run by a parser of its tokens, and each definition lexed
+        here, on its own, as it is parsed (`_parse_at`), unless `memo`
         (`driver.parsed_clean`) knows its text (`_definition`)."""
-        if len(file.head) > 1:
-            cls(file.head).parse_declaration()  # raises: the file does not begin with one
-        decls = [
-            cls(tokens).parse_declaration() if tokens is not None
-            else _parse_at(text, start, end) if memo is None
-            else _definition(text, start, end, memo)
-            for text, start, end, tokens
-            in zip(file.texts, file.starts, file.end_keywords, file.tokens)
-        ]
+        decls: list[Decl] = []
+        for run, definition in zip_longest(file.runs, file.definitions):
+            if run is not None:
+                # Each token of a run starts before its last, which starts
+                # where the run's text ends.
+                parser, end = cls(run), run.starts[-1]
+                while parser.starts[parser.pos] != end:
+                    decls += (parser.parse_declaration(),)
+            if definition is not None:
+                decls += (_parse_at(*definition) if memo is None
+                          else _definition(*definition, memo),)
         return SourceFile(path, tuple(decls), tuple(file.texts))
 
     def parse_declaration(self) -> Decl:
-        """The declaration that the tokens hold, which must end at their
-        last: the keyword of the next declaration, or the EOF."""
+        """The declaration at `pos`, which must end where the next one
+        begins or at the EOF."""
         text = self.text
         if text == "data":
             decl: Decl = self.parse_data()
@@ -217,7 +218,7 @@ class Parser:
             decl = self.parse_val()
         else:
             raise self.error("expected a declaration")
-        if self.kinds[self.pos + 1 :] != ["EOF", "EOF"]:  # not at the last token
+        if self.text not in _DECL_ENDS:
             raise self.error("expected a declaration")
         return decl
 
@@ -699,20 +700,24 @@ def _definition(text: str, start: int, end: str, memo: Callable[[Keyed], tuple])
 
 
 def tokenize(text: str) -> Declarations:
-    """`text` cut before each declaration (`lexer.cut`), and each
-    declaration but a definition lexed at its own offset. The file's
-    lexer layer: a definition is lexed only where it is parsed."""
+    """`text` cut before each declaration (`lexer.cut`), and each run of
+    declarations between its definitions lexed in one call, at its offset.
+    The file's lexer layer: a definition is lexed only where it is
+    parsed."""
     blanked = blank_comments(text) if "--" in text else text
-    starts, keywords = cut(blanked)
+    starts, keywords, definitions = cut(blanked)
     bounds = [*starts, len(text)]
-    ends = [*keywords, ""]
-    head = lexer.tokenize(blanked[: bounds[0]], 0, ends[0])
     texts = [text[i:j] for i, j in zip(bounds, bounds[1:])]
-    tokens = [
-        None if _DEFINITION_RE.match(blanked, i) else lexer.tokenize(blanked[i:j], i, end)
-        for i, j, end in zip(bounds, bounds[1:], ends[1:])
-    ]
-    return Declarations(head, texts, starts, ends[1:], tokens)
+    ends = [*keywords[1:], ""]
+    defined, runs = [], []
+    i = 0  # where the run after the last definition begins
+    for k in compress(count(), definitions):
+        j = starts[k]
+        runs.append(lexer.tokenize(blanked[i:j], i, "val") if i < j else None)
+        defined.append((texts[k], j, ends[k]))
+        i = bounds[k + 1]
+    runs.append(lexer.tokenize(blanked[i:], i) if i < len(text) else None)
+    return Declarations(texts, defined, runs)
 
 
 def parse_file(

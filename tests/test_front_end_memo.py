@@ -204,7 +204,8 @@ ERRORS = {
         "val f: ) int\n" + CLEAN + "val h: int -> int\nval h (x) = x ?\n",
         ("LexError", "illegal character '?'", "?"),
     ),
-    # A definition that runs past its end meets the next one's keyword.
+    # A declaration that runs past its end meets the next one's keyword,
+    # also where the next is a definition, which its run's tokens end in.
     "a definition runs into the next": (
         "val g: int -> int\nval g (x) = add (x,\n" + FAILS,
         ("ParseError", "expected an expression, found KW 'val'", "val f:"),
@@ -212,6 +213,10 @@ ERRORS = {
     "a signature runs into the next": (
         "val h: int ->\n" + CLEAN,
         ("ParseError", "expected a type, found KW 'val'", "val g:"),
+    ),
+    "a signature runs into a definition": (
+        "val h: int ->\n" + CLEAN.splitlines(keepends=True)[1],
+        ("ParseError", "expected a type, found KW 'val'", "val g ("),
     ),
     # Tokens before the first declaration.
     "tokens before the first declaration": (
@@ -276,10 +281,11 @@ def test_a_deep_body_read_lazily_checks_under_the_default_recursion_limit(text):
 def test_a_body_read_lazily_is_lexed_outside_the_files_lexer(monkeypatch):
     # A warm program lexes no whole file, and each declaration at most
     # once. The file's lexer layer (`parser.tokenize`, which perfbench's
-    # traced runs wrap as the lexer of a file) lexes what comes before the
-    # first declaration, here nothing, and the signature, which is parsed
-    # every time. `f` fails its check, so the check reads its body lazily:
-    # its text is lexed then, outside the file's lexer, and only then.
+    # traced runs wrap as the lexer of a file) lexes the declarations
+    # before the definition in one call, here the signature, which is
+    # parsed every time. `f` fails its check, so the check reads its body
+    # lazily: its text is lexed then, outside the file's lexer, and only
+    # then.
     driver.check_text(FAILS, "t.mz")
     lexed, inside = [], []
     files_lexer = parser.tokenize
@@ -300,7 +306,7 @@ def test_a_body_read_lazily_is_lexed_outside_the_files_lexer(monkeypatch):
     (diag,) = driver.check_text(FAILS, "t.mz")[2]
     signature, definition = FAILS.splitlines(keepends=True)
     assert diag.code == "E-SUBSUME"
-    assert lexed == [("", True), (signature, True), (definition, False)]
+    assert lexed == [(signature, True), (definition, False)]
 
 
 # -- a body read lazily is the body parsed eagerly -----------------------------------

@@ -214,18 +214,26 @@ def test_tokenize_agrees_with_a_character_scanner_on_every_short_string():
 
 def keyword_tokens(text: str):
     """The start and the text of each `data`, `alias`, `abstract` and `val`
-    token of `text`, or None if it does not lex."""
+    token of `text`, and whether it begins a definition: a `val` followed
+    by a name, which may be a keyword, and `(`; or None if it does not
+    lex."""
     try:
         tokens = tokenize(text)
     except LexError:
         return None
+    texts = tokens.texts
     keywords = ("data", "alias", "abstract", "val")
-    return [(start, word) for word, start in zip(tokens.texts, tokens.starts) if word in keywords]
+    return [
+        (start, word, word == "val" and texts[k + 1][:1].islower() and texts[k + 2 : k + 3] == ["("])
+        for k, (word, start) in enumerate(zip(texts, tokens.starts))
+        if word in keywords
+    ]
 
 
 def agrees_with_the_tokenizer(text: str) -> bool:
-    """Does `cut` find the declarations' keywords that `tokenize` gives, on
-    a text that lexes? Any answer is right for one that does not."""
+    """Does `cut` find the declarations' keywords that `tokenize` gives, and
+    the definitions among them, on a text that lexes? Any answer is right
+    for one that does not."""
     expected = keyword_tokens(text)
     return expected is None or list(zip(*cut(blank_comments(text)))) == expected
 
@@ -240,6 +248,9 @@ def agrees_with_the_tokenizer(text: str) -> bool:
 @example("-- val")
 @example("<--val")
 @example("data\r\nval")
+@example("val f -- (\n(x) = x")
+@example("val data(")
+@example("val f: (int)")
 def test_the_cut_gives_the_declaration_keywords_of_every_text_that_lexes(text):
     assert agrees_with_the_tokenizer(text)
 
