@@ -88,11 +88,12 @@ _FIRST = itemgetter(0)
 # A text of more tokens gives each of its distinct texts its kind once,
 # which pays where a large definition (`check_wide`'s) repeats its names
 # and operators: per-token lookups alone lex a cold `check_wide` round's
-# texts in x1.16 the time. A shorter one, as most signatures, type
+# texts in about x1.15 the time. A shorter one, as most signatures, type
 # declarations and small definitions are, looks up each token: the set
 # and the dict alone lex the texts of the workloads' warm rounds in
-# x1.09-1.14 the time, and 2,000 one-line definitions in x1.24 (Python
-# 3.11.7; any bound from 64 to 256 does as well).
+# x1.09-1.17 the time, and 2,000 one-line definitions in about x1.2
+# (Python 3.11.7; bounds from 128 to 512 do as well, lower ones worse on
+# the cold rounds).
 _FEW_TOKENS = 128
 
 # A declaration's keyword where no identifier character follows it. It
