@@ -13,15 +13,16 @@ Here both checkouts run in one Python process, close together in time:
   read-only: the timed rounds at seed 1;
 - each round takes every operation's program text through the front end
   (`driver.load_text`: lex, parse and resolve over the prelude; where a
-  side's front end has memos, a definition whose text parsed and whose key
-  resolved clean before is neither parsed nor resolved, and where it cuts
-  the text into declarations before it lexes, not lexed either) and the
-  checker of one side, then of the other, so that the two sides' times of
-  a round span the same stretch of time; the side that goes first
-  alternates from program to program and from round to round. A side
-  checks through the entry its driver uses (`driver.check_loaded`, whose
-  memo skips a definition that checked clean before), or, if its driver
-  has none, through a bare `Checker(env).check_file`;
+  side's driver has a memo of clean definitions, one it knows is neither
+  parsed nor resolved, and where it cuts the text into declarations
+  before it lexes, not lexed either) and the checker of one side, then of
+  the other, so that the two sides' times of a round span the same
+  stretch of time; the side that goes first alternates from program to
+  program and from round to round. A side checks through the entry its
+  driver uses (`driver.check_loaded`, which skips a definition known
+  clean), or, if its driver has none, through a bare
+  `Checker(env).check_file`. Every program is loaded and checked as
+  `minimz check` does, a trapping row's too;
 - an operation with an entry is then run: `interp.eval_program` on the
   environment that `load_text` made, as `driver.run_text` runs it. A
   `run` (as in `iterate` and `check_wide`) runs checked once its program
@@ -43,16 +44,24 @@ all do, on `iterate`, by its firings alone.
 The report gives, per workload and layer, each side's median round time,
 the ratio B/A of the medians, and in how many rounds B took less time.
 
+The cyclic collector is held still inside each layer: a round runs with
+it disabled, and a full collection runs before each layer of each
+program, off the clock. So each layer's time is its own work, not a
+collection that another layer's allocations made due, which would move
+with where the collector happened to run; and the collector's own work,
+which a change that makes more or less cyclic garbage changes, shows in
+no column (perfbench's end-to-end times hold it).
+
 On Python 3.12 and later it also gives, beside the times, the bytecode
 instructions each side's layers execute in a further untimed round at
 `SEED`, after the compared ones, counted as `sys.monitoring` INSTRUCTION
 events (PEP 669), and their ratio B/A. Each side's prelude is loaded
 before any round, so no layer counts it. The counted round is warm: each
-process-wide memo (the check memo, `codegen._compiled` and `_code` among
-them) holds what the workload's own compared rounds put in it, so its
-checks are of the definitions that fail, its runs find the code of their
-definitions there, and the counts are of running code, not of writing
-it. They are the same whether the workload runs alone (`--workload`) or
+process-wide memo (the memo of clean definitions, `codegen._compiled`
+and `_code` among them) holds what the workload's own compared rounds
+put in it, so its front end and checks are of the definitions that
+fail, its runs find the code of their definitions there, and the counts
+are of running code, not of writing it. They are the same whether the workload runs alone (`--workload`) or
 after others, and they repeat exactly from run to run:
 one round tells a change of well under 1% that the times cannot. A cold
 round's counts depend on what the process ran before. They are not time:
@@ -124,24 +133,27 @@ def run_one(side, path: str, text: str, run: tuple[str, bool] | None, times: dic
     and a run of `run`'s entry if it is not None, unchecked or with a
     program that checks clean: its diagnostics and the outcome of its run,
     or its front-end error; the layers' readings of `clock`, a time by
-    default, are added to `times`."""
+    default, are added to `times`. Each layer starts after a collection
+    (`run_round` disables the collector)."""
+    gc.collect()
     t0 = clock()
     try:
         file, env = side["driver"].load_text(text, path)
     except side["cli"].FRONT_END_ERRORS as exc:
         times["front end"] += clock() - t0
         return ("front-end error", type(exc).__name__, str(exc))
+    times["front end"] += clock() - t0
+    gc.collect()
     t1 = clock()
     diags = side["check_loaded"](file, env)
-    t2 = clock()
-    times["front end"] += t1 - t0
-    times["check"] += t2 - t1
+    times["check"] += clock() - t1
     found = [(d.code, d.span.start, d.span.length, d.message, d.perm_snapshot) for d in diags]
     if run is None or (run[1] and diags):
         return found, None
     entry, checked = run
     mode = {"checked": checked} if side["modes"] else {}
     files = [side["driver"].prelude()[0], file]
+    gc.collect()
     t3 = clock()
     try:
         value, program = side["interp"].eval_program(env, files, entry, **mode)
@@ -158,17 +170,19 @@ def run_one(side, path: str, text: str, run: tuple[str, bool] | None, times: dic
 def run_round(sides: dict, ops: list, first: int, clock=time.perf_counter) -> tuple[dict, dict]:
     """Each of `ops` through both sides, the side that goes first
     alternating from `first`: each side's outcomes, and its layers'
-    readings of `clock`."""
+    readings of `clock`. The collector runs only where `run_one` calls it."""
     outcomes: dict[str, list] = {name: [] for name in sides}
     times = {name: dict.fromkeys(LAYERS, 0) for name in sides}
     gc.collect()
     gc.freeze()  # as in a fresh process, the collector does not walk the round's inputs
+    gc.disable()
     try:
         for k, op in enumerate(ops):
             for name in ("A", "B") if (first + k) % 2 == 0 else ("B", "A"):
                 outcome = run_one(sides[name], op.path, op.text, run_of(op), times[name], clock)
                 outcomes[name].append(outcome)
     finally:
+        gc.enable()
         gc.unfreeze()
     return outcomes, times
 

@@ -22,11 +22,11 @@ cut of the text before each declaration and the lex of the runs of
 declarations between the definitions. A definition is lexed where it is
 parsed, so its lex is in the parse column (`Parser.parse_file`). The
 parser, the resolver and the checker are timed bare (`Parser.parse_file`,
-`resolve`, `Checker(env).check_file`), without the driver's memos of
-definitions that parsed, resolved or checked clean, so every timing lexes,
-parses, resolves and checks every definition. The last lines give the
-ratios 2048/1024, 3000/1000, 3000/1000 and 2000/1000 for each
-column; linear time gives 2.0, 3.0, 3.0 and 2.0.
+`resolve`, `Checker(env).check_file`), with the driver's memo of clean
+definitions cleared, so every timing lexes, parses, resolves and checks
+every definition. The last lines give the ratios 2048/1024, 3000/1000,
+3000/1000 and 2000/1000 for each column; linear time gives 2.0, 3.0, 3.0
+and 2.0.
 
 Run from the root of the repository:
 
@@ -57,7 +57,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from minimz.check import Checker  # noqa: E402
 from minimz.codegen import _code, _compiled  # noqa: E402
-from minimz.driver import CORPUS_DIR, load_text, parsed_clean, prelude, resolved_clean  # noqa: E402
+from minimz.driver import CORPUS_DIR, clean, load_text, prelude  # noqa: E402
 from minimz.interp import eval_program  # noqa: E402
 from minimz.kinds import resolve  # noqa: E402
 from minimz.parser import Parser, parse_file, tokenize  # noqa: E402
@@ -151,8 +151,7 @@ def layer_times(text: str, runs: bool) -> tuple[float, ...]:
             raise SystemExit(f"unexpected diagnostics: {diags}")
 
     def load():
-        parsed_clean.cache_clear()  # nothing is left for the check to read lazily
-        resolved_clean.cache_clear()
+        clean.cache_clear()  # no definition is known clean, so none is skipped
         return load_text(text, "scaling.mz")
 
     def load_cold():

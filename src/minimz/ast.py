@@ -600,13 +600,14 @@ class DValSig(Decl):
 
 @node
 class DValDef(Decl):
-    """A definition. One made by `later` has no body until the body is
-    first read, when its `_fill()` makes it and the slot keeps it: so the
-    front end need not lex, parse or resolve a definition known to be clean
-    (`parser.Parser.parse_file`, `kinds.Resolver.resolve_file`) unless
+    """A definition. One made by `later` is `known` clean
+    (`driver.load_text`). It has no body until the body is first read,
+    when `_fill()` makes the definition and the slot keeps its body: so the
+    front end need not lex, parse or resolve it (`parser.Parser.parse_file`,
+    `kinds.Resolver.resolve_file`), nor the checker check it, unless
     something reads its body."""
 
-    __slots__ = ("_fill",)
+    __slots__ = ("_fill", "known")
 
     name: str
     params: tuple[str, ...]
@@ -616,14 +617,17 @@ class DValDef(Decl):
     @staticmethod
     def later(name: str, params: tuple[str, ...], span: Span, fill) -> DValDef:
         d = DValDef.__new__(DValDef)
-        d.name, d.params, d.span, d._fill = name, params, span, fill
+        d.name, d.params, d.span, d._fill, d.known = name, params, span, fill, True
         return d
 
     def __getattr__(self, name: str):
-        # Python calls this only for a slot that is not set.
+        # Python calls this only for a slot that is not set: `known` of a
+        # definition not made by `later`, or the body of one that is.
+        if name == "known":
+            return False
         if name != "body":
             raise AttributeError(name)
-        body = self.body = self._fill()
+        body = self.body = self._fill().body
         self._fill = None
         return body
 
@@ -635,6 +639,9 @@ class SourceFile:
     # The text of each declaration, from its first token to the next
     # declaration's or to the end of the file (`parser.tokenize`).
     texts: tuple[str, ...] = Field(compare=False, repr=False)
+    # The key of each definition in the driver's memo (`driver.load_text`);
+    # none where the file is loaded outside the driver.
+    keys: tuple[tuple, ...] = Field((), compare=False, repr=False)
 
 
 class Keyed:
@@ -650,10 +657,9 @@ class Keyed:
         self.key = key
         self._value = value
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Keyed:
-            return self.key == other.key  # type: ignore[attr-defined]
-        return NotImplemented
+    def __eq__(self, other: Keyed) -> bool:  # type: ignore[override]
+        # Only with another `Keyed`: a memo's keys are of one kind.
+        return self.key == other.key
 
     def __hash__(self) -> int:
         return hash(self.key)
@@ -661,14 +667,6 @@ class Keyed:
     def take(self) -> object:
         value, self._value = self._value, None
         return value
-
-
-def through(memo, key: object, make) -> tuple:
-    """`memo(Keyed(key, make))`, whose function calls what it `take`s on a
-    miss only, and what `make()` returned there, or None on a hit."""
-    made = []
-    answer = memo(Keyed(key, lambda: made.append(make()) or made[0]))
-    return answer, made[0] if made else None
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ must be subsumable from the current environment.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Sequence
-from functools import partial
+from collections.abc import Sequence
 
 from .ast import (
     DValDef,
@@ -33,7 +32,6 @@ from .ast import (
     Expr,
     Field,
     KIND_PERM,
-    Keyed,
     Kind,
     PTag,
     PTuple,
@@ -58,7 +56,7 @@ from .ast import (
     node,
     plain,
 )
-from .kinds import DataInfo, Env, declared, domain_bars, domain_comps, kind_of
+from .kinds import DataInfo, Env, domain_bars, domain_comps, kind_of
 from .perms import (
     DUPLICABLE,
     Anchored,
@@ -131,37 +129,25 @@ class Checker:
     # declarations
     # ------------------------------------------------------------------
 
-    def check_file(
-        self, file: SourceFile, memo: Callable[[Keyed], None] | None = None
-    ) -> list[Diagnostic]:
-        """The diagnostics of `file`'s definitions. A `memo`
-        (`driver.checked_clean`) gets each definition's check, `Keyed` by
-        all that the check reads of the file: the texts of the definition,
-        of the type declarations and of the signatures, `undefined`, and
-        how many signatures are in scope (`available`: the environment's,
-        then the file's in order, so the count and the texts give their
-        names); not the environment `file` is resolved on, which the memo
-        must fix."""
+    def check_file(self, file: SourceFile) -> list[Diagnostic]:
+        """The diagnostics of `file`'s definitions, but for those `known`
+        clean, which are not checked. The names of the definitions that
+        fail are kept in `failed`."""
         diags: list[Diagnostic] = []
+        self.failed: set[str] = set()
         own = {d.name for d in file.decls if isinstance(d, DValSig)}
         # names this file declares and never defines: nothing runs for them
         undefined = own - {d.name for d in file.decls if isinstance(d, DValDef)}
         available = {name: ty for name, ty in self.env.sigs.items() if name not in own}
-        if memo is not None:
-            context = (*declared(file), tuple(sorted(undefined)))
-        for i, decl in enumerate(file.decls):
+        for decl in file.decls:
             if isinstance(decl, DValSig):
                 available[decl.name] = self.env.sigs[decl.name]
-            elif isinstance(decl, DValDef):
-                sig = self.env.sigs[decl.name]
+            elif isinstance(decl, DValDef) and not decl.known:
                 try:
-                    if memo is None:
-                        self.check_function_def(decl, sig, available, undefined)
-                    else:
-                        check = partial(self.check_function_def, decl, sig, available, undefined)
-                        memo(Keyed((file.texts[i], *context, len(available)), check))
+                    self.check_function_def(decl, self.env.sigs[decl.name], available, undefined)
                 except CheckFailure as exc:
                     diags.append(exc.diag)
+                    self.failed.add(decl.name)
         return diags
 
     def check_function_def(

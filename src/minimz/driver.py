@@ -5,10 +5,11 @@ from __future__ import annotations
 import functools
 from pathlib import Path
 
-from .ast import Keyed, SourceFile
+from . import parser
+from .ast import DValDef, Keyed, SourceFile
 from .check import Checker, Diagnostic
 from .kinds import Env, resolve
-from .parser import parse_file
+from .parser import Declarations, Parser, first_error, parse_file
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 PRELUDE_PATH = CORPUS_DIR / "prelude.mz"
@@ -16,47 +17,89 @@ PRELUDE_PATH = CORPUS_DIR / "prelude.mz"
 
 @functools.lru_cache(maxsize=1)
 def prelude() -> tuple[SourceFile, Env]:
-    """The prelude, parsed and resolved once a process, so through none
-    of the memos below."""
+    """The prelude, parsed and resolved once a process, so through no
+    memo of definitions."""
     text = PRELUDE_PATH.read_text(encoding="utf-8")
     file = parse_file(text, "prelude.mz")
     return resolve(file)
 
 
-def load_text(text: str, path: str) -> tuple[SourceFile, Env]:
-    """Parse and resolve a program on top of the prelude, through
-    `parsed_clean` and `resolved_clean`."""
+@functools.lru_cache(maxsize=1024)
+def clean(definition: Keyed) -> tuple[str, tuple[str, ...], int]:
+    """The name, parameters and span length of a definition known clean,
+    `Keyed` by all that its parse, resolution and check read (`keys`). A
+    lookup (`known`) gives no header to `take`, and raises on a miss, so
+    the memo keeps no answer for it; a load learns the header of each
+    definition that passed its last stage (`learn`). It keeps no node. The
+    key leaves out the prelude, which `prelude` fixes. The bound holds
+    twice a seed-1 round of all three workloads: 71 keys of `iterate`, 17
+    of `check_wide` and 237 of `corpus_mix`, whose entries keep 52, 161
+    and 255 KB (tracemalloc, Python 3.11.7)."""
+    header = definition.take()
+    if header is None:
+        raise LookupError
+    return header  # type: ignore[return-value]
+
+
+def keys(file: Declarations, checked: bool) -> list[tuple]:
+    """The key of each definition of a file that `parser.tokenize` cut,
+    read from the cut alone, before anything is parsed: whether the load is
+    checked; the texts of the file's `data`, `alias` and `abstract`
+    declarations and of its signatures, each joined; the names it defines
+    (with the signatures, they give the names declared but never defined);
+    the definition's text; and how many signatures and how many aliases
+    come before it (with the texts, the signatures in scope, in order, and
+    the aliases that have a kind, as an alias has one only after its
+    declaration)."""
+    types, sigs, defined, places = [], [], [], []
+    aliases = 0
+    for text, keyword, name in zip(file.texts, file.keywords, file.names):
+        if name is not None:
+            defined.append(name)
+            places.append((text, len(sigs), aliases))
+        elif keyword == "val":
+            sigs.append(text)
+        else:
+            types.append(text)
+            if keyword == "alias":
+                aliases += 1
+    context = (checked, "".join(types), "".join(sigs), " ".join(defined))
+    return [(*context, *place) for place in places]
+
+
+def known(key: tuple) -> tuple[str, tuple[str, ...], int] | None:
+    """The header that `clean` keeps under `key`, or None."""
+    try:
+        return clean(Keyed(key, None))
+    except LookupError:
+        return None
+
+
+def learn(file: SourceFile, failed: set[str]) -> None:
+    """Puts in `clean` each definition of `file` that the load did not know
+    and that passed its last stage: all but those `failed`."""
+    definitions = [d for d in file.decls if d.__class__ is DValDef]
+    for decl, key in zip(definitions, file.keys):
+        if not decl.known and decl.name not in failed:
+            clean(Keyed(key, (decl.name, decl.params, decl.span.length)))
+
+
+def load_text(text: str, path: str, checked: bool = True) -> tuple[SourceFile, Env]:
+    """Parse and resolve a program on top of the prelude. A definition that
+    `clean` knows under its key is neither lexed, parsed nor resolved
+    unless its body is read, nor checked (`DValDef.known`). An unchecked
+    load learns the definitions it parsed once they resolve; a checked one
+    leaves that to `check_loaded`, and an unchecked one is not to be
+    checked."""
     _, base = prelude()
-    file = parse_file(text, path, parsed_clean)
-    return resolve(file, base.clone(), resolved_clean)
-
-
-@functools.lru_cache(maxsize=1024)
-def parsed_clean(definition: Keyed) -> tuple[str, tuple[str, ...], int]:
-    """The name, parameters and span length of a definition, `Keyed` by
-    its declaration's text alone (`Parser.parse_file`), lexed and parsed by
-    the `take`n function on a miss; a hit leaves the body to be lexed and
-    parsed when it is read. A failing parse raises, so the memo keeps no
-    answer for it; it keeps no node either. The bound holds twice the
-    texts of a seed-1 round of all three workloads: 65 of `iterate`, 17 of
-    `check_wide` and 153 of `corpus_mix`, whose entries keep 21, 5 and 53
-    KB besides the texts that the other memos' keys share (tracemalloc,
-    Python 3.11.7)."""
-    decl = definition.take()()
-    return decl.name, decl.params, decl.span.length
-
-
-@functools.lru_cache(maxsize=1024)
-def resolved_clean(definition: Keyed) -> None:
-    """Runs the resolution of a definition whose key
-    (`Resolver.resolve_file`) has not resolved clean before in the
-    process; a hit leaves the body to be resolved when it is read. A
-    failing resolution raises, so the memo keeps no answer for it. The key
-    leaves out the prelude, which `prelude` fixes. The bound holds twice
-    a seed-1 round of all three workloads: 71 keys of `iterate`, 17 of
-    `check_wide` and 253 of `corpus_mix` (38, 5 and 111 KB besides the
-    texts that `checked_clean`'s keys share, tracemalloc, Python 3.11.7)."""
-    definition.take()()
+    with first_error(text):
+        decls = parser.tokenize(text)
+        found = keys(decls, checked)
+        file = Parser.parse_file(decls, path, [known(key) for key in found])
+    file, env = resolve(SourceFile(path, file.decls, file.texts, tuple(found)), base.clone())
+    if not checked:
+        learn(file, set())
+    return file, env
 
 
 class CheckedProgramError(Exception):
@@ -67,21 +110,13 @@ class CheckedProgramError(Exception):
         self.diags = diags
 
 
-@functools.lru_cache(maxsize=1024)
-def checked_clean(definition: Keyed) -> None:
-    """Runs the check of a definition whose key (`Checker.check_file`) has
-    not checked clean before in the process. A failing check raises, so
-    the memo keeps no answer for it. The key leaves out the prelude, which
-    `prelude` fixes. The bound holds twice a seed-1 round of all three
-    workloads: 71 keys of `iterate`, 17 of `check_wide` and 227 of
-    `corpus_mix` (49, 157 and 178 KB, tracemalloc, Python 3.11.7)."""
-    definition.take()()
-
-
 def check_loaded(file: SourceFile, env: Env) -> list[Diagnostic]:
-    """The diagnostics of a program that `load_text` made, checked through
-    `checked_clean`."""
-    return Checker(env).check_file(file, checked_clean)
+    """The diagnostics of a program that `load_text` made, checked; each
+    definition that checks clean is learned."""
+    checker = Checker(env)
+    diags = checker.check_file(file)
+    learn(file, checker.failed)
+    return diags
 
 
 def check_text(text: str, path: str = "<input>") -> tuple[SourceFile, Env, list[Diagnostic]]:
@@ -100,7 +135,7 @@ def run_text(
     """Check (unless disabled) and evaluate `entry`; returns (value, interp)."""
     from .interp import eval_program
 
-    file, env = load_text(text, path)
+    file, env = load_text(text, path, checked)
     if checked:
         diags = check_loaded(file, env)
         if diags:

@@ -11,7 +11,7 @@ explicit type arguments.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from functools import partial
 
 from .ast import (
@@ -38,7 +38,6 @@ from .ast import (
     Expr,
     KIND_PERM,
     KIND_TYPE,
-    Keyed,
     Kind,
     PTag,
     PTuple,
@@ -66,7 +65,6 @@ from .ast import (
     rebuild,
     replace,
     same_items,
-    through,
 )
 
 
@@ -227,24 +225,17 @@ class Resolver:
             else:
                 self.env.types[decl.name] = AbstractInfo(decl.name, decl.params)
 
-    def resolve_file(
-        self, file: SourceFile, memo: Callable[[Keyed], None] | None = None
-    ) -> SourceFile:
-        """`file` resolved. A `memo` (`driver.resolved_clean`) gets each
-        definition's resolution, `Keyed` by all that it reads of the file:
-        the texts of the definition, of the type declarations and of the
-        signatures, how many signatures are in scope (`Checker.check_file`'s
-        key, less `undefined`), and how many aliases have a kind, which an
-        alias gets only where it is declared; not the environment `file`
-        is resolved on, which the memo must fix."""
+    def resolve_file(self, file: SourceFile) -> SourceFile:
+        """`file` resolved. A definition `known` clean is resolved when its
+        body is first read. By then every signature of the file is in scope
+        and every alias has its kind, not only those before it: a body that
+        resolved clean in the smaller scope resolves to the same in the
+        larger."""
         for decl in file.decls:
             self.register(decl)
-        if memo is not None:
-            types, sigs = declared(file)
         resolved: list[Decl] = []
         defs_seen: set[str] = set()
-        aliases = 0
-        for i, decl in enumerate(file.decls):
+        for decl in file.decls:
             if isinstance(decl, DData):
                 self.bind_tyvars(decl.params, decl.span)
                 branches = []
@@ -273,7 +264,6 @@ class Resolver:
                 # a cycle is closed by the definition of its last alias
                 self.check_alias_cycles()
                 info.kind = kind_of(info.body, self.env, self.tyvars)
-                aliases += 1
                 self.tyvars.undo_to(0)
                 resolved.append(replace(decl, body=info.body))
             elif isinstance(decl, DValSig):
@@ -297,14 +287,14 @@ class Resolver:
                         "E-KIND", f"duplicate definition of {decl.name!r}", decl.span
                     )
                 defs_seen.add(decl.name)
-                if memo is None:
-                    resolved.append(self.resolve_def(decl, sig))
+                if decl.known:
+                    resolved.append(DValDef.later(decl.name, decl.params, decl.span,
+                                                  partial(_resolve_alone, self.env, decl, sig)))
                 else:
-                    key = (file.texts[i], types, sigs, len(self.env.sigs), aliases)
-                    resolved.append(self.resolve_known(decl, sig, key, memo))
+                    resolved.append(self.resolve_def(decl, sig))
             else:
                 resolved.append(decl)
-        return SourceFile(file.path, tuple(resolved), file.texts)
+        return SourceFile(file.path, tuple(resolved), file.texts, file.keys)
 
     def check_alias_cycles(self) -> None:
         graph: dict[str, set[str]] = {}
@@ -466,20 +456,6 @@ class Resolver:
         self.tyvars.undo_to(0)
         self.values.undo_to(0)
         return replace(decl, body=body)
-
-    def resolve_known(
-        self, decl: DValDef, sig: Type, key: tuple, memo: Callable[[Keyed], None]
-    ) -> DValDef:
-        """`resolve_def(decl, sig)` unless `key` resolved clean before
-        (`memo`); if it did, a `DValDef.later` whose body is resolved when
-        first read. By then every signature of the file is in scope and
-        every alias has its kind, not only those before `decl`: a body that
-        resolved clean in the smaller scope resolves to the same in the
-        larger."""
-        _, resolved = through(memo, key, partial(self.resolve_def, decl, sig))
-        env = self.env
-        return resolved or DValDef.later(decl.name, decl.params, decl.span,
-                                         lambda: Resolver(env).resolve_def(decl, sig).body)
 
     def resolve_expr(self, e: Expr) -> Expr:
         """`e` resolved in the current scope. Only types change (a lambda's,
@@ -650,15 +626,6 @@ def _describe(t: Type) -> str:
     return print_type(t)
 
 
-def declared(file: SourceFile) -> tuple[str, str]:
-    """The texts of `file`'s type declarations, and of its signatures, each
-    joined: the part of a definition's memo key that every definition of
-    the file shares (`Resolver.resolve_file`, `Checker.check_file`)."""
-    pairs = list(zip(file.decls, file.texts))
-    types = "".join([t for d, t in pairs if isinstance(d, (DData, DAlias, DAbstract))])
-    return types, "".join([t for d, t in pairs if isinstance(d, DValSig)])
-
-
 def domain_comps(domain: Type) -> tuple[TupleComp, ...]:
     """The component list of an arrow domain."""
     if isinstance(domain, TBar):
@@ -679,11 +646,14 @@ def domain_bars(domain: Type) -> list[tuple[Type, bool]]:
     return bars
 
 
-def resolve(
-    file: SourceFile, base: Env | None = None, memo: Callable[[Keyed], None] | None = None
-) -> tuple[SourceFile, Env]:
-    """Resolve and kind-check a source file on top of an optional base env,
-    through an optional `memo` (`Resolver.resolve_file`)."""
+def _resolve_alone(env: Env, decl: DValDef, sig: Type) -> DValDef:
+    """`decl` resolved against `sig` by a resolver of its own, so a body
+    read lazily finds no scope that another left."""
+    return Resolver(env).resolve_def(decl, sig)
+
+
+def resolve(file: SourceFile, base: Env | None = None) -> tuple[SourceFile, Env]:
+    """Resolve and kind-check a source file on top of an optional base env."""
     resolver = Resolver(base)
-    resolved = resolver.resolve_file(file, memo)
+    resolved = resolver.resolve_file(file)
     return resolved, resolver.env

@@ -15,13 +15,13 @@ only where a node or an error keeps one. `len(tokenize(text)) - 1` is
 the number of tokens in the text.
 
 A file is not lexed whole. `cut` finds the keyword of each declaration,
-and which of them begin definitions, without lexing the text.
+and the name of each that begins a definition, without lexing the text.
 `parser.tokenize` lexes each run of declarations between two definitions
 in one call, at its offset; a definition is lexed on its own, only where
-it is parsed, so one whose text the parse memo knows is not lexed unless
-its body is read. Only a file whose parse fails is lexed whole, so that
-an illegal character anywhere in it is the error it reports
-(`parser.parse_file`).
+it is parsed, so one that the driver's memo knows clean
+(`driver.load_text`) is not lexed unless its body is read. Only a file
+whose parse fails is lexed whole, so that an illegal character anywhere
+in it is the error it reports (`parser.first_error`).
 """
 
 from __future__ import annotations
@@ -100,10 +100,10 @@ _FEW_TOKENS = 128
 # begins a token unless an identifier character comes before it, or
 # before the run of digits before it: `3val` is an INT and a `val`,
 # `x3val` and `x'val` are names. The group, read ahead and so not taken
-# from the scan, holds the name and the parenthesis that follow a `val`
-# which begins a definition.
+# from the scan, holds the name that a `val` which begins a definition
+# defines: the name after it, followed by a parenthesis.
 _DECL_RE = re.compile(
-    r"(?:data|alias|abstract|val(?=([ \t\r\n]+[a-z][a-zA-Z0-9_']*[ \t\r\n]*\())?)(?![a-zA-Z0-9_'])"
+    r"(?:data|alias|abstract|val(?=[ \t\r\n]+([a-z][a-zA-Z0-9_']*)[ \t\r\n]*\()?)(?![a-zA-Z0-9_'])"
 )
 _DIGITS = frozenset("0123456789")
 _NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_'")
@@ -114,14 +114,15 @@ def blank_comments(text: str) -> str:
     return _COMMENT_RE.sub(lambda m: " " * len(m[0]), text)
 
 
-def cut(blanked: str) -> tuple[list[int], list[str], list[bool]]:
+def cut(blanked: str) -> tuple[list[int], list[str], list[str | None]]:
     """The starts and the texts of the `data`, `alias`, `abstract` and
     `val` tokens of a text whose comments are blanked (`blank_comments`),
     found without lexing it: one C-level scan for the keywords, and a look
     at the characters before each. For a text that lexes, these are the
     tokens that `tokenize` gives; for one that does not, whatever. With
-    them, whether each begins a definition: `val`, a name and `(`."""
-    starts, keywords, definitions = [], [], []
+    them, the name that each defines if it begins a definition (`val`, a
+    name and `(`), else None."""
+    starts, keywords, names = [], [], []
     for m in _DECL_RE.finditer(blanked):
         i = j = m.start()
         while j and blanked[j - 1] in _DIGITS:
@@ -129,8 +130,8 @@ def cut(blanked: str) -> tuple[list[int], list[str], list[bool]]:
         if not j or blanked[j - 1] not in _NAME_CHARS:
             starts.append(i)
             keywords.append(m[0])
-            definitions.append(m[1] is not None)
-    return starts, keywords, definitions
+            names.append(m[1])
+    return starts, keywords, names
 
 
 def tokenize(text: str, start: int = 0, end: str = "") -> Tokens:

@@ -8,7 +8,8 @@ permission `p`.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from functools import partial
 from itertools import compress, count, zip_longest
 
@@ -36,7 +37,6 @@ from .ast import (
     Expr,
     KIND_PERM,
     KIND_TYPE,
-    Keyed,
     Kind,
     PTag,
     PTuple,
@@ -57,7 +57,6 @@ from .ast import (
     TVar,
     Type,
     TupleComp,
-    through,
 )
 from . import lexer
 from .lexer import KEYWORDS, LexError, Tokens, blank_comments, cut
@@ -85,21 +84,24 @@ _DECL_ENDS = frozenset(("data", "alias", "abstract", "val", ""))
 class Declarations:
     """A file's text cut before each declaration, as `tokenize` gives it:
     the `texts` of its declarations, each from its keyword to the next
-    declaration's or to the end of the file; the `definitions`, each as
-    its text, its offset and the keyword that follows it ("" at the end of
-    the file), which `Parser.parse_file` lexes only where it parses them;
-    and between them the `runs`, the tokens of each stretch of the file
-    that holds no definition, which end in the next definition's `val` or
-    in the EOF, or None for a stretch of no text. The first run holds what
-    comes before the first declaration, which must be blanks alone. `len`
-    counts the tokens lexed and one EOF, as the `len` of a `Tokens` of them
-    would."""
+    declaration's or to the end of the file, with each one's `keywords`
+    and the name it defines if it is a definition, else None (`names`, as
+    `lexer.cut` reads them); the `definitions`, each as its text, its
+    offset and the keyword that follows it ("" at the end of the file),
+    which `Parser.parse_file` lexes only where it parses them; and between
+    them the `runs`, the tokens of each stretch of the file that holds no
+    definition, which end in the next definition's `val` or in the EOF, or
+    None for a stretch of no text. The first run holds what comes before
+    the first declaration, which must be blanks alone. `len` counts the
+    tokens lexed and one EOF, as the `len` of a `Tokens` of them would."""
 
-    __slots__ = ("texts", "definitions", "runs")
+    __slots__ = ("texts", "keywords", "names", "definitions", "runs")
 
-    def __init__(self, texts: list[str], definitions: list[tuple[str, int, str]],
-                 runs: list[Tokens | None]):
+    def __init__(self, texts: list[str], keywords: list[str], names: list[str | None],
+                 definitions: list[tuple[str, int, str]], runs: list[Tokens | None]):
         self.texts = texts
+        self.keywords = keywords
+        self.names = names
         self.definitions = definitions
         self.runs = runs
 
@@ -184,24 +186,31 @@ class Parser:
     # -- declarations ------------------------------------------------------
 
     @classmethod
-    def parse_file(
-        cls, file: Declarations, path: str, memo: Callable[[Keyed], tuple] | None = None
-    ) -> SourceFile:
+    def parse_file(cls, file: Declarations, path: str,
+                   known: Sequence[tuple[str, tuple[str, ...], int] | None] = ()) -> SourceFile:
         """The declarations of a file that `tokenize` cut, in order: those
         of each run by a parser of its tokens, and each definition lexed
-        here, on its own, as it is parsed (`_parse_at`), unless `memo`
-        (`driver.parsed_clean`) knows its text (`_definition`)."""
+        here, on its own, as it is parsed (`_parse_at`); or, where `known`
+        gives a definition's name, parameters and span length (it is known
+        clean: `driver.load_text`), a `DValDef.later` whose body is lexed
+        and parsed when first read. The parse of a declaration reads
+        nothing but its own tokens and, at most, that the one after them is
+        a declaration's keyword or the EOF, so its text fixes it but for its
+        offset."""
         decls: list[Decl] = []
-        for run, definition in zip_longest(file.runs, file.definitions):
+        for run, definition, header in zip_longest(file.runs, file.definitions, known):
             if run is not None:
                 # Each token of a run starts before its last, which starts
                 # where the run's text ends.
                 parser, end = cls(run), run.starts[-1]
                 while parser.starts[parser.pos] != end:
                     decls += (parser.parse_declaration(),)
-            if definition is not None:
-                decls += (_parse_at(*definition) if memo is None
-                          else _definition(*definition, memo),)
+            if header is not None:
+                name, params, length = header
+                decls += (DValDef.later(name, params, Span(definition[1], length),
+                                        partial(_parse_at, *definition)),)
+            elif definition is not None:
+                decls += (_parse_at(*definition),)
         return SourceFile(path, tuple(decls), tuple(file.texts))
 
     def parse_declaration(self) -> Decl:
@@ -679,24 +688,9 @@ def _parse_at(text: str, start: int, end: str) -> Decl:
     its own and parsed: its tokens and their spans are those that the
     file's text gives it. It is lexed by `lexer.tokenize`, not by this
     module's `tokenize`, the file's lexer layer (`perfbench/ops.py`):
-    whoever parses it pays for its lex, the parser on a miss of the parse
-    memo, whoever reads a lazy body otherwise."""
+    whoever parses it pays for its lex, the parser where the definition is
+    not known clean, whoever reads a lazy body otherwise."""
     return Parser(lexer.tokenize(text, start, end)).parse_declaration()
-
-
-def _definition(text: str, start: int, end: str, memo: Callable[[Keyed], tuple]) -> DValDef:
-    """The definition `_parse_at(text, start, end)`, parsed if its text is
-    new to `memo`, else a `DValDef.later` with the name, parameters and
-    span length that `memo` keeps, whose body is lexed and parsed when first
-    read. The parse of a declaration reads nothing but its own tokens and,
-    at most, that the one after them is a declaration's keyword or the EOF,
-    so the text fixes the definition but for its offset."""
-    header, parsed = through(memo, text, partial(_parse_at, text, start, end))
-    if parsed is not None:
-        return parsed
-    name, params, length = header
-    return DValDef.later(name, params, Span(start, length),
-                         lambda: _parse_at(text, start, end).body)  # type: ignore[attr-defined]
 
 
 def tokenize(text: str) -> Declarations:
@@ -705,30 +699,35 @@ def tokenize(text: str) -> Declarations:
     The file's lexer layer: a definition is lexed only where it is
     parsed."""
     blanked = blank_comments(text) if "--" in text else text
-    starts, keywords, definitions = cut(blanked)
+    starts, keywords, names = cut(blanked)
     bounds = [*starts, len(text)]
     texts = [text[i:j] for i, j in zip(bounds, bounds[1:])]
     ends = [*keywords[1:], ""]
     defined, runs = [], []
     i = 0  # where the run after the last definition begins
-    for k in compress(count(), definitions):
+    for k in compress(count(), names):
         j = starts[k]
         runs.append(lexer.tokenize(blanked[i:j], i, "val") if i < j else None)
         defined.append((texts[k], j, ends[k]))
         i = bounds[k + 1]
     runs.append(lexer.tokenize(blanked[i:], i) if i < len(text) else None)
-    return Declarations(texts, defined, runs)
+    return Declarations(texts, keywords, names, defined, runs)
 
 
-def parse_file(
-    text: str, path: str = "<input>", memo: Callable[[Keyed], tuple] | None = None
-) -> SourceFile:
-    """`text` parsed, through an optional `memo` (`Parser.parse_file`).
-    Where it raises, the whole text is lexed, so that a `LexError`
-    anywhere in it comes before any other error: a file's first illegal
-    character is its error, wherever its parse stopped."""
+@contextmanager
+def first_error(text: str) -> Iterator[None]:
+    """Where the parse of `text` in the block raises, the whole text is
+    lexed, so that a `LexError` anywhere in it comes before any other
+    error: a file's first illegal character is its error, wherever its
+    parse stopped."""
     try:
-        return Parser.parse_file(tokenize(text), path, memo)
+        yield
     except (LexError, ParseError):
         lexer.tokenize(text)
         raise
+
+
+def parse_file(text: str, path: str = "<input>") -> SourceFile:
+    """`text` parsed, no definition known clean (`Parser.parse_file`)."""
+    with first_error(text):
+        return Parser.parse_file(tokenize(text), path)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from minimz.driver import CORPUS_DIR, checked_clean, parsed_clean, resolved_clean
+from minimz.driver import CORPUS_DIR, clean
 from minimz.lexer import tokenize
 from minimz.parser import Parser
 
@@ -26,14 +26,12 @@ def pytest_configure(config):
 
 
 @pytest.fixture(autouse=True)
-def cold_front_end_and_check_memos():
+def cold_memo_of_clean_definitions():
     """Each test starts as a fresh process does, with no definition known
-    to parse, resolve or check clean, so a test that loads and checks a
-    program through the driver parses, resolves and checks each of its
-    definitions, whatever ran before it."""
-    parsed_clean.cache_clear()
-    resolved_clean.cache_clear()
-    checked_clean.cache_clear()
+    clean, so a test that loads and checks a program through the driver
+    parses, resolves and checks each of its definitions, whatever ran
+    before it."""
+    clean.cache_clear()
 
 
 CORPUS = CORPUS_DIR

@@ -1,12 +1,13 @@
-"""The driver's memo of clean definitions (`driver.checked_clean`): a
-definition whose key checked clean before in the process is not checked
-again. The key is flat: the definition's text, the texts of the program's
-type declarations and signatures, the number of signatures in scope, and
-the names declared but never defined. So a definition whose key
-differs in any one part is checked on its own, a warm process gives what a
-cold one gives, byte for byte, and no lookup recurses as deep as the
-definition nests. Every test goes through the driver, as `minimz check`,
-`run` and `test` do.
+"""The driver's memo of clean definitions (`driver.clean`): a definition
+whose key passed before in the process is neither lexed, parsed, resolved
+nor checked again. The key is flat, read from the cut of the text into
+declarations: the definition's text, the texts of the program's type
+declarations and signatures, the names it defines, the numbers of
+signatures and of aliases before the definition, and whether the load is
+checked. So a definition whose key differs in any one part is checked on
+its own, a warm process gives what a cold one gives, byte for byte, and no
+lookup recurses as deep as the definition nests. Every test goes through
+the driver, as `minimz check`, `run` and `test` do.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import contextlib
 import io
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,35 +25,64 @@ from conftest import CORPUS
 from test_checker import let_built_list
 from test_compile_memo import nested_ifs
 
-from minimz import codegen, driver
+from minimz import codegen, driver, parser
+from minimz.check import Checker
 from minimz.cli import FRONT_END_ERRORS
 from minimz.cli import main as cli_main
+from minimz.kinds import Resolver
+from minimz.lexer import line_col
+from minimz.runtime import RuntimeTrap
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
+# The routines that lex and parse, resolve and check one definition.
+PER_DEFINITION = {
+    "parse": (parser, "_parse_at"),
+    "resolve": (Resolver, "resolve_def"),
+    "check": (Checker, "check_function_def"),
+}
+
+
+@contextlib.contextmanager
+def work_done():
+    """A `Counter` of the calls made in the block of each routine of
+    `PER_DEFINITION`, by its name."""
+    done: Counter = Counter()
+    saved = {name: getattr(owner, attr) for name, (owner, attr) in PER_DEFINITION.items()}
+
+    def counted(name, routine):
+        def call(*args):
+            done[name] += 1
+            return routine(*args)
+
+        return call
+
+    for name, (owner, attr) in PER_DEFINITION.items():
+        setattr(owner, attr, counted(name, saved[name]))
+    try:
+        yield done
+    finally:
+        for name, (owner, attr) in PER_DEFINITION.items():
+            setattr(owner, attr, saved[name])
+
 
 def cold() -> None:
-    driver.checked_clean.cache_clear()
-
-
-def checks_made() -> int:
-    """The checks the memo has run: each is a miss, a failing one too."""
-    return driver.checked_clean.cache_info().misses
+    driver.clean.cache_clear()
 
 
 def outcome(text: str, path: str = "t.mz") -> tuple:
     """The diagnostics of `text` through the driver, byte for byte, or its
     front-end error; and the checks that took."""
-    before = checks_made()
-    try:
-        _, _, diags = driver.check_text(text, path)
-    except FRONT_END_ERRORS as exc:
-        return ("front-end error", type(exc).__name__, str(exc)), checks_made() - before
+    with work_done() as done:
+        try:
+            _, _, diags = driver.check_text(text, path)
+        except FRONT_END_ERRORS as exc:
+            return ("front-end error", type(exc).__name__, str(exc)), done["check"]
     shown = [
         (d.code, d.span.start, d.span.length, d.message, d.perm_snapshot, d.render(path, text))
         for d in diags
     ]
-    return shown, checks_made() - before
+    return shown, done["check"]
 
 
 def cold_outcome(text: str, path: str = "t.mz") -> tuple:
@@ -76,7 +107,7 @@ def test_the_corpus_in_shuffled_order_gives_each_files_cold_diagnostics(seed):
     cold()
     for rel in order:
         assert outcome(texts[rel], rel)[0] == expected[rel], rel
-    assert driver.checked_clean.cache_info().hits > 0
+    assert driver.clean.cache_info().hits > 0
 
 
 def manifest_output() -> str:
@@ -89,9 +120,9 @@ def manifest_output() -> str:
 def test_minimz_test_prints_the_same_cold_and_warm():
     cold()
     first = manifest_output()
-    hits = driver.checked_clean.cache_info().hits
+    hits = driver.clean.cache_info().hits
     assert manifest_output() == first
-    assert driver.checked_clean.cache_info().hits > hits
+    assert driver.clean.cache_info().hits > hits
 
 
 # -- a definition under another key is checked on its own ----------------------------
@@ -181,10 +212,10 @@ def test_a_deep_definition_checks_and_runs_twice_under_the_default_recursion_lim
     codegen._compiled.cache_clear()
     first = run_outcome(text)
     assert first[0] == []
-    hits = driver.checked_clean.cache_info().hits, codegen._compiled.cache_info().hits
+    hits = driver.clean.cache_info().hits, codegen._compiled.cache_info().hits
     assert run_outcome(text) == first
     # The second check and the second run are answered by the memos.
-    assert driver.checked_clean.cache_info().hits == hits[0] + 2
+    assert driver.clean.cache_info().hits == hits[0] + 2
     assert codegen._compiled.cache_info().hits == hits[1] + 1
 
 
@@ -205,15 +236,44 @@ def perfbench_modules():
 
 def test_the_memo_holds_every_key_of_the_three_workloads_rounds(perfbench_modules):
     workloads, ops = perfbench_modules
-    rounds = [workloads.make_round(name, 1, CORPUS) for name in workloads.WORKLOADS]
+    rounds = {name: workloads.make_round(name, 1, CORPUS) for name in workloads.WORKLOADS}
     cold()
-    held = []
+    held, work = [], []
     for _ in range(2):
-        for ops_of_round in rounds:
-            for op in ops_of_round:
-                assert ops.mismatch(op, ops.run_plain(op)) is None, op.path
-        held.append(driver.checked_clean.cache_info().currsize)
+        work.append({})
+        for name, ops_of_round in rounds.items():
+            with work_done() as done:
+                for op in ops_of_round:
+                    assert ops.mismatch(op, ops.run_plain(op)) is None, op.path
+            work[-1][name] = dict(done)
+        held.append(driver.clean.cache_info().currsize)
     # The second pass made no new key, and the keys of all three rounds leave
     # room for a second seed's, so none was dropped for room.
     assert held[0] == held[1]
-    assert 0 < 2 * held[0] <= driver.checked_clean.cache_info().maxsize
+    assert 0 < 2 * held[0] <= driver.clean.cache_info().maxsize
+    # The second pass lexes, parses, resolves and checks the definitions
+    # that fail their check alone, and each once.
+    failing = {"iterate": 0, "check_wide": 0, "corpus_mix": 16}
+    assert work[1] == {
+        name: {"parse": n, "resolve": n, "check": n} if n else {}
+        for name, n in failing.items()
+    }
+
+
+# -- an unchecked run leaves no check undone -----------------------------------------
+
+
+def test_an_unchecked_run_does_not_let_a_checked_load_skip_its_check():
+    # An unchecked run learns each definition that resolves, under a key
+    # that says it was not checked; the check of the same text finds none.
+    rel = "dyn/double_wand.mz"
+    text = (CORPUS / rel).read_text(encoding="utf-8")
+    with pytest.raises(RuntimeTrap) as trap:
+        driver.run_text(text, "main", rel, checked=False)
+    assert trap.value.kind == "ONE_SHOT_REUSE"
+    assert driver.clean.cache_info().currsize > 0
+    (diag,) = driver.check_text(text, rel)[2]
+    assert diag.code == "E-SUBSUME"
+    assert line_col(text, diag.span.start) == (88, 7)
+    cold()
+    assert driver.check_text(text, rel)[2] == [diag]

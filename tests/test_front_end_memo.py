@@ -1,11 +1,11 @@
-"""The front end's memos: a definition whose text parsed clean before is
-neither lexed nor parsed again (`driver.parsed_clean`), and one whose key
-resolved clean before is not resolved again (`driver.resolved_clean`);
-its body is lexed from its own text, parsed with the file's offsets and
-resolved only when something reads it. So a warm process gives what a
-cold one gives, byte for byte, spans and errors included, and neither the
-memos nor a warm file keep what they need not: no node, no token. Every
-test goes through the driver, as `minimz check`, `run` and `test` do.
+"""The front end under the driver's memo of clean definitions
+(`driver.clean`): a definition whose key passed before is neither lexed,
+parsed nor resolved again; its body is lexed from its own text, parsed
+with the file's offsets and resolved only when something reads it. So a
+warm process gives what a cold one gives, byte for byte, spans and errors
+included, and neither the memo nor a warm file keeps what it need not: no
+node, no token. Every test goes through the driver, as `minimz check`,
+`run` and `test` do.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import types
 import pytest
 
 from conftest import CORPUS
-from test_check_memo import CORPUS_FILES, PAIRS, perfbench_modules  # noqa: F401
+from test_check_memo import CORPUS_FILES, PAIRS, cold, perfbench_modules, work_done  # noqa: F401
 from test_checker import let_built_list
 from test_compile_memo import nested_ifs
 from test_front_end_errors import GOLDEN as ERRORS_GOLDEN
@@ -32,17 +32,6 @@ from minimz.cli import FRONT_END_ERRORS
 from minimz.lexer import Tokens, tokenize
 from minimz.parser import Declarations, Parser, parse_file
 from minimz.runtime import RuntimeTrap
-
-MEMOS = (driver.parsed_clean, driver.resolved_clean, driver.checked_clean)
-
-
-def cold() -> None:
-    for memo in MEMOS:
-        memo.cache_clear()
-
-
-def misses() -> tuple[int, ...]:
-    return tuple(memo.cache_info().misses for memo in MEMOS)
 
 
 def outcome(text: str, path: str = "t.mz") -> tuple:
@@ -83,8 +72,7 @@ def test_the_corpus_twice_in_shuffled_order_gives_each_files_cold_outcome(seed):
     cold()
     for rel in order:
         assert outcome(corpus[rel], rel) == expected[rel], rel
-    assert driver.parsed_clean.cache_info().hits > 0
-    assert driver.resolved_clean.cache_info().hits > 0
+    assert driver.clean.cache_info().hits > 0
 
 
 CLEAN = "val g: int -> int\nval g (x) = add (x, 1)\n"
@@ -97,32 +85,33 @@ FAILS = "val f: int -> int\nval f (x) = add (x, true)\n"
 
 def test_a_warm_definition_moved_by_a_comment_keeps_absolute_spans():
     # A comment before the first declaration is in no declaration's text,
-    # so every definition of the moved program is warm: `g` is neither
-    # parsed nor resolved again, and `f`, which fails, is read lazily.
+    # so every key of the moved program is one of the first: `g` is neither
+    # parsed, resolved nor checked again, and `f`, which fails, is all
+    # three, at its new offset. The walk of the spans reads `g`'s body.
     program = CLEAN + FAILS
     moved = "-- moved\n" + program
     expected = cold_outcome(moved)
     cold()
     outcome(program)
-    before = misses()
+    with work_done() as done:
+        driver.check_text(moved, "t.mz")
+    assert done == {"parse": 1, "resolve": 1, "check": 1}
     assert outcome(moved) == expected
-    assert misses()[:2] == before[:2]  # nothing parsed or resolved again
     (diag,) = expected[0]
     assert diag[0] == "E-SUBSUME" and diag[1] > len("-- moved\n" + CLEAN)
 
 
 @pytest.mark.parametrize("part", ["undefined", "signatures in scope", "signature"])
 def test_a_warm_text_whose_check_misses_gives_cold_diagnostics(part):
-    # `f`'s text is the same in both programs, so the second finds it in
-    # the parse memo; its check key differs, so it is checked, from a body
-    # read lazily.
+    # `f`'s text is the same in both programs, but its key is not, so the
+    # memo knows no definition of the second.
     first, second, _ = PAIRS[part]
     expected = cold_outcome(second)
     cold()
     outcome(first)
-    hits = driver.parsed_clean.cache_info().hits
+    hits = driver.clean.cache_info().hits
     assert outcome(second) == expected
-    assert driver.parsed_clean.cache_info().hits > hits
+    assert driver.clean.cache_info().hits == hits
 
 
 # Pairs of programs in which `f`'s text is the same, the first resolves
@@ -144,23 +133,31 @@ RESOLVE_PAIRS = {
 ALIAS_ORDER = dict(zip(["alias-first.mz", "alias-last.mz"], RESOLVE_PAIRS["alias order"]))
 
 
-def load_outcome(text: str) -> str:
-    """The error that loading `text` raises, or "ok"."""
+def load_outcome(text: str, checked: bool) -> str:
+    """The error that loading `text` raises, or "ok". A checked load is
+    checked too, so that each definition of it that checks clean is
+    learned, as an unchecked one learns each that resolves."""
     try:
-        driver.load_text(text, "t.mz")
+        if checked:
+            driver.check_text(text, "t.mz")
+        else:
+            driver.load_text(text, "t.mz", checked=False)
     except FRONT_END_ERRORS as exc:
         return f"{type(exc).__name__} {exc}"
     return "ok"
 
 
+@pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
 @pytest.mark.parametrize("part", RESOLVE_PAIRS)
-def test_a_definition_under_another_resolution_key_is_resolved_again(part):
+def test_a_definition_under_another_resolution_key_is_resolved_again(part, checked):
     first, second = RESOLVE_PAIRS[part]
     cold()
-    expected = load_outcome(second)
-    assert load_outcome(first) == "ok" != expected
+    expected = load_outcome(second, checked)
+    assert load_outcome(first, checked) == "ok" != expected
     cold()
-    assert [load_outcome(first), load_outcome(second)] == ["ok", expected]
+    assert load_outcome(first, checked) == "ok"
+    assert driver.clean.cache_info().currsize > 0  # the first's `f` is known
+    assert load_outcome(second, checked) == expected
 
 
 def test_a_warm_text_under_a_later_signature_gives_cold_diagnostics():
@@ -175,10 +172,10 @@ def test_a_warm_text_under_a_later_signature_gives_cold_diagnostics():
 
 
 def test_a_front_end_error_after_warm_definitions_is_the_cold_error():
-    # Every corpus file is loaded first, so each broken variant's clean
+    # Every corpus file is checked first, so each broken variant's clean
     # definitions are warm when its error is met.
     for text in texts().values():
-        driver.load_text(text, "warm.mz")
+        driver.check_text(text, "warm.mz")
     assert front_end_errors() == ERRORS_GOLDEN.read_text(encoding="utf-8")
 
 
@@ -234,8 +231,8 @@ def test_a_front_end_error_is_met_where_a_whole_file_lex_met_it_cold_and_warm(ca
     cold()
     assert load_error(text) == expected
     for warm in (CLEAN, FAILS, *texts().values()):
-        driver.load_text(warm, "warm.mz")
-    assert driver.parsed_clean.cache_info().currsize > 0
+        driver.check_text(warm, "warm.mz")
+    assert driver.clean.cache_info().currsize > 0
     assert load_error(text) == expected
 
 
@@ -258,7 +255,7 @@ def test_an_unchecked_run_gives_the_same_value_and_steps_warm_and_cold(rel):
     cold()
     codegen._compiled.cache_clear()
     first = unchecked_run(text, rel)
-    # Warm: the parse and resolve memos answer, and `_compiled` too.
+    # Warm: the memo of clean definitions answers, and `_compiled` too.
     assert unchecked_run("-- moved\n" + text, rel) == first
     codegen._compiled.cache_clear()
     # Warm front end, cold code: each body is read lazily to be compiled.
@@ -269,13 +266,17 @@ def test_an_unchecked_run_gives_the_same_value_and_steps_warm_and_cold(rel):
     "text", [let_built_list(10_000), nested_ifs(400)], ids=["lets-10000", "if-400"]
 )
 def test_a_deep_body_read_lazily_checks_under_the_default_recursion_limit(text):
-    # The second program adds a signature: each body is parsed from the
-    # memo's lazy definition, deeper in the stack than a parse of the file.
+    # The second load knows the definition clean, and the run compiles it
+    # afresh: its body is parsed and resolved from the lazy definition,
+    # deeper in the stack than a parse of the file.
     assert sys.getrecursionlimit() <= 1000
-    driver.check_text(text, "t.mz")
-    hits = driver.parsed_clean.cache_info().hits
-    assert driver.check_text(text + "val zz: () -> int\n", "t.mz")[2] == []
-    assert driver.parsed_clean.cache_info().hits > hits
+    assert driver.check_text(text, "t.mz")[2] == []
+    codegen._compiled.cache_clear()
+    hits = driver.clean.cache_info().hits
+    with work_done() as done:
+        driver.run_text(text, "main", "t.mz")
+    assert driver.clean.cache_info().hits > hits
+    assert done == {"parse": 1, "resolve": 1}
 
 
 def test_a_body_read_lazily_is_lexed_outside_the_files_lexer(monkeypatch):
@@ -283,9 +284,9 @@ def test_a_body_read_lazily_is_lexed_outside_the_files_lexer(monkeypatch):
     # once. The file's lexer layer (`parser.tokenize`, which perfbench's
     # traced runs wrap as the lexer of a file) lexes the declarations
     # before the definition in one call, here the signature, which is
-    # parsed every time. `f` fails its check, so the check reads its body
-    # lazily: its text is lexed then, outside the file's lexer, and only
-    # then.
+    # parsed every time. `f` fails its check, so the memo does not know it,
+    # and the parser lexes its text on its own, outside the file's lexer,
+    # and only there.
     driver.check_text(FAILS, "t.mz")
     lexed, inside = [], []
     files_lexer = parser.tokenize
@@ -317,14 +318,14 @@ def test_a_lazy_body_equals_the_eager_body_and_keeps_its_pinned_spans():
     for path in sorted(CORPUS.rglob("*.mz")):
         rel = path.relative_to(CORPUS).as_posix()
         text = path.read_text(encoding="utf-8")
-        cold()
-        eager = parse_file(text, rel)  # no memo
-        parse_file(text, rel, driver.parsed_clean)
-        parsed = misses()[0]
-        lazy = parse_file(text, rel, driver.parsed_clean)
-        assert misses()[0] == parsed  # no definition was parsed again
-        bodies = [d.body for d in lazy.decls if type(d) is DValDef]
-        assert bodies == [d.body for d in eager.decls if type(d) is DValDef]
+        eager = parse_file(text, rel)
+        headers = [(d.name, d.params, d.span.length) for d in eager.decls if type(d) is DValDef]
+        with work_done() as done:
+            lazy = Parser.parse_file(parser.tokenize(text), rel, headers)
+        assert not done  # no definition was parsed
+        defined = [d for d in lazy.decls if type(d) is DValDef]
+        assert all(d.known for d in defined)
+        assert [d.body for d in defined] == [d.body for d in eager.decls if type(d) is DValDef]
         lines.append(f"== {rel}")
         walk(lazy, lines)
     assert "\n".join(lines) + "\n" == SPANS_GOLDEN.read_text(encoding="utf-8")
@@ -352,18 +353,16 @@ def stored_keys(memo) -> list:
 def test_the_front_end_memos_keep_only_strings_and_ints():
     for text in texts().values():
         outcome(text)
-
-    def unreachable():
-        raise AssertionError("a stored key missed")
-
-    for memo in (driver.parsed_clean, driver.resolved_clean):
-        keys = stored_keys(memo)
-        assert len(keys) == memo.cache_info().currsize > 0
-        for keyed in keys:
-            assert keyed.take() is None  # the memo keeps no parsed value
-            answer = memo(type(keyed)(keyed.key, unreachable))
-            for leaf in leaves((keyed.key, answer)):
-                assert type(leaf) in (str, int) or leaf is None, (memo, type(leaf))
+        driver.load_text(text, "t.mz", checked=False)
+    memo = driver.clean
+    keys = stored_keys(memo)
+    assert len(keys) == memo.cache_info().currsize > 0
+    assert {keyed.key[0] for keyed in keys} == {False, True}  # both modes
+    for keyed in keys:
+        assert keyed.take() is None  # the memo keeps no parsed value
+        answer = memo(type(keyed)(keyed.key, None))  # a miss would raise
+        for leaf in leaves((keyed.key, answer)):
+            assert type(leaf) in (str, int, bool), type(leaf)
 
 
 def reachable_classes(root) -> set[type]:
@@ -388,27 +387,50 @@ def test_a_warm_file_keeps_no_token_of_its_text():
     # A definition read lazily lexes its own text when its body is read,
     # so the file keeps no token list of its own until then.
     text = texts()["pos/tree_size.mz"]
-    driver.load_text(text, "t.mz")
+    driver.check_text(text, "t.mz")
     file, _ = driver.load_text("-- moved\n" + text, "t.mz")
     lazy = [d for d in file.decls if type(d) is DValDef and d._fill is not None]
     assert lazy
     assert not reachable_classes(file) & {Declarations, Parser, Tokens}
 
 
-def test_the_memos_hold_every_key_of_the_three_workloads_rounds(perfbench_modules):  # noqa: F811
+def test_the_memos_hold_every_key_of_the_three_workloads_rounds(
+    perfbench_modules, monkeypatch  # noqa: F811
+):
+    # `test_check_memo.py`'s test of the same name pins the memo's size and
+    # the definitions a warm round parses; here, that a warm round lexes
+    # the text of no definition but those that fail their check, so reads
+    # no lazy body: the run finds each definition's code in `_compiled`.
     workloads, ops = perfbench_modules
-    rounds = [workloads.make_round(name, 1, CORPUS) for name in workloads.WORKLOADS]
-    held = []
-    for _ in range(2):
-        for op in [op for ops_of_round in rounds for op in ops_of_round]:
+    rounds = {name: workloads.make_round(name, 1, CORPUS) for name in workloads.WORKLOADS}
+    for ops_of_round in rounds.values():
+        for op in ops_of_round:
             assert ops.mismatch(op, ops.run_plain(op)) is None, op.path
-        held.append([memo.cache_info().currsize for memo in MEMOS[:2]])
-    # The second pass made no new key, and the keys of all three rounds leave
-    # room for a second seed's, so none was dropped for room.
-    assert held[0] == held[1]
-    assert all(0 < 2 * n <= memo.cache_info().maxsize for n, memo in zip(held[0], MEMOS))
+    files_lexer = parser.tokenize
+    inside: list[str] = []
+    lexed = dict.fromkeys(rounds, 0)
+    workload = [""]
+
+    def traced_files_lexer(text):
+        inside.append(text)
+        try:
+            return files_lexer(text)
+        finally:
+            inside.pop()
+
+    def traced_lexer(text, *at):
+        lexed[workload[0]] += not inside
+        return tokenize(text, *at)
+
+    monkeypatch.setattr(parser, "tokenize", traced_files_lexer)
+    monkeypatch.setattr(lexer, "tokenize", traced_lexer)
+    for name, ops_of_round in rounds.items():
+        workload[0] = name
+        for op in ops_of_round:
+            assert ops.mismatch(op, ops.run_plain(op)) is None, op.path
+    assert lexed == {"iterate": 0, "check_wide": 0, "corpus_mix": 16}
 
 
 def test_each_test_starts_with_cold_memos():
-    # `conftest.py`'s autouse fixture clears them, as a fresh process has.
-    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0, 0]
+    # `conftest.py`'s autouse fixture clears the memo, as a fresh process has.
+    assert driver.clean.cache_info().currsize == 0

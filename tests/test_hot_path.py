@@ -88,7 +88,7 @@ def let_chain(rng: random.Random, n: int) -> str:
 def raised_while_checking(texts: list[str]) -> Counter:
     """(qualified name of the function, exception type) of each exception
     raised while checking `texts`, each by a bare `Checker`: the driver's
-    check memo would skip the definitions checked clean before."""
+    memo of clean definitions would skip those checked clean before."""
     raised: Counter = Counter()
 
     def trace(frame, event, arg):

@@ -214,9 +214,9 @@ def test_tokenize_agrees_with_a_character_scanner_on_every_short_string():
 
 def keyword_tokens(text: str):
     """The start and the text of each `data`, `alias`, `abstract` and `val`
-    token of `text`, and whether it begins a definition: a `val` followed
-    by a name, which may be a keyword, and `(`; or None if it does not
-    lex."""
+    token of `text`, and the name it defines if it begins a definition (a
+    `val` followed by a name, which may be a keyword, and `(`), else None;
+    or None if it does not lex."""
     try:
         tokens = tokenize(text)
     except LexError:
@@ -224,7 +224,8 @@ def keyword_tokens(text: str):
     texts = tokens.texts
     keywords = ("data", "alias", "abstract", "val")
     return [
-        (start, word, word == "val" and texts[k + 1][:1].islower() and texts[k + 2 : k + 3] == ["("])
+        (start, word, texts[k + 1] if word == "val" and texts[k + 1][:1].islower()
+         and texts[k + 2 : k + 3] == ["("] else None)
         for k, (word, start) in enumerate(zip(texts, tokens.starts))
         if word in keywords
     ]
@@ -232,8 +233,8 @@ def keyword_tokens(text: str):
 
 def agrees_with_the_tokenizer(text: str) -> bool:
     """Does `cut` find the declarations' keywords that `tokenize` gives, and
-    the definitions among them, on a text that lexes? Any answer is right
-    for one that does not."""
+    the names of the definitions among them, on a text that lexes? Any
+    answer is right for one that does not."""
     expected = keyword_tokens(text)
     return expected is None or list(zip(*cut(blank_comments(text)))) == expected
 

@@ -212,9 +212,14 @@ PINS = [
         "DValDef(name='name', params='params', body='body')",
         "span",
     ),
-    # `SourceFile`'s path and declaration texts are not structural, and its
-    # texts are not printed.
-    (ast.SourceFile, "path decls texts", "SourceFile(path='path', decls='decls')", "path texts"),
+    # `SourceFile`'s path, declaration texts and keys are not structural,
+    # and its texts and keys are not printed.
+    (
+        ast.SourceFile,
+        "path decls texts keys",
+        "SourceFile(path='path', decls='decls')",
+        "path texts keys",
+    ),
     (perms.Atom, "", "Atom()", ""),
     (perms.Anchored, "anchor ty", "Anchored(anchor='anchor', ty='ty')", ""),
     (perms.PermVar, "name", "PermVar(name='name')", ""),
